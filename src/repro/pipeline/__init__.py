@@ -12,7 +12,7 @@ reconstructed volume with one memoized operator:
   projection cross-correlation.
 * **Streaming executor** (:mod:`repro.pipeline.executor`) —
   memory-budgeted chunking, batched multi-RHS solves
-  (:mod:`repro.solvers.batched`), warm operator reuse via the plan
+  (:mod:`repro.solvers.driver`), warm operator reuse via the plan
   cache, and per-chunk checkpoint/resume.
 
 See ``docs/pipeline.md`` for the full guide.

@@ -170,12 +170,20 @@ def _stack_fingerprint(
     return np.frombuffer(h.digest(), dtype=np.uint8).copy()
 
 
+def _solver_for(name: str, batched: bool):
+    """The single or slab entry point of a solver name.
+
+    The table is built per call so the functions stay the module's
+    late-bound names (wrappable by attribute, e.g. by a tracer).
+    """
+    pairs = {"cg": (cgls, cgls_batch), "sirt": (sirt, sirt_batch), "mlem": (mlem, mlem_batch)}
+    return pairs[name][batched]
+
+
 def _solve_chunk_batched(solver, op, Y, iterations, tolerance, solver_kwargs):
-    if solver == "cg":
-        return cgls_batch(op, Y, num_iterations=iterations, tolerance=tolerance, **solver_kwargs)
-    if solver == "sirt":
-        return sirt_batch(op, Y, num_iterations=iterations, tolerance=tolerance, **solver_kwargs)
-    return mlem_batch(op, Y, num_iterations=iterations, tolerance=tolerance, **solver_kwargs)
+    return _solver_for(solver, batched=True)(
+        op, Y, num_iterations=iterations, tolerance=tolerance, **solver_kwargs
+    )
 
 
 def _solve_chunk_looped(
@@ -191,15 +199,13 @@ def _solve_chunk_looped(
     forces the serial loop: the span stack and counters are not safe
     against concurrent solver instrumentation.
     """
+    solve = _solver_for(solver, batched=False)
 
     def solve_one(j: int):
-        y = np.ascontiguousarray(Y[:, j])
-        if solver == "cg":
-            res = cgls(op, y, num_iterations=iterations, tolerance=tolerance, **solver_kwargs)
-        elif solver == "sirt":
-            res = sirt(op, y, num_iterations=iterations, **solver_kwargs)
-        else:
-            res = mlem(op, y, num_iterations=iterations, **solver_kwargs)
+        res = solve(
+            op, np.ascontiguousarray(Y[:, j]),
+            num_iterations=iterations, tolerance=tolerance, **solver_kwargs,
+        )
         return res.x, res.iterations
 
     if backend is not None and backend.workers > 1 and not REGISTRY.active:

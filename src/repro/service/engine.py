@@ -94,6 +94,17 @@ __all__ = [
 
 SERVICE_SOLVERS = ("cg", "sirt", "mlem")
 
+
+def _solver_for(name: str, batched: bool):
+    """The single or slab entry point of a :data:`SERVICE_SOLVERS` name.
+
+    The table is built per call so the functions stay the module's
+    late-bound names (wrappable by attribute, e.g. by a tracer).
+    """
+    pairs = {"cg": (cgls, cgls_batch), "sirt": (sirt, sirt_batch), "mlem": (mlem, mlem_batch)}
+    return pairs[name][batched]
+
+
 #: Job lifecycle states.  ``done``/``failed``/``expired`` are terminal.
 JOB_STATES = ("queued", "running", "done", "failed", "expired")
 TERMINAL = frozenset({"done", "failed", "expired"})
@@ -985,72 +996,43 @@ class ReconService:
                 self._cond.notify_all()
 
     def _solve(self, batch: list[Job], crash: bool):
-        """Run one dispatch; returns (images, iterations, resumed_from)."""
+        """Run one dispatch; returns (images, iterations, resumed_from).
+
+        A lone job is the single solve (with snapshots and bit-exact
+        resume when its spec asks for them); a cohort is one slab solve
+        — the same recurrence either way, so a job's image does not
+        depend on whether it rode alone or coalesced.
+        """
         spec = batch[0].spec
         op = self._operator_for(spec)
         work = solver_dtype(op)
-        callback = self._deadline_callback(batch, crash)
         inputs = []
         for job in batch:
             sinogram, _spec_doc = self.journal.load_input(job.job_id)
             inputs.append(op.sinogram_to_ordered(sinogram))
-        if len(batch) == 1 and spec.checkpoint_every > 0:
-            return self._solve_checkpointed(batch[0], op, inputs[0], callback)
-        if len(batch) == 1:
-            y = np.ascontiguousarray(inputs[0]).astype(work, copy=False)
-            result = self._solve_single(spec, op, y, callback)
-            image = op.ordered_to_image(result.x)
-            return [image], [result.iterations], 0
-        Y = np.stack(inputs, axis=1).astype(work, copy=False)
-        if spec.solver == "cg":
-            result = cgls_batch(
-                op, Y, num_iterations=spec.iterations,
-                tolerance=spec.tolerance, callback=callback,
-            )
-        elif spec.solver == "sirt":
-            result = sirt_batch(
-                op, Y, num_iterations=spec.iterations,
-                tolerance=spec.tolerance, callback=callback,
-            )
-        else:
-            result = mlem_batch(
-                op, Y, num_iterations=spec.iterations,
-                tolerance=spec.tolerance, callback=callback,
-            )
-        images = [
-            op.ordered_to_image(np.ascontiguousarray(result.X[:, j]))
-            for j in range(len(batch))
-        ]
-        return images, list(np.asarray(result.iterations).ravel()), 0
-
-    def _solve_single(self, spec: JobSpec, op, y, callback, **extra):
-        if spec.solver == "cg":
-            return cgls(
-                op, y, num_iterations=spec.iterations,
-                tolerance=spec.tolerance, callback=callback, **extra,
-            )
-        if spec.solver == "sirt":
-            return sirt(
-                op, y, num_iterations=spec.iterations,
-                callback=callback, **extra,
-            )
-        return mlem(
-            op, y, num_iterations=spec.iterations, callback=callback, **extra,
-        )
-
-    def _solve_checkpointed(self, job: Job, op, y, callback):
-        """Solo resilient solve: periodic snapshots, bit-exact resume."""
-        work = solver_dtype(op)
-        y = np.ascontiguousarray(y).astype(work, copy=False)
-        path = self.journal.checkpoint_path(job.job_id)
-        manager = CheckpointManager(path, every=job.spec.checkpoint_every)
+        kwargs = {
+            "num_iterations": spec.iterations,
+            "tolerance": spec.tolerance,
+            "callback": self._deadline_callback(batch, crash),
+        }
+        if len(batch) > 1:
+            Y = np.stack(inputs, axis=1).astype(work, copy=False)
+            result = _solver_for(spec.solver, batched=True)(op, Y, **kwargs)
+            images = [
+                op.ordered_to_image(np.ascontiguousarray(result.X[:, j]))
+                for j in range(len(batch))
+            ]
+            return images, list(np.asarray(result.iterations).ravel()), 0
         resumed_from = 0
-        extra: dict = {"checkpoint": manager}
-        if path.exists():
-            snapshot = manager.load()
+        if spec.checkpoint_every > 0:
+            # Solo resilient solve: periodic snapshots, bit-exact resume.
+            path = self.journal.checkpoint_path(batch[0].job_id)
+            manager = CheckpointManager(path, every=spec.checkpoint_every)
+            kwargs["checkpoint"] = manager
+            snapshot = manager.load() if path.exists() else None
             if snapshot is not None:
-                extra["resume"] = snapshot
+                kwargs["resume"] = snapshot
                 resumed_from = int(snapshot.iteration)
-        result = self._solve_single(job.spec, op, y, callback, **extra)
-        image = op.ordered_to_image(result.x)
-        return [image], [result.iterations], resumed_from
+        y = np.ascontiguousarray(inputs[0]).astype(work, copy=False)
+        result = _solver_for(spec.solver, batched=False)(op, y, **kwargs)
+        return [op.ordered_to_image(result.x)], [result.iterations], resumed_from

@@ -1,4 +1,9 @@
-"""Iterative solvers (paper Section 3.5.2): CGLS, SIRT, SGD, L-curve."""
+"""Iterative solvers (paper Section 3.5.2): CGLS, SIRT, MLEM, SGD, L-curve.
+
+CG, SIRT and MLEM are three recurrences run by one slab driver
+(:mod:`repro.solvers.driver`, ``docs/solvers.md``); a single solve is
+the one-column slab.
+"""
 
 from .base import (
     MatrixOperator,
@@ -8,18 +13,11 @@ from .base import (
     resolve_resume,
     solver_dtype,
 )
-from .batched import (
-    BatchSolveResult,
-    adjoint_batch,
-    cgls_batch,
-    forward_batch,
-    mlem_batch,
-    sirt_batch,
-)
-from .cg import cgls
+from .cg import cgls, cgls_batch
+from .driver import BatchSolveResult, adjoint_batch, forward_batch
 from .fbp import fbp, ramp_filter
 from .icd import icd
-from .mlem import mlem
+from .mlem import mlem, mlem_batch
 from .lcurve import lcurve_corner, overfit_onset
 from .sgd import sgd
 from .regularized import (
@@ -29,7 +27,7 @@ from .regularized import (
     regularized_cgls,
     tv_cgls,
 )
-from .sirt import sirt
+from .sirt import sirt, sirt_batch
 
 __all__ = [
     "MatrixOperator",

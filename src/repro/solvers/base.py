@@ -39,16 +39,19 @@ def solve_span(solver: str, **attrs) -> span:
     return span("solver.solve", solver=solver, **attrs)
 
 
-def iteration_span(solver: str, iteration: int) -> span:
+def iteration_span(solver: str, iteration: int, count: int = 1, **attrs) -> span:
     """Span wrapping one solver iteration (``solver.iteration``).
 
-    Also bumps the :data:`repro.obs.SOLVER_ITERATIONS` counter, so
-    captures can assert on how many iterations actually ran.  Costs two
-    ``perf_counter`` calls per iteration when observation is inactive —
-    noise next to the two SpMVs an iteration performs.
+    Also bumps the :data:`repro.obs.SOLVER_ITERATIONS` counter by
+    ``count`` — *logical per-slice iterations*: a slab iteration
+    advancing ``count`` columns is that many single-slice iterations'
+    worth of work — so captures can assert on how many iterations
+    actually ran.  Costs two ``perf_counter`` calls per iteration when
+    observation is inactive — noise next to the two SpMVs an iteration
+    performs.
     """
-    add_count(SOLVER_ITERATIONS, 1)
-    return span("solver.iteration", solver=solver, iteration=iteration)
+    add_count(SOLVER_ITERATIONS, count)
+    return span("solver.iteration", solver=solver, iteration=iteration, **attrs)
 
 
 def resolve_resume(resume, solver: str) -> SolverCheckpoint | None:

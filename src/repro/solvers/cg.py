@@ -9,35 +9,128 @@ directions conjugate to previous ones.
 
 The implementation is the textbook CGLS recurrence (paper ref [24],
 Barrett et al.), which applies ``A`` and ``A^T`` exactly once per
-iteration.
+iteration, written once over an ``(N, S)`` slab and run by
+:func:`repro.solvers.driver.solve_slab` (``docs/solvers.md``).
 
-Resilience hooks (see ``docs/resilience.md``):
-
-* ``checkpoint`` — a :class:`~repro.resilience.CheckpointManager`
-  snapshots the full recurrence state ``(x, r, p, gamma, gamma0)``
-  every N iterations; ``resume`` continues a killed run
-  **bit-exactly** from such a snapshot.
-* ``health`` — a :class:`~repro.resilience.HealthMonitor` watches each
-  iterate; on NaN/Inf or sustained divergence the solver rolls back to
-  the last checkpoint and restarts the recurrence with a halved step
-  scale (damped steepest-descent restart) instead of crashing.
+Checkpoint / resume / health hooks: see :func:`cgls` and
+``docs/resilience.md``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import (
-    ProjectionOperator,
-    SolveResult,
-    iteration_span,
-    observe_health,
-    resolve_resume,
-    solve_span,
-    solver_dtype,
+from .base import ProjectionOperator, SolveResult
+from .driver import (
+    BatchSolveResult,
+    Recurrence,
+    as_column,
+    column_dots,
+    columns,
+    solve_single,
+    solve_slab,
 )
 
-__all__ = ["cgls"]
+__all__ = ["cgls", "cgls_batch"]
+
+
+class _CG(Recurrence):
+    """State ``(X, R, P, gamma, gamma0)`` plus the rollback step scale."""
+
+    name = "cg"
+
+    def start(self, restored):
+        if restored is None:
+            self.R = self.Y - self.forward(self.X)
+            self._steepest_descent()
+            self.gamma0 = self.gamma.copy()
+            self.damping = 1.0
+        else:
+            # Bit-exact continuation: the whole recurrence state comes
+            # from the snapshot, no operator application is re-run.
+            self.R = as_column(restored.arrays["r"], self.work)
+            self.P = as_column(restored.arrays["p"], self.work)
+            self.gamma = np.array([restored.scalars["gamma"]])
+            self.gamma0 = np.array([restored.scalars["gamma0"]])
+            self.damping = float(restored.scalars.get("damping", 1.0))
+
+    def _steepest_descent(self):
+        """(Re)start the search direction at the gradient ``A^T r``."""
+        self.P = self.adjoint(self.R).copy()  # updated in place: never alias
+        self.gamma = column_dots(self.P)
+
+    def step(self, active):
+        # P keeps its frozen columns, so the forward runs on the whole
+        # slab; the adjoint below runs on the live columns only.
+        Q = self.forward(self.P)
+        qq = column_dots(Q)
+        # A search direction in null(A) can only follow from a zero
+        # gradient in exact arithmetic; freeze the column against the
+        # float edge case regardless (alpha's denominator is qq).
+        null = active & (qq == 0.0)
+        live = active & ~null
+        if live.any():
+            act = columns(live)
+            # The step scalars are computed in float64 and then cast to
+            # the work dtype, so every column sees exactly the scalars
+            # its own one-column solve would.
+            alpha = (self.damping * (self.gamma[act] / qq[act])).astype(self.work)
+            self.X[:, act] += alpha * self.P[:, act]
+            self.R[:, act] -= alpha * Q[:, act]
+            G = self.adjoint(np.ascontiguousarray(self.R[:, act]))
+            gamma_new = column_dots(G)
+            beta = (gamma_new / self.gamma[act]).astype(self.work)
+            self.P[:, act] = G + beta * self.P[:, act]
+            self.gamma[act] = gamma_new
+        return (null, "search direction in null space") if null.any() else None
+
+    def stops(self, tolerance, rnorm, started):
+        if not started:
+            # e.g. an all-zero sinogram column with x0 = 0: every
+            # alpha/beta denominator downstream would be zero.
+            reason = "zero gradient at start: x0 solves the normal equations"
+            return [(self.gamma == 0.0, reason)]
+        rules = []
+        if tolerance > 0.0:
+            reached = self.gamma <= (tolerance**2) * self.gamma0
+            rules.append((reached, "gradient tolerance reached"))
+        return [*rules, (self.gamma == 0.0, "exact solution reached")]
+
+    def state(self):
+        arrays = {"x": self.X[:, 0], "r": self.R[:, 0], "p": self.P[:, 0]}
+        scalars = {
+            "gamma": float(self.gamma[0]),
+            "gamma0": float(self.gamma0[0]),
+            "damping": self.damping,
+        }
+        return arrays, scalars
+
+    def rollback(self, last):
+        # Damped restart from the snapshot: restore the residual,
+        # rebuild the search direction as steepest descent, and halve
+        # the step scale.
+        self.R = as_column(last.arrays["r"], self.work)
+        self._steepest_descent()
+        self.damping *= 0.5
+        return True
+
+
+def cgls_batch(
+    op: ProjectionOperator,
+    Y: np.ndarray,
+    num_iterations: int = 30,
+    X0: np.ndarray | None = None,
+    tolerance: float = 0.0,
+    callback=None,
+) -> BatchSolveResult:
+    """CGLS over an ``(num_rays, S)`` measurement slab.
+
+    Each column runs the recurrence of :func:`cgls` — it *is* that
+    recurrence — and freezes independently when its per-column gradient
+    tolerance ``||A^T r_j|| <= tolerance * ||A^T y_j||`` fires.
+    ``callback(iteration, X, active)`` fires after each iteration.
+    """
+    return solve_slab(_CG(), op, Y, num_iterations, X0, tolerance, callback)
 
 
 def cgls(
@@ -82,144 +175,7 @@ def cgls(
     health:
         Optional :class:`~repro.resilience.HealthMonitor`.
     """
-    # Solver state lives in the operator's advertised precision:
-    # float64 historically, float32 on the end-to-end fp32 path.
-    work = solver_dtype(op)
-    y = np.asarray(y, dtype=work).reshape(-1)
-    if y.shape[0] != op.num_rays:
-        raise ValueError(f"sinogram has {y.shape[0]} entries, expected {op.num_rays}")
-
-    restored = resolve_resume(resume, "cg")
-
-    with solve_span("cg", num_iterations=num_iterations):
-        if restored is not None:
-            x = np.array(restored.arrays["x"], dtype=work)
-            r = np.array(restored.arrays["r"], dtype=work)
-            p = np.array(restored.arrays["p"], dtype=work)
-            gamma = float(restored.scalars["gamma"])
-            gamma0 = float(restored.scalars["gamma0"])
-            damping = float(restored.scalars.get("damping", 1.0))
-            start_iteration = restored.iteration
-            result = SolveResult(x=x, iterations=start_iteration)
-            result.residual_norms = list(restored.residual_norms)
-            result.solution_norms = list(restored.solution_norms)
-        else:
-            x = (
-                np.zeros(op.num_pixels, dtype=work)
-                if x0 is None
-                else np.asarray(x0, dtype=work).copy()
-            )
-            r = y - np.asarray(op.forward(x), dtype=work)
-            s = np.asarray(op.adjoint(r), dtype=work)
-            p = s.copy()
-            gamma = float(s @ s)
-            gamma0 = gamma
-            damping = 1.0
-            start_iteration = 0
-            result = SolveResult(x=x, iterations=0)
-            result.residual_norms.append(float(np.linalg.norm(r)))
-            result.solution_norms.append(float(np.linalg.norm(x)))
-
-        if gamma == 0.0:
-            # All-zero gradient at the start (e.g. an all-zero sinogram
-            # with x0 = 0): x already solves the normal equations and
-            # every alpha/beta denominator downstream would be zero.
-            result.x = x
-            result.converged = True
-            result.stop_reason = "zero gradient at start: x0 solves the normal equations"
-            return result
-
-        for it in range(start_iteration, num_iterations):
-            if gamma == 0.0:
-                result.converged = True
-                result.stop_reason = "exact solution reached"
-                break
-            with iteration_span("cg", it):
-                q = np.asarray(op.forward(p), dtype=work)
-                qq = float(q @ q)
-                if qq == 0.0:
-                    # p in null(A) can only follow from gamma == 0 in
-                    # exact arithmetic; guard the alpha denominator
-                    # against the float edge case regardless.
-                    result.converged = True
-                    result.stop_reason = "search direction in null space"
-                    break
-                alpha = damping * (gamma / qq)
-                x += alpha * p
-                r -= alpha * q
-                s = np.asarray(op.adjoint(r), dtype=work)
-                gamma_new = float(s @ s)
-                beta = gamma_new / gamma
-                p = s + beta * p
-                gamma = gamma_new
-
-                result.iterations = it + 1
-                rnorm = float(np.linalg.norm(r))
-                result.residual_norms.append(rnorm)
-                result.solution_norms.append(float(np.linalg.norm(x)))
-
-                # Health verdict comes BEFORE the snapshot: a poisoned
-                # iterate landing on a save boundary must never
-                # overwrite the healthy rollback target.
-                action = observe_health(health, it + 1, x, rnorm)
-                if action == "ok" and checkpoint is not None:
-                    from ..resilience.checkpoint import SolverCheckpoint
-
-                    checkpoint.maybe_save(
-                        SolverCheckpoint(
-                            solver="cg",
-                            iteration=it + 1,
-                            arrays={"x": x, "r": r, "p": p},
-                            scalars={
-                                "gamma": gamma,
-                                "gamma0": gamma0,
-                                "damping": damping,
-                            },
-                            residual_norms=result.residual_norms,
-                            solution_norms=result.solution_norms,
-                        )
-                    )
-            if action != "ok":
-                last = checkpoint.last if checkpoint is not None else None
-                if action == "rollback" and last is not None:
-                    # Damped restart from the snapshot: restore the
-                    # iterate and residual, rebuild the search direction
-                    # as steepest descent, and halve the step scale.
-                    x = np.array(last.arrays["x"], dtype=work)
-                    r = np.array(last.arrays["r"], dtype=work)
-                    s = np.asarray(op.adjoint(r), dtype=work)
-                    p = s.copy()
-                    gamma = float(s @ s)
-                    damping *= 0.5
-                    result.x = x
-                    result.iterations = last.iteration
-                    result.residual_norms = list(last.residual_norms)
-                    result.solution_norms = list(last.solution_norms)
-                    health.rolled_back()
-                    continue
-                if last is not None:
-                    # Abort returns the last healthy snapshot, not the
-                    # poisoned iterate.
-                    x = np.array(last.arrays["x"], dtype=work)
-                    result.x = x
-                    result.iterations = last.iteration
-                    result.residual_norms = list(last.residual_norms)
-                    result.solution_norms = list(last.solution_norms)
-                incident = health.last_incident
-                result.stop_reason = (
-                    f"numerical health abort: {incident.detail}"
-                    if incident is not None
-                    else "numerical health abort"
-                )
-                break
-            if callback is not None:
-                callback(it + 1, x)
-            if tolerance > 0.0 and gamma <= (tolerance**2) * gamma0:
-                result.converged = True
-                result.stop_reason = "gradient tolerance reached"
-                break
-
-    result.x = x
-    if not result.stop_reason:
-        result.stop_reason = "iteration budget exhausted"
-    return result
+    return solve_single(
+        _CG(), op, y, x0, callback, num_iterations=num_iterations,
+        tolerance=tolerance, checkpoint=checkpoint, resume=resume, health=health,
+    )

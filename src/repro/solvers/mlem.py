@@ -12,26 +12,75 @@ likelihood of ``y`` — the statistically right objective for count
 data, where CG/SIRT assume Gaussian noise.
 
 MLEM requires non-negative data; rays with zero forward projection are
-held out of the ratio (standard practice).
+held out of the ratio (standard practice).  Written once over an
+``(N, S)`` slab and run by :func:`repro.solvers.driver.solve_slab`
+(``docs/solvers.md``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import (
-    ProjectionOperator,
-    SolveResult,
-    iteration_span,
-    observe_health,
-    resolve_resume,
-    solve_span,
-    solver_dtype,
-)
+from .base import ProjectionOperator, SolveResult
+from .driver import BatchSolveResult, Recurrence, columns, solve_single, solve_slab
 
-__all__ = ["mlem"]
+__all__ = ["mlem", "mlem_batch"]
 
 _EPS = 1e-12
+
+
+class _MLEM(Recurrence):
+    """State is the iterate ``X`` (the multiplicative recurrence is
+    fully determined by it).  There is no step size to damp, so the
+    inherited ``rollback`` declines: a health incident restores the
+    last snapshot once and stops with a truthful ``stop_reason``."""
+
+    name = "mlem"
+    fill = 1.0  # zeros would be fixed points of the multiplicative update
+
+    def start(self, restored):
+        if (self.Y < 0).any():
+            raise ValueError("MLEM requires non-negative measurements")
+        if restored is None and (self.X <= 0).any():
+            raise ValueError("MLEM initial estimate must be strictly positive")
+        sensitivity = self.adjoint(np.ones((self.op.num_rays, 1)))
+        # Pixels no ray reaches (zero sensitivity) are held at zero.
+        self.support = sensitivity > _EPS
+        self.sensitivity = np.where(self.support, sensitivity, 1).astype(self.work)
+        self.projection = self.forward(self.X)
+        self.R = self.Y - self.projection
+
+    def step(self, active):
+        ratio = np.zeros_like(self.Y)
+        positive = self.projection > _EPS
+        ratio[positive] = self.Y[positive] / self.projection[positive]
+        back = self.adjoint(ratio)
+        act = columns(active)
+        self.X[:, act] = np.where(
+            self.support, self.X[:, act] * (back[:, act] / self.sensitivity), 0.0
+        )
+        self.projection = self.forward(self.X)
+        self.R = self.Y - self.projection
+
+    def state(self):
+        return {"x": self.X[:, 0]}, {}
+
+
+def mlem_batch(
+    op: ProjectionOperator,
+    Y: np.ndarray,
+    num_iterations: int = 50,
+    X0: np.ndarray | None = None,
+    tolerance: float = 0.0,
+    callback=None,
+) -> BatchSolveResult:
+    """MLEM over a non-negative ``(num_rays, S)`` slab.
+
+    Each column runs the recurrence of :func:`mlem`; ``tolerance > 0``
+    freezes a column at relative residual
+    ``||y_j - A x_j|| <= tolerance * ||y_j||``.
+    """
+    return solve_slab(_MLEM(), op, Y, num_iterations, X0, tolerance, callback)
 
 
 def mlem(
@@ -43,6 +92,7 @@ def mlem(
     checkpoint=None,
     resume=None,
     health=None,
+    tolerance: float = 0.0,
 ) -> SolveResult:
     """Run MLEM iterations for non-negative measurements ``y``.
 
@@ -63,90 +113,11 @@ def mlem(
         no step size to damp, so an incident restores the last
         snapshot once and otherwise stops early with a truthful
         ``stop_reason``.
+    tolerance:
+        Relative-residual stopping threshold
+        (``||y - A x|| <= tolerance * ||y||``); 0 disables.
     """
-    work = solver_dtype(op)
-    y = np.asarray(y, dtype=work).reshape(-1)
-    if y.shape[0] != op.num_rays:
-        raise ValueError(f"y has {y.shape[0]} entries, expected {op.num_rays}")
-    if (y < 0).any():
-        raise ValueError("MLEM requires non-negative measurements")
-
-    restored = resolve_resume(resume, "mlem")
-    if restored is not None:
-        x = np.array(restored.arrays["x"], dtype=work)
-        start_iteration = restored.iteration
-    else:
-        if x0 is None:
-            x = np.ones(op.num_pixels, dtype=work)
-        else:
-            x = np.asarray(x0, dtype=work).copy()
-            if (x <= 0).any():
-                raise ValueError("MLEM initial estimate must be strictly positive")
-        start_iteration = 0
-
-    sensitivity = np.asarray(op.adjoint(np.ones(op.num_rays)), dtype=work)
-    support = sensitivity > _EPS
-
-    result = SolveResult(x=x, iterations=start_iteration)
-    forward = np.asarray(op.forward(x), dtype=work)
-    if restored is not None:
-        result.residual_norms = list(restored.residual_norms)
-        result.solution_norms = list(restored.solution_norms)
-    else:
-        result.residual_norms.append(float(np.linalg.norm(y - forward)))
-        result.solution_norms.append(float(np.linalg.norm(x)))
-
-    with solve_span("mlem", num_iterations=num_iterations):
-        for it in range(start_iteration, num_iterations):
-            with iteration_span("mlem", it):
-                ratio = np.zeros_like(y)
-                positive = forward > _EPS
-                ratio[positive] = y[positive] / forward[positive]
-                back = np.asarray(op.adjoint(ratio), dtype=work)
-                x[support] *= back[support] / sensitivity[support]
-                x[~support] = 0.0
-
-                forward = np.asarray(op.forward(x), dtype=work)
-                result.iterations = it + 1
-                rnorm = float(np.linalg.norm(y - forward))
-                result.residual_norms.append(rnorm)
-                result.solution_norms.append(float(np.linalg.norm(x)))
-
-                # Health verdict comes BEFORE the snapshot: a poisoned
-                # iterate landing on a save boundary must never
-                # overwrite the healthy rollback target.
-                action = observe_health(health, it + 1, x, rnorm)
-                if action == "ok" and checkpoint is not None:
-                    from ..resilience.checkpoint import SolverCheckpoint
-
-                    checkpoint.maybe_save(
-                        SolverCheckpoint(
-                            solver="mlem",
-                            iteration=it + 1,
-                            arrays={"x": x},
-                            residual_norms=result.residual_norms,
-                            solution_norms=result.solution_norms,
-                        )
-                    )
-            if action != "ok":
-                last = checkpoint.last if checkpoint is not None else None
-                if last is not None and np.all(np.isfinite(last.arrays["x"])):
-                    x = np.array(last.arrays["x"], dtype=work)
-                    result.x = x
-                    result.iterations = last.iteration
-                    result.residual_norms = list(last.residual_norms)
-                    result.solution_norms = list(last.solution_norms)
-                incident = health.last_incident
-                result.stop_reason = (
-                    f"numerical health abort: {incident.detail}"
-                    if incident is not None
-                    else "numerical health abort"
-                )
-                break
-            if callback is not None:
-                callback(it + 1, x)
-
-    result.x = x
-    if not result.stop_reason:
-        result.stop_reason = "iteration budget exhausted"
-    return result
+    return solve_single(
+        _MLEM(), op, y, x0, callback, num_iterations=num_iterations,
+        tolerance=tolerance, checkpoint=checkpoint, resume=resume, health=health,
+    )

@@ -8,36 +8,91 @@ The solver used by the compute-centric Trace baseline (paper refs
 where ``R = diag(1 / row-sums of A)`` and ``C = diag(1 / column-sums
 of A)``.  One forward and one backprojection per iteration, like CGLS,
 but with a fixed preconditioned-Richardson step instead of an optimal
-one — hence the slower convergence seen in paper Fig. 8(a).
+one — hence the slower convergence seen in paper Fig. 8(a).  Written
+once over an ``(N, S)`` slab and run by
+:func:`repro.solvers.driver.solve_slab` (``docs/solvers.md``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import (
-    ProjectionOperator,
-    SolveResult,
-    iteration_span,
-    observe_health,
-    resolve_resume,
-    solve_span,
-    solver_dtype,
+from .base import ProjectionOperator, SolveResult
+from .driver import (
+    BatchSolveResult,
+    Recurrence,
+    _safe_reciprocal,
+    columns,
+    solve_single,
+    solve_slab,
 )
 
-__all__ = ["sirt"]
+__all__ = ["sirt", "sirt_batch"]
 
 
-def _safe_reciprocal(v: np.ndarray) -> np.ndarray:
-    """1/v with zeros mapped to zero (rays/pixels outside the support).
+class _SIRT(Recurrence):
+    """State is the iterate ``X``; the residual is recomputed from it."""
 
-    Preserves the input dtype — the fp32 path must not smuggle float64
-    scaling vectors back into the recurrence.
+    name = "sirt"
+
+    def __init__(self, relaxation: float, nonnegativity: bool):
+        self.relaxation = relaxation
+        self.nonnegativity = nonnegativity
+
+    def start(self, restored):
+        op, work = self.op, self.work
+        if restored is not None:
+            self.relaxation = float(
+                restored.scalars.get("relaxation", self.relaxation)
+            )
+        if hasattr(op, "row_sums") and hasattr(op, "col_sums"):
+            row_sums = np.asarray(op.row_sums(), dtype=work)
+            col_sums = np.asarray(op.col_sums(), dtype=work)
+        else:
+            row_sums = np.asarray(op.forward(np.ones(op.num_pixels)), dtype=work)
+            col_sums = np.asarray(op.adjoint(np.ones(op.num_rays)), dtype=work)
+        self.r_inv = _safe_reciprocal(row_sums)[:, None]
+        self.c_inv = _safe_reciprocal(col_sums)[:, None]
+        self.R = self.Y - self.forward(self.X)
+
+    def step(self, active):
+        update = self.c_inv * self.adjoint(self.r_inv * self.R)
+        act = columns(active)
+        self.X[:, act] += self.relaxation * update[:, act]
+        if self.nonnegativity:
+            self.X[:, act] = np.maximum(self.X[:, act], 0.0)
+        # Frozen columns recompute to the same bits (the kernel is
+        # deterministic on unchanged inputs), so the whole-slab forward
+        # stays per-column exact.
+        self.R = self.Y - self.forward(self.X)
+
+    def state(self):
+        return {"x": self.X[:, 0]}, {"relaxation": self.relaxation}
+
+    def rollback(self, last):
+        self.R = self.Y - self.forward(self.X)
+        self.relaxation *= 0.5
+        return True
+
+
+def sirt_batch(
+    op: ProjectionOperator,
+    Y: np.ndarray,
+    num_iterations: int = 45,
+    X0: np.ndarray | None = None,
+    relaxation: float = 1.0,
+    nonnegativity: bool = False,
+    tolerance: float = 0.0,
+    callback=None,
+) -> BatchSolveResult:
+    """SIRT over an ``(num_rays, S)`` slab.
+
+    Each column runs the recurrence of :func:`sirt`; ``tolerance > 0``
+    freezes a column once its relative residual
+    ``||r_j|| <= tolerance * ||y_j||``.
     """
-    out = np.zeros_like(v)
-    nonzero = v != 0
-    out[nonzero] = 1.0 / v[nonzero]
-    return out
+    rec = _SIRT(relaxation, nonnegativity)
+    return solve_slab(rec, op, Y, num_iterations, X0, tolerance, callback)
 
 
 def sirt(
@@ -51,6 +106,7 @@ def sirt(
     checkpoint=None,
     resume=None,
     health=None,
+    tolerance: float = 0.0,
 ) -> SolveResult:
     """Run SIRT iterations.
 
@@ -81,107 +137,12 @@ def sirt(
     health:
         Optional :class:`~repro.resilience.HealthMonitor`; rollback
         restores the snapshot and halves the relaxation.
+    tolerance:
+        Relative-residual stopping threshold
+        (``||y - A x|| <= tolerance * ||y||``); 0 disables.
     """
-    work = solver_dtype(op)
-    y = np.asarray(y, dtype=work).reshape(-1)
-    if y.shape[0] != op.num_rays:
-        raise ValueError(f"sinogram has {y.shape[0]} entries, expected {op.num_rays}")
-
-    restored = resolve_resume(resume, "sirt")
-    if restored is not None:
-        x = np.array(restored.arrays["x"], dtype=work)
-        relaxation = float(restored.scalars.get("relaxation", relaxation))
-        start_iteration = restored.iteration
-    else:
-        x = (
-            np.zeros(op.num_pixels, dtype=work)
-            if x0 is None
-            else np.asarray(x0, dtype=work).copy()
-        )
-        start_iteration = 0
-
-    if hasattr(op, "row_sums") and hasattr(op, "col_sums"):
-        row_sums = np.asarray(op.row_sums(), dtype=work)
-        col_sums = np.asarray(op.col_sums(), dtype=work)
-    else:
-        row_sums = np.asarray(op.forward(np.ones(op.num_pixels)), dtype=work)
-        col_sums = np.asarray(op.adjoint(np.ones(op.num_rays)), dtype=work)
-    r_inv = _safe_reciprocal(row_sums)
-    c_inv = _safe_reciprocal(col_sums)
-
-    result = SolveResult(x=x, iterations=start_iteration)
-    residual = y - np.asarray(op.forward(x), dtype=work)
-    if restored is not None:
-        result.residual_norms = list(restored.residual_norms)
-        result.solution_norms = list(restored.solution_norms)
-    else:
-        result.residual_norms.append(float(np.linalg.norm(residual)))
-        result.solution_norms.append(float(np.linalg.norm(x)))
-
-    with solve_span("sirt", num_iterations=num_iterations):
-        for it in range(start_iteration, num_iterations):
-            with iteration_span("sirt", it):
-                update = c_inv * np.asarray(
-                    op.adjoint(r_inv * residual), dtype=work
-                )
-                x += relaxation * update
-                if nonnegativity:
-                    np.maximum(x, 0.0, out=x)
-                residual = y - np.asarray(op.forward(x), dtype=work)
-
-                result.iterations = it + 1
-                rnorm = float(np.linalg.norm(residual))
-                result.residual_norms.append(rnorm)
-                result.solution_norms.append(float(np.linalg.norm(x)))
-
-                # Health verdict comes BEFORE the snapshot: a poisoned
-                # iterate landing on a save boundary must never
-                # overwrite the healthy rollback target.
-                action = observe_health(health, it + 1, x, rnorm)
-                if action == "ok" and checkpoint is not None:
-                    from ..resilience.checkpoint import SolverCheckpoint
-
-                    checkpoint.maybe_save(
-                        SolverCheckpoint(
-                            solver="sirt",
-                            iteration=it + 1,
-                            arrays={"x": x},
-                            scalars={"relaxation": relaxation},
-                            residual_norms=result.residual_norms,
-                            solution_norms=result.solution_norms,
-                        )
-                    )
-            if action != "ok":
-                last = checkpoint.last if checkpoint is not None else None
-                if action == "rollback" and last is not None:
-                    x = np.array(last.arrays["x"], dtype=work)
-                    residual = y - np.asarray(op.forward(x), dtype=work)
-                    relaxation *= 0.5
-                    result.x = x
-                    result.iterations = last.iteration
-                    result.residual_norms = list(last.residual_norms)
-                    result.solution_norms = list(last.solution_norms)
-                    health.rolled_back()
-                    continue
-                if last is not None:
-                    # Abort returns the last healthy snapshot, not the
-                    # poisoned iterate.
-                    x = np.array(last.arrays["x"], dtype=work)
-                    result.x = x
-                    result.iterations = last.iteration
-                    result.residual_norms = list(last.residual_norms)
-                    result.solution_norms = list(last.solution_norms)
-                incident = health.last_incident
-                result.stop_reason = (
-                    f"numerical health abort: {incident.detail}"
-                    if incident is not None
-                    else "numerical health abort"
-                )
-                break
-            if callback is not None:
-                callback(it + 1, x)
-
-    result.x = x
-    if not result.stop_reason:
-        result.stop_reason = "iteration budget exhausted"
-    return result
+    return solve_single(
+        _SIRT(relaxation, nonnegativity), op, y, x0, callback,
+        num_iterations=num_iterations, tolerance=tolerance,
+        checkpoint=checkpoint, resume=resume, health=health,
+    )

@@ -1,17 +1,23 @@
-"""Tests for the batched multi-RHS solvers.
+"""Tests for the slab (multi-RHS) solvers.
 
-Core contract: column ``j`` of a batched solve is **bit-identical**
+Core contract: column ``j`` of a slab solve is **bit-identical**
 (``np.array_equal``, not approx) to the single-slice solve of column
-``j`` — batching changes the schedule, never the arithmetic.  On top of
-that, per-column convergence masks must freeze each column at its own
-stopping iteration.
+``j`` — batching changes the schedule, never the arithmetic — and both
+equal the independent textbook recurrence in
+:mod:`tests.solver_conformance`.  Each solver's class inherits that
+conformance matrix (S x kernel x dtype) from ``SolverT`` and adds its
+own cases.  On top of that, per-column convergence masks must freeze
+each column at its own stopping iteration.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
 from repro.core import OperatorConfig, preprocess
 from repro.geometry import ParallelBeamGeometry
+from repro.resilience import CheckpointManager, HealthMonitor
 from repro.solvers import (
     BatchSolveResult,
     cgls,
@@ -20,6 +26,17 @@ from repro.solvers import (
     mlem_batch,
     sirt,
     sirt_batch,
+)
+from repro.solvers.cg import _CG
+from repro.solvers.driver import solve_slab
+
+from .solver_conformance import (
+    LoopOnlyOperator,
+    SolverT,
+    assert_column_matches,
+    ref_cgls,
+    ref_mlem,
+    ref_sirt,
 )
 
 
@@ -37,41 +54,35 @@ def Y(op, rng):
     return np.abs(rng.normal(size=(op.num_rays, 4)))
 
 
-class LoopOnlyOperator:
-    """ProjectionOperator without batch methods — exercises the fallback."""
+class NullDirectionOperator:
+    """``forward`` is identically zero but ``adjoint`` is not: the first
+    CG search direction is non-zero and lies in the null space."""
 
     def __init__(self, inner):
-        self.inner = inner
-
-    @property
-    def solve_dtype(self):
-        # Forward the inner operator's precision so the loop fallback
-        # and the batch path solve in the same dtype (matters when
-        # REPRO_DTYPE puts the suite on the fp32 path).
-        return getattr(self.inner, "solve_dtype", None)
-
-    @property
-    def num_rays(self):
-        return self.inner.num_rays
-
-    @property
-    def num_pixels(self):
-        return self.inner.num_pixels
+        self.num_rays, self.num_pixels = inner.num_rays, inner.num_pixels
+        self._adjoint = inner.adjoint
 
     def forward(self, x):
-        return self.inner.forward(x)
+        return np.zeros(self.num_rays)
 
     def adjoint(self, y):
-        return self.inner.adjoint(y)
-
-    def row_sums(self):
-        return self.inner.row_sums()
-
-    def col_sums(self):
-        return self.inner.col_sums()
+        return np.asarray(self._adjoint(y), dtype=np.float64)
 
 
-class TestCGLSBatch:
+class TestCGLSBatch(SolverT):
+    single, batch, reference = map(staticmethod, (cgls, cgls_batch, ref_cgls))
+    firing_tolerance = 1e-3
+
+    @pytest.mark.parametrize("S", [1, 4])
+    def test_null_direction_stops(self, op, Y, S):
+        null = NullDirectionOperator(op)
+        batch = cgls_batch(null, Y[:, :S], num_iterations=5)
+        assert batch.stop_reasons == ["search direction in null space"] * S
+        assert not batch.iterations.any() and batch.converged.all()
+        for j in range(S):
+            assert_column_matches(batch.column(j), ref_cgls(null, Y[:, j], 5))
+            assert_column_matches(cgls(null, Y[:, j], num_iterations=5), batch.column(j))
+
     def test_bit_exact_per_column(self, op, Y):
         batch = cgls_batch(op, Y, num_iterations=10)
         for j in range(Y.shape[1]):
@@ -132,7 +143,10 @@ class TestCGLSBatch:
             cgls_batch(op, np.zeros((op.num_rays + 1, 2)))
 
 
-class TestSIRTBatch:
+class TestSIRTBatch(SolverT):
+    single, batch, reference = map(staticmethod, (sirt, sirt_batch, ref_sirt))
+    params = {"relaxation": 0.9, "nonnegativity": True}
+
     def test_bit_exact_per_column(self, op, Y):
         batch = sirt_batch(op, Y, num_iterations=8)
         for j in range(Y.shape[1]):
@@ -161,7 +175,9 @@ class TestSIRTBatch:
             assert np.array_equal(batch.X[:, j], refer.X[:, j])
 
 
-class TestMLEMBatch:
+class TestMLEMBatch(SolverT):
+    single, batch, reference = map(staticmethod, (mlem, mlem_batch, ref_mlem))
+
     def test_bit_exact_per_column(self, op, Y):
         batch = mlem_batch(op, Y, num_iterations=8)
         for j in range(Y.shape[1]):
@@ -177,3 +193,33 @@ class TestMLEMBatch:
     def test_nonnegative_output(self, op, Y):
         batch = mlem_batch(op, Y, num_iterations=5)
         assert (batch.X >= 0).all()
+
+
+class TestDriverSurface:
+    def test_slab_rejects_single_state_hooks(self, op, Y):
+        """Checkpoint/resume/health track one recurrence state: a wider
+        slab must fail loudly, never ignore them."""
+        for hook in (
+            {"checkpoint": CheckpointManager(every=1)},
+            {"resume": CheckpointManager(every=1)},
+            {"health": HealthMonitor()},
+        ):
+            with pytest.raises(ValueError, match="one-column slab"):
+                solve_slab(_CG(), op, Y, 3, **hook)
+
+    def test_public_signatures(self):
+        """Single and slab forms take the same knobs; ``tolerance`` on
+        ``sirt``/``mlem`` is the only parameter the collapse added."""
+        hooks = ["callback", "checkpoint", "resume", "health"]
+        expect = {
+            cgls: ["op", "y", "num_iterations", "x0", "tolerance", *hooks],
+            sirt: ["op", "y", "num_iterations", "x0", "relaxation",
+                   "nonnegativity", *hooks, "tolerance"],
+            mlem: ["op", "y", "num_iterations", "x0", *hooks, "tolerance"],
+            cgls_batch: ["op", "Y", "num_iterations", "X0", "tolerance", "callback"],
+            sirt_batch: ["op", "Y", "num_iterations", "X0", "relaxation",
+                         "nonnegativity", "tolerance", "callback"],
+            mlem_batch: ["op", "Y", "num_iterations", "X0", "tolerance", "callback"],
+        }
+        for fn, names in expect.items():
+            assert list(inspect.signature(fn).parameters) == names

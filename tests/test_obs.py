@@ -220,6 +220,41 @@ class TestInstrumentation:
         assert len(cap.find_spans("solver.iteration")) == 3
         assert cap.find_spans("solver.solve")[0].attrs["solver"] == "sirt"
 
+    @pytest.mark.parametrize("loop_fallback", [False, True])
+    def test_slab_solve_spans_and_logical_counts(self, small_operator, loop_fallback):
+        """An S = 4 slab with an early-frozen column: ``batch=`` on the
+        solver spans, ``solver.iterations`` counts per-column iterations,
+        and ``spmv.calls`` counts no application beyond the recurrence's
+        (frozen columns drop out of CG's adjoint)."""
+        from repro.solvers import cgls_batch
+
+        from .solver_conformance import LoopOnlyOperator
+
+        op = LoopOnlyOperator(small_operator) if loop_fallback else small_operator
+        Y = np.abs(np.random.default_rng(5).normal(size=(op.num_rays, 4)))
+        Y[:, 2] = 0.0  # zero gradient at start: frozen before iteration 0
+        with obs.capture() as cap:
+            result = cgls_batch(op, Y, num_iterations=3)
+        assert list(result.iterations) == [3, 3, 0, 3]
+        (solve,) = cap.find_spans("solver.solve")
+        assert solve.attrs["batch"] == 4
+        iterations = cap.find_spans("solver.iteration")
+        assert len(iterations) == 3
+        assert all(s.parent is solve and s.attrs["batch"] == 4 for s in iterations)
+        assert cap.total(obs.SOLVER_ITERATIONS) == 9
+        # init: forward + adjoint on 4 columns; per iteration: forward on
+        # the whole slab (4), adjoint on the 3 live columns.
+        assert cap.total(obs.SPMV_CALLS) == 8 + 3 * (4 + 3)
+
+    def test_single_solve_spans_carry_no_batch_attribute(self, small_operator):
+        y = small_operator.forward(np.ones(small_operator.num_pixels, dtype=np.float32))
+        with obs.capture() as cap:
+            sirt(small_operator, y, num_iterations=2)
+        spans = cap.find_spans("solver.solve") + cap.find_spans("solver.iteration")
+        assert len(spans) == 3 and all("batch" not in s.attrs for s in spans)
+        # One initial forward, then one adjoint + one forward per iteration.
+        assert cap.total(obs.SPMV_CALLS) == 1 + 2 * 2
+
     def test_comm_counters_from_simulated_mpi(self):
         from repro.dist import SimComm
 

@@ -255,6 +255,24 @@ class TestExecutor:
         looped = reconstruct_stack(demo.raw, demo.geometry, batch=False, **kwargs)
         assert np.array_equal(batched.volume, looped.volume)
 
+    @pytest.mark.parametrize("solver", ["cg", "sirt", "mlem"])
+    def test_batched_equals_looped_with_firing_tolerance(self, demo, solver):
+        """``tolerance`` means the same thing on both paths: every slice
+        stops early, at the same iteration, with the same bits."""
+        kwargs = dict(
+            darks=demo.darks,
+            flats=demo.flats,
+            solver=solver,
+            iterations=40,
+            tolerance=0.7,
+            operator=demo.operator,
+        )
+        batched = reconstruct_stack(demo.raw, demo.geometry, batch=True, **kwargs)
+        looped = reconstruct_stack(demo.raw, demo.geometry, batch=False, **kwargs)
+        assert batched.chunks[0]["iterations"] == looped.chunks[0]["iterations"]
+        assert max(batched.chunks[0]["iterations"]) < 40  # the tolerance fired
+        assert np.array_equal(batched.volume, looped.volume)
+
     def test_chunking_invariance(self, demo):
         """Without cross-chunk stages, the volume must not depend on
         the chunk size (per-column solves are independent)."""

@@ -255,14 +255,14 @@ class TestUpcastPinning:
     """Each fix for a silent float64 upcast, pinned."""
 
     def test_sirt_safe_reciprocal_preserves_float32(self):
-        from repro.solvers.sirt import _safe_reciprocal
+        from repro.solvers.driver import _safe_reciprocal
 
         out = _safe_reciprocal(np.array([2.0, 0.0, 4.0], dtype=np.float32))
         assert out.dtype == np.float32
         np.testing.assert_allclose(out, [0.5, 0.0, 0.25])
 
     def test_batched_safe_reciprocal_preserves_float32(self):
-        from repro.solvers.batched import _safe_reciprocal
+        from repro.solvers.driver import _safe_reciprocal
 
         out = _safe_reciprocal(np.array([[2.0], [0.0]], dtype=np.float32))
         assert out.dtype == np.float32

@@ -248,6 +248,54 @@ class TestCheckpointResume:
         assert np.array_equal(by_path.x, full.x)
         assert np.array_equal(by_snap.x, full.x)
 
+    def test_parent_layout_cg_checkpoint_resumes_bit_exactly(self, system, tmp_path):
+        """The on-disk layout is a contract: 1-D ``x``/``r``/``p`` plus the
+        scalars ``gamma``/``gamma0``/``damping``.  A snapshot hand-built
+        that way mid-run (here from the textbook recurrence, no solver
+        involved) must continue to the uninterrupted run's bits."""
+        operator, y, full = system
+        work = np.dtype(operator.solve_dtype)
+        y = np.asarray(y, dtype=work)
+        x = np.zeros(operator.num_pixels, dtype=work)
+        r = y - np.asarray(operator.forward(x), dtype=work)
+        s = np.asarray(operator.adjoint(r), dtype=work)
+        p, gamma = s.copy(), float(s @ s)
+        gamma0, rnorms, xnorms = gamma, [float(np.linalg.norm(r))], [0.0]
+        for _ in range(5):
+            q = np.asarray(operator.forward(p), dtype=work)
+            alpha = gamma / float(q @ q)
+            x += alpha * p
+            r -= alpha * q
+            s = np.asarray(operator.adjoint(r), dtype=work)
+            gamma, previous = float(s @ s), gamma
+            p = s + (gamma / previous) * p
+            rnorms.append(float(np.linalg.norm(r)))
+            xnorms.append(float(np.linalg.norm(x)))
+        path = tmp_path / "parent.npz"
+        CheckpointManager(path).save(
+            SolverCheckpoint(
+                solver="cg", iteration=5,
+                arrays={"x": x, "r": r, "p": p},
+                scalars={"gamma": gamma, "gamma0": gamma0, "damping": 1.0},
+                residual_norms=rnorms, solution_norms=xnorms,
+            )
+        )
+        resumed = cgls(operator, y, num_iterations=ITERATIONS, resume=path)
+        assert np.array_equal(resumed.x, full.x)
+        assert resumed.residual_norms == full.residual_norms
+        assert resumed.solution_norms == full.solution_norms
+        assert resumed.iterations == full.iterations
+        # ... and what the driver writes is that same layout.
+        manager = CheckpointManager(tmp_path / "driver.npz", every=5)
+        cgls(operator, y, num_iterations=5, checkpoint=manager)
+        written = CheckpointManager(tmp_path / "driver.npz").require()
+        assert sorted(written.arrays) == ["p", "r", "x"]
+        assert sorted(written.scalars) == ["damping", "gamma", "gamma0"]
+        for name, expected in (("x", x), ("r", r), ("p", p)):
+            assert written.arrays[name].shape == expected.shape
+            assert np.array_equal(written.arrays[name], expected)
+        assert written.scalars["gamma"] == gamma
+
     def test_sirt_resume_is_bit_exact(self, system, tmp_path):
         operator, y, _ = system
         path = tmp_path / "sirt.npz"

@@ -342,6 +342,32 @@ class TestCoalescing:
             assert counters[obs.SERVICE_COALESCED_JOBS] == 4
             assert counters[obs.SERVICE_COMPLETED] == 4
 
+    @pytest.mark.parametrize("solver", ["cg", "sirt", "mlem"])
+    def test_solo_equals_coalesced_with_firing_tolerance(self, tmp_path, solver):
+        """A job's image must not depend on whether it rode alone or in
+        a cohort — including where its own tolerance stops it."""
+        sinos = [sino(i) for i in range(3)]
+        job = spec(solver=solver, iterations=40, tolerance=0.7)
+        outcomes = []
+        for name, max_batch in (("solo", 1), ("cohort", 8)):
+            with make_engine(tmp_path / name, max_batch=max_batch) as svc:
+                acks = [svc.submit(s, job) for s in sinos]
+                svc.start(recover=False)
+                assert svc.wait(timeout=60)
+                status = [svc.status(a["job_id"]) for a in acks]
+                assert {st["batch_size"] for st in status} == {min(max_batch, 3)}
+                outcomes.append(
+                    (
+                        [svc.result(a["job_id"]) for a in acks],
+                        [st["iterations_run"] for st in status],
+                    )
+                )
+        (solo_images, solo_iters), (cohort_images, cohort_iters) = outcomes
+        assert solo_iters == cohort_iters
+        assert max(solo_iters) < 40  # the tolerance fired
+        for a, b in zip(solo_images, cohort_images):
+            assert np.array_equal(a, b)
+
     def test_incompatible_jobs_split_batches(self, tmp_path):
         with make_engine(tmp_path) as svc:
             a = svc.submit(sino(0), spec(iterations=6))
