@@ -34,7 +34,7 @@ def test_ablation_buffer_capacity(report, ads2_scaled, benchmark):
         buffered = build_buffered(matrix, 128, buffer_bytes)
         miss = miss_rate_buffered(buffered, CACHE_BYTES).miss_rate
         t0 = time.perf_counter()
-        buffered.spmv_vectorized(x)
+        buffered.spmv(x)
         elapsed = time.perf_counter() - t0
         stages.append(buffered.num_stages)
         map_lengths.append(int(buffered.map.shape[0]))

@@ -56,8 +56,8 @@ def test_fp32_spmv_speedup(report):
 
     t_single_32 = _best_of(m32.spmv, x32)
     t_single_64 = _best_of(m64.spmv, x64)
-    t_batch_32 = _best_of(m32.spmv_batch, X32)
-    t_batch_64 = _best_of(m64.spmv_batch, X64)
+    t_batch_32 = _best_of(m32.spmv, X32)
+    t_batch_64 = _best_of(m64.spmv, X64)
     single_speedup = t_single_64 / t_single_32
     batch_speedup = t_batch_64 / t_batch_32
 

@@ -75,4 +75,4 @@ def test_fig6_reuse_and_staging(report, benchmark):
     assert 1 <= buf_adj.stages_per_partition().mean() <= 8
 
     x = np.random.default_rng(0).random(fwd.num_cols).astype(np.float32)
-    benchmark(buf_fwd.spmv_vectorized, x)
+    benchmark(buf_fwd.spmv, x)

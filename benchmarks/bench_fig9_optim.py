@@ -81,7 +81,7 @@ def test_fig9_optimization_levels(report, benchmark):
 
         t_base = _time_kernel(raw.spmv, x)
         t_hilb = _time_kernel(ordered.spmv, x)
-        t_buf = _time_kernel(buffered.spmv_vectorized, x)
+        t_buf = _time_kernel(buffered.spmv, x)
 
         # Model at FULL dataset size with the measured miss rates.
         full = get_dataset(name)
@@ -152,4 +152,4 @@ def test_fig9_optimization_levels(report, benchmark):
     ordered, _, _ = build_ordered(spec)
     buffered = build_buffered(ordered, 128, 8192)
     x = np.random.default_rng(1).random(ordered.num_cols).astype(np.float32)
-    benchmark(buffered.spmv_vectorized, x)
+    benchmark(buffered.spmv, x)

@@ -53,7 +53,7 @@ def test_kernel_csr_spmv(benchmark, system):
 
 def test_kernel_buffered_spmv(benchmark, system):
     data, x, _ = system
-    benchmark(data["buffered"].spmv_vectorized, x)
+    benchmark(data["buffered"].spmv, x)
 
 
 def test_kernel_ell_spmv(benchmark, system):

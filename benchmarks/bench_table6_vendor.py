@@ -47,7 +47,7 @@ def test_table6_vendor_comparison(report, ads2_scaled, benchmark):
     t_vendor = timeit(scipy_raw.dot, x)
     t_base = timeit(raw.spmv, x)
     t_hilb = timeit(ordered.spmv, x)
-    t_buf = timeit(buffered.spmv_vectorized, x)
+    t_buf = timeit(buffered.spmv, x)
     measured = (t_vendor / t_base, t_vendor / t_hilb, t_vendor / t_buf)
 
     # Device-level model: miss rates simulated on *scaled* caches —
@@ -127,4 +127,4 @@ def test_table6_vendor_comparison(report, ads2_scaled, benchmark):
     # the scipy C kernel (sanity on the measured row).
     assert min(measured) > 0.05
 
-    benchmark(buffered.spmv_vectorized, x)
+    benchmark(buffered.spmv, x)

@@ -39,6 +39,7 @@ from ..machine import (
     get_device,
 )
 from ..obs import AUTOTUNE_CANDIDATES, AUTOTUNE_TRIALS, add_count, span
+from ..parallel import ParallelSpmvEngine
 from ..sparse import CSRMatrix, build_buffered, build_ell
 
 __all__ = [
@@ -268,37 +269,15 @@ class Autotuner:
         x = rng.random(matrix.num_cols).astype(dtype)
         y = rng.random(matrix.num_rows).astype(dtype)
 
-        def run_serial() -> float:
-            fwd = (
-                forward.spmv_vectorized
-                if hasattr(forward, "spmv_vectorized")
-                else forward.spmv
-            )
-            adj = (
-                adjoint.spmv_vectorized
-                if hasattr(adjoint, "spmv_vectorized")
-                else adjoint.spmv
-            )
-            best = float("inf")
-            for _ in range(self.trial_repeats):
-                t0 = time.perf_counter()
-                fwd(x)
-                adj(y)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        if cand.workers <= 1:
-            return run_serial()
-        from ..parallel import ParallelSpmvEngine
-
-        engine = ParallelSpmvEngine(
+        # One timing loop for every worker count: a one-worker engine
+        # has a serial backend and calls the layout's kernel directly.
+        with ParallelSpmvEngine(
             workers=cand.workers,
             mode="thread",
             partition_size=cand.partition_size,
             forward_layout=forward,
             adjoint_layout=adjoint,
-        )
-        try:
+        ) as engine:
             best = float("inf")
             for _ in range(self.trial_repeats):
                 t0 = time.perf_counter()
@@ -306,8 +285,6 @@ class Autotuner:
                 engine.apply("adjoint", y)
                 best = min(best, time.perf_counter() - t0)
             return best
-        finally:
-            engine.close()
 
     # -- the search ----------------------------------------------------
 

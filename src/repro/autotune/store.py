@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..core import KERNELS, OperatorConfig
+from ..persist import atomic_write_text
 
 __all__ = [
     "RECORD_VERSION",
@@ -220,12 +221,10 @@ class TuneStore:
         return record
 
     def save(self, key: str, record: TuningRecord) -> Path:
-        """Atomically persist a record (write temp + rename)."""
+        """Atomically persist a record (write temp, fsync, rename)."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(record.to_dict(), indent=2, sort_keys=True))
-        os.replace(tmp, path)
+        atomic_write_text(path, json.dumps(record.to_dict(), indent=2, sort_keys=True))
         return path
 
     def entries(self) -> list[tuple[str, TuningRecord]]:

@@ -49,6 +49,7 @@ from ..obs import (
     add_count,
     span,
 )
+from ..persist import atomic_write_text
 
 __all__ = [
     "PlanCache",
@@ -216,13 +217,9 @@ class PlanCache:
         return path
 
     def _write_meta(self, key: str, meta: dict) -> None:
-        target = self.meta_path(key)
-        tmp = target.with_name(f"{target.name}.tmp-{os.getpid()}")
-        try:
-            tmp.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-            os.replace(tmp, target)
-        finally:
-            tmp.unlink(missing_ok=True)
+        atomic_write_text(
+            self.meta_path(key), json.dumps(meta, indent=2, sort_keys=True) + "\n"
+        )
 
     # -- inspection / maintenance --------------------------------------
 

@@ -13,6 +13,7 @@ from .trace import (
     footprint_coordinates,
     irregular_trace_buffered,
     irregular_trace_csr,
+    listing3_spmv,
 )
 
 __all__ = [
@@ -27,4 +28,5 @@ __all__ = [
     "footprint_coordinates",
     "irregular_trace_buffered",
     "irregular_trace_csr",
+    "listing3_spmv",
 ]

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sparse import BufferedMatrix, CSRMatrix
+from ..sparse import BufferedMatrix, CSRMatrix, csr_row_sums
 
 __all__ = [
     "irregular_trace_csr",
     "irregular_trace_buffered",
+    "listing3_spmv",
     "combined_trace_csr",
     "footprint_coordinates",
     "ELEMENT_BYTES",
@@ -71,6 +72,37 @@ def irregular_trace_buffered(buffered: BufferedMatrix) -> np.ndarray:
     stream in stage order.
     """
     return buffered.map.astype(np.int64) * ELEMENT_BYTES
+
+
+def listing3_spmv(buffered: BufferedMatrix, x: np.ndarray) -> np.ndarray:
+    """Literal rendering of paper Listing 3 (partition/stage loops).
+
+    Slow (Python-level loops over partitions and stages) but
+    structurally identical to the C kernel: each stage's inputs are
+    explicitly staged (``x[map[...]]`` — the accesses
+    :func:`irregular_trace_buffered` traces) and its nonzeros gather
+    from that buffer.  This is the reference
+    :meth:`BufferedMatrix.spmv <repro.sparse.BufferedMatrix.spmv>` is
+    tested against, not a production kernel.
+    """
+    x = np.asarray(x)
+    if x.shape[0] != buffered.num_cols:
+        raise ValueError(f"x has {x.shape[0]} entries, expected {buffered.num_cols}")
+    partitions = buffered.partitions
+    partsize = partitions.partition_size
+    y = np.zeros(buffered.num_rows, dtype=np.result_type(x.dtype, np.float32))
+    for part in range(partitions.num_partitions):
+        row0, row1 = partitions.bounds(part)
+        output = np.zeros(partsize, dtype=y.dtype)
+        for stage in range(buffered.partdispl[part], buffered.partdispl[part + 1]):
+            s0, s1 = buffered.stagedispl[stage], buffered.stagedispl[stage + 1]
+            buffer = x[buffered.map[s0:s1]]  # explicit staging gather
+            base = stage * partsize
+            d = buffered.displ[base : base + partsize + 1]
+            prod = buffered.val[d[0] : d[-1]] * buffer[buffered.ind[d[0] : d[-1]]]
+            output += csr_row_sums(prod, d - d[0], partsize)
+        y[row0:row1] += output[: row1 - row0]
+    return y
 
 
 def footprint_coordinates(

@@ -527,7 +527,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     rows = [
         ["CSR baseline", format_seconds(best_of(raw.spmv))],
         ["pseudo-Hilbert CSR", format_seconds(best_of(ordered.spmv))],
-        ["multi-stage buffered", format_seconds(best_of(buffered.spmv_vectorized))],
+        ["multi-stage buffered", format_seconds(best_of(buffered.spmv))],
     ]
     if args.workers:
         buf_op.set_workers(args.workers)

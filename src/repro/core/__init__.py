@@ -7,7 +7,6 @@ from .datasets import CHORD_CONSTANT, DATASETS, TABLE3_PAPER, DatasetSpec, get_d
 from .operator import KERNELS, MemXCTOperator, OperatorConfig
 from .preprocess import PreprocessReport, preprocess
 from .reconstructor import SOLVERS, ReconstructionResult, reconstruct
-from .volume import VolumeResult, reconstruct_volume
 
 __all__ = [
     "CompXCTOperator",
@@ -25,6 +24,4 @@ __all__ = [
     "SOLVERS",
     "ReconstructionResult",
     "reconstruct",
-    "VolumeResult",
-    "reconstruct_volume",
 ]

@@ -161,6 +161,20 @@ class MemXCTOperator:
         self.buffered_adjoint = buffered_adjoint
         self.ell_forward = ell_forward
         self.ell_adjoint = ell_adjoint
+        # The one place the configured kernel picks its layouts: the
+        # (forward, adjoint) pair every kernel call and the parallel
+        # engine run on.  A kernel whose layouts were not built runs
+        # on the CSR pair.
+        forward, adjoint = {
+            "csr": (matrix, transpose),
+            "buffered": (buffered_forward, buffered_adjoint),
+            "ell": (ell_forward, ell_adjoint),
+        }[config.kernel]
+        if forward is None or adjoint is None:
+            forward, adjoint = matrix, transpose
+        self._layouts = {"forward": forward, "adjoint": adjoint}
+        # buffer.stages is counted only when the staged kernel runs.
+        self._staged = forward is buffered_forward
         # Row-subset operators (SGD minibatches) keyed by the row-set
         # bytes; bounded so adversarial row sampling cannot grow it
         # without limit.
@@ -176,22 +190,6 @@ class MemXCTOperator:
 
     # -- parallel execution ---------------------------------------------
 
-    def _kernel_layouts(self):
-        """(forward, adjoint) layout pair the configured kernel runs on."""
-        if (
-            self.config.kernel == "buffered"
-            and self.buffered_forward is not None
-            and self.buffered_adjoint is not None
-        ):
-            return self.buffered_forward, self.buffered_adjoint
-        if (
-            self.config.kernel == "ell"
-            and self.ell_forward is not None
-            and self.ell_adjoint is not None
-        ):
-            return self.ell_forward, self.ell_adjoint
-        return self.matrix, self.transpose
-
     def _active_engine(self):
         """The parallel engine, or None for serial execution."""
         if self._serial_depth:
@@ -202,13 +200,12 @@ class MemXCTOperator:
             if workers >= 2:
                 from ..parallel import ParallelSpmvEngine
 
-                forward, adjoint = self._kernel_layouts()
                 self._engine = ParallelSpmvEngine(
                     workers=workers,
                     mode=mode,
                     partition_size=self.config.partition_size,
-                    forward_layout=forward,
-                    adjoint_layout=adjoint,
+                    forward_layout=self._layouts["forward"],
+                    adjoint_layout=self._layouts["adjoint"],
                 )
         return self._engine
 
@@ -274,93 +271,50 @@ class MemXCTOperator:
             np.float32 if self.config.dtype == "float32" else np.float64
         )
 
-    def _forward_kernel(self, x32: np.ndarray) -> np.ndarray:
-        engine = self._active_engine()
-        if engine is not None:
-            return engine.apply("forward", x32)
-        if self.config.kernel == "buffered" and self.buffered_forward is not None:
-            return self.buffered_forward.spmv_vectorized(x32)
-        if self.config.kernel == "ell" and self.ell_forward is not None:
-            return self.ell_forward.spmv(x32)
-        return self.matrix.spmv(x32)
+    def _apply(self, direction: str, v: np.ndarray) -> np.ndarray:
+        """Run the ``direction`` kernel on a vector or an ``(n, S)`` slab."""
+        v = np.asarray(v, dtype=self.compute_dtype)
+        if not REGISTRY.active:  # hot path: one attribute check
+            return self._kernel(direction, v)
+        attrs = {"batch": v.shape[1]} if v.ndim == 2 else {}
+        with span(f"spmv.{direction}", kernel=self.config.kernel, **attrs):
+            out = self._kernel(direction, v)
+        self._count_spmv(direction, **attrs)
+        return out
 
-    def _adjoint_kernel(self, y32: np.ndarray) -> np.ndarray:
+    def _kernel(self, direction: str, v: np.ndarray) -> np.ndarray:
         engine = self._active_engine()
         if engine is not None:
-            return engine.apply("adjoint", y32)
-        if self.config.kernel == "buffered" and self.buffered_adjoint is not None:
-            return self.buffered_adjoint.spmv_vectorized(y32)
-        if self.config.kernel == "ell" and self.ell_adjoint is not None:
-            return self.ell_adjoint.spmv(y32)
-        return self.transpose.spmv(y32)
+            return engine.apply(direction, v)
+        return self._layouts[direction].spmv(v)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Forward projection ``y = A x`` in ordered coordinates."""
-        x32 = np.asarray(x, dtype=self.compute_dtype)
-        if not REGISTRY.active:  # hot path: one attribute check
-            return self._forward_kernel(x32)
-        with span("spmv.forward", kernel=self.config.kernel):
-            y = self._forward_kernel(x32)
-        self._count_spmv("forward")
-        return y
+        """Forward projection ``y = A x`` in ordered coordinates.
+
+        ``x`` is a pixel vector or an ``(pixels, S)`` slab of ``S``
+        slices: one cached operator drives them all, reading the
+        regular matrix streams once per call instead of once per
+        slice.  Column ``j`` of a slab result is bit-identical to
+        ``forward(x[:, j])``.
+        """
+        return self._apply("forward", x)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Backprojection ``x = A^T y`` in ordered coordinates."""
-        y32 = np.asarray(y, dtype=self.compute_dtype)
-        if not REGISTRY.active:  # hot path: one attribute check
-            return self._adjoint_kernel(y32)
-        with span("spmv.adjoint", kernel=self.config.kernel):
-            x = self._adjoint_kernel(y32)
-        self._count_spmv("adjoint")
-        return x
+        """Backprojection ``x = A^T y`` of a ray vector or ``(rays, S)`` slab."""
+        return self._apply("adjoint", y)
 
-    def _batch_kernel(self, direction: str, slab32: np.ndarray) -> np.ndarray:
-        engine = self._active_engine()
-        if engine is not None:
-            return engine.apply(direction, slab32)
-        matrix, buffered, ell = (
-            (self.matrix, self.buffered_forward, self.ell_forward)
-            if direction == "forward"
-            else (self.transpose, self.buffered_adjoint, self.ell_adjoint)
-        )
-        if self.config.kernel == "buffered" and buffered is not None:
-            return buffered.spmv_batch(slab32)
-        if self.config.kernel == "ell" and ell is not None:
-            return ell.spmv_batch(slab32)
-        return matrix.spmv_batch(slab32)
-
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Batched forward projection ``Y = A X`` for an ``(pixels, S)`` slab.
-
-        One cached operator drives all ``S`` slices: the regular
-        matrix streams are read once per call instead of once per
-        slice.  Column ``j`` is bit-identical to ``forward(x[:, j])``.
-        """
-        x32 = np.asarray(x, dtype=self.compute_dtype)
-        if not REGISTRY.active:  # hot path: one attribute check
-            return self._batch_kernel("forward", x32)
-        with span("spmv.forward", kernel=self.config.kernel, batch=x32.shape[1]):
-            y = self._batch_kernel("forward", x32)
-        self._count_spmv("forward", batch=x32.shape[1])
-        return y
-
-    def adjoint_batch(self, y: np.ndarray) -> np.ndarray:
-        """Batched backprojection ``X = A^T Y`` for an ``(rays, S)`` slab."""
-        y32 = np.asarray(y, dtype=self.compute_dtype)
-        if not REGISTRY.active:  # hot path: one attribute check
-            return self._batch_kernel("adjoint", y32)
-        with span("spmv.adjoint", kernel=self.config.kernel, batch=y32.shape[1]):
-            x = self._batch_kernel("adjoint", y32)
-        self._count_spmv("adjoint", batch=y32.shape[1])
-        return x
+    # The slab-protocol names the solver driver looks for; the kernels
+    # are rank-generic, so they are the same code.
+    forward_batch = forward
+    adjoint_batch = adjoint
 
     def _count_spmv(self, direction: str, batch: int = 1) -> None:
         """Account one kernel application on the active captures.
 
-        A batched application counts as ``batch`` logical SpMVs for
+        A slab application counts as ``batch`` logical SpMVs for
         FLOPs and irregular (vector) traffic, but the regular matrix
         streams are charged **once** — that amortization is exactly
-        what the multi-RHS kernels buy.
+        what a multi-RHS kernel call buys.
         """
         nnz = self.matrix.nnz
         footprint = self.memory_footprint()
@@ -372,11 +326,8 @@ class MemXCTOperator:
         add_count(SPMV_FLOPS, 2 * nnz * batch)
         add_count(SPMV_REGULAR_BYTES, footprint[f"regular_{direction}"])
         add_count(SPMV_IRREGULAR_BYTES, batch * footprint[f"irregular_{direction}"])
-        buffered = (
-            self.buffered_forward if direction == "forward" else self.buffered_adjoint
-        )
-        if self.config.kernel == "buffered" and buffered is not None:
-            add_count(BUFFER_STAGES, buffered.num_stages)
+        if self._staged:
+            add_count(BUFFER_STAGES, self._layouts[direction].num_stages)
 
     def row_sums(self) -> np.ndarray:
         return self.matrix.row_sums()

@@ -27,13 +27,11 @@ import numpy as np
 from .core import MemXCTOperator, OperatorConfig
 from .geometry import ConeBeamGeometry, Grid2D, Grid3D, ParallelBeamGeometry
 from .ordering import DomainOrdering
-from .persist import atomic_savez as _atomic_savez
-from .persist import payload_checksum as _payload_checksum
+from .persist import CorruptArchiveError, atomic_savez_checked, load_checked_npz
 from .sparse import (
     BufferedMatrix,
     CSRMatrix,
     ELLPartitioned,
-    RowPartitions,
     build_buffered,
     build_ell,
     scan_transpose,
@@ -63,86 +61,32 @@ class OperatorIntegrityError(ValueError):
 
 # The checksum / atomic-write primitives live in repro.persist so the
 # operator format, the plan cache, and solver checkpoints share one
-# hardened path (imported above as _payload_checksum / _atomic_savez).
+# hardened path.
+
+#: Archive-key prefix, layout class and direction (is it a layout of
+#: the transpose?) of each optional kernel layout, by operator
+#: attribute.  A layout's own keys (and how it is rebuilt from them)
+#: are its class's ``to_arrays``/``from_arrays``; the ordered matrix and
+#: its transpose are stored the same way under "" and "t_".
+_LAYOUTS = {
+    "buffered_forward": ("bf_", BufferedMatrix, False),
+    "buffered_adjoint": ("ba_", BufferedMatrix, True),
+    "ell_forward": ("ef_", ELLPartitioned, False),
+    "ell_adjoint": ("ea_", ELLPartitioned, True),
+}
 
 
-# -- layout <-> array helpers ----------------------------------------------
+def _with_prefix(prefix: str, arrays: dict) -> dict:
+    return {prefix + name: array for name, array in arrays.items()}
 
 
-def _buffered_payload(prefix: str, layout: BufferedMatrix) -> dict:
+def _without_prefix(prefix: str, data: dict) -> dict:
+    """The entries of ``data`` under ``prefix``, keyed by bare name."""
     return {
-        f"{prefix}buffer_elements": layout.buffer_elements,
-        f"{prefix}partdispl": layout.partdispl,
-        f"{prefix}stagedispl": layout.stagedispl,
-        f"{prefix}map": layout.map,
-        f"{prefix}displ": layout.displ,
-        f"{prefix}ind": layout.ind,
-        f"{prefix}val": layout.val,
+        name[len(prefix):]: array
+        for name, array in data.items()
+        if name.startswith(prefix)
     }
-
-
-def _buffered_from_payload(
-    data, prefix: str, num_rows: int, partition_size: int, num_cols: int
-) -> BufferedMatrix:
-    return BufferedMatrix(
-        partitions=RowPartitions(num_rows, partition_size),
-        buffer_elements=int(data[f"{prefix}buffer_elements"]),
-        partdispl=data[f"{prefix}partdispl"],
-        stagedispl=data[f"{prefix}stagedispl"],
-        map=data[f"{prefix}map"],
-        displ=data[f"{prefix}displ"],
-        ind=data[f"{prefix}ind"],
-        val=data[f"{prefix}val"],
-        num_cols=num_cols,
-    )
-
-
-def _ell_payload(prefix: str, layout: ELLPartitioned) -> dict:
-    """Flatten the per-partition slabs into one pair of arrays."""
-    flat_ind = (
-        np.concatenate([slab.ravel() for slab in layout.ind_slabs])
-        if layout.ind_slabs
-        else np.empty(0, dtype=np.int32)
-    )
-    flat_val = (
-        np.concatenate([slab.ravel() for slab in layout.val_slabs])
-        if layout.val_slabs
-        else np.empty(0, dtype=np.float32)
-    )
-    # flat_val keeps the slabs' own dtype: an fp64 operator's ELL
-    # layout must not be silently rounded to float32 on save.
-    return {
-        f"{prefix}widths": layout.widths,
-        f"{prefix}ind": flat_ind.astype(np.int32),
-        f"{prefix}val": flat_val,
-    }
-
-
-def _ell_from_payload(
-    data, prefix: str, num_rows: int, partition_size: int, num_cols: int
-) -> ELLPartitioned:
-    parts = RowPartitions(num_rows, partition_size)
-    widths = np.asarray(data[f"{prefix}widths"], dtype=np.int64)
-    flat_ind = data[f"{prefix}ind"]
-    flat_val = data[f"{prefix}val"]
-    ind_slabs: list[np.ndarray] = []
-    val_slabs: list[np.ndarray] = []
-    offset = 0
-    for part in range(parts.num_partitions):
-        start, stop = parts.bounds(part)
-        nrows = stop - start
-        width = int(widths[part])
-        size = width * nrows
-        ind_slabs.append(flat_ind[offset : offset + size].reshape(width, nrows))
-        val_slabs.append(flat_val[offset : offset + size].reshape(width, nrows))
-        offset += size
-    return ELLPartitioned(
-        partitions=parts,
-        widths=widths,
-        ind_slabs=ind_slabs,
-        val_slabs=val_slabs,
-        num_cols=num_cols,
-    )
 
 
 # -- save -------------------------------------------------------------------
@@ -175,12 +119,8 @@ def save_operator(
         "tomo_perm": operator.tomo_ordering.perm,
         "sino_name": operator.sino_ordering.name,
         "sino_perm": operator.sino_ordering.perm,
-        "displ": operator.matrix.displ,
-        "ind": operator.matrix.ind,
-        "val": operator.matrix.val,
-        "t_displ": operator.transpose.displ,
-        "t_ind": operator.transpose.ind,
-        "t_val": operator.transpose.val,
+        **operator.matrix.to_arrays(),
+        **_with_prefix("t_", operator.transpose.to_arrays()),
         "kernel": operator.config.kernel,
         "partition_size": operator.config.partition_size,
         "buffer_bytes": operator.config.buffer_bytes,
@@ -202,16 +142,11 @@ def save_operator(
                 "grid_nz": g.grid.nz,
             }
         )
-    if operator.buffered_forward is not None:
-        payload.update(_buffered_payload("bf_", operator.buffered_forward))
-    if operator.buffered_adjoint is not None:
-        payload.update(_buffered_payload("ba_", operator.buffered_adjoint))
-    if operator.ell_forward is not None:
-        payload.update(_ell_payload("ef_", operator.ell_forward))
-    if operator.ell_adjoint is not None:
-        payload.update(_ell_payload("ea_", operator.ell_adjoint))
-    payload["checksum"] = np.uint32(_payload_checksum(payload))
-    _atomic_savez(path, payload, compress)
+    for attr, (prefix, _, _) in _LAYOUTS.items():
+        layout = getattr(operator, attr)
+        if layout is not None:
+            payload.update(_with_prefix(prefix, layout.to_arrays()))
+    atomic_savez_checked(path, payload, compress)
     return path
 
 
@@ -224,22 +159,7 @@ def _ordering_from_arrays(name: str, rows: int, cols: int, perm: np.ndarray) -> 
     return DomainOrdering(str(name), rows, cols, perm.astype(np.int64), rank)
 
 
-def _operator_from_npz(data) -> MemXCTOperator:
-    version = int(data["format_version"])
-    if version not in _READABLE_VERSIONS:
-        raise OperatorFormatError(
-            f"unsupported operator file version {version} "
-            f"(expected one of {_READABLE_VERSIONS})"
-        )
-    if version >= 2:
-        stored = int(data["checksum"])
-        actual = _payload_checksum(data)
-        if actual != stored:
-            raise OperatorIntegrityError(
-                f"operator file checksum mismatch "
-                f"(stored {stored:#010x}, computed {actual:#010x})"
-            )
-
+def _operator_from_arrays(data: dict, version: int) -> MemXCTOperator:
     kind = str(data["geometry_kind"][()]) if "geometry_kind" in data else "parallel"
     if kind == "cone":
         grid = Grid3D(
@@ -277,11 +197,6 @@ def _operator_from_npz(data) -> MemXCTOperator:
     sino = _ordering_from_arrays(
         data["sino_name"][()], sino_shape[0], sino_shape[1], data["sino_perm"]
     )
-    matrix = CSRMatrix(
-        displ=data["displ"], ind=data["ind"], val=data["val"],
-        num_cols=num_pixels,
-        value_dtype=data["val"].dtype.name,
-    )
     saved_dtype = str(data["dtype"][()]) if "dtype" in data else ""
     config = OperatorConfig(
         kernel=str(data["kernel"][()]),
@@ -289,45 +204,34 @@ def _operator_from_npz(data) -> MemXCTOperator:
         buffer_bytes=int(data["buffer_bytes"]),
         dtype=saved_dtype or None,
     )
+    psize = config.partition_size
+    matrix = CSRMatrix.from_arrays(data, geometry.num_rays, num_pixels, psize)
 
-    buffered_forward = buffered_adjoint = None
-    ell_forward = ell_adjoint = None
+    layouts = dict.fromkeys(_LAYOUTS)
     if version >= 2:
-        transpose = CSRMatrix(
-            displ=data["t_displ"], ind=data["t_ind"], val=data["t_val"],
-            num_cols=matrix.num_rows,
-            value_dtype=data["t_val"].dtype.name,
+        transpose = CSRMatrix.from_arrays(
+            _without_prefix("t_", data), num_pixels, matrix.num_rows, psize
         )
-        psize = config.partition_size
-        if "bf_partdispl" in data:
-            buffered_forward = _buffered_from_payload(
-                data, "bf_", matrix.num_rows, psize, matrix.num_cols
-            )
-        if "ba_partdispl" in data:
-            buffered_adjoint = _buffered_from_payload(
-                data, "ba_", transpose.num_rows, psize, transpose.num_cols
-            )
-        if "ef_widths" in data:
-            ell_forward = _ell_from_payload(
-                data, "ef_", matrix.num_rows, psize, matrix.num_cols
-            )
-        if "ea_widths" in data:
-            ell_adjoint = _ell_from_payload(
-                data, "ea_", transpose.num_rows, psize, transpose.num_cols
-            )
+        for attr, (prefix, layout_class, transposed) in _LAYOUTS.items():
+            arrays = _without_prefix(prefix, data)
+            if arrays:
+                num_rows, num_cols = (transpose if transposed else matrix).shape
+                layouts[attr] = layout_class.from_arrays(
+                    arrays, num_rows, num_cols, psize
+                )
     else:
         # v1 stored the matrix only: rebuild the remaining stages.
         transpose = scan_transpose(matrix)
         if config.kernel == "buffered":
-            buffered_forward = build_buffered(
-                matrix, config.partition_size, config.buffer_bytes
+            layouts["buffered_forward"] = build_buffered(
+                matrix, psize, config.buffer_bytes
             )
-            buffered_adjoint = build_buffered(
-                transpose, config.partition_size, config.buffer_bytes
+            layouts["buffered_adjoint"] = build_buffered(
+                transpose, psize, config.buffer_bytes
             )
         elif config.kernel == "ell":
-            ell_forward = build_ell(matrix, config.partition_size)
-            ell_adjoint = build_ell(transpose, config.partition_size)
+            layouts["ell_forward"] = build_ell(matrix, psize)
+            layouts["ell_adjoint"] = build_ell(transpose, psize)
 
     return MemXCTOperator(
         geometry=geometry,
@@ -336,10 +240,7 @@ def _operator_from_npz(data) -> MemXCTOperator:
         matrix=matrix,
         transpose=transpose,
         config=config,
-        buffered_forward=buffered_forward,
-        buffered_adjoint=buffered_adjoint,
-        ell_forward=ell_forward,
-        ell_adjoint=ell_adjoint,
+        **layouts,
     )
 
 
@@ -362,13 +263,26 @@ def load_operator(path: str | Path) -> MemXCTOperator:
     """
     path = Path(path)
     try:
+        # Peek at the version first (npz members load lazily): v1 files
+        # carry no checksum, and an unknown version is a format error
+        # whatever its checksum says.
         with np.load(path, allow_pickle=False) as npz:
-            data = {name: npz[name] for name in npz.files}
-        return _operator_from_npz(data)
+            version = int(npz["format_version"])
+            if version not in _READABLE_VERSIONS:
+                raise OperatorFormatError(
+                    f"unsupported operator file version {version} "
+                    f"(expected one of {_READABLE_VERSIONS})"
+                )
+            if version < 2:
+                unchecked = {name: npz[name] for name in npz.files}
+                return _operator_from_arrays(unchecked, version)
+        return _operator_from_arrays(load_checked_npz(path), version)
     except FileNotFoundError:
         raise
     except (OperatorFormatError, OperatorIntegrityError):
         raise
+    except CorruptArchiveError as exc:
+        raise OperatorIntegrityError(str(exc)) from exc
     except Exception as exc:
         raise OperatorIntegrityError(
             f"{path} is not a readable operator file: {exc}"

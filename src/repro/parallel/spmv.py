@@ -16,9 +16,13 @@ layout's arrays into POSIX shared memory once, at engine construction;
 workers attach in their pool initializer and rebuild zero-copy views,
 so a task is just ``(direction, part0, part1, input-segment name)``.
 
-This module deliberately knows nothing about operators or geometry —
-it receives layouts and a partition size explicitly, keeping
-``repro.parallel`` import-cycle-free below ``repro.core``.
+This module deliberately knows nothing about operators or geometry,
+and nothing about any one layout either: it uses only what every
+layout class of :mod:`repro.sparse` offers — ``spmv``,
+``partition_slice`` and the ``to_arrays``/``from_arrays`` pair the
+operator archive is also written with — so it receives layouts and a
+partition size explicitly, keeping ``repro.parallel``
+import-cycle-free below ``repro.core``.
 """
 
 from __future__ import annotations
@@ -36,9 +40,6 @@ from ..obs import (
     add_count,
     emit_span,
 )
-from ..sparse.buffering import BufferedMatrix
-from ..sparse.csr import CSRMatrix
-from ..sparse.ell import ELLPartitioned
 from ..sparse.partition import RowPartitions
 from . import shm
 from .backend import ProcessBackend, SerialBackend, make_backend
@@ -65,153 +66,27 @@ def partition_ranges(num_partitions: int, workers: int) -> list[tuple[int, int]]
     return ranges
 
 
-# -- layout helpers (uniform view over the three formats) ---------------
-
-
-def _layout_partitions(layout, partition_size: int) -> int:
-    if isinstance(layout, CSRMatrix):
-        return RowPartitions(layout.num_rows, partition_size).num_partitions
-    return layout.partitions.num_partitions
-
-
-def _slice_layout(layout, part0: int, part1: int, partition_size: int):
-    if isinstance(layout, CSRMatrix):
-        row0 = part0 * partition_size
-        row1 = min(part1 * partition_size, layout.num_rows)
-        return layout.row_block(row0, row1)
-    return layout.partition_slice(part0, part1)
-
-
-def _kernel_call(layout, x: np.ndarray, batched: bool) -> np.ndarray:
-    """Apply the layout's production kernel — the one the operator uses.
-
-    Buffered layouts expose a slow literal kernel (``spmv``) and a
-    vectorized one (``spmv_vectorized``, bit-identical); the operator
-    runs the vectorized one, so worker slices must too.
-    """
-    if batched:
-        return layout.spmv_batch(x)
-    vectorized = getattr(layout, "spmv_vectorized", None)
-    return vectorized(x) if vectorized is not None else layout.spmv(x)
-
-
-def _flatten_layout(layout) -> tuple[str, dict[str, np.ndarray], dict]:
-    """Decompose a layout into shm-exportable arrays plus scalar meta."""
-    if isinstance(layout, CSRMatrix):
-        arrays = {"displ": layout.displ, "ind": layout.ind, "val": layout.val}
-        return "csr", arrays, {"num_cols": layout.num_cols}
-    if isinstance(layout, BufferedMatrix):
-        arrays = {
-            "partdispl": layout.partdispl,
-            "stagedispl": layout.stagedispl,
-            "map": layout.map,
-            "displ": layout.displ,
-            "ind": layout.ind,
-            "val": layout.val,
-        }
-        meta = {
-            "num_cols": layout.num_cols,
-            "num_rows": layout.num_rows,
-            "partition_size": layout.partitions.partition_size,
-            "buffer_elements": layout.buffer_elements,
-        }
-        return "buffered", arrays, meta
-    if isinstance(layout, ELLPartitioned):
-        rows = np.array([slab.shape[1] for slab in layout.ind_slabs], dtype=np.int64)
-
-        def flat(slabs: list[np.ndarray], dtype) -> np.ndarray:
-            if not slabs:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate([slab.ravel() for slab in slabs])
-
-        arrays = {
-            "widths": np.asarray(layout.widths, dtype=np.int64),
-            "rows": rows,
-            "ind_flat": flat(layout.ind_slabs, np.int32),
-            "val_flat": flat(layout.val_slabs, np.float32),
-        }
-        meta = {
-            "num_cols": layout.num_cols,
-            "num_rows": layout.num_rows,
-            "partition_size": layout.partitions.partition_size,
-        }
-        return "ell", arrays, meta
-    raise TypeError(f"unsupported layout type {type(layout)!r}")
-
-
-def _rebuild_layout(kind: str, arrays: dict[str, np.ndarray], meta: dict):
-    """Inverse of :func:`_flatten_layout` over (possibly shm-backed) views."""
-    if kind == "csr":
-        return CSRMatrix(
-            displ=arrays["displ"],
-            ind=arrays["ind"],
-            val=arrays["val"],
-            num_cols=meta["num_cols"],
-            # Without this an fp64 operator's values would be silently
-            # downcast to the float32 default on worker-side rebuild.
-            value_dtype=arrays["val"].dtype.name,
-        )
-    if kind == "buffered":
-        return BufferedMatrix(
-            partitions=RowPartitions(meta["num_rows"], meta["partition_size"]),
-            buffer_elements=meta["buffer_elements"],
-            partdispl=arrays["partdispl"],
-            stagedispl=arrays["stagedispl"],
-            map=arrays["map"],
-            displ=arrays["displ"],
-            ind=arrays["ind"],
-            val=arrays["val"],
-            num_cols=meta["num_cols"],
-        )
-    if kind == "ell":
-        widths = arrays["widths"]
-        rows = arrays["rows"]
-        sizes = widths * rows
-        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        ind_slabs = []
-        val_slabs = []
-        for p in range(len(sizes)):
-            lo, hi = offsets[p], offsets[p + 1]
-            shape = (int(widths[p]), int(rows[p]))
-            ind_slabs.append(arrays["ind_flat"][lo:hi].reshape(shape))
-            val_slabs.append(arrays["val_flat"][lo:hi].reshape(shape))
-        return ELLPartitioned(
-            partitions=RowPartitions(meta["num_rows"], meta["partition_size"]),
-            widths=widths,
-            ind_slabs=ind_slabs,
-            val_slabs=val_slabs,
-            num_cols=meta["num_cols"],
-        )
-    raise ValueError(f"unknown layout kind {kind!r}")
-
-
 # -- process-worker side ------------------------------------------------
 
-# Populated by _worker_init in every pool worker:
-# {direction: (layout, partition_size)}.
-_WORKER_LAYOUTS: dict[str, tuple[object, int]] = {}
+# Populated by _worker_init in every pool worker: {direction: layout}.
+_WORKER_LAYOUTS: dict[str, object] = {}
 
 
 def _worker_init(payload: dict) -> None:
     """Pool initializer: attach shm segments, rebuild layouts once."""
     _WORKER_LAYOUTS.clear()
-    for direction, (kind, seg_name, manifest, meta, partition_size) in payload.items():
+    for direction, (layout_class, seg_name, manifest, dims) in payload.items():
         arrays = shm.attach_arrays(seg_name, manifest)
-        _WORKER_LAYOUTS[direction] = (
-            _rebuild_layout(kind, arrays, meta),
-            partition_size,
-        )
+        _WORKER_LAYOUTS[direction] = layout_class.from_arrays(arrays, *dims)
 
 
 def _process_task(task: tuple) -> tuple[np.ndarray, float, float]:
     """One worker task: SpMV of a partition range against a shm input."""
-    direction, part0, part1, batched, seg_name, manifest = task
+    direction, part0, part1, partition_size, seg_name, manifest = task
     start = perf_counter()
-    layout, partition_size = _WORKER_LAYOUTS[direction]
     x = shm.read_copy(seg_name, manifest)["x"]
-    sub = _slice_layout(layout, part0, part1, partition_size)
-    y = _kernel_call(sub, x, batched)
+    sub = _WORKER_LAYOUTS[direction].partition_slice(part0, part1, partition_size)
+    y = sub.spmv(x)
     return y, start, perf_counter()
 
 
@@ -226,11 +101,11 @@ class ParallelSpmvEngine:
     workers, mode:
         Resolved backend spec (see :func:`repro.parallel.parse_workers`).
     partition_size:
-        Rows per partition — the decomposition granularity for CSR
-        layouts (buffered/ELL carry their own partitioning).
+        Rows per partition — the decomposition granularity; buffered
+        and ELL layouts must have been built with the same value.
     forward_layout, adjoint_layout:
-        The two kernel objects; any of :class:`CSRMatrix`,
-        :class:`BufferedMatrix`, :class:`ELLPartitioned`.
+        The two kernel objects; any layout class of
+        :mod:`repro.sparse`.
     """
 
     def __init__(
@@ -248,7 +123,8 @@ class ParallelSpmvEngine:
         self._layouts = {"forward": forward_layout, "adjoint": adjoint_layout}
         self._ranges = {
             direction: partition_ranges(
-                _layout_partitions(layout, partition_size), workers
+                RowPartitions(layout.num_rows, partition_size).num_partitions,
+                workers,
             )
             for direction, layout in self._layouts.items()
         }
@@ -259,16 +135,14 @@ class ParallelSpmvEngine:
             payload = {}
             shm_bytes = 0
             for direction, layout in self._layouts.items():
-                kind, arrays, meta = _flatten_layout(layout)
-                shared = shm.SharedArrays(arrays)
+                shared = shm.SharedArrays(layout.to_arrays())
                 self._segments.append(shared)
                 shm_bytes += shared.nbytes
                 payload[direction] = (
-                    kind,
+                    type(layout),
                     shared.name,
                     shared.manifest,
-                    meta,
-                    partition_size,
+                    (layout.num_rows, layout.num_cols, partition_size),
                 )
             add_count(PARALLEL_SHM_BYTES, shm_bytes)
             self._backend = make_backend(
@@ -278,7 +152,7 @@ class ParallelSpmvEngine:
             self._backend = make_backend(workers, mode)
             for direction, layout in self._layouts.items():
                 self._slices[direction] = [
-                    _slice_layout(layout, p0, p1, partition_size)
+                    layout.partition_slice(p0, p1, partition_size)
                     for p0, p1 in self._ranges[direction]
                 ]
         # Shared-memory segments must not outlive the process even if
@@ -299,9 +173,8 @@ class ParallelSpmvEngine:
             raise RuntimeError("engine is closed")
         layout = self._layouts[direction]
         ranges = self._ranges[direction]
-        batched = x.ndim == 2
         if len(ranges) < 2 or isinstance(self._backend, SerialBackend):
-            return _kernel_call(layout, x, batched)
+            return layout.spmv(x)
         observing = REGISTRY.active
         if self.mode == "process":
             shared_x = shm.SharedArrays({"x": np.ascontiguousarray(x)})
@@ -309,7 +182,14 @@ class ParallelSpmvEngine:
                 if observing:
                     add_count(PARALLEL_SHM_BYTES, shared_x.nbytes)
                 tasks = [
-                    (direction, p0, p1, batched, shared_x.name, shared_x.manifest)
+                    (
+                        direction,
+                        p0,
+                        p1,
+                        self.partition_size,
+                        shared_x.name,
+                        shared_x.manifest,
+                    )
                     for p0, p1 in ranges
                 ]
                 results = self._backend.map(_process_task, tasks)
@@ -320,7 +200,7 @@ class ParallelSpmvEngine:
 
             def run(sub) -> tuple[np.ndarray, float, float]:
                 start = perf_counter()
-                y = _kernel_call(sub, x, batched)
+                y = sub.spmv(x)
                 return y, start, perf_counter()
 
             results = self._backend.map(run, slices)

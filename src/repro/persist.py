@@ -4,10 +4,12 @@ Three robustness properties, factored out of :mod:`repro.io` so the
 operator format, the plan cache, solver checkpoints, and the service
 job journal all go through the *same* hardened path:
 
-* **Atomic writes** — payloads are written to a temporary file in the
+* **Atomic writes** — payloads (npz archives and the JSON sidecars
+  next to them alike) are written to a temporary file in the
   destination directory, fsynced, and renamed into place.  A crashed
   or killed writer leaves at most a stray ``*.tmp-<pid>`` file, never
-  a truncated archive under the final name.
+  a truncated file under the final name; a writer that fails removes
+  its temporary file.
 * **Content checksums** — :func:`payload_checksum` computes a CRC-32
   over every payload array (name + raw bytes, name-sorted) so loaders
   can detect silent bit corruption instead of returning corrupt
@@ -35,6 +37,7 @@ __all__ = [
     "raw_buffer",
     "payload_checksum",
     "atomic_savez",
+    "atomic_write_text",
     "atomic_savez_checked",
     "load_checked_npz",
     "CorruptArchiveError",
@@ -67,18 +70,28 @@ def payload_checksum(payload: dict) -> int:
     return crc & 0xFFFFFFFF
 
 
-def atomic_savez(path: Path, payload: dict, compress: bool) -> None:
-    """Write ``payload`` as an npz archive via temp file + rename."""
-    writer = np.savez_compressed if compress else np.savez
+def _atomic_write(path: Path, mode: str, write) -> None:
+    """Run ``write(fh)`` on a temp file beside ``path``, fsync, rename."""
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
     try:
-        with open(tmp, "wb") as fh:
-            writer(fh, **payload)
+        with open(tmp, mode) as fh:
+            write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def atomic_savez(path: Path, payload: dict, compress: bool) -> None:
+    """Write ``payload`` as an npz archive via temp file + rename."""
+    writer = np.savez_compressed if compress else np.savez
+    _atomic_write(path, "wb", lambda fh: writer(fh, **payload))
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` via temp file + fsync + rename."""
+    _atomic_write(Path(path), "w", lambda fh: fh.write(text))
 
 
 class CorruptArchiveError(ValueError):
@@ -114,9 +127,11 @@ def load_checked_npz(path) -> dict:
     if "checksum" not in payload:
         raise CorruptArchiveError(f"archive {path} carries no checksum")
     stored = int(payload.pop("checksum"))
-    if payload_checksum(payload) != stored:
+    actual = payload_checksum(payload)
+    if actual != stored:
         raise CorruptArchiveError(
-            f"archive {path} fails its checksum (corrupt or truncated)"
+            f"archive {path}: checksum mismatch (stored {stored:#010x}, "
+            f"computed {actual:#010x}) — corrupt or truncated"
         )
     return payload
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from zipfile import BadZipFile
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from ..obs import (
     add_count,
     span,
 )
-from ..persist import atomic_savez, payload_checksum
+from ..persist import CorruptArchiveError, atomic_savez_checked, load_checked_npz
 
 __all__ = [
     "SolverCheckpoint",
@@ -145,9 +144,8 @@ class CheckpointManager:
             }
             for name, arr in checkpoint.arrays.items():
                 payload[f"array_{name}"] = np.asarray(arr)
-            payload["checksum"] = np.uint32(payload_checksum(payload))
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_savez(self.path, payload, compress=False)
+            atomic_savez_checked(self.path, payload)
             add_count(CHECKPOINT_BYTES_WRITTEN, self.path.stat().st_size)
 
     def load(self) -> SolverCheckpoint | None:
@@ -189,16 +187,12 @@ class CheckpointManager:
 
 def _read_checkpoint(path: Path) -> SolverCheckpoint:
     try:
-        with np.load(path, allow_pickle=False) as data:
-            payload = {name: data[name] for name in data.files}
-    except (OSError, ValueError, KeyError, BadZipFile) as exc:
-        raise CheckpointError(f"unreadable archive: {exc}") from exc
+        payload = load_checked_npz(path)
+    except CorruptArchiveError as exc:
+        raise CheckpointError(str(exc)) from exc
     version = int(payload.get("format_version", -1))
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format version {version}")
-    stored = int(payload.get("checksum", -1))
-    if payload_checksum(payload) != stored:
-        raise CheckpointError("checksum mismatch (corrupt or truncated file)")
     names = [str(n) for n in payload["scalar_names"]]
     values = np.asarray(payload["scalar_values"], dtype=np.float64)
     return SolverCheckpoint(

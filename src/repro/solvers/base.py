@@ -156,18 +156,16 @@ class MatrixOperator:
         return self.matrix.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """``A x`` for an ``(num_pixels,)`` vector or ``(num_pixels, S)`` slab."""
         return self.matrix.spmv(np.asarray(x, dtype=self.compute_dtype))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """``A^T y`` for an ``(num_rays,)`` vector or ``(num_rays, S)`` slab."""
         return self.transpose.spmv(np.asarray(y, dtype=self.compute_dtype))
 
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Multi-RHS forward: ``Y = A X`` for an ``(num_pixels, S)`` slab."""
-        return self.matrix.spmv_batch(np.asarray(x, dtype=self.compute_dtype))
-
-    def adjoint_batch(self, y: np.ndarray) -> np.ndarray:
-        """Multi-RHS adjoint: ``X = A^T Y`` for an ``(num_rays, S)`` slab."""
-        return self.transpose.spmv_batch(np.asarray(y, dtype=self.compute_dtype))
+    # Slab-protocol names (see repro.solvers.driver); same code.
+    forward_batch = forward
+    adjoint_batch = adjoint
 
     def row_sums(self) -> np.ndarray:
         return self.matrix.row_sums()

@@ -19,11 +19,11 @@ Data structures follow Listing 3 exactly:
 * ``ind`` (uint16) / ``val`` — buffer-local indices and values in the
   stage-grouped order.
 
-Two kernels are provided: :meth:`BufferedMatrix.spmv` walks
-partition/stage/row exactly like Listing 3 (used in tests and the cache
-simulator), and :meth:`BufferedMatrix.spmv_vectorized` evaluates the
-identical dataflow with whole-array numpy operations (used by the
-solvers and benchmarks).
+The kernel, :meth:`BufferedMatrix.spmv`, evaluates Listing 3's dataflow
+with whole-array numpy operations.  The literal partition/stage/row
+loop nest is :func:`repro.cachesim.listing3_spmv` — the reference the
+tests compare the kernel against, next to the cache simulator that
+replays its access pattern.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csr import CSRMatrix, csr_row_sums
+from .csr import CSRMatrix, csr_row_sums, spmv_input
 from .partition import RowPartitions
 
 __all__ = [
@@ -116,24 +116,53 @@ class BufferedMatrix:
         """Stage count of each partition (paper Fig. 6(b))."""
         return np.diff(self.partdispl)
 
-    # -- persistence ---------------------------------------------------
+    # -- array form ----------------------------------------------------
 
-    def __getstate__(self) -> dict:
-        """Pickle the layout fields only, never the lazy index plan.
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The Listing-3 arrays under their operator-archive names."""
+        return {
+            "buffer_elements": np.asarray(self.buffer_elements, dtype=np.int64),
+            "partdispl": self.partdispl,
+            "stagedispl": self.stagedispl,
+            "map": self.map,
+            "displ": self.displ,
+            "ind": self.ind,
+            "val": self.val,
+        }
+
+    @classmethod
+    def from_arrays(
+        cls, arrays, num_rows: int, num_cols: int, partition_size: int
+    ) -> "BufferedMatrix":
+        """Inverse of :meth:`to_arrays`, as views of ``arrays``."""
+        return cls(
+            partitions=RowPartitions(num_rows, partition_size),
+            buffer_elements=np.asarray(arrays["buffer_elements"]).item(),
+            partdispl=arrays["partdispl"],
+            stagedispl=arrays["stagedispl"],
+            map=arrays["map"],
+            displ=arrays["displ"],
+            ind=arrays["ind"],
+            val=arrays["val"],
+            num_cols=num_cols,
+        )
+
+    def __reduce__(self):
+        """Pickle the array form, never the lazy index plan.
 
         ``_vector_plan`` caches derived index arrays on the instance;
-        carrying that cache through pickling (the plan cache, the
-        process-pool backend) would persist megabytes of redundant
-        state and could go stale if ``displ``/``ind`` are replaced
-        after a load.  It is rebuilt lazily on first use instead.
+        carrying that cache through pickling would persist megabytes of
+        redundant state.  It is rebuilt lazily on first use instead.
         """
-        state = dict(self.__dict__)
-        state.pop("_plan", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        state.pop("_plan", None)  # defensive: drop plans from old pickles
-        self.__dict__.update(state)
+        return (
+            type(self).from_arrays,
+            (
+                self.to_arrays(),
+                self.num_rows,
+                self.num_cols,
+                self.partitions.partition_size,
+            ),
+        )
 
     def map_bytes(self) -> int:
         """Extra memory traffic for staging: the ``map`` reads."""
@@ -149,39 +178,13 @@ class BufferedMatrix:
 
     # -- kernels -------------------------------------------------------
 
-    def spmv(self, x: np.ndarray) -> np.ndarray:
-        """Literal rendering of paper Listing 3 (partition/stage loops).
-
-        Slow (Python-level loops over partitions and stages) but
-        structurally identical to the C kernel; the cache simulator
-        replays exactly this access pattern.
-        """
-        x = np.asarray(x)
-        if x.shape[0] != self.num_cols:
-            raise ValueError(f"x has {x.shape[0]} entries, expected {self.num_cols}")
-        partsize = self.partitions.partition_size
-        y = np.zeros(self.num_rows, dtype=np.result_type(x.dtype, np.float32))
-        for part in range(self.partitions.num_partitions):
-            row0, row1 = self.partitions.bounds(part)
-            output = np.zeros(partsize, dtype=y.dtype)
-            for stage in range(self.partdispl[part], self.partdispl[part + 1]):
-                s0, s1 = self.stagedispl[stage], self.stagedispl[stage + 1]
-                buffer = x[self.map[s0:s1]]  # explicit staging gather
-                base = stage * partsize
-                d = self.displ[base : base + partsize + 1]
-                prod = self.val[d[0] : d[-1]] * buffer[self.ind[d[0] : d[-1]]]
-                output += csr_row_sums(prod, d - d[0], partsize)
-            y[row0:row1] += output[: row1 - row0]
-        return y
-
     def _vector_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Index arrays shared by the vectorized kernels, built lazily.
+        """Index arrays of the kernel, built lazily.
 
         Returns ``(global_ind, keep, rows_kept)``: the buffer-global
         index of each nonzero, the mask of real (non-padding) row
         slots, and the output row of each kept slot.  Cached on the
-        instance — the batched kernel amortizes this across all RHS
-        columns of every call.
+        instance — amortized across all RHS columns of every call.
         """
         plan = getattr(self, "_plan", None)
         if plan is None:
@@ -205,51 +208,55 @@ class BufferedMatrix:
             self._plan = plan
         return plan
 
-    def spmv_vectorized(self, x: np.ndarray) -> np.ndarray:
-        """Whole-array evaluation of the same staged dataflow.
+    def spmv(self, x: np.ndarray) -> np.ndarray:
+        """Staged SpMV (paper Listing 3): ``y = A x``, whole-array.
 
         Gathers ``x`` through ``map`` once (the concatenation of all
         stage buffers), forms all products, and row-reduces with the
-        stage-grouped ``displ``.  Numerically identical to
-        :meth:`spmv`.
+        stage-grouped ``displ``.  Numerically identical to the literal
+        loop nest (:func:`repro.cachesim.listing3_spmv`).
         """
-        x = np.asarray(x)
-        if x.shape[0] != self.num_cols:
-            raise ValueError(f"x has {x.shape[0]} entries, expected {self.num_cols}")
+        x = spmv_input(x, self.num_cols)
         staged = x[self.map]  # all stage buffers back to back
         # Global buffer-index of each nonzero: stage offset + local uint16.
         global_ind, keep, rows_kept = self._vector_plan()
-        prod = self.val * staged[global_ind]
+        val = self.val if x.ndim == 1 else self.val[:, None]
         slot_sums = csr_row_sums(
-            prod, self.displ, self.num_stages * self.partitions.partition_size
+            val * staged[global_ind],
+            self.displ,
+            self.num_stages * self.partitions.partition_size,
         )
-        y = np.zeros(self.num_rows, dtype=np.result_type(x.dtype, np.float32))
+        y = np.zeros(
+            (self.num_rows,) + x.shape[1:],
+            dtype=np.result_type(x.dtype, np.float32),
+        )
         np.add.at(y, rows_kept, slot_sums[keep])
         return y
 
-    def partition_slice(self, part0: int, part1: int) -> "BufferedMatrix":
+    def partition_slice(
+        self, part0: int, part1: int, partition_size: int
+    ) -> "BufferedMatrix":
         """View-based sub-layout of the partition range ``[part0, part1)``.
 
         The stage-grouped arrays of a contiguous partition range are
         themselves contiguous, so the slice shares ``map``/``ind``/
         ``val`` storage with the parent; only the small offset arrays
-        are rebased copies.  Running any kernel on the slice produces
-        exactly the rows ``[part0 * partsize, min(part1 * partsize,
-        num_rows))`` of the parent's result, bit-identically — the
-        contract the partition-parallel backend is built on.
+        are rebased copies.  The kernel on the slice produces exactly
+        the rows ``[part0 * partsize, min(part1 * partsize, num_rows))``
+        of the parent's result, bit-identically — the contract the
+        partition-parallel backend is built on.  ``partition_size``
+        must be the one the layout was built with.
         """
-        if not 0 <= part0 <= part1 <= self.partitions.num_partitions:
-            raise ValueError(
-                f"partition range [{part0}, {part1}) outside "
-                f"[0, {self.partitions.num_partitions})"
-            )
         partsize = self.partitions.partition_size
+        if partition_size != partsize:
+            raise ValueError(
+                f"layout is partitioned by {partsize} rows, not {partition_size}"
+            )
+        row0, row1 = self.partitions.row_range(part0, part1)
         s0, s1 = int(self.partdispl[part0]), int(self.partdispl[part1])
         m0, m1 = int(self.stagedispl[s0]), int(self.stagedispl[s1])
         d0 = int(self.displ[s0 * partsize])
         d1 = int(self.displ[s1 * partsize])
-        row0 = part0 * partsize
-        row1 = min(part1 * partsize, self.num_rows)
         return BufferedMatrix(
             partitions=RowPartitions(row1 - row0, partsize),
             buffer_elements=self.buffer_elements,
@@ -261,31 +268,6 @@ class BufferedMatrix:
             val=self.val[d0:d1],
             num_cols=self.num_cols,
         )
-
-    def spmv_batch(self, x: np.ndarray) -> np.ndarray:
-        """Staged multi-RHS SpMV for an ``(num_cols, S)`` slab.
-
-        The stage/index bookkeeping of :meth:`spmv_vectorized` is paid
-        once per call (and the index plan is cached across calls) while
-        the gathers and reductions run over all ``S`` columns at once.
-        Column ``j`` is bit-identical to ``spmv_vectorized(x[:, j])``.
-        """
-        x = np.asarray(x)
-        if x.ndim != 2:
-            raise ValueError(f"expected an (num_cols, S) slab, got shape {x.shape}")
-        if x.shape[0] != self.num_cols:
-            raise ValueError(f"x has {x.shape[0]} rows, expected {self.num_cols}")
-        staged = x[self.map]  # (map length, S) stage buffers back to back
-        global_ind, keep, rows_kept = self._vector_plan()
-        prod = self.val[:, None] * staged[global_ind]
-        slot_sums = csr_row_sums(
-            prod, self.displ, self.num_stages * self.partitions.partition_size
-        )
-        y = np.zeros(
-            (self.num_rows, x.shape[1]), dtype=np.result_type(x.dtype, np.float32)
-        )
-        np.add.at(y, rows_kept, slot_sums[keep])
-        return y
 
 
 def build_buffered(

@@ -8,6 +8,22 @@ with the regular streams ``ind``/``val`` and the irregular gather
 ``x[ind[j]]``.  The Python kernel vectorizes the row loop with
 ``np.add.reduceat`` over the nonzero products, which is the idiomatic
 numpy rendering of the same dataflow.
+
+Every layout class of :mod:`repro.sparse` (this one,
+:class:`~repro.sparse.BufferedMatrix`,
+:class:`~repro.sparse.ELLPartitioned`) offers the same four things, and
+callers rely on nothing else to run, slice, persist or ship a layout:
+
+* ``spmv(x)`` — the one production kernel, over an ``(n,)`` vector or
+  an ``(n, S)`` slab of ``S`` right-hand sides.  One pass over the
+  regular streams drives all ``S`` columns, and column ``j`` of a slab
+  result is bit-identical to the vector call on ``x[:, j]``;
+* ``partition_slice(part0, part1, partition_size)`` — a view-based
+  sub-layout whose kernel yields exactly the parent's output rows of
+  that partition range, bit-identically (the parallel backend's unit);
+* ``to_arrays()`` / ``from_arrays(arrays, num_rows, num_cols,
+  partition_size)`` — the layout as named arrays (the key names of the
+  v2 operator archive) and back, rebuilt as views, never copies.
 """
 
 from __future__ import annotations
@@ -17,7 +33,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["CSRMatrix", "csr_row_sums"]
+from .partition import RowPartitions
+
+__all__ = ["CSRMatrix", "csr_row_sums", "spmv_input"]
+
+
+def spmv_input(x, num_cols: int) -> np.ndarray:
+    """A kernel input as an array: an ``(n,)`` vector or ``(n, S)`` slab."""
+    x = np.asarray(x)
+    if x.ndim not in (1, 2):
+        raise ValueError(
+            f"expected an (n,) vector or an (n, S) slab, got shape {x.shape}"
+        )
+    if x.shape[0] != num_cols:
+        raise ValueError(f"x has {x.shape[0]} rows, expected {num_cols}")
+    return x
 
 
 def csr_row_sums(values: np.ndarray, displ: np.ndarray, num_rows: int) -> np.ndarray:
@@ -139,28 +169,14 @@ class CSRMatrix:
     # -- kernels -------------------------------------------------------
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
-        """Baseline gather-only SpMV (paper Listing 2): ``y = A x``."""
-        x = np.asarray(x)
-        if x.shape[0] != self.num_cols:
-            raise ValueError(f"x has {x.shape[0]} entries, expected {self.num_cols}")
-        prod = self.val * x[self.ind]
-        return csr_row_sums(prod, self.displ, self.num_rows)
+        """Baseline gather-only SpMV (paper Listing 2): ``y = A x``.
 
-    def spmv_batch(self, x: np.ndarray) -> np.ndarray:
-        """Multi-RHS SpMV: ``Y = A X`` for an ``(num_cols, S)`` slab.
-
-        One pass over the regular streams (``ind``/``val``) drives all
-        ``S`` right-hand sides; each irregular gather ``X[ind[j], :]``
-        pulls ``S`` contiguous elements, amortizing the random access.
-        Column ``j`` of the result is bit-identical to ``spmv(x[:, j])``.
+        For a slab, each irregular gather ``x[ind[j], :]`` pulls ``S``
+        contiguous elements, amortizing the random access.
         """
-        x = np.asarray(x)
-        if x.ndim != 2:
-            raise ValueError(f"expected an (num_cols, S) slab, got shape {x.shape}")
-        if x.shape[0] != self.num_cols:
-            raise ValueError(f"x has {x.shape[0]} rows, expected {self.num_cols}")
-        prod = self.val[:, None] * x[self.ind]
-        return csr_row_sums(prod, self.displ, self.num_rows)
+        x = spmv_input(x, self.num_cols)
+        val = self.val if x.ndim == 1 else self.val[:, None]
+        return csr_row_sums(val * x[self.ind], self.displ, self.num_rows)
 
     def row_sums(self) -> np.ndarray:
         """Sum of values per row (used by SIRT scaling)."""
@@ -228,17 +244,20 @@ class CSRMatrix:
             value_dtype=self.value_dtype,
         )
 
-    def row_block(self, row0: int, row1: int) -> "CSRMatrix":
-        """View-based sub-matrix of the contiguous row range ``[row0, row1)``.
+    def partition_slice(
+        self, part0: int, part1: int, partition_size: int
+    ) -> "CSRMatrix":
+        """Sub-matrix of the row partitions ``[part0, part1)``.
 
-        ``ind``/``val`` are views into this matrix's arrays (only the
-        rebased ``displ`` is a fresh allocation), so worker-owned row
-        blocks of the parallel backend cost O(rows) memory, not O(nnz).
+        CSR rows carry no blocking of their own, so ``partition_size``
+        (rows per partition) is the caller's.  ``ind``/``val`` are views
+        into this matrix's arrays (only the rebased ``displ`` is a fresh
+        allocation), so worker-owned slices of the parallel backend
+        cost O(rows) memory, not O(nnz).
         """
-        if not 0 <= row0 <= row1 <= self.num_rows:
-            raise ValueError(
-                f"row range [{row0}, {row1}) outside [0, {self.num_rows})"
-            )
+        row0, row1 = RowPartitions(self.num_rows, partition_size).row_range(
+            part0, part1
+        )
         lo, hi = self.displ[row0], self.displ[row1]
         return CSRMatrix(
             displ=self.displ[row0 : row1 + 1] - lo,
@@ -247,6 +266,37 @@ class CSRMatrix:
             num_cols=self.num_cols,
             value_dtype=self.value_dtype,
         )
+
+    # -- array form ----------------------------------------------------
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The Listing-2 arrays under their operator-archive names."""
+        return {"displ": self.displ, "ind": self.ind, "val": self.val}
+
+    @classmethod
+    def from_arrays(
+        cls, arrays, num_rows: int, num_cols: int, partition_size: int
+    ) -> "CSRMatrix":
+        """Inverse of :meth:`to_arrays`, as views of ``arrays``.
+
+        The value precision is the stored ``val`` dtype — an fp64
+        matrix must not be downcast to the float32 default on the way
+        through an archive or a shared-memory segment.
+        ``partition_size`` is part of the signature every layout
+        shares; CSR rows are not blocked, so it is unused here.
+        """
+        matrix = cls(
+            displ=arrays["displ"],
+            ind=arrays["ind"],
+            val=arrays["val"],
+            num_cols=num_cols,
+            value_dtype=arrays["val"].dtype.name,
+        )
+        if matrix.num_rows != num_rows:
+            raise ValueError(
+                f"displ describes {matrix.num_rows} rows, expected {num_rows}"
+            )
+        return matrix
 
     def sort_rows_by_index(self) -> "CSRMatrix":
         """Sort the nonzeros of each row by column index (ascending).

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csr import CSRMatrix
+from .csr import CSRMatrix, spmv_input
 from .partition import RowPartitions
 
 __all__ = ["ELLPartitioned", "build_ell"]
@@ -67,23 +67,24 @@ class ELLPartitioned:
         total = self.padded_nnz
         return 1.0 - real / total if total else 0.0
 
-    def partition_slice(self, part0: int, part1: int) -> "ELLPartitioned":
+    def partition_slice(
+        self, part0: int, part1: int, partition_size: int
+    ) -> "ELLPartitioned":
         """View-based sub-layout of the partition range ``[part0, part1)``.
 
         The per-partition slabs are shared (list slices of the same
         arrays), so worker-owned partition ranges of the parallel
-        backend cost no slab copies.  Any kernel on the slice produces
+        backend cost no slab copies.  The kernel on the slice produces
         exactly rows ``[part0 * partsize, min(part1 * partsize,
         num_rows))`` of the parent's result, bit-identically.
+        ``partition_size`` must be the one the layout was built with.
         """
-        if not 0 <= part0 <= part1 <= self.partitions.num_partitions:
-            raise ValueError(
-                f"partition range [{part0}, {part1}) outside "
-                f"[0, {self.partitions.num_partitions})"
-            )
         partsize = self.partitions.partition_size
-        row0 = part0 * partsize
-        row1 = min(part1 * partsize, self.num_rows)
+        if partition_size != partsize:
+            raise ValueError(
+                f"layout is partitioned by {partsize} rows, not {partition_size}"
+            )
+        row0, row1 = self.partitions.row_range(part0, part1)
         return ELLPartitioned(
             partitions=RowPartitions(row1 - row0, partsize),
             widths=self.widths[part0:part1],
@@ -92,46 +93,76 @@ class ELLPartitioned:
             num_cols=self.num_cols,
         )
 
-    def spmv(self, x: np.ndarray) -> np.ndarray:
-        """Coalesced-style SpMV: one vector op per ELL column slot."""
-        x = np.asarray(x)
-        if x.shape[0] != self.num_cols:
-            raise ValueError(f"x has {x.shape[0]} entries, expected {self.num_cols}")
-        y = np.zeros(self.num_rows, dtype=np.result_type(x.dtype, np.float32))
-        for part in range(self.partitions.num_partitions):
-            start, stop = self.partitions.bounds(part)
-            ind = self.ind_slabs[part]
-            val = self.val_slabs[part]
-            acc = np.zeros(stop - start, dtype=y.dtype)
-            for w in range(ind.shape[0]):
-                # Padded slots multiply x[0] by 0.0 — redundant work in
-                # place of a branch, as on the GPU.
-                acc += val[w] * x[ind[w]]
-            y[start:stop] = acc
-        return y
+    # -- array form ----------------------------------------------------
 
-    def spmv_batch(self, x: np.ndarray) -> np.ndarray:
-        """Coalesced-style multi-RHS SpMV for an ``(num_cols, S)`` slab.
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """Pad widths plus the slabs flattened into one ``ind``/``val`` pair.
 
-        Each ELL column slot now updates an ``(rows, S)`` accumulator,
-        so the padded layout is streamed once for all ``S`` right-hand
-        sides.  Column ``j`` is bit-identical to ``spmv(x[:, j])``.
+        ``val`` keeps the slabs' own dtype: an fp64 layout must not be
+        rounded to float32 on the way to an archive or a worker.
         """
-        x = np.asarray(x)
-        if x.ndim != 2:
-            raise ValueError(f"expected an (num_cols, S) slab, got shape {x.shape}")
-        if x.shape[0] != self.num_cols:
-            raise ValueError(f"x has {x.shape[0]} rows, expected {self.num_cols}")
+
+        def flat(slabs: list[np.ndarray], dtype) -> np.ndarray:
+            if not slabs:
+                return np.empty(0, dtype=dtype)
+            return np.concatenate([slab.ravel() for slab in slabs])
+
+        return {
+            "widths": self.widths,
+            "ind": flat(self.ind_slabs, np.int32).astype(np.int32, copy=False),
+            "val": flat(self.val_slabs, np.float32),
+        }
+
+    @classmethod
+    def from_arrays(
+        cls, arrays, num_rows: int, num_cols: int, partition_size: int
+    ) -> "ELLPartitioned":
+        """Inverse of :meth:`to_arrays`: slabs are views of ``ind``/``val``."""
+        parts = RowPartitions(num_rows, partition_size)
+        widths = np.asarray(arrays["widths"], dtype=np.int64)
+        ind_slabs: list[np.ndarray] = []
+        val_slabs: list[np.ndarray] = []
+        offset = 0
+        for part in range(parts.num_partitions):
+            start, stop = parts.bounds(part)
+            shape = (int(widths[part]), stop - start)
+            size = shape[0] * shape[1]
+            ind_slabs.append(arrays["ind"][offset : offset + size].reshape(shape))
+            val_slabs.append(arrays["val"][offset : offset + size].reshape(shape))
+            offset += size
+        return cls(
+            partitions=parts,
+            widths=widths,
+            ind_slabs=ind_slabs,
+            val_slabs=val_slabs,
+            num_cols=num_cols,
+        )
+
+    # -- kernel --------------------------------------------------------
+
+    def spmv(self, x: np.ndarray) -> np.ndarray:
+        """Coalesced-style SpMV: one vector op per ELL column slot.
+
+        For a slab each column slot updates an ``(rows, S)``
+        accumulator, so the padded layout is streamed once for all
+        ``S`` right-hand sides.
+        """
+        x = spmv_input(x, self.num_cols)
+        columns = x.shape[1:]
         y = np.zeros(
-            (self.num_rows, x.shape[1]), dtype=np.result_type(x.dtype, np.float32)
+            (self.num_rows,) + columns, dtype=np.result_type(x.dtype, np.float32)
         )
         for part in range(self.partitions.num_partitions):
             start, stop = self.partitions.bounds(part)
             ind = self.ind_slabs[part]
             val = self.val_slabs[part]
-            acc = np.zeros((stop - start, x.shape[1]), dtype=y.dtype)
+            if columns:
+                val = val[:, :, None]
+            acc = np.zeros((stop - start,) + columns, dtype=y.dtype)
             for w in range(ind.shape[0]):
-                acc += val[w][:, None] * x[ind[w]]
+                # Padded slots multiply x[0] by 0.0 — redundant work in
+                # place of a branch, as on the GPU.
+                acc += val[w] * x[ind[w]]
             y[start:stop] = acc
         return y
 

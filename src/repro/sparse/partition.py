@@ -12,10 +12,12 @@ performance model).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .csr import CSRMatrix
+if TYPE_CHECKING:  # annotations only: csr.py imports RowPartitions from here
+    from .csr import CSRMatrix
 
 __all__ = [
     "RowPartitions",
@@ -57,6 +59,18 @@ class RowPartitions:
             raise IndexError(f"partition {part} out of range")
         start = part * self.partition_size
         return start, min(start + self.partition_size, self.num_rows)
+
+    def row_range(self, part0: int, part1: int) -> tuple[int, int]:
+        """Row range ``[row0, row1)`` covered by partitions ``[part0, part1)``."""
+        if not 0 <= part0 <= part1 <= self.num_partitions:
+            raise ValueError(
+                f"partition range [{part0}, {part1}) outside "
+                f"[0, {self.num_partitions})"
+            )
+        return (
+            part0 * self.partition_size,
+            min(part1 * self.partition_size, self.num_rows),
+        )
 
     def all_bounds(self) -> np.ndarray:
         """Array of shape ``(num_partitions, 2)`` with all row ranges."""

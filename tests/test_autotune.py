@@ -177,6 +177,50 @@ class TestPersistence:
         assert store.clear() == 1
         assert store.load("k1") is None
 
+    @pytest.mark.parametrize("sidecar", ["tune-record", "plan-meta"])
+    def test_failed_sidecar_write_leaves_no_temp_and_keeps_previous(
+        self, tmp_path, monkeypatch, sidecar
+    ):
+        """Both JSON sidecars go through ``persist.atomic_write_text``:
+        flushed + fsynced before the rename, temp file removed on any
+        failure, previous content untouched."""
+        from repro.cache import PlanCache
+
+        record = TuningRecord(
+            key="k1", kernel="buffered", partition_size=64, buffer_bytes=16384,
+            workers=1, dtype=None, mode="auto", predicted_seconds=1e-3,
+            measured_seconds=2e-3, candidates_considered=21, trials=6,
+            cpu_count=0,
+        )
+        if sidecar == "tune-record":
+            store = TuneStore(tmp_path)
+            target = store.path_for("k1")
+
+            def write(tag):
+                store.save("k1", TuningRecord(**{**record.to_dict(), "trials": tag}))
+        else:
+            cache = PlanCache(tmp_path)
+            cache.root.mkdir(parents=True, exist_ok=True)
+            target = cache.meta_path("k1")
+
+            def write(tag):
+                cache._write_meta("k1", {"tag": tag})
+
+        write(1)
+        before = target.read_text()
+
+        def failing_fsync(fd):
+            raise OSError("injected: disk full")
+
+        monkeypatch.setattr("repro.persist.os.fsync", failing_fsync)
+        with pytest.raises(OSError, match="injected"):
+            write(2)
+        monkeypatch.undo()
+        assert target.read_text() == before
+        assert list(tmp_path.rglob("*.tmp*")) == []
+        write(3)  # and the store still works afterwards
+        assert target.read_text() != before
+
     def test_apply_respects_explicit_workers(self):
         record = TuningRecord(
             key="k", kernel="ell", partition_size=64, buffer_bytes=32768,
@@ -202,7 +246,8 @@ class TestDegradation:
         g = ParallelBeamGeometry(24, 32)
         _, rep1 = preprocess(g, OperatorConfig(tune="auto"), cache=tmp_path)
         store = TuneStore.resolve(tmp_path)
-        key = tune_fingerprint(g)
+        # The record is keyed by the precision in force (REPRO_DTYPE).
+        key = tune_fingerprint(g, dtype=OperatorConfig().dtype)
         path = store.path_for(key)
         assert path.is_file()
         path.write_text("{not json")

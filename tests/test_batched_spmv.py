@@ -1,11 +1,11 @@
-"""Tests for the batched multi-RHS SpMV paths of all three kernels.
+"""Tests for the multi-RHS (slab) form of all three kernels.
 
 The contract under test: for every kernel layout (CSR, multi-stage
-buffered, partition-padded ELL), ``spmv_batch(X)[:, j]`` is
-**bit-identical** to ``spmv(X[:, j])`` — the batched path is the same
-arithmetic in the same order, just amortizing the matrix streams over
-``S`` right-hand sides — and the operator-level batch entry points
-preserve adjointness per column.
+buffered, partition-padded ELL), ``spmv(X)[:, j]`` of an ``(n, S)``
+slab is **bit-identical** to ``spmv(X[:, j])`` — the slab call is the
+same kernel doing the same arithmetic in the same order, just
+amortizing the matrix streams over ``S`` right-hand sides — and the
+operator-level batch entry points preserve adjointness per column.
 """
 
 import numpy as np
@@ -32,11 +32,11 @@ def _slab(rng, n, s):
 
 
 class TestKernelBatchEquivalence:
-    """spmv_batch column j == spmv(column j), bitwise, per layout."""
+    """spmv(slab) column j == spmv(column j), bitwise, per layout."""
 
     def test_csr(self, medium_matrix, rng):
         X = _slab(rng, medium_matrix.num_cols, 5)
-        Y = medium_matrix.spmv_batch(X)
+        Y = medium_matrix.spmv(X)
         assert Y.shape == (medium_matrix.num_rows, 5)
         for j in range(5):
             assert np.array_equal(Y[:, j], medium_matrix.spmv(X[:, j]))
@@ -45,54 +45,56 @@ class TestKernelBatchEquivalence:
         matrix, _, _ = ordered_medium
         buffered = build_buffered(matrix, partition_size=64, buffer_bytes=4096)
         X = _slab(rng, matrix.num_cols, 4)
-        Y = buffered.spmv_batch(X)
+        Y = buffered.spmv(X)
         for j in range(4):
-            assert np.array_equal(Y[:, j], buffered.spmv_vectorized(X[:, j]))
+            assert np.array_equal(Y[:, j], buffered.spmv(X[:, j]))
 
     def test_ell(self, ordered_medium, rng):
         matrix, _, _ = ordered_medium
         ell = build_ell(matrix, partition_size=64)
         X = _slab(rng, matrix.num_cols, 4)
-        Y = ell.spmv_batch(X)
+        Y = ell.spmv(X)
         for j in range(4):
             assert np.array_equal(Y[:, j], ell.spmv(X[:, j]))
 
     def test_transpose_csr(self, medium_matrix, rng):
         matrix_t = scan_transpose(medium_matrix)
         Y = _slab(rng, matrix_t.num_cols, 3)
-        X = matrix_t.spmv_batch(Y)
+        X = matrix_t.spmv(Y)
         for j in range(3):
             assert np.array_equal(X[:, j], matrix_t.spmv(Y[:, j]))
 
     def test_single_column_slab(self, medium_matrix, rng):
         X = _slab(rng, medium_matrix.num_cols, 1)
         assert np.array_equal(
-            medium_matrix.spmv_batch(X)[:, 0], medium_matrix.spmv(X[:, 0])
+            medium_matrix.spmv(X)[:, 0], medium_matrix.spmv(X[:, 0])
         )
 
 
 class TestShapeValidation:
-    def test_csr_rejects_1d(self, medium_matrix):
+    def test_csr_rejects_3d(self, medium_matrix):
         with pytest.raises(ValueError, match="slab"):
-            medium_matrix.spmv_batch(np.zeros(medium_matrix.num_cols, dtype=np.float32))
+            medium_matrix.spmv(
+                np.zeros((medium_matrix.num_cols, 2, 2), dtype=np.float32)
+            )
 
     def test_csr_rejects_wrong_rows(self, medium_matrix):
         with pytest.raises(ValueError, match="rows"):
-            medium_matrix.spmv_batch(
+            medium_matrix.spmv(
                 np.zeros((medium_matrix.num_cols + 1, 2), dtype=np.float32)
             )
 
-    def test_ell_rejects_1d(self, ordered_medium):
+    def test_ell_rejects_3d(self, ordered_medium):
         matrix, _, _ = ordered_medium
         ell = build_ell(matrix, partition_size=64)
         with pytest.raises(ValueError, match="slab"):
-            ell.spmv_batch(np.zeros(matrix.num_cols, dtype=np.float32))
+            ell.spmv(np.zeros((matrix.num_cols, 2, 2), dtype=np.float32))
 
     def test_buffered_rejects_wrong_rows(self, ordered_medium):
         matrix, _, _ = ordered_medium
         buffered = build_buffered(matrix, partition_size=64, buffer_bytes=4096)
         with pytest.raises(ValueError, match="rows"):
-            buffered.spmv_batch(np.zeros((matrix.num_cols + 3, 2), dtype=np.float32))
+            buffered.spmv(np.zeros((matrix.num_cols + 3, 2), dtype=np.float32))
 
 
 class TestOperatorBatch:

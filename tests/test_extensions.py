@@ -1,9 +1,10 @@
-"""Tests for the extension features: FBP, Tikhonov CGLS, volume driver."""
+"""Tests for the extension features: FBP, Tikhonov CGLS, slice stacks."""
 
 import numpy as np
 import pytest
 
-from repro.core import get_dataset, preprocess, reconstruct_volume
+from repro.core import get_dataset, preprocess, reconstruct
+from repro.pipeline import reconstruct_stack
 from repro.solvers import TikhonovOperator, cgls, fbp, ramp_filter, regularized_cgls
 from repro.utils import psnr
 
@@ -108,6 +109,9 @@ class TestTikhonov:
 
 
 class TestVolume:
+    """One preprocessed operator reconstructs a stack slice by slice
+    (``reconstruct_stack(..., batch=False)``, the looped reference)."""
+
     def test_stack_reconstruction(self, problem, rng):
         g, op, report, _, _, _, spec = problem
         slices = []
@@ -116,26 +120,35 @@ class TestVolume:
             sino, truth = spec.sinogram(op, incident_photons=1e6, seed=seed)
             slices.append(sino)
             truths.append(truth)
-        result = reconstruct_volume(
-            np.stack(slices), op, preprocess_report=report, iterations=15
+        result = reconstruct_stack(
+            np.stack(slices), g, operator=op, batch=False, iterations=15
         )
         assert result.volume.shape == (3, g.grid.n, g.grid.n)
         assert result.num_slices == 3
         for k in range(3):
             assert psnr(result.volume[k], truths[k]) > 20.0
+            # Each slice is exactly the single-slice reconstruction.
+            single = reconstruct(slices[k], g, iterations=15, operator=op)
+            assert np.array_equal(result.volume[k], single.image)
 
     def test_amortization_fraction(self, problem, rng):
+        """Table 5's amortization rests on slices being independent of
+        the stack they ride in: preprocessing is reused (never re-run)
+        and a slice reconstructs identically alone or among others."""
         g, op, report, _, noisy, _, _ = problem
-        one = reconstruct_volume(noisy[None], op, preprocess_report=report, iterations=3)
-        many = reconstruct_volume(
-            np.repeat(noisy[None], 5, axis=0), op, preprocess_report=report, iterations=3
+        one = reconstruct_stack(noisy[None], g, operator=op, batch=False, iterations=3)
+        many = reconstruct_stack(
+            np.repeat(noisy[None], 5, axis=0), g, operator=op, batch=False, iterations=3
         )
-        assert many.amortized_preprocessing_fraction() < one.amortized_preprocessing_fraction()
-        assert many.seconds_per_slice > 0
+        assert one.operator is op and many.operator is op
+        assert many.preprocess_report.total_seconds == 0.0  # nothing re-traced
+        for k in range(5):
+            assert np.array_equal(many.volume[k], one.volume[0])
+        assert many.solve_seconds > 0
 
     def test_validation(self, problem):
-        _, op, _, _, noisy, _, _ = problem
+        g, op, _, _, noisy, _, _ = problem
         with pytest.raises(ValueError):
-            reconstruct_volume(noisy, op)  # 2D, not 3D
+            reconstruct_stack(noisy, g, operator=op, batch=False)  # 2D, not 3D
         with pytest.raises(ValueError):
-            reconstruct_volume(np.zeros((2, 3, 3)), op)
+            reconstruct_stack(np.zeros((2, 3, 3)), g, operator=op, batch=False)

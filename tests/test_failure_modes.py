@@ -91,7 +91,7 @@ class TestCorruptedStructures:
         shuffled = A.permute(None, rank)  # rows now unsorted by index
         B = build_buffered(shuffled, 8, 64)
         x = rng.random(40).astype(np.float32)
-        np.testing.assert_allclose(B.spmv_vectorized(x), shuffled.spmv(x), atol=1e-4)
+        np.testing.assert_allclose(B.spmv(x), shuffled.spmv(x), atol=1e-4)
 
     def test_mismatched_ordering_dimensions(self):
         o = make_ordering("pseudo-hilbert", 8, 8)
@@ -103,12 +103,12 @@ class TestCorruptedStructures:
             OperatorConfig(kernel="csc")
 
     def test_reconstruct_volume_shape_mismatch(self):
-        from repro.core import reconstruct_volume
+        from repro.pipeline import reconstruct_stack
 
         g = ParallelBeamGeometry(10, 8)
         op, _ = preprocess(g)
         with pytest.raises(ValueError):
-            reconstruct_volume(np.zeros((2, 10, 9)), op)
+            reconstruct_stack(np.zeros((2, 10, 9)), g, operator=op, batch=False)
 
 
 class TestNumericalStability:

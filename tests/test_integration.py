@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import OperatorConfig, get_dataset, preprocess, reconstruct, reconstruct_volume
+from repro.core import OperatorConfig, get_dataset, preprocess, reconstruct
 from repro.dist import distributed_preprocess
+from repro.pipeline import reconstruct_stack
 from repro.solvers import cgls, fbp, icd, lcurve_corner, overfit_onset
 from repro.utils import psnr
 
@@ -95,7 +96,9 @@ class TestVolumePipeline:
         slices = np.stack(
             [spec.sinogram(loaded, incident_photons=1e6, seed=s)[0] for s in range(2)]
         )
-        result = reconstruct_volume(slices, loaded, preprocess_report=report, iterations=10)
+        result = reconstruct_stack(
+            slices, g, operator=loaded, batch=False, iterations=10
+        )
         assert result.volume.shape[0] == 2
         truth0 = spec.phantom(seed=0)
         assert psnr(result.volume[0], truth0) > 18.0

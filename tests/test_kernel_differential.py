@@ -11,6 +11,7 @@ smaller than one partition's working set) get explicit cases.
 import numpy as np
 import pytest
 
+from repro.cachesim import listing3_spmv
 from repro.geometry import ParallelBeamGeometry
 from repro.sparse import (
     CSRMatrix,
@@ -33,7 +34,7 @@ def _random_geometry_matrix(seed: int) -> CSRMatrix:
 
 
 def _apply_buffered(A, x, partition_size, buffer_bytes):
-    return build_buffered(A, partition_size, buffer_bytes).spmv_vectorized(x)
+    return build_buffered(A, partition_size, buffer_bytes).spmv(x)
 
 
 def _apply_ell(A, x, partition_size):
@@ -71,7 +72,7 @@ class TestRandomizedGeometries:
         A = _random_geometry_matrix(seed)
         buf = build_buffered(A, partition_size=8, buffer_bytes=128)
         x = np.random.default_rng(seed + 300).standard_normal(A.num_cols)
-        np.testing.assert_allclose(buf.spmv(x), buf.spmv_vectorized(x), **TOL)
+        np.testing.assert_allclose(listing3_spmv(buf, x), buf.spmv(x), **TOL)
 
 
 class TestDegenerateShapes:
@@ -119,8 +120,8 @@ class TestDegenerateShapes:
         # Every partition needs as many stages as distinct inputs.
         assert buf.num_stages >= A.num_rows / 32
         x = np.random.default_rng(9).standard_normal(A.num_cols)
-        np.testing.assert_allclose(buf.spmv_vectorized(x), A.spmv(x), **TOL)
         np.testing.assert_allclose(buf.spmv(x), A.spmv(x), **TOL)
+        np.testing.assert_allclose(listing3_spmv(buf, x), A.spmv(x), **TOL)
 
     def test_partition_larger_than_matrix(self):
         """A single partition spanning all rows (padded slots unused)."""

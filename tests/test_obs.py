@@ -339,19 +339,21 @@ class TestDisabledOverhead:
         spec = get_dataset("ADS2").scaled(0.125)
         op, _ = preprocess(spec.geometry())
         x = np.random.default_rng(0).random(op.num_pixels).astype(np.float32)
-        kernel = op.buffered_forward.spmv_vectorized
+        kernel = op.buffered_forward.spmv
 
-        def best_of(fn, repeats=30):
-            times = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                fn(x)
-                times.append(time.perf_counter() - t0)
-            return min(times)
+        def timed(fn):
+            t0 = time.perf_counter()
+            fn(x)
+            return time.perf_counter() - t0
 
-        best_of(kernel, repeats=5)  # warm up
-        bare = best_of(kernel)
-        instrumented = best_of(op.forward)
+        for _ in range(5):  # warm up
+            timed(kernel)
+        # Interleave the two and compare minima: a host slowdown hits
+        # both sides alike instead of whichever block it lands in.
+        bare = instrumented = float("inf")
+        for _ in range(30):
+            bare = min(bare, timed(kernel))
+            instrumented = min(instrumented, timed(op.forward))
         assert not obs.REGISTRY.active
         assert instrumented <= bare * 1.05, (
             f"disabled-obs overhead too high: {instrumented:.6f}s vs {bare:.6f}s"

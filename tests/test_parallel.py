@@ -383,19 +383,19 @@ class TestBufferedPlanPersistence:
 
     def test_pickle_excludes_plan(self, layout):
         x = np.ones(layout.num_cols, dtype=np.float32)
-        warm = layout.spmv_vectorized(x)
+        warm = layout.spmv(x)
         assert hasattr(layout, "_plan")
         clone = pickle.loads(pickle.dumps(layout))
         assert not hasattr(clone, "_plan")
         # Lazy rebuild produces the same plan and the same result.
-        assert (clone.spmv_vectorized(x) == warm).all()
+        assert (clone.spmv(x) == warm).all()
         assert hasattr(clone, "_plan")
 
     def test_setstate_drops_stale_plan(self, layout):
-        state = dict(layout.__dict__)
-        state["_plan"] = ("stale", "stale", "stale")
-        clone = object.__new__(type(layout))
-        clone.__setstate__(state)
+        """Whatever sits in ``_plan`` stays behind: the pickle is the
+        array form only, so a stale plan can never be resurrected."""
+        layout._plan = ("stale", "stale", "stale")
+        clone = pickle.loads(pickle.dumps(layout))
         assert not hasattr(clone, "_plan")
 
     def test_warm_operator_cache_roundtrip(self, tmp_path):
@@ -405,7 +405,9 @@ class TestBufferedPlanPersistence:
         cache = PlanCache(tmp_path / "plans")
         op, _ = preprocess(
             geometry,
-            config=OperatorConfig(partition_size=16, buffer_bytes=1024),
+            # Serial whatever REPRO_WORKERS says: a parallel run warms
+            # the plans of the workers' slices, not the layout's own.
+            config=OperatorConfig(partition_size=16, buffer_bytes=1024, workers="serial"),
             cache=cache,
         )
         x = np.ones(op.num_pixels, dtype=np.float32)
@@ -460,16 +462,17 @@ class TestPartitionSlices:
     slicing math directly, including ragged final partitions."""
 
     def test_csr_row_block(self, small_matrix):
+        """CSR has no blocking of its own: any partition size cuts it."""
         x = np.random.default_rng(0).random(small_matrix.num_cols).astype(np.float32)
         ref = small_matrix.spmv(x)
-        mid = small_matrix.num_rows // 3
+        mid = small_matrix.num_rows // 3  # two ragged "partitions" of mid rows + rest
         parts = [
-            small_matrix.row_block(0, mid).spmv(x),
-            small_matrix.row_block(mid, small_matrix.num_rows).spmv(x),
+            small_matrix.partition_slice(0, 1, mid).spmv(x),
+            small_matrix.partition_slice(1, 3, mid).spmv(x),
         ]
         assert (np.concatenate(parts) == ref).all()
         with pytest.raises(ValueError):
-            small_matrix.row_block(5, small_matrix.num_rows + 1)
+            small_matrix.partition_slice(1, 4, mid)
 
     @pytest.mark.parametrize("builder", ["buffered", "ell"])
     def test_partition_slice_concat(self, small_matrix, builder):
@@ -484,9 +487,11 @@ class TestPartitionSlices:
         n = layout.partitions.num_partitions
         for split in range(1, n):
             parts = [
-                layout.partition_slice(0, split).spmv(x),
-                layout.partition_slice(split, n).spmv(x),
+                layout.partition_slice(0, split, 16).spmv(x),
+                layout.partition_slice(split, n, 16).spmv(x),
             ]
             assert (np.concatenate(parts) == ref).all(), split
         with pytest.raises(ValueError):
-            layout.partition_slice(0, n + 1)
+            layout.partition_slice(0, n + 1, 16)
+        with pytest.raises(ValueError, match="partitioned by 16"):
+            layout.partition_slice(0, 1, 32)

@@ -321,8 +321,11 @@ class TestExecutor:
         assert cap.find_spans("pipeline.run")
         assert len(cap.find_spans("pipeline.chunk")) == 3
 
-    def test_memory_budget_chunking(self, demo):
-        op = demo.operator
+    def test_memory_budget_chunking(self, demo, monkeypatch):
+        # The budget below is the float64-state model: pin the unset
+        # default rather than whatever REPRO_DTYPE the suite runs under.
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
+        op, _ = preprocess(demo.geometry)
         num_slices = demo.sinograms.shape[0]
         # Budget model: per-slice solver vectors + the raw chunk row,
         # plus the fixed in-memory output volume carved out up front.
@@ -566,16 +569,18 @@ class TestCheckpointResume:
 
 
 class TestOperatorOverrides:
-    def test_dtype_mismatch_with_operator_raises(self, demo):
+    def test_dtype_mismatch_with_operator_raises(self, demo, monkeypatch):
         # The old behaviour silently ignored dtype= and returned a
         # volume at the operator's precision, not the requested one.
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
+        operator, _ = preprocess(demo.geometry)  # default mixed precision
         with pytest.raises(ValueError, match="dtype"):
             reconstruct_stack(
                 demo.sinograms,
                 demo.geometry,
                 stages=[],
                 iterations=2,
-                operator=demo.operator,
+                operator=operator,
                 dtype="float32",
             )
 

@@ -119,18 +119,20 @@ class TestOperatorConfigValidation:
 
 
 class TestFingerprints:
-    def test_fp32_fp64_and_default_plans_never_collide(self, geometry):
+    def test_fp32_fp64_and_default_plans_never_collide(self, geometry, monkeypatch):
         """Regression: dtype is part of the plan-cache key."""
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)  # None = the unset default
         keys = {
             d: plan_fingerprint(geometry, OperatorConfig(dtype=d))
             for d in (None, "float32", "float64")
         }
         assert len(set(keys.values())) == 3
 
-    def test_default_fingerprint_unchanged_by_dtype_feature(self, geometry):
+    def test_default_fingerprint_unchanged_by_dtype_feature(self, geometry, monkeypatch):
         """dtype=None must hash exactly like pre-dtype caches did."""
         from repro.cache.fingerprint import fingerprint_inputs
 
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
         doc = fingerprint_inputs(geometry, OperatorConfig())
         assert "dtype" not in doc["config"]
 
@@ -243,7 +245,8 @@ class TestSolverContract:
             res_s = mlem(op32, np.ascontiguousarray(Y[:, j]), num_iterations=8)
             assert np.array_equal(res_b.X[:, j], res_s.x)
 
-    def test_legacy_default_path_still_solves_in_float64(self, geometry):
+    def test_legacy_default_path_still_solves_in_float64(self, geometry, monkeypatch):
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
         op, _ = preprocess(geometry, OperatorConfig())
         y = np.ones(op.num_rays)
         res = cgls(op, y, num_iterations=3)
@@ -292,15 +295,16 @@ class TestUpcastPinning:
         assert out.dtype == np.float32
 
     def test_parallel_rebuild_preserves_float64_values(self):
-        from repro.parallel.spmv import _flatten_layout, _rebuild_layout
+        """The worker-side rebuild is ``from_arrays(to_arrays())``; the
+        full field-by-field round trip of every layout is in
+        ``test_layout_conformance.py``."""
         from repro.sparse import CSRMatrix
 
         A = CSRMatrix(
             displ=np.array([0, 1, 2]), ind=np.array([0, 1]),
             val=np.array([1.5, 2.5]), num_cols=2, value_dtype="float64",
         )
-        kind, arrays, meta = _flatten_layout(A)
-        rebuilt = _rebuild_layout(kind, arrays, meta)
+        rebuilt = CSRMatrix.from_arrays(A.to_arrays(), A.num_rows, A.num_cols, 1)
         assert rebuilt.val.dtype == np.float64
 
     def test_pipeline_rhs_matches_solver_dtype(self, geometry):
@@ -331,9 +335,12 @@ class TestPersistenceRoundTrip:
         x = np.random.default_rng(0).random(op.num_pixels)
         assert np.array_equal(loaded.forward(x), op.forward(x))
 
-    def test_legacy_file_without_dtype_key_loads_as_default(self, tmp_path, geometry):
+    def test_legacy_file_without_dtype_key_loads_as_default(
+        self, tmp_path, geometry, monkeypatch
+    ):
         from repro.io import load_operator, save_operator
 
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
         op, _ = preprocess(geometry, OperatorConfig())
         path = save_operator(tmp_path / "op.npz", op)
         loaded = load_operator(path)

@@ -62,7 +62,7 @@ class TestKernelAlgebra:
         ref = A.spmv(x)
         np.testing.assert_allclose(build_ell(A, partition).spmv(x), ref, atol=1e-3)
         buf = build_buffered(A, partition, buffer_elems * 4)
-        np.testing.assert_allclose(buf.spmv_vectorized(x), ref, atol=1e-3)
+        np.testing.assert_allclose(buf.spmv(x), ref, atol=1e-3)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
@@ -120,7 +120,7 @@ def _kernel_pair(A: CSRMatrix, kernel: str):
     if kernel == "buffered":
         fwd = build_buffered(A, partition_size=8, buffer_bytes=64)
         adj = build_buffered(AT, partition_size=8, buffer_bytes=64)
-        return fwd.spmv_vectorized, adj.spmv_vectorized
+        return fwd.spmv, adj.spmv
     fwd = build_ell(A, partition_size=8)
     adj = build_ell(AT, partition_size=8)
     return fwd.spmv, adj.spmv
