@@ -1,6 +1,7 @@
 """Content-addressed fingerprints of operator plans.
 
-A plan is fully determined by the scan geometry, the domain-ordering
+A plan is fully determined by the scan geometry (which writes its own
+section, ``geometry.fingerprint_fields()``), the domain-ordering
 scheme (and its two-level granularity parameters), the kernel
 configuration, and the on-disk format version.  Hashing a canonical
 JSON rendering of exactly those inputs gives a stable key: the same
@@ -19,14 +20,14 @@ import hashlib
 import json
 
 from ..core import OperatorConfig
-from ..geometry import ParallelBeamGeometry
+from ..geometry import ScanGeometry
 from ..io import FORMAT_VERSION
 
 __all__ = ["plan_fingerprint", "fingerprint_inputs"]
 
 
 def fingerprint_inputs(
-    geometry: ParallelBeamGeometry,
+    geometry: ScanGeometry,
     config: OperatorConfig | None = None,
     ordering: str = "pseudo-hilbert",
     min_tiles: int = 16,
@@ -43,23 +44,9 @@ def fingerprint_inputs(
     fingerprinting and workers never change the numbers.
     """
     config = config or OperatorConfig()
-    # Non-parallel geometries (cone-beam) self-describe their document;
-    # the historical parallel-beam section below stays byte-identical so
-    # every pre-existing cache key remains valid.
-    fields = getattr(geometry, "fingerprint_fields", None)
-    if callable(fields):
-        geometry_doc = fields()
-    else:
-        geometry_doc = {
-            "num_angles": int(geometry.num_angles),
-            "num_channels": int(geometry.num_channels),
-            "angle_range": float(geometry.angle_range).hex(),
-            "grid_n": int(geometry.grid.n),
-            "pixel_size": float(geometry.grid.pixel_size).hex(),
-        }
     doc = {
         "format_version": FORMAT_VERSION,
-        "geometry": geometry_doc,
+        "geometry": geometry.fingerprint_fields(),
         "ordering": {
             "name": str(ordering),
             "min_tiles": int(min_tiles),
@@ -77,7 +64,7 @@ def fingerprint_inputs(
 
 
 def plan_fingerprint(
-    geometry: ParallelBeamGeometry,
+    geometry: ScanGeometry,
     config: OperatorConfig | None = None,
     ordering: str = "pseudo-hilbert",
     min_tiles: int = 16,

@@ -190,18 +190,11 @@ class PlanCache:
             # zlib would dominate both the store and the hit path.
             path = save_operator(self.plan_path(key), operator, compress=False)
             nbytes = path.stat().st_size
-            g = operator.geometry
             meta = {
                 "key": key,
                 "created": time.time(),
                 "nbytes": nbytes,
-                "geometry": {
-                    "num_angles": g.num_angles,
-                    "num_channels": g.num_channels,
-                    "grid_n": g.grid.n,
-                    "angle_range": g.angle_range,
-                    "pixel_size": g.grid.pixel_size,
-                },
+                "geometry": operator.geometry.archive_fields(),
                 "config": {
                     "kernel": operator.config.kernel,
                     "partition_size": operator.config.partition_size,

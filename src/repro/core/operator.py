@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..geometry import ParallelBeamGeometry
+from ..geometry import ScanGeometry
 from ..obs import (
     BUFFER_STAGES,
     DTYPE_FP32_SPMV,
@@ -129,6 +129,20 @@ class OperatorConfig:
                 )
             object.__setattr__(self, "tune", self.tune.lower())
 
+    def evolve(self, **changes) -> "OperatorConfig":
+        """``dataclasses.replace`` for a config whose precision is decided.
+
+        ``replace`` re-runs ``__post_init__``, where ``dtype=None`` asks
+        ``REPRO_DTYPE`` again; on a built or loaded operator ``None``
+        already *means* mixed precision.  The dtype here is the one in
+        ``changes`` if named, else this config's, never the ambient one.
+        """
+        config = replace(self, **changes)
+        object.__setattr__(
+            config, "dtype", parse_dtype(changes.get("dtype", self.dtype))
+        )
+        return config
+
 
 class MemXCTOperator:
     """Memoized forward/backprojection with ordered domains.
@@ -140,7 +154,7 @@ class MemXCTOperator:
 
     def __init__(
         self,
-        geometry: ParallelBeamGeometry,
+        geometry: ScanGeometry,
         tomo_ordering: DomainOrdering,
         sino_ordering: DomainOrdering,
         matrix: CSRMatrix,
@@ -217,7 +231,7 @@ class MemXCTOperator:
         existing engine first.
         """
         self.close()
-        self.config = replace(self.config, workers=workers)
+        self.config = self.config.evolve(workers=workers)
 
     @contextlib.contextmanager
     def serial_scope(self):
@@ -368,63 +382,44 @@ class MemXCTOperator:
 
     # -- image-space helpers --------------------------------------------
 
+    # The ordering bijections are flat, so ``to_ordered`` takes an array
+    # of any shape; the inverse direction reshapes to the geometry's own
+    # array shapes — ``(M, N)`` / ``(N, N)`` for a planar scan,
+    # ``(M, det_rows, det_cols)`` / ``(nz, n, n)`` for cone-beam.
+
     def sinogram_to_ordered(self, sinogram: np.ndarray) -> np.ndarray:
-        """Row-major ``(M, N)`` sinogram -> ordered measurement vector."""
+        """Row-major measurement array -> ordered measurement vector."""
         return self.sino_ordering.to_ordered(sinogram)
 
     def ordered_to_sinogram(self, y: np.ndarray) -> np.ndarray:
-        """Ordered measurement vector -> row-major ``(M, N)`` sinogram."""
-        return self.sino_ordering.from_ordered(y)
+        """Ordered measurement vector -> ``geometry.sinogram_shape`` array."""
+        return self.sino_ordering.from_ordered(y).reshape(self.geometry.sinogram_shape)
 
     def image_to_ordered(self, image: np.ndarray) -> np.ndarray:
-        """Row-major ``(N, N)`` tomogram -> ordered pixel vector."""
+        """Row-major tomogram (or volume) -> ordered pixel vector."""
         return self.tomo_ordering.to_ordered(image)
 
     def ordered_to_image(self, x: np.ndarray) -> np.ndarray:
-        """Ordered pixel vector -> row-major ``(N, N)`` tomogram."""
-        return self.tomo_ordering.from_ordered(x)
+        """Ordered pixel vector -> ``geometry.volume_shape`` array."""
+        return self.tomo_ordering.from_ordered(x).reshape(self.geometry.volume_shape)
 
     def project_image(self, image: np.ndarray) -> np.ndarray:
-        """Forward-project a 2D image, returning a 2D sinogram."""
+        """Forward-project an image (volume), returning a sinogram (stack)."""
         y = self.forward(self.image_to_ordered(image))
         return self.ordered_to_sinogram(y)
 
     def backproject_sinogram(self, sinogram: np.ndarray) -> np.ndarray:
-        """Backproject a 2D sinogram, returning a 2D image."""
+        """Backproject a sinogram (stack), returning an image (volume)."""
         x = self.adjoint(self.sinogram_to_ordered(sinogram))
         return self.ordered_to_image(x)
 
-    # 3D (cone-beam) variants of the image-space helpers.  The ordering
-    # bijections are flat, so to_ordered accepts any shape; only the
-    # inverse direction needs the geometry's true array shape back.
-
-    def volume_to_ordered(self, volume: np.ndarray) -> np.ndarray:
-        """Row-major ``(nz, n, n)`` volume -> ordered voxel vector."""
-        return self.tomo_ordering.to_ordered(volume)
-
-    def ordered_to_volume(self, x: np.ndarray) -> np.ndarray:
-        """Ordered voxel vector -> row-major ``(nz, n, n)`` volume."""
-        return self.tomo_ordering.from_ordered(x).reshape(self.geometry.grid.shape)
-
-    def projections_to_ordered(self, projections: np.ndarray) -> np.ndarray:
-        """``(M, det_rows, det_cols)`` stack -> ordered measurement vector."""
-        return self.sino_ordering.to_ordered(projections)
-
-    def ordered_to_projections(self, y: np.ndarray) -> np.ndarray:
-        """Ordered measurement vector -> ``(M, det_rows, det_cols)`` stack."""
-        return self.sino_ordering.from_ordered(y).reshape(
-            self.geometry.sinogram_shape
-        )
-
-    def project_volume(self, volume: np.ndarray) -> np.ndarray:
-        """Forward-project a 3D volume, returning a projection stack."""
-        y = self.forward(self.volume_to_ordered(volume))
-        return self.ordered_to_projections(y)
-
-    def backproject_projections(self, projections: np.ndarray) -> np.ndarray:
-        """Backproject a projection stack, returning a 3D volume."""
-        x = self.adjoint(self.projections_to_ordered(projections))
-        return self.ordered_to_volume(x)
+    # The 3D (cone-beam) spellings of the same six helpers.
+    volume_to_ordered = image_to_ordered
+    ordered_to_volume = ordered_to_image
+    projections_to_ordered = sinogram_to_ordered
+    ordered_to_projections = ordered_to_sinogram
+    project_volume = project_image
+    backproject_projections = backproject_sinogram
 
     # -- accounting ------------------------------------------------------
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from ..geometry import ParallelBeamGeometry
+from ..geometry import ScanGeometry
 from ..obs import AUTOTUNE_HITS, AUTOTUNE_MISSES, add_count, span
 from ..ordering import make_ordering
 from ..parallel.backend import make_backend, parse_workers
@@ -63,7 +63,7 @@ class PreprocessReport:
 
 
 def preprocess(
-    geometry: ParallelBeamGeometry,
+    geometry: ScanGeometry,
     config: OperatorConfig | None = None,
     ordering: str = "pseudo-hilbert",
     min_tiles: int = 16,
@@ -159,24 +159,18 @@ def preprocess(
         kernel=config.kernel,
     ):
         with span("preprocess.ordering", scheme=ordering) as sp:
-            # Geometries whose domains are not literally 2D (e.g. the
-            # cone-beam voxel volume) advertise equivalent layout
-            # rectangles; the orderings only need a bijection over flat
-            # indices, so the 2D machinery applies unchanged.
-            n = geometry.grid.n
-            tomo_rows, tomo_cols = getattr(
-                geometry, "tomo_layout_shape", None
-            ) or (n, n)
-            sino_rows, sino_cols = getattr(
-                geometry, "sino_layout_shape", None
-            ) or (geometry.num_angles, geometry.num_channels)
+            # The orderings only need a bijection over flat indices, so
+            # each domain is ordered over the rectangle its geometry
+            # names (for a 2D scan, the array shapes themselves).
             tomo_ordering = make_ordering(
-                ordering, tomo_rows, tomo_cols, tile_size=tile_size, min_tiles=min_tiles
+                ordering,
+                *geometry.tomo_layout_shape,
+                tile_size=tile_size,
+                min_tiles=min_tiles,
             )
             sino_ordering = make_ordering(
                 ordering,
-                sino_rows,
-                sino_cols,
+                *geometry.sino_layout_shape,
                 tile_size=tile_size,
                 min_tiles=min_tiles,
             )

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import ParallelBeamGeometry
+from ..geometry import ScanGeometry
 from ..ordering import make_ordering
 from ..sparse import CSRMatrix, scan_transpose
 from ..topology import HierComm, Topology
-from ..trace import trace_angle
+from ..trace import trace_view
 from .decomposition import decompose_both
 from .partitioned import DistributedOperator, RankData
 from .simmpi import SimComm
@@ -38,7 +38,7 @@ __all__ = ["distributed_preprocess"]
 
 
 def _trace_rank_triplets(
-    geometry: ParallelBeamGeometry,
+    geometry: ScanGeometry,
     angle_range: tuple[int, int],
     sino_rank: np.ndarray,
     tomo_rank: np.ndarray,
@@ -46,7 +46,7 @@ def _trace_rank_triplets(
     """Trace one rank's angles; return ordered-coordinate triplets."""
     rows, cols, vals = [], [], []
     for angle_index in range(*angle_range):
-        segs = trace_angle(geometry, angle_index)
+        segs = trace_view(geometry, angle_index)
         rows.append(sino_rank[segs.ray_index])
         cols.append(tomo_rank[segs.pixel_index])
         vals.append(segs.length.astype(np.float32))
@@ -99,7 +99,7 @@ def _assemble_rank(
 
 
 def distributed_preprocess(
-    geometry: ParallelBeamGeometry,
+    geometry: ScanGeometry,
     num_ranks: int,
     ordering: str = "pseudo-hilbert",
     min_tiles: int = 16,
@@ -127,10 +127,11 @@ def distributed_preprocess(
     if comm.size != num_ranks:
         raise ValueError(f"communicator has {comm.size} ranks, expected {num_ranks}")
 
-    n = geometry.grid.n
-    tomo_ordering = make_ordering(ordering, n, n, min_tiles=min_tiles)
+    tomo_ordering = make_ordering(
+        ordering, *geometry.tomo_layout_shape, min_tiles=min_tiles
+    )
     sino_ordering = make_ordering(
-        ordering, geometry.num_angles, geometry.num_channels, min_tiles=min_tiles
+        ordering, *geometry.sino_layout_shape, min_tiles=min_tiles
     )
     tomo_dec, sino_dec = decompose_both(tomo_ordering, sino_ordering, num_ranks)
 

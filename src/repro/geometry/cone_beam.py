@@ -11,12 +11,10 @@ pixel of every view is one ray through a :class:`Grid3D` voxel volume,
 and the resulting matrix drops into the unchanged orderings,
 transpose, kernel layouts, solvers, and distributed substrate.
 
-The 2D machinery only ever needs a *layout rectangle* per domain (the
-space-filling orderings are bijections over flat indices), so the 3D
-domains expose themselves as rectangles via ``tomo_layout_shape`` /
-``sino_layout_shape``: the volume as ``(nz * n, n)`` (slices stacked
-vertically) and the projection stack as ``(num_angles * det_rows,
-det_cols)``.
+The 2D machinery only ever needs a *layout rectangle* per domain (see
+:class:`~repro.geometry.ScanGeometry`), so the 3D domains name theirs:
+the volume as ``(nz * n, n)`` (slices stacked vertically) and the
+projection stack as ``(num_angles * det_rows, det_cols)``.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid2D  # noqa: F401  (re-exported neighbours)
+from .grid import ScanGeometry
 
 __all__ = ["Grid3D", "ConeBeamGeometry"]
 
@@ -124,7 +122,7 @@ class Grid3D:
 
 
 @dataclass(frozen=True)
-class ConeBeamGeometry:
+class ConeBeamGeometry(ScanGeometry):
     """Circular-orbit cone-beam geometry with a flat 2D detector.
 
     The source orbits at radius ``source_distance`` in the ``z = 0``
@@ -218,10 +216,6 @@ class ConeBeamGeometry:
         return self.det_rows * self.det_cols
 
     @property
-    def num_rays(self) -> int:
-        return self.num_angles * self.num_channels
-
-    @property
     def sinogram_shape(self) -> tuple[int, int, int]:
         """Projection-stack shape ``(M, det_rows, det_cols)``."""
         return (self.num_angles, self.det_rows, self.det_cols)
@@ -229,10 +223,6 @@ class ConeBeamGeometry:
     @property
     def projection_shape(self) -> tuple[int, int, int]:
         return self.sinogram_shape
-
-    @property
-    def volume_shape(self) -> tuple[int, int, int]:
-        return self.grid.shape
 
     @property
     def tomo_layout_shape(self) -> tuple[int, int]:
@@ -291,21 +281,10 @@ class ConeBeamGeometry:
         origins = np.broadcast_to(source, directions.shape)
         return origins, directions
 
-    def ray_index(
-        self, angle_index: np.ndarray, channel_index: np.ndarray
-    ) -> np.ndarray:
-        """Flat projection-stack index of ``(angle, row * det_cols + col)``."""
-        return np.asarray(angle_index) * self.num_channels + np.asarray(channel_index)
-
-    # -- plan-cache identity ----------------------------------------------
+    # -- plan-cache and archive identity ------------------------------------
 
     def fingerprint_fields(self) -> dict:
-        """Geometry section of the plan fingerprint (see repro.cache).
-
-        Parallel-beam fingerprints keep their historical document —
-        this method exists only on geometries added later, so old cache
-        keys are untouched.
-        """
+        """Geometry section of the plan fingerprint (see repro.cache)."""
         return {
             "kind": "cone",
             "num_angles": int(self.num_angles),
@@ -319,3 +298,32 @@ class ConeBeamGeometry:
             "grid_nz": int(self.grid.nz),
             "voxel_size": float(self.grid.voxel_size).hex(),
         }
+
+    def archive_fields(self) -> dict:
+        """Operator-archive keys of this geometry (see repro.io)."""
+        return {
+            **super().archive_fields(),
+            "geometry_kind": "cone",
+            "det_rows": self.det_rows,
+            "det_cols": self.det_cols,
+            "source_distance": self.source_distance,
+            "detector_distance": self.detector_distance,
+            "det_spacing": self.det_spacing,
+            "grid_nz": self.grid.nz,
+        }
+
+    @classmethod
+    def from_archive(cls, data) -> "ConeBeamGeometry":
+        """Rebuild from the keys :meth:`archive_fields` wrote."""
+        return cls(
+            int(data["num_angles"]),
+            int(data["det_rows"]),
+            int(data["det_cols"]),
+            source_distance=float(data["source_distance"]),
+            detector_distance=float(data["detector_distance"]),
+            det_spacing=float(data["det_spacing"]),
+            grid=Grid3D(
+                int(data["grid_n"]), int(data["grid_nz"]), float(data["pixel_size"])
+            ),
+            angle_range=float(data["angle_range"]),
+        )

@@ -5,8 +5,11 @@ memory-centric machinery is geometry-agnostic: anything that yields
 rays can be memoized into the same CSR/buffered structures.  Fan-beam
 (a point source opposite a detector arc, both rotating) is the common
 lab-CT geometry and provides a stress test for that claim — its rays
-are not parallel, so per-angle tracing cannot share a direction and
-falls back to the generic slab/crossing computation.
+are not parallel, so a view cannot share a direction and is traced by
+the generic per-ray tracer (:func:`repro.trace.trace_view`).  Everything
+around that call is shared: the chunked, worker-parallel builder, the
+plan cache and the operator archive treat a fan scan like any other
+:class:`~repro.geometry.ScanGeometry`.
 
 As the source distance grows, fan-beam rays become parallel; the test
 suite checks convergence to the parallel-beam matrix in that limit.
@@ -18,13 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid2D
+from .grid import Grid2D, ScanGeometry
 
 __all__ = ["FanBeamGeometry"]
 
 
 @dataclass(frozen=True)
-class FanBeamGeometry:
+class FanBeamGeometry(ScanGeometry):
     """Equiangular fan-beam geometry over a full rotation.
 
     Parameters
@@ -74,16 +77,13 @@ class FanBeamGeometry:
             raise ValueError(f"fan angle must be in (0, pi), got {self.fan_angle}")
 
     @property
-    def sinogram_shape(self) -> tuple[int, int]:
-        return (self.num_angles, self.num_channels)
-
-    @property
-    def num_rays(self) -> int:
-        return self.num_angles * self.num_channels
+    def angle_range(self) -> float:
+        """Angular coverage: always the full turn (see ``num_angles``)."""
+        return 2.0 * np.pi
 
     def angles(self) -> np.ndarray:
         """Source rotation angles over the full turn."""
-        return np.arange(self.num_angles) * (2.0 * np.pi / self.num_angles)
+        return np.arange(self.num_angles) * (self.angle_range / self.num_angles)
 
     def channel_angles(self) -> np.ndarray:
         """Within-fan ray angles (equiangular channels), shape ``(N,)``."""
@@ -107,6 +107,40 @@ class FanBeamGeometry:
         ray_angle = theta + np.pi + gamma
         return np.stack([np.cos(ray_angle), np.sin(ray_angle)], axis=1)
 
-    def ray_index(self, angle_index: np.ndarray, channel_index: np.ndarray) -> np.ndarray:
-        """Row-major flat sinogram index of ``(angle, channel)`` pairs."""
-        return np.asarray(angle_index) * self.num_channels + np.asarray(channel_index)
+    def ray_bundle(self, angle_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """(origins, unit directions) of all rays of one fan, ``(N, 2)`` each."""
+        directions = self.ray_directions(angle_index)
+        origins = np.broadcast_to(self.source_position(angle_index), directions.shape)
+        return origins, directions
+
+    def fingerprint_fields(self) -> dict:
+        """Geometry section of the plan fingerprint (see repro.cache)."""
+        return {
+            "kind": "fan",
+            "num_angles": int(self.num_angles),
+            "num_channels": int(self.num_channels),
+            "source_distance": float(self.source_distance).hex(),
+            "fan_angle": float(self.fan_angle).hex(),
+            "grid_n": int(self.grid.n),
+            "pixel_size": float(self.grid.pixel_size).hex(),
+        }
+
+    def archive_fields(self) -> dict:
+        """Operator-archive keys of this geometry (see repro.io)."""
+        return {
+            **super().archive_fields(),
+            "geometry_kind": "fan",
+            "source_distance": self.source_distance,
+            "fan_angle": self.fan_angle,
+        }
+
+    @classmethod
+    def from_archive(cls, data) -> "FanBeamGeometry":
+        """Rebuild from the keys :meth:`archive_fields` wrote."""
+        return cls(
+            int(data["num_angles"]),
+            int(data["num_channels"]),
+            source_distance=float(data["source_distance"]),
+            fan_angle=float(data["fan_angle"]),
+            grid=Grid2D(int(data["grid_n"]), float(data["pixel_size"])),
+        )

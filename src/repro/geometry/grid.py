@@ -6,6 +6,10 @@ integer pixel coordinates to physical coordinates used by the ray
 tracer.  Physical units are chosen so that one pixel has unit side
 length; the grid is centred on the origin, which coincides with the
 rotation axis of the scan.
+
+:class:`ScanGeometry` is the seam every scan geometry shares: the
+array shapes and ordering rectangles the rest of the package reads
+instead of asking a geometry what kind it is.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid2D"]
+__all__ = ["Grid2D", "ScanGeometry"]
 
 
 @dataclass(frozen=True)
@@ -92,3 +96,69 @@ class Grid2D:
         c = (np.arange(self.n) - self.n / 2.0 + 0.5) * self.pixel_size
         x, y = np.meshgrid(c, c, indexing="xy")
         return x, y
+
+
+class ScanGeometry:
+    """What a scan geometry provides to tracing, preprocessing and storage.
+
+    A geometry is a frozen dataclass with ``num_angles``,
+    ``num_channels`` (rays per view) and a ``grid``; on top of those it
+    states four facts under the same names for every kind (see
+    ``docs/architecture.md``):
+
+    * the array shapes :attr:`sinogram_shape` / :attr:`volume_shape`;
+    * the two ordering rectangles :attr:`tomo_layout_shape` /
+      :attr:`sino_layout_shape` — the space-filling orderings are
+      bijections over flat indices, so a domain that is not literally
+      2D only has to name an equivalent rectangle;
+    * ``fingerprint_fields()`` — its section of the plan fingerprint;
+    * ``archive_fields()`` / ``from_archive(data)`` — the operator
+      archive keys it writes and rebuilds itself from.
+
+    The defaults below are the planar (2D) answers and the archive keys
+    every kind shares; the rest is written out by each class.
+    """
+
+    @property
+    def num_rays(self) -> int:
+        """Total ray count ``M * num_channels``."""
+        return self.num_angles * self.num_channels
+
+    @property
+    def sinogram_shape(self) -> tuple[int, ...]:
+        """Measurement array shape, ``(M, N)`` for a planar scan."""
+        return (self.num_angles, self.num_channels)
+
+    @property
+    def volume_shape(self) -> tuple[int, ...]:
+        """Reconstruction array shape (the grid's)."""
+        return self.grid.shape
+
+    @property
+    def tomo_layout_shape(self) -> tuple[int, int]:
+        """Rectangle the tomogram-domain ordering is built over."""
+        return self.volume_shape
+
+    @property
+    def sino_layout_shape(self) -> tuple[int, int]:
+        """Rectangle the sinogram-domain ordering is built over."""
+        return self.sinogram_shape
+
+    def ray_index(self, angle_index: np.ndarray, channel_index: np.ndarray) -> np.ndarray:
+        """Row-major flat measurement index of ``(angle, channel)`` pairs."""
+        return np.asarray(angle_index) * self.num_channels + np.asarray(channel_index)
+
+    def archive_fields(self) -> dict:
+        """Operator-archive keys of this geometry (see repro.io).
+
+        These five are written by every kind; a kind with more state
+        adds ``geometry_kind`` and its own keys (an archive without
+        ``geometry_kind`` is parallel-beam).
+        """
+        return {
+            "num_angles": self.num_angles,
+            "num_channels": self.num_channels,
+            "angle_range": self.angle_range,
+            "pixel_size": self.grid.pixel_size,
+            "grid_n": self.grid.n,
+        }

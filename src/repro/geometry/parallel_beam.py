@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid2D
+from .grid import Grid2D, ScanGeometry
 
 __all__ = ["ParallelBeamGeometry", "Ray"]
 
@@ -37,7 +37,7 @@ class Ray:
 
 
 @dataclass(frozen=True)
-class ParallelBeamGeometry:
+class ParallelBeamGeometry(ScanGeometry):
     """Parallel-beam geometry for an ``M x N`` sinogram on an ``N x N`` grid.
 
     Parameters
@@ -66,16 +66,6 @@ class ParallelBeamGeometry:
             )
         if self.grid is None:
             object.__setattr__(self, "grid", Grid2D(self.num_channels))
-
-    @property
-    def sinogram_shape(self) -> tuple[int, int]:
-        """Sinogram array shape ``(M, N)``."""
-        return (self.num_angles, self.num_channels)
-
-    @property
-    def num_rays(self) -> int:
-        """Total ray count ``M * N``."""
-        return self.num_angles * self.num_channels
 
     def angles(self) -> np.ndarray:
         """Projection angles in radians, shape ``(M,)``."""
@@ -125,6 +115,26 @@ class ParallelBeamGeometry:
             channel_index=channel_index,
         )
 
-    def ray_index(self, angle_index: np.ndarray, channel_index: np.ndarray) -> np.ndarray:
-        """Row-major flat sinogram index of ``(angle, channel)`` pairs."""
-        return np.asarray(angle_index) * self.num_channels + np.asarray(channel_index)
+    def fingerprint_fields(self) -> dict:
+        """Geometry section of the plan fingerprint (see repro.cache).
+
+        No ``kind`` entry: this is the document every parallel-beam
+        cache key has always hashed.
+        """
+        return {
+            "num_angles": int(self.num_angles),
+            "num_channels": int(self.num_channels),
+            "angle_range": float(self.angle_range).hex(),
+            "grid_n": int(self.grid.n),
+            "pixel_size": float(self.grid.pixel_size).hex(),
+        }
+
+    @classmethod
+    def from_archive(cls, data) -> "ParallelBeamGeometry":
+        """Rebuild from the (common) keys :meth:`archive_fields` wrote."""
+        return cls(
+            int(data["num_angles"]),
+            int(data["num_channels"]),
+            grid=Grid2D(int(data["grid_n"]), float(data["pixel_size"])),
+            angle_range=float(data["angle_range"]),
+        )

@@ -25,7 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from .core import MemXCTOperator, OperatorConfig
-from .geometry import ConeBeamGeometry, Grid2D, Grid3D, ParallelBeamGeometry
+from .geometry import (
+    ConeBeamGeometry,
+    FanBeamGeometry,
+    ParallelBeamGeometry,
+    ScanGeometry,
+)
 from .ordering import DomainOrdering
 from .persist import CorruptArchiveError, atomic_savez_checked, load_checked_npz
 from .sparse import (
@@ -76,6 +81,17 @@ _LAYOUTS = {
 }
 
 
+#: Geometry class by the archive's ``geometry_kind``.  Which keys a
+#: geometry writes and how it is rebuilt from them are the class's own
+#: ``archive_fields`` / ``from_archive``; an archive without the key is
+#: parallel-beam (the only kind there was when v2 was defined).
+_GEOMETRIES = {
+    "parallel": ParallelBeamGeometry,
+    "fan": FanBeamGeometry,
+    "cone": ConeBeamGeometry,
+}
+
+
 def _with_prefix(prefix: str, arrays: dict) -> dict:
     return {prefix + name: array for name, array in arrays.items()}
 
@@ -107,14 +123,19 @@ def save_operator(
     path = Path(path)
     if not path.name.endswith(".npz"):
         path = path.with_name(path.name + ".npz")
-    g = operator.geometry
+    # The geometry keys every kind writes sit ahead of the orderings; a
+    # kind's own keys follow the config.  Those are optional keys — a
+    # parallel-beam file has none and stays byte-compatible with every
+    # earlier reader, so a new geometry needs no format bump.
+    common = ScanGeometry.archive_fields(operator.geometry)
+    own = {
+        name: value
+        for name, value in operator.geometry.archive_fields().items()
+        if name not in common
+    }
     payload: dict = {
         "format_version": FORMAT_VERSION,
-        "num_angles": g.num_angles,
-        "num_channels": g.num_channels,
-        "angle_range": g.angle_range,
-        "pixel_size": g.grid.pixel_size,
-        "grid_n": g.grid.n,
+        **common,
         "tomo_name": operator.tomo_ordering.name,
         "tomo_perm": operator.tomo_ordering.perm,
         "sino_name": operator.sino_ordering.name,
@@ -127,21 +148,8 @@ def save_operator(
         # Empty string encodes "no explicit dtype" (npz has no None);
         # files written before the dtype path simply lack the key.
         "dtype": operator.config.dtype or "",
+        **own,
     }
-    if isinstance(g, ConeBeamGeometry):
-        # Optional keys only — parallel-beam files are byte-compatible
-        # with every pre-cone reader, so no format bump is needed.
-        payload.update(
-            {
-                "geometry_kind": "cone",
-                "det_rows": g.det_rows,
-                "det_cols": g.det_cols,
-                "source_distance": g.source_distance,
-                "detector_distance": g.detector_distance,
-                "det_spacing": g.det_spacing,
-                "grid_nz": g.grid.nz,
-            }
-        )
     for attr, (prefix, _, _) in _LAYOUTS.items():
         layout = getattr(operator, attr)
         if layout is not None:
@@ -161,49 +169,24 @@ def _ordering_from_arrays(name: str, rows: int, cols: int, perm: np.ndarray) -> 
 
 def _operator_from_arrays(data: dict, version: int) -> MemXCTOperator:
     kind = str(data["geometry_kind"][()]) if "geometry_kind" in data else "parallel"
-    if kind == "cone":
-        grid = Grid3D(
-            int(data["grid_n"]), int(data["grid_nz"]), float(data["pixel_size"])
-        )
-        geometry = ConeBeamGeometry(
-            int(data["num_angles"]),
-            int(data["det_rows"]),
-            int(data["det_cols"]),
-            source_distance=float(data["source_distance"]),
-            detector_distance=float(data["detector_distance"]),
-            det_spacing=float(data["det_spacing"]),
-            grid=grid,
-            angle_range=float(data["angle_range"]),
-        )
-        num_pixels = grid.num_voxels
-        tomo_shape = geometry.tomo_layout_shape
-        sino_shape = geometry.sino_layout_shape
-    elif kind == "parallel":
-        grid = Grid2D(int(data["grid_n"]), float(data["pixel_size"]))
-        geometry = ParallelBeamGeometry(
-            int(data["num_angles"]),
-            int(data["num_channels"]),
-            grid=grid,
-            angle_range=float(data["angle_range"]),
-        )
-        num_pixels = grid.num_pixels
-        tomo_shape = (grid.n, grid.n)
-        sino_shape = (geometry.num_angles, geometry.num_channels)
-    else:
+    if kind not in _GEOMETRIES:
         raise OperatorFormatError(f"unsupported geometry kind {kind!r}")
+    geometry = _GEOMETRIES[kind].from_archive(data)
+    num_pixels = geometry.grid.num_pixels
     tomo = _ordering_from_arrays(
-        data["tomo_name"][()], tomo_shape[0], tomo_shape[1], data["tomo_perm"]
+        data["tomo_name"][()], *geometry.tomo_layout_shape, data["tomo_perm"]
     )
     sino = _ordering_from_arrays(
-        data["sino_name"][()], sino_shape[0], sino_shape[1], data["sino_perm"]
+        data["sino_name"][()], *geometry.sino_layout_shape, data["sino_perm"]
     )
     saved_dtype = str(data["dtype"][()]) if "dtype" in data else ""
+    # evolve, not the constructor: an archive's precision is the one it
+    # was saved with, whatever REPRO_DTYPE says in this process.
     config = OperatorConfig(
         kernel=str(data["kernel"][()]),
         partition_size=int(data["partition_size"]),
         buffer_bytes=int(data["buffer_bytes"]),
-        dtype=saved_dtype or None,
-    )
+    ).evolve(dtype=saved_dtype or None)
     psize = config.partition_size
     matrix = CSRMatrix.from_arrays(data, geometry.num_rays, num_pixels, psize)
 

@@ -30,137 +30,14 @@ speed (enforced by an overhead test).
 See ``docs/observability.md`` for the full guide.
 """
 
-from .counters import (
-    AUTOTUNE_CANDIDATES,
-    AUTOTUNE_HITS,
-    AUTOTUNE_MISSES,
-    AUTOTUNE_TRIALS,
-    BUFFER_STAGES,
-    CACHE_BYTES_READ,
-    CACHE_BYTES_WRITTEN,
-    CACHE_EVICTIONS,
-    CACHE_HITS,
-    CACHE_MISSES,
-    CHECKPOINT_BYTES_WRITTEN,
-    CHECKPOINT_RESTORES,
-    CHECKPOINT_SAVES,
-    COMM_BYTES,
-    COMM_INTER_BYTES,
-    COMM_INTER_MESSAGES,
-    COMM_INTRA_BYTES,
-    COMM_INTRA_MESSAGES,
-    COMM_MESSAGES,
-    DATAIO_BYTES_READ,
-    DATAIO_BYTES_WRITTEN,
-    DATAIO_QUEUE_DEPTH,
-    DATAIO_READ_RETRIES,
-    DATAIO_READ_SECONDS,
-    DATAIO_WRITE_SECONDS,
-    FAULT_CORRUPTIONS,
-    FAULT_CRASHES,
-    FAULT_DELAYS,
-    FAULT_DROPS,
-    FAULT_RECOVERIES,
-    FAULT_RETRIES,
-    HEALTH_EVENTS,
-    HEALTH_ROLLBACKS,
-    PARALLEL_DISPATCHES,
-    PARALLEL_SHM_BYTES,
-    PARALLEL_TASKS,
-    PIPELINE_CHUNKS,
-    PIPELINE_RESUMED_SLICES,
-    PIPELINE_SLICES,
-    SERVICE_BATCHES,
-    SERVICE_COALESCED_JOBS,
-    SERVICE_COMPLETED,
-    SERVICE_EVICTIONS,
-    SERVICE_EXPIRED,
-    SERVICE_FAILED,
-    SERVICE_JOURNAL_RECORDS,
-    SERVICE_RECOVERED,
-    SERVICE_REJECTED,
-    SERVICE_RETRIES,
-    SERVICE_SUBMITTED,
-    SOLVER_ITERATIONS,
-    DTYPE_FP32_SPMV,
-    DTYPE_FP64_SPMV,
-    SCENARIO_RUNS,
-    SCENARIO_VIEWS_DROPPED,
-    SCENARIO_CENTER_CANDIDATES,
-    SPMV_CALLS,
-    SPMV_FLOPS,
-    SPMV_IRREGULAR_BYTES,
-    SPMV_REGULAR_BYTES,
-    Counter,
-    unit_of,
-)
+from . import counters
+from .counters import *  # noqa: F401,F403  (the canonical counter names, Counter, unit_of)
 from .export import chrome_trace, write_chrome_trace
 from .registry import REGISTRY, Capture, Registry, add_count, capture
 from .spans import SpanRecord, emit_span, span, traced
 
 __all__ = [
-    "AUTOTUNE_CANDIDATES",
-    "AUTOTUNE_HITS",
-    "AUTOTUNE_MISSES",
-    "AUTOTUNE_TRIALS",
-    "BUFFER_STAGES",
-    "CACHE_BYTES_READ",
-    "CACHE_BYTES_WRITTEN",
-    "CACHE_EVICTIONS",
-    "CACHE_HITS",
-    "CACHE_MISSES",
-    "CHECKPOINT_BYTES_WRITTEN",
-    "CHECKPOINT_RESTORES",
-    "CHECKPOINT_SAVES",
-    "COMM_BYTES",
-    "COMM_INTER_BYTES",
-    "COMM_INTER_MESSAGES",
-    "COMM_INTRA_BYTES",
-    "COMM_INTRA_MESSAGES",
-    "COMM_MESSAGES",
-    "DATAIO_BYTES_READ",
-    "DATAIO_BYTES_WRITTEN",
-    "DATAIO_QUEUE_DEPTH",
-    "DATAIO_READ_RETRIES",
-    "DATAIO_READ_SECONDS",
-    "DATAIO_WRITE_SECONDS",
-    "DTYPE_FP32_SPMV",
-    "DTYPE_FP64_SPMV",
-    "FAULT_CORRUPTIONS",
-    "FAULT_CRASHES",
-    "FAULT_DELAYS",
-    "FAULT_DROPS",
-    "FAULT_RECOVERIES",
-    "FAULT_RETRIES",
-    "HEALTH_EVENTS",
-    "HEALTH_ROLLBACKS",
-    "PARALLEL_DISPATCHES",
-    "PARALLEL_SHM_BYTES",
-    "PARALLEL_TASKS",
-    "PIPELINE_CHUNKS",
-    "PIPELINE_RESUMED_SLICES",
-    "PIPELINE_SLICES",
-    "SERVICE_BATCHES",
-    "SERVICE_COALESCED_JOBS",
-    "SERVICE_COMPLETED",
-    "SERVICE_EVICTIONS",
-    "SERVICE_EXPIRED",
-    "SERVICE_FAILED",
-    "SERVICE_JOURNAL_RECORDS",
-    "SERVICE_RECOVERED",
-    "SERVICE_REJECTED",
-    "SERVICE_RETRIES",
-    "SERVICE_SUBMITTED",
-    "SCENARIO_CENTER_CANDIDATES",
-    "SCENARIO_RUNS",
-    "SCENARIO_VIEWS_DROPPED",
-    "SOLVER_ITERATIONS",
-    "SPMV_CALLS",
-    "SPMV_FLOPS",
-    "SPMV_IRREGULAR_BYTES",
-    "SPMV_REGULAR_BYTES",
-    "Counter",
-    "unit_of",
+    *counters.__all__,
     "chrome_trace",
     "write_chrome_trace",
     "REGISTRY",

@@ -9,264 +9,154 @@ built on (Tables 3-7, Figs 5-11): SpMV work, regular/irregular memory
 traffic, buffered-kernel stage counts, and simulated communication
 volume.  Ad-hoc counters with other names are allowed — the registry
 creates them on first increment with whatever unit is supplied.
+
+A canonical counter is declared exactly once, as
+``NAME = _declare("dotted.name", "unit")``: the declaration feeds the
+unit table and this module's (and :mod:`repro.obs`'s) ``__all__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = [
-    "Counter",
-    "unit_of",
-    "SPMV_FLOPS",
-    "SPMV_CALLS",
-    "SPMV_REGULAR_BYTES",
-    "SPMV_IRREGULAR_BYTES",
-    "BUFFER_STAGES",
-    "COMM_BYTES",
-    "COMM_MESSAGES",
-    "COMM_INTRA_BYTES",
-    "COMM_INTRA_MESSAGES",
-    "COMM_INTER_BYTES",
-    "COMM_INTER_MESSAGES",
-    "SOLVER_ITERATIONS",
-    "CACHE_HITS",
-    "CACHE_MISSES",
-    "CACHE_BYTES_READ",
-    "CACHE_BYTES_WRITTEN",
-    "CACHE_EVICTIONS",
-    "AUTOTUNE_HITS",
-    "AUTOTUNE_MISSES",
-    "AUTOTUNE_CANDIDATES",
-    "AUTOTUNE_TRIALS",
-    "DTYPE_FP32_SPMV",
-    "DTYPE_FP64_SPMV",
-    "SCENARIO_RUNS",
-    "SCENARIO_VIEWS_DROPPED",
-    "SCENARIO_CENTER_CANDIDATES",
-    "FAULT_DROPS",
-    "FAULT_CORRUPTIONS",
-    "FAULT_DELAYS",
-    "FAULT_CRASHES",
-    "FAULT_RETRIES",
-    "FAULT_RECOVERIES",
-    "CHECKPOINT_SAVES",
-    "CHECKPOINT_RESTORES",
-    "CHECKPOINT_BYTES_WRITTEN",
-    "HEALTH_EVENTS",
-    "HEALTH_ROLLBACKS",
-    "PIPELINE_SLICES",
-    "PIPELINE_CHUNKS",
-    "PIPELINE_RESUMED_SLICES",
-    "DATAIO_READ_SECONDS",
-    "DATAIO_WRITE_SECONDS",
-    "DATAIO_QUEUE_DEPTH",
-    "DATAIO_BYTES_READ",
-    "DATAIO_BYTES_WRITTEN",
-    "DATAIO_READ_RETRIES",
-    "SERVICE_SUBMITTED",
-    "SERVICE_REJECTED",
-    "SERVICE_COMPLETED",
-    "SERVICE_FAILED",
-    "SERVICE_EXPIRED",
-    "SERVICE_RETRIES",
-    "SERVICE_BATCHES",
-    "SERVICE_COALESCED_JOBS",
-    "SERVICE_RECOVERED",
-    "SERVICE_JOURNAL_RECORDS",
-    "SERVICE_EVICTIONS",
-    "PARALLEL_TASKS",
-    "PARALLEL_DISPATCHES",
-    "PARALLEL_SHM_BYTES",
-]
+#: Default unit per canonical counter name (filled by ``_declare``).
+CANONICAL_UNITS: dict[str, str] = {}
+
+
+def _declare(name: str, unit: str) -> str:
+    """Register a canonical counter's unit; returns the counter name."""
+    CANONICAL_UNITS[name] = unit
+    return name
+
 
 #: FMA work of every SpMV executed (2 flops per stored nonzero).
-SPMV_FLOPS = "spmv.flops"
+SPMV_FLOPS = _declare("spmv.flops", "flop")
 #: Number of forward/adjoint kernel invocations.
-SPMV_CALLS = "spmv.calls"
+SPMV_CALLS = _declare("spmv.calls", "call")
 #: Streamed matrix bytes (ind + val) moved by SpMV — paper "regular data".
-SPMV_REGULAR_BYTES = "spmv.regular_bytes"
+SPMV_REGULAR_BYTES = _declare("spmv.regular_bytes", "byte")
 #: Gathered vector bytes touched by SpMV — paper "irregular data".
-SPMV_IRREGULAR_BYTES = "spmv.irregular_bytes"
+SPMV_IRREGULAR_BYTES = _declare("spmv.irregular_bytes", "byte")
 #: Buffer stages executed by the multi-stage buffered kernel.
-BUFFER_STAGES = "buffer.stages"
+BUFFER_STAGES = _declare("buffer.stages", "stage")
 #: Remote (off-diagonal) bytes moved by simulated MPI collectives.
-COMM_BYTES = "comm.bytes"
+COMM_BYTES = _declare("comm.bytes", "byte")
 #: Remote point-to-point messages inside simulated collectives.
-COMM_MESSAGES = "comm.messages"
+COMM_MESSAGES = _declare("comm.messages", "message")
 #: Bytes moved over the intra-node fabric by hierarchical collectives
 #: (same-node messages plus rank<->leader staging hops).
-COMM_INTRA_BYTES = "comm.intra_bytes"
+COMM_INTRA_BYTES = _declare("comm.intra_bytes", "byte")
 #: Intra-node messages inside hierarchical collectives.
-COMM_INTRA_MESSAGES = "comm.intra_messages"
+COMM_INTRA_MESSAGES = _declare("comm.intra_messages", "message")
 #: Aggregated leader-to-leader bytes crossing the inter-node network.
-COMM_INTER_BYTES = "comm.inter_bytes"
+COMM_INTER_BYTES = _declare("comm.inter_bytes", "byte")
 #: Aggregated node-pair messages crossing the inter-node network.
-COMM_INTER_MESSAGES = "comm.inter_messages"
+COMM_INTER_MESSAGES = _declare("comm.inter_messages", "message")
 #: Iterations completed across all solvers.
-SOLVER_ITERATIONS = "solver.iterations"
+SOLVER_ITERATIONS = _declare("solver.iterations", "iteration")
 #: Operator plans served from the on-disk plan cache.
-CACHE_HITS = "cache.hits"
+CACHE_HITS = _declare("cache.hits", "hit")
 #: Plan-cache lookups that found no (usable) entry.
-CACHE_MISSES = "cache.misses"
+CACHE_MISSES = _declare("cache.misses", "miss")
 #: Bytes read from plan-cache entries on hits.
-CACHE_BYTES_READ = "cache.bytes_read"
+CACHE_BYTES_READ = _declare("cache.bytes_read", "byte")
 #: Bytes written to the plan cache when storing entries.
-CACHE_BYTES_WRITTEN = "cache.bytes_written"
+CACHE_BYTES_WRITTEN = _declare("cache.bytes_written", "byte")
 #: Entries removed by the size-capped eviction policy.
-CACHE_EVICTIONS = "cache.evictions"
+CACHE_EVICTIONS = _declare("cache.evictions", "entry")
 #: Injected message-loss faults (message never arrived, retried).
-FAULT_DROPS = "fault.drops"
+FAULT_DROPS = _declare("fault.drops", "message")
 #: Injected payload corruptions caught by the receive-side checksum.
-FAULT_CORRUPTIONS = "fault.corruptions"
+FAULT_CORRUPTIONS = _declare("fault.corruptions", "message")
 #: Injected message delays (delivered late; backoff time charged).
-FAULT_DELAYS = "fault.delays"
+FAULT_DELAYS = _declare("fault.delays", "message")
 #: Simulated rank crashes (each triggers graceful degradation).
-FAULT_CRASHES = "fault.crashes"
+FAULT_CRASHES = _declare("fault.crashes", "rank")
 #: Re-delivery attempts made by the reliable-transport retry loop.
-FAULT_RETRIES = "fault.retries"
+FAULT_RETRIES = _declare("fault.retries", "attempt")
 #: Faults fully healed (messages re-delivered, crashed ranks absorbed).
-FAULT_RECOVERIES = "fault.recoveries"
+FAULT_RECOVERIES = _declare("fault.recoveries", "event")
 #: Solver-state snapshots persisted by the checkpoint manager.
-CHECKPOINT_SAVES = "checkpoint.saves"
+CHECKPOINT_SAVES = _declare("checkpoint.saves", "snapshot")
 #: Solver-state snapshots restored (resume or health rollback).
-CHECKPOINT_RESTORES = "checkpoint.restores"
+CHECKPOINT_RESTORES = _declare("checkpoint.restores", "snapshot")
 #: Bytes written to checkpoint files.
-CHECKPOINT_BYTES_WRITTEN = "checkpoint.bytes_written"
+CHECKPOINT_BYTES_WRITTEN = _declare("checkpoint.bytes_written", "byte")
 #: Numerical-health incidents (NaN/Inf or sustained divergence).
-HEALTH_EVENTS = "health.events"
+HEALTH_EVENTS = _declare("health.events", "event")
 #: Health-triggered rollbacks to the last checkpoint.
-HEALTH_ROLLBACKS = "health.rollbacks"
+HEALTH_ROLLBACKS = _declare("health.rollbacks", "rollback")
 #: Sinogram slices reconstructed by the streaming stack pipeline.
-PIPELINE_SLICES = "pipeline.slices"
+PIPELINE_SLICES = _declare("pipeline.slices", "slice")
 #: Slice chunks processed by the streaming stack pipeline.
-PIPELINE_CHUNKS = "pipeline.chunks"
+PIPELINE_CHUNKS = _declare("pipeline.chunks", "chunk")
 #: Slices skipped on resume because a chunk checkpoint covered them.
-PIPELINE_RESUMED_SLICES = "pipeline.resumed_slices"
+PIPELINE_RESUMED_SLICES = _declare("pipeline.resumed_slices", "slice")
 #: Wall seconds the conveyor's reader spent pulling chunks from a source.
-DATAIO_READ_SECONDS = "dataio.read_seconds"
+DATAIO_READ_SECONDS = _declare("dataio.read_seconds", "second")
 #: Wall seconds the conveyor's writer spent pushing slabs into a sink.
-DATAIO_WRITE_SECONDS = "dataio.write_seconds"
+DATAIO_WRITE_SECONDS = _declare("dataio.write_seconds", "second")
 #: Read-queue depth sampled each time the reader enqueues a chunk
 #: (total / events = mean prefetch occupancy).
-DATAIO_QUEUE_DEPTH = "dataio.queue_depth"
+DATAIO_QUEUE_DEPTH = _declare("dataio.queue_depth", "chunk")
 #: Raw stack bytes pulled from chunk sources.
-DATAIO_BYTES_READ = "dataio.bytes_read"
+DATAIO_BYTES_READ = _declare("dataio.bytes_read", "byte")
 #: Volume bytes pushed into chunk sinks.
-DATAIO_BYTES_WRITTEN = "dataio.bytes_written"
+DATAIO_BYTES_WRITTEN = _declare("dataio.bytes_written", "byte")
 #: Source reads re-attempted after a transient failure (OSError etc.).
-DATAIO_READ_RETRIES = "dataio.read_retries"
+DATAIO_READ_RETRIES = _declare("dataio.read_retries", "attempt")
 #: Jobs offered to the service (accepted or rejected).
-SERVICE_SUBMITTED = "service.submitted"
+SERVICE_SUBMITTED = _declare("service.submitted", "job")
 #: Submissions rejected with backpressure (queue full / rate limit).
-SERVICE_REJECTED = "service.rejected"
+SERVICE_REJECTED = _declare("service.rejected", "job")
 #: Jobs finished with a durable result.
-SERVICE_COMPLETED = "service.completed"
+SERVICE_COMPLETED = _declare("service.completed", "job")
 #: Jobs that exhausted their retry budget (or failed permanently).
-SERVICE_FAILED = "service.failed"
+SERVICE_FAILED = _declare("service.failed", "job")
 #: Jobs cancelled because their deadline passed.
-SERVICE_EXPIRED = "service.expired"
+SERVICE_EXPIRED = _declare("service.expired", "job")
 #: Solve attempts re-run after a transient job failure.
-SERVICE_RETRIES = "service.retries"
+SERVICE_RETRIES = _declare("service.retries", "attempt")
 #: Batched solves executed by the scheduler (1 per dispatch).
-SERVICE_BATCHES = "service.batches"
+SERVICE_BATCHES = _declare("service.batches", "solve")
 #: Jobs that shared a coalesced multi-RHS solve with at least one peer.
-SERVICE_COALESCED_JOBS = "service.coalesced_jobs"
+SERVICE_COALESCED_JOBS = _declare("service.coalesced_jobs", "job")
 #: Acknowledged jobs re-queued by journal replay after a restart.
-SERVICE_RECOVERED = "service.recovered"
+SERVICE_RECOVERED = _declare("service.recovered", "job")
 #: Records appended to the job journal.
-SERVICE_JOURNAL_RECORDS = "service.journal_records"
+SERVICE_JOURNAL_RECORDS = _declare("service.journal_records", "record")
 #: Terminal-job result payloads evicted from the spool (TTL / size cap).
-SERVICE_EVICTIONS = "service.evictions"
+SERVICE_EVICTIONS = _declare("service.evictions", "job")
 #: Worker tasks executed by the shared-memory parallel backend.
-PARALLEL_TASKS = "parallel.tasks"
+PARALLEL_TASKS = _declare("parallel.tasks", "task")
 #: Parallel fan-outs dispatched (one per backend.map / engine apply).
-PARALLEL_DISPATCHES = "parallel.dispatches"
+PARALLEL_DISPATCHES = _declare("parallel.dispatches", "dispatch")
 #: Bytes placed in multiprocessing shared memory by the process backend.
-PARALLEL_SHM_BYTES = "parallel.shm_bytes"
+PARALLEL_SHM_BYTES = _declare("parallel.shm_bytes", "byte")
 #: Autotuning requests satisfied by a persisted record (warm lookup).
-AUTOTUNE_HITS = "autotune.hits"
+AUTOTUNE_HITS = _declare("autotune.hits", "hit")
 #: Autotuning requests that had to run the search.
-AUTOTUNE_MISSES = "autotune.misses"
+AUTOTUNE_MISSES = _declare("autotune.misses", "miss")
 #: Configurations scored by the perf-model/cachesim prediction stage.
-AUTOTUNE_CANDIDATES = "autotune.candidates"
+AUTOTUNE_CANDIDATES = _declare("autotune.candidates", "candidate")
 #: Measured trials run on the prediction stage's top candidates.
-AUTOTUNE_TRIALS = "autotune.trials"
+AUTOTUNE_TRIALS = _declare("autotune.trials", "trial")
 #: SpMV kernel applications computed in float32 (default and fp32 paths).
-DTYPE_FP32_SPMV = "dtype.fp32_spmv"
+DTYPE_FP32_SPMV = _declare("dtype.fp32_spmv", "call")
 #: SpMV kernel applications computed in float64 (opt-in fp64 path).
-DTYPE_FP64_SPMV = "dtype.fp64_spmv"
+DTYPE_FP64_SPMV = _declare("dtype.fp64_spmv", "call")
 
 #: Scenario reconstructions run (sparse-view, limited-angle, try-center).
-SCENARIO_RUNS = "scenario.runs"
+SCENARIO_RUNS = _declare("scenario.runs", "run")
 #: Projection views dropped by a degraded-scan scenario.
-SCENARIO_VIEWS_DROPPED = "scenario.views_dropped"
+SCENARIO_VIEWS_DROPPED = _declare("scenario.views_dropped", "view")
 #: Rotation-center candidates scored by a try-center sweep.
-SCENARIO_CENTER_CANDIDATES = "scenario.center_candidates"
+SCENARIO_CENTER_CANDIDATES = _declare("scenario.center_candidates", "candidate")
 
-#: Default unit per canonical counter name.
-CANONICAL_UNITS = {
-    SPMV_FLOPS: "flop",
-    SPMV_CALLS: "call",
-    SPMV_REGULAR_BYTES: "byte",
-    SPMV_IRREGULAR_BYTES: "byte",
-    BUFFER_STAGES: "stage",
-    COMM_BYTES: "byte",
-    COMM_MESSAGES: "message",
-    COMM_INTRA_BYTES: "byte",
-    COMM_INTRA_MESSAGES: "message",
-    COMM_INTER_BYTES: "byte",
-    COMM_INTER_MESSAGES: "message",
-    SOLVER_ITERATIONS: "iteration",
-    CACHE_HITS: "hit",
-    CACHE_MISSES: "miss",
-    CACHE_BYTES_READ: "byte",
-    CACHE_BYTES_WRITTEN: "byte",
-    CACHE_EVICTIONS: "entry",
-    FAULT_DROPS: "message",
-    FAULT_CORRUPTIONS: "message",
-    FAULT_DELAYS: "message",
-    FAULT_CRASHES: "rank",
-    FAULT_RETRIES: "attempt",
-    FAULT_RECOVERIES: "event",
-    CHECKPOINT_SAVES: "snapshot",
-    CHECKPOINT_RESTORES: "snapshot",
-    CHECKPOINT_BYTES_WRITTEN: "byte",
-    HEALTH_EVENTS: "event",
-    HEALTH_ROLLBACKS: "rollback",
-    PIPELINE_SLICES: "slice",
-    PIPELINE_CHUNKS: "chunk",
-    PIPELINE_RESUMED_SLICES: "slice",
-    DATAIO_READ_SECONDS: "second",
-    DATAIO_WRITE_SECONDS: "second",
-    DATAIO_QUEUE_DEPTH: "chunk",
-    DATAIO_BYTES_READ: "byte",
-    DATAIO_BYTES_WRITTEN: "byte",
-    DATAIO_READ_RETRIES: "attempt",
-    SERVICE_SUBMITTED: "job",
-    SERVICE_REJECTED: "job",
-    SERVICE_COMPLETED: "job",
-    SERVICE_FAILED: "job",
-    SERVICE_EXPIRED: "job",
-    SERVICE_RETRIES: "attempt",
-    SERVICE_BATCHES: "solve",
-    SERVICE_COALESCED_JOBS: "job",
-    SERVICE_RECOVERED: "job",
-    SERVICE_JOURNAL_RECORDS: "record",
-    SERVICE_EVICTIONS: "job",
-    PARALLEL_TASKS: "task",
-    PARALLEL_DISPATCHES: "dispatch",
-    PARALLEL_SHM_BYTES: "byte",
-    AUTOTUNE_HITS: "hit",
-    AUTOTUNE_MISSES: "miss",
-    AUTOTUNE_CANDIDATES: "candidate",
-    AUTOTUNE_TRIALS: "trial",
-    DTYPE_FP32_SPMV: "call",
-    DTYPE_FP64_SPMV: "call",
-    SCENARIO_RUNS: "run",
-    SCENARIO_VIEWS_DROPPED: "view",
-    SCENARIO_CENTER_CANDIDATES: "candidate",
-}
+__all__ = ["Counter", "unit_of"] + [
+    constant for constant, value in list(globals().items())
+    if isinstance(value, str) and value in CANONICAL_UNITS
+]
 
 
 def unit_of(name: str) -> str:

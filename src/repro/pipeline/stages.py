@@ -20,6 +20,7 @@ import numpy as np
 
 from ..obs import span
 from ..persist import raw_buffer
+from ..phantoms.stack import inject_center_shift
 from .center import CENTER_METHODS, find_center_shift
 
 __all__ = [
@@ -202,16 +203,6 @@ class RingSuppression(Stage):
         return out
 
 
-def _shift_columns(sinogram: np.ndarray, shift: float) -> np.ndarray:
-    """Shift a ``(angles, N)`` sinogram by ``shift`` channels (linear)."""
-    n = sinogram.shape[-1]
-    pos = np.arange(n, dtype=np.float64) - shift
-    lo = np.clip(np.floor(pos).astype(np.int64), 0, n - 1)
-    hi = np.clip(lo + 1, 0, n - 1)
-    frac = np.clip(pos - lo, 0.0, 1.0)
-    return sinogram[..., lo] * (1.0 - frac) + sinogram[..., hi] * frac
-
-
 class CenterCorrection(Stage):
     """Estimate and undo a rotation-axis offset.
 
@@ -246,7 +237,8 @@ class CenterCorrection(Stage):
             return chunk
         out = np.empty_like(chunk)
         for k in range(chunk.shape[0]):
-            out[k] = _shift_columns(chunk[k], -shift)
+            # Undoing an axis offset is injecting the opposite one.
+            out[k] = inject_center_shift(chunk[k], -shift)
         return out
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from ..obs import (
     FAULT_RETRIES,
     add_count,
 )
+from ..persist import raw_buffer
 
 __all__ = [
     "FaultConfig",
@@ -176,15 +177,7 @@ class FaultStats:
     backoff_seconds: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "drops": self.drops,
-            "corruptions": self.corruptions,
-            "delays": self.delays,
-            "crashes": self.crashes,
-            "retries": self.retries,
-            "recoveries": self.recoveries,
-            "backoff_seconds": self.backoff_seconds,
-        }
+        return asdict(self)
 
 
 class FaultInjector:
@@ -281,9 +274,4 @@ class FaultInjector:
 
 def payload_crc(payload: np.ndarray) -> int:
     """CRC-32 of a message payload (what the wire format would carry)."""
-    arr = np.ascontiguousarray(np.asarray(payload))
-    try:
-        buf = memoryview(arr).cast("B")
-    except (TypeError, NotImplementedError):
-        buf = arr.tobytes()
-    return zlib.crc32(buf) & 0xFFFFFFFF
+    return zlib.crc32(raw_buffer(payload)) & 0xFFFFFFFF

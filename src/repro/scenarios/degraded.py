@@ -222,12 +222,7 @@ def reconstruct_scenario(
                 num_iterations=num_iterations,
                 **solver_kwargs,
             )
-        # Cone-beam geometries reconstruct a volume; 2D geometries an
-        # image.  (to_ordered flattens either, only the inverse differs.)
-        if hasattr(sub_geometry, "volume_shape"):
-            image = operator.ordered_to_volume(result.x)
-        else:
-            image = operator.ordered_to_image(result.x)
+        image = operator.ordered_to_image(result.x)
     return ScenarioResult(
         kind=kind,
         geometry=sub_geometry,

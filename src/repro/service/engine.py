@@ -49,7 +49,7 @@ from __future__ import annotations
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -225,24 +225,11 @@ class JobSpec:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "num_angles": self.num_angles,
-            "num_channels": self.num_channels,
-            "tenant": self.tenant,
-            "solver": self.solver,
-            "iterations": self.iterations,
-            "tolerance": self.tolerance,
-            "dtype": self.dtype,
-            "deadline_s": self.deadline_s,
-            "checkpoint_every": self.checkpoint_every,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "JobSpec":
-        known = {
-            "num_angles", "num_channels", "tenant", "solver", "iterations",
-            "tolerance", "dtype", "deadline_s", "checkpoint_every",
-        }
+        known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in doc.items() if k in known})
 
 

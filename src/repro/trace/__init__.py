@@ -5,6 +5,7 @@ from .matrix_builder import (
     build_fan_projection_matrix,
     build_projection_matrix,
     projection_matrix_stats,
+    trace_view,
 )
 from .siddon import RaySegments, trace_angle, trace_ray, trace_rays
 from .siddon3d import trace_rays_3d
@@ -19,4 +20,5 @@ __all__ = [
     "trace_ray",
     "trace_rays",
     "trace_rays_3d",
+    "trace_view",
 ]

@@ -15,14 +15,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..geometry import ParallelBeamGeometry
-from ..geometry.cone_beam import ConeBeamGeometry
-from ..geometry.fan_beam import FanBeamGeometry
+from ..geometry import ParallelBeamGeometry, ScanGeometry
 from ..parallel.backend import ExecutionBackend, SerialBackend
-from .siddon import trace_angle, trace_rays
+from .siddon import RaySegments, trace_angle, trace_rays
 from .siddon3d import trace_rays_3d
 
 __all__ = [
+    "trace_view",
     "build_projection_matrix",
     "build_cone_projection_matrix",
     "build_fan_projection_matrix",
@@ -30,60 +29,39 @@ __all__ = [
 ]
 
 
-def _trace_angle_chunk(
-    task: tuple[ParallelBeamGeometry, int, int],
+def trace_view(geometry: ScanGeometry, angle_index: int) -> RaySegments:
+    """Trace every ray of one view (projection angle) of ``geometry``.
+
+    The one place tracing depends on the kind of geometry.  Parallel
+    rays of a view share a direction, which :func:`trace_angle`
+    exploits; any other geometry hands over its ``ray_bundle`` of
+    (origins, directions) and is traced ray by ray, in 2D or 3D
+    according to the bundle's dimension.
+    """
+    if isinstance(geometry, ParallelBeamGeometry):
+        return trace_angle(geometry, angle_index)
+    origins, directions = geometry.ray_bundle(angle_index)
+    channels = np.arange(geometry.num_channels, dtype=np.int64)
+    tracer = trace_rays_3d if directions.shape[1] == 3 else trace_rays
+    return tracer(
+        geometry.grid, origins, directions, geometry.ray_index(angle_index, channels)
+    )
+
+
+def _trace_view_chunk(
+    task: tuple[ScanGeometry, int, int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace a contiguous angle range, returning (rows, cols, vals).
+    """Trace a contiguous (non-empty) view range, returning (rows, cols, vals).
 
     Module-level so the process backend can pickle it; the geometry is
     a small frozen dataclass, so shipping it per task is cheap.
     """
     geometry, start, stop = task
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for angle_index in range(start, stop):
-        segs = trace_angle(geometry, angle_index)
-        rows.append(segs.ray_index)
-        cols.append(segs.pixel_index)
-        vals.append(segs.length)
-    empty = np.empty(0, dtype=np.int64)
+    views = [trace_view(geometry, angle_index) for angle_index in range(start, stop)]
     return (
-        np.concatenate(rows) if rows else empty,
-        np.concatenate(cols) if cols else empty,
-        np.concatenate(vals) if vals else empty.astype(np.float64),
-    )
-
-
-def _trace_cone_chunk(
-    task: tuple[ConeBeamGeometry, int, int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace a contiguous cone-beam view range, returning (rows, cols, vals).
-
-    Module-level so the process backend can pickle it, mirroring
-    :func:`_trace_angle_chunk`.
-    """
-    geometry, start, stop = task
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    channels = np.arange(geometry.num_channels, dtype=np.int64)
-    for angle_index in range(start, stop):
-        origins, directions = geometry.ray_bundle(angle_index)
-        segs = trace_rays_3d(
-            geometry.grid,
-            origins,
-            directions,
-            geometry.ray_index(np.full_like(channels, angle_index), channels),
-        )
-        rows.append(segs.ray_index)
-        cols.append(segs.pixel_index)
-        vals.append(segs.length)
-    empty = np.empty(0, dtype=np.int64)
-    return (
-        np.concatenate(rows) if rows else empty,
-        np.concatenate(cols) if cols else empty,
-        np.concatenate(vals) if vals else empty.astype(np.float64),
+        np.concatenate([segs.ray_index for segs in views]),
+        np.concatenate([segs.pixel_index for segs in views]),
+        np.concatenate([segs.length for segs in views]),
     )
 
 
@@ -97,7 +75,7 @@ def _angle_chunks(num_angles: int, workers: int) -> list[tuple[int, int]]:
 
 
 def build_projection_matrix(
-    geometry: ParallelBeamGeometry,
+    geometry: ScanGeometry,
     dtype: np.dtype = np.float32,
     backend: ExecutionBackend | None = None,
 ) -> sp.csr_matrix:
@@ -111,117 +89,42 @@ def build_projection_matrix(
     Parameters
     ----------
     geometry:
-        The parallel-beam scan description.
+        The scan description — parallel-, fan- or cone-beam; the only
+        kind-dependent step is :func:`trace_view`.
     dtype:
         Value dtype of the matrix (the paper stores float32 lengths).
     backend:
-        Optional execution backend that fans per-angle Siddon tracing
-        out across workers.  Chunks are concatenated in angle order, so
+        Optional execution backend that fans per-view tracing out
+        across workers.  Chunks are concatenated in angle order, so
         the assembled matrix is bit-identical to the serial build.
-
-    Cone-beam and fan-beam geometries dispatch to their dedicated
-    builders, so ``preprocess`` stays geometry-agnostic.
     """
-    if isinstance(geometry, ConeBeamGeometry):
-        return build_cone_projection_matrix(geometry, dtype=dtype, backend=backend)
-    if isinstance(geometry, FanBeamGeometry):
-        return build_fan_projection_matrix(geometry, dtype=dtype)
     if backend is None:
         backend = SerialBackend()
     tasks = [
         (geometry, start, stop)
         for start, stop in _angle_chunks(geometry.num_angles, backend.workers)
     ]
-    chunks = backend.map(_trace_angle_chunk, tasks)
-    rows = [chunk[0] for chunk in chunks]
-    cols = [chunk[1] for chunk in chunks]
-    vals = [chunk[2] for chunk in chunks]
-    shape = (geometry.num_rays, geometry.grid.num_pixels)
+    chunks = backend.map(_trace_view_chunk, tasks)
+    rows, cols, vals = zip(*chunks)
+    # The concatenated int64/float64 triplets are temporaries of this
+    # call on purpose: coo_matrix keeps its own (narrower) copies, and
+    # at 256x256 a named triplet would hold ~0.5 GB through tocsr().
     coo = sp.coo_matrix(
         (
             np.concatenate(vals).astype(dtype, copy=False),
             (np.concatenate(rows), np.concatenate(cols)),
         ),
-        shape=shape,
+        shape=(geometry.num_rays, geometry.grid.num_pixels),
     )
     csr = coo.tocsr()  # sums duplicate entries, sorts column indices
     csr.sum_duplicates()
     return csr
 
 
-def build_cone_projection_matrix(
-    geometry: ConeBeamGeometry,
-    dtype: np.dtype = np.float32,
-    backend: ExecutionBackend | None = None,
-) -> sp.csr_matrix:
-    """Assemble the 3D cone-beam ``A`` (one row per detector pixel ray).
-
-    Per-view tracing fans out across the backend exactly like the
-    parallel-beam builder; chunks concatenate in view order, so the
-    matrix is bit-identical to a serial build.
-    """
-    if backend is None:
-        backend = SerialBackend()
-    tasks = [
-        (geometry, start, stop)
-        for start, stop in _angle_chunks(geometry.num_angles, backend.workers)
-    ]
-    chunks = backend.map(_trace_cone_chunk, tasks)
-    shape = (geometry.num_rays, geometry.grid.num_voxels)
-    coo = sp.coo_matrix(
-        (
-            np.concatenate([c[2] for c in chunks]).astype(dtype, copy=False),
-            (
-                np.concatenate([c[0] for c in chunks]),
-                np.concatenate([c[1] for c in chunks]),
-            ),
-        ),
-        shape=shape,
-    )
-    csr = coo.tocsr()
-    csr.sum_duplicates()
-    return csr
-
-
-def build_fan_projection_matrix(
-    geometry: FanBeamGeometry,
-    dtype: np.dtype = np.float32,
-) -> sp.csr_matrix:
-    """Assemble ``A`` for a fan-beam scan (extension, see
-    :mod:`repro.geometry.fan_beam`).
-
-    Uses the generic per-ray tracer since fan rays do not share a
-    direction; the resulting matrix drops into the same orderings,
-    buffering, and solvers as the parallel-beam one.
-    """
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    channels = np.arange(geometry.num_channels, dtype=np.int64)
-    for angle_index in range(geometry.num_angles):
-        source = geometry.source_position(angle_index)
-        directions = geometry.ray_directions(angle_index)
-        origins = np.broadcast_to(source, directions.shape)
-        segs = trace_rays(
-            geometry.grid,
-            origins,
-            directions,
-            geometry.ray_index(np.full_like(channels, angle_index), channels),
-        )
-        rows.append(segs.ray_index)
-        cols.append(segs.pixel_index)
-        vals.append(segs.length)
-    shape = (geometry.num_rays, geometry.grid.num_pixels)
-    coo = sp.coo_matrix(
-        (
-            np.concatenate(vals).astype(dtype, copy=False),
-            (np.concatenate(rows), np.concatenate(cols)),
-        ),
-        shape=shape,
-    )
-    csr = coo.tocsr()
-    csr.sum_duplicates()
-    return csr
+#: The fan- and cone-beam builders are the one builder; the names stay
+#: for callers that spell out the geometry they trace.
+build_cone_projection_matrix = build_projection_matrix
+build_fan_projection_matrix = build_projection_matrix
 
 
 def projection_matrix_stats(matrix: sp.csr_matrix) -> dict[str, float]:

@@ -127,6 +127,28 @@ class TestRoundtrip:
         x = rng.random(op.num_pixels).astype(np.float32)
         np.testing.assert_array_equal(loaded.forward(x), op.forward(x))
 
+    @pytest.mark.parametrize("ambient", ["float32", "float64"])
+    @pytest.mark.parametrize("saved_dtype", [None, "float32", "float64"])
+    def test_precision_is_the_archive_s_not_the_environment_s(
+        self, tmp_path, monkeypatch, saved_dtype, ambient
+    ):
+        """An archive loads with the precision it was saved with under
+        any ambient REPRO_DTYPE (a default, mixed-precision archive used
+        to come back relabelled with the environment's dtype)."""
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
+        op, _ = preprocess(
+            ParallelBeamGeometry(10, 8),
+            config=OperatorConfig(kernel="csr", dtype=saved_dtype),
+        )
+        path = save_operator(tmp_path / "op.npz", op)
+        monkeypatch.setenv("REPRO_DTYPE", ambient)
+        loaded = load_operator(path)
+        loaded.set_workers("serial")  # rebuilding the config keeps it too
+        assert loaded.config.dtype == saved_dtype
+        assert loaded.compute_dtype == op.compute_dtype
+        assert loaded.solve_dtype == op.solve_dtype
+        assert loaded.matrix.val.dtype == op.matrix.val.dtype == op.compute_dtype
+
     def test_npz_suffix_appended(self, saved, tmp_path):
         _, op, _ = saved
         written = save_operator(tmp_path / "bare", op)

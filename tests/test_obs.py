@@ -120,6 +120,96 @@ class TestCounters:
         assert totals == [10, 15]
 
 
+class TestCounterDeclarations:
+    """Each canonical counter is declared once; the names, values and
+    units that declaration exports are pinned to the hand-written lists
+    it replaced."""
+
+    UNITS = {
+        "AUTOTUNE_CANDIDATES": ("autotune.candidates", "candidate"),
+        "AUTOTUNE_HITS": ("autotune.hits", "hit"),
+        "AUTOTUNE_MISSES": ("autotune.misses", "miss"),
+        "AUTOTUNE_TRIALS": ("autotune.trials", "trial"),
+        "BUFFER_STAGES": ("buffer.stages", "stage"),
+        "CACHE_BYTES_READ": ("cache.bytes_read", "byte"),
+        "CACHE_BYTES_WRITTEN": ("cache.bytes_written", "byte"),
+        "CACHE_EVICTIONS": ("cache.evictions", "entry"),
+        "CACHE_HITS": ("cache.hits", "hit"),
+        "CACHE_MISSES": ("cache.misses", "miss"),
+        "CHECKPOINT_BYTES_WRITTEN": ("checkpoint.bytes_written", "byte"),
+        "CHECKPOINT_RESTORES": ("checkpoint.restores", "snapshot"),
+        "CHECKPOINT_SAVES": ("checkpoint.saves", "snapshot"),
+        "COMM_BYTES": ("comm.bytes", "byte"),
+        "COMM_INTER_BYTES": ("comm.inter_bytes", "byte"),
+        "COMM_INTER_MESSAGES": ("comm.inter_messages", "message"),
+        "COMM_INTRA_BYTES": ("comm.intra_bytes", "byte"),
+        "COMM_INTRA_MESSAGES": ("comm.intra_messages", "message"),
+        "COMM_MESSAGES": ("comm.messages", "message"),
+        "DATAIO_BYTES_READ": ("dataio.bytes_read", "byte"),
+        "DATAIO_BYTES_WRITTEN": ("dataio.bytes_written", "byte"),
+        "DATAIO_QUEUE_DEPTH": ("dataio.queue_depth", "chunk"),
+        "DATAIO_READ_RETRIES": ("dataio.read_retries", "attempt"),
+        "DATAIO_READ_SECONDS": ("dataio.read_seconds", "second"),
+        "DATAIO_WRITE_SECONDS": ("dataio.write_seconds", "second"),
+        "DTYPE_FP32_SPMV": ("dtype.fp32_spmv", "call"),
+        "DTYPE_FP64_SPMV": ("dtype.fp64_spmv", "call"),
+        "FAULT_CORRUPTIONS": ("fault.corruptions", "message"),
+        "FAULT_CRASHES": ("fault.crashes", "rank"),
+        "FAULT_DELAYS": ("fault.delays", "message"),
+        "FAULT_DROPS": ("fault.drops", "message"),
+        "FAULT_RECOVERIES": ("fault.recoveries", "event"),
+        "FAULT_RETRIES": ("fault.retries", "attempt"),
+        "HEALTH_EVENTS": ("health.events", "event"),
+        "HEALTH_ROLLBACKS": ("health.rollbacks", "rollback"),
+        "PARALLEL_DISPATCHES": ("parallel.dispatches", "dispatch"),
+        "PARALLEL_SHM_BYTES": ("parallel.shm_bytes", "byte"),
+        "PARALLEL_TASKS": ("parallel.tasks", "task"),
+        "PIPELINE_CHUNKS": ("pipeline.chunks", "chunk"),
+        "PIPELINE_RESUMED_SLICES": ("pipeline.resumed_slices", "slice"),
+        "PIPELINE_SLICES": ("pipeline.slices", "slice"),
+        "SCENARIO_CENTER_CANDIDATES": ("scenario.center_candidates", "candidate"),
+        "SCENARIO_RUNS": ("scenario.runs", "run"),
+        "SCENARIO_VIEWS_DROPPED": ("scenario.views_dropped", "view"),
+        "SERVICE_BATCHES": ("service.batches", "solve"),
+        "SERVICE_COALESCED_JOBS": ("service.coalesced_jobs", "job"),
+        "SERVICE_COMPLETED": ("service.completed", "job"),
+        "SERVICE_EVICTIONS": ("service.evictions", "job"),
+        "SERVICE_EXPIRED": ("service.expired", "job"),
+        "SERVICE_FAILED": ("service.failed", "job"),
+        "SERVICE_JOURNAL_RECORDS": ("service.journal_records", "record"),
+        "SERVICE_RECOVERED": ("service.recovered", "job"),
+        "SERVICE_REJECTED": ("service.rejected", "job"),
+        "SERVICE_RETRIES": ("service.retries", "attempt"),
+        "SERVICE_SUBMITTED": ("service.submitted", "job"),
+        "SOLVER_ITERATIONS": ("solver.iterations", "iteration"),
+        "SPMV_CALLS": ("spmv.calls", "call"),
+        "SPMV_FLOPS": ("spmv.flops", "flop"),
+        "SPMV_IRREGULAR_BYTES": ("spmv.irregular_bytes", "byte"),
+        "SPMV_REGULAR_BYTES": ("spmv.regular_bytes", "byte"),
+    }
+    OTHER = {
+        "Counter", "unit_of", "chrome_trace", "write_chrome_trace", "REGISTRY",
+        "Capture", "Registry", "add_count", "capture", "SpanRecord", "emit_span",
+        "span", "traced",
+    }
+
+    def test_exported_names_are_the_parent_s_set(self):
+        from repro.obs import counters
+
+        assert len(obs.__all__) == len(set(obs.__all__)) == 73
+        assert set(obs.__all__) == set(self.UNITS) | self.OTHER
+        assert set(counters.__all__) == set(self.UNITS) | {"Counter", "unit_of"}
+
+    def test_every_constant_keeps_its_value_and_unit(self):
+        from repro.obs import counters
+
+        for constant, (name, unit) in self.UNITS.items():
+            assert getattr(obs, constant) == getattr(counters, constant) == name
+            assert obs.unit_of(name) == unit
+        assert len(counters.CANONICAL_UNITS) == len(self.UNITS)
+        assert obs.unit_of("ad.hoc") == "count"
+
+
 class TestChromeExport:
     def test_export_structure(self, tmp_path):
         with obs.capture() as cap:
