@@ -96,7 +96,6 @@ def test_tuned_config_within_5pct_of_exhaustive(report):
     tuner = Autotuner(
         partition_sizes=partition_sizes,
         buffer_sizes=buffer_sizes,
-        workers_options=(1,),
         top_k=3,
         trial_repeats=5,
         seed=0,

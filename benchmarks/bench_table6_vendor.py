@@ -3,9 +3,12 @@
 Two reproductions of the same claim:
 
 * **measured** — scipy.sparse plays the general-purpose vendor library
-  on this machine: we time scipy CSR SpMV against our baseline,
-  Hilbert-ordered, and buffered kernels on scaled ADS2 and report the
-  relative speedups (paper KNL column: 1.42x / 4.99x / 6.55x);
+  on this machine: we time scipy CSR SpMV on the row-major matrix
+  against our baseline, Hilbert-ordered, and buffered kernels on scaled
+  ADS2 and report the relative speedups (paper KNL column: 1.42x /
+  4.99x / 6.55x).  Our kernels run the *same compiled loop* over their
+  own arrays, so this row is the layout effect alone — ordering and
+  staging — at whatever size the host's caches let it show;
 * **modeled** — device-level speedups for KNL/K80/P100/V100 from the
   performance model with cache-simulated miss rates, reproducing the
   full Table 6 including K80's baseline *slowdown* (0.52x, small L2).
@@ -60,7 +63,7 @@ def test_table6_vendor_comparison(report, ads2_scaled, benchmark):
             f"{measured[0]:.2f}x",
             f"{measured[1]:.2f}x",
             f"{measured[2]:.2f}x",
-            "measured; scipy's C kernel beats numpy on raw speed",
+            "measured; same compiled CSR loop on both sides: the layout effect alone",
         ]
     ]
     full_cells = 512 * 512
@@ -123,8 +126,8 @@ def test_table6_vendor_comparison(report, ads2_scaled, benchmark):
         assert sp_base <= sp_hilb * 1.05
         assert sp_hilb <= sp_buf * 1.05
         assert sp_buf > 1.0
-    # In python, all our numpy-level kernels are within ~one order of
-    # the scipy C kernel (sanity on the measured row).
-    assert min(measured) > 0.05
+    # Same loop on both sides: no layout may cost more than a factor
+    # of two against the vendor call (sanity on the measured row).
+    assert min(measured) > 0.5
 
     benchmark(buffered.spmv, x)

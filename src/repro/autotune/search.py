@@ -25,7 +25,6 @@ phase 2 entirely.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -39,7 +38,6 @@ from ..machine import (
     get_device,
 )
 from ..obs import AUTOTUNE_CANDIDATES, AUTOTUNE_TRIALS, add_count, span
-from ..parallel import ParallelSpmvEngine
 from ..sparse import CSRMatrix, build_buffered, build_ell
 
 __all__ = [
@@ -67,11 +65,10 @@ class Candidate:
     kernel: str
     partition_size: int
     buffer_bytes: int
-    workers: int = 1
 
     def sort_key(self) -> tuple:
         """Deterministic tiebreak: simplest configuration first."""
-        return (self.kernel, self.partition_size, self.buffer_bytes, self.workers)
+        return (self.kernel, self.partition_size, self.buffer_bytes)
 
 
 @dataclass
@@ -119,10 +116,6 @@ class Autotuner:
     kernels, partition_sizes, buffer_sizes:
         The swept axes.  csr/ell candidates collapse the buffer axis
         (they have no buffer).
-    workers_options:
-        Worker counts crossed with the top predicted candidates during
-        the trial phase (thread mode); ``None`` picks ``(1, 2)`` when
-        the host has at least two CPUs.
     top_k:
         Number of predicted candidates that graduate to trials.
     trial_repeats:
@@ -142,7 +135,6 @@ class Autotuner:
         kernels=DEFAULT_KERNELS,
         partition_sizes=DEFAULT_PARTITION_SIZES,
         buffer_sizes=DEFAULT_BUFFER_SIZES,
-        workers_options=None,
         top_k: int = 3,
         trial_repeats: int = 3,
         measure=None,
@@ -155,9 +147,6 @@ class Autotuner:
         self.kernels = tuple(kernels)
         self.partition_sizes = tuple(int(p) for p in partition_sizes)
         self.buffer_sizes = tuple(int(b) for b in buffer_sizes)
-        if workers_options is None:
-            workers_options = (1, 2) if (os.cpu_count() or 1) >= 2 else (1,)
-        self.workers_options = tuple(int(w) for w in workers_options)
         self.top_k = int(top_k)
         self.trial_repeats = int(trial_repeats)
         self.measure = measure
@@ -169,7 +158,7 @@ class Autotuner:
     # -- phase 1: prediction -------------------------------------------
 
     def candidate_space(self) -> list[Candidate]:
-        """The swept configurations (workers explored in trials only)."""
+        """The swept configurations."""
         out: list[Candidate] = []
         for kernel in self.kernels:
             if kernel == "csr":
@@ -269,22 +258,17 @@ class Autotuner:
         x = rng.random(matrix.num_cols).astype(dtype)
         y = rng.random(matrix.num_rows).astype(dtype)
 
-        # One timing loop for every worker count: a one-worker engine
-        # has a serial backend and calls the layout's kernel directly.
-        with ParallelSpmvEngine(
-            workers=cand.workers,
-            mode="thread",
-            partition_size=cand.partition_size,
-            forward_layout=forward,
-            adjoint_layout=adjoint,
-        ) as engine:
-            best = float("inf")
-            for _ in range(self.trial_repeats):
-                t0 = time.perf_counter()
-                engine.apply("forward", x)
-                engine.apply("adjoint", y)
-                best = min(best, time.perf_counter() - t0)
-            return best
+        # The first call derives each layout's compiled view; a config
+        # is judged by its steady state.
+        forward.spmv(x)
+        adjoint.spmv(y)
+        best = float("inf")
+        for _ in range(self.trial_repeats):
+            t0 = time.perf_counter()
+            forward.spmv(x)
+            adjoint.spmv(y)
+            best = min(best, time.perf_counter() - t0)
+        return best
 
     # -- the search ----------------------------------------------------
 
@@ -332,22 +316,19 @@ class Autotuner:
                     kernel=cand.kernel,
                     partition_size=cand.partition_size,
                     buffer_bytes=cand.buffer_bytes,
-                    workers=cand.workers,
                 ):
                     seconds = float(self._time_candidate(matrix, transpose, cand))
                 add_count(AUTOTUNE_TRIALS, 1)
                 measured[cand] = seconds
-                base = replace(cand, workers=1)
                 trials.append(
                     ScoredCandidate(
-                        cand, predicted_by_cand.get(base, float("nan")), seconds
+                        cand, predicted_by_cand.get(cand, float("nan")), seconds
                     )
                 )
                 return seconds
 
             for scored in chosen:
-                for workers in self.workers_options:
-                    trial(replace(scored.candidate, workers=workers))
+                trial(scored.candidate)
 
             def current_best() -> ScoredCandidate:
                 return min(

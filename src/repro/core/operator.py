@@ -205,13 +205,18 @@ class MemXCTOperator:
     # -- parallel execution ---------------------------------------------
 
     def _active_engine(self):
-        """The parallel engine, or None for serial execution."""
+        """The parallel engine, or None for serial execution.
+
+        Only a ``process`` spec partitions SpMV: the compiled kernels
+        hold the GIL, so a thread spec runs them serially (it still
+        fans out tracing and the pipeline's slices).
+        """
         if self._serial_depth:
             return None
         if not self._engine_resolved:
             self._engine_resolved = True
             workers, mode = parse_workers(self.config.workers)
-            if workers >= 2:
+            if workers >= 2 and mode == "process":
                 from ..parallel import ParallelSpmvEngine
 
                 self._engine = ParallelSpmvEngine(
@@ -430,6 +435,13 @@ class MemXCTOperator:
         tomogram vector (forward) and the sinogram vector
         (backprojection).  *Regular data* is the streamed matrix
         storage of each direction.
+
+        These are the paper kernel's *modelled* streams — the buffered
+        kernel of Listing 3 reads a 2 B buffer-local index per nonzero.
+        The executed kernel is scipy's CSR loop over 4 B column indices
+        on csr and buffered alike, so ``spmv.regular_bytes`` on the
+        buffered kernel undercounts the executed index stream by
+        2 B/nnz.
         """
         nnz = self.matrix.nnz
         per_index = 2 if self.config.kernel == "buffered" else 4

@@ -214,7 +214,10 @@ def preprocess(
                     kernel=best.candidate.kernel,
                     partition_size=best.candidate.partition_size,
                     buffer_bytes=best.candidate.buffer_bytes,
-                    workers=best.candidate.workers,
+                    # The search no longer tunes a worker count (no
+                    # worker spec changes the kernels it times); the
+                    # field stays in the record format.
+                    workers=1,
                     dtype=config.dtype,
                     mode=tune_mode,
                     predicted_seconds=best.predicted_seconds,

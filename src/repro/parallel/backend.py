@@ -9,14 +9,15 @@ come from one of three interchangeable backends:
     No pool at all — the caller runs the tasks inline.  This is the
     reference execution every other backend must match bit-for-bit.
 ``thread``
-    A shared :class:`~concurrent.futures.ThreadPoolExecutor`.  NumPy
-    kernels release the GIL inside their C loops, so partition-range
-    SpMV scales across threads without pickling anything.
+    A shared :class:`~concurrent.futures.ThreadPoolExecutor`.  It fans
+    out work that releases the GIL or waits — per-angle tracing, the
+    pipeline's per-slice solves — without pickling anything.  It does
+    not partition SpMV: the compiled CSR loops hold the GIL.
 ``process``
     A fork-context :class:`~concurrent.futures.ProcessPoolExecutor`
     whose workers attach the operator's arrays from POSIX shared
-    memory (see :mod:`repro.parallel.shm`).  Used when thread scaling
-    is GIL-bound (many tiny partitions) or explicitly requested.
+    memory (see :mod:`repro.parallel.shm`).  The one backend that
+    partitions SpMV.
 
 Worker counts resolve from, in priority order: an explicit
 ``workers=`` argument / ``--workers`` flag, the ``REPRO_WORKERS``
@@ -33,7 +34,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -138,7 +139,7 @@ _THREAD_POOLS_LOCK = threading.Lock()
 
 
 class ThreadBackend(ExecutionBackend):
-    """Shared-pool thread execution (NumPy releases the GIL)."""
+    """Shared-pool thread execution."""
 
     mode = "thread"
 
@@ -182,7 +183,10 @@ class ProcessBackend(ExecutionBackend):
     ``initializer``/``initargs`` run once in every worker; the SpMV
     engine uses them to attach the operator's shared-memory segments so
     per-task payloads stay tiny.  The pool is created lazily on first
-    ``map`` and torn down by :meth:`close`.
+    ``map``/``submit`` and torn down by :meth:`close`.  ``map`` hands
+    tasks to whichever worker is free; the engine, which needs each
+    partition range on the same process every call, ``submit``s to one
+    single-worker backend per range.
     """
 
     mode = "process"
@@ -218,24 +222,22 @@ class ProcessBackend(ExecutionBackend):
     def map(self, fn: Callable, tasks: Sequence) -> list:
         return list(self._ensure_pool().map(fn, tasks))
 
+    def submit(self, fn: Callable, task) -> Future:
+        """Queue one task; the caller collects ``.result()``."""
+        return self._ensure_pool().submit(fn, task)
+
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
 
 
-def make_backend(
-    workers: int,
-    mode: str,
-    *,
-    initializer: Callable | None = None,
-    initargs: Iterable = (),
-) -> ExecutionBackend:
+def make_backend(workers: int, mode: str) -> ExecutionBackend:
     """Build the backend for a resolved ``(workers, mode)`` pair."""
     if mode == "serial" or workers < 2:
         return SerialBackend()
     if mode == "thread":
         return ThreadBackend(workers)
     if mode == "process":
-        return ProcessBackend(workers, initializer=initializer, initargs=initargs)
+        return ProcessBackend(workers)
     raise ValueError(f"unknown backend mode {mode!r}")

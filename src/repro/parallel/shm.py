@@ -9,15 +9,17 @@ pickling them into every task.  Both travel through
   (:class:`SharedArrays`) and ships only the segment name plus a tiny
   manifest ``{name: (shape, dtype, offset)}``;
 * **workers** attach the segment and rebuild zero-copy views
-  (:func:`attach_arrays`) or safe copies (:func:`read_copy`).
+  (:func:`attach_arrays`).
+
+Per-call vectors go through one :class:`SharedScratch` segment the
+parent keeps across dispatches (creating, attaching and unlinking a
+segment per call cost more than a 256x256 SpMV); workers hold one
+attachment to it (:func:`attach_scratch`).
 
 Lifecycle discipline (this exact split is what keeps the resource
 tracker quiet): only the parent ever *creates* and *unlinks* segments;
-workers only *attach*.  Long-lived attachments (the operator arrays)
-are cached in a per-process registry so the backing mmap outlives the
-numpy views; transient attachments (per-call inputs) are copied out and
-closed immediately so the parent may unlink as soon as the dispatch
-drains.
+workers only *attach*.  Attachments to the operator arrays are cached
+in a per-process registry so the backing mmap outlives the numpy views.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ import numpy as np
 
 __all__ = [
     "SharedArrays",
+    "SharedScratch",
     "Manifest",
     "attach_arrays",
-    "read_copy",
+    "attach_scratch",
     "detach_all",
 ]
 
@@ -90,6 +93,31 @@ class SharedArrays:
         self.shm.unlink()
 
 
+class SharedScratch:
+    """One raw segment the parent reuses across dispatches.
+
+    ``reserve(nbytes)`` returns a segment of at least ``nbytes``; it is
+    replaced (under a new name) only when a call needs more than any
+    call before it.
+    """
+
+    def __init__(self):
+        self.shm: shared_memory.SharedMemory | None = None
+
+    def reserve(self, nbytes: int) -> shared_memory.SharedMemory:
+        if self.shm is None or self.shm.size < nbytes:
+            self.dispose()
+            self.shm = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
+        return self.shm
+
+    def dispose(self) -> None:
+        """Close and unlink the segment (parent side; idempotent)."""
+        segment, self.shm = self.shm, None
+        if segment is not None:
+            segment.close()
+            segment.unlink()
+
+
 # Worker-side cache of attached segments.  The SharedMemory object must
 # stay referenced for as long as any numpy view into it exists, so
 # attachments live here until detach_all().
@@ -112,23 +140,20 @@ def attach_arrays(name: str, manifest: Manifest) -> dict[str, np.ndarray]:
     return views
 
 
-def read_copy(name: str, manifest: Manifest) -> dict[str, np.ndarray]:
-    """Attach a segment transiently and copy its arrays out.
+_SCRATCH: list[shared_memory.SharedMemory] = []
 
-    For per-call payloads (input vectors): the copy lets this process
-    close the attachment immediately, so the parent can unlink the
-    segment the moment the dispatch completes.
+
+def attach_scratch(name: str) -> shared_memory.SharedMemory:
+    """This process's attachment to the parent's scratch segment.
+
+    One at a time: a new name means the parent outgrew and unlinked the
+    old segment, so the old attachment is closed.
     """
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        out: dict[str, np.ndarray] = {}
-        for key, (shape, dtype, offset) in manifest.items():
-            view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=offset)
-            out[key] = np.array(view, copy=True)
-            del view
-        return out
-    finally:
-        segment.close()
+    if not _SCRATCH or _SCRATCH[0].name != name:
+        while _SCRATCH:
+            _SCRATCH.pop().close()
+        _SCRATCH.append(shared_memory.SharedMemory(name=name))
+    return _SCRATCH[0]
 
 
 def detach_all() -> None:
@@ -136,3 +161,5 @@ def detach_all() -> None:
     while _ATTACHED:
         _, segment = _ATTACHED.popitem()
         segment.close()
+    while _SCRATCH:
+        _SCRATCH.pop().close()

@@ -11,10 +11,19 @@ instruction stream, which makes parallel output **bit-identical** to
 serial output for every backend (the determinism contract the tests
 enforce).
 
-Thread mode shares the layouts directly.  Process mode exports each
-layout's arrays into POSIX shared memory once, at engine construction;
-workers attach in their pool initializer and rebuild zero-copy views,
-so a task is just ``(direction, part0, part1, input-segment name)``.
+Only **process** mode partitions SpMV.  The kernels are scipy's
+compiled CSR loops, which hold the GIL, so threads cannot overlap them
+(two threads read 1.0x on the kernel and 0.5x through the dispatch);
+a thread spec still fans out tracing and the pipeline's slices, and
+runs the serial kernel here.  Process mode exports each layout's
+arrays into POSIX shared memory once, at engine construction, and
+starts **one worker process per partition range**: a worker attaches
+the arrays, takes its own range's ``partition_slice`` of each layout
+and keeps it, so the slice's compiled view (derived at its first
+kernel call) is built once per range and lives in that worker only.
+Input and output travel through one scratch segment the engine keeps
+across calls; a task is ``(direction, segment name, input shape and
+dtype)`` and the reply a dtype and two timestamps.
 
 This module deliberately knows nothing about operators or geometry,
 and nothing about any one layout either: it uses only what every
@@ -27,6 +36,7 @@ import-cycle-free below ``repro.core``.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from time import perf_counter
 
@@ -42,7 +52,7 @@ from ..obs import (
 )
 from ..sparse.partition import RowPartitions
 from . import shm
-from .backend import ProcessBackend, SerialBackend, make_backend
+from .backend import ProcessBackend
 
 __all__ = ["ParallelSpmvEngine", "partition_ranges"]
 
@@ -68,26 +78,42 @@ def partition_ranges(num_partitions: int, workers: int) -> list[tuple[int, int]]
 
 # -- process-worker side ------------------------------------------------
 
-# Populated by _worker_init in every pool worker: {direction: layout}.
-_WORKER_LAYOUTS: dict[str, object] = {}
+# Populated by _worker_init: {direction: (this worker's partition
+# slice, its row range, the layout's row count)}.
+_WORKER_SLICES: dict[str, tuple] = {}
+
+# Output rows are laid out in the scratch segment at this many bytes
+# per element, the widest result any kernel produces; a worker writes
+# its rows at its result's own dtype.
+_WIDEST = 8
 
 
-def _worker_init(payload: dict) -> None:
-    """Pool initializer: attach shm segments, rebuild layouts once."""
-    _WORKER_LAYOUTS.clear()
-    for direction, (layout_class, seg_name, manifest, dims) in payload.items():
-        arrays = shm.attach_arrays(seg_name, manifest)
-        _WORKER_LAYOUTS[direction] = layout_class.from_arrays(arrays, *dims)
+def _worker_init(payload: dict, index: int) -> None:
+    """Pool initializer: attach shm segments, keep range ``index``."""
+    _WORKER_SLICES.clear()
+    for direction, (layout_class, seg_name, manifest, dims, ranges) in payload.items():
+        if index >= len(ranges):
+            continue
+        num_rows, _, partition_size = dims
+        layout = layout_class.from_arrays(shm.attach_arrays(seg_name, manifest), *dims)
+        rows = RowPartitions(num_rows, partition_size).row_range(*ranges[index])
+        _WORKER_SLICES[direction] = (
+            layout.partition_slice(*ranges[index], partition_size),
+            rows,
+            num_rows,
+        )
 
 
-def _process_task(task: tuple) -> tuple[np.ndarray, float, float]:
-    """One worker task: SpMV of a partition range against a shm input."""
-    direction, part0, part1, partition_size, seg_name, manifest = task
+def _process_task(task: tuple) -> tuple[str, float, float]:
+    """One worker task: this worker's rows of ``y`` from the shared ``x``."""
+    direction, scratch_name, shape, dtype, y_offset = task
     start = perf_counter()
-    x = shm.read_copy(seg_name, manifest)["x"]
-    sub = _WORKER_LAYOUTS[direction].partition_slice(part0, part1, partition_size)
-    y = sub.spmv(x)
-    return y, start, perf_counter()
+    sub, (row0, row1), num_rows = _WORKER_SLICES[direction]
+    buf = shm.attach_scratch(scratch_name).buf
+    y = sub.spmv(np.ndarray(shape, dtype=dtype, buffer=buf))
+    out = np.ndarray((num_rows,) + shape[1:], dtype=y.dtype, buffer=buf, offset=y_offset)
+    out[row0:row1] = y
+    return y.dtype.str, start, perf_counter()
 
 
 # -- the engine ---------------------------------------------------------
@@ -100,6 +126,8 @@ class ParallelSpmvEngine:
     ----------
     workers, mode:
         Resolved backend spec (see :func:`repro.parallel.parse_workers`).
+        ``process`` with two or more workers dispatches; anything else
+        runs the layouts' serial kernels.
     partition_size:
         Rows per partition — the decomposition granularity; buffered
         and ELL layouts must have been built with the same value.
@@ -128,10 +156,13 @@ class ParallelSpmvEngine:
             )
             for direction, layout in self._layouts.items()
         }
-        self._slices: dict[str, list] = {}
         self._segments: list[shm.SharedArrays] = []
+        self._scratch = shm.SharedScratch()
+        self._backends: list[ProcessBackend] = []
+        # One dispatch at a time: the scratch segment is shared.
+        self._lock = threading.Lock()
         self._closed = False
-        if mode == "process":
+        if mode == "process" and workers >= 2:
             payload = {}
             shm_bytes = 0
             for direction, layout in self._layouts.items():
@@ -143,22 +174,19 @@ class ParallelSpmvEngine:
                     shared.name,
                     shared.manifest,
                     (layout.num_rows, layout.num_cols, partition_size),
+                    self._ranges[direction],
                 )
             add_count(PARALLEL_SHM_BYTES, shm_bytes)
-            self._backend = make_backend(
-                workers, mode, initializer=_worker_init, initargs=(payload,)
-            )
-        else:
-            self._backend = make_backend(workers, mode)
-            for direction, layout in self._layouts.items():
-                self._slices[direction] = [
-                    layout.partition_slice(p0, p1, partition_size)
-                    for p0, p1 in self._ranges[direction]
-                ]
+            # One single-worker pool per range pins each range to one
+            # process, which therefore derives and holds one slice.
+            self._backends = [
+                ProcessBackend(1, initializer=_worker_init, initargs=(payload, index))
+                for index in range(max(len(r) for r in self._ranges.values()))
+            ]
         # Shared-memory segments must not outlive the process even if
         # close() is never called explicitly.
         self._finalizer = weakref.finalize(
-            self, _release, self._backend, list(self._segments)
+            self, _release, self._backends, self._segments, self._scratch
         )
 
     # -- dispatch -------------------------------------------------------
@@ -173,39 +201,28 @@ class ParallelSpmvEngine:
             raise RuntimeError("engine is closed")
         layout = self._layouts[direction]
         ranges = self._ranges[direction]
-        if len(ranges) < 2 or isinstance(self._backend, SerialBackend):
+        if len(ranges) < 2 or not self._backends:
             return layout.spmv(x)
         observing = REGISTRY.active
-        if self.mode == "process":
-            shared_x = shm.SharedArrays({"x": np.ascontiguousarray(x)})
-            try:
-                if observing:
-                    add_count(PARALLEL_SHM_BYTES, shared_x.nbytes)
-                tasks = [
-                    (
-                        direction,
-                        p0,
-                        p1,
-                        self.partition_size,
-                        shared_x.name,
-                        shared_x.manifest,
-                    )
-                    for p0, p1 in ranges
-                ]
-                results = self._backend.map(_process_task, tasks)
-            finally:
-                shared_x.dispose()
-        else:
-            slices = self._slices[direction]
-
-            def run(sub) -> tuple[np.ndarray, float, float]:
-                start = perf_counter()
-                y = sub.spmv(x)
-                return y, start, perf_counter()
-
-            results = self._backend.map(run, slices)
+        x = np.asarray(x)
+        out_shape = (layout.num_rows,) + x.shape[1:]
+        y_offset = -(-x.nbytes // 64) * 64
+        nbytes = y_offset + _WIDEST * int(np.prod(out_shape))
+        with self._lock:
+            segment = self._scratch.reserve(nbytes)
+            np.ndarray(x.shape, dtype=x.dtype, buffer=segment.buf)[...] = x
+            task = (direction, segment.name, x.shape, x.dtype.str, y_offset)
+            futures = [
+                backend.submit(_process_task, task)
+                for backend in self._backends[: len(ranges)]
+            ]
+            results = [future.result() for future in futures]
+            y = np.ndarray(
+                out_shape, dtype=results[0][0], buffer=segment.buf, offset=y_offset
+            ).copy()
 
         if observing:
+            add_count(PARALLEL_SHM_BYTES, x.nbytes + y.nbytes)
             add_count(PARALLEL_DISPATCHES, 1)
             add_count(PARALLEL_TASKS, len(ranges))
             for index, ((_, start, end), (p0, p1)) in enumerate(zip(results, ranges)):
@@ -219,18 +236,17 @@ class ParallelSpmvEngine:
                     part1=p1,
                     mode=self.mode,
                 )
-        return np.concatenate([y for y, _, _ in results])
+        return y
 
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the backend down and unlink shared segments (idempotent)."""
+        """Shut the workers down and unlink shared segments (idempotent)."""
         if self._closed:
             return
         self._closed = True
         self._finalizer.detach()
-        _release(self._backend, self._segments)
-        self._segments = []
+        _release(self._backends, self._segments, self._scratch)
 
     def __enter__(self) -> "ParallelSpmvEngine":
         return self
@@ -240,9 +256,11 @@ class ParallelSpmvEngine:
         return False
 
 
-def _release(backend, segments: list) -> None:
-    # Workers only attach; the pool must drain before the parent
+def _release(backends: list, segments: list, scratch) -> None:
+    # Workers only attach; the pools must drain before the parent
     # unlinks, or late tasks would attach a vanished segment.
-    backend.close()
+    for backend in backends:
+        backend.close()
     for shared in segments:
         shared.dispose()
+    scratch.dispose()

@@ -19,11 +19,16 @@ Data structures follow Listing 3 exactly:
 * ``ind`` (uint16) / ``val`` — buffer-local indices and values in the
   stage-grouped order.
 
-The kernel, :meth:`BufferedMatrix.spmv`, evaluates Listing 3's dataflow
-with whole-array numpy operations.  The literal partition/stage/row
-loop nest is :func:`repro.cachesim.listing3_spmv` — the reference the
-tests compare the kernel against, next to the cache simulator that
-replays its access pattern.
+The kernel, :meth:`BufferedMatrix.spmv`, runs Listing 3's dataflow on
+scipy's compiled CSR loop: the layout *is* the CSR matrix whose rows
+are its (stage, row) slots in stage-grouped order — ``displ`` and
+``val`` as stored, the 16-bit local indices resolved through ``map``
+into one 32-bit column array — followed by a fold of each row's slots.
+That view is derived state, built at the first kernel call and never
+at set-up, persisted, pickled or shipped.  The literal
+partition/stage/row loop nest is :func:`repro.cachesim.listing3_spmv` —
+the reference the tests compare the kernel against, next to the cache
+simulator that replays its access pattern.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .csr import CSRMatrix, csr_row_sums, spmv_input
+from .csr import CSRMatrix, spmv_input
 from .partition import RowPartitions
 
 __all__ = [
@@ -148,11 +154,11 @@ class BufferedMatrix:
         )
 
     def __reduce__(self):
-        """Pickle the array form, never the lazy index plan.
+        """Pickle and copy the array form, never the cached kernel view.
 
-        ``_vector_plan`` caches derived index arrays on the instance;
-        carrying that cache through pickling would persist megabytes of
-        redundant state.  It is rebuilt lazily on first use instead.
+        The view holds a 4 B/nnz column array derived from ``map`` and
+        ``ind``; carrying it through pickling would persist megabytes
+        of redundant state.  It is rebuilt at the next kernel call.
         """
         return (
             type(self).from_arrays,
@@ -178,60 +184,67 @@ class BufferedMatrix:
 
     # -- kernels -------------------------------------------------------
 
-    def _vector_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Index arrays of the kernel, built lazily.
+    def _compiled(self) -> tuple[sp.csr_matrix, sp.csr_matrix | None]:
+        """The kernel's ``(slots, fold)`` pair, built at the first call.
 
-        Returns ``(global_ind, keep, rows_kept)``: the buffer-global
-        index of each nonzero, the mask of real (non-padding) row
-        slots, and the output row of each kept slot.  Cached on the
-        instance — amortized across all RHS columns of every call.
+        ``slots`` is the CSR matrix of the (stage, row) slots over the
+        layout's own ``displ`` and ``val``; its column array resolves
+        each stage's 16-bit indices through that stage's window of
+        ``map``, one stage at a time, so no nnz-sized temporary exists
+        beside it.  ``fold`` is the 0/1 matrix summing the slots of
+        each output row in stage order — ``None`` when every partition
+        has a single stage, where slot ``i`` is row ``i``.
         """
-        plan = getattr(self, "_plan", None)
-        if plan is None:
-            partsize = self.partitions.partition_size
-            num_stages = self.num_stages
-            stage_of_slot = np.repeat(np.arange(num_stages, dtype=np.int64), partsize)
-            slot_nnz = np.diff(self.displ)
-            stage_of_nnz = np.repeat(stage_of_slot, slot_nnz)
-            global_ind = self.stagedispl[stage_of_nnz] + self.ind
-            # Row j of partition p accumulates its slot in every stage.
+        compiled = getattr(self, "_view", None)
+        if compiled is not None:
+            return compiled
+        partsize = self.partitions.partition_size
+        stage_nnz = self.displ[::partsize]  # nonzero offset of each stage
+        cols = np.empty(self.nnz, dtype=self.map.dtype)
+        for stage in range(self.num_stages):
+            lo, hi = stage_nnz[stage], stage_nnz[stage + 1]
+            window = self.map[self.stagedispl[stage] : self.stagedispl[stage + 1]]
+            np.take(window, self.ind[lo:hi], out=cols[lo:hi])
+        fold = None
+        displ = self.displ
+        if self.num_stages == self.partitions.num_partitions:
+            # Only the last partition's padding slots lie past the rows.
+            displ = displ[: self.num_rows + 1]
+        else:
             part_of_stage = np.repeat(
-                np.arange(self.partitions.num_partitions, dtype=np.int64),
-                np.diff(self.partdispl),
+                np.arange(self.partitions.num_partitions), np.diff(self.partdispl)
             )
-            rows_of_slot = (
-                part_of_stage.repeat(partsize) * partsize
-                + np.tile(np.arange(partsize, dtype=np.int64), num_stages)
+            row_of_slot = (
+                part_of_stage[:, None] * partsize + np.arange(partsize)
+            ).ravel()
+            real = np.flatnonzero(row_of_slot < self.num_rows)
+            fold = sp.csr_matrix(
+                (
+                    np.ones(real.shape[0], dtype=self.val.dtype),
+                    (row_of_slot[real], real),
+                ),
+                shape=(self.num_rows, self.num_stages * partsize),
             )
-            keep = rows_of_slot < self.num_rows
-            plan = (global_ind, keep, rows_of_slot[keep])
-            self._plan = plan
-        return plan
+        slots = sp.csr_matrix(
+            (self.val, cols, displ),
+            shape=(displ.shape[0] - 1, self.num_cols),
+            copy=False,
+        )
+        self._view = (slots, fold)
+        return self._view
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
-        """Staged SpMV (paper Listing 3): ``y = A x``, whole-array.
+        """Staged SpMV (paper Listing 3): ``y = A x``, compiled.
 
-        Gathers ``x`` through ``map`` once (the concatenation of all
-        stage buffers), forms all products, and row-reduces with the
-        stage-grouped ``displ``.  Numerically identical to the literal
-        loop nest (:func:`repro.cachesim.listing3_spmv`).
+        Every (stage, row) slot is summed sequentially in stored order,
+        then each row's slots are summed in stage order — the literal
+        loop nest (:func:`repro.cachesim.listing3_spmv`) up to the
+        association of the sums inside one slot.
         """
         x = spmv_input(x, self.num_cols)
-        staged = x[self.map]  # all stage buffers back to back
-        # Global buffer-index of each nonzero: stage offset + local uint16.
-        global_ind, keep, rows_kept = self._vector_plan()
-        val = self.val if x.ndim == 1 else self.val[:, None]
-        slot_sums = csr_row_sums(
-            val * staged[global_ind],
-            self.displ,
-            self.num_stages * self.partitions.partition_size,
-        )
-        y = np.zeros(
-            (self.num_rows,) + x.shape[1:],
-            dtype=np.result_type(x.dtype, np.float32),
-        )
-        np.add.at(y, rows_kept, slot_sums[keep])
-        return y
+        slots, fold = self._compiled()
+        y = slots @ x
+        return y if fold is None else fold @ y
 
     def partition_slice(
         self, part0: int, part1: int, partition_size: int

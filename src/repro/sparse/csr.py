@@ -5,9 +5,12 @@ This mirrors the paper's Listing 2: a gather-only row-parallel SpMV
     for i in rows: y[i] = sum_j val[j] * x[ind[j]]
 
 with the regular streams ``ind``/``val`` and the irregular gather
-``x[ind[j]]``.  The Python kernel vectorizes the row loop with
-``np.add.reduceat`` over the nonzero products, which is the idiomatic
-numpy rendering of the same dataflow.
+``x[ind[j]]``.  The kernel is that loop, compiled: scipy's
+``csr_matvec`` (``csr_matvecs`` for a slab) run over the matrix's own
+``(val, ind, displ)`` through a zero-copy ``scipy.sparse.csr_matrix``
+view.  The view is *derived* state: built at the first kernel call,
+cached on the instance, and never built at set-up, persisted, pickled
+or shipped — the array form below is all that ever leaves an object.
 
 Every layout class of :mod:`repro.sparse` (this one,
 :class:`~repro.sparse.BufferedMatrix`,
@@ -143,9 +146,20 @@ class CSRMatrix:
         )
 
     def to_scipy(self) -> sp.csr_matrix:
-        """View as a scipy CSR matrix (shares the arrays)."""
+        """View as a scipy CSR matrix (shares the arrays).
+
+        ``ind`` and ``val`` are shared; only ``displ`` is narrowed to
+        scipy's index dtype, an O(rows) copy.
+        """
         return sp.csr_matrix(
             (self.val, self.ind, self.displ), shape=self.shape, copy=False
+        )
+
+    def __reduce__(self):
+        """Pickle and copy the array form, never the cached kernel view."""
+        return (
+            type(self).from_arrays,
+            (self.to_arrays(), self.num_rows, self.num_cols, 0),
         )
 
     # -- properties ----------------------------------------------------
@@ -171,12 +185,15 @@ class CSRMatrix:
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """Baseline gather-only SpMV (paper Listing 2): ``y = A x``.
 
-        For a slab, each irregular gather ``x[ind[j], :]`` pulls ``S``
-        contiguous elements, amortizing the random access.
+        Each row is summed sequentially in stored order.  For a slab,
+        each irregular gather ``x[ind[j], :]`` pulls ``S`` contiguous
+        elements, amortizing the random access.
         """
         x = spmv_input(x, self.num_cols)
-        val = self.val if x.ndim == 1 else self.val[:, None]
-        return csr_row_sums(val * x[self.ind], self.displ, self.num_rows)
+        view = getattr(self, "_view", None)
+        if view is None:
+            view = self._view = self.to_scipy()
+        return view @ x
 
     def row_sums(self) -> np.ndarray:
         """Sum of values per row (used by SIRT scaling)."""
@@ -304,14 +321,22 @@ class CSRMatrix:
         Keeps the irregular gathers of each row monotone in the ordered
         domain — required before stage assignment in the buffered
         kernel and beneficial for cache behaviour.
+
+        This is scipy's compiled in-place sort, run on a copy.  That
+        sort is not stable, so a row holding one column twice has no
+        defined result and is rejected (``from_scipy`` sums duplicates;
+        a traced matrix has none).
         """
-        nrows = self.num_rows
-        row_ids = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(self.displ))
-        order = np.lexsort((self.ind, row_ids))
+        view = sp.csr_matrix(
+            (self.val, self.ind, self.displ), shape=self.shape, copy=True
+        )
+        view.sort_indices()
+        if not view.has_canonical_format:
+            raise ValueError("a row holds the same column index more than once")
         return CSRMatrix(
             displ=self.displ.copy(),
-            ind=self.ind[order],
-            val=self.val[order],
+            ind=view.indices,
+            val=view.data,
             num_cols=self.num_cols,
             value_dtype=self.value_dtype,
         )

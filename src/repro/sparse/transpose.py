@@ -8,8 +8,9 @@ atomic-based transposition randomizes that order and destroys the
 locality that the Hilbert ordering established.
 
 ``scan_transpose`` implements the order-preserving scheme (a stable
-counting sort by column, the vectorized equivalent of Wang et al.'s
-scan algorithm, paper ref [22]).  ``randomized_transpose`` emulates the
+counting sort by column — Wang et al.'s scan algorithm, paper ref [22],
+as scipy's compiled CSR-to-CSC conversion runs it: column histogram,
+exclusive scan, ordered scatter).  ``randomized_transpose`` emulates the
 atomic scheme's arbitrary intra-row order and exists so the benchmarks
 can measure what that loss of locality costs.
 """
@@ -46,8 +47,14 @@ def scan_transpose(matrix: CSRMatrix) -> CSRMatrix:
     The nonzeros of each output row are sorted by their original row
     index, exactly as a serial scan over the input produces them.
     """
-    order = np.argsort(matrix.ind, kind="stable")
-    return _transpose_with_order(matrix, order)
+    transposed = matrix.to_scipy().T.tocsr()
+    return CSRMatrix(
+        displ=transposed.indptr,
+        ind=transposed.indices,
+        val=transposed.data,
+        num_cols=matrix.num_rows,
+        value_dtype=matrix.value_dtype,
+    )
 
 
 def randomized_transpose(matrix: CSRMatrix, seed: int = 0) -> CSRMatrix:

@@ -42,7 +42,6 @@ def _synthetic_measure(scale=1.0):
     def measure(cand, forward, adjoint):
         base = {"csr": 3.0, "buffered": 1.0, "ell": 2.0}[cand.kernel]
         cost = base + cand.partition_size / 1e3 + cand.buffer_bytes / 1e6
-        cost += 0.05 * (cand.workers - 1)
         return scale * cost
 
     return measure
@@ -52,7 +51,7 @@ class TestSearch:
     def test_deterministic_under_fixed_seed(self):
         A, AT = _problem()
         outcomes = [
-            Autotuner(seed=7, measure=_synthetic_measure(), workers_options=(1,)).tune(A, AT)
+            Autotuner(seed=7, measure=_synthetic_measure()).tune(A, AT)
             for _ in range(2)
         ]
         assert outcomes[0].best.candidate == outcomes[1].best.candidate
@@ -71,7 +70,7 @@ class TestSearch:
         search must find the same winner an exhaustive sweep finds.
         """
         A, AT = _problem()
-        probe = Autotuner(seed=0, workers_options=(1,))
+        probe = Autotuner(seed=0)
         predicted = {
             s.candidate: s.predicted_seconds for s in probe.predict(A)
         }
@@ -80,8 +79,7 @@ class TestSearch:
             return predicted[Candidate(cand.kernel, cand.partition_size,
                                        cand.buffer_bytes)]
 
-        tuner = Autotuner(seed=0, measure=model_measure, workers_options=(1,),
-                          top_k=3)
+        tuner = Autotuner(seed=0, measure=model_measure, top_k=3)
         outcome = tuner.tune(A, AT)
         exhaustive_best = min(predicted.values())
         assert outcome.best.measured_seconds <= 1.05 * exhaustive_best
@@ -113,7 +111,7 @@ class TestSearch:
         A, AT = _problem()
         with obs.capture() as cap:
             outcome = Autotuner(
-                measure=_synthetic_measure(), workers_options=(1,), top_k=2
+                measure=_synthetic_measure(), top_k=2
             ).tune(A, AT)
         assert cap.counters["autotune.candidates"].total == outcome.candidates_considered
         assert cap.counters["autotune.trials"].total == len(outcome.trials)
@@ -123,7 +121,7 @@ class TestSearch:
     def test_real_timing_path_runs(self):
         """No injected measure: actual trials on the built layouts."""
         A, AT = _problem(rows=48, cols=40)
-        outcome = Autotuner(workers_options=(1,), top_k=2, trial_repeats=1).tune(A, AT)
+        outcome = Autotuner(top_k=2, trial_repeats=1).tune(A, AT)
         assert all(t.measured_seconds > 0 for t in outcome.trials)
 
 

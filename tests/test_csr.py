@@ -142,6 +142,35 @@ class TestPermute:
         x = np.random.default_rng(3).random(12).astype(np.float32)
         np.testing.assert_allclose(sorted_.spmv(x), shuffled.spmv(x), atol=1e-5)
 
+    def test_sort_is_the_stable_two_key_sort(self):
+        """scipy's in-place sort gives what a stable (row, column)
+        lexsort gives, values included, and leaves the input alone."""
+        S = _random_sparse(40, 30, 0.3, 6)
+        rank = np.random.default_rng(1).permutation(30)
+        shuffled = CSRMatrix.from_scipy(S).permute(None, rank)
+        before = shuffled.ind.copy()
+        sorted_ = shuffled.sort_rows_by_index()
+        row_ids = np.repeat(np.arange(40), shuffled.row_nnz())
+        order = np.lexsort((shuffled.ind, row_ids))
+        assert np.array_equal(sorted_.ind, shuffled.ind[order])
+        assert np.array_equal(sorted_.val, shuffled.val[order])
+        assert np.array_equal(sorted_.displ, shuffled.displ)
+        assert np.array_equal(shuffled.ind, before)
+        assert not np.shares_memory(sorted_.val, shuffled.val)
+
+    def test_sort_is_fed_duplicate_free_rows(self):
+        """The compiled sort is not stable, so a column held twice in a
+        row has no defined order: ``from_scipy`` sums duplicates before
+        they can reach it, and a hand-built matrix with one is refused."""
+        coo = sp.coo_matrix(
+            (np.array([1.0, 2.0, 4.0], np.float32), ([0, 0, 1], [3, 3, 0])), shape=(2, 5)
+        )
+        A = CSRMatrix.from_scipy(coo).sort_rows_by_index()
+        assert A.nnz == 2 and A.val.tolist() == [3.0, 4.0]
+        twice = CSRMatrix(displ=[0, 3], ind=[4, 1, 4], val=[1.0, 2.0, 3.0], num_cols=5)
+        with pytest.raises(ValueError, match="more than once"):
+            twice.sort_rows_by_index()
+
 
 class TestConcatRanges:
     def test_basic(self):

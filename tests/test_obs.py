@@ -439,9 +439,11 @@ class TestDisabledOverhead:
         for _ in range(5):  # warm up
             timed(kernel)
         # Interleave the two and compare minima: a host slowdown hits
-        # both sides alike instead of whichever block it lands in.
+        # both sides alike instead of whichever block it lands in.  The
+        # compiled kernel takes ~0.2 ms here, so the minima need a few
+        # hundred samples to settle inside the 5 % they are held to.
         bare = instrumented = float("inf")
-        for _ in range(30):
+        for _ in range(300):
             bare = min(bare, timed(kernel))
             instrumented = min(instrumented, timed(op.forward))
         assert not obs.REGISTRY.active

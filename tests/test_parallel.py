@@ -4,11 +4,12 @@ The backend's one promise is that parallelism is an execution knob,
 never a numerics knob: every worker owns a contiguous partition range
 and reductions concatenate in fixed partition-major order, so serial
 and parallel results must be **bit-identical** on all three layouts,
-for thread and process modes, for single-vector and batched kernels,
-through every public entry point (operator, reconstruct, preprocess,
-pipeline).  These tests enforce exactly that, plus the satellite
-fixes: worker-spec parsing, shared-memory lifecycle, the buffered
-vector-plan persistence exclusion, buffer-capacity validation, and
+for thread and process specs (only process mode partitions SpMV; a
+thread spec runs the serial kernel), for single-vector and batched
+kernels, through every public entry point (operator, reconstruct,
+preprocess, pipeline).  These tests enforce exactly that, plus the
+satellite fixes: worker-spec parsing, shared-memory lifecycle, the
+compiled-view persistence exclusion, buffer-capacity validation, and
 ``permute`` input validation.
 """
 
@@ -41,6 +42,17 @@ from repro.trace import build_projection_matrix
 
 KERNELS = ("csr", "buffered", "ell")
 WORKER_SPECS = (2, 4, "process:2")
+
+
+def _worker_holdings(_):
+    """Run in an engine worker: its pid, and per direction the rows of
+    the one slice it holds and whether that slice's view is derived."""
+    from repro.parallel.spmv import _WORKER_SLICES
+
+    return os.getpid(), {
+        direction: (rows, "_view" in vars(sub))
+        for direction, (sub, rows, _) in _WORKER_SLICES.items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -151,12 +163,14 @@ class TestSharedMemory:
         }
         shared = shm_mod.SharedArrays(arrays)
         try:
-            out = shm_mod.read_copy(shared.name, shared.manifest)
+            out = shm_mod.attach_arrays(shared.name, shared.manifest)
             for key, array in arrays.items():
                 assert out[key].dtype == array.dtype
                 assert out[key].shape == array.shape
                 assert (out[key] == array).all()
         finally:
+            del out
+            shm_mod.detach_all()
             shared.dispose()
         # Double-dispose is safe; the segment is gone afterwards.
         shared.dispose()
@@ -216,9 +230,74 @@ class TestEngineBitIdentity:
         with pytest.raises(RuntimeError):
             engine.apply("forward", x)
 
+    def test_each_range_is_pinned_to_one_worker(self, operators):
+        """A partition range runs on the same process every call, and a
+        worker derives and holds its own range's slice and no other."""
+        op = operators["buffered"]
+        fwd, adj = op.buffered_forward, op.buffered_adjoint
+        rng = np.random.default_rng(3)
+        x = rng.random(fwd.num_cols).astype(np.float32)
+        y = rng.random(adj.num_cols).astype(np.float32)
+        with ParallelSpmvEngine(
+            workers=3,
+            mode="process",
+            partition_size=16,
+            forward_layout=fwd,
+            adjoint_layout=adj,
+        ) as engine:
+            for _ in range(3):
+                assert np.array_equal(engine.apply("forward", x), fwd.spmv(x))
+                assert np.array_equal(engine.apply("adjoint", y), adj.spmv(y))
+            held = [
+                backend.submit(_worker_holdings, None).result()
+                for backend in engine._backends
+            ]
+        assert len({pid for pid, _ in held}) == 3
+        for direction, layout in (("forward", fwd), ("adjoint", adj)):
+            bounds = [0] + [
+                min(p1 * 16, layout.num_rows)
+                for _, p1 in partition_ranges(-(-layout.num_rows // 16), 3)
+            ]
+            assert [slices[direction] for _, slices in held] == [
+                ((r0, r1), True) for r0, r1 in zip(bounds, bounds[1:])
+            ]
+
+    def test_scratch_segment_is_reused_and_regrown(self, operators):
+        """Vectors travel through one segment kept across calls; a slab
+        wider than anything before it replaces the segment once."""
+        fwd, adj = operators["csr"].matrix, operators["csr"].transpose
+        rng = np.random.default_rng(4)
+        x = rng.random(fwd.num_cols).astype(np.float32)
+        X = rng.random((fwd.num_cols, 5)).astype(np.float32)
+        with ParallelSpmvEngine(
+            workers=2,
+            mode="process",
+            partition_size=16,
+            forward_layout=fwd,
+            adjoint_layout=adj,
+        ) as engine:
+            names = []
+            for v in (x, x, X, x, X, x.astype(np.float64)):
+                out, ref = engine.apply("forward", v), fwd.spmv(v)
+                assert out.dtype == ref.dtype and np.array_equal(out, ref)
+                names.append(engine._scratch.shm.name)
+            assert names[0] == names[1] != names[2]
+            assert len(set(names[2:])) == 1
+        assert engine._scratch.shm is None
+
+    def test_thread_spec_runs_the_serial_kernel(self, operators):
+        """The compiled kernels hold the GIL: threads do not partition
+        SpMV, so a thread spec builds no engine."""
+        op = operators["buffered"]
+        op.set_workers("thread:2")
+        try:
+            assert op._active_engine() is None
+        finally:
+            op.set_workers(None)
+
     def test_serial_scope_pins_serial(self, operators):
         op = operators["buffered"]
-        op.set_workers(2)
+        op.set_workers("process:2")
         try:
             assert op._active_engine() is not None
             with op.serial_scope():
@@ -234,7 +313,7 @@ class TestEngineBitIdentity:
 class TestObservability:
     def test_parallel_counters_and_spans(self, operators):
         op = operators["buffered"]
-        op.set_workers(2)
+        op.set_workers("process:2")
         try:
             x = np.ones(op.num_pixels, dtype=np.float32)
             with obs.capture() as cap:
@@ -245,7 +324,7 @@ class TestObservability:
             assert len(spans) == 2
             assert {sp.attrs["worker"] for sp in spans} == {0, 1}
             for sp in spans:
-                assert sp.attrs["mode"] == "thread"
+                assert sp.attrs["mode"] == "process"
                 assert sp.duration >= 0.0
         finally:
             op.set_workers(None)
@@ -375,7 +454,7 @@ class TestPipelineWorkers:
 
 
 class TestBufferedPlanPersistence:
-    """The `_plan` cache must never ride along with a pickled layout."""
+    """The `_view` cache must never ride along with a pickled layout."""
 
     @pytest.fixture()
     def layout(self, small_matrix):
@@ -384,39 +463,39 @@ class TestBufferedPlanPersistence:
     def test_pickle_excludes_plan(self, layout):
         x = np.ones(layout.num_cols, dtype=np.float32)
         warm = layout.spmv(x)
-        assert hasattr(layout, "_plan")
+        assert hasattr(layout, "_view")
         clone = pickle.loads(pickle.dumps(layout))
-        assert not hasattr(clone, "_plan")
-        # Lazy rebuild produces the same plan and the same result.
+        assert not hasattr(clone, "_view")
+        # Lazy rebuild produces the same view and the same result.
         assert (clone.spmv(x) == warm).all()
-        assert hasattr(clone, "_plan")
+        assert hasattr(clone, "_view")
 
     def test_setstate_drops_stale_plan(self, layout):
-        """Whatever sits in ``_plan`` stays behind: the pickle is the
-        array form only, so a stale plan can never be resurrected."""
-        layout._plan = ("stale", "stale", "stale")
+        """Whatever sits in ``_view`` stays behind: the pickle is the
+        array form only, so a stale view can never be resurrected."""
+        layout._view = ("stale", "stale")
         clone = pickle.loads(pickle.dumps(layout))
-        assert not hasattr(clone, "_plan")
+        assert not hasattr(clone, "_view")
 
     def test_warm_operator_cache_roundtrip(self, tmp_path):
         """Regression: a warmed operator persists and reloads cleanly,
-        and the loaded copy rebuilds its plan lazily."""
+        and the loaded copy rebuilds its view lazily."""
         geometry = ParallelBeamGeometry(24, 24)
         cache = PlanCache(tmp_path / "plans")
         op, _ = preprocess(
             geometry,
             # Serial whatever REPRO_WORKERS says: a parallel run warms
-            # the plans of the workers' slices, not the layout's own.
+            # the views of the workers' slices, not the layout's own.
             config=OperatorConfig(partition_size=16, buffer_bytes=1024, workers="serial"),
             cache=cache,
         )
         x = np.ones(op.num_pixels, dtype=np.float32)
-        warm_result = op.forward(x)  # warms the vector plan
-        assert hasattr(op.buffered_forward, "_plan")
+        warm_result = op.forward(x)  # derives the compiled view
+        assert hasattr(op.buffered_forward, "_view")
         path = tmp_path / "op.npz"
         save_operator(path, op)
         loaded = load_operator(path)
-        assert not hasattr(loaded.buffered_forward, "_plan")
+        assert not hasattr(loaded.buffered_forward, "_view")
         assert (loaded.forward(x) == warm_result).all()
 
 
