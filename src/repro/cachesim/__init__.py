@@ -10,6 +10,7 @@ from .cache import Cache, CacheStats
 from .trace import (
     ELEMENT_BYTES,
     combined_trace_csr,
+    ell_lockstep_spmv,
     footprint_coordinates,
     irregular_trace_buffered,
     irregular_trace_csr,
@@ -25,6 +26,7 @@ __all__ = [
     "CacheStats",
     "ELEMENT_BYTES",
     "combined_trace_csr",
+    "ell_lockstep_spmv",
     "footprint_coordinates",
     "irregular_trace_buffered",
     "irregular_trace_csr",

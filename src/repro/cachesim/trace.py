@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sparse import BufferedMatrix, CSRMatrix, csr_row_sums
+from ..sparse import BufferedMatrix, CSRMatrix, ELLPartitioned, csr_row_sums
+from ..sparse.csr import spmv_input
 
 __all__ = [
     "irregular_trace_csr",
     "irregular_trace_buffered",
     "listing3_spmv",
+    "ell_lockstep_spmv",
     "combined_trace_csr",
     "footprint_coordinates",
     "ELEMENT_BYTES",
@@ -102,6 +104,35 @@ def listing3_spmv(buffered: BufferedMatrix, x: np.ndarray) -> np.ndarray:
             prod = buffered.val[d[0] : d[-1]] * buffer[buffered.ind[d[0] : d[-1]]]
             output += csr_row_sums(prod, d - d[0], partsize)
         y[row0:row1] += output[: row1 - row0]
+    return y
+
+
+def ell_lockstep_spmv(ell: ELLPartitioned, x: np.ndarray) -> np.ndarray:
+    """Literal lockstep rendering of the partition-padded ELL kernel.
+
+    One vector operation per pad slot over the rows of a partition —
+    a warp stepping through its column-major slab (paper §3.1.4), the
+    padded slots multiplying ``x[0]`` by ``0.0`` in place of a branch.
+    Slow (three numpy calls per slot) but it states the summation
+    order: this is the reference
+    :meth:`ELLPartitioned.spmv <repro.sparse.ELLPartitioned.spmv>` is
+    tested bit-identical to, for a vector or an ``(n, S)`` slab, not a
+    production kernel.
+    """
+    x = spmv_input(x, ell.num_cols)
+    columns = x.shape[1:]
+    dtype = np.result_type(x.dtype, np.float32, *ell.val_slabs[:1])
+    y = np.zeros((ell.num_rows,) + columns, dtype=dtype)
+    for part in range(ell.partitions.num_partitions):
+        start, stop = ell.partitions.bounds(part)
+        ind = ell.ind_slabs[part]
+        val = ell.val_slabs[part]
+        if columns:
+            val = val[:, :, None]
+        acc = np.zeros((stop - start,) + columns, dtype=y.dtype)
+        for w in range(ind.shape[0]):
+            acc += val[w] * x[ind[w]]
+        y[start:stop] = acc
     return y
 
 

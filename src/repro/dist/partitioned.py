@@ -167,7 +167,17 @@ class DistributedOperator:
             )
 
     def _build_recv_ids(self) -> None:
-        """Receiver-side local row ids for the reduction step."""
+        """Receiver-side local row ids for the reduction step.
+
+        Each id list is a slice of a rank's ``touched_rows``, which must
+        be strictly increasing: the owner-side reduction adds a segment
+        with one fancy-indexed ``+=``, which counts a repeated id once.
+        """
+        for p, rank in enumerate(self.ranks):
+            if (np.diff(rank.touched_rows) <= 0).any():
+                raise ValueError(
+                    f"rank {p}: touched_rows must be sorted and unique"
+                )
         sino_bounds = self.sino_dec.bounds
         self._recv_local_ids = [
             [
@@ -213,9 +223,7 @@ class DistributedOperator:
         for q in range(self.num_ranks):
             y_q = np.zeros(self.sino_dec.rank_size(q), dtype=np.float64)
             for p in range(self.num_ranks):
-                ids = self._recv_local_ids[q][p]
-                if ids.shape[0]:
-                    np.add.at(y_q, ids, recv[q][p].astype(np.float64))
+                y_q[self._recv_local_ids[q][p]] += recv[q][p]
             y_pieces.append(y_q)
         return y_pieces
 

@@ -357,7 +357,11 @@ def reconstruct_stack(
         or any object with ``update(done_slices, backlog)`` / ``done()``.
     """
     t_start = time.perf_counter()
-    source = open_source(raw_stack, darks=darks, flats=flats)
+    # The run's head and tail are not overlapped by anything: opening
+    # the source, starting the conveyor, draining the last write and
+    # finalizing the sink each get a span, so a trace has no gap there.
+    with span("pipeline.open"):
+        source = open_source(raw_stack, darks=darks, flats=flats)
     darks, flats = source.darks, source.flats
     num_slices = source.num_slices
     if geometry is None:
@@ -544,7 +548,8 @@ def reconstruct_stack(
         chunk_records: list[dict] = []
         solve_seconds = 0.0
 
-        conveyor = Conveyor(source, pending, sink=sink, prefetch=prefetch)
+        with span("pipeline.start", prefetch=prefetch):
+            conveyor = Conveyor(source, pending, sink=sink, prefetch=prefetch)
         with conveyor:
             for start, stop, chunk in conveyor.chunks():
                 with span("pipeline.chunk", start=start, stop=stop):
@@ -613,14 +618,16 @@ def reconstruct_stack(
                     save_checkpoint()
                     if reporter is not None:
                         reporter.update(int(done.sum()), conveyor.backlog)
-            conveyor.finish()
+            with span("pipeline.drain"):
+                conveyor.finish()
         if sink is not None:
             for a, b in conveyor.take_written():
                 done[a:b] = True
             # The in-flight slabs are durable now; record the final mask.
             save_checkpoint()
             if done.all():
-                output_path = sink.finalize()
+                with span("pipeline.finalize"):
+                    output_path = sink.finalize()
                 if output_path is not None:
                     extra["output_path"] = str(output_path)
         if reporter is not None:

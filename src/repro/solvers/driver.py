@@ -41,11 +41,13 @@ __all__ = [
 def _apply(op, slab: np.ndarray, one: str, many: str) -> np.ndarray:
     """Apply ``op.<one>`` column-wise, or ``op.<many>`` to the whole slab.
 
-    A one-column slab goes through the operator's 1-D kernel: per
-    column the two forms are bit-identical by contract, but the 1-D
-    kernel is the faster one (1.3-1.4x on the 256^2 buffered operator,
-    see ``docs/solvers.md``) and SpMV is ~all of a solve.  Operators
-    without batch methods (the distributed one) loop over columns.
+    A one-column slab goes to the operator as a vector: per column the
+    two forms are bit-identical by contract, and an ``S = 1`` solve
+    records the spans of a single solve (no ``batch`` attribute).  It
+    buys no time any more — every layout kernel runs an ``(n, 1)`` slab
+    through its vector loop (1.00-1.03x, see ``docs/solvers.md``).
+    Operators without batch methods (the distributed one) loop over
+    columns.
     """
     if slab.shape[1] == 1:
         return np.asarray(getattr(op, one)(slab[:, 0]))[:, None]

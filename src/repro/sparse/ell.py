@@ -11,8 +11,12 @@ calls out versus cuSPARSE:
 * padded slots hold index ``0`` and value ``0`` and are multiplied
   redundantly instead of branched around, avoiding thread divergence.
 
-The Python kernel walks the pad width with one vector operation per
-column slot, mirroring the lockstep execution of a warp.
+The kernel is that lockstep execution, compiled: a column-major slab
+*is* a coordinate stream in warp order — slot 0 of every row of the
+block, then slot 1, ... — whose row ids repeat ``0..rows-1``, so each
+slab is read where it lies by scipy's ``coo_matvec``
+(``coo_matmat_dense`` for a slab of right-hand sides) against one
+call-local row-id stream.  Nothing is transposed, copied or kept.
 """
 
 from __future__ import annotations
@@ -20,11 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .csr import CSRMatrix, spmv_input
 from .partition import RowPartitions
 
 __all__ = ["ELLPartitioned", "build_ell"]
+
+# Resolved at import, by name.  The slab loop is younger than the
+# declared scipy floor: without it a slab goes through ``coo_matvec``
+# one column at a time — the matrix read S times, the bits the same.
+_coo_matvec = _sparsetools.coo_matvec
+_coo_matmat_dense = getattr(_sparsetools, "coo_matmat_dense", None)
 
 
 @dataclass
@@ -141,29 +152,44 @@ class ELLPartitioned:
     # -- kernel --------------------------------------------------------
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
-        """Coalesced-style SpMV: one vector op per ELL column slot.
+        """Coalesced-style SpMV: each slab streamed once, in warp order.
 
-        For a slab each column slot updates an ``(rows, S)``
-        accumulator, so the padded layout is streamed once for all
-        ``S`` right-hand sides.
+        A row is summed slot ``0 .. width-1`` in stored order, padding
+        included (index 0, value 0: multiplied, not branched around, as
+        on the GPU), so the result is bit-identical to
+        :func:`repro.cachesim.ell_lockstep_spmv` and, for finite
+        ``x[0]``, to :meth:`CSRMatrix.spmv` on the source matrix.  For
+        an ``(n, S)`` slab each stored element drives all ``S`` columns.
+
+        The result dtype covers ``x``, the stored values and float32,
+        so stored values are widened, never rounded.  Per call: the
+        result, one ``max(widths) x partition_size`` row-id stream and
+        — only when the values are stored narrower than the result —
+        one slab's values cast at a time.  Nothing scales with nnz and
+        nothing is kept on the instance.
         """
         x = spmv_input(x, self.num_cols)
-        columns = x.shape[1:]
-        y = np.zeros(
-            (self.num_rows,) + columns, dtype=np.result_type(x.dtype, np.float32)
-        )
+        if x.ndim == 2 and x.shape[1] > 1 and _coo_matmat_dense is None:
+            return np.stack([self.spmv(column) for column in x.T], axis=1)
+        dtype = np.result_type(x.dtype, np.float32, *self.val_slabs[:1])
+        x = np.ascontiguousarray(x, dtype=dtype)
+        y = np.zeros((self.num_rows,) + x.shape[1:], dtype=dtype)
+        flat = x.ravel()
+        columns = x.shape[1] if x.ndim == 2 else 1
+        max_width = int(self.widths.max(initial=0))
+        row_ids: dict[int, np.ndarray] = {}  # full partitions, ragged tail
         for part in range(self.partitions.num_partitions):
             start, stop = self.partitions.bounds(part)
-            ind = self.ind_slabs[part]
-            val = self.val_slabs[part]
-            if columns:
-                val = val[:, :, None]
-            acc = np.zeros((stop - start,) + columns, dtype=y.dtype)
-            for w in range(ind.shape[0]):
-                # Padded slots multiply x[0] by 0.0 — redundant work in
-                # place of a branch, as on the GPU.
-                acc += val[w] * x[ind[w]]
-            y[start:stop] = acc
+            ind = self.ind_slabs[part].ravel()
+            val = self.val_slabs[part].ravel().astype(dtype, copy=False)
+            out = y[start:stop].ravel()
+            rows = stop - start
+            if rows not in row_ids:
+                row_ids[rows] = np.tile(np.arange(rows, dtype=np.int32), max_width)
+            if columns == 1:  # an (n, 1) slab is the vector, in memory too
+                _coo_matvec(ind.size, row_ids[rows], ind, val, flat, out)
+            else:
+                _coo_matmat_dense(ind.size, columns, row_ids[rows], ind, val, flat, out)
         return y
 
 

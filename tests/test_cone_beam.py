@@ -187,11 +187,11 @@ class TestConeOperator:
 class TestKernelConsistency:
     """Cross-layout agreement of the cone operator.
 
-    csr and buffered share the row-segment reduction
-    (``np.add.reduceat``), so they agree **bitwise**.  ELL accumulates
-    per column slot (a different, equally valid summation order), so it
-    matches to fp64 rounding but not bitwise — same as the 2D suite's
-    cross-kernel contract.
+    Every kernel adds a row's products one after the other in stored
+    order (single-stage buffered is the CSR kernel, ELL's padding adds
+    zeros), so csr and buffered agree **bitwise** here.  ELL is held to
+    fp64 rounding in this file; ``test_ell.py`` and
+    ``test_layout_conformance.py`` pin it bitwise too.
     """
 
     @pytest.fixture(scope="class")

@@ -24,7 +24,7 @@ import pytest
 
 from repro import obs
 from repro.cache import PlanCache
-from repro.cachesim import listing3_spmv
+from repro.cachesim import ell_lockstep_spmv, listing3_spmv
 from repro.core import KERNELS, OperatorConfig, preprocess
 from repro.geometry import ParallelBeamGeometry
 from repro.io import load_operator, save_operator
@@ -132,6 +132,13 @@ class TestKernelConformance:
                 * (np.abs(dense) @ np.abs(x.astype(np.float64)))
             )
             assert (np.abs(literal.reshape(y.shape) - y) <= bound).all()
+
+        # ELL reads its column-major slabs in warp order: the literal
+        # slot-by-slot loop and the CSR kernel add the same products in
+        # the same order (padding adds 0 * x[0]), bit for bit.
+        if kernel == "ell":
+            assert np.array_equal(ell_lockstep_spmv(layout, x), y)
+            assert np.array_equal(op.matrix.spmv(x), y)
 
         # Partition-range slices tile the output, bit for bit.
         num_partitions = -(-layout.num_rows // PARTITION_SIZE)

@@ -321,6 +321,19 @@ class TestExecutor:
         assert cap.find_spans("pipeline.run")
         assert len(cap.find_spans("pipeline.chunk")) == 3
 
+    def test_head_and_tail_have_spans(self, demo, tmp_path):
+        """What no solve overlaps — opening the source, starting the
+        conveyor, draining the last write, finalizing the sink — is
+        attributed in a trace, not left as a gap in ``pipeline.run``."""
+        with obs.capture() as cap:
+            reconstruct_stack(
+                demo.sinograms, demo.geometry, stages=[], iterations=1,
+                chunk_slices=2, operator=demo.operator, prefetch=1,
+                sink=tmp_path / "volume",
+            )
+        for name in ("open", "start", "drain", "finalize"):
+            assert len(cap.find_spans(f"pipeline.{name}")) == 1, name
+
     def test_memory_budget_chunking(self, demo, monkeypatch):
         # The budget below is the float64-state model: pin the unset
         # default rather than whatever REPRO_DTYPE the suite runs under.
