@@ -24,7 +24,8 @@ PAPER_SPEEDUPS = {"ADS2": 49.2, "RDS1": 6.86}
 def _measure(spec):
     g = spec.geometry()
     t0 = time.perf_counter()
-    op, rep = preprocess(g, config=OperatorConfig(partition_size=128, buffer_bytes=8192))
+    config = OperatorConfig(kernel="buffered", partition_size=128, buffer_bytes=8192)
+    op, rep = preprocess(g, config=config)
     preproc = time.perf_counter() - t0
 
     truth = spec.phantom()

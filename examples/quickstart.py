@@ -22,7 +22,8 @@ def main() -> None:
 
     # Preprocessing = the memory-centric step: trace every ray once,
     # order both domains with the two-level pseudo-Hilbert curve, build
-    # the transposed and buffered matrices.
+    # the transpose (OperatorConfig(kernel="buffered") adds Listing 3's
+    # staged layout on top).
     operator, report = preprocess(geometry)
     print(f"preprocessing: {format_seconds(report.total_seconds)} "
           f"(tracing {format_seconds(report.tracing_seconds)}), "

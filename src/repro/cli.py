@@ -14,8 +14,6 @@ Twelve subcommands cover the beamline workflow:
 * ``pipeline``    — streaming multi-slice stack reconstruction:
   conditioning stages + batched multi-RHS solves + per-chunk
   checkpointing (see ``docs/pipeline.md``);
-* ``bench``       — quick kernel timing of the three optimization
-  levels on a scaled dataset;
 * ``scale``       — print a modeled weak/strong scaling curve
   (paper Fig. 11) for a dataset-machine pair;
 * ``cache``       — list / inspect / clear / prune the persistent
@@ -32,10 +30,11 @@ Twelve subcommands cover the beamline workflow:
 ``--dtype float32|float64`` (compute precision) and ``--tune
 auto|predict|force`` (autotuned kernel configuration).
 
-Commands that build an operator plan (``preprocess``, ``reconstruct``,
-``bench``) consult the plan cache transparently — ``--cache auto`` is
-the default, ``--cache off`` disables it, ``--cache DIR`` selects an
-explicit directory.  A warm cache skips all four preprocessing stages.
+Commands that build an operator plan (``preprocess``, ``scenario``,
+``reconstruct``, ``pipeline``) consult the plan cache transparently —
+``--cache auto`` is the default, ``--cache off`` disables it, ``--cache
+DIR`` selects an explicit directory.  A warm cache skips all four
+preprocessing stages.
 
 Every subcommand additionally accepts the observability flags
 ``--trace FILE`` (write a Chrome-trace / Perfetto JSON of everything
@@ -53,13 +52,14 @@ NaN/divergence monitor; see ``docs/resilience.md``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .core import DATASETS, OperatorConfig, get_dataset, preprocess, reconstruct
+from .core import DATASETS, KERNELS, OperatorConfig, get_dataset, preprocess, reconstruct
 from .machine import MACHINES
 from .utils import format_bytes, format_seconds, psnr, render_table
 
@@ -493,56 +493,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    spec = get_dataset(args.dataset).scaled(args.scale)
-    g = spec.geometry()
-    print(f"building {spec.name} ({g.sinogram_shape[0]}x{g.sinogram_shape[1]})...")
-    # Both plans go through preprocess() so a warm cache skips the
-    # (dominant) tracing/ordering/layout construction on repeat runs.
-    raw_op, raw_report = preprocess(
-        g, config=OperatorConfig(kernel="csr"), ordering="row-major",
-        cache=args.cache,
-    )
-    _print_cache_status(raw_report)
-    buf_op, buf_report = preprocess(
-        g,
-        config=OperatorConfig(kernel="buffered", partition_size=128, buffer_bytes=8192),
-        ordering="pseudo-hilbert",
-        cache=args.cache,
-    )
-    _print_cache_status(buf_report)
-    raw = raw_op.matrix
-    ordered = buf_op.matrix
-    buffered = buf_op.buffered_forward
-    x = np.random.default_rng(0).random(raw.num_cols).astype(np.float32)
-
-    def best_of(fn, repeats=5):
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn(x)
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    rows = [
-        ["CSR baseline", format_seconds(best_of(raw.spmv))],
-        ["pseudo-Hilbert CSR", format_seconds(best_of(ordered.spmv))],
-        ["multi-stage buffered", format_seconds(best_of(buffered.spmv))],
-    ]
-    if args.workers:
-        buf_op.set_workers(args.workers)
-        rows.append(
-            [
-                f"buffered, workers={args.workers}",
-                format_seconds(best_of(buf_op.forward)),
-            ]
-        )
-        buf_op.close()
-    print(render_table(["kernel", "best of 5"], rows,
-                       title=f"forward projection, nnz = {raw.nnz:,}"))
-    return 0
-
-
 def _cmd_scale(args: argparse.Namespace) -> int:
     from .dist import find_hier_crossover, strong_scaling_series, weak_scaling_series
     from .machine import get_machine
@@ -775,7 +725,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json as _json
 
     from .service import ReconService, ServiceConfig, ServiceFaultConfig, serve
-    from .resilience import RetryPolicy
 
     faults = None
     if args.faults:
@@ -787,8 +736,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         coalesce_window_s=args.coalesce_window,
         rate_limit=args.rate_limit,
         rate_burst=args.rate_burst,
-        retry=RetryPolicy(
-            max_retries=args.retries, backoff_base=args.backoff
+        retry=dataclasses.replace(
+            _default(ServiceConfig, "retry"),
+            max_retries=args.retries, backoff_base=args.backoff,
         ),
         cache=args.cache,
         kernel=args.kernel,
@@ -868,7 +818,21 @@ def _cmd_result(args: argparse.Namespace) -> int:
     return 0
 
 
+def _default(config_class, name: str):
+    """A flag's default is the default of the dataclass field it fills.
+
+    Re-typing it lets the two drift, and then one request made through
+    the CLI and through the API hashes to two plan fingerprints.
+    """
+    field = config_class.__dataclass_fields__[name]
+    if field.default is not dataclasses.MISSING:
+        return field.default
+    return field.default_factory()
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .service import ServiceConfig
+
     parser = argparse.ArgumentParser(
         prog="repro", description="MemXCT reproduction command-line interface"
     )
@@ -961,9 +925,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="cone-beam volume slices (default: det-rows)",
     )
     p.add_argument("--ordering", default="pseudo-hilbert")
-    p.add_argument("--kernel", default="buffered", choices=("csr", "buffered", "ell"))
-    p.add_argument("--partition-size", type=int, default=128)
-    p.add_argument("--buffer-kb", type=int, default=8)
+    p.add_argument(
+        "--kernel", default=_default(OperatorConfig, "kernel"), choices=KERNELS
+    )
+    p.add_argument(
+        "--partition-size", type=int, default=_default(OperatorConfig, "partition_size")
+    )
+    p.add_argument(
+        "--buffer-kb",
+        type=int,
+        default=_default(OperatorConfig, "buffer_bytes") // 1024,
+    )
     p.add_argument("--output", "-o", default="operator.npz")
 
     p = sub.add_parser(
@@ -1023,7 +995,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--step", type=float, default=0.5, help="try-center: candidate spacing"
     )
-    p.add_argument("--kernel", default="buffered", choices=("csr", "buffered", "ell"))
+    p.add_argument(
+        "--kernel", default=_default(OperatorConfig, "kernel"), choices=KERNELS
+    )
     p.add_argument("--iterations", type=int, default=20)
     p.add_argument("--output", "-o", default="scenario.npz")
 
@@ -1166,14 +1140,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "bench",
-        help="time the three kernel levels",
-        parents=[obs_flags, cache_flags, workers_flags],
-    )
-    p.add_argument("--dataset", default="ADS2", choices=sorted(DATASETS))
-    p.add_argument("--scale", type=float, default=0.25)
-
-    p = sub.add_parser(
         "scale", help="print a modeled scaling curve (Fig. 11)", parents=[obs_flags]
     )
     p.add_argument("--dataset", default="RDS1", choices=sorted(DATASETS))
@@ -1237,29 +1203,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8780,
                    help="TCP port (0 binds an ephemeral port, reported as a "
                    "JSON line and in <spool>/server.json)")
-    p.add_argument("--queue-limit", type=int, default=16,
+    p.add_argument("--queue-limit", type=int,
+                   default=_default(ServiceConfig, "queue_limit"),
                    help="max admitted (queued + running) jobs before 429")
-    p.add_argument("--max-batch", type=int, default=8,
+    p.add_argument("--max-batch", type=int,
+                   default=_default(ServiceConfig, "max_batch"),
                    help="max compatible jobs coalesced into one batched solve")
-    p.add_argument("--coalesce-window", type=float, default=0.005,
+    p.add_argument("--coalesce-window", type=float,
+                   default=_default(ServiceConfig, "coalesce_window_s"),
                    metavar="SECONDS",
                    help="how long the scheduler waits for batchable peers")
-    p.add_argument("--rate-limit", type=float, default=None, metavar="PER_S",
+    p.add_argument("--rate-limit", type=float,
+                   default=_default(ServiceConfig, "rate_limit"), metavar="PER_S",
                    help="per-tenant sustained submissions/second (default: off)")
-    p.add_argument("--rate-burst", type=float, default=4.0,
+    p.add_argument("--rate-burst", type=float,
+                   default=_default(ServiceConfig, "rate_burst"),
                    help="per-tenant burst allowance")
-    p.add_argument("--retries", type=int, default=2,
+    retry = _default(ServiceConfig, "retry")
+    p.add_argument("--retries", type=int, default=retry.max_retries,
                    help="retry budget for transiently failed jobs")
-    p.add_argument("--backoff", type=float, default=0.05, metavar="SECONDS",
+    p.add_argument("--backoff", type=float, default=retry.backoff_base,
+                   metavar="SECONDS",
                    help="first-retry backoff (doubles per attempt)")
-    p.add_argument("--kernel", default="buffered",
-                   choices=("csr", "buffered", "ell"),
+    p.add_argument("--kernel", default=_default(ServiceConfig, "kernel"),
+                   choices=KERNELS,
                    help="SpMV kernel for service operators (ell amortizes "
                    "best across coalesced multi-RHS batches)")
-    p.add_argument("--result-ttl", type=float, default=None, metavar="SECONDS",
+    p.add_argument("--result-ttl", type=float,
+                   default=_default(ServiceConfig, "result_ttl_s"), metavar="SECONDS",
                    help="evict a finished job's spool payload this long after "
                    "it turns terminal; result then answers HTTP 410")
-    p.add_argument("--spool-cap", type=int, default=None, metavar="BYTES",
+    p.add_argument("--spool-cap", type=int,
+                   default=_default(ServiceConfig, "spool_cap_bytes"), metavar="BYTES",
                    help="cap on spool bytes held by finished jobs "
                    "(oldest results evicted first)")
     p.add_argument("--faults", metavar="SPEC",
@@ -1331,7 +1306,6 @@ def main(argv: list[str] | None = None) -> int:
         "scenario": _cmd_scenario,
         "reconstruct": _cmd_reconstruct,
         "pipeline": _cmd_pipeline,
-        "bench": _cmd_bench,
         "scale": _cmd_scale,
         "cache": _cmd_cache,
         "tune": _cmd_tune,

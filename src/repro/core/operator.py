@@ -63,8 +63,13 @@ class OperatorConfig:
     Attributes
     ----------
     kernel:
-        ``"csr"`` (Listing 2 baseline), ``"buffered"`` (Listing 3) or
-        ``"ell"`` (GPU-style partition-padded layout).
+        ``"csr"`` (default; Listing 2 on the ordered matrix),
+        ``"buffered"`` (Listing 3) or ``"ell"`` (GPU-style
+        partition-padded layout).  Every operator holds the ordered
+        CSR pair ``matrix``/``transpose``; ``csr`` runs on it as it
+        stands, so the pair is the only form built, persisted and
+        loaded.  The other two build, hold and persist their layout
+        pair beside it.
     partition_size:
         Rows per partition; the paper's tuned KNL value is 128.
     buffer_bytes:
@@ -92,7 +97,7 @@ class OperatorConfig:
         unless explicitly set) with the persisted per-geometry winner.
     """
 
-    kernel: str = "buffered"
+    kernel: str = "csr"
     partition_size: int = 128
     buffer_bytes: int = 32 * 1024
     workers: int | str | None = None

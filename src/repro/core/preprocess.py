@@ -77,8 +77,8 @@ def preprocess(
     geometry:
         Scan geometry to memoize.
     config:
-        Kernel configuration (defaults to the buffered kernel with the
-        paper's tuned KNL parameters).
+        Kernel configuration (``OperatorConfig()`` by default: the CSR
+        kernel on the ordered pair, no further layout built).
     ordering:
         Domain-ordering scheme for both domains (``"row-major"``,
         ``"morton"``, ``"hilbert"``, ``"pseudo-hilbert"``).

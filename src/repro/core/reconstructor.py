@@ -185,7 +185,7 @@ def reconstruct(
     ordering:
         Domain ordering for both domains.
     config:
-        Kernel configuration (buffered kernel by default).
+        Kernel configuration (``OperatorConfig()`` by default).
     num_ranks:
         Simulated MPI ranks; > 1 reconstructs through the distributed
         ``A = R C A_p`` operator (numerically identical by design).
@@ -308,19 +308,18 @@ def reconstruct(
             operator.tomo_ordering, operator.sino_ordering, num_ranks
         )
         topo = _resolve_topology(topology, num_ranks)
+        comm = None
         if injector is not None:
             comm = (
                 SimComm(num_ranks, fault_injector=injector)
                 if topo.is_flat
                 else HierComm(topo, fault_injector=injector)
             )
-            solve_op = DistributedOperator(
-                operator.matrix, tomo_dec, sino_dec, comm=comm
-            )
-        else:
-            solve_op = DistributedOperator(
-                operator.matrix, tomo_dec, sino_dec, topology=topo
-            )
+        # The rank blocks are sliced out of the transpose held here.
+        solve_op = DistributedOperator(
+            operator.matrix, tomo_dec, sino_dec, comm=comm, topology=topo,
+            transpose=operator.transpose,
+        )
 
     t0 = time.perf_counter()
     solve = _run_solver(

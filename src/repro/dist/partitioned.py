@@ -78,6 +78,41 @@ class RankData:
     touched_rows: np.ndarray
     send_segments: list[tuple[int, int]]
 
+    @classmethod
+    def from_transpose_rows(
+        cls, transpose: CSRMatrix, c0: int, c1: int, sino_bounds: np.ndarray
+    ) -> "RankData":
+        """The rank owning tomogram cells ``[c0, c1)``, cut from ``A^T``.
+
+        Rows ``[c0, c1)`` of the ordered transpose *are* ``A_p^T`` with
+        global sinogram positions for columns, already in scan order:
+        the touched rows are the block's distinct columns,
+        ``partial_transpose`` is the block with its columns renumbered
+        onto them (a view of the values, a block-sized copy of the
+        indices) and ``A_p`` is its scan transpose.  Rank blocks hold
+        float32 values whatever the source stores — the wire does too.
+        """
+        lo, hi = transpose.displ[c0], transpose.displ[c1]
+        ind = transpose.ind[lo:hi]
+        hit = np.zeros(transpose.num_cols, dtype=bool)
+        hit[ind] = True
+        touched = np.flatnonzero(hit)
+        local = np.empty(transpose.num_cols, dtype=np.int32)
+        local[touched] = np.arange(touched.shape[0], dtype=np.int32)
+        partial_transpose = CSRMatrix(
+            displ=transpose.displ[c0 : c1 + 1] - lo,
+            ind=local[ind],
+            val=transpose.val[lo:hi],
+            num_cols=touched.shape[0],
+        )
+        cuts = np.searchsorted(touched, sino_bounds)
+        return cls(
+            partial_matrix=scan_transpose(partial_transpose),
+            partial_transpose=partial_transpose,
+            touched_rows=touched,
+            send_segments=[(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:])],
+        )
+
 
 class DistributedOperator:
     """MemXCT's distributed forward/backprojection over a SimComm.
@@ -96,6 +131,7 @@ class DistributedOperator:
         comm: SimComm | None = None,
         rank_data: list[RankData] | None = None,
         topology: Topology | None = None,
+        transpose: CSRMatrix | None = None,
     ):
         if tomo_dec.num_ranks != sino_dec.num_ranks:
             raise ValueError("tomogram and sinogram decompositions must agree on ranks")
@@ -104,9 +140,14 @@ class DistributedOperator:
                 raise ValueError("matrix rows must match the sinogram domain")
             if matrix.num_cols != tomo_dec.ordering.num_cells:
                 raise ValueError("matrix columns must match the tomogram domain")
+            if transpose is not None and transpose.shape != matrix.shape[::-1]:
+                raise ValueError("transpose must have the matrix's shape, transposed")
         elif rank_data is None:
             raise ValueError("either a global matrix or per-rank data is required")
         self.matrix = matrix
+        # The scan transpose of ``matrix`` the caller already holds (an
+        # operator's); without one the first build derives it, once.
+        self.transpose = transpose
         self.tomo_dec = tomo_dec
         self.sino_dec = sino_dec
         self.num_ranks = tomo_dec.num_ranks
@@ -139,32 +180,23 @@ class DistributedOperator:
                 )
             self.ranks = rank_data
         else:
-            self.ranks = []
             self._build()
         self._build_recv_ids()
 
     # -- preprocessing --------------------------------------------------
 
     def _build(self) -> None:
-        scipy_matrix = self.matrix.to_scipy().tocsc()
-        sino_bounds = self.sino_dec.bounds
-        for p in range(self.num_ranks):
-            c0, c1 = self.tomo_dec.bounds[p], self.tomo_dec.bounds[p + 1]
-            col_slice = scipy_matrix[:, c0:c1].tocsr()
-            touched = np.flatnonzero(np.diff(col_slice.indptr)).astype(np.int64)
-            partial = CSRMatrix.from_scipy(col_slice[touched])
-            segments = []
-            cuts = np.searchsorted(touched, sino_bounds)
-            for q in range(self.num_ranks):
-                segments.append((int(cuts[q]), int(cuts[q + 1])))
-            self.ranks.append(
-                RankData(
-                    partial_matrix=partial,
-                    partial_transpose=scan_transpose(partial),
-                    touched_rows=touched,
-                    send_segments=segments,
-                )
+        """Cut every rank's block out of the transpose (views + one
+        block-sized index copy each; no copy of the global matrix)."""
+        if self.transpose is None:
+            self.transpose = scan_transpose(self.matrix)
+        tomo_bounds = self.tomo_dec.bounds
+        self.ranks = [
+            RankData.from_transpose_rows(
+                self.transpose, tomo_bounds[p], tomo_bounds[p + 1], self.sino_dec.bounds
             )
+            for p in range(self.num_ranks)
+        ]
 
     def _build_recv_ids(self) -> None:
         """Receiver-side local row ids for the reduction step.
@@ -304,7 +336,6 @@ class DistributedOperator:
                 self.comm = HierComm(self.topology, fault_injector=injector)
             self.degradations.append(record)
             self.num_ranks = survivors
-            self.ranks = []
             self._build()
             self._build_recv_ids()
         add_count(FAULT_RECOVERIES, len(dead))

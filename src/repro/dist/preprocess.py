@@ -24,10 +24,11 @@ The result is numerically identical to slicing a globally-built matrix
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..geometry import ScanGeometry
 from ..ordering import make_ordering
-from ..sparse import CSRMatrix, scan_transpose
+from ..sparse import CSRMatrix
 from ..topology import HierComm, Topology
 from ..trace import trace_view
 from .decomposition import decompose_both
@@ -62,39 +63,23 @@ def _assemble_rank(
     vals: np.ndarray,
     col_range: tuple[int, int],
     sino_bounds: np.ndarray,
-    num_ranks: int,
 ) -> RankData:
-    """Build one rank's RankData from its received triplets."""
-    local_cols = cols - col_range[0]
-    order = np.lexsort((local_cols, rows))
-    rows = rows[order]
-    local_cols = local_cols[order]
-    vals = vals[order]
+    """Build one rank's RankData from its received triplets.
 
-    touched, inverse = np.unique(rows, return_inverse=True)
+    The triplets are assembled as ``A_p^T`` (local tomogram cell by
+    global sinogram position; duplicate entries from corner-grazing
+    rays summed, as the serial builder sums them) and cut by the
+    constructor that slices a global transpose.
+    """
     num_local_cols = col_range[1] - col_range[0]
-    counts = np.bincount(inverse, minlength=touched.shape[0])
-    displ = np.zeros(touched.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=displ[1:])
-    partial = CSRMatrix(
-        displ=displ,
-        ind=local_cols.astype(np.int32),
-        val=vals,
-        num_cols=num_local_cols,
+    partial_transpose = CSRMatrix.from_scipy(
+        sp.coo_matrix(
+            (vals, (cols - col_range[0], rows)),
+            shape=(num_local_cols, int(sino_bounds[-1])),
+        )
     )
-    # Duplicate (row, col) entries from corner-grazing rays were summed
-    # by the serial builder; replicate by collapsing via scipy.
-    scipy_partial = partial.to_scipy()
-    scipy_partial.sum_duplicates()
-    partial = CSRMatrix.from_scipy(scipy_partial)
-
-    cuts = np.searchsorted(touched, sino_bounds)
-    segments = [(int(cuts[q]), int(cuts[q + 1])) for q in range(num_ranks)]
-    return RankData(
-        partial_matrix=partial,
-        partial_transpose=scan_transpose(partial),
-        touched_rows=touched,
-        send_segments=segments,
+    return RankData.from_transpose_rows(
+        partial_transpose, 0, num_local_cols, sino_bounds
     )
 
 
@@ -173,7 +158,6 @@ def distributed_preprocess(
                 vals,
                 (int(tomo_dec.bounds[p]), int(tomo_dec.bounds[p + 1])),
                 sino_dec.bounds,
-                num_ranks,
             )
         )
 

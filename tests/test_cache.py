@@ -40,7 +40,8 @@ class TestFingerprint:
             plan_fingerprint(small_geometry, ordering="row-major"),
             plan_fingerprint(small_geometry, min_tiles=4),
             plan_fingerprint(small_geometry, tile_size=8),
-            plan_fingerprint(small_geometry, config=OperatorConfig(kernel="csr")),
+            plan_fingerprint(small_geometry, config=OperatorConfig(kernel="buffered")),
+            plan_fingerprint(small_geometry, config=OperatorConfig(kernel="ell")),
             plan_fingerprint(
                 small_geometry,
                 config=OperatorConfig(partition_size=64),
@@ -52,6 +53,27 @@ class TestFingerprint:
         ]
         assert base not in variants
         assert len(set(variants)) == len(variants)
+
+    def test_default_is_the_named_csr_plan(self, small_geometry):
+        assert OperatorConfig().kernel == "csr"
+        assert plan_fingerprint(small_geometry) == plan_fingerprint(
+            small_geometry, config=OperatorConfig(kernel="csr")
+        )
+
+    def test_named_kernels_keep_their_keys(self, monkeypatch):
+        """A config that names its kernel hashes as it always has: the
+        default moved from buffered to csr, no key did.  (Values of the
+        commit before the move, 64x48 parallel beam.)"""
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
+        geometry = ParallelBeamGeometry(64, 48)
+        assert {
+            kernel: plan_fingerprint(geometry, OperatorConfig(kernel=kernel))
+            for kernel in ("csr", "buffered", "ell")
+        } == {
+            "csr": "99a987a1782b19c83cddd7e4e385a58c92f3aec3149d95aae158c4959652b8fb",
+            "buffered": "8c34b6c2d2df8c67bd8bc8fab229e8d34a7f59cb09c48c6e9ba58990918384bd",
+            "ell": "130c9045ede303d3c28945afd27e12ab437277282ae27b34cf0fd4881783517a",
+        }
 
     def test_float_inputs_hashed_exactly(self, small_geometry):
         """One-ulp geometry changes must map to a different plan."""

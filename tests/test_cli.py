@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import OperatorConfig, preprocess
+from repro.geometry import ParallelBeamGeometry
 
 
 class TestParser:
@@ -15,7 +17,7 @@ class TestParser:
         p = build_parser()
         assert p.parse_args(["info"]).command == "info"
         args = p.parse_args(["preprocess", "--angles", "10", "--channels", "8"])
-        assert args.angles == 10 and args.kernel == "buffered"
+        assert args.angles == 10 and args.kernel == OperatorConfig().kernel
 
     def test_invalid_solver_rejected(self):
         with pytest.raises(SystemExit):
@@ -68,11 +70,6 @@ class TestCommands:
     def test_reconstruct_requires_input(self, capsys):
         assert main(["reconstruct"]) == 2
 
-    def test_bench(self, capsys):
-        assert main(["bench", "--dataset", "ADS1", "--scale", "0.0625"]) == 0
-        out = capsys.readouterr().out
-        assert "multi-stage buffered" in out
-
     def test_scale_command(self, capsys):
         assert main([
             "scale", "--dataset", "RDS1", "--machine", "theta",
@@ -110,6 +107,33 @@ class TestPlanCacheCLI:
         assert "plan cache hit" in second
         assert "skipped ordering/tracing/transpose/partitioning" in second
 
+    def test_cli_then_api_is_one_request(self, tmp_path, capsys):
+        """The flags' defaults are ``OperatorConfig``'s: the API call
+        after the CLI call hits the entry the CLI stored."""
+        cachedir = tmp_path / "plans"
+        argv = self.ARGS + ["--cache", str(cachedir), "-o", str(tmp_path / "a.npz")]
+        assert main(argv) == 0
+        assert "plan cache miss" in capsys.readouterr().out
+        _, report = preprocess(ParallelBeamGeometry(24, 16), cache=cachedir)
+        assert report.cache_hit
+        assert len(list(cachedir.glob("*.npz"))) == 1
+
+    def test_serve_defaults_are_service_config(self):
+        from repro.service import ServiceConfig
+
+        args = build_parser().parse_args(["serve", "--spool", "s"])
+        config = ServiceConfig(spool="s")
+        for flag, field in [
+            ("kernel", "kernel"), ("queue_limit", "queue_limit"),
+            ("max_batch", "max_batch"), ("coalesce_window", "coalesce_window_s"),
+            ("rate_limit", "rate_limit"), ("rate_burst", "rate_burst"),
+            ("result_ttl", "result_ttl_s"), ("spool_cap", "spool_cap_bytes"),
+        ]:
+            assert getattr(args, flag) == getattr(config, field), flag
+        assert (args.retries, args.backoff) == (
+            config.retry.max_retries, config.retry.backoff_base
+        )
+
     def test_cache_off_stays_silent(self, tmp_path, capsys):
         assert main(
             self.ARGS + ["--cache", "off", "-o", str(tmp_path / "a.npz")]
@@ -145,7 +169,9 @@ class TestPlanCacheCLI:
         assert main(["cache", "list"]) == 0
         assert "is empty" in capsys.readouterr().out
 
-        assert main(self.ARGS + ["-o", str(tmp_path / "a.npz")]) == 0
+        assert main(
+            self.ARGS + ["--kernel", "buffered", "-o", str(tmp_path / "a.npz")]
+        ) == 0
         capsys.readouterr()
 
         assert main(["cache", "list"]) == 0

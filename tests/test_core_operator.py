@@ -118,6 +118,43 @@ class TestRowSubset:
         assert len(op._subset_cache) <= cap
 
 
+class TestOneResidentForm:
+    def test_default_operator_holds_the_csr_pair_and_nothing_beside_it(self, rng):
+        """After its kernels have run, vector and slab, the only buffers
+        of nnz length reachable from a default operator are the index
+        and value arrays of ``matrix`` and ``transpose`` — the compiled
+        loop runs on them as they stand."""
+        import gc
+
+        op, _ = preprocess(ParallelBeamGeometry(36, 24))
+        assert op.config.kernel == "csr"
+        assert op.buffered_forward is op.ell_forward is None
+        for shape in ((), (3,)):
+            y = op.forward(rng.random((op.num_pixels,) + shape))
+            op.adjoint(y)
+
+        def owner(array):
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            return array
+
+        seen, stack, big = set(), [op], {}
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, type(gc))):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                if obj.size >= op.matrix.nnz:
+                    big[id(owner(obj))] = owner(obj)
+                continue
+            if callable(obj):
+                continue
+            stack.extend(gc.get_referents(obj))
+        pair = [op.matrix.ind, op.matrix.val, op.transpose.ind, op.transpose.val]
+        assert set(big) == {id(owner(a)) for a in pair}
+
+
 class TestFootprints:
     def test_table3_conventions(self, operators):
         g, ops = operators

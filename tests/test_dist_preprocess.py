@@ -13,6 +13,8 @@ from repro.geometry import ParallelBeamGeometry
 from repro.sparse import CSRMatrix
 from repro.trace import build_projection_matrix
 
+from .test_partitioned import _assert_same_rank_data
+
 
 @pytest.fixture(scope="module")
 def geometry():
@@ -39,6 +41,15 @@ class TestDistributedPreprocess:
         np.testing.assert_allclose(op.forward(x), ref.forward(x), rtol=1e-4, atol=1e-4)
         np.testing.assert_allclose(op.adjoint(y), ref.adjoint(y), rtol=1e-4, atol=1e-4)
         assert op.per_rank_nnz().sum() == matrix.nnz
+
+    @pytest.mark.parametrize("ranks", [1, 2, 3, 4, 5, 6, 8])
+    def test_rank_data_are_the_global_slices(self, geometry, ranks):
+        """Assembled from received triplets or cut from the global
+        transpose, a rank's data come out of one constructor: equal
+        arrays, equal dtypes."""
+        op = distributed_preprocess(geometry, ranks)
+        ref, _ = _reference(geometry, op)
+        _assert_same_rank_data(op, ref)
 
     def test_no_global_matrix_held(self, geometry):
         """The point of distributed preprocessing: no rank (and not the

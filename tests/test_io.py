@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cache import PlanCache
 from repro.core import OperatorConfig, preprocess
 from repro.geometry import ParallelBeamGeometry
 from repro.io import (
@@ -79,6 +80,31 @@ class TestRoundtrip:
         loaded = load_operator(path)
         assert loaded.config.kernel == "csr"
         assert loaded.buffered_forward is None
+
+    @pytest.mark.parametrize(
+        "config, layout_prefixes",
+        [
+            (OperatorConfig(), set()),
+            (OperatorConfig(kernel="csr"), set()),
+            (OperatorConfig(kernel="buffered"), {"bf_", "ba_"}),
+            (OperatorConfig(kernel="ell"), {"ef_", "ea_"}),
+        ],
+    )
+    def test_archive_holds_the_pair_and_the_named_layout(
+        self, tmp_path, config, layout_prefixes
+    ):
+        """One form per direction: the ordered CSR pair always, a
+        staged or padded layout only for the kernel that runs on it —
+        none at all for the default config."""
+        import zipfile
+
+        op, report = preprocess(ParallelBeamGeometry(10, 8), config, cache=tmp_path)
+        archive = save_operator(tmp_path / "op.npz", op)
+        for path in (archive, PlanCache(tmp_path).plan_path(report.cache_key)):
+            names = [n.removesuffix(".npy") for n in zipfile.ZipFile(path).namelist()]
+            assert {"displ", "ind", "val", "t_displ", "t_ind", "t_val"} <= set(names)
+            found = {n[:3] for n in names if n[:3] in ("bf_", "ba_", "ef_", "ea_")}
+            assert found == layout_prefixes
 
     def test_version_check(self, saved, tmp_path):
         _, op, path = saved

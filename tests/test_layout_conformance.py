@@ -333,18 +333,29 @@ class TestStageFold:
     def test_fold_and_single_stage_agree_with_csr(self, operators, dtype):
         """Several stages per partition go through the slot-to-row fold;
         one stage per partition skips it and is the CSR kernel bit for
-        bit (same rows, same order)."""
+        bit, vector and slab, both directions (same rows, same order) —
+        which is why the default kernel could move from buffered to csr
+        without moving a bit wherever the buffer held a partition's
+        whole footprint."""
         op = operators[("buffered", dtype)]
         staged = op.buffered_forward
         assert staged.num_stages > staged.partitions.num_partitions
-        single = build_buffered(op.matrix, PARTITION_SIZE, 256 * 1024)
-        assert single.num_stages == single.partitions.num_partitions
-        x = _input(op, (2,))
-        ref = op.matrix.spmv(x)
-        assert np.array_equal(single.spmv(x), ref)
-        assert single._view[1] is None and staged._view[1] is not None
-        tol = 1e-10 if x.dtype == np.float64 else 1e-4
-        assert np.abs(staged.spmv(x) - ref).max() <= tol * np.abs(ref).max()
+        tol = 1e-10 if op.compute_dtype == np.float64 else 1e-4
+        for source in (op.matrix, op.transpose):
+            single = build_buffered(source, PARTITION_SIZE, 256 * 1024)
+            assert single.num_stages == single.partitions.num_partitions
+            rng = np.random.default_rng(5)
+            for shape in SHAPES.values():
+                x = rng.standard_normal((source.num_cols,) + shape).astype(
+                    op.compute_dtype
+                )
+                ref = source.spmv(x)
+                assert np.array_equal(single.spmv(x), ref)
+                if source is op.matrix:
+                    gap = np.abs(staged.spmv(x) - ref).max()
+                    assert gap <= tol * np.abs(ref).max()
+            assert single._view[1] is None
+        assert staged._view[1] is not None
 
 
 @pytest.mark.parametrize("kernel", COMPILED)

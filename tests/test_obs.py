@@ -399,7 +399,7 @@ class TestCLITraceSurface:
             ["info", "--metrics"],
             ["preprocess", "--angles", "8", "--channels", "8", "--trace", "t.json"],
             ["reconstruct", "--demo", "ADS1", "--trace", "t.json"],
-            ["bench", "--trace", "t.json"],
+            ["scenario", "cone", "--trace", "t.json"],
             ["scale", "--metrics"],
         ):
             args = parser.parse_args(argv)
@@ -427,7 +427,7 @@ class TestDisabledOverhead:
         from repro.core import get_dataset
 
         spec = get_dataset("ADS2").scaled(0.125)
-        op, _ = preprocess(spec.geometry())
+        op, _ = preprocess(spec.geometry(), OperatorConfig(kernel="buffered"))
         x = np.random.default_rng(0).random(op.num_pixels).astype(np.float32)
         kernel = op.buffered_forward.spmv
 

@@ -486,7 +486,9 @@ class TestBufferedPlanPersistence:
             geometry,
             # Serial whatever REPRO_WORKERS says: a parallel run warms
             # the views of the workers' slices, not the layout's own.
-            config=OperatorConfig(partition_size=16, buffer_bytes=1024, workers="serial"),
+            config=OperatorConfig(
+                kernel="buffered", partition_size=16, buffer_bytes=1024, workers="serial"
+            ),
             cache=cache,
         )
         x = np.ones(op.num_pixels, dtype=np.float32)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.dist import DistributedOperator, SimComm, decompose_both
 from repro.sparse import scan_transpose
+from repro.topology import Topology, parse_topology
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +128,114 @@ class TestValidation:
         td, sd = decompose_both(tomo, tomo, 4)  # wrong sinogram domain
         with pytest.raises(ValueError):
             DistributedOperator(matrix, td, sd)
+
+
+def _rank_arrays(op):
+    """Every array of every rank's data, flattened for comparison."""
+    out = []
+    for rank in op.ranks:
+        for m in (rank.partial_matrix, rank.partial_transpose):
+            out += [m.displ, m.ind, m.val, np.asarray(m.shape)]
+        out += [rank.touched_rows, np.asarray(rank.send_segments)]
+    return out
+
+
+def _assert_same_rank_data(a, b):
+    assert a.num_ranks == b.num_ranks
+    for x, y in zip(_rank_arrays(a), _rank_arrays(b), strict=True):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+
+
+class TestBuildFromTranspose:
+    """Rank data are rows ``[c0, c1)`` of the transpose, sliced."""
+
+    @pytest.mark.parametrize("value_dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("ranks", [2, 3, 4, 7])
+    def test_callers_transpose_changes_nothing(self, setup, ranks, value_dtype):
+        """An fp64 operator's blocks are still float32: the wire is."""
+        matrix, tomo, sino = setup
+        matrix = matrix.astype(value_dtype)
+        td, sd = decompose_both(tomo, sino, ranks)
+        derived = DistributedOperator(matrix, td, sd, topology=Topology.flat(ranks))
+        given = DistributedOperator(
+            matrix, td, sd, topology=Topology.flat(ranks),
+            transpose=scan_transpose(matrix),
+        )
+        _assert_same_rank_data(derived, given)
+        for rank in given.ranks:
+            assert rank.partial_matrix.val.dtype == np.float32
+            assert rank.partial_transpose.val.dtype == np.float32
+            assert np.array_equal(
+                scan_transpose(rank.partial_matrix).to_scipy().toarray(),
+                rank.partial_transpose.to_scipy().toarray(),
+            )
+
+    def test_blocks_are_the_matrix_columns(self, setup):
+        matrix, tomo, sino = setup
+        dense = matrix.to_scipy().toarray()
+        op = _make_op(setup, 3)
+        for p, rank in enumerate(op.ranks):
+            c0, c1 = op.tomo_dec.bounds[p], op.tomo_dec.bounds[p + 1]
+            assert np.array_equal(
+                rank.partial_matrix.to_scipy().toarray(),
+                dense[rank.touched_rows, c0:c1],
+            )
+            assert np.array_equal(
+                rank.touched_rows, np.flatnonzero(dense[:, c0:c1].any(axis=1))
+            )
+
+    def test_wrong_shape_transpose_rejected(self, setup):
+        matrix, tomo, sino = setup
+        td, sd = decompose_both(tomo, sino, 2)
+        with pytest.raises(ValueError, match="transpose"):
+            DistributedOperator(matrix, td, sd, transpose=matrix)
+
+    @pytest.mark.parametrize("topology", ["flat", "nodes:2,ranks:2"])
+    def test_degrade_reslices_like_a_fresh_build(self, setup, topology):
+        matrix, tomo, sino = setup
+        td, sd = decompose_both(tomo, sino, 4)
+        op = DistributedOperator(
+            matrix, td, sd, topology=parse_topology(topology, 4),
+            transpose=scan_transpose(matrix),
+        )
+        held = op.transpose
+        op.degrade([1])
+        assert op.num_ranks == 3 and op.transpose is held
+        if topology == "flat":
+            td3, sd3 = decompose_both(tomo, sino, 3)
+            assert np.array_equal(op.tomo_dec.bounds, td3.bounds)
+            assert np.array_equal(op.sino_dec.bounds, sd3.bounds)
+        fresh = DistributedOperator(
+            matrix, op.tomo_dec, op.sino_dec, topology=op.topology
+        )
+        _assert_same_rank_data(op, fresh)
+
+    def test_build_copies_no_global_matrix(self, setup):
+        """What a build allocates beyond the blocks it keeps stays
+        rank-sized: no CSC copy, no column slice of the whole matrix."""
+        import tracemalloc
+
+        matrix, tomo, sino = setup
+        transpose = scan_transpose(matrix)
+        ranks = 8
+        td, sd = decompose_both(tomo, sino, ranks)
+        topology = Topology.flat(ranks)
+        DistributedOperator(matrix, td, sd, topology=topology, transpose=transpose)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            op = DistributedOperator(
+                matrix, td, sd, topology=topology, transpose=transpose
+            )
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_global_copy = matrix.ind.nbytes + matrix.val.nbytes
+        assert peak - kept < one_global_copy / 2
+        # Kept: each block's renumbered indices and its A_p (indices +
+        # values) — 12 B/nnz plus the row offsets, where two copies per
+        # rank were 16; the values of A_p^T are views of the transpose.
+        for rank in op.ranks:
+            assert np.shares_memory(rank.partial_transpose.val, transpose.val)
+        assert kept - before < 2 * one_global_copy
