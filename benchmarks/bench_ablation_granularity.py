@@ -25,6 +25,9 @@ TILE_SIZES = [32, 16, 8, 4]
 def test_ablation_tile_granularity(report, scaled_specs, benchmark):
     spec = scaled_specs["ADS2"]
     g = spec.geometry()
+    # One row-major trace, permuted per tile size: what is timed below is
+    # ordering + re-ordering + decomposition, which a trace per tile (the
+    # builder's row_rank/col_rank path) would swamp.
     raw = CSRMatrix.from_scipy(build_projection_matrix(g))
     n = g.grid.n
 

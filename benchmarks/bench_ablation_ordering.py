@@ -66,6 +66,8 @@ def _connectivity(ordering, partition_cells):
 def test_ablation_ordering_schemes(report, scaled_specs, benchmark):
     spec = scaled_specs["ADS2"]
     g = spec.geometry()
+    # One row-major trace re-ordered four ways: tracing dominates, so the
+    # sweep permutes instead of handing each scheme's ranks to the builder.
     raw = CSRMatrix.from_scipy(build_projection_matrix(g))
     n = g.grid.n
 

@@ -28,11 +28,11 @@ from repro.utils import render_table
 
 def _traced(num_angles, num_channels, dtype="float32"):
     g = ParallelBeamGeometry(num_angles, num_channels)
-    raw = CSRMatrix.from_scipy(build_projection_matrix(g), dtype=dtype)
     n = g.grid.n
     tomo = make_ordering("pseudo-hilbert", n, n, min_tiles=16)
     sino = make_ordering("pseudo-hilbert", g.num_angles, g.num_channels, min_tiles=16)
-    return raw.permute(sino.perm, tomo.rank).sort_rows_by_index()
+    raw = build_projection_matrix(g, row_rank=sino.rank, col_rank=tomo.rank)
+    return CSRMatrix.from_scipy(raw, dtype=dtype)
 
 
 def _interleaved_minima(calls, rounds=25):

@@ -12,7 +12,11 @@ end-to-end on a 256x256 parallel-beam geometry:
   steady-state hit cost once the page cache has absorbed the freshly
   written entry (the beamline regime: thousands of hits per store).
 
-Acceptance: warm must be at least 10x faster than cold.
+Acceptance: warm must be at least 7.5x faster than cold — half the
+lowest of ten fresh runs at PR 22 (15.1-17.7x: cold 5.5-6.9 s, warm
+0.36-0.40 s, 323 MB entry).  The floor was 10x when a cold build took
+214 s; every PR that makes the cold build cheaper shrinks this ratio,
+so it is re-derived, not defended.
 """
 
 import time
@@ -20,7 +24,9 @@ import time
 from repro.core import preprocess
 from repro.geometry import ParallelBeamGeometry
 
-MIN_SPEEDUP = 10.0
+from conftest import host_line
+
+MIN_SPEEDUP = 7.5
 SIZE = 256
 
 
@@ -34,7 +40,7 @@ def test_warm_cache_speedup(report, tmp_path):
     assert cold_report.cache_hit is False
     cold_nnz = cold_op.matrix.nnz
     # Free the cold operator so the warm runs measure the hit path, not
-    # memory pressure from holding two ~600 MB plans at once.
+    # memory pressure from holding two plans at once.
     del cold_op
 
     warm_times = []
@@ -54,8 +60,9 @@ def test_warm_cache_speedup(report, tmp_path):
         f"plan cache warm-vs-cold, {SIZE}x{SIZE} parallel-beam geometry",
         f"  cold preprocess + store : {cold:8.3f} s",
         f"  warm hit (best of 3)    : {warm:8.3f} s",
-        f"  speedup                 : {speedup:8.1f} x  (acceptance >= {MIN_SPEEDUP:.0f}x)",
+        f"  speedup                 : {speedup:8.1f} x  (acceptance >= {MIN_SPEEDUP:g}x)",
         f"  cache entry size        : {entry_bytes / 1e6:8.1f} MB",
+        host_line(),
     ]
     report(
         "cache_warm_vs_cold",

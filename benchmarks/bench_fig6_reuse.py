@@ -28,10 +28,11 @@ BUFFER_BYTES = 32 * 1024
 
 def test_fig6_reuse_and_staging(report, benchmark):
     g = ParallelBeamGeometry(256, 256)
-    raw = CSRMatrix.from_scipy(build_projection_matrix(g))
     tomo = make_ordering("pseudo-hilbert", 256, 256, tile_size=64)
     sino = make_ordering("pseudo-hilbert", 256, 256, tile_size=64)
-    fwd = raw.permute(sino.perm, tomo.rank).sort_rows_by_index()  # sinogram rows
+    fwd = CSRMatrix.from_scipy(  # sinogram rows
+        build_projection_matrix(g, row_rank=sino.rank, col_rank=tomo.rank)
+    )
     adj = scan_transpose(fwd)  # tomogram rows
 
     parts_fwd = RowPartitions(fwd.num_rows, PARTITION_CELLS)

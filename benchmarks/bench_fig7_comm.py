@@ -22,10 +22,11 @@ RANKS = 16
 
 def test_fig7_communication_matrix(report, benchmark):
     g = ParallelBeamGeometry(256, 256)
-    raw = CSRMatrix.from_scipy(build_projection_matrix(g))
     tomo = make_ordering("pseudo-hilbert", 256, 256, tile_size=64)
     sino = make_ordering("pseudo-hilbert", 256, 256, tile_size=64)
-    matrix = raw.permute(sino.perm, tomo.rank).sort_rows_by_index()
+    matrix = CSRMatrix.from_scipy(
+        build_projection_matrix(g, row_rank=sino.rank, col_rank=tomo.rank)
+    )
     td, sd = decompose_both(tomo, sino, RANKS)
     comm = SimComm(RANKS)
     op = DistributedOperator(matrix, td, sd, comm=comm)

@@ -15,10 +15,14 @@ across commits instead of scraping text tables.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from repro import obs
 from repro.core import OperatorConfig, get_dataset, preprocess
@@ -38,6 +42,22 @@ SCALES = {
     "RDS1": 0.125,  # 188 x 256
     "RDS2": 0.034,  # 154 x 384
 }
+
+
+def host_line() -> str:
+    """One line saying where a measured table was written."""
+    model = "unknown cpu"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return (
+        f"host: {model}, {os.cpu_count()} cpu, python {platform.python_version()}, "
+        f"numpy {numpy.__version__}, scipy {scipy.__version__}"
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -90,13 +110,11 @@ def scaled_specs():
 def build_ordered(spec, ordering_name="pseudo-hilbert", min_tiles=16):
     """Trace a scaled dataset and return (matrix, tomo, sino) in order."""
     g = spec.geometry()
-    raw = CSRMatrix.from_scipy(build_projection_matrix(g))
     n = g.grid.n
     tomo = make_ordering(ordering_name, n, n, min_tiles=min_tiles)
     sino = make_ordering(ordering_name, g.num_angles, g.num_channels, min_tiles=min_tiles)
-    if ordering_name == "row-major":
-        return raw, tomo, sino
-    return raw.permute(sino.perm, tomo.rank).sort_rows_by_index(), tomo, sino
+    raw = build_projection_matrix(g, row_rank=sino.rank, col_rank=tomo.rank)
+    return CSRMatrix.from_scipy(raw), tomo, sino
 
 
 @pytest.fixture(scope="session")

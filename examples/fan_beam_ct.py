@@ -17,19 +17,20 @@ from repro.ordering import make_ordering
 from repro.phantoms import beer_law_sinogram, shepp_logan
 from repro.solvers import MatrixOperator, cgls
 from repro.sparse import CSRMatrix, build_buffered
-from repro.trace import build_fan_projection_matrix, build_projection_matrix
+from repro.trace import build_projection_matrix
 from repro.utils import ascii_preview, psnr, render_table
 
 SIZE = 96
 ANGLES = 180
 
 
-def build_system(raw, num_angles, num_channels):
-    """Apply the full MemXCT treatment to a raw traced matrix."""
-    n = num_channels
-    tomo = make_ordering("pseudo-hilbert", n, n, min_tiles=16)
-    sino = make_ordering("pseudo-hilbert", num_angles, num_channels, min_tiles=16)
-    matrix = CSRMatrix.from_scipy(raw).permute(sino.perm, tomo.rank).sort_rows_by_index()
+def build_system(geometry):
+    """Trace ``geometry`` and give it the full MemXCT treatment."""
+    tomo = make_ordering("pseudo-hilbert", *geometry.tomo_layout_shape, min_tiles=16)
+    sino = make_ordering("pseudo-hilbert", *geometry.sino_layout_shape, min_tiles=16)
+    matrix = CSRMatrix.from_scipy(
+        build_projection_matrix(geometry, row_rank=sino.rank, col_rank=tomo.rank)
+    )
     buffered = build_buffered(matrix, 128, 8192)
     return MatrixOperator(matrix), tomo, sino, buffered
 
@@ -39,8 +40,7 @@ def main() -> None:
 
     print(f"building fan-beam system ({ANGLES} angles x {SIZE} channels)...")
     fan = FanBeamGeometry(ANGLES, SIZE, source_distance=3.0 * SIZE)
-    raw_fan = build_fan_projection_matrix(fan)
-    op, tomo, sino, buffered = build_system(raw_fan, ANGLES, SIZE)
+    op, tomo, sino, buffered = build_system(fan)
     print(f"fan matrix nnz {op.matrix.nnz:,}; buffered stages {buffered.num_stages}")
 
     clean = sino.from_ordered(op.forward(tomo.to_ordered(truth))).astype(np.float64)
@@ -52,8 +52,7 @@ def main() -> None:
 
     # Convergence to the parallel-beam answer with growing distance.
     par = ParallelBeamGeometry(ANGLES // 2, SIZE)
-    raw_par = build_projection_matrix(par)
-    op_p, tomo_p, sino_p, _ = build_system(raw_par, ANGLES // 2, SIZE)
+    op_p, tomo_p, sino_p, _ = build_system(par)
     clean_p = sino_p.from_ordered(op_p.forward(tomo_p.to_ordered(truth)))
     img_par = tomo_p.from_ordered(
         cgls(op_p, sino_p.to_ordered(beer_law_sinogram(clean_p, 1e5, seed=0)),
@@ -63,7 +62,7 @@ def main() -> None:
     rows = []
     for distance in (1.5 * SIZE, 3 * SIZE, 30 * SIZE):
         g = FanBeamGeometry(ANGLES, SIZE, source_distance=distance)
-        opd, tomod, sinod, _ = build_system(build_fan_projection_matrix(g), ANGLES, SIZE)
+        opd, tomod, sinod, _ = build_system(g)
         cleand = sinod.from_ordered(opd.forward(tomod.to_ordered(truth))).astype(np.float64)
         resd = cgls(opd, sinod.to_ordered(beer_law_sinogram(cleand, 1e5, seed=0)),
                     num_iterations=30)

@@ -34,11 +34,13 @@ def main() -> None:
     spec = get_dataset("ADS2").scaled(0.25)
     g = spec.geometry()
     print(f"building {spec.name} ({g.sinogram_shape} sinogram)...")
-    raw = CSRMatrix.from_scipy(build_projection_matrix(g))
+    raw = CSRMatrix.from_scipy(build_projection_matrix(g))  # the row-major baseline
     n = g.grid.n
     tomo = make_ordering("pseudo-hilbert", n, n, min_tiles=16)
     sino = make_ordering("pseudo-hilbert", g.num_angles, g.num_channels, min_tiles=16)
-    ordered = raw.permute(sino.perm, tomo.rank).sort_rows_by_index()
+    ordered = CSRMatrix.from_scipy(
+        build_projection_matrix(g, row_rank=sino.rank, col_rank=tomo.rank)
+    )
     buffered = build_buffered(ordered, partition_size=128, buffer_bytes=8192)
 
     x = np.random.default_rng(0).random(raw.num_cols).astype(np.float32)

@@ -4,7 +4,8 @@ Four steps, each timed:
 
 1. **Hilbert ordering and domain decomposition** — build the two-level
    pseudo-Hilbert orderings of both domains;
-2. **ray tracing** — construct the forward-projection matrix;
+2. **ray tracing** — construct the forward-projection matrix, traced
+   in the ordered coordinates of step 1 and assembled by one sort;
 3. **sparse transposition** — scan-based, order-preserving transpose
    for the backprojection matrix;
 4. **row partitioning and buffer construction** — the multi-stage
@@ -95,7 +96,10 @@ def preprocess(
         (``report.cache_hit``); on a miss the stages run and the plan
         is stored for the next process.
 
-    The worker spec in ``config.workers`` (or ``REPRO_WORKERS``) also
+    The tracer is handed both orderings' rank arrays, so the matrix it
+    assembles is already the ordered ``A``; the transposition stage
+    converts it to our dtypes and scans out ``A^T``.  The worker spec
+    in ``config.workers`` (or ``REPRO_WORKERS``) also
     parallelizes the tracing stage here: per-angle Siddon tracing fans
     out across the backend, with chunks reassembled in angle order so
     the traced matrix is bit-identical to a serial build.  The cache
@@ -180,17 +184,18 @@ def preprocess(
         with span("preprocess.tracing", workers=workers, mode=mode) as sp:
             backend = make_backend(workers, mode)
             try:
-                raw = build_projection_matrix(geometry, backend=backend)
+                raw = build_projection_matrix(
+                    geometry,
+                    backend=backend,
+                    row_rank=sino_ordering.rank,
+                    col_rank=tomo_ordering.rank,
+                )
             finally:
                 backend.close()
         report.tracing_seconds = sp.duration
 
         with span("preprocess.transpose") as sp:
-            matrix = (
-                CSRMatrix.from_scipy(raw, dtype=config.dtype or "float32")
-                .permute(sino_ordering.perm, tomo_ordering.rank)
-                .sort_rows_by_index()
-            )
+            matrix = CSRMatrix.from_scipy(raw, dtype=config.dtype or "float32")
             transpose = scan_transpose(matrix)
         report.transpose_seconds = sp.duration
 

@@ -30,31 +30,12 @@ from ..geometry import ScanGeometry
 from ..ordering import make_ordering
 from ..sparse import CSRMatrix
 from ..topology import HierComm, Topology
-from ..trace import trace_view
+from ..trace.matrix_builder import _trace_view_chunk
 from .decomposition import decompose_both
 from .partitioned import DistributedOperator, RankData
 from .simmpi import SimComm
 
 __all__ = ["distributed_preprocess"]
-
-
-def _trace_rank_triplets(
-    geometry: ScanGeometry,
-    angle_range: tuple[int, int],
-    sino_rank: np.ndarray,
-    tomo_rank: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace one rank's angles; return ordered-coordinate triplets."""
-    rows, cols, vals = [], [], []
-    for angle_index in range(*angle_range):
-        segs = trace_view(geometry, angle_index)
-        rows.append(sino_rank[segs.ray_index])
-        cols.append(tomo_rank[segs.pixel_index])
-        vals.append(segs.length.astype(np.float32))
-    if not rows:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), np.empty(0, dtype=np.float32)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def _assemble_rank(
@@ -127,13 +108,11 @@ def distributed_preprocess(
     send_rows: list[list[np.ndarray]] = []
     send_cols: list[list[np.ndarray]] = []
     send_vals: list[list[np.ndarray]] = []
+    ranks = (sino_ordering.rank.astype(np.int32), tomo_ordering.rank.astype(np.int32))
     for r in range(num_ranks):
-        rows, cols, vals = _trace_rank_triplets(
-            geometry,
-            (int(angle_cuts[r]), int(angle_cuts[r + 1])),
-            sino_ordering.rank,
-            tomo_ordering.rank,
-        )
+        start, stop = int(angle_cuts[r]), int(angle_cuts[r + 1])
+        views = _trace_view_chunk((geometry, start, stop, *ranks, np.dtype(np.float32)))
+        rows, cols, vals = (np.concatenate(part) for part in zip(*views))
         owners = tomo_dec.owner_of(cols)
         order = np.argsort(owners, kind="stable")
         rows, cols, vals, owners = rows[order], cols[order], vals[order], owners[order]

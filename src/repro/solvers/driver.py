@@ -39,18 +39,13 @@ __all__ = [
 
 
 def _apply(op, slab: np.ndarray, one: str, many: str) -> np.ndarray:
-    """Apply ``op.<one>`` column-wise, or ``op.<many>`` to the whole slab.
+    """Apply ``op.<many>`` to the whole slab, or ``op.<one>`` column-wise.
 
-    A one-column slab goes to the operator as a vector: per column the
-    two forms are bit-identical by contract, and an ``S = 1`` solve
-    records the spans of a single solve (no ``batch`` attribute).  It
-    buys no time any more — every layout kernel runs an ``(n, 1)`` slab
-    through its vector loop (1.00-1.03x, see ``docs/solvers.md``).
-    Operators without batch methods (the distributed one) loop over
-    columns.
+    Every width takes the same route — an ``S = 1`` solve hands the
+    operator its ``(n, 1)`` slab, which every layout kernel runs through
+    its vector loop, bit-identical to the ``(n,)`` call.  Operators
+    without batch methods (the distributed one) loop over columns.
     """
-    if slab.shape[1] == 1:
-        return np.asarray(getattr(op, one)(slab[:, 0]))[:, None]
     if hasattr(op, many):
         return getattr(op, many)(slab)
     return np.stack(

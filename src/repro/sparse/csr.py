@@ -38,7 +38,7 @@ import scipy.sparse as sp
 
 from .partition import RowPartitions
 
-__all__ = ["CSRMatrix", "csr_row_sums", "spmv_input"]
+__all__ = ["CSRMatrix", "checked_rank", "csr_row_sums", "spmv_input"]
 
 
 def spmv_input(x, num_cols: int) -> np.ndarray:
@@ -51,6 +51,26 @@ def spmv_input(x, num_cols: int) -> np.ndarray:
     if x.shape[0] != num_cols:
         raise ValueError(f"x has {x.shape[0]} rows, expected {num_cols}")
     return x
+
+
+def checked_rank(rank, size: int, name: str) -> np.ndarray:
+    """``rank`` as an int64 bijection on ``[0, size)``, or ``ValueError``.
+
+    ``rank[old]`` is the new index of an old one.  Anything but a
+    bijection would silently merge or drop indices while the domain
+    size stays unchanged, producing a corrupt matrix.
+    """
+    rank = np.asarray(rank, dtype=np.int64)
+    if rank.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {rank.shape}")
+    if size:
+        if rank.min() < 0 or rank.max() >= size:
+            raise ValueError(f"{name} maps indices outside [0, {size})")
+        if np.bincount(rank, minlength=size).max() > 1:
+            raise ValueError(
+                f"{name} is not injective: two old indices map to the same new index"
+            )
+    return rank
 
 
 def csr_row_sums(values: np.ndarray, displ: np.ndarray, num_rows: int) -> np.ndarray:
@@ -212,10 +232,10 @@ class CSRMatrix:
         order to storage order; any subset or repetition of old rows is
         allowed — row subsets are how SGD minibatch operators are
         built); ``col_rank[old]`` is the new index of an old column and
-        must be a bijection on ``[0, num_cols)`` — anything else would
-        silently merge or drop columns while ``num_cols`` stays
-        unchanged, producing a corrupt matrix.  This is how domain
-        orderings are applied to the traced matrix without re-tracing.
+        must be a bijection on ``[0, num_cols)``
+        (:func:`checked_rank`).  This is how a domain ordering is
+        applied to a row-major matrix without re-tracing; the builder
+        applies the same ranks while it traces.
         """
         displ, ind, val = self.displ, self.ind, self.val
         if row_perm is not None:
@@ -236,22 +256,7 @@ class CSRMatrix:
             val = val[gather]
             displ = new_displ
         if col_rank is not None:
-            col_rank = np.asarray(col_rank, dtype=np.int64)
-            if col_rank.shape != (self.num_cols,):
-                raise ValueError(
-                    f"col_rank must have shape ({self.num_cols},), "
-                    f"got {col_rank.shape}"
-                )
-            if self.num_cols:
-                if col_rank.min() < 0 or col_rank.max() >= self.num_cols:
-                    raise ValueError(
-                        f"col_rank maps columns outside [0, {self.num_cols})"
-                    )
-                if np.bincount(col_rank, minlength=self.num_cols).max() > 1:
-                    raise ValueError(
-                        "col_rank is not injective: two old columns map to "
-                        "the same new index"
-                    )
+            col_rank = checked_rank(col_rank, self.num_cols, "col_rank")
             ind = col_rank[ind].astype(np.int32)
         return CSRMatrix(
             displ=displ,

@@ -1,8 +1,6 @@
 """Ray tracing substrate: Siddon tracing and projection-matrix assembly."""
 
 from .matrix_builder import (
-    build_cone_projection_matrix,
-    build_fan_projection_matrix,
     build_projection_matrix,
     projection_matrix_stats,
     trace_view,
@@ -11,8 +9,6 @@ from .siddon import RaySegments, trace_angle, trace_ray, trace_rays
 from .siddon3d import trace_rays_3d
 
 __all__ = [
-    "build_cone_projection_matrix",
-    "build_fan_projection_matrix",
     "build_projection_matrix",
     "projection_matrix_stats",
     "RaySegments",

@@ -12,19 +12,20 @@ baseline refuses to pay for.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 import scipy.sparse as sp
 
 from ..geometry import ParallelBeamGeometry, ScanGeometry
 from ..parallel.backend import ExecutionBackend, SerialBackend
+from ..sparse.csr import checked_rank
 from .siddon import RaySegments, trace_angle, trace_rays
 from .siddon3d import trace_rays_3d
 
 __all__ = [
     "trace_view",
     "build_projection_matrix",
-    "build_cone_projection_matrix",
-    "build_fan_projection_matrix",
     "projection_matrix_stats",
 ]
 
@@ -48,21 +49,35 @@ def trace_view(geometry: ScanGeometry, angle_index: int) -> RaySegments:
     )
 
 
-def _trace_view_chunk(
-    task: tuple[ScanGeometry, int, int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace a contiguous (non-empty) view range, returning (rows, cols, vals).
+def _trace_view_chunk(task) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Trace a contiguous view range: one ``(rows, cols, vals)`` per view.
+
+    ``task`` is ``(geometry, start, stop, row_rank, col_rank, dtype)``
+    with int32 rank arrays.  Each view's segments are narrowed as they
+    are traced — ``row_rank[ray]``, ``col_rank[pixel]`` (the row-major
+    indices themselves, as int32, where a rank is ``None``) and
+    ``dtype`` lengths, 12 B per triplet at float32 — and left per view,
+    so the caller's one ``np.concatenate`` per stream is the only copy.
+    The list opens with an empty triplet: an empty range concatenates
+    to empty streams.
 
     Module-level so the process backend can pickle it; the geometry is
-    a small frozen dataclass, so shipping it per task is cheap.
+    a small frozen dataclass and a rank array is 4 B per cell, so
+    shipping them per task is cheap.
     """
-    geometry, start, stop = task
-    views = [trace_view(geometry, angle_index) for angle_index in range(start, stop)]
-    return (
-        np.concatenate([segs.ray_index for segs in views]),
-        np.concatenate([segs.pixel_index for segs in views]),
-        np.concatenate([segs.length for segs in views]),
-    )
+    geometry, start, stop, row_rank, col_rank, dtype = task
+    views = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0, dtype))]
+    for angle_index in range(start, stop):
+        segs = trace_view(geometry, angle_index)
+        ray, pixel = segs.ray_index, segs.pixel_index
+        views.append(
+            (
+                ray.astype(np.int32) if row_rank is None else row_rank[ray],
+                pixel.astype(np.int32) if col_rank is None else col_rank[pixel],
+                segs.length.astype(dtype),
+            )
+        )
+    return views
 
 
 def _angle_chunks(num_angles: int, workers: int) -> list[tuple[int, int]]:
@@ -78,13 +93,16 @@ def build_projection_matrix(
     geometry: ScanGeometry,
     dtype: np.dtype = np.float32,
     backend: ExecutionBackend | None = None,
+    row_rank: np.ndarray | None = None,
+    col_rank: np.ndarray | None = None,
 ) -> sp.csr_matrix:
     """Trace every ray of ``geometry`` and assemble ``A`` in CSR form.
 
-    Rows follow row-major sinogram order (angle-major), columns follow
-    row-major tomogram order; domain orderings are applied later by
-    permuting rows/columns (see :mod:`repro.core.operator`), which keeps
-    the tracer independent of the layout policy.
+    The one assembly of a traced geometry: every view's triplets are
+    emitted in the coordinates the caller asks for, and scipy's compiled
+    ``coo -> csr`` (a counting sort by row, then an index sort within
+    each row) yields the matrix in those coordinates — rows by
+    ``row_rank``, each row's columns ascending in ``col_rank``.
 
     Parameters
     ----------
@@ -97,34 +115,36 @@ def build_projection_matrix(
         Optional execution backend that fans per-view tracing out
         across workers.  Chunks are concatenated in angle order, so
         the assembled matrix is bit-identical to the serial build.
+    row_rank, col_rank:
+        Domain orderings applied while tracing: ``row_rank[ray]`` is
+        the row of a row-major sinogram index, ``col_rank[pixel]`` the
+        column of a row-major tomogram index.  Each must be a bijection
+        on its domain and is checked before any view is traced.
+        ``None`` (default) keeps row-major order in that domain — the
+        matrix the footprint tables and the ordering ablations start
+        from, re-ordered afterwards with :meth:`CSRMatrix.permute`.
     """
+    shape = (geometry.num_rays, geometry.grid.num_pixels)
+    if row_rank is not None:
+        row_rank = checked_rank(row_rank, shape[0], "row_rank").astype(np.int32)
+    if col_rank is not None:
+        col_rank = checked_rank(col_rank, shape[1], "col_rank").astype(np.int32)
     if backend is None:
         backend = SerialBackend()
     tasks = [
-        (geometry, start, stop)
+        (geometry, start, stop, row_rank, col_rank, np.dtype(dtype))
         for start, stop in _angle_chunks(geometry.num_angles, backend.workers)
     ]
-    chunks = backend.map(_trace_view_chunk, tasks)
-    rows, cols, vals = zip(*chunks)
-    # The concatenated int64/float64 triplets are temporaries of this
-    # call on purpose: coo_matrix keeps its own (narrower) copies, and
-    # at 256x256 a named triplet would hold ~0.5 GB through tocsr().
-    coo = sp.coo_matrix(
-        (
-            np.concatenate(vals).astype(dtype, copy=False),
-            (np.concatenate(rows), np.concatenate(cols)),
-        ),
-        shape=(geometry.num_rays, geometry.grid.num_pixels),
+    # The per-view pieces are temporaries of this expression on purpose:
+    # only the three concatenated streams (12 B per triplet) live through
+    # tocsr(), which reads them in place.
+    rows, cols, vals = (
+        np.concatenate(part)
+        for part in zip(*chain.from_iterable(backend.map(_trace_view_chunk, tasks)))
     )
-    csr = coo.tocsr()  # sums duplicate entries, sorts column indices
-    csr.sum_duplicates()
+    csr = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    csr.sum_duplicates()  # sorts each row's indices, sums corner-grazing repeats
     return csr
-
-
-#: The fan- and cone-beam builders are the one builder; the names stay
-#: for callers that spell out the geometry they trace.
-build_cone_projection_matrix = build_projection_matrix
-build_fan_projection_matrix = build_projection_matrix
 
 
 def projection_matrix_stats(matrix: sp.csr_matrix) -> dict[str, float]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import FanBeamGeometry, Grid2D, ParallelBeamGeometry
-from repro.trace import build_fan_projection_matrix, build_projection_matrix, trace_rays
+from repro.trace import build_projection_matrix, trace_rays
 
 
 class TestFanBeamGeometry:
@@ -55,14 +55,14 @@ class TestFanBeamGeometry:
 class TestFanBeamMatrix:
     def test_chords_bounded(self):
         g = FanBeamGeometry(30, 20, source_distance=50.0)
-        A = build_fan_projection_matrix(g)
+        A = build_projection_matrix(g)
         y = A @ np.ones(A.shape[1], dtype=np.float32)
         assert y.max() <= 20 * np.sqrt(2.0) + 1e-5
         assert (A.data > 0).all()
 
     def test_central_rays_cover_center(self):
         g = FanBeamGeometry(16, 16, source_distance=40.0)
-        A = build_fan_projection_matrix(g)
+        A = build_projection_matrix(g)
         x = np.zeros(256, dtype=np.float32)
         x[8 * 16 + 8] = 1.0  # near-centre pixel
         y = (A @ x).reshape(16, 16)
@@ -75,7 +75,7 @@ class TestFanBeamMatrix:
         gp = ParallelBeamGeometry(8, n)
         Ap = build_projection_matrix(gp).toarray()
         gf = FanBeamGeometry(16, n, source_distance=1e7)
-        Af = build_fan_projection_matrix(gf).toarray()
+        Af = build_projection_matrix(gf).toarray()
         # Fan at rotation angle pi shoots along +x through the centre
         # like the parallel projection at theta = pi/2.
         fan_row = Af[8 * n + n // 2]
@@ -89,7 +89,7 @@ class TestFanBeamMatrix:
         from repro.sparse import CSRMatrix, scan_transpose
 
         g = FanBeamGeometry(60, 32, source_distance=80.0)
-        A = CSRMatrix.from_scipy(build_fan_projection_matrix(g))
+        A = CSRMatrix.from_scipy(build_projection_matrix(g))
         AT = scan_transpose(A)
 
         class Op:

@@ -19,12 +19,9 @@ from repro.core import MemXCTOperator, OperatorConfig, preprocess
 from repro.geometry import ConeBeamGeometry, FanBeamGeometry, ParallelBeamGeometry
 from repro.io import load_operator, save_operator
 from repro.parallel.backend import make_backend, parse_workers
-from repro.trace import (
-    build_cone_projection_matrix,
-    build_fan_projection_matrix,
-    build_projection_matrix,
-    trace_view,
-)
+from repro.dist import distributed_preprocess
+from repro.sparse import CSRMatrix, scan_transpose
+from repro.trace import build_projection_matrix, matrix_builder, trace_view
 
 GEOMETRIES = {
     "parallel": ParallelBeamGeometry(16, 12),
@@ -94,6 +91,87 @@ class TestGeometryConformance:
             got, want = getattr(parallel, name), getattr(serial, name)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("spec", ["serial", "2", "process:2"])
+    @pytest.mark.parametrize("dtype", [None, "float64"])
+    def test_traced_in_order_equals_traced_row_major_then_reordered(
+        self, geometry, dtype, spec
+    ):
+        """The ordered pair straight from the builder is, array for
+        array and dtype for dtype, the row-major trace permuted and
+        re-sorted (the chain ``preprocess`` ran before the tracer took
+        the rank arrays)."""
+        op, _ = preprocess(
+            geometry, config=OperatorConfig(kernel="csr", dtype=dtype, workers=spec)
+        )
+        matrix = (
+            CSRMatrix.from_scipy(
+                build_projection_matrix(geometry), dtype=dtype or "float32"
+            )
+            .permute(op.sino_ordering.perm, op.tomo_ordering.rank)
+            .sort_rows_by_index()
+        )
+        for got, want in ((op.matrix, matrix), (op.transpose, scan_transpose(matrix))):
+            assert got.shape == want.shape
+            for name in ("displ", "ind", "val"):
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("which", ["row_rank", "col_rank"])
+    def test_a_bad_rank_array_is_rejected_before_any_view_is_traced(
+        self, geometry, which, monkeypatch
+    ):
+        def no_tracing(*args):
+            raise AssertionError("traced a view before validating the ranks")
+
+        monkeypatch.setattr(matrix_builder, "trace_view", no_tracing)
+        size = {"row_rank": geometry.num_rays, "col_rank": geometry.grid.num_pixels}[
+            which
+        ]
+        out_of_range, repeated = np.arange(size), np.arange(size)
+        out_of_range[0] = size
+        repeated[1] = repeated[0]
+        for bad, match in (
+            (np.arange(size - 1), "shape"),
+            (np.arange(size).reshape(1, -1), "shape"),
+            (out_of_range, "outside"),
+            (-out_of_range, "outside"),
+            (repeated, "injective"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                build_projection_matrix(geometry, **{which: bad})
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_chunk_emits_twelve_byte_triplets(self, geometry, dtype):
+        """Per view: int32 coordinates and values already in the
+        matrix's dtype, with or without rank arrays.  An empty range
+        still concatenates, to empty streams."""
+        reverse = np.arange(geometry.grid.num_pixels, dtype=np.int32)[::-1]
+        for col_rank in (None, reverse):
+            for start, stop in ((0, 2), (1, 1)):
+                views = matrix_builder._trace_view_chunk(
+                    (geometry, start, stop, None, col_rank, np.dtype(dtype))
+                )
+                for rows, cols, vals in views:
+                    assert (rows.dtype, cols.dtype, vals.dtype) == (
+                        np.int32, np.int32, dtype
+                    )
+                    assert rows.shape == cols.shape == vals.shape
+                sizes = [np.concatenate(part).size for part in zip(*views)]
+                assert len(sizes) == 3 and len(set(sizes)) == 1
+                assert (sizes[0] > 0) == (stop > start)
+
+    def test_distributed_preprocess_with_more_ranks_than_angles(self, geometry):
+        """Ranks left without an angle trace an empty range and still
+        receive, and assemble, their tomogram columns."""
+        ranks = geometry.num_angles + 3
+        dist = distributed_preprocess(geometry, ranks)
+        op, _ = preprocess(geometry, config=OperatorConfig(kernel="csr"))
+        assert dist.per_rank_nnz().sum() == op.matrix.nnz
+        x = np.linspace(0.0, 1.0, op.num_pixels).astype(np.float32)
+        np.testing.assert_allclose(
+            dist.forward(x), op.matrix.spmv(x), rtol=1e-5, atol=1e-5
+        )
 
     def test_plan_cache_misses_then_hits_with_an_equal_operator(
         self, geometry, tmp_path
@@ -166,10 +244,6 @@ class TestOneSeam:
         assert np.array_equal(op.project_volume(volume), op.project_image(volume))
         assert op.backproject_projections(stack).shape == g.volume_shape
 
-    def test_the_named_builders_are_the_one_builder(self):
-        assert build_fan_projection_matrix is build_projection_matrix
-        assert build_cone_projection_matrix is build_projection_matrix
-
     def test_fan_and_parallel_of_equal_size_get_different_plan_keys(self):
         parallel, fan = GEOMETRIES["parallel"], GEOMETRIES["fan"]
         assert parallel.sinogram_shape == fan.sinogram_shape
@@ -214,7 +288,7 @@ class TestOneSeam:
     def test_fan_matrix_matches_the_dedicated_builder_it_replaced(self):
         # shape / nnz / CRC recorded from the parent commit's
         # build_fan_projection_matrix (its own per-view loop).
-        matrix = build_fan_projection_matrix(GEOMETRIES["fan"])
+        matrix = build_projection_matrix(GEOMETRIES["fan"])
         crc = 0
         for array in (matrix.indptr, matrix.indices, matrix.data):
             crc = zlib.crc32(np.ascontiguousarray(array).tobytes(), crc)

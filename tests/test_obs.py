@@ -337,12 +337,18 @@ class TestInstrumentation:
         assert cap.total(obs.SPMV_CALLS) == 8 + 3 * (4 + 3)
 
     def test_single_solve_spans_carry_no_batch_attribute(self, small_operator):
+        """A single solve is told apart on its *solver* spans (no
+        ``batch``); underneath it is the one-column slab solve, so its
+        ``spmv.*`` spans say ``batch=1`` and count one call each."""
         y = small_operator.forward(np.ones(small_operator.num_pixels, dtype=np.float32))
         with obs.capture() as cap:
             sirt(small_operator, y, num_iterations=2)
         spans = cap.find_spans("solver.solve") + cap.find_spans("solver.iteration")
         assert len(spans) == 3 and all("batch" not in s.attrs for s in spans)
+        kernels = cap.find_spans("spmv.forward") + cap.find_spans("spmv.adjoint")
         # One initial forward, then one adjoint + one forward per iteration.
+        assert len(kernels) == 1 + 2 * 2
+        assert all(s.attrs["batch"] == 1 for s in kernels)
         assert cap.total(obs.SPMV_CALLS) == 1 + 2 * 2
 
     def test_comm_counters_from_simulated_mpi(self):

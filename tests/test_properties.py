@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.geometry import FanBeamGeometry, ParallelBeamGeometry
 from repro.ordering import make_ordering
 from repro.sparse import CSRMatrix, build_buffered, build_ell, scan_transpose
-from repro.trace import build_fan_projection_matrix, build_projection_matrix
+from repro.trace import build_projection_matrix
 
 
 def _random_matrix(rows, cols, seed, density=0.2):
@@ -102,7 +102,7 @@ def _traced_matrix(beam: str, channels: int) -> CSRMatrix:
     if beam == "parallel":
         raw = build_projection_matrix(ParallelBeamGeometry(14, channels))
     else:
-        raw = build_fan_projection_matrix(
+        raw = build_projection_matrix(
             FanBeamGeometry(14, channels, source_distance=3.0 * channels)
         )
     return CSRMatrix.from_scipy(raw).sort_rows_by_index()
