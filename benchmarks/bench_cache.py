@@ -12,11 +12,12 @@ end-to-end on a 256x256 parallel-beam geometry:
   steady-state hit cost once the page cache has absorbed the freshly
   written entry (the beamline regime: thousands of hits per store).
 
-Acceptance: warm must be at least 7.5x faster than cold — half the
-lowest of ten fresh runs at PR 22 (15.1-17.7x: cold 5.5-6.9 s, warm
-0.36-0.40 s, 323 MB entry).  The floor was 10x when a cold build took
-214 s; every PR that makes the cold build cheaper shrinks this ratio,
-so it is re-derived, not defended.
+Acceptance: warm must be at least 13x faster than cold — half the
+lowest of ten fresh runs at PR 23 (26.9-36.2x: cold 3.9-5.1 s, warm
+0.135-0.146 s, 323 MB entry mapped and CRC'd at 2.2-2.4 GB/s).  The
+floor was 10x when a cold build took 214 s and 7.5x when a warm hit
+copied the entry out of the archive (0.36-0.40 s); every PR that moves
+either side moves this ratio, so it is re-derived, not defended.
 """
 
 import time
@@ -26,7 +27,7 @@ from repro.geometry import ParallelBeamGeometry
 
 from conftest import host_line
 
-MIN_SPEEDUP = 7.5
+MIN_SPEEDUP = 13.0
 SIZE = 256
 
 
@@ -56,12 +57,14 @@ def test_warm_cache_speedup(report, tmp_path):
 
     entry_bytes = sum(p.stat().st_size for p in cachedir.glob("*.npz"))
     speedup = cold / warm
+    load_mb_per_s = entry_bytes / 1e6 / warm
     lines = [
         f"plan cache warm-vs-cold, {SIZE}x{SIZE} parallel-beam geometry",
         f"  cold preprocess + store : {cold:8.3f} s",
         f"  warm hit (best of 3)    : {warm:8.3f} s",
         f"  speedup                 : {speedup:8.1f} x  (acceptance >= {MIN_SPEEDUP:g}x)",
         f"  cache entry size        : {entry_bytes / 1e6:8.1f} MB",
+        f"  warm load rate          : {load_mb_per_s:8.0f} MB/s  (map + one CRC pass)",
         host_line(),
     ]
     report(
@@ -74,6 +77,7 @@ def test_warm_cache_speedup(report, tmp_path):
             "warm_runs": warm_times,
             "speedup": speedup,
             "entry_bytes": entry_bytes,
+            "load_mb_per_s": load_mb_per_s,
             "min_speedup": MIN_SPEEDUP,
         },
     )

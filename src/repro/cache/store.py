@@ -17,6 +17,12 @@ Robustness properties:
 * **Size-capped eviction** — after each store the cache evicts
   least-recently-used entries (hits bump an entry's mtime) until it is
   back under ``max_bytes``.
+* **Shared, not copied** — a hit is read-only views of one map of the
+  entry's file (:mod:`repro.persist`): operators of one entry, in one
+  process or many, share its page-cache pages.  An entry is only ever
+  replaced by rename or removed by unlink, never rewritten in place,
+  so evicting or discarding a mapped entry — from this process or
+  another one sharing the directory — leaves live operators usable.
 
 Hits, misses, and byte traffic are reported through ``repro.obs``
 (``cache.hits`` / ``cache.misses`` / ``cache.bytes_read`` /
@@ -161,6 +167,7 @@ class PlanCache:
             return None
         with span("cache.load", key=key):
             try:
+                nbytes = path.stat().st_size
                 operator = load_operator(path)
             except FileNotFoundError:
                 add_count(CACHE_MISSES, 1)
@@ -175,9 +182,13 @@ class PlanCache:
                 self.discard(key)
                 add_count(CACHE_MISSES, 1)
                 return None
-            nbytes = path.stat().st_size
-        now = time.time()
-        os.utime(path, (now, now))  # recency bump for LRU eviction
+        try:
+            os.utime(path)  # recency bump for LRU eviction
+        except FileNotFoundError:
+            # Another process sharing the directory evicted or discarded
+            # the entry since the load.  The load is still good: the
+            # operator's map keeps the unlinked file's pages alive.
+            pass
         add_count(CACHE_HITS, 1)
         add_count(CACHE_BYTES_READ, nbytes)
         return operator

@@ -16,6 +16,14 @@ so a crashed or killed writer can never leave a half-written operator
 under the final name.  Every v2 file embeds a CRC-32 checksum over all
 payload arrays which is verified on load; a flipped bit surfaces as
 :class:`OperatorIntegrityError` instead of silently corrupt physics.
+
+A load opens and parses the file once.  An uncompressed v2 file (what
+the plan cache stores) is *mapped*, not copied: the operator's arrays
+are read-only views of one shared map of the file
+(:func:`repro.persist.read_npz`), and the checksum is computed over
+those pages before :func:`load_operator` returns — on every load.
+Compressed files, files written before members were aligned, and v1
+files load as private copies with identical contents.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from .geometry import (
     ScanGeometry,
 )
 from .ordering import DomainOrdering
-from .persist import CorruptArchiveError, atomic_savez_checked, load_checked_npz
+from .persist import atomic_savez_checked, read_npz, verify_checksum
 from .sparse import (
     BufferedMatrix,
     CSRMatrix,
@@ -246,26 +254,22 @@ def load_operator(path: str | Path) -> MemXCTOperator:
     """
     path = Path(path)
     try:
-        # Peek at the version first (npz members load lazily): v1 files
-        # carry no checksum, and an unknown version is a format error
-        # whatever its checksum says.
-        with np.load(path, allow_pickle=False) as npz:
-            version = int(npz["format_version"])
-            if version not in _READABLE_VERSIONS:
-                raise OperatorFormatError(
-                    f"unsupported operator file version {version} "
-                    f"(expected one of {_READABLE_VERSIONS})"
-                )
-            if version < 2:
-                unchecked = {name: npz[name] for name in npz.files}
-                return _operator_from_arrays(unchecked, version)
-        return _operator_from_arrays(load_checked_npz(path), version)
-    except FileNotFoundError:
+        # One parse: the version is read from the same arrays the
+        # operator is built from.  An unknown version is a format error
+        # whatever its checksum says, and v1 files carry no checksum
+        # (``read_npz`` hands out views only of archives that do).
+        data = read_npz(path, mapped=True)
+        version = int(data["format_version"])
+        if version not in _READABLE_VERSIONS:
+            raise OperatorFormatError(
+                f"unsupported operator file version {version} "
+                f"(expected one of {_READABLE_VERSIONS})"
+            )
+        if version >= 2:
+            data = verify_checksum(data, path)
+        return _operator_from_arrays(data, version)
+    except (FileNotFoundError, OperatorFormatError, OperatorIntegrityError):
         raise
-    except (OperatorFormatError, OperatorIntegrityError):
-        raise
-    except CorruptArchiveError as exc:
-        raise OperatorIntegrityError(str(exc)) from exc
     except Exception as exc:
         raise OperatorIntegrityError(
             f"{path} is not a readable operator file: {exc}"

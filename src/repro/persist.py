@@ -1,8 +1,9 @@
 """Crash-safe archive primitives shared by every on-disk format.
 
-Three robustness properties, factored out of :mod:`repro.io` so the
-operator format, the plan cache, solver checkpoints, and the service
-job journal all go through the *same* hardened path:
+Robustness properties, factored out of :mod:`repro.io` so the operator
+format, the plan cache, solver checkpoints, and the service job journal
+all go through the *same* hardened path — one writer
+(:func:`atomic_savez`) and one parser (:func:`read_npz`) of an archive:
 
 * **Atomic writes** — payloads (npz archives and the JSON sidecars
   next to them alike) are written to a temporary file in the
@@ -21,17 +22,31 @@ job journal all go through the *same* hardened path:
   final record is dropped, anything before it is intact or the replay
   raises.
 * **Zero copies where possible** — checksumming uses a raw memoryview
-  of each array rather than serializing it twice.
+  of each array rather than serializing it twice, and an uncompressed
+  archive is written with every member's array data on a 64-byte
+  boundary of the file (a pad field in the member's zip local header;
+  the file stays a plain ``.npz`` that ``np.load`` opens), so
+  ``read_npz(path, mapped=True)`` can hand out read-only views of one
+  shared file map instead of private copies.  The payload CRC is then
+  computed over the mapped pages: a warm operator load is one map and
+  one CRC pass.  Nothing may write or truncate a finished archive in
+  place while views of it are alive — writers here only ever rename a
+  finished file over it, which leaves the mapped inode untouched.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
 import struct
+import weakref
+import zipfile
 import zlib
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 __all__ = [
     "raw_buffer",
@@ -39,6 +54,8 @@ __all__ = [
     "atomic_savez",
     "atomic_write_text",
     "atomic_savez_checked",
+    "read_npz",
+    "verify_checksum",
     "load_checked_npz",
     "CorruptArchiveError",
     "RecordLog",
@@ -83,10 +100,52 @@ def _atomic_write(path: Path, mode: str, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
+#: Array data of every stored member start on a multiple of this many
+#: bytes in the file (npy pads its own header to the same 64).
+ALIGNMENT = 64
+
+#: Zip extra-field id of the padding that aligns a member (the id
+#: Android's ``zipalign`` pads with); readers skip unknown fields.
+_PAD_FIELD_ID = 0xD935
+
+#: Every member carries the same stamp (the zip epoch), not the wall
+#: clock: two writes of one payload are the same bytes.
+_MEMBER_DATE = (1980, 1, 1, 0, 0, 0)
+
+#: Zip local file header: signature, 22 bytes of fields the central
+#: directory repeats, file-name length, extra-field length.
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
+
+#: The zip64 extra field of a local header: id, length, two sizes.
+_ZIP64_FIELD = struct.Struct("<HHQQ")
+
+
+def _write_stored_npz(fh, payload: dict) -> None:
+    """``np.savez`` with aligned array data and a fixed member stamp."""
+    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
+        for name, value in payload.items():
+            info = zipfile.ZipInfo(name + ".npy", _MEMBER_DATE)
+            info.external_attr = 0o600 << 16
+            # The npy header is a multiple of ALIGNMENT long, so the
+            # array data are aligned when the local header — fixed part,
+            # name, the zip64 sizes ``force_zip64`` adds, our pad — ends
+            # aligned.
+            header = _LOCAL_HEADER.size + len(info.filename.encode()) + _ZIP64_FIELD.size
+            pad = -(fh.tell() + header) % ALIGNMENT
+            if pad:
+                if pad < 4:  # a field is at least its own id and length
+                    pad += ALIGNMENT
+                info.extra = struct.pack("<HH", _PAD_FIELD_ID, pad - 4) + bytes(pad - 4)
+            with zf.open(info, "w", force_zip64=True) as member:
+                npy_format.write_array(member, np.asanyarray(value), allow_pickle=False)
+
+
 def atomic_savez(path: Path, payload: dict, compress: bool) -> None:
     """Write ``payload`` as an npz archive via temp file + rename."""
-    writer = np.savez_compressed if compress else np.savez
-    _atomic_write(path, "wb", lambda fh: writer(fh, **payload))
+    if compress:
+        _atomic_write(path, "wb", lambda fh: np.savez_compressed(fh, **payload))
+    else:
+        _atomic_write(path, "wb", lambda fh: _write_stored_npz(fh, payload))
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -109,21 +168,109 @@ def atomic_savez_checked(path: Path, payload: dict, compress: bool = False) -> N
     atomic_savez(Path(path), payload, compress=compress)
 
 
-def load_checked_npz(path) -> dict:
-    """Load a checked npz archive, verifying its embedded checksum.
+#: The live read-only map of each archive this process holds views of,
+#: keyed by ``(st_dev, st_ino, st_size)`` — not mtime, which the plan
+#: cache's recency bump rewrites.  Weak: the file is unmapped when the
+#: last view of it dies.  Each separate map of one file counts its pages
+#: in RSS again, so every load of one archive shares one.
+_LIVE_MAPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    Returns the payload dict (``checksum`` entry removed).  Raises
-    :class:`CorruptArchiveError` on an unreadable archive, a missing
-    checksum, or a mismatch — silent bit rot never reaches the caller.
+
+def _file_map(fh) -> mmap.mmap:
+    stat = os.fstat(fh.fileno())
+    key = (stat.st_dev, stat.st_ino, stat.st_size)
+    mapped = _LIVE_MAPS.get(key)
+    if mapped is None:
+        # Two threads racing here map the file twice; both maps are
+        # good and the later one stays registered.
+        mapped = _LIVE_MAPS[key] = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    return mapped
+
+
+def _member_view(fh, info: zipfile.ZipInfo, mapped: mmap.mmap) -> np.ndarray | None:
+    """Read-only view of a stored member's array data in the file map.
+
+    ``None`` when the data cannot be used where they lie (misaligned
+    for their dtype — every archive written before members were
+    aligned — Fortran-ordered, byte-swapped, or an npy version without
+    a public header reader): the caller reads a private copy instead.
     """
-    from zipfile import BadZipFile
+    signature, name_size, extra_size = _LOCAL_HEADER.unpack_from(mapped, info.header_offset)
+    if signature != b"PK\x03\x04":
+        raise ValueError(f"member {info.filename}: bad local header")
+    start = info.header_offset + _LOCAL_HEADER.size + name_size + extra_size
+    fh.seek(start)
+    version = npy_format.read_magic(fh)
+    if version == (1, 0):
+        shape, fortran, dtype = npy_format.read_array_header_1_0(fh)
+    elif version == (2, 0):
+        shape, fortran, dtype = npy_format.read_array_header_2_0(fh)
+    else:
+        return None
+    data = fh.tell()
+    if (
+        fortran
+        or dtype.hasobject
+        or not dtype.isnative
+        or dtype.itemsize == 0
+        or data % dtype.alignment
+    ):
+        return None
+    count = math.prod(shape)
+    stop = start + info.file_size
+    if stop > len(mapped) or data + dtype.itemsize * count != stop:
+        raise ValueError(f"member {info.filename}: npy header disagrees with its size")
+    # One frombuffer per member, not slices of one whole-file array: a
+    # member must be its own base, or scipy's csr_matrix takes "a small
+    # view of a much larger array" as its cue to copy it.
+    return np.frombuffer(mapped, dtype, count, data).reshape(shape)
 
+
+def read_npz(path, mapped: bool = False) -> dict:
+    """Every array of the npz archive at ``path``, by member name.
+
+    Private copies by default, each read through ``zipfile``'s own
+    per-member CRC.  With ``mapped``, members of an archive that
+    carries a ``checksum`` entry come back as *read-only views* of one
+    shared map of the file wherever they can (stored, aligned, C-order
+    — see :func:`_member_view`; deflated members and the rest are
+    copies as above): nothing has read their bytes yet, so the caller
+    must run :func:`verify_checksum` before trusting them.
+
+    Raises ``FileNotFoundError`` for a missing file and
+    :class:`CorruptArchiveError` for anything else unreadable.
+    """
     path = Path(path)
     try:
-        with np.load(path, allow_pickle=False) as data:
-            payload = {name: data[name] for name in data.files}
-    except (OSError, ValueError, KeyError, BadZipFile) as exc:
+        with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
+            members = zf.infolist()
+            mapped = mapped and any(m.filename == "checksum.npy" for m in members)
+            file_map = _file_map(fh) if mapped else None
+            payload = {}
+            for info in members:
+                array = None
+                if file_map is not None and info.compress_type == zipfile.ZIP_STORED:
+                    array = _member_view(fh, info, file_map)
+                if array is None:
+                    with zf.open(info) as member:
+                        array = npy_format.read_array(member, allow_pickle=False)
+                payload[info.filename.removesuffix(".npy")] = array
+            return payload
+    except FileNotFoundError:
+        raise
+    except (
+        OSError, ValueError, KeyError, EOFError, struct.error, zlib.error,
+        zipfile.BadZipFile,
+    ) as exc:
         raise CorruptArchiveError(f"unreadable archive {path}: {exc}") from exc
+
+
+def verify_checksum(payload: dict, path) -> dict:
+    """``payload`` minus its ``checksum`` entry, once the CRC matched.
+
+    Raises :class:`CorruptArchiveError` on a missing checksum or a
+    mismatch — silent bit rot never reaches the caller.
+    """
     if "checksum" not in payload:
         raise CorruptArchiveError(f"archive {path} carries no checksum")
     stored = int(payload.pop("checksum"))
@@ -134,6 +281,19 @@ def load_checked_npz(path) -> dict:
             f"computed {actual:#010x}) — corrupt or truncated"
         )
     return payload
+
+
+def load_checked_npz(path) -> dict:
+    """Load a checked npz archive, verifying its embedded checksum.
+
+    Returns the payload dict (``checksum`` entry removed) as private,
+    writable arrays.  Raises :class:`CorruptArchiveError` on a missing
+    or unreadable archive, a missing checksum, or a mismatch.
+    """
+    try:
+        return verify_checksum(read_npz(path), path)
+    except FileNotFoundError as exc:
+        raise CorruptArchiveError(f"unreadable archive {path}: {exc}") from exc
 
 
 class RecordLogError(ValueError):

@@ -1,13 +1,14 @@
 """The persistent operator-plan cache: fingerprints, the store,
 ``preprocess()`` integration, graceful degradation, and eviction."""
 
+import gc
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import obs, persist
 from repro.cache import (
     CacheIntegrityWarning,
     PlanCache,
@@ -185,6 +186,77 @@ class TestStoreLoad:
         assert cap.span_names().count("cache.load") == 1
         (sp,) = cap.find_spans("cache.load")
         assert sp.attrs["key"] == key
+
+
+class TestMappedEntries:
+    """A hit is read-only views of one shared map of the entry; the
+    entry's file may go away under a live operator, never change."""
+
+    def test_loads_share_an_entry_s_pages_and_entries_do_not(
+        self, cache, small_operator
+    ):
+        cache.store("a" * 64, small_operator)
+        cache.store("b" * 64, small_operator)
+        first, second, other = (cache.load(k * 64) for k in "aab")
+        assert len(persist._LIVE_MAPS) == 2
+        for mine, same, others in [
+            (first.matrix.val, second.matrix.val, other.matrix.val),
+            (first.buffered_adjoint.ind, second.buffered_adjoint.ind,
+             other.buffered_adjoint.ind),
+        ]:
+            assert not mine.flags.writeable and mine.flags.aligned
+            assert np.shares_memory(mine, same)
+            assert not np.shares_memory(mine, others)
+        del first, second, other, mine, same, others
+        gc.collect()
+        assert len(persist._LIVE_MAPS) == 0  # the last operator unmaps
+
+    def test_entry_discarded_between_load_and_recency_bump_is_still_a_hit(
+        self, cache, small_operator, monkeypatch, rng
+    ):
+        """Engines share a cache directory: another process may evict
+        the entry right after this one read it."""
+        from repro.cache import store
+
+        key = "c" * 64
+        cache.store(key, small_operator)
+
+        real_load = store.load_operator
+
+        def load_then_lose_the_race(path):
+            operator = real_load(path)
+            assert cache.discard(key)
+            return operator
+
+        monkeypatch.setattr(store, "load_operator", load_then_lose_the_race)
+        with obs.capture() as cap:
+            loaded = cache.load(key)
+        assert cap.total(obs.CACHE_HITS) == 1 and cap.total(obs.CACHE_MISSES) == 0
+        assert cap.total(obs.CACHE_BYTES_READ) > 0
+        assert cache.entries() == []
+        x = rng.random(small_operator.num_pixels).astype(np.float32)
+        np.testing.assert_array_equal(loaded.forward(x), small_operator.forward(x))
+
+    def test_discard_and_evict_leave_live_operators_usable(
+        self, tmp_path, small_operator, rng
+    ):
+        cache = PlanCache(tmp_path / "plans", max_bytes=1)
+        cache.store("a" * 64, small_operator)
+        held = cache.load("a" * 64)
+        cache.store("b" * 64, small_operator)  # over the cap: evicts "a"
+        assert [e.key[0] for e in cache.entries()] == ["b"]
+        also_held = cache.load("b" * 64)
+        assert cache.discard("b" * 64)
+        y = rng.random(small_operator.num_rays).astype(np.float32)
+        for operator in (held, also_held):
+            np.testing.assert_array_equal(
+                operator.adjoint(y), small_operator.adjoint(y)
+            )
+        # A rename over a mapped entry (what a re-store does) is a new
+        # inode: the old operator keeps its pages, the next load maps anew.
+        cache.store("a" * 64, small_operator)
+        fresh = cache.load("a" * 64)
+        assert not np.shares_memory(fresh.matrix.val, held.matrix.val)
 
 
 class TestPreprocessIntegration:

@@ -1,8 +1,14 @@
 """Tests for operator persistence (save/load roundtrip)."""
 
+import gc
+import hashlib
+import zipfile
+
 import numpy as np
 import pytest
+from numpy.lib import format as npy_format
 
+from repro import persist
 from repro.cache import PlanCache
 from repro.core import OperatorConfig, preprocess
 from repro.geometry import ParallelBeamGeometry
@@ -13,6 +19,70 @@ from repro.io import (
     load_operator,
     save_operator,
 )
+
+KERNELS = ("csr", "buffered", "ell")
+PRECISIONS = (None, "float32", "float64")
+
+
+def member_spans(path) -> dict[str, tuple[int, int]]:
+    """``name -> (npy header offset, array data offset)`` of every
+    member, parsed from the zip and npy headers alone — independent of
+    the parser under test."""
+    spans = {}
+    with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
+        for info in zf.infolist():
+            fh.seek(info.header_offset + 26)
+            name_size, extra_size = np.frombuffer(fh.read(4), "<u2")
+            start = info.header_offset + 30 + int(name_size) + int(extra_size)
+            fh.seek(start)
+            assert npy_format.read_magic(fh) == (1, 0)
+            npy_format.read_array_header_1_0(fh)
+            spans[info.filename.removesuffix(".npy")] = (start, fh.tell())
+    return spans
+
+
+def operator_arrays(operator) -> dict[str, np.ndarray]:
+    """Every array of nnz or row length a loaded operator runs on."""
+    arrays = {}
+    for tag, layout in [
+        ("matrix", operator.matrix),
+        ("transpose", operator.transpose),
+        ("bf", operator.buffered_forward),
+        ("ba", operator.buffered_adjoint),
+        ("ef", operator.ell_forward),
+        ("ea", operator.ell_adjoint),
+    ]:
+        if layout is None:
+            continue
+        if hasattr(layout, "ind_slabs"):  # ELL's to_arrays concatenates
+            held = {f"ind{i}": slab for i, slab in enumerate(layout.ind_slabs)}
+            held.update({f"val{i}": slab for i, slab in enumerate(layout.val_slabs)})
+        else:
+            held = layout.to_arrays()
+        for name, array in held.items():
+            if array.size > 1:
+                arrays[f"{tag}.{name}"] = array
+    return arrays
+
+
+def assert_equal_operators(loaded, operator) -> None:
+    assert loaded.geometry == operator.geometry
+    assert loaded.config == operator.config
+    ours, theirs = operator_arrays(loaded), operator_arrays(operator)
+    assert ours.keys() == theirs.keys()
+    for name in ours:
+        assert ours[name].dtype == theirs[name].dtype, name
+        assert np.array_equal(ours[name], theirs[name]), name
+
+
+def small_operator_of(kernel, dtype=None):
+    op, _ = preprocess(
+        ParallelBeamGeometry(30, 20),
+        config=OperatorConfig(
+            kernel=kernel, partition_size=32, buffer_bytes=2048, dtype=dtype
+        ),
+    )
+    return op
 
 
 @pytest.fixture(scope="module")
@@ -267,3 +337,253 @@ class TestV1BackCompat:
         y = rng.random(op.num_rays).astype(np.float32)
         np.testing.assert_array_equal(loaded.forward(x), op.forward(x))
         np.testing.assert_array_equal(loaded.adjoint(y), op.adjoint(y))
+
+
+class TestAlignedArchive:
+    """An uncompressed checked archive is a plain npz whose array data
+    all start on 64-byte boundaries of the file, written with a fixed
+    member stamp — nothing else about it differs from ``np.savez``."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_every_member_is_aligned_and_np_load_reads_it(self, tmp_path, kernel):
+        op = small_operator_of(kernel)
+        path = save_operator(tmp_path / "op.npz", op, compress=False)
+        spans = member_spans(path)
+        assert spans and all(data % 64 == 0 for _, data in spans.values()), spans
+        ours = persist.load_checked_npz(path)
+        with np.load(path) as plain:
+            assert [n for n in plain.files if n != "checksum"] == list(ours)
+            for name in ours:
+                assert plain[name].dtype == ours[name].dtype
+                assert np.array_equal(plain[name], ours[name])
+
+    @pytest.mark.parametrize("dtype", PRECISIONS)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_members_are_np_savez_s(self, tmp_path, kernel, dtype):
+        """Names, order, sizes, per-member CRCs and the payload checksum
+        are those of the ``np.savez`` archive this writer replaced; the
+        file is longer by the pad fields alone (the plan keys are pinned
+        in ``test_cache.py::test_named_kernels_keep_their_keys``)."""
+        op = small_operator_of(kernel, dtype)
+        path = save_operator(tmp_path / "op.npz", op, compress=False)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        np.savez(tmp_path / "savez.npz", **arrays)
+        ours, savez = (
+            zipfile.ZipFile(p).infolist() for p in (path, tmp_path / "savez.npz")
+        )
+        assert [(m.filename, m.file_size, m.CRC, m.compress_type) for m in ours] == [
+            (m.filename, m.file_size, m.CRC, m.compress_type) for m in savez
+        ]
+        checksum = arrays.pop("checksum")
+        assert int(checksum) == persist.payload_checksum(arrays)
+        pads = sum(len(m.extra) for m in ours)
+        assert 0 < pads < 68 * len(ours)
+        grown = path.stat().st_size - (tmp_path / "savez.npz").stat().st_size
+        assert grown == 2 * pads  # local header + central directory
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_two_saves_are_the_same_bytes(self, tmp_path, kernel):
+        op = small_operator_of(kernel)
+        first = save_operator(tmp_path / "a.npz", op, compress=False)
+        second = save_operator(tmp_path / "b.npz", op, compress=False)
+        stamps = {m.date_time for m in zipfile.ZipFile(first).infolist()}
+        assert stamps == {(1980, 1, 1, 0, 0, 0)}  # not the wall clock
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (first, second)]
+        assert digests[0] == digests[1]
+
+    def test_small_payloads_round_trip_as_private_copies(self, tmp_path):
+        """Checkpoints and journal payloads are mutated after load."""
+        payload = {
+            "image": np.arange(12.0).reshape(3, 4),
+            "empty": np.zeros((0, 3), np.float32),
+            "scalar": np.int64(7),
+            "text": "cg",
+            "flags": np.array([True, False]),
+            "fortran": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        }
+        persist.atomic_savez_checked(tmp_path / "p.npz", payload)
+        loaded = persist.load_checked_npz(tmp_path / "p.npz")
+        assert list(loaded) == list(payload)
+        for name, value in payload.items():
+            assert np.array_equal(loaded[name], value), name
+            assert loaded[name].dtype == np.asarray(value).dtype
+        loaded["image"][0, 0] = -1.0  # writable
+        assert len(persist._LIVE_MAPS) == 0
+
+
+class TestMappedLoad:
+    """``load_operator`` hands out read-only views of one shared map of
+    an aligned archive, after the payload CRC matched over them."""
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        return save_operator(
+            tmp_path / "op.npz", small_operator_of("buffered"), compress=False
+        )
+
+    @pytest.mark.parametrize("dtype", PRECISIONS)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_views_are_read_only_aligned_and_equal(self, tmp_path, kernel, dtype):
+        op = small_operator_of(kernel, dtype)
+        loaded = load_operator(save_operator(tmp_path / "op.npz", op, compress=False))
+        assert_equal_operators(loaded, op)
+        for name, array in operator_arrays(loaded).items():
+            assert not array.flags.writeable, name
+            assert array.flags.aligned, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        x = np.linspace(0.0, 1.0, op.num_pixels)
+        y = np.linspace(0.0, 1.0, op.num_rays)
+        assert np.array_equal(loaded.forward(x), op.forward(x))
+        assert np.array_equal(loaded.adjoint(y), op.adjoint(y))
+
+    def test_loads_of_one_file_share_pages_and_files_do_not(self, path, tmp_path):
+        first, second = load_operator(path), load_operator(path)
+        other = load_operator(
+            save_operator(tmp_path / "other.npz", first, compress=False)
+        )
+        assert len(persist._LIVE_MAPS) == 2
+        for name, array in operator_arrays(first).items():
+            assert np.shares_memory(array, operator_arrays(second)[name]), name
+            assert not np.shares_memory(array, operator_arrays(other)[name]), name
+
+    def test_kernels_run_on_the_mapped_pages(self, path):
+        """scipy copies "a small view of a much larger array": every
+        member is its own base, so the compiled view is the map."""
+        loaded = load_operator(path)
+        loaded.matrix.spmv(np.ones(loaded.num_pixels, np.float32))
+        assert np.shares_memory(loaded.matrix._view.data, loaded.matrix.val)
+        assert np.shares_memory(loaded.matrix._view.indices, loaded.matrix.ind)
+
+    def test_last_operator_dropped_unmaps_the_file(self, path):
+        first, second = load_operator(path), load_operator(path)
+        val = first.matrix.val
+        del first, second
+        gc.collect()
+        assert len(persist._LIVE_MAPS) == 1  # one array is enough to hold it
+        del val
+        gc.collect()
+        assert len(persist._LIVE_MAPS) == 0
+
+    def test_flip_in_place_is_refused_while_the_entry_is_mapped(self, path):
+        """The CRC runs on every load, over the shared pages."""
+        alive = load_operator(path)
+        _, data = member_spans(path)["val"]
+        with open(path, "r+b") as fh:
+            fh.seek(data + 5)
+            byte = fh.read(1)
+            fh.seek(data + 5)
+            fh.write(bytes([byte[0] ^ 0x10]))
+        with pytest.raises(OperatorIntegrityError, match="checksum mismatch"):
+            load_operator(path)
+        assert alive.matrix.val.size  # the older operator sees the same pages
+
+    def test_pickle_is_a_private_equal_copy(self, path):
+        import pickle
+
+        loaded = load_operator(path)
+        clone = pickle.loads(pickle.dumps(loaded))
+        assert_equal_operators(clone, loaded)
+        assert all(a.flags.writeable for a in operator_arrays(clone).values())
+
+    def test_archives_that_cannot_be_mapped_load_as_equal_copies(self, path, tmp_path):
+        """The parent's ``np.savez`` layout (misaligned members), a
+        compressed file and a v1 file."""
+        op = load_operator(path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        np.savez(tmp_path / "savez.npz", **arrays)
+        assert any(d % 8 for _, d in member_spans(tmp_path / "savez.npz").values())
+        save_operator(tmp_path / "deflated.npz", op, compress=True)
+        v1 = {
+            name: array
+            for name, array in arrays.items()
+            if name != "checksum"
+            and not name.startswith(("t_", "bf_", "ba_", "ef_", "ea_"))
+        }
+        v1["format_version"] = np.int64(1)
+        persist.atomic_savez(tmp_path / "v1.npz", v1, compress=False)  # aligned, unchecked
+        for name in ("savez.npz", "deflated.npz", "v1.npz"):
+            loaded = load_operator(tmp_path / name)
+            assert_equal_operators(loaded, op)
+            big = [a for a in operator_arrays(loaded).values() if a.itemsize == 8]
+            assert big and all(a.flags.writeable for a in big), name
+        del loaded, big
+        gc.collect()
+        assert len(persist._LIVE_MAPS) == 1  # ``op`` alone
+
+
+class TestErrorTaxonomy:
+    """Whatever is wrong with the bytes is ``CorruptArchiveError`` from
+    the parser and ``OperatorIntegrityError`` from ``load_operator``; a
+    missing file and an unknown version keep their own types."""
+
+    @pytest.fixture()
+    def blob(self, tmp_path) -> bytes:
+        path = save_operator(
+            tmp_path / "good.npz", small_operator_of("csr"), compress=False
+        )
+        self.spans = member_spans(path)
+        return path.read_bytes()
+
+    def _refused(self, tmp_path, content: bytes) -> None:
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(content)
+        for mapped in (False, True):
+            with pytest.raises(persist.CorruptArchiveError):
+                persist.verify_checksum(persist.read_npz(bad, mapped=mapped), bad)
+        with pytest.raises(OperatorIntegrityError):
+            load_operator(bad)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            persist.read_npz(tmp_path / "nope.npz", mapped=True)
+        with pytest.raises(persist.CorruptArchiveError):
+            persist.load_checked_npz(tmp_path / "nope.npz")
+
+    def test_zero_length_file(self, tmp_path):
+        self._refused(tmp_path, b"")
+
+    @pytest.mark.parametrize("keep", [0.1, 0.5, 0.9])
+    def test_truncated_file(self, tmp_path, blob, keep):
+        self._refused(tmp_path, blob[: int(len(blob) * keep)])
+
+    def test_bad_local_header(self, tmp_path, blob):
+        start, _ = self.spans["val"]
+        header = blob.rindex(b"PK\x03\x04", 0, start)
+        self._refused(tmp_path, blob[:header] + b"XX" + blob[header + 2 :])
+
+    def test_short_npy_header(self, tmp_path, blob):
+        """The header length field promises more than the member holds."""
+        start, _ = self.spans["ind"]
+        self._refused(tmp_path, blob[: start + 8] + b"\xff\xff" + blob[start + 10 :])
+
+    def test_npy_header_disagreeing_with_the_member_size(self, tmp_path, blob):
+        start, data = self.spans["val"]
+        header = blob[start:data]
+        shape = header[header.index(b"'shape': (") + 10 :]
+        digit = start + len(header) - len(shape)
+        grown = bytes([blob[digit] + 1 if blob[digit] < ord("9") else ord("1")])
+        self._refused(tmp_path, blob[:digit] + grown + blob[digit + 1 :])
+
+    def test_byte_swapped_header_is_caught_by_the_member_crc(self, tmp_path, blob):
+        """``<f4`` -> ``>f4`` keeps every size: such a member is not
+        viewed but read through zipfile, whose CRC covers the header."""
+        start, data = self.spans["val"]
+        mark = blob.index(b"'<f4'", start, data) + 1
+        self._refused(tmp_path, blob[:mark] + b">" + blob[mark + 1 :])
+
+    def test_unknown_version_is_a_format_error_whatever_the_checksum(
+        self, tmp_path, blob
+    ):
+        (tmp_path / "good.npz").write_bytes(blob)
+        with np.load(tmp_path / "good.npz") as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["format_version"] = np.int64(FORMAT_VERSION + 1)
+        for checksum in (arrays["checksum"], None):  # stale, then absent
+            if checksum is None:
+                del arrays["checksum"]
+            persist.atomic_savez(tmp_path / "future.npz", arrays, compress=False)
+            with pytest.raises(OperatorFormatError, match="unsupported"):
+                load_operator(tmp_path / "future.npz")

@@ -359,6 +359,33 @@ class TestSolverEquivalence:
             assert (image == ref).all(), spec
         operators[kernel].set_workers(None)
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_mapped_operator_bit_identical(
+        self, geometry, operators, sinogram, kernel, tmp_path
+    ):
+        """A cache hit is read-only views of the entry's file map: the
+        workers' shared-memory copies of it, a ``process:2`` solve and a
+        pickle round trip equal the serial in-memory operator's."""
+        built = operators[kernel]
+        ref = reconstruct(
+            sinogram, geometry, solver="cg", iterations=8, operator=built
+        ).image
+        cache = PlanCache(tmp_path / "plans")
+        cache.store("0" * 64, built)
+        mapped = cache.load("0" * 64)
+        assert not mapped.matrix.val.flags.writeable
+        clone = pickle.loads(pickle.dumps(mapped))
+        assert clone.matrix.val.flags.writeable
+        for operator in (mapped, clone):
+            for spec in ("serial", "process:2"):
+                image = reconstruct(
+                    sinogram, geometry, solver="cg", iterations=8,
+                    operator=operator, workers=spec,
+                ).image
+                assert (image == ref).all(), spec
+            operator.set_workers(None)
+        built.set_workers(None)
+
     def test_fault_injected_run_with_workers(self, geometry, sinogram, operators):
         """Resilience machinery and the parallel backend compose."""
         op = operators["buffered"]
