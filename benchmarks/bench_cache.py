@@ -12,12 +12,17 @@ end-to-end on a 256x256 parallel-beam geometry:
   steady-state hit cost once the page cache has absorbed the freshly
   written entry (the beamline regime: thousands of hits per store).
 
-Acceptance: warm must be at least 13x faster than cold — half the
-lowest of ten fresh runs at PR 23 (26.9-36.2x: cold 3.9-5.1 s, warm
-0.135-0.146 s, 323 MB entry mapped and CRC'd at 2.2-2.4 GB/s).  The
-floor was 10x when a cold build took 214 s and 7.5x when a warm hit
-copied the entry out of the archive (0.36-0.40 s); every PR that moves
-either side moves this ratio, so it is re-derived, not defended.
+Acceptance: warm must be at least 9.9x faster than cold — half the
+lowest of ten fresh runs at PR 24 (19.9-25.9x: cold 3.4-4.3 s, warm
+0.155-0.177 s, 323 MB entry mapped and CRC'd at 1.8-2.1 GB/s).  The
+floor was 10x when a cold build took 214 s, 7.5x when a warm hit
+copied the entry out of the archive (0.36-0.40 s) and 13x while a cold
+build still wrote the plan a second time (3.9-5.1 s cold, 26.9-36.2x);
+every PR that moves either side moves this ratio, so it is re-derived,
+not defended.  PR 24 moved both: the cold build assembles the entry in
+place (about 1.5x faster), and an entry filled through its map sits in
+4 KiB page-cache pages, which a hit maps and CRCs ~12 % slower than
+the large folios ``write()`` leaves behind.
 """
 
 import time
@@ -27,7 +32,7 @@ from repro.geometry import ParallelBeamGeometry
 
 from conftest import host_line
 
-MIN_SPEEDUP = 13.0
+MIN_SPEEDUP = 9.9
 SIZE = 256
 
 

@@ -8,8 +8,15 @@ plus a ``<fingerprint>.json`` sidecar with human-readable metadata for
 Robustness properties:
 
 * **Crash-safe writes** — entries are written through the atomic
-  temp-file + rename path of ``save_operator``; a killed writer leaves
-  at most a stray ``*.tmp-<pid>`` file, never a truncated entry.
+  temp-file + rename path of :mod:`repro.persist`; a killed writer
+  leaves at most a stray ``*.tmp-<pid>`` file, never a truncated entry,
+  and the next eviction pass removes the strays of dead writers.
+* **Built where it is stored** — ``preprocess`` reserves the entry
+  before it traces (:meth:`PlanCache.reserve`), assembles the ordered
+  pair in the entry's own pages, and :meth:`PlanCache.store` seals it
+  and returns it loaded: a cold build hands out the read-only,
+  CRC-verified mapped operator a hit hands out.  A full disk raises
+  ``OSError`` at the reservation and leaves nothing behind.
 * **Graceful degradation** — a corrupt, truncated, or version-stale
   entry is *discarded with a warning* and reported as a miss, so the
   caller re-traces instead of crashing (the checksum embedded in every
@@ -41,6 +48,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..io import (
+    OperatorArchive,
     OperatorFormatError,
     OperatorIntegrityError,
     load_operator,
@@ -86,6 +94,16 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "repro" / "plans"
+
+
+def _process_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # it exists, under another user
+        pass
+    return True
 
 
 @dataclass(frozen=True)
@@ -193,13 +211,33 @@ class PlanCache:
         add_count(CACHE_BYTES_READ, nbytes)
         return operator
 
-    def store(self, key: str, operator, extra_meta: dict | None = None) -> Path:
-        """Persist ``operator`` under ``key`` (atomic), then evict."""
+    def reserve(self, key: str, geometry, tomo_ordering, sino_ordering, value_dtype):
+        """Open the entry for ``key`` as an archive to be assembled in
+        place (:class:`repro.io.OperatorArchive`) and sealed by
+        :meth:`store`; nothing is visible under the key until then."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        return OperatorArchive(
+            self.plan_path(key), geometry, tomo_ordering, sino_ordering, value_dtype
+        )
+
+    def store(self, key: str, operator, extra_meta: dict | None = None, archive=None):
+        """Persist ``operator`` under ``key`` (atomic), then evict.
+
+        With the ``archive`` that :meth:`reserve` opened and the
+        operator's pair was built in, the store is that archive's seal;
+        without one the operator is written by copy.  Either way the
+        entry is then loaded — mapped and CRC-verified like any hit,
+        but counted as none — and that operator is returned: a cold
+        build hands out what a warm load hands out.
+        """
         self.root.mkdir(parents=True, exist_ok=True)
         with span("cache.store", key=key):
             # Uncompressed: cache entries exist to be loaded fast, and
             # zlib would dominate both the store and the hit path.
-            path = save_operator(self.plan_path(key), operator, compress=False)
+            if archive is not None:
+                path = archive.seal(operator)
+            else:
+                path = save_operator(self.plan_path(key), operator, compress=False)
             nbytes = path.stat().st_size
             meta = {
                 "key": key,
@@ -216,9 +254,10 @@ class PlanCache:
             if extra_meta:
                 meta.update(extra_meta)
             self._write_meta(key, meta)
+            stored = load_operator(path)
         add_count(CACHE_BYTES_WRITTEN, nbytes)
         self.evict()
-        return path
+        return stored
 
     def _write_meta(self, key: str, meta: dict) -> None:
         atomic_write_text(
@@ -287,7 +326,17 @@ class PlanCache:
         exceeds the cap — evicting the plan that was just stored would
         make an oversized geometry uncacheable *and* pay the write cost
         every run.
+
+        Also removes the ``*.tmp-<pid>`` files of writers that no
+        longer exist: an entry assembled in place is plan-sized from
+        its first second, so a killed cold build must not leave it
+        behind.  A live writer's file — any process's — is never
+        touched.
         """
+        for stray in self.root.glob("*.tmp-*"):
+            pid = stray.name.rpartition(".tmp-")[2]
+            if pid.isdigit() and not _process_exists(int(pid)):
+                stray.unlink(missing_ok=True)
         cap = self.max_bytes if max_bytes is None else max_bytes
         entries = self.entries()  # most recent first
         total = sum(e.nbytes for e in entries)

@@ -17,7 +17,10 @@ operator) is reused across all slices of a 3D dataset (paper Table 5's
 :class:`repro.cache.PlanCache`), that reuse extends across processes:
 the finished plan is stored content-addressed on disk, and a later
 ``preprocess`` call with identical inputs loads it back and skips all
-four stages.
+four stages.  The cold call builds the plan *in* that entry — steps 2
+and 3 write ``A`` and ``A^T`` into pages of the entry's archive, the
+store seals it — and returns the entry loaded, so cold and warm calls
+hand out the same read-only mapped operator.
 """
 
 from __future__ import annotations
@@ -93,8 +96,9 @@ def preprocess(
         string / ``Path`` selects an explicit directory, and a
         :class:`repro.cache.PlanCache` is used as-is.  On a hit the
         finished plan is loaded and **all four stages are skipped**
-        (``report.cache_hit``); on a miss the stages run and the plan
-        is stored for the next process.
+        (``report.cache_hit``); on a miss the stages run, the plan is
+        stored for the next process, and the operator returned is that
+        entry, loaded as a hit would load it.
 
     The tracer is handed both orderings' rank arrays, so the matrix it
     assembles is already the ordered ``A``; the transposition stage
@@ -156,130 +160,153 @@ def preprocess(
             report.cache_hit = True
             return operator, report
 
-    with span(
-        "preprocess",
-        angles=geometry.num_angles,
-        channels=geometry.num_channels,
-        kernel=config.kernel,
-    ):
-        with span("preprocess.ordering", scheme=ordering) as sp:
-            # The orderings only need a bijection over flat indices, so
-            # each domain is ordered over the rectangle its geometry
-            # names (for a 2D scan, the array shapes themselves).
-            tomo_ordering = make_ordering(
-                ordering,
-                *geometry.tomo_layout_shape,
-                tile_size=tile_size,
-                min_tiles=min_tiles,
-            )
-            sino_ordering = make_ordering(
-                ordering,
-                *geometry.sino_layout_shape,
-                tile_size=tile_size,
-                min_tiles=min_tiles,
-            )
-        report.ordering_seconds = sp.duration
-
-        workers, mode = parse_workers(config.workers)
-        with span("preprocess.tracing", workers=workers, mode=mode) as sp:
-            backend = make_backend(workers, mode)
-            try:
-                raw = build_projection_matrix(
-                    geometry,
-                    backend=backend,
-                    row_rank=sino_ordering.rank,
-                    col_rank=tomo_ordering.rank,
+    # With a cache (and the plan's key already known: no search
+    # pending) the ordered pair is assembled inside the entry's own
+    # archive, not beside it.
+    archive = None
+    try:
+        with span(
+            "preprocess",
+            angles=geometry.num_angles,
+            channels=geometry.num_channels,
+            kernel=config.kernel,
+        ):
+            with span("preprocess.ordering", scheme=ordering) as sp:
+                # The orderings only need a bijection over flat indices,
+                # so each domain is ordered over the rectangle its
+                # geometry names (for a 2D scan, the array shapes
+                # themselves).
+                tomo_ordering = make_ordering(
+                    ordering,
+                    *geometry.tomo_layout_shape,
+                    tile_size=tile_size,
+                    min_tiles=min_tiles,
                 )
-            finally:
-                backend.close()
-        report.tracing_seconds = sp.duration
-
-        with span("preprocess.transpose") as sp:
-            matrix = CSRMatrix.from_scipy(raw, dtype=config.dtype or "float32")
-            transpose = scan_transpose(matrix)
-        report.transpose_seconds = sp.duration
-
-        if tune_mode is not None:
-            # The search runs on the traced matrix the operator will
-            # actually use — between transpose and partitioning, so
-            # nothing is traced twice and only the winning layout is
-            # built below.
-            from ..autotune import Autotuner, TuningRecord
-
-            with span("preprocess.autotune", mode=tune_mode) as sp:
-                tuner = Autotuner()
-                outcome = tuner.tune(
-                    matrix,
-                    transpose,
-                    mode="predict" if tune_mode == "predict" else "auto",
+                sino_ordering = make_ordering(
+                    ordering,
+                    *geometry.sino_layout_shape,
+                    tile_size=tile_size,
+                    min_tiles=min_tiles,
                 )
-                best = outcome.best
-                record = TuningRecord(
-                    key=tune_key or "",
-                    kernel=best.candidate.kernel,
-                    partition_size=best.candidate.partition_size,
-                    buffer_bytes=best.candidate.buffer_bytes,
-                    # The search no longer tunes a worker count (no
-                    # worker spec changes the kernels it times); the
-                    # field stays in the record format.
-                    workers=1,
-                    dtype=config.dtype,
-                    mode=tune_mode,
-                    predicted_seconds=best.predicted_seconds,
-                    measured_seconds=best.measured_seconds,
-                    candidates_considered=outcome.candidates_considered,
-                    trials=len(outcome.trials),
-                    cpu_count=os.cpu_count() or 0,
-                )
-                config = record.apply(config)
-                if tune_store is not None and tune_key is not None:
-                    tune_store.save(tune_key, record)
-            report.extra["autotune_seconds"] = sp.duration
-            report.extra["autotune_candidates"] = float(
-                outcome.candidates_considered
-            )
-            report.extra["autotune_trials"] = float(len(outcome.trials))
-            if plan_cache is not None:
-                report.cache_key = plan_fingerprint(
-                    geometry, config, ordering, min_tiles, tile_size
+            report.ordering_seconds = sp.duration
+
+            value_dtype = config.dtype or "float32"
+            if plan_cache is not None and tune_mode is None:
+                archive = plan_cache.reserve(
+                    report.cache_key, geometry, tomo_ordering, sino_ordering, value_dtype
                 )
 
-        with span("preprocess.partitioning", kernel=config.kernel) as sp:
-            buffered_forward = buffered_adjoint = None
-            ell_forward = ell_adjoint = None
-            if config.kernel == "buffered":
-                buffered_forward = build_buffered(
-                    matrix, config.partition_size, config.buffer_bytes
-                )
-                buffered_adjoint = build_buffered(
-                    transpose, config.partition_size, config.buffer_bytes
-                )
-            elif config.kernel == "ell":
-                ell_forward = build_ell(matrix, config.partition_size)
-                ell_adjoint = build_ell(transpose, config.partition_size)
-        report.partitioning_seconds = sp.duration
+            workers, mode = parse_workers(config.workers)
+            with span("preprocess.tracing", workers=workers, mode=mode) as sp:
+                backend = make_backend(workers, mode)
+                try:
+                    raw = build_projection_matrix(
+                        geometry,
+                        backend=backend,
+                        row_rank=sino_ordering.rank,
+                        col_rank=tomo_ordering.rank,
+                        out=archive and archive.reserve_matrix,
+                    )
+                finally:
+                    backend.close()
+            report.tracing_seconds = sp.duration
 
-    operator = MemXCTOperator(
-        geometry=geometry,
-        tomo_ordering=tomo_ordering,
-        sino_ordering=sino_ordering,
-        matrix=matrix,
-        transpose=transpose,
-        config=config,
-        buffered_forward=buffered_forward,
-        buffered_adjoint=buffered_adjoint,
-        ell_forward=ell_forward,
-        ell_adjoint=ell_adjoint,
-    )
-    if plan_cache is not None:
-        plan_cache.store(
-            report.cache_key,
-            operator,
-            extra_meta={
-                "ordering": ordering,
-                "min_tiles": min_tiles,
-                "tile_size": tile_size,
-                "preprocess_seconds": report.total_seconds,
-            },
+            with span("preprocess.transpose") as sp:
+                matrix = CSRMatrix.from_scipy(raw, dtype=value_dtype)
+                transpose = scan_transpose(
+                    matrix, out=archive and archive.reserve_transpose(matrix.nnz)
+                )
+            report.transpose_seconds = sp.duration
+
+            if tune_mode is not None:
+                # The search runs on the traced matrix the operator will
+                # actually use — between transpose and partitioning, so
+                # nothing is traced twice and only the winning layout is
+                # built below.
+                from ..autotune import Autotuner, TuningRecord
+
+                with span("preprocess.autotune", mode=tune_mode) as sp:
+                    tuner = Autotuner()
+                    outcome = tuner.tune(
+                        matrix,
+                        transpose,
+                        mode="predict" if tune_mode == "predict" else "auto",
+                    )
+                    best = outcome.best
+                    record = TuningRecord(
+                        key=tune_key or "",
+                        kernel=best.candidate.kernel,
+                        partition_size=best.candidate.partition_size,
+                        buffer_bytes=best.candidate.buffer_bytes,
+                        # The search no longer tunes a worker count (no
+                        # worker spec changes the kernels it times); the
+                        # field stays in the record format.
+                        workers=1,
+                        dtype=config.dtype,
+                        mode=tune_mode,
+                        predicted_seconds=best.predicted_seconds,
+                        measured_seconds=best.measured_seconds,
+                        candidates_considered=outcome.candidates_considered,
+                        trials=len(outcome.trials),
+                        cpu_count=os.cpu_count() or 0,
+                    )
+                    config = record.apply(config)
+                    if tune_store is not None and tune_key is not None:
+                        tune_store.save(tune_key, record)
+                report.extra["autotune_seconds"] = sp.duration
+                report.extra["autotune_candidates"] = float(
+                    outcome.candidates_considered
+                )
+                report.extra["autotune_trials"] = float(len(outcome.trials))
+                if plan_cache is not None:
+                    report.cache_key = plan_fingerprint(
+                        geometry, config, ordering, min_tiles, tile_size
+                    )
+
+            with span("preprocess.partitioning", kernel=config.kernel) as sp:
+                buffered_forward = buffered_adjoint = None
+                ell_forward = ell_adjoint = None
+                if config.kernel == "buffered":
+                    buffered_forward = build_buffered(
+                        matrix, config.partition_size, config.buffer_bytes
+                    )
+                    buffered_adjoint = build_buffered(
+                        transpose, config.partition_size, config.buffer_bytes
+                    )
+                elif config.kernel == "ell":
+                    ell_forward = build_ell(matrix, config.partition_size)
+                    ell_adjoint = build_ell(transpose, config.partition_size)
+            report.partitioning_seconds = sp.duration
+
+        operator = MemXCTOperator(
+            geometry=geometry,
+            tomo_ordering=tomo_ordering,
+            sino_ordering=sino_ordering,
+            matrix=matrix,
+            transpose=transpose,
+            config=config,
+            buffered_forward=buffered_forward,
+            buffered_adjoint=buffered_adjoint,
+            ell_forward=ell_forward,
+            ell_adjoint=ell_adjoint,
         )
+        if plan_cache is not None:
+            # What comes back is the entry, loaded: the operator a warm
+            # call returns (and, like it, without a persisted worker spec).
+            operator = plan_cache.store(
+                report.cache_key,
+                operator,
+                extra_meta={
+                    "ordering": ordering,
+                    "min_tiles": min_tiles,
+                    "tile_size": tile_size,
+                    "preprocess_seconds": report.total_seconds,
+                },
+                archive=archive,
+            )
+            if config.workers is not None:
+                operator.set_workers(config.workers)
+    finally:
+        if archive is not None:
+            archive.close()
     return operator, report

@@ -111,8 +111,9 @@ def distributed_preprocess(
     ranks = (sino_ordering.rank.astype(np.int32), tomo_ordering.rank.astype(np.int32))
     for r in range(num_ranks):
         start, stop = int(angle_cuts[r]), int(angle_cuts[r + 1])
-        views = _trace_view_chunk((geometry, start, stop, *ranks, np.dtype(np.float32)))
-        rows, cols, vals = (np.concatenate(part) for part in zip(*views))
+        rows, cols, vals = _trace_view_chunk(
+            (geometry, start, stop, *ranks, np.dtype(np.float32))
+        )
         owners = tomo_dec.owner_of(cols)
         order = np.argsort(owners, kind="stable")
         rows, cols, vals, owners = rows[order], cols[order], vals[order], owners[order]

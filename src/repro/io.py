@@ -24,6 +24,13 @@ are read-only views of one shared map of the file
 those pages before :func:`load_operator` returns — on every load.
 Compressed files, files written before members were aligned, and v1
 files load as private copies with identical contents.
+
+The member order of the archive is decided in this module alone.
+:func:`save_operator` writes a finished operator by copy;
+:class:`OperatorArchive` is the same archive assembled *in place* for
+the plan cache — the pair's index and value streams are reserved in the
+file and filled by the loops that compute them — and seals to the same
+bytes.
 """
 
 from __future__ import annotations
@@ -40,7 +47,13 @@ from .geometry import (
     ScanGeometry,
 )
 from .ordering import DomainOrdering
-from .persist import atomic_savez_checked, read_npz, verify_checksum
+from .persist import (
+    NpzWriter,
+    atomic_savez_checked,
+    payload_checksum,
+    read_npz,
+    verify_checksum,
+)
 from .sparse import (
     BufferedMatrix,
     CSRMatrix,
@@ -53,6 +66,7 @@ from .sparse import (
 __all__ = [
     "save_operator",
     "load_operator",
+    "OperatorArchive",
     "FORMAT_VERSION",
     "OperatorFormatError",
     "OperatorIntegrityError",
@@ -114,6 +128,57 @@ def _without_prefix(prefix: str, data: dict) -> dict:
 
 
 # -- save -------------------------------------------------------------------
+#
+# The member order of a v2 archive is decided here and nowhere else:
+# ``_leading_members``, the ordered matrix, its transpose ("t_"),
+# ``_trailing_members``, ``checksum``.
+
+
+def _leading_members(
+    geometry: ScanGeometry, tomo_ordering: DomainOrdering, sino_ordering: DomainOrdering
+) -> dict:
+    """What precedes the matrix: known before a single view is traced."""
+    return {
+        "format_version": FORMAT_VERSION,
+        # The geometry keys every kind writes; a kind's own keys follow
+        # the config.  Those are optional keys — a parallel-beam file
+        # has none and stays byte-compatible with every earlier reader,
+        # so a new geometry needs no format bump.
+        **ScanGeometry.archive_fields(geometry),
+        "tomo_name": tomo_ordering.name,
+        "tomo_perm": tomo_ordering.perm,
+        "sino_name": sino_ordering.name,
+        "sino_perm": sino_ordering.perm,
+    }
+
+
+def _trailing_members(operator: MemXCTOperator) -> dict:
+    """What follows the transpose: config, geometry's own keys, layouts."""
+    common = ScanGeometry.archive_fields(operator.geometry)
+    payload: dict = {
+        "kernel": operator.config.kernel,
+        "partition_size": operator.config.partition_size,
+        "buffer_bytes": operator.config.buffer_bytes,
+        # Empty string encodes "no explicit dtype" (npz has no None);
+        # files written before the dtype path simply lack the key.
+        "dtype": operator.config.dtype or "",
+        **{
+            name: value
+            for name, value in operator.geometry.archive_fields().items()
+            if name not in common
+        },
+    }
+    for attr, (prefix, _, _) in _LAYOUTS.items():
+        layout = getattr(operator, attr)
+        if layout is not None:
+            payload.update(_with_prefix(prefix, layout.to_arrays()))
+    return payload
+
+
+def _stored_path(path: str | Path) -> Path:
+    """``path`` with ``.npz`` appended when missing (``np.savez``'s rule)."""
+    path = Path(path)
+    return path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
 
 
 def save_operator(
@@ -128,42 +193,97 @@ def save_operator(
     Returns the path actually written (``.npz`` appended when missing,
     matching ``np.savez`` conventions).
     """
-    path = Path(path)
-    if not path.name.endswith(".npz"):
-        path = path.with_name(path.name + ".npz")
-    # The geometry keys every kind writes sit ahead of the orderings; a
-    # kind's own keys follow the config.  Those are optional keys — a
-    # parallel-beam file has none and stays byte-compatible with every
-    # earlier reader, so a new geometry needs no format bump.
-    common = ScanGeometry.archive_fields(operator.geometry)
-    own = {
-        name: value
-        for name, value in operator.geometry.archive_fields().items()
-        if name not in common
-    }
-    payload: dict = {
-        "format_version": FORMAT_VERSION,
-        **common,
-        "tomo_name": operator.tomo_ordering.name,
-        "tomo_perm": operator.tomo_ordering.perm,
-        "sino_name": operator.sino_ordering.name,
-        "sino_perm": operator.sino_ordering.perm,
+    path = _stored_path(path)
+    payload = {
+        **_leading_members(
+            operator.geometry, operator.tomo_ordering, operator.sino_ordering
+        ),
         **operator.matrix.to_arrays(),
         **_with_prefix("t_", operator.transpose.to_arrays()),
-        "kernel": operator.config.kernel,
-        "partition_size": operator.config.partition_size,
-        "buffer_bytes": operator.config.buffer_bytes,
-        # Empty string encodes "no explicit dtype" (npz has no None);
-        # files written before the dtype path simply lack the key.
-        "dtype": operator.config.dtype or "",
-        **own,
+        **_trailing_members(operator),
     }
-    for attr, (prefix, _, _) in _LAYOUTS.items():
-        layout = getattr(operator, attr)
-        if layout is not None:
-            payload.update(_with_prefix(prefix, layout.to_arrays()))
     atomic_savez_checked(path, payload, compress)
     return path
+
+
+class OperatorArchive:
+    """An uncompressed v2 archive assembled in place, for the plan cache.
+
+    Members, order and bytes are those of ``save_operator(path,
+    operator, compress=False)``, but the index and value streams of the
+    ordered pair — all of a default plan that grows with ``nnz`` — are
+    *reserved* (:meth:`repro.persist.NpzWriter.reserve`) and handed to
+    the compiled loops that produce them: each nonzero is written once,
+    into the page of the file it will be loaded from.  Everything else
+    is added by copy.  Unsealed, :meth:`close` leaves nothing behind.
+    """
+
+    def __init__(
+        self,
+        path: str | Path,
+        geometry: ScanGeometry,
+        tomo_ordering: DomainOrdering,
+        sino_ordering: DomainOrdering,
+        value_dtype: str,
+    ) -> None:
+        self._npz = NpzWriter(_stored_path(path))
+        self._num_rows = {"": geometry.num_rays, "t_": geometry.grid.num_pixels}
+        self._value_dtype = value_dtype
+        self._reserved: dict = {}
+        try:
+            for name, value in _leading_members(
+                geometry, tomo_ordering, sino_ordering
+            ).items():
+                self._npz.add(name, value)
+        except BaseException:
+            self.close()
+            raise
+
+    def reserve_matrix(self, nnz: int) -> tuple[np.ndarray, np.ndarray]:
+        """Lay down the ordered matrix with ``nnz`` nonzeros; the
+        archive's writable ``(ind, val)`` for the sort to fill."""
+        return self._reserve("", nnz)
+
+    def reserve_transpose(self, nnz: int) -> tuple[np.ndarray, np.ndarray]:
+        """The same for the transpose, which follows the matrix."""
+        return self._reserve("t_", nnz)
+
+    def _reserve(self, prefix: str, nnz: int) -> tuple[np.ndarray, np.ndarray]:
+        displ, ind, val = self._reserved[prefix] = [
+            self._npz.reserve(prefix + name, shape, dtype)
+            for name, shape, dtype in (
+                ("displ", (self._num_rows[prefix] + 1,), np.int64),
+                ("ind", (nnz,), np.int32),
+                ("val", (nnz,), self._value_dtype),
+            )
+        ]
+        return ind, val
+
+    def seal(self, operator: MemXCTOperator) -> Path:
+        """Finish the archive around ``operator`` and rename it into place.
+
+        The operator's pair must be the reserved streams.  If it is not
+        (a duplicate sum shrank the matrix after its reservation), the
+        archive is dropped and the operator is written by copy.
+        """
+        pair = {"": operator.matrix, "t_": operator.transpose}
+        if self._reserved.keys() != pair.keys() or any(
+            (ours.ctypes.data, ours.shape) != (theirs.ctypes.data, theirs.shape)
+            for prefix, matrix in pair.items()
+            for ours, theirs in zip(self._reserved[prefix][1:], (matrix.ind, matrix.val))
+        ):
+            self.close()
+            return save_operator(self._npz.path, operator, compress=False)
+        with self._npz as npz:
+            for prefix, matrix in pair.items():
+                self._reserved[prefix][0][:] = matrix.displ
+            for name, value in _trailing_members(operator).items():
+                npz.add(name, value)
+            npz.add("checksum", np.uint32(payload_checksum(npz.payload)))
+            return npz.seal()
+
+    def close(self) -> None:
+        self._npz.close()
 
 
 # -- load -------------------------------------------------------------------

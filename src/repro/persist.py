@@ -3,7 +3,8 @@
 Robustness properties, factored out of :mod:`repro.io` so the operator
 format, the plan cache, solver checkpoints, and the service job journal
 all go through the *same* hardened path — one writer
-(:func:`atomic_savez`) and one parser (:func:`read_npz`) of an archive:
+(:class:`NpzWriter`, of which :func:`atomic_savez` is the add-only use)
+and one parser (:func:`read_npz`) of an archive:
 
 * **Atomic writes** — payloads (npz archives and the JSON sidecars
   next to them alike) are written to a temporary file in the
@@ -32,14 +33,24 @@ all go through the *same* hardened path — one writer
   one CRC pass.  Nothing may write or truncate a finished archive in
   place while views of it are alive — writers here only ever rename a
   finished file over it, which leaves the mapped inode untouched.
+* **Written once** — the writer can also *reserve* a member: lay down
+  its headers, allocate its data region on disk (``posix_fallocate``,
+  so a full disk is an ``OSError`` there and never a fault later) and
+  hand out a writable shared-map view of it for the producer to fill
+  where it lies; sealing takes the CRCs from the mapped pages, syncs
+  and renames.  The sealed file is byte for byte what adding the same
+  arrays writes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import mmap
 import os
 import struct
+import threading
 import weakref
 import zipfile
 import zlib
@@ -51,6 +62,7 @@ from numpy.lib import format as npy_format
 __all__ = [
     "raw_buffer",
     "payload_checksum",
+    "NpzWriter",
     "atomic_savez",
     "atomic_write_text",
     "atomic_savez_checked",
@@ -120,24 +132,129 @@ _LOCAL_HEADER = struct.Struct("<4s22xHH")
 _ZIP64_FIELD = struct.Struct("<HHQQ")
 
 
-def _write_stored_npz(fh, payload: dict) -> None:
-    """``np.savez`` with aligned array data and a fixed member stamp."""
-    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
-        for name, value in payload.items():
-            info = zipfile.ZipInfo(name + ".npy", _MEMBER_DATE)
-            info.external_attr = 0o600 << 16
-            # The npy header is a multiple of ALIGNMENT long, so the
-            # array data are aligned when the local header — fixed part,
-            # name, the zip64 sizes ``force_zip64`` adds, our pad — ends
-            # aligned.
-            header = _LOCAL_HEADER.size + len(info.filename.encode()) + _ZIP64_FIELD.size
-            pad = -(fh.tell() + header) % ALIGNMENT
-            if pad:
-                if pad < 4:  # a field is at least its own id and length
-                    pad += ALIGNMENT
-                info.extra = struct.pack("<HH", _PAD_FIELD_ID, pad - 4) + bytes(pad - 4)
-            with zf.open(info, "w", force_zip64=True) as member:
-                npy_format.write_array(member, np.asanyarray(value), allow_pickle=False)
+class NpzWriter:
+    """The one writer of a stored (uncompressed) ``.npz``.
+
+    Members land in a ``*.tmp-<pid>`` sibling of ``path`` in call order,
+    each one's array data on an :data:`ALIGNMENT` boundary, and
+    :meth:`seal` renames the finished file into place.  A member is
+    either *added* — copied in through ``write()`` — or *reserved* and
+    then filled where it lies, through a shared map of the file: the
+    sealed bytes are the same either way.  Leaving the ``with`` block
+    without sealing removes the temporary file.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = Path(path)
+        # One name per writing thread: a second writer of ``path`` in
+        # this process must never truncate a file the first has mapped.
+        self._tmp = self.path.with_name(
+            f"{self.path.name}.{threading.get_ident():x}.tmp-{os.getpid()}"
+        )
+        self._fh = open(self._tmp, "w+b")
+        self._zip = zipfile.ZipFile(self._fh, "w", zipfile.ZIP_STORED)
+        #: Every member so far, by name, as stored — what
+        #: :func:`payload_checksum` covers.
+        self.payload: dict = {}
+        self._reserved: list = []  # (ZipInfo, npy header, view, its map)
+
+    def __enter__(self) -> "NpzWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Release the file; an unsealed archive is removed."""
+        if not self._fh.closed:
+            with contextlib.suppress(OSError):  # it is being discarded
+                self._zip.close()
+            self._fh.close()
+        self._tmp.unlink(missing_ok=True)
+
+    def _member(self, name: str) -> zipfile.ZipInfo:
+        info = zipfile.ZipInfo(name + ".npy", _MEMBER_DATE)
+        info.external_attr = 0o600 << 16
+        # The npy header is a multiple of ALIGNMENT long, so the array
+        # data are aligned when the local header — fixed part, name, the
+        # zip64 sizes every member carries, our pad — ends aligned.
+        header = _LOCAL_HEADER.size + len(info.filename.encode()) + _ZIP64_FIELD.size
+        pad = -(self._zip.start_dir + header) % ALIGNMENT
+        if pad:
+            if pad < 4:  # a field is at least its own id and length
+                pad += ALIGNMENT
+            info.extra = struct.pack("<HH", _PAD_FIELD_ID, pad - 4) + bytes(pad - 4)
+        return info
+
+    def add(self, name: str, value) -> None:
+        """Append ``value`` as member ``name``, by copy."""
+        value = np.asanyarray(value)
+        with self._zip.open(self._member(name), "w", force_zip64=True) as member:
+            npy_format.write_array(member, value, allow_pickle=False)
+        self.payload[name] = value
+
+    def reserve(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """Lay member ``name`` down unfilled; a writable view of its data.
+
+        The headers are written, the data region is allocated on disk
+        *before* the view exists (a full disk is an ``OSError`` here,
+        never a fault at some later store through the view), and the
+        view is that region of the file, mapped shared: what the caller
+        writes into it is the member.  Its CRC is taken at :meth:`seal`.
+        """
+        dtype, shape = np.dtype(dtype), tuple(int(n) for n in shape)
+        nbytes = dtype.itemsize * math.prod(shape)
+        if not nbytes:  # nothing to fill, nothing to map
+            self.add(name, np.empty(shape, dtype))
+            return self.payload[name]
+        info = self._member(name)
+        buffer = io.BytesIO()
+        npy_format.write_array_header_1_0(
+            buffer,
+            {"descr": npy_format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape},
+        )
+        header = buffer.getvalue()
+        info.header_offset = self._zip.start_dir
+        info.file_size = info.compress_size = len(header) + nbytes
+        info.CRC = 0  # patched at seal
+        self._fh.seek(info.header_offset)
+        self._fh.write(info.FileHeader(zip64=True))
+        self._fh.write(header)
+        data = self._fh.tell()
+        os.posix_fallocate(self._fh.fileno(), data, nbytes)
+        # A map per member: each starts on a page boundary of its own,
+        # and (as for a loaded archive) is its view's only base.
+        page = data - data % mmap.ALLOCATIONGRANULARITY
+        mapped = mmap.mmap(self._fh.fileno(), data + nbytes - page, offset=page)
+        view = np.frombuffer(mapped, dtype, math.prod(shape), data - page).reshape(shape)
+        self._zip.start_dir = data + nbytes
+        self._zip.filelist.append(info)
+        self._zip.NameToInfo[info.filename] = info
+        self._reserved.append((info, header, view, mapped))
+        self.payload[name] = view
+        return view
+
+    def seal(self) -> Path:
+        """Finish the archive and rename it into place.
+
+        Reserved members get their CRCs from the mapped pages; the
+        pages are synced, then dropped from this process's page tables
+        — a view that outlives the writer stays valid and re-faults
+        from the page cache, but no longer counts the file's pages a
+        second time beside a map of the sealed file.
+        """
+        for info, header, view, mapped in self._reserved:
+            info.CRC = zlib.crc32(raw_buffer(view), zlib.crc32(header))
+            self._fh.seek(info.header_offset)
+            self._fh.write(info.FileHeader(zip64=True))
+            mapped.flush()
+            mapped.madvise(mmap.MADV_DONTNEED)
+        self._zip.close()  # the central directory, at start_dir
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+        self._fh.close()
+        os.replace(self._tmp, self.path)
+        return self.path
 
 
 def atomic_savez(path: Path, payload: dict, compress: bool) -> None:
@@ -145,7 +262,10 @@ def atomic_savez(path: Path, payload: dict, compress: bool) -> None:
     if compress:
         _atomic_write(path, "wb", lambda fh: np.savez_compressed(fh, **payload))
     else:
-        _atomic_write(path, "wb", lambda fh: _write_stored_npz(fh, payload))
+        with NpzWriter(path) as npz:
+            for name, value in payload.items():
+                npz.add(name, value)
+            npz.seal()
 
 
 def atomic_write_text(path: Path, text: str) -> None:

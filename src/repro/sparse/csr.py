@@ -140,16 +140,19 @@ class CSRMatrix:
     def from_scipy(
         cls, matrix: sp.spmatrix, dtype: str | np.dtype = "float32"
     ) -> "CSRMatrix":
-        """Convert any scipy sparse matrix (copies into our dtypes).
+        """Convert any scipy sparse matrix into our dtypes.
 
-        ``dtype`` selects the value-storage precision (``float32``
-        default, ``float64`` for the double-precision reference path).
+        A stream is copied only where its dtype changes: a canonical
+        CSR matrix's int32 ``indices`` and ``data`` already in ``dtype``
+        are shared, not duplicated.  ``dtype`` selects the value-storage
+        precision (``float32`` default, ``float64`` for the
+        double-precision reference path).
         """
         csr = sp.csr_matrix(matrix)
         csr.sum_duplicates()
         return cls(
-            displ=csr.indptr.astype(np.int64),
-            ind=csr.indices.astype(np.int32),
+            displ=csr.indptr.astype(np.int64, copy=False),
+            ind=csr.indices.astype(np.int32, copy=False),
             val=csr.data,
             num_cols=csr.shape[1],
             value_dtype=np.dtype(dtype).name,

@@ -18,6 +18,7 @@ can measure what that loss of locality costs.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_tocsc
 
 from .csr import CSRMatrix
 
@@ -41,17 +42,24 @@ def _transpose_with_order(matrix: CSRMatrix, order: np.ndarray) -> CSRMatrix:
     )
 
 
-def scan_transpose(matrix: CSRMatrix) -> CSRMatrix:
+def scan_transpose(matrix: CSRMatrix, out=None) -> CSRMatrix:
     """Order-preserving (scan-based) transposition of a CSR matrix.
 
     The nonzeros of each output row are sorted by their original row
     index, exactly as a serial scan over the input produces them.
+    ``out`` is the ``(ind, val)`` pair the scatter writes — ``nnz``
+    long, int32 and the matrix's value dtype; fresh arrays by default,
+    the reserved members of the archive being assembled when the plan
+    cache calls.
     """
-    transposed = matrix.to_scipy().T.tocsr()
+    view = matrix.to_scipy()
+    ind, val = out or (np.empty(matrix.nnz, np.int32), np.empty(matrix.nnz, view.dtype))
+    displ = np.empty(matrix.num_cols + 1, view.indptr.dtype)
+    csr_tocsc(*matrix.shape, view.indptr, view.indices, view.data, displ, ind, val)
     return CSRMatrix(
-        displ=transposed.indptr,
-        ind=transposed.indices,
-        val=transposed.data,
+        displ=displ,
+        ind=ind,
+        val=val,
         num_cols=matrix.num_rows,
         value_dtype=matrix.value_dtype,
     )

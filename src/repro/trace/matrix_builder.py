@@ -8,14 +8,19 @@ pixel ``p``.  Forward projection is ``y = A x`` and backprojection is
 MemXCT builds this matrix once during preprocessing and reuses it every
 iteration; the builder is the memoization step that the compute-centric
 baseline refuses to pay for.
+
+A nonzero is written once on its way to the sort: each traced view
+appends its ``(row, column, length)`` triplets at the running offset of
+three growable streams (no per-view list, no concatenate), and the
+compiled ``coo -> csr`` writes the matrix into arrays the caller may
+own — the plan cache passes the pages of the archive it is assembling.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import coo_tocsr
 
 from ..geometry import ParallelBeamGeometry, ScanGeometry
 from ..parallel.backend import ExecutionBackend, SerialBackend
@@ -49,40 +54,71 @@ def trace_view(geometry: ScanGeometry, angle_index: int) -> RaySegments:
     )
 
 
-def _trace_view_chunk(task) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Trace a contiguous view range: one ``(rows, cols, vals)`` per view.
+class _TripletStreams:
+    """Three growable streams: int32 rows, int32 columns, ``dtype`` values.
+
+    :meth:`append` writes at the running offset; a stream that is full
+    grows through ``ndarray.resize`` — ``realloc``, which for a large
+    block is ``mremap``: the touched pages keep their frames and only
+    the new tail is touched.  ``resize`` zero-fills that tail, so the
+    capacity stays an eighth ahead of the count, not a multiple.
+    """
+
+    def __init__(self, dtype, capacity: int = 1 << 16) -> None:
+        self.count = 0
+        self._streams = [
+            np.empty(capacity, np.int32), np.empty(capacity, np.int32), np.empty(capacity, dtype)
+        ]
+
+    def append(self, rows, cols, vals) -> None:
+        stop = self.count + len(vals)
+        if stop > len(self._streams[0]):
+            self._resize(stop + stop // 8)
+        for stream, piece in zip(self._streams, (rows, cols, vals)):
+            stream[self.count : stop] = piece
+        self.count = stop
+
+    def _resize(self, capacity: int) -> None:
+        for stream in self._streams:
+            stream.resize(capacity, refcheck=False)
+
+    def arrays(self) -> list[np.ndarray]:
+        """The streams, trimmed to what was appended."""
+        self._resize(self.count)
+        return self._streams
+
+
+def _trace_view_chunk(task) -> list[np.ndarray]:
+    """Trace a contiguous view range into ``[rows, cols, vals]`` streams.
 
     ``task`` is ``(geometry, start, stop, row_rank, col_rank, dtype)``
     with int32 rank arrays.  Each view's segments are narrowed as they
-    are traced — ``row_rank[ray]``, ``col_rank[pixel]`` (the row-major
-    indices themselves, as int32, where a rank is ``None``) and
-    ``dtype`` lengths, 12 B per triplet at float32 — and left per view,
-    so the caller's one ``np.concatenate`` per stream is the only copy.
-    The list opens with an empty triplet: an empty range concatenates
-    to empty streams.
+    are appended — ``row_rank[ray]``, ``col_rank[pixel]`` (the row-major
+    indices themselves where a rank is ``None``) and ``dtype`` lengths,
+    12 B per triplet at float32: no per-view piece outlives its view.
+    An empty range yields empty streams.
 
     Module-level so the process backend can pickle it; the geometry is
     a small frozen dataclass and a rank array is 4 B per cell, so
     shipping them per task is cheap.
     """
     geometry, start, stop, row_rank, col_rank, dtype = task
-    views = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0, dtype))]
+    streams = _TripletStreams(dtype)
     for angle_index in range(start, stop):
         segs = trace_view(geometry, angle_index)
         ray, pixel = segs.ray_index, segs.pixel_index
-        views.append(
-            (
-                ray.astype(np.int32) if row_rank is None else row_rank[ray],
-                pixel.astype(np.int32) if col_rank is None else col_rank[pixel],
-                segs.length.astype(dtype),
-            )
+        streams.append(
+            ray if row_rank is None else row_rank[ray],
+            pixel if col_rank is None else col_rank[pixel],
+            segs.length,
         )
-    return views
+    return streams.arrays()
 
 
 def _angle_chunks(num_angles: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous angle ranges, ~4 per worker for load balance."""
-    chunks = min(num_angles, max(1, workers * 4))
+    """Contiguous angle ranges: ~4 per worker for load balance, one
+    range — one set of streams, nothing to append — without workers."""
+    chunks = min(num_angles, workers * 4 if workers > 1 else 1)
     bounds = np.linspace(0, num_angles, chunks + 1, dtype=np.int64)
     return [
         (int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
@@ -95,6 +131,7 @@ def build_projection_matrix(
     backend: ExecutionBackend | None = None,
     row_rank: np.ndarray | None = None,
     col_rank: np.ndarray | None = None,
+    out=None,
 ) -> sp.csr_matrix:
     """Trace every ray of ``geometry`` and assemble ``A`` in CSR form.
 
@@ -110,11 +147,12 @@ def build_projection_matrix(
         The scan description — parallel-, fan- or cone-beam; the only
         kind-dependent step is :func:`trace_view`.
     dtype:
-        Value dtype of the matrix (the paper stores float32 lengths).
+        Value dtype the lengths are traced in (the paper stores
+        float32).
     backend:
         Optional execution backend that fans per-view tracing out
-        across workers.  Chunks are concatenated in angle order, so
-        the assembled matrix is bit-identical to the serial build.
+        across workers.  Chunks are appended in angle order, so the
+        assembled matrix is bit-identical to the serial build.
     row_rank, col_rank:
         Domain orderings applied while tracing: ``row_rank[ray]`` is
         the row of a row-major sinogram index, ``col_rank[pixel]`` the
@@ -123,6 +161,11 @@ def build_projection_matrix(
         ``None`` (default) keeps row-major order in that domain — the
         matrix the footprint tables and the ordering ablations start
         from, re-ordered afterwards with :meth:`CSRMatrix.permute`.
+    out:
+        ``out(nnz)`` returns the ``(indices, data)`` arrays — int32 and
+        ``dtype`` or wider, ``nnz`` long — that the sort writes the
+        matrix into; fresh arrays by default.  The plan cache passes
+        the reserved members of the archive it is assembling.
     """
     shape = (geometry.num_rays, geometry.grid.num_pixels)
     if row_rank is not None:
@@ -135,14 +178,20 @@ def build_projection_matrix(
         (geometry, start, stop, row_rank, col_rank, np.dtype(dtype))
         for start, stop in _angle_chunks(geometry.num_angles, backend.workers)
     ]
-    # The per-view pieces are temporaries of this expression on purpose:
-    # only the three concatenated streams (12 B per triplet) live through
-    # tocsr(), which reads them in place.
-    rows, cols, vals = (
-        np.concatenate(part)
-        for part in zip(*chain.from_iterable(backend.map(_trace_view_chunk, tasks)))
-    )
-    csr = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    chunks = backend.map(_trace_view_chunk, tasks)
+    if len(chunks) != 1:  # workers' chunks, appended in angle order
+        streams = _TripletStreams(np.dtype(dtype))
+        for chunk in chunks:
+            streams.append(*chunk)
+        chunks = [streams.arrays()]
+    ((rows, cols, vals),) = chunks
+    nnz = len(vals)
+    if nnz > np.iinfo(np.int32).max:
+        raise OverflowError(f"{nnz} nonzeros do not fit the int32 row offsets of the sort")
+    indices, data = out(nnz) if out else (np.empty(nnz, np.int32), np.empty(nnz, dtype))
+    indptr = np.empty(shape[0] + 1, np.int32)
+    coo_tocsr(*shape, nnz, rows, cols, vals.astype(data.dtype, copy=False), indptr, indices, data)
+    csr = sp.csr_matrix((data, indices, indptr), shape=shape)
     csr.sum_duplicates()  # sorts each row's indices, sums corner-grazing repeats
     return csr
 

@@ -1,8 +1,10 @@
 """The persistent operator-plan cache: fingerprints, the store,
 ``preprocess()`` integration, graceful degradation, and eviction."""
 
+import errno
 import gc
 import json
+import os
 import warnings
 
 import numpy as np
@@ -18,7 +20,10 @@ from repro.cache import (
 )
 from repro.core import OperatorConfig, preprocess
 from repro.geometry import ParallelBeamGeometry
-from repro.io import FORMAT_VERSION
+from repro.io import FORMAT_VERSION, load_operator, save_operator
+
+from .test_geometry_conformance import GEOMETRIES
+from .test_io import KERNELS, PRECISIONS
 
 
 @pytest.fixture()
@@ -316,6 +321,136 @@ class TestPreprocessIntegration:
         assert op2.ell_forward is not None
 
 
+def _cold(geometry, cachedir, **config):
+    operator, report = preprocess(geometry, config=OperatorConfig(**config), cache=cachedir)
+    assert report.cache_hit is False
+    return operator, PlanCache(cachedir).plan_path(report.cache_key)
+
+
+def _temp_files(cachedir):
+    return sorted(p.name for p in cachedir.glob("*tmp-*"))
+
+
+class TestAssembledInPlace:
+    """With a cache the cold build writes the ordered pair straight
+    into the entry's archive and returns the entry, loaded."""
+
+    @pytest.mark.parametrize("workers", [None, "process:2"])
+    @pytest.mark.parametrize("dtype", PRECISIONS)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kind", list(GEOMETRIES))
+    def test_sealed_entry_is_the_copied_archive_byte_for_byte(
+        self, tmp_path, kind, kernel, dtype, workers
+    ):
+        """Three writers, one file: the entry sealed in place, the
+        loaded entry saved again, and an uncached build saved by copy."""
+        config = dict(kernel=kernel, partition_size=32, buffer_bytes=2048, dtype=dtype)
+        cold, entry = _cold(GEOMETRIES[kind], tmp_path / "plans", workers=workers, **config)
+        uncached, _ = preprocess(GEOMETRIES[kind], config=OperatorConfig(**config))
+        again = save_operator(tmp_path / "again.npz", load_operator(entry), compress=False)
+        copied = save_operator(tmp_path / "copied.npz", uncached, compress=False)
+        assert entry.read_bytes() == again.read_bytes() == copied.read_bytes()
+        assert _temp_files(tmp_path / "plans") == []
+        assert cold.config.workers == workers
+
+    def test_cold_operator_is_the_entry_mapped_and_counts_as_no_hit(
+        self, tmp_path, small_geometry
+    ):
+        with obs.capture() as cap:
+            cold, report = preprocess(small_geometry, cache=tmp_path / "plans")
+        assert report.cache_hit is False
+        assert cap.total(obs.CACHE_HITS) == 0 and cap.total(obs.CACHE_MISSES) == 1
+        assert cap.total(obs.CACHE_BYTES_READ) == 0
+        assert cap.total(obs.CACHE_BYTES_WRITTEN) > 0
+        assert cap.span_names().count("cache.store") == 1
+        assert cap.find_spans("cache.load") == []
+        pair = [cold.matrix.ind, cold.matrix.val, cold.transpose.ind, cold.transpose.val]
+        for array in pair:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert len(persist._LIVE_MAPS) == 1
+        warm, report = preprocess(small_geometry, cache=tmp_path / "plans")
+        assert report.cache_hit is True
+        assert len(persist._LIVE_MAPS) == 1  # one map of the entry, shared
+        assert np.shares_memory(warm.matrix.val, cold.matrix.val)
+        assert warm.config == cold.config
+
+    def test_a_summed_duplicate_falls_back_to_the_copying_store(
+        self, tmp_path, small_geometry, monkeypatch
+    ):
+        """The matrix no longer fills its reservation, so the entry is
+        written by copy: the file an uncached build + store writes."""
+        from repro import io
+        from repro.trace import matrix_builder
+
+        from .test_matrix_builder import repeat_first_segment
+
+        monkeypatch.setattr(matrix_builder, "trace_view", repeat_first_segment)
+        copies = []
+        real_save = io.save_operator
+        monkeypatch.setattr(
+            io, "save_operator", lambda *a, **k: copies.append(a[0]) or real_save(*a, **k)
+        )
+        cold, entry = _cold(small_geometry, tmp_path / "plans")
+        assert copies == [entry]
+        assert _temp_files(tmp_path / "plans") == []
+        uncached, _ = preprocess(small_geometry)
+        assert uncached.matrix.nnz == cold.matrix.nnz
+        assert float(cold.matrix.val.max()) == float(uncached.matrix.val.max())
+        copied = real_save(tmp_path / "copied.npz", uncached, compress=False)
+        assert entry.read_bytes() == copied.read_bytes()
+
+    def test_a_full_disk_raises_leaves_nothing_and_a_retry_succeeds(
+        self, tmp_path, small_geometry, monkeypatch
+    ):
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        cachedir = tmp_path / "plans"
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "posix_fallocate", full)
+            with pytest.raises(OSError) as caught:
+                preprocess(small_geometry, cache=cachedir)
+        assert caught.value.errno == errno.ENOSPC
+        assert list(cachedir.iterdir()) == []
+        _, entry = _cold(small_geometry, cachedir)
+        assert entry.exists() and _temp_files(cachedir) == []
+
+    def test_a_fill_that_raises_midway_leaves_nothing_and_a_retry_succeeds(
+        self, tmp_path, small_geometry, monkeypatch
+    ):
+        import sys
+
+        stages = sys.modules["repro.core.preprocess"]  # the name is also the function
+
+        def broken(matrix, out=None):
+            out[1][: matrix.nnz // 2] = 1.0  # half of t_val written
+            raise RuntimeError("scan interrupted")
+
+        cachedir = tmp_path / "plans"
+        with monkeypatch.context() as patch:
+            patch.setattr(stages, "scan_transpose", broken)
+            with pytest.raises(RuntimeError, match="scan interrupted"):
+                preprocess(small_geometry, cache=cachedir)
+        assert list(cachedir.iterdir()) == []
+        cold, entry = _cold(small_geometry, cachedir)
+        assert entry.exists() and _temp_files(cachedir) == []
+        assert PlanCache(cachedir).load(entry.stem) is not None
+
+    def test_a_pending_tune_builds_beside_the_entry_and_still_returns_it(
+        self, tmp_path, small_geometry
+    ):
+        """The plan's key is not known until the search has run."""
+        cold, report = preprocess(
+            small_geometry, config=OperatorConfig(tune="predict"), cache=tmp_path / "plans"
+        )
+        assert report.cache_hit is False and report.cache_key is not None
+        assert not cold.matrix.val.flags.writeable
+        assert PlanCache(tmp_path / "plans").entry(report.cache_key) is not None
+        assert _temp_files(tmp_path / "plans") == []
+
+
 class TestGracefulDegradation:
     def _prime(self, cachedir, geometry):
         _, report = preprocess(geometry, cache=cachedir)
@@ -391,6 +526,27 @@ class TestEviction:
             cache.store("c" * 64, op)  # over cap -> evict "b"
         assert sorted(e.key[0] for e in cache.entries()) == ["a", "c"]
         assert cap.total(obs.CACHE_EVICTIONS) == 1
+
+    def test_evict_removes_dead_writers_temp_files_never_a_live_one_s(
+        self, tmp_path, small_operator
+    ):
+        import subprocess
+        import sys
+
+        gone = subprocess.Popen([sys.executable, "-c", "pass"])
+        gone.wait()
+        cache = PlanCache(tmp_path / "plans")
+        cache.store("a" * 64, small_operator)
+        dead = cache.root / f"{'b' * 64}.npz.7f00.tmp-{gone.pid}"
+        dead_sidecar = cache.root / f"{'b' * 64}.json.tmp-{gone.pid}"
+        live = cache.root / f"{'c' * 64}.npz.7f00.tmp-{os.getpid()}"
+        unrelated = cache.root / "notes.tmp-file"
+        for path in (dead, dead_sidecar, live, unrelated):
+            path.write_bytes(b"partial")
+        assert cache.evict() == []
+        assert not dead.exists() and not dead_sidecar.exists()
+        assert live.exists() and unrelated.exists()
+        assert [e.key for e in cache.entries()] == ["a" * 64]
 
     def test_most_recent_entry_survives_even_oversized(
         self, tmp_path, small_operator

@@ -119,14 +119,21 @@ class TestRowSubset:
 
 
 class TestOneResidentForm:
-    def test_default_operator_holds_the_csr_pair_and_nothing_beside_it(self, rng):
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_default_operator_holds_the_csr_pair_and_nothing_beside_it(
+        self, rng, tmp_path, cached
+    ):
         """After its kernels have run, vector and slab, the only buffers
         of nnz length reachable from a default operator are the index
         and value arrays of ``matrix`` and ``transpose`` — the compiled
-        loop runs on them as they stand."""
+        loop runs on them as they stand.  The same holds for the
+        operator a cold build into a plan cache returns (the entry it
+        assembled in place, mapped)."""
         import gc
 
-        op, _ = preprocess(ParallelBeamGeometry(36, 24))
+        op, _ = preprocess(
+            ParallelBeamGeometry(36, 24), cache=tmp_path / "plans" if cached else None
+        )
         assert op.config.kernel == "csr"
         assert op.buffered_forward is op.ell_forward is None
         for shape in ((), (3,)):

@@ -29,6 +29,25 @@ class TestContainer:
         assert A.ind.dtype == np.int32
         assert A.val.dtype == np.float32
 
+    def test_from_scipy_copies_only_on_a_dtype_change(self):
+        """An int32 index stream and values already in the asked dtype
+        are the scipy matrix's own arrays; a widened value stream is
+        the one copy."""
+        S = _random_sparse(20, 30, 0.1, 2)
+        assert S.indices.dtype == np.int32 and S.has_canonical_format
+        A = CSRMatrix.from_scipy(S)
+        assert np.shares_memory(A.ind, S.indices)
+        assert np.shares_memory(A.val, S.data)
+        wide = CSRMatrix.from_scipy(S, dtype="float64")
+        assert np.shares_memory(wide.ind, S.indices)
+        assert not np.shares_memory(wide.val, S.data)
+        assert wide.val.dtype == np.float64 and np.array_equal(wide.val, S.data)
+        long_indices = sp.csr_matrix(
+            (S.data, S.indices.astype(np.int64), S.indptr.astype(np.int64)), shape=S.shape
+        )
+        narrowed = CSRMatrix.from_scipy(long_indices)
+        assert narrowed.ind.dtype == np.int32 and np.array_equal(narrowed.ind, S.indices)
+
     def test_row_nnz(self):
         S = sp.csr_matrix(np.array([[1, 0, 2], [0, 0, 0], [3, 4, 5]], dtype=np.float32))
         A = CSRMatrix.from_scipy(S)

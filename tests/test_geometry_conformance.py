@@ -143,23 +143,19 @@ class TestGeometryConformance:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_a_chunk_emits_twelve_byte_triplets(self, geometry, dtype):
-        """Per view: int32 coordinates and values already in the
-        matrix's dtype, with or without rank arrays.  An empty range
-        still concatenates, to empty streams."""
+        """A chunk is three streams: int32 coordinates and values
+        already in the matrix's dtype, with or without rank arrays,
+        trimmed to the triplets traced.  An empty range gives empty
+        streams."""
         reverse = np.arange(geometry.grid.num_pixels, dtype=np.int32)[::-1]
         for col_rank in (None, reverse):
             for start, stop in ((0, 2), (1, 1)):
-                views = matrix_builder._trace_view_chunk(
+                rows, cols, vals = matrix_builder._trace_view_chunk(
                     (geometry, start, stop, None, col_rank, np.dtype(dtype))
                 )
-                for rows, cols, vals in views:
-                    assert (rows.dtype, cols.dtype, vals.dtype) == (
-                        np.int32, np.int32, dtype
-                    )
-                    assert rows.shape == cols.shape == vals.shape
-                sizes = [np.concatenate(part).size for part in zip(*views)]
-                assert len(sizes) == 3 and len(set(sizes)) == 1
-                assert (sizes[0] > 0) == (stop > start)
+                assert (rows.dtype, cols.dtype, vals.dtype) == (np.int32, np.int32, dtype)
+                assert rows.shape == cols.shape == vals.shape
+                assert (rows.size > 0) == (stop > start)
 
     def test_distributed_preprocess_with_more_ranks_than_angles(self, geometry):
         """Ranks left without an angle trace an empty range and still

@@ -1,7 +1,9 @@
 """Tests for operator persistence (save/load roundtrip)."""
 
+import errno
 import gc
 import hashlib
+import os
 import zipfile
 
 import numpy as np
@@ -410,6 +412,80 @@ class TestAlignedArchive:
             assert loaded[name].dtype == np.asarray(value).dtype
         loaded["image"][0, 0] = -1.0  # writable
         assert len(persist._LIVE_MAPS) == 0
+
+
+class TestReserveFillSeal:
+    """A member reserved and filled through its view is, once sealed,
+    the member the same array would have been added as."""
+
+    PAYLOAD = {
+        "format_version": np.int64(2),
+        "name": np.asarray("pseudo-hilbert"),
+        "displ": np.arange(0, 700, 7, dtype=np.int64),
+        "ind": np.arange(693, dtype=np.int32)[::-1].copy(),
+        "val": np.linspace(0.0, 1.0, 693, dtype=np.float32),
+        "grid": np.arange(24.0).reshape(4, 6),
+        "none": np.zeros((0,), np.float32),
+        "kernel": np.asarray("csr"),
+    }
+    RESERVED = ("displ", "ind", "val", "grid", "none")
+
+    def _assemble(self, path, fill=True):
+        views = {}
+        with persist.NpzWriter(path) as npz:
+            for name, value in self.PAYLOAD.items():
+                if name in self.RESERVED:
+                    views[name] = npz.reserve(name, value.shape, value.dtype)
+                    if fill:
+                        views[name][...] = value
+                else:
+                    npz.add(name, value)
+            npz.add("checksum", np.uint32(persist.payload_checksum(npz.payload)))
+            npz.seal()
+        return views
+
+    def test_sealed_file_is_the_added_file_byte_for_byte(self, tmp_path):
+        persist.atomic_savez_checked(tmp_path / "added.npz", self.PAYLOAD)
+        views = self._assemble(tmp_path / "reserved.npz")
+        assert (tmp_path / "reserved.npz").read_bytes() == (tmp_path / "added.npz").read_bytes()
+        assert [p.name for p in tmp_path.iterdir() if "tmp-" in p.name] == []
+        loaded = persist.load_checked_npz(tmp_path / "reserved.npz")
+        for name, value in self.PAYLOAD.items():
+            assert np.array_equal(loaded[name], value), name
+        # A view that outlives the seal still reads the member.
+        for name, view in views.items():
+            assert view.flags.writeable and view.flags.aligned
+            assert view.ctypes.data % persist.ALIGNMENT == 0 or view.size == 0
+            assert np.array_equal(view, self.PAYLOAD[name]), name
+
+    def test_an_unfilled_reservation_is_zeros_with_a_matching_crc(self, tmp_path):
+        self._assemble(tmp_path / "zeros.npz", fill=False)
+        with np.load(tmp_path / "zeros.npz") as plain:  # zipfile checks each member's CRC
+            assert not plain["ind"].any() and plain["ind"].shape == (693,)
+
+    def test_unsealed_writer_leaves_nothing_and_touches_nothing(self, tmp_path):
+        path = tmp_path / "kept.npz"
+        persist.atomic_savez_checked(path, {"a": np.arange(3)})
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="midway"):
+            with persist.NpzWriter(path) as npz:
+                npz.add("a", np.arange(5))
+                npz.reserve("b", (1000,), np.float32)[:10] = 1.0
+                raise RuntimeError("midway")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.npz"]
+
+    def test_a_full_disk_is_an_oserror_before_any_view_exists(self, tmp_path, monkeypatch):
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "posix_fallocate", full)
+        with pytest.raises(OSError) as caught:
+            with persist.NpzWriter(tmp_path / "never.npz") as npz:
+                npz.add("a", np.arange(5))
+                npz.reserve("b", (1000,), np.float32)
+        assert caught.value.errno == errno.ENOSPC
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMappedLoad:

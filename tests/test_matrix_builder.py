@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.geometry import ParallelBeamGeometry
-from repro.trace import build_projection_matrix, projection_matrix_stats, trace_angle
+from repro.parallel.backend import ThreadBackend
+from repro.trace import (
+    build_projection_matrix,
+    matrix_builder,
+    projection_matrix_stats,
+    trace_angle,
+)
+from repro.trace.siddon import RaySegments
 
 
 class TestBuildProjectionMatrix:
@@ -42,6 +49,80 @@ class TestBuildProjectionMatrix:
 
     def test_nonnegative_values(self, small_matrix):
         assert (small_matrix.val >= 0).all()
+
+    def test_streams_forced_through_many_growths_give_the_same_matrix(
+        self, small_geometry, monkeypatch
+    ):
+        """From a one-triplet capacity every view grows the streams;
+        serial (traced in place) and threads (chunks appended) agree
+        with the default build array for array."""
+        want = build_projection_matrix(small_geometry)
+        growths = []
+
+        class Tiny(matrix_builder._TripletStreams):
+            def __init__(self, dtype):
+                super().__init__(dtype, capacity=1)
+
+            def _resize(self, capacity):
+                growths.append(capacity)
+                super()._resize(capacity)
+
+        monkeypatch.setattr(matrix_builder, "_TripletStreams", Tiny)
+        for backend in (None, ThreadBackend(2)):
+            growths.clear()
+            got = build_projection_matrix(small_geometry, backend=backend)
+            assert len(growths) > 10
+            assert growths[-1] == want.nnz  # the trim
+            for name in ("indptr", "indices", "data"):
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_caller_owned_outputs_are_what_the_sort_fills(self, small_geometry, wide):
+        """``out(nnz)`` is asked once, for exactly the traced count; the
+        matrix lives in what it returned — widened on the way in when
+        the value array is wider than the traced dtype."""
+        want = build_projection_matrix(small_geometry)
+        handed = []
+
+        def out(nnz):
+            handed.append(
+                (np.full(nnz, -1, np.int32), np.full(nnz, np.nan, np.float64 if wide else np.float32))
+            )
+            return handed[-1]
+
+        got = build_projection_matrix(small_geometry, out=out)
+        ((indices, data),) = handed
+        assert np.shares_memory(got.indices, indices) and np.shares_memory(got.data, data)
+        assert got.nnz == indices.size == want.nnz
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(indices, want.indices)
+        assert data.dtype == (np.float64 if wide else np.float32)
+        assert np.array_equal(data, want.data)  # float32 lengths, exactly
+
+    def test_a_repeated_triplet_is_summed(self, small_geometry, monkeypatch):
+        """No geometry in the suite traces one twice, so one is made by
+        hand: the first segment of view 0, emitted again."""
+        want = build_projection_matrix(small_geometry)
+        monkeypatch.setattr(matrix_builder, "trace_view", repeat_first_segment)
+        got = build_projection_matrix(small_geometry)
+        assert got.nnz == want.nnz and got.has_canonical_format
+        assert np.array_equal(got.indices, want.indices)
+        changed = np.flatnonzero(got.data != want.data)
+        assert changed.size == 1
+        assert got.data[changed[0]] == np.float32(2) * want.data[changed[0]]
+
+
+def repeat_first_segment(geometry, angle_index):
+    """``trace_view`` with view 0's first ``(ray, pixel, length)`` twice."""
+    segs = trace_angle(geometry, angle_index)
+    if angle_index:
+        return segs
+    return RaySegments(
+        np.append(segs.ray_index, segs.ray_index[0]),
+        np.append(segs.pixel_index, segs.pixel_index[0]),
+        np.append(segs.length, segs.length[0]),
+    )
 
 
 class TestStats:

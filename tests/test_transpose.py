@@ -40,6 +40,19 @@ class TestScanTranspose:
         # and because scan transposition is canonical, layout matches too
         np.testing.assert_array_equal(TT.displ, A.sort_rows_by_index().displ)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_caller_owned_outputs_are_what_the_scan_fills(self, dtype):
+        """``out`` is written in place and *is* the transpose's pair;
+        the bits are those of the default allocation."""
+        A = CSRMatrix.from_scipy(_random_sparse(40, 25, 0.15, 3), dtype=dtype)
+        want = scan_transpose(A)
+        ind, val = np.full(A.nnz, -1, np.int32), np.full(A.nnz, np.nan, dtype)
+        got = scan_transpose(A, out=(ind, val))
+        assert got.ind is ind and got.val is val
+        for name in ("displ", "ind", "val"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_empty_matrix(self):
         A = CSRMatrix.from_scipy(sp.csr_matrix((5, 3), dtype=np.float32))
         T = scan_transpose(A)
