@@ -198,6 +198,10 @@ class MemXCTOperator:
         # bytes; bounded so adversarial row sampling cannot grow it
         # without limit.
         self._subset_cache: dict[bytes, tuple[CSRMatrix, CSRMatrix]] = {}
+        # The rank decomposition a distributed ``reconstruct`` last cut:
+        # at most one entry, keyed by both decompositions' bounds bytes
+        # and holding its list[RankData] (~12 B/nnz).  close() drops it.
+        self._rank_data: dict[tuple[bytes, bytes], list] = {}
         # Parallel SpMV engine, resolved lazily on first kernel call so
         # loading an operator stays cheap and env resolution happens at
         # use time.  _serial_depth > 0 (see serial_scope) forces the
@@ -238,9 +242,9 @@ class MemXCTOperator:
 
         Used after loading a cached/persisted operator (worker spec is
         deliberately not part of the persisted plan).  Tears down any
-        existing engine first.
+        existing engine first; a memoized rank decomposition stays.
         """
-        self.close()
+        self._close_engine()
         self.config = self.config.evolve(workers=workers)
 
     @contextlib.contextmanager
@@ -258,11 +262,17 @@ class MemXCTOperator:
             self._serial_depth -= 1
 
     def close(self) -> None:
-        """Release the parallel engine (pools, shared memory); idempotent.
+        """Release the parallel engine (pools, shared memory) and the
+        memoized rank decomposition; idempotent.
 
         The operator remains fully usable afterwards — the next kernel
-        call re-resolves the backend from ``config.workers``.
+        call re-resolves the backend from ``config.workers`` and the
+        next distributed ``reconstruct`` cuts its ranks again.
         """
+        self._rank_data.clear()
+        self._close_engine()
+
+    def _close_engine(self) -> None:
         engine, self._engine = self._engine, None
         self._engine_resolved = False
         if engine is not None:

@@ -18,6 +18,7 @@ import numpy as np
 from ..dist import DistributedOperator, SimComm, decompose_both
 from ..topology import HierComm, Topology, parse_topology
 from ..geometry import ParallelBeamGeometry
+from ..obs import span
 from ..resilience import CheckpointManager, FaultConfig, FaultInjector, HealthMonitor
 from ..solvers import SolveResult, cgls, icd, sgd, sirt
 from .operator import MemXCTOperator, OperatorConfig
@@ -189,6 +190,9 @@ def reconstruct(
     num_ranks:
         Simulated MPI ranks; > 1 reconstructs through the distributed
         ``A = R C A_p`` operator (numerically identical by design).
+        The operator keeps the per-rank blocks it cut, so a later call
+        at the same rank count builds nothing; ``operator.close()``
+        releases them.
     topology:
         Rank-to-node placement for ``num_ranks > 1``: a spec string
         like ``"nodes:2,ranks:2"`` (or ``"flat"``), or a ready
@@ -315,11 +319,22 @@ def reconstruct(
                 if topo.is_flat
                 else HierComm(topo, fault_injector=injector)
             )
-        # The rank blocks are sliced out of the transpose held here.
-        solve_op = DistributedOperator(
-            operator.matrix, tomo_dec, sino_dec, comm=comm, topology=topo,
-            transpose=operator.transpose,
-        )
+        # Rank data depend only on the two decompositions: the operator
+        # keeps the last cut (one slot) and a hit builds nothing.  On a
+        # miss the old entry goes first, so one decomposition stays
+        # resident, and the rank blocks are sliced out of the transpose
+        # held here.  The list is stored before the solve: a crash's
+        # degrade() replaces solve_op.ranks, never this list.
+        key = (tomo_dec.bounds.tobytes(), sino_dec.bounds.tobytes())
+        rank_data = operator._rank_data.get(key)
+        if rank_data is None:
+            operator._rank_data.clear()
+        with span("dist.build", ranks=num_ranks, reused=rank_data is not None):
+            solve_op = DistributedOperator(
+                operator.matrix, tomo_dec, sino_dec, comm=comm, topology=topo,
+                rank_data=rank_data, transpose=operator.transpose,
+            )
+        operator._rank_data[key] = solve_op.ranks
 
     t0 = time.perf_counter()
     solve = _run_solver(

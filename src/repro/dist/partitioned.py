@@ -58,12 +58,14 @@ class RankData:
 
     Attributes
     ----------
-    partial_matrix:
-        ``A_p`` — rows are this rank's *touched* sinogram rows (global
-        ordered indices in ``touched_rows``), columns are the rank's
-        local tomogram cells.
     partial_transpose:
-        Scan-based transpose of ``A_p`` for backprojection.
+        ``A_p^T`` — the cut of ``A^T``'s rows ``[c0, c1)`` (the rank's
+        local tomogram cells), its columns renumbered onto
+        ``touched_rows``; backprojection runs on it.
+    partial_matrix:
+        ``A_p`` — the scan transpose of ``partial_transpose``: rows are
+        this rank's *touched* sinogram rows, columns its local
+        tomogram cells.
     touched_rows:
         Sorted global sinogram positions with at least one nonzero in
         this rank's tomogram columns.
@@ -174,16 +176,44 @@ class DistributedOperator:
         self.degradations: list[dict] = []
         self._recv_local_ids: list[list[np.ndarray]] = []
         if rank_data is not None:
-            if len(rank_data) != self.num_ranks:
-                raise ValueError(
-                    f"expected {self.num_ranks} rank-data entries, got {len(rank_data)}"
-                )
+            self._check_rank_data(rank_data)
             self.ranks = rank_data
         else:
             self._build()
         self._build_recv_ids()
 
     # -- preprocessing --------------------------------------------------
+
+    def _check_rank_data(self, rank_data: list[RankData]) -> None:
+        """Refuse supplied rank data cut for other decompositions.
+
+        O(P) shape checks: a stale memo or a hand-made list that does
+        not fit would otherwise solve a different system silently.
+        """
+        if len(rank_data) != self.num_ranks:
+            raise ValueError(
+                f"expected {self.num_ranks} rank-data entries, got {len(rank_data)}"
+            )
+        num_rays = int(self.sino_dec.bounds[-1])
+        for p, rank in enumerate(rank_data):
+            touched = rank.touched_rows.shape[0]
+            ends = [0] + [hi for _, hi in rank.send_segments]
+            for fits, what in (
+                (rank.partial_transpose.num_rows == self.tomo_dec.rank_size(p),
+                 "partial_transpose rows must be the rank's tomogram cells"),
+                (rank.partial_matrix.shape == rank.partial_transpose.shape[::-1],
+                 "partial_matrix must be partial_transpose's shape, transposed"),
+                (rank.partial_matrix.num_rows == touched,
+                 "partial_matrix must have one row per touched row"),
+                (len(rank.send_segments) == self.num_ranks
+                 and [lo for lo, _ in rank.send_segments] == ends[:-1]
+                 and ends[-1] == touched,
+                 "send_segments must tile touched_rows, one segment per rank"),
+                (touched == 0 or rank.touched_rows[-1] < num_rays,
+                 "touched_rows must lie inside the sinogram domain"),
+            ):
+                if not fits:
+                    raise ValueError(f"rank {p}: {what}")
 
     def _build(self) -> None:
         """Cut every rank's block out of the transpose (views + one

@@ -13,10 +13,18 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import OperatorConfig, preprocess
-from repro.dist import DistributedOperator, DuplicatedOperator, decompose_both
+from repro.core import OperatorConfig, preprocess, reconstruct
+from repro.dist import (
+    DistributedOperator,
+    DuplicatedOperator,
+    RankData,
+    decompose_both,
+    distributed_preprocess,
+)
 from repro.geometry import ParallelBeamGeometry
 from repro.solvers import cgls
+
+from .test_partitioned import _assert_same_rank_data
 
 # Compare at (near-)convergence: mid-convergence CG iterates are
 # hypersensitive to float32 rounding differences between operator
@@ -95,3 +103,141 @@ class TestCommVolumeClaim:
         with obs.capture() as cap:
             cgls(op, y, num_iterations=ITERATIONS)
         assert cap.total(obs.COMM_BYTES) == op.comm.log.off_diagonal_volume()
+
+
+GEOMETRY = ParallelBeamGeometry(24, 32)
+
+
+def _scene(config=None):
+    """A fresh operator (so an empty rank memo) and a consistent sinogram."""
+    operator, _ = preprocess(GEOMETRY, config=config or OperatorConfig(kernel="csr"))
+    truth = np.random.default_rng(3).random(operator.num_pixels).astype(np.float32)
+    sinogram = operator.ordered_to_sinogram(
+        np.asarray(operator.forward(truth), dtype=np.float64)
+    )
+    return operator, sinogram
+
+
+@pytest.fixture
+def cuts(monkeypatch):
+    """Counts every rank block cut, whoever asks for it."""
+    calls = []
+    original = RankData.from_transpose_rows
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])  # the rank's (c0, c1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(RankData, "from_transpose_rows", staticmethod(counting))
+    return calls
+
+
+def _solve(operator, sinogram, num_ranks=4, **kwargs):
+    return reconstruct(
+        sinogram, GEOMETRY, operator=operator, num_ranks=num_ranks, iterations=6,
+        **kwargs,
+    )
+
+
+def _memo(operator):
+    """The one memoized rank-data list (the slot holds at most one)."""
+    (rank_data,) = operator._rank_data.values()
+    return rank_data
+
+
+class TestReconstructMemo:
+    """A loaded operator cuts its rank decomposition once."""
+
+    def test_second_solve_reuses_and_is_bit_identical(self, cuts):
+        operator, sinogram = _scene()
+        with obs.capture() as cap:
+            first = _solve(operator, sinogram)
+            assert len(cuts) == 4
+            held = _memo(operator)
+            second = _solve(operator, sinogram)
+        assert len(cuts) == 4  # nothing built
+        assert _memo(operator) is held
+        assert np.array_equal(first.image, second.image)
+        assert first.extra == second.extra
+        assert [s.attrs for s in cap.find_spans("dist.build")] == [
+            {"ranks": 4, "reused": False},
+            {"ranks": 4, "reused": True},
+        ]
+
+    def test_communicators_share_one_entry(self, cuts, monkeypatch):
+        operator, sinogram = _scene()
+        flat = _solve(operator, sinogram, topology="flat")
+        held = _memo(operator)
+        hier = _solve(operator, sinogram, topology="nodes:2,ranks:2")
+        monkeypatch.setenv("REPRO_TOPOLOGY", "nodes:2,ranks:2")
+        ambient = _solve(operator, sinogram)
+        assert len(cuts) == 4
+        assert len(operator._rank_data) == 1 and _memo(operator) is held
+        assert "hier_comm" in hier.extra and "hier_comm" in ambient.extra
+        assert np.array_equal(flat.image, hier.image)
+        assert np.array_equal(flat.image, ambient.image)
+
+    def test_another_rank_count_replaces_the_slot(self, cuts):
+        operator, sinogram = _scene()
+        first = _solve(operator, sinogram)
+        four = _memo(operator)
+        three = _solve(operator, sinogram, num_ranks=3)
+        assert len(operator._rank_data) == 1 and len(_memo(operator)) == 3
+        again = _solve(operator, sinogram)
+        assert len(operator._rank_data) == 1 and len(_memo(operator)) == 4
+        assert _memo(operator) is not four
+        assert len(cuts) == 4 + 3 + 4
+        assert np.array_equal(first.image, again.image)
+        fresh, _ = _scene()
+        assert np.array_equal(_solve(fresh, sinogram, num_ranks=3).image, three.image)
+
+    def test_close_releases_the_slot(self, cuts):
+        operator, sinogram = _scene()
+        _solve(operator, sinogram)
+        operator.set_workers("serial")  # an execution knob keeps it
+        assert len(operator._rank_data) == 1
+        operator.close()
+        assert operator._rank_data == {}
+        _solve(operator, sinogram)
+        assert len(cuts) == 8
+
+    def test_serial_solve_leaves_the_slot_alone(self, cuts):
+        operator, sinogram = _scene()
+        _solve(operator, sinogram)
+        held = _memo(operator)
+        _solve(operator, sinogram, num_ranks=1)
+        assert _memo(operator) is held and len(cuts) == 4
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            OperatorConfig(kernel="buffered"),
+            OperatorConfig(kernel="ell"),
+            OperatorConfig(kernel="csr", dtype="float64"),
+        ],
+        ids=["buffered", "ell", "fp64"],
+    )
+    def test_blocks_are_float32_cuts_of_the_csr_transpose(self, config):
+        operator, sinogram = _scene(config)
+        first = _solve(operator, sinogram)
+        memo = _memo(operator)
+        tomo_dec, sino_dec = decompose_both(
+            operator.tomo_ordering, operator.sino_ordering, 4
+        )
+        memoized = DistributedOperator(operator.matrix, tomo_dec, sino_dec, rank_data=memo)
+        fresh = DistributedOperator(
+            operator.matrix, tomo_dec, sino_dec, transpose=operator.transpose
+        )
+        _assert_same_rank_data(memoized, fresh)
+        for rank in memo:
+            assert rank.partial_matrix.val.dtype == np.float32
+            assert rank.partial_transpose.val.dtype == np.float32
+        assert np.array_equal(_solve(operator, sinogram).image, first.image)
+
+    def test_distributed_preprocess_is_untouched(self, cuts):
+        """Matrix-free rank data still come from their own assembly, one
+        cut per rank, and fit the decompositions they were built for."""
+        dist = distributed_preprocess(GEOMETRY, 4)
+        assert len(cuts) == 4
+        assert dist.matrix is None
+        DistributedOperator(None, dist.tomo_dec, dist.sino_dec, rank_data=dist.ranks)

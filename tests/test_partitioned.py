@@ -1,10 +1,12 @@
 """Tests for the distributed A = R C A_p operator (paper Section 3.4)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.dist import DistributedOperator, SimComm, decompose_both
-from repro.sparse import scan_transpose
+from repro.sparse import CSRMatrix, scan_transpose
 from repro.topology import Topology, parse_topology
 
 
@@ -128,6 +130,50 @@ class TestValidation:
         td, sd = decompose_both(tomo, tomo, 4)  # wrong sinogram domain
         with pytest.raises(ValueError):
             DistributedOperator(matrix, td, sd)
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda r, n: replace(r, partial_transpose=_drop_last_row(r.partial_transpose)),
+             "partial_transpose rows"),
+            (lambda r, n: replace(r, partial_matrix=_drop_last_row(r.partial_matrix)),
+             "partial_matrix must be partial_transpose's shape"),
+            (lambda r, n: replace(r, touched_rows=r.touched_rows[:-1]),
+             "partial_matrix must have one row per touched row"),
+            (lambda r, n: replace(r, send_segments=r.send_segments[:-1]),
+             "send_segments must tile touched_rows, one segment per rank"),
+            (lambda r, n: replace(
+                r, send_segments=[(lo + 1, hi) for lo, hi in r.send_segments[:1]]
+                + r.send_segments[1:]),
+             "send_segments must tile"),
+            (lambda r, n: replace(r, touched_rows=r.touched_rows + n),
+             "touched_rows must lie inside the sinogram domain"),
+        ],
+        ids=["tomo-rows", "shape", "touched", "segment-count", "segment-gap", "range"],
+    )
+    def test_rank_data_that_do_not_fit_rejected(self, setup, spoil, message):
+        """A stale or hand-made rank-data list fails loudly instead of
+        solving a different system."""
+        matrix, tomo, sino = setup
+        op = _make_op(setup, 4)
+        rank_data = list(op.ranks)
+        rank_data[1] = spoil(rank_data[1], matrix.num_rows)
+        with pytest.raises(ValueError, match=f"rank 1: {message}"):
+            DistributedOperator(matrix, op.tomo_dec, op.sino_dec, rank_data=rank_data)
+
+    def test_rank_data_of_another_rank_count_rejected(self, setup):
+        matrix, tomo, sino = setup
+        td, sd = decompose_both(tomo, sino, 3)
+        four = _make_op(setup, 4)
+        with pytest.raises(ValueError, match="rank 0: partial_transpose rows"):
+            DistributedOperator(matrix, td, sd, rank_data=four.ranks[:3])
+
+
+def _drop_last_row(m):
+    end = m.displ[-2]
+    return CSRMatrix(
+        displ=m.displ[:-1], ind=m.ind[:end], val=m.val[:end], num_cols=m.num_cols
+    )
 
 
 def _rank_arrays(op):

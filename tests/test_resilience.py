@@ -38,6 +38,8 @@ from repro.resilience import (
 )
 from repro.solvers import cgls, mlem, sirt
 
+from .test_partitioned import _assert_same_rank_data
+
 ITERATIONS = 12
 
 
@@ -456,17 +458,56 @@ class TestHealthMonitor:
         assert result.stop_reason == reference.stop_reason
 
 
+def _reconstruct_scene():
+    geometry = ParallelBeamGeometry(24, 32)
+    rng = np.random.default_rng(4)
+    operator, _ = preprocess(geometry, config=OperatorConfig(kernel="csr"))
+    truth = rng.random(operator.num_pixels).astype(np.float32)
+    sinogram = operator.ordered_to_sinogram(
+        np.asarray(operator.forward(truth), dtype=np.float64)
+    )
+    return geometry, operator, sinogram
+
+
 class TestReconstructIntegration:
     @pytest.fixture(scope="class")
     def scene(self):
-        geometry = ParallelBeamGeometry(24, 32)
-        rng = np.random.default_rng(4)
-        operator, _ = preprocess(geometry, config=OperatorConfig(kernel="csr"))
-        truth = rng.random(operator.num_pixels).astype(np.float32)
-        sinogram = operator.ordered_to_sinogram(
-            np.asarray(operator.forward(truth), dtype=np.float64)
+        return _reconstruct_scene()
+
+    def test_rank_crash_never_reaches_the_memo(self):
+        """degrade() replaces the solve's rank list; the operator's
+        memoized 4-rank decomposition is neither replaced nor mutated,
+        and a clean solve after the crash is a fresh operator's."""
+        geometry, operator, sinogram = _reconstruct_scene()
+        chaotic = reconstruct(
+            sinogram, geometry, operator=operator, solver="cg", iterations=8,
+            num_ranks=4, faults="drop=0.05,crash=1@3,seed=7",
         )
-        return geometry, operator, sinogram
+        assert chaotic.extra["surviving_ranks"] == 3
+        (held,) = operator._rank_data.values()
+        members = list(held)
+        clean = reconstruct(
+            sinogram, geometry, operator=operator, solver="cg", iterations=8,
+            num_ranks=4,
+        )
+        (after,) = operator._rank_data.values()
+        assert after is held and len(held) == 4
+        assert all(a is b for a, b in zip(after, members, strict=True))
+        tomo_dec, sino_dec = decompose_both(
+            operator.tomo_ordering, operator.sino_ordering, 4
+        )
+        _assert_same_rank_data(
+            DistributedOperator(operator.matrix, tomo_dec, sino_dec, rank_data=held),
+            DistributedOperator(
+                operator.matrix, tomo_dec, sino_dec, transpose=operator.transpose
+            ),
+        )
+        _, other, _ = _reconstruct_scene()
+        reference = reconstruct(
+            sinogram, geometry, operator=other, solver="cg", iterations=8,
+            num_ranks=4,
+        )
+        assert np.array_equal(clean.image, reference.image)
 
     def test_faults_require_multiple_ranks(self, scene):
         geometry, operator, sinogram = scene
