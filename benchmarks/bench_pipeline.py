@@ -1,4 +1,4 @@
-"""Streaming pipeline acceptance — batched multi-RHS vs looped slices.
+"""Streaming pipeline acceptance — batched multi-RHS vs a loop of slices.
 
 The MemXCT amortization argument applied to 3D stacks: the operator's
 regular streams (values, indices, padding) are the dominant memory
@@ -6,13 +6,12 @@ traffic of an SpMV, and a slab of ``S`` right-hand sides lets one pass
 over those streams serve every slice at once.  This benchmark
 reconstructs an 8-slice 128x128 stack through the full pipeline
 (dark/flat normalization, negative log, ring suppression, center
-correction, CG) twice:
+correction, CG) and compares it with the loop it replaces:
 
-* **looped**  — ``reconstruct_stack(..., batch=False)``: one
-  single-slice CG per slice, re-streaming the matrix for each;
-* **batched** — ``reconstruct_stack(..., batch=True)``: one multi-RHS
-  CG over the ``(rays, 8)`` slab, streaming the matrix once per
-  iteration.
+* **looped**  — the same conditioning stages, then an explicit loop of
+  single-slice ``cgls`` calls, re-streaming the matrix for each slice;
+* **batched** — ``reconstruct_stack(...)``: one multi-RHS CG over the
+  ``(rays, 8)`` slab, streaming the matrix once per iteration.
 
 The comparison uses the partition-padded ELL kernel — the GPU-style
 coalesced layout of the paper — where the regular stream is the
@@ -26,6 +25,11 @@ Acceptance:
 * batched solve is at least 2x faster per slice than the looped solve;
 * the two volumes are bit-identical (batching never changes arithmetic);
 * rotation-center search recovers the injected shift within 0.5 px.
+
+The 2x floor was set while the kernels were numpy expressions, before
+the compiled CSR and ELL loops; on those it is missed in some runs
+(docs/pipeline.md lists eight).  Re-deriving it from interleaved runs
+is an open ROADMAP item (1(d)); the table is kept as it stands.
 """
 
 import time
@@ -34,7 +38,9 @@ import numpy as np
 
 from repro import obs
 from repro.core import OperatorConfig
-from repro.pipeline import demo_stack, reconstruct_stack
+from repro.pipeline import StageContext, default_stages, demo_stack, reconstruct_stack
+from repro.precision import solver_dtype
+from repro.solvers import cgls
 
 MIN_SPEEDUP = 2.0
 CENTER_TOL = 0.5
@@ -42,6 +48,25 @@ SIZE = 128
 SLICES = 8
 ITERATIONS = 10
 INJECTED_SHIFT = 1.75
+
+
+def _looped(demo):
+    """The conditioning the pipeline runs on its one chunk, then one
+    single-slice CG per slice; returns the volume and the solve seconds."""
+    op = demo.operator
+    ctx = StageContext(angles=demo.geometry.angles())
+    ctx.info["slice_offset"] = 0
+    chunk = demo.raw
+    for stage in default_stages(demo.darks, demo.flats):
+        chunk = stage(chunk, ctx)
+    images, seconds = [], 0.0
+    for sinogram in chunk:
+        y = op.sinogram_to_ordered(sinogram).astype(solver_dtype(op))
+        t0 = time.perf_counter()
+        x = cgls(op, y, num_iterations=ITERATIONS).x
+        seconds += time.perf_counter() - t0
+        images.append(op.ordered_to_image(x))
+    return np.stack(images), seconds
 
 
 def test_batched_stack_speedup(report):
@@ -61,19 +86,19 @@ def test_batched_stack_speedup(report):
     )
 
     # Warm both code paths (allocator, imports) outside the timed region.
-    reconstruct_stack(demo.raw[:1], demo.geometry, batch=True, **common)
+    reconstruct_stack(demo.raw[:1], demo.geometry, **common)
 
     with obs.capture() as cap_batch:
         t0 = time.perf_counter()
-        batched = reconstruct_stack(demo.raw, demo.geometry, batch=True, **common)
+        batched = reconstruct_stack(demo.raw, demo.geometry, **common)
         batched_wall = time.perf_counter() - t0
     with obs.capture() as cap_loop:
         t0 = time.perf_counter()
-        looped = reconstruct_stack(demo.raw, demo.geometry, batch=False, **common)
+        looped_volume, looped_solve_seconds = _looped(demo)
         looped_wall = time.perf_counter() - t0
 
-    speedup = looped.solve_seconds / batched.solve_seconds
-    bit_exact = np.array_equal(batched.volume, looped.volume)
+    speedup = looped_solve_seconds / batched.solve_seconds
+    bit_exact = np.array_equal(batched.volume, looped_volume)
     found = batched.extra["center_shift"]
     center_error = abs(found - demo.center_shift)
     reg_batch = cap_batch.total(obs.SPMV_REGULAR_BYTES)
@@ -82,8 +107,8 @@ def test_batched_stack_speedup(report):
     lines = [
         f"streaming pipeline, {SIZE}x{SIZE} ELL kernel, {SLICES} slices, "
         f"CG x{ITERATIONS}",
-        f"  looped solve            : {looped.solve_seconds:8.3f} s "
-        f"({looped.solve_seconds / SLICES * 1e3:7.1f} ms/slice)",
+        f"  looped solve            : {looped_solve_seconds:8.3f} s "
+        f"({looped_solve_seconds / SLICES * 1e3:7.1f} ms/slice)",
         f"  batched solve           : {batched.solve_seconds:8.3f} s "
         f"({batched.solve_seconds / SLICES * 1e3:7.1f} ms/slice)",
         f"  speedup                 : {speedup:8.2f} x  (acceptance >= "
@@ -103,7 +128,7 @@ def test_batched_stack_speedup(report):
             "slices": SLICES,
             "iterations": ITERATIONS,
             "kernel": "ell",
-            "looped_solve_seconds": looped.solve_seconds,
+            "looped_solve_seconds": looped_solve_seconds,
             "batched_solve_seconds": batched.solve_seconds,
             "looped_wall_seconds": looped_wall,
             "batched_wall_seconds": batched_wall,
@@ -122,7 +147,7 @@ def test_batched_stack_speedup(report):
     assert bit_exact, "batched and looped volumes diverged"
     assert speedup >= MIN_SPEEDUP, (
         f"batched solve only {speedup:.2f}x faster than looped "
-        f"(looped {looped.solve_seconds:.2f}s, batched "
+        f"(looped {looped_solve_seconds:.2f}s, batched "
         f"{batched.solve_seconds:.2f}s)"
     )
     assert center_error <= CENTER_TOL, (

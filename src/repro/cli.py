@@ -261,16 +261,18 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.operator:
         operator = load_operator(args.operator)
 
+    tune = args.tune
     if args.demo:
         spec = get_dataset(args.demo).scaled(args.scale)
         geometry = spec.geometry()
         if operator is None:
             operator, prep = preprocess(
                 geometry,
-                config=OperatorConfig(dtype=args.dtype, tune=args.tune),
+                config=OperatorConfig(dtype=args.dtype, tune=tune),
                 cache=args.cache,
             )
             _print_cache_status(prep)
+            tune = None  # spent on the preprocess above
         sinogram, truth = spec.sinogram(operator, incident_photons=args.photons)
     else:
         if not args.sinogram:
@@ -296,7 +298,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         health=args.health or None,
         workers=args.workers,
         dtype=args.dtype,
-        tune=args.tune,
+        tune=tune,
         cache=args.cache,
     )
     line = (
@@ -420,7 +422,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         solver=args.solver,
         iterations=args.iterations,
         tolerance=args.tolerance,
-        batch=not args.no_batch,
         chunk_slices=args.chunk_slices,
         memory_budget_bytes=(
             int(args.memory_budget_mb * 1e6)
@@ -444,10 +445,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         _print_cache_status(result.preprocess_report)
 
     done = result.num_slices - result.extra.get("remaining_slices", 0)
-    mode = "looped single-slice" if args.no_batch else "batched multi-RHS"
     print(
         f"{args.solver} over {done}/{result.num_slices} slices in "
-        f"{len(result.chunks)} chunks ({mode}); solve "
+        f"{len(result.chunks)} chunks (batched multi-RHS); solve "
         f"{format_seconds(result.solve_seconds)}, total "
         f"{format_seconds(result.total_seconds)}"
     )
@@ -1088,10 +1088,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tolerance", type=float, default=0.0,
         help="per-slice early-stop tolerance (0 runs the full budget)",
-    )
-    p.add_argument(
-        "--no-batch", action="store_true",
-        help="loop single-slice solves instead of the multi-RHS kernels",
     )
     p.add_argument(
         "--chunk-slices", type=int, default=None,

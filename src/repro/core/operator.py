@@ -14,7 +14,6 @@ to and from row-major 2D arrays.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -204,12 +203,9 @@ class MemXCTOperator:
         self._rank_data: dict[tuple[bytes, bytes], list] = {}
         # Parallel SpMV engine, resolved lazily on first kernel call so
         # loading an operator stays cheap and env resolution happens at
-        # use time.  _serial_depth > 0 (see serial_scope) forces the
-        # plain kernels — used by callers that parallelize at a coarser
-        # granularity and must not re-enter the shared pools.
+        # use time.
         self._engine = None
         self._engine_resolved = False
-        self._serial_depth = 0
 
     # -- parallel execution ---------------------------------------------
 
@@ -218,10 +214,8 @@ class MemXCTOperator:
 
         Only a ``process`` spec partitions SpMV: the compiled kernels
         hold the GIL, so a thread spec runs them serially (it still
-        fans out tracing and the pipeline's slices).
+        fans out tracing).
         """
-        if self._serial_depth:
-            return None
         if not self._engine_resolved:
             self._engine_resolved = True
             workers, mode = parse_workers(self.config.workers)
@@ -246,20 +240,6 @@ class MemXCTOperator:
         """
         self._close_engine()
         self.config = self.config.evolve(workers=workers)
-
-    @contextlib.contextmanager
-    def serial_scope(self):
-        """Force serial kernels inside the ``with`` body (reentrant).
-
-        Coarser-grained parallel callers (e.g. the pipeline fanning
-        slices out to threads) wrap operator calls in this scope so the
-        engine's shared pools are never entered from their own workers.
-        """
-        self._serial_depth += 1
-        try:
-            yield self
-        finally:
-            self._serial_depth -= 1
 
     def close(self) -> None:
         """Release the parallel engine (pools, shared memory) and the

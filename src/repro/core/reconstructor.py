@@ -11,7 +11,7 @@ convergence history.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from ..obs import span
 from ..resilience import CheckpointManager, FaultConfig, FaultInjector, HealthMonitor
 from ..solvers import SolveResult, cgls, icd, sgd, sirt
 from .operator import MemXCTOperator, OperatorConfig
-from .preprocess import PreprocessReport, preprocess
+from .preprocess import PreprocessReport, resolve_operator
 
 __all__ = ["ReconstructionResult", "reconstruct", "SOLVERS"]
 
@@ -237,12 +237,14 @@ def reconstruct(
         ``"float32"`` (end-to-end single precision — half the memory
         traffic, see docs/autotuning.md for the error contract) or
         ``"float64"`` (full double-precision reference).  Overrides
-        ``config.dtype``; applies when preprocessing runs here (a
-        passed-in ``operator`` keeps its own precision).
+        ``config.dtype`` when preprocessing runs here; with a passed-in
+        ``operator`` it must match the operator's precision (a
+        mismatch raises).
     tune:
         Autotuning mode (``"auto"``, ``"predict"``, ``"force"``) — see
-        :mod:`repro.autotune`.  Overrides ``config.tune``; like
-        ``dtype`` it applies when preprocessing runs here.
+        :mod:`repro.autotune`.  Overrides ``config.tune`` when
+        preprocessing runs here; warned and ignored with a passed-in
+        ``operator`` (see :func:`repro.core.resolve_operator`).
     cache:
         Plan-cache selector forwarded to :func:`preprocess` (also
         where tuning records persist).
@@ -267,24 +269,12 @@ def reconstruct(
         solver, checkpoint, checkpoint_every, resume, health
     )
 
-    overrides = {}
-    if workers is not None:
-        overrides["workers"] = workers
-    if dtype is not None:
-        overrides["dtype"] = dtype
-    if tune is not None:
-        overrides["tune"] = tune
-    if overrides:
-        config = replace(config or OperatorConfig(), **overrides)
-    if operator is None:
-        operator, preprocess_report = preprocess(
-            geometry, config=config, ordering=ordering, cache=cache
-        )
-    else:
-        if workers is not None:
-            operator.set_workers(workers)
-        if preprocess_report is None:
-            preprocess_report = PreprocessReport()
+    operator, report = resolve_operator(
+        geometry, operator, config=config, ordering=ordering, cache=cache,
+        workers=workers, dtype=dtype, tune=tune,
+    )
+    if preprocess_report is None:
+        preprocess_report = report
 
     y = operator.sinogram_to_ordered(sinogram)
 

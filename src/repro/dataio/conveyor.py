@@ -13,7 +13,8 @@ two bounded :class:`queue.Queue`\\ s:
   out-of-core stack from migrating back into memory;
 * a **writer** drains finished slabs into the
   :class:`~repro.dataio.writer.ChunkSink` behind the solve, again
-  through a bounded queue.
+  through a bounded queue.  Every run has a sink: the in-memory volume
+  is a :class:`~repro.dataio.writer.VolumeSink` like any other.
 
 ``prefetch=0`` degrades to fully synchronous calls on the caller's
 thread — same API, no threads — which is both the legacy behaviour and
@@ -71,8 +72,7 @@ class Conveyor:
         executor has already dropped completed (resumed) chunks, so
         the reader never touches data the run will skip.
     sink:
-        Optional :class:`~repro.dataio.writer.ChunkSink` for finished
-        slabs; ``None`` when the caller accumulates in memory.
+        The :class:`~repro.dataio.writer.ChunkSink` finished slabs go to.
     prefetch:
         Read-ahead depth.  ``0`` runs reads and writes synchronously on
         the caller's thread; ``N >= 1`` bounds the reader at ``N``
@@ -83,7 +83,7 @@ class Conveyor:
     any deferred worker error, and returns the written ranges.
     """
 
-    def __init__(self, source, ranges, sink=None, prefetch: int = 0,
+    def __init__(self, source, ranges, sink, prefetch: int = 0,
                  read_retry: RetryPolicy | None = None):
         if prefetch < 0:
             raise ValueError(f"prefetch must be >= 0, got {prefetch}")
@@ -108,21 +108,18 @@ class Conveyor:
         self._write_error: BaseException | None = None
         self._written: list[tuple[int, int]] = []
         self._pending_writes = 0
-        self._threads: list[threading.Thread] = []
-        if self.prefetch >= 1:
+        self._threaded = self.prefetch >= 1
+        if self._threaded:
             self._read_q: queue.Queue = queue.Queue(maxsize=self.prefetch)
+            self._write_q: queue.Queue = queue.Queue(maxsize=self.prefetch)
             self._reader = threading.Thread(
                 target=self._read_loop, name="dataio-reader", daemon=True
             )
-            self._threads.append(self._reader)
+            self._writer = threading.Thread(
+                target=self._write_loop, name="dataio-writer", daemon=True
+            )
             self._reader.start()
-            if sink is not None:
-                self._write_q: queue.Queue = queue.Queue(maxsize=self.prefetch)
-                self._writer = threading.Thread(
-                    target=self._write_loop, name="dataio-writer", daemon=True
-                )
-                self._threads.append(self._writer)
-                self._writer.start()
+            self._writer.start()
 
     # -- worker loops ----------------------------------------------------
 
@@ -207,7 +204,7 @@ class Conveyor:
 
     def chunks(self):
         """Yield ``(start, stop, chunk)`` for every planned range."""
-        if self.prefetch == 0:
+        if not self._threaded:
             for start, stop in self.ranges:
                 t0 = time.perf_counter()
                 chunk = self._read_chunk(start, stop)
@@ -232,25 +229,15 @@ class Conveyor:
             yield item
 
     def put(self, start: int, stop: int, slab) -> None:
-        """Hand a finished slab to the sink (no-op without a sink)."""
-        if self.sink is None:
-            return
+        """Hand a finished slab to the sink."""
         self._raise_pending()
         with self._lock:
             self._pending_writes += 1
-        if self.prefetch == 0 or not hasattr(self, "_write_q"):
-            t0 = time.perf_counter()
-            try:
-                self.sink.write(start, stop, slab)
-            finally:
-                elapsed = time.perf_counter() - t0
-                add_count(DATAIO_WRITE_SECONDS, elapsed)
-            with self._lock:
-                self._written.append((start, stop))
-                self._pending_writes -= 1
-            add_count(DATAIO_BYTES_WRITTEN, int(slab.nbytes))
-            return
-        self._write_q.put((start, stop, slab))
+        if self._threaded:
+            self._write_q.put((start, stop, slab))
+        else:
+            self._write_one(start, stop, slab)
+            self._emit_stats()
 
     def take_written(self) -> list[tuple[int, int]]:
         """Ranges confirmed durable by the sink since the last call.
@@ -266,17 +253,16 @@ class Conveyor:
     @property
     def backlog(self) -> tuple[int, int]:
         """(read-queue depth, unwritten slab count) for progress lines."""
-        depth = self._read_q.qsize() if hasattr(self, "_read_q") else 0
+        depth = self._read_q.qsize() if self._threaded else 0
         with self._lock:
             pending = self._pending_writes
         return depth, pending
 
     def finish(self) -> None:
         """Drain the writer, join both threads, re-raise deferred errors."""
-        if hasattr(self, "_write_q"):
+        if self._threaded:
             self._write_q.put(_DONE)
             self._writer.join()
-        if hasattr(self, "_read_q"):
             self._reader.join()
         self._emit_stats()
         self._raise_pending()
@@ -284,18 +270,17 @@ class Conveyor:
     def abort(self) -> None:
         """Stop the threads without caring about unfinished work."""
         self._stop.set()
-        if hasattr(self, "_read_q"):
-            # Unblock a reader waiting on a full queue.
-            try:
-                while True:
-                    self._read_q.get_nowait()
-            except queue.Empty:
-                pass
-        if hasattr(self, "_write_q"):
-            self._write_q.put(_DONE)
-            self._writer.join()
-        if hasattr(self, "_read_q"):
-            self._reader.join()
+        if not self._threaded:
+            return
+        # Unblock a reader waiting on a full queue.
+        try:
+            while True:
+                self._read_q.get_nowait()
+        except queue.Empty:
+            pass
+        self._write_q.put(_DONE)
+        self._writer.join()
+        self._reader.join()
 
     def __enter__(self):
         return self

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 
-from ..persist import atomic_savez, raw_buffer
+from ..persist import atomic_savez, atomic_write_text, raw_buffer
 
 try:  # pragma: no cover - exercised via the monkeypatched tests
     import h5py  # type: ignore
@@ -387,16 +388,19 @@ def save_stack(
         _require_h5py()
         destination.parent.mkdir(parents=True, exist_ok=True)
         # Write-then-rename for the same crash-safety as atomic_savez.
-        tmp = destination.with_name(destination.name + ".tmp")
-        with h5py.File(tmp, "w") as fh:
-            fh.create_dataset(
-                _TOMOBANK_DATA, data=np.ascontiguousarray(stack.transpose(1, 0, 2))
-            )
-            if darks is not None:
-                fh.create_dataset(_TOMOBANK_DARK, data=np.asarray(darks, np.float64))
-            if flats is not None:
-                fh.create_dataset(_TOMOBANK_FLAT, data=np.asarray(flats, np.float64))
-        tmp.replace(destination)
+        tmp = destination.with_name(f"{destination.name}.tmp-{os.getpid()}")
+        try:
+            with h5py.File(tmp, "w") as fh:
+                fh.create_dataset(
+                    _TOMOBANK_DATA, data=np.ascontiguousarray(stack.transpose(1, 0, 2))
+                )
+                if darks is not None:
+                    fh.create_dataset(_TOMOBANK_DARK, data=np.asarray(darks, np.float64))
+                if flats is not None:
+                    fh.create_dataset(_TOMOBANK_FLAT, data=np.asarray(flats, np.float64))
+            tmp.replace(destination)
+        finally:
+            tmp.unlink(missing_ok=True)
         return destination
 
     shard_slices = 4 if shard_slices is None else int(shard_slices)
@@ -428,5 +432,5 @@ def save_stack(
         "shape": list(stack.shape),
         "shard_slices": shard_slices,
     }
-    (destination / "stack.json").write_text(json.dumps(meta, indent=2) + "\n")
+    atomic_write_text(destination / "stack.json", json.dumps(meta, indent=2) + "\n")
     return destination

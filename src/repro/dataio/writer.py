@@ -3,10 +3,10 @@
 The counterpart of :mod:`repro.dataio.reader`: the executor hands a
 sink ``(start, stop, slab)`` triples as chunks finish solving, and the
 sink persists them so the full ``(slices, n, n)`` volume never has to
-sit in memory.  Two on-disk formats plus the in-memory fallback:
+sit in memory.  Three on-disk formats plus the in-memory default:
 
-* :class:`VolumeSink` — accumulate into one array (the legacy
-  ``StackResult.volume`` path).
+* :class:`VolumeSink` — accumulate into one array (the default sink of
+  ``reconstruct_stack``, returned as ``StackResult.volume``).
 * :class:`NpzShardSink` — one ``slab-<start>-<stop>.npz`` per chunk,
   written atomically, finalized by an atomically-renamed
   ``volume.json`` manifest.  A crash mid-run leaves only complete
@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..persist import atomic_savez
+from ..persist import atomic_savez, atomic_write_text
 from .reader import MissingDependencyError
 
 try:  # pragma: no cover - exercised via the monkeypatched tests
@@ -180,10 +180,8 @@ class NpzShardSink(ChunkSink):
             "dtype": "float64",
             "shards": [p.name for _, _, p in shards],
         }
-        # Manifest last, atomically: its presence marks a complete volume.
-        tmp = self.root / f"{_MANIFEST}.tmp-{os.getpid()}"
-        tmp.write_text(json.dumps(manifest, indent=2) + "\n")
-        tmp.replace(self.root / _MANIFEST)
+        # Manifest last, durably: its presence marks a complete volume.
+        atomic_write_text(self.root / _MANIFEST, json.dumps(manifest, indent=2) + "\n")
         return self.root
 
 
@@ -223,10 +221,10 @@ class RawVolumeSink(ChunkSink):
             "dtype": "float64",
             "order": "C",
         }
-        sidecar = self.path.with_suffix(self.path.suffix + ".json")
-        tmp = sidecar.with_name(f"{sidecar.name}.tmp-{os.getpid()}")
-        tmp.write_text(json.dumps(meta, indent=2) + "\n")
-        tmp.replace(sidecar)
+        atomic_write_text(
+            self.path.with_suffix(self.path.suffix + ".json"),
+            json.dumps(meta, indent=2) + "\n",
+        )
         return self.path
 
     def close(self) -> None:

@@ -30,7 +30,7 @@ from ..geometry import ScanGeometry
 from ..ordering import make_ordering
 from ..sparse import CSRMatrix
 from ..topology import HierComm, Topology
-from ..trace.matrix_builder import _trace_view_chunk
+from ..trace import trace_view_chunk
 from .decomposition import decompose_both
 from .partitioned import DistributedOperator, RankData
 from .simmpi import SimComm
@@ -111,7 +111,7 @@ def distributed_preprocess(
     ranks = (sino_ordering.rank.astype(np.int32), tomo_ordering.rank.astype(np.int32))
     for r in range(num_ranks):
         start, stop = int(angle_cuts[r]), int(angle_cuts[r + 1])
-        rows, cols, vals = _trace_view_chunk(
+        rows, cols, vals = trace_view_chunk(
             (geometry, start, stop, *ranks, np.dtype(np.float32))
         )
         owners = tomo_dec.owner_of(cols)

@@ -162,62 +162,12 @@ class SimComm:
         # An injector with nothing configured (all probabilities zero,
         # no crash schedule) takes the plain path: the armed-but-idle
         # configuration must not pay the per-message delivery loop.
-        if self.fault_injector is None or not self.fault_injector.config.any_faults:
-            return [[send[p][q] for p in range(self.size)] for q in range(self.size)]
-        return self._alltoallv_reliable(send)
-
-    def _alltoallv_reliable(
-        self, send: list[list[np.ndarray]]
-    ) -> list[list[np.ndarray]]:
-        """Checksum-verified, retried delivery of the exchange."""
-        inj = self.fault_injector
-        inj.begin_collective()
-        dead = inj.dead_ranks()
-        if dead:
-            raise RankCrashError(dead)
-        recv: list[list[np.ndarray]] = [
-            [send[p][q] for p in range(self.size)] for q in range(self.size)
-        ]
-        pending = [
-            (p, q) for p in range(self.size) for q in range(self.size) if p != q
-        ]
-        attempt = 0
-        healed = 0
-        while pending:
-            failed: list[tuple[int, int]] = []
-            for p, q in pending:
-                payload = send[p][q]
-                outcome = inj.draw(p, q)
-                if outcome == "drop":
-                    failed.append((p, q))
-                    continue
-                if outcome == "corrupt":
-                    # The wire frame carries the sender-side CRC; the
-                    # receiver verifies it and rejects the mangled copy.
-                    delivered = inj.corrupt_payload(payload)
-                    if payload_crc(delivered) != payload_crc(payload):
-                        failed.append((p, q))
-                        continue
-                elif outcome == "delay":
-                    inj.stats.backoff_seconds += inj.config.backoff_base
-                recv[q][p] = payload
-                if attempt > 0:
-                    healed += 1
-            if not failed:
-                break
-            if attempt >= inj.config.max_retries:
-                raise CommDeliveryError(
-                    f"{len(failed)} message(s) undeliverable after "
-                    f"{attempt + 1} attempts (e.g. rank {failed[0][0]} -> "
-                    f"{failed[0][1]})"
-                )
-            inj.charge_backoff(attempt, len(failed))
-            pending = failed
-            attempt += 1
-        if healed:
-            inj.record_recovery(healed)
-            add_count(FAULT_RECOVERIES, healed)
-        return recv
+        if self._faulty:
+            self._deliver(
+                [(p, q, send[p][q]) for p in range(self.size)
+                 for q in range(self.size) if p != q]
+            )
+        return [[send[p][q] for p in range(self.size)] for q in range(self.size)]
 
     def allreduce_sum(self, contributions: list[np.ndarray]) -> np.ndarray:
         """Sum-reduction of one equal-shaped array per rank.
@@ -239,8 +189,11 @@ class SimComm:
 
     def _allreduce_exchange(self, contributions: list[np.ndarray]) -> np.ndarray:
         self.log.collective_calls += 1
-        if self.fault_injector is not None and self.fault_injector.config.any_faults:
-            self._allreduce_reliable_delivery(contributions)
+        if self._faulty:
+            # Each rank's contribution travels to its ring neighbour.
+            self._deliver(
+                [(p, (p + 1) % self.size, c) for p, c in enumerate(contributions)]
+            )
         total = np.zeros_like(np.asarray(contributions[0], dtype=np.float64))
         for c in contributions:
             total += np.asarray(c, dtype=np.float64)
@@ -260,33 +213,43 @@ class SimComm:
         add_count(COMM_MESSAGES, remote_messages)
         return total
 
-    def _allreduce_reliable_delivery(self, contributions: list[np.ndarray]) -> None:
-        """Fault/retry pass over each rank's reduction-tree contribution.
+    @property
+    def _faulty(self) -> bool:
+        return self.fault_injector is not None and self.fault_injector.config.any_faults
 
-        The reduction itself stays bit-exact (retry re-sends the
-        original payload), so this only models the *delivery* of each
-        rank's contribution to its ring neighbour.
+    def _deliver(self, messages: list[tuple[int, int, np.ndarray]]) -> None:
+        """Checksum-verified, retried delivery of ``(sender, receiver,
+        payload)`` messages under the attached fault injector.
+
+        Payloads are never altered — a retry re-sends the original — so
+        delivery only decides whether the collective completes: it
+        raises :class:`RankCrashError` when a scheduled crash fires and
+        :class:`CommDeliveryError` when a message exhausts the retry
+        budget.  Each round draws one outcome per pending message, in
+        list order, so a seeded injector replays identical faults.
         """
         inj = self.fault_injector
         inj.begin_collective()
         dead = inj.dead_ranks()
         if dead:
             raise RankCrashError(dead)
-        pending = [p for p in range(self.size) if self.size > 1]
+        pending = messages
         attempt = 0
         healed = 0
         while pending:
-            failed: list[int] = []
-            for p in pending:
-                payload = contributions[p]
-                outcome = inj.draw(p, (p + 1) % self.size)
+            failed = []
+            for message in pending:
+                sender, receiver, payload = message
+                outcome = inj.draw(sender, receiver)
                 if outcome == "drop":
-                    failed.append(p)
+                    failed.append(message)
                     continue
                 if outcome == "corrupt":
+                    # The wire frame carries the sender-side CRC; the
+                    # receiver verifies it and rejects the mangled copy.
                     delivered = inj.corrupt_payload(payload)
                     if payload_crc(delivered) != payload_crc(payload):
-                        failed.append(p)
+                        failed.append(message)
                         continue
                 elif outcome == "delay":
                     inj.stats.backoff_seconds += inj.config.backoff_base
@@ -296,8 +259,9 @@ class SimComm:
                 break
             if attempt >= inj.config.max_retries:
                 raise CommDeliveryError(
-                    f"{len(failed)} allreduce contribution(s) undeliverable "
-                    f"after {attempt + 1} attempts"
+                    f"{len(failed)} message(s) undeliverable after "
+                    f"{attempt + 1} attempts (e.g. rank {failed[0][0]} -> "
+                    f"{failed[0][1]})"
                 )
             inj.charge_backoff(attempt, len(failed))
             pending = failed

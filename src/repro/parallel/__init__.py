@@ -5,8 +5,8 @@ over contiguous Hilbert-ordered partition ranges, Section 4.1) on top
 of three interchangeable backends:
 
 * ``serial`` — inline execution, the bit-identity reference;
-* ``thread`` — a shared thread pool; fans out tracing and the
-  pipeline's slices, not SpMV (the compiled kernels hold the GIL);
+* ``thread`` — a shared thread pool; fans out tracing, not SpMV
+  (the compiled kernels hold the GIL);
 * ``process`` — a fork-context process pool whose workers attach the
   operator's arrays from POSIX shared memory; partitions SpMV.
 

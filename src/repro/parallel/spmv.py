@@ -14,11 +14,10 @@ enforce).
 Only **process** mode partitions SpMV.  The kernels are scipy's
 compiled CSR loops, which hold the GIL, so threads cannot overlap them
 (two threads read 1.0x on the kernel and 0.5x through the dispatch);
-a thread spec still fans out tracing and the pipeline's slices, and
-runs the serial kernel here.  Process mode exports each layout's
-arrays into POSIX shared memory once, at engine construction, and
-starts **one worker process per partition range**: a worker attaches
-the arrays, takes its own range's ``partition_slice`` of each layout
+a thread spec still fans out tracing, and runs the serial kernel
+here.  Process mode exports each layout's arrays into POSIX shared
+memory once, at engine construction, and starts **one worker process
+per partition range**: a worker attaches the arrays, takes its own range's ``partition_slice`` of each layout
 and keeps it, so the slice's compiled view (derived at its first
 kernel call) is built once per range and lives in that worker only.
 Input and output travel through one scratch segment the engine keeps

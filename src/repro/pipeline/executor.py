@@ -13,10 +13,12 @@ slice of a 3D dataset.  This executor completes that story end-to-end:
   (:mod:`repro.pipeline.stages`) and then into a **batched multi-RHS
   solve** — one cached operator drives all slices of the chunk per
   iteration, streaming the matrix once instead of once per slice;
-* with ``prefetch >= 1`` the chunk loop becomes an overlapped conveyor
-  (:mod:`repro.dataio.conveyor`): a reader thread pulls the next chunks
-  ahead of the solve and a writer thread drains finished slabs into an
-  optional :class:`~repro.dataio.ChunkSink`, so disk time on both ends
+* every solved slab goes through the conveyor
+  (:mod:`repro.dataio.conveyor`) into a :class:`~repro.dataio.ChunkSink`
+  — the in-memory volume is a :class:`~repro.dataio.VolumeSink`, disk
+  outputs are shard directories or flat files.  With ``prefetch >= 1``
+  a reader thread pulls the next chunks ahead of the solve and a writer
+  thread drains finished slabs behind it, so disk time on both ends
   hides under the solve;
 * after every chunk the run is checkpointed through
   :class:`repro.resilience.CheckpointManager`, so a killed run resumes
@@ -29,20 +31,21 @@ slice of a 3D dataset.  This executor completes that story end-to-end:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import time
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.operator import MemXCTOperator, OperatorConfig
-from ..core.preprocess import PreprocessReport, preprocess
+from ..core.preprocess import PreprocessReport, resolve_operator
 from ..dataio import (
     ChunkSink,
     ChunkSource,
     Conveyor,
     ConveyorProgress,
+    VolumeSink,
     make_sink,
     open_source,
 )
@@ -51,14 +54,12 @@ from ..obs import (
     PIPELINE_CHUNKS,
     PIPELINE_RESUMED_SLICES,
     PIPELINE_SLICES,
-    REGISTRY,
     add_count,
     span,
 )
-from ..parallel.backend import make_backend, parse_workers
-from ..precision import parse_dtype, solver_dtype
+from ..precision import solver_dtype
 from ..resilience.checkpoint import CheckpointError, CheckpointManager, SolverCheckpoint
-from ..solvers import cgls, cgls_batch, mlem, mlem_batch, sirt, sirt_batch
+from ..solvers import cgls_batch, mlem_batch, sirt_batch
 from .stages import Stage, StageContext, default_stages
 
 __all__ = [
@@ -78,9 +79,10 @@ _CHECKPOINT_SOLVER = "pipeline"
 class StackResult:
     """Everything produced by one stack reconstruction.
 
-    ``volume`` is the assembled ``(slices, n, n)`` array on the
-    in-memory path and ``None`` when a sink streamed the slabs out —
-    the finalized location is then in ``extra["output_path"]``.
+    ``volume`` is the assembled ``(slices, n, n)`` array when the slabs
+    went to a :class:`~repro.dataio.VolumeSink` (the default without
+    ``sink=``) and ``None`` when a disk sink streamed them out — the
+    finalized location is then in ``extra["output_path"]``.
     ``extra["stage_times"]`` maps each conditioning stage name (plus
     ``"solve"``) to accumulated wall seconds — the split the CLI's
     ``--metrics`` prints so conditioning cost is visible next to solve
@@ -170,52 +172,13 @@ def _stack_fingerprint(
     return np.frombuffer(h.digest(), dtype=np.uint8).copy()
 
 
-def _solver_for(name: str, batched: bool):
-    """The single or slab entry point of a solver name.
+def _slab_solver(name: str):
+    """The slab entry point of a solver name.
 
     The table is built per call so the functions stay the module's
     late-bound names (wrappable by attribute, e.g. by a tracer).
     """
-    pairs = {"cg": (cgls, cgls_batch), "sirt": (sirt, sirt_batch), "mlem": (mlem, mlem_batch)}
-    return pairs[name][batched]
-
-
-def _solve_chunk_batched(solver, op, Y, iterations, tolerance, solver_kwargs):
-    return _solver_for(solver, batched=True)(
-        op, Y, num_iterations=iterations, tolerance=tolerance, **solver_kwargs
-    )
-
-
-def _solve_chunk_looped(
-    solver, op, Y, iterations, tolerance, solver_kwargs, backend=None
-):
-    """Reference path: one single-slice solve per column.
-
-    With a (thread) backend, the independent per-slice solves fan out
-    across workers while the operator is pinned to serial kernels —
-    parallelism moves to the coarser slice granularity instead of
-    nesting inside the shared SpMV pools.  Results are stacked in slice
-    order either way, so the volume is bit-identical.  Observation
-    forces the serial loop: the span stack and counters are not safe
-    against concurrent solver instrumentation.
-    """
-    solve = _solver_for(solver, batched=False)
-
-    def solve_one(j: int):
-        res = solve(
-            op, np.ascontiguousarray(Y[:, j]),
-            num_iterations=iterations, tolerance=tolerance, **solver_kwargs,
-        )
-        return res.x, res.iterations
-
-    if backend is not None and backend.workers > 1 and not REGISTRY.active:
-        with op.serial_scope():
-            results = backend.map(solve_one, range(Y.shape[1]))
-    else:
-        results = [solve_one(j) for j in range(Y.shape[1])]
-    columns = [x for x, _ in results]
-    iters = [it for _, it in results]
-    return np.stack(columns, axis=1), iters
+    return {"cg": cgls_batch, "sirt": sirt_batch, "mlem": mlem_batch}[name]
 
 
 def _done_runs(done: np.ndarray) -> list[tuple[int, int]]:
@@ -233,6 +196,43 @@ def _done_runs(done: np.ndarray) -> list[tuple[int, int]]:
     return runs
 
 
+def _resume(snapshot: SolverCheckpoint, fingerprint: np.ndarray, sink: ChunkSink,
+            ctx: StageContext) -> np.ndarray:
+    """Validate a stack checkpoint and return its done mask.
+
+    A checkpoint that holds a volume replays its completed slices into
+    ``sink``, whatever kind it is; one without a volume (written by a
+    disk-sink run, whose own output holds the data) cannot fill an
+    in-memory volume.
+    """
+    if snapshot.solver != _CHECKPOINT_SOLVER:
+        raise CheckpointError(
+            f"checkpoint holds {snapshot.solver!r} state, not a "
+            "pipeline stack checkpoint"
+        )
+    stored = snapshot.arrays.get("fingerprint")
+    if stored is None or not np.array_equal(stored, fingerprint):
+        raise CheckpointError(
+            "checkpoint fingerprint does not match this stack/solver/"
+            "iterations/tolerance/precision/stage configuration; "
+            "refusing to resume against different inputs"
+        )
+    done = np.asarray(snapshot.arrays["done"], dtype=bool).copy()
+    stored_volume = snapshot.arrays.get("volume")
+    if stored_volume is not None:
+        stored_volume = np.asarray(stored_volume, dtype=np.float64)
+        for a, b in _done_runs(done):
+            sink.write(a, b, stored_volume[a:b])
+    elif isinstance(sink, VolumeSink):
+        raise CheckpointError(
+            "checkpoint was written by a streaming-sink run and "
+            "holds no volume; resume with the same sink"
+        )
+    if "center_shift" in snapshot.scalars:
+        ctx.info["center_shift"] = snapshot.scalars["center_shift"]
+    return done
+
+
 def reconstruct_stack(
     raw_stack,
     geometry: ParallelBeamGeometry | None = None,
@@ -243,7 +243,6 @@ def reconstruct_stack(
     solver: str = "cg",
     iterations: int = 30,
     tolerance: float = 0.0,
-    batch: bool = True,
     chunk_slices: int | None = None,
     memory_budget_bytes: int | None = None,
     operator: MemXCTOperator | None = None,
@@ -264,6 +263,10 @@ def reconstruct_stack(
 ) -> StackResult:
     """Reconstruct a 3D stack of sinograms through the staged pipeline.
 
+    Every chunk is solved as one slab by the multi-RHS solvers
+    (``cgls_batch`` / ``sirt_batch`` / ``mlem_batch``): column ``j`` of
+    a slab is bit-identical to the single-slice solve of slice ``j``.
+
     Parameters
     ----------
     raw_stack:
@@ -272,7 +275,8 @@ def reconstruct_stack(
         :func:`~repro.dataio.open_source` understands (an ``.npz``
         stack, a shard directory, or an HDF5/tomobank file).  Raw
         photon counts when ``darks``/``flats`` (or equivalent stages)
-        are supplied, line integrals otherwise.
+        are supplied, line integrals otherwise.  The source is closed
+        when the call returns or raises.
     geometry:
         Per-slice scan geometry; inferred from the stack shape when
         omitted.
@@ -288,12 +292,8 @@ def reconstruct_stack(
     solver:
         ``"cg"``, ``"sirt"`` or ``"mlem"``.
     tolerance:
-        Per-slice early-stop tolerance (per-column convergence masks in
-        the batched path); ``0`` runs the full budget.
-    batch:
-        Use the multi-RHS solvers (default).  ``False`` loops the
-        single-slice solvers — bit-identical results, used as the
-        reference in tests and benchmarks.
+        Per-slice early-stop tolerance (a per-column convergence mask
+        in the slab); ``0`` runs the full budget.
     chunk_slices, memory_budget_bytes:
         Chunking policy: an explicit slice count, or a working-set
         budget fed to :func:`chunk_slices_for_budget` (dtype-aware, and
@@ -305,44 +305,41 @@ def reconstruct_stack(
         plan cache so warm runs skip preprocessing entirely.
     checkpoint:
         Path (or :class:`~repro.resilience.CheckpointManager`) for
-        per-chunk checkpoints.  On the in-memory path the accumulated
-        volume is checkpointed; with a ``sink`` only the done mask is
-        (the sink's own crash-safe shards hold the data), and a chunk
-        is marked done only once its slab is confirmed written.
+        per-chunk checkpoints.  With the in-memory
+        :class:`~repro.dataio.VolumeSink` the accumulated volume is
+        checkpointed; with a disk sink only the done mask is (the
+        sink's own crash-safe output holds the data).  A chunk is
+        marked done only once the sink has confirmed its slab.
     resume:
         Continue from ``checkpoint``.  The checkpoint's content
         fingerprint must match this exact stack/solver/iterations/
         tolerance/precision/stage configuration — resuming against
         anything different raises
         :class:`~repro.resilience.CheckpointError`.  Completed chunks
-        are skipped (never re-read from the source); the final volume
+        are skipped (never re-read from the source); a checkpointed
+        volume is replayed into this run's sink, so an in-memory
+        checkpoint can finish in memory or on disk.  The final volume
         is bit-identical to an uninterrupted run.
     max_chunks:
         Stop (cleanly, after checkpointing) once this many chunks were
         processed in *this* run — the hook CI uses to simulate a kill.
-    workers:
-        Parallel-execution spec (see :func:`repro.parallel.parse_workers`).
-        The batched path parallelizes each multi-RHS SpMV across
-        partition ranges; the looped path (``batch=False``) instead
-        fans independent slice solves out to threads with the operator
-        pinned serial, so the shared pools are never entered twice.
-        Either way the volume is bit-identical to a serial run.
-    dtype, tune:
-        Compute precision and autotuning mode, folded into ``config``
-        exactly as in :func:`repro.core.reconstruct` — they apply when
-        preprocessing runs here.  With a passed-in ``operator``,
-        ``dtype`` must match the operator's configured precision
-        (a mismatch raises instead of being silently ignored) and
-        ``tune`` has no effect (warned).  With ``dtype="float32"`` the
-        batched right-hand sides and solver state run in single
-        precision; the assembled volume stays float64.
+    workers, dtype, tune:
+        Execution backend, compute precision and autotuning mode,
+        resolved with the operator by
+        :func:`repro.core.resolve_operator` exactly as in
+        :func:`repro.core.reconstruct`.  ``workers`` parallelizes each
+        multi-RHS SpMV across partition ranges; the volume is
+        bit-identical to a serial run.  With ``dtype="float32"`` the
+        right-hand sides and solver state run in single precision; the
+        assembled volume stays float64.
     sink:
-        Stream reconstructed slabs out instead of accumulating the
-        volume in memory: a :class:`~repro.dataio.ChunkSink`, or a
-        destination path for :func:`~repro.dataio.make_sink` (a shard
-        directory, or a ``.raw`` file).  ``StackResult.volume`` is then
-        ``None`` and ``extra["output_path"]`` points at the finalized
-        output.
+        Where reconstructed slabs go: a :class:`~repro.dataio.ChunkSink`,
+        or a destination path for :func:`~repro.dataio.make_sink` (a
+        shard directory, or a ``.raw`` file).  Defaults to an in-memory
+        :class:`~repro.dataio.VolumeSink`, returned as
+        ``StackResult.volume``; with a disk sink ``volume`` is ``None``
+        and ``extra["output_path"]`` points at the finalized output.
+        The sink is closed when the call returns or raises.
     compress:
         Write deflated shard archives when ``sink`` is a shard-directory
         path (trades write CPU for disk bytes); rejected for ``.raw``
@@ -350,93 +347,64 @@ def reconstruct_stack(
         :class:`~repro.dataio.ChunkSink`.
     prefetch:
         Read-ahead depth for the overlapped conveyor; ``0`` (default)
-        runs source reads and sink writes synchronously.  The streamed
-        volume is bit-identical either way.
+        runs source reads and sink writes synchronously.  The volume is
+        bit-identical either way.
     progress:
         ``True`` for a queue-depth-driven progress/ETA line on stderr,
         or any object with ``update(done_slices, backlog)`` / ``done()``.
     """
     t_start = time.perf_counter()
-    # The run's head and tail are not overlapped by anything: opening
-    # the source, starting the conveyor, draining the last write and
-    # finalizing the sink each get a span, so a trace has no gap there.
-    with span("pipeline.open"):
-        source = open_source(raw_stack, darks=darks, flats=flats)
-    darks, flats = source.darks, source.flats
-    num_slices = source.num_slices
-    if geometry is None:
-        geometry = ParallelBeamGeometry(source.shape[1], source.shape[2])
-    if source.shape[1:] != geometry.sinogram_shape:
-        raise ValueError(
-            f"stack slices have shape {source.shape[1:]}, geometry expects "
-            f"{geometry.sinogram_shape}"
-        )
-    if solver not in PIPELINE_SOLVERS:
-        raise ValueError(
-            f"unknown solver {solver!r}; expected one of {PIPELINE_SOLVERS}"
-        )
-    if chunk_slices is not None and memory_budget_bytes is not None:
-        raise ValueError("pass either chunk_slices or memory_budget_bytes, not both")
-    if prefetch < 0:
-        raise ValueError(f"prefetch must be >= 0, got {prefetch}")
-
-    if stages is None:
-        stages = default_stages(darks, flats) if darks is not None else []
-
-    manager = None
-    if checkpoint is not None:
-        manager = (
-            checkpoint
-            if isinstance(checkpoint, CheckpointManager)
-            else CheckpointManager(checkpoint, every=1)
-        )
-    if resume and manager is None:
-        raise ValueError("resume=True requires a checkpoint")
-
-    if operator is not None:
-        # A prebuilt operator fixes the precision and layout; the
-        # overrides below must not be dropped on the floor silently.
-        if dtype is not None and parse_dtype(dtype) != operator.config.dtype:
-            have = operator.config.dtype or "the default mixed precision"
+    with contextlib.ExitStack() as cleanup:
+        # The run's head and tail are not overlapped by anything: opening
+        # the source, starting the conveyor, draining the last write and
+        # finalizing the sink each get a span, so a trace has no gap there.
+        with span("pipeline.open"):
+            source = open_source(raw_stack, darks=darks, flats=flats)
+        cleanup.callback(source.close)
+        darks, flats = source.darks, source.flats
+        num_slices = source.num_slices
+        if geometry is None:
+            geometry = ParallelBeamGeometry(source.shape[1], source.shape[2])
+        if source.shape[1:] != geometry.sinogram_shape:
             raise ValueError(
-                f"dtype={dtype!r} conflicts with the prebuilt operator "
-                f"({have}); rebuild the operator with "
-                f"OperatorConfig(dtype={dtype!r}) or drop the override"
+                f"stack slices have shape {source.shape[1:]}, geometry expects "
+                f"{geometry.sinogram_shape}"
             )
-        if tune is not None:
-            warnings.warn(
-                "tune= has no effect on a prebuilt operator; omit operator= "
-                "to let preprocessing run the autotuner",
-                UserWarning,
-                stacklevel=2,
+        if solver not in PIPELINE_SOLVERS:
+            raise ValueError(
+                f"unknown solver {solver!r}; expected one of {PIPELINE_SOLVERS}"
             )
-    overrides = {}
-    if workers is not None:
-        overrides["workers"] = workers
-    if dtype is not None:
-        overrides["dtype"] = dtype
-    if tune is not None:
-        overrides["tune"] = tune
-    if overrides:
-        config = replace(config or OperatorConfig(), **overrides)
-        if workers is not None and operator is not None:
-            operator.set_workers(workers)
-    # Slice-level fan-out for the looped path is always thread-based:
-    # each solve would otherwise pickle solver state into a process.
-    slice_workers, _ = parse_workers(workers)
-    slice_backend = (
-        make_backend(slice_workers, "thread")
-        if (not batch and slice_workers > 1)
-        else None
-    )
+        if chunk_slices is not None and memory_budget_bytes is not None:
+            raise ValueError("pass either chunk_slices or memory_budget_bytes, not both")
+        if prefetch < 0:
+            raise ValueError(f"prefetch must be >= 0, got {prefetch}")
 
-    with span("pipeline.run", slices=num_slices, solver=solver):
-        if operator is None:
-            operator, report = preprocess(
-                geometry, config=config, ordering=ordering, cache=cache
+        if stages is None:
+            stages = default_stages(darks, flats) if darks is not None else []
+
+        manager = None
+        if checkpoint is not None:
+            manager = (
+                checkpoint
+                if isinstance(checkpoint, CheckpointManager)
+                else CheckpointManager(checkpoint, every=1)
             )
-        else:
-            report = PreprocessReport()
+        if resume and manager is None:
+            raise ValueError("resume=True requires a checkpoint")
+
+        cleanup.enter_context(span("pipeline.run", slices=num_slices, solver=solver))
+        operator, report = resolve_operator(
+            geometry, operator, config=config, ordering=ordering, cache=cache,
+            workers=workers, dtype=dtype, tune=tune,
+        )
+        n = geometry.num_channels
+        if sink is None:
+            sink = VolumeSink(num_slices, n)
+        elif not isinstance(sink, ChunkSink):
+            sink = make_sink(sink, num_slices, n, resume=resume,
+                             compress=compress)
+        cleanup.callback(sink.close)
+        in_memory = isinstance(sink, VolumeSink)
 
         if chunk_slices is None:
             if memory_budget_bytes is not None:
@@ -446,7 +414,7 @@ def reconstruct_stack(
                     operator.num_pixels,
                     num_slices,
                     itemsize=solver_dtype(operator).itemsize,
-                    volume_in_memory=sink is None,
+                    volume_in_memory=in_memory,
                     prefetch=prefetch,
                 )
             else:
@@ -463,48 +431,11 @@ def reconstruct_stack(
             stages,
             solver_kwargs,
         )
-        n = geometry.num_channels
-        if sink is not None and not isinstance(sink, ChunkSink):
-            sink = make_sink(sink, num_slices, n, resume=resume,
-                             compress=compress)
-        volume = (
-            np.zeros((num_slices, n, n), dtype=np.float64) if sink is None else None
-        )
-        done = np.zeros(num_slices, dtype=bool)
         ctx = StageContext(angles=geometry.angles())
         extra: dict = {}
-
+        done = np.zeros(num_slices, dtype=bool)
         if resume:
-            snapshot = manager.require()
-            if snapshot.solver != _CHECKPOINT_SOLVER:
-                raise CheckpointError(
-                    f"checkpoint holds {snapshot.solver!r} state, not a "
-                    "pipeline stack checkpoint"
-                )
-            stored = snapshot.arrays.get("fingerprint")
-            if stored is None or not np.array_equal(stored, fingerprint):
-                raise CheckpointError(
-                    "checkpoint fingerprint does not match this stack/solver/"
-                    "iterations/tolerance/precision/stage configuration; "
-                    "refusing to resume against different inputs"
-                )
-            done = np.asarray(snapshot.arrays["done"], dtype=bool).copy()
-            stored_volume = snapshot.arrays.get("volume")
-            if sink is None:
-                if stored_volume is None:
-                    raise CheckpointError(
-                        "checkpoint was written by a streaming-sink run and "
-                        "holds no volume; resume with the same sink"
-                    )
-                volume = np.asarray(stored_volume, dtype=np.float64).copy()
-            elif stored_volume is not None:
-                # In-memory checkpoint resumed onto a sink: replay the
-                # completed slices so the sink's output is whole.
-                stored_volume = np.asarray(stored_volume, dtype=np.float64)
-                for a, b in _done_runs(done):
-                    sink.write(a, b, stored_volume[a:b])
-            if "center_shift" in snapshot.scalars:
-                ctx.info["center_shift"] = snapshot.scalars["center_shift"]
+            done = _resume(manager.require(), fingerprint, sink, ctx)
             add_count(PIPELINE_RESUMED_SLICES, int(done.sum()))
             extra["resumed_slices"] = int(done.sum())
 
@@ -515,8 +446,8 @@ def reconstruct_stack(
             if "center_shift" in ctx.info:
                 scalars["center_shift"] = float(ctx.info["center_shift"])
             arrays = {"done": done.astype(np.uint8), "fingerprint": fingerprint}
-            if volume is not None:
-                arrays["volume"] = volume
+            if in_memory:
+                arrays["volume"] = sink.volume
             manager.save(
                 SolverCheckpoint(
                     solver=_CHECKPOINT_SOLVER,
@@ -549,7 +480,7 @@ def reconstruct_stack(
         solve_seconds = 0.0
 
         with span("pipeline.start", prefetch=prefetch):
-            conveyor = Conveyor(source, pending, sink=sink, prefetch=prefetch)
+            conveyor = Conveyor(source, pending, sink, prefetch=prefetch)
         with conveyor:
             for start, stop, chunk in conveyor.chunks():
                 with span("pipeline.chunk", start=start, stop=stop):
@@ -561,7 +492,8 @@ def reconstruct_stack(
                     # precision: stacking to float64 first would silently
                     # double the chunk's memory on the fp32 path.
                     Y = np.stack(
-                        [operator.sinogram_to_ordered(chunk[k]) for k in range(chunk.shape[0])],
+                        [operator.sinogram_to_ordered(chunk[k])
+                         for k in range(chunk.shape[0])],
                         axis=1,
                     ).astype(solver_dtype(operator))
                     if solver == "mlem":
@@ -571,40 +503,25 @@ def reconstruct_stack(
 
                     t0 = time.perf_counter()
                     with span("pipeline.solve", solver=solver, batch=Y.shape[1]):
-                        if batch:
-                            result = _solve_chunk_batched(
-                                solver, operator, Y, iterations, tolerance, solver_kwargs
-                            )
-                            X, iters = result.X, result.iterations.tolist()
-                        else:
-                            X, iters = _solve_chunk_looped(
-                                solver,
-                                operator,
-                                Y,
-                                iterations,
-                                tolerance,
-                                solver_kwargs,
-                                backend=slice_backend,
-                            )
+                        result = _slab_solver(solver)(
+                            operator, Y, num_iterations=iterations,
+                            tolerance=tolerance, **solver_kwargs,
+                        )
                     chunk_seconds = time.perf_counter() - t0
                     solve_seconds += chunk_seconds
 
                     slab = np.stack(
                         [
-                            operator.ordered_to_image(np.ascontiguousarray(X[:, k]))
+                            operator.ordered_to_image(np.ascontiguousarray(result.X[:, k]))
                             for k in range(stop - start)
                         ]
                     )
-                    if sink is None:
-                        volume[start:stop] = slab
-                        done[start:stop] = True
-                    else:
-                        conveyor.put(start, stop, slab)
-                        # Only writer-confirmed slabs may enter the done
-                        # mask: a slab parked in the write queue is lost
-                        # on a crash, and resume must re-solve it.
-                        for a, b in conveyor.take_written():
-                            done[a:b] = True
+                    conveyor.put(start, stop, slab)
+                    # Only sink-confirmed slabs may enter the done mask:
+                    # a slab parked in the write queue is lost on a
+                    # crash, and resume must re-solve it.
+                    for a, b in conveyor.take_written():
+                        done[a:b] = True
                     add_count(PIPELINE_CHUNKS, 1)
                     add_count(PIPELINE_SLICES, stop - start)
                     chunk_records.append(
@@ -612,7 +529,7 @@ def reconstruct_stack(
                             "start": start,
                             "stop": stop,
                             "seconds": chunk_seconds,
-                            "iterations": iters,
+                            "iterations": result.iterations.tolist(),
                         }
                     )
                     save_checkpoint()
@@ -620,19 +537,19 @@ def reconstruct_stack(
                         reporter.update(int(done.sum()), conveyor.backlog)
             with span("pipeline.drain"):
                 conveyor.finish()
-        if sink is not None:
-            for a, b in conveyor.take_written():
-                done[a:b] = True
+        written = conveyor.take_written()
+        for a, b in written:
+            done[a:b] = True
+        if written:
             # The in-flight slabs are durable now; record the final mask.
             save_checkpoint()
-            if done.all():
-                with span("pipeline.finalize"):
-                    output_path = sink.finalize()
-                if output_path is not None:
-                    extra["output_path"] = str(output_path)
+        if done.all():
+            with span("pipeline.finalize"):
+                output_path = sink.finalize()
+            if output_path is not None:
+                extra["output_path"] = str(output_path)
         if reporter is not None:
             reporter.done()
-    source.close()
 
     stage_times = dict(ctx.stage_times)
     extra["stage_times"] = {**stage_times, "solve": solve_seconds}
@@ -645,7 +562,7 @@ def reconstruct_stack(
         extra["remaining_slices"] = int((~done).sum())
 
     return StackResult(
-        volume=volume,
+        volume=sink.volume if in_memory else None,
         operator=operator,
         preprocess_report=report,
         solver=solver,

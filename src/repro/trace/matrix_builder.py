@@ -30,6 +30,7 @@ from .siddon3d import trace_rays_3d
 
 __all__ = [
     "trace_view",
+    "trace_view_chunk",
     "build_projection_matrix",
     "projection_matrix_stats",
 ]
@@ -88,7 +89,7 @@ class _TripletStreams:
         return self._streams
 
 
-def _trace_view_chunk(task) -> list[np.ndarray]:
+def trace_view_chunk(task) -> list[np.ndarray]:
     """Trace a contiguous view range into ``[rows, cols, vals]`` streams.
 
     ``task`` is ``(geometry, start, stop, row_rank, col_rank, dtype)``
@@ -178,7 +179,7 @@ def build_projection_matrix(
         (geometry, start, stop, row_rank, col_rank, np.dtype(dtype))
         for start, stop in _angle_chunks(geometry.num_angles, backend.workers)
     ]
-    chunks = backend.map(_trace_view_chunk, tasks)
+    chunks = backend.map(trace_view_chunk, tasks)
     if len(chunks) != 1:  # workers' chunks, appended in angle order
         streams = _TripletStreams(np.dtype(dtype))
         for chunk in chunks:

@@ -9,6 +9,7 @@ matter how tall the stack is.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -325,6 +326,50 @@ class TestSinks:
         assert path.read_bytes()[:2] in (b"II", b"MM")
 
 
+class TestDurableMetadata:
+    """Manifests and sidecars are written like the data: temp file, fsync,
+    rename — and no temp file survives a finalize."""
+
+    @pytest.fixture()
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real = os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        return calls
+
+    def _volume(self):
+        return np.random.default_rng(2).normal(size=(6, 4, 4))
+
+    def test_shard_manifest(self, tmp_path, fsyncs):
+        sink = NpzShardSink(tmp_path / "out", 6, 4)
+        sink.write(0, 6, self._volume())
+        before = len(fsyncs)
+        sink.finalize()
+        assert len(fsyncs) == before + 1  # volume.json
+        assert not list((tmp_path / "out").glob("*.tmp-*"))
+        npt.assert_array_equal(load_volume(tmp_path / "out"), self._volume())
+
+    def test_raw_sidecar(self, tmp_path, fsyncs):
+        sink = RawVolumeSink(tmp_path / "vol.raw", 6, 4)
+        sink.write(0, 6, self._volume())
+        before = len(fsyncs)
+        sink.finalize()
+        assert len(fsyncs) == before + 2  # the volume, then its .json sidecar
+        assert not list(tmp_path.glob("*.tmp-*"))
+        npt.assert_array_equal(load_volume(tmp_path / "vol.raw"), self._volume())
+
+    def test_save_stack_metadata(self, tmp_path, stack, fsyncs):
+        root = save_stack(tmp_path / "shards", stack, shard_slices=2)
+        assert len(fsyncs) == 3 + 1  # three shards, then stack.json
+        assert (root / "stack.json").exists()
+        assert not list(root.glob("*.tmp-*"))
+
+
 class _CountingSource(ArraySource):
     """ArraySource that records how many chunks were read."""
 
@@ -361,7 +406,8 @@ class TestConveyor:
 
     @pytest.mark.parametrize("prefetch", [0, 1, 2])
     def test_chunks_match_source(self, stack, prefetch):
-        with Conveyor(ArraySource(stack), self.RANGES, prefetch=prefetch) as cv:
+        sink = VolumeSink(6, 4)
+        with Conveyor(ArraySource(stack), self.RANGES, sink, prefetch=prefetch) as cv:
             seen = list(cv.chunks())
         assert [(a, b) for a, b, _ in seen] == self.RANGES
         for a, b, chunk in seen:
@@ -390,7 +436,7 @@ class TestConveyor:
         src = _CountingSource(stack)
         ranges = [(k, k + 1) for k in range(6)]
         max_ahead = 0
-        with Conveyor(src, ranges, prefetch=prefetch) as cv:
+        with Conveyor(src, ranges, VolumeSink(6, 4), prefetch=prefetch) as cv:
             for consumed, _ in enumerate(cv.chunks(), start=1):
                 time.sleep(0.05)  # let the reader run as far as it can
                 max_ahead = max(max_ahead, src.reads - consumed)
@@ -399,14 +445,14 @@ class TestConveyor:
     def test_reader_error_surfaces_on_caller(self, stack):
         src = _FailingSource(stack, fail_at=4)
         with pytest.raises(OSError, match="disk on fire"):
-            with Conveyor(src, self.RANGES, prefetch=2) as cv:
+            with Conveyor(src, self.RANGES, VolumeSink(6, 4), prefetch=2) as cv:
                 for _ in cv.chunks():
                     pass
 
     def test_sync_reader_error_surfaces(self, stack):
         src = _FailingSource(stack, fail_at=4)
         with pytest.raises(OSError, match="disk on fire"):
-            with Conveyor(src, self.RANGES, prefetch=0) as cv:
+            with Conveyor(src, self.RANGES, VolumeSink(6, 4), prefetch=0) as cv:
                 for _ in cv.chunks():
                     pass
 
@@ -418,6 +464,10 @@ class TestConveyor:
                 for a, b, _ in cv.chunks():
                     cv.put(a, b, slab)
                 cv.finish()
+
+    def test_requires_a_sink(self, stack):
+        with pytest.raises(TypeError):
+            Conveyor(ArraySource(stack), self.RANGES)
 
     def test_take_written_confirms_only_durable(self, stack):
         # Synchronous path: every put is durable immediately.
@@ -680,7 +730,7 @@ class TestReadRetry:
     def test_transient_failures_heal(self, stack, prefetch):
         src = _TransientSource(stack, failures=2)
         with obs.capture() as cap:
-            with Conveyor(src, self.RANGES, prefetch=prefetch,
+            with Conveyor(src, self.RANGES, VolumeSink(6, 4), prefetch=prefetch,
                           read_retry=self.FAST) as cv:
                 seen = {(a, b): chunk for a, b, chunk in cv.chunks()}
         for a, b in self.RANGES:
@@ -693,7 +743,7 @@ class TestReadRetry:
     def test_budget_exhausted_surfaces_original_error(self, stack, prefetch):
         src = _TransientSource(stack, failures=99)
         with pytest.raises(OSError, match="transient read hiccup"):
-            with Conveyor(src, self.RANGES, prefetch=prefetch,
+            with Conveyor(src, self.RANGES, VolumeSink(6, 4), prefetch=prefetch,
                           read_retry=RetryPolicy(max_retries=1,
                                                  backoff_base=0.0)) as cv:
                 for _ in cv.chunks():
@@ -705,18 +755,18 @@ class TestReadRetry:
         from zipfile import BadZipFile
 
         src = _TransientSource(stack, failures=1, exc=BadZipFile("bad magic"))
-        with Conveyor(src, self.RANGES, read_retry=self.FAST) as cv:
+        with Conveyor(src, self.RANGES, VolumeSink(6, 4), read_retry=self.FAST) as cv:
             assert len(list(cv.chunks())) == 3
 
     def test_programming_errors_not_retried(self, stack):
         src = _TransientSource(stack, failures=5, exc=TypeError("a bug"))
         with pytest.raises(TypeError):
-            with Conveyor(src, self.RANGES, read_retry=self.FAST) as cv:
+            with Conveyor(src, self.RANGES, VolumeSink(6, 4), read_retry=self.FAST) as cv:
                 list(cv.chunks())
         assert src.attempts == 1  # no retry budget spent on bugs
 
     def test_default_policy_attached(self, stack):
-        with Conveyor(ArraySource(stack), self.RANGES) as cv:
+        with Conveyor(ArraySource(stack), self.RANGES, VolumeSink(6, 4)) as cv:
             assert isinstance(cv.read_retry, RetryPolicy)
             assert cv.read_retry.max_retries >= 1
 

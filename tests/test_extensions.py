@@ -109,8 +109,8 @@ class TestTikhonov:
 
 
 class TestVolume:
-    """One preprocessed operator reconstructs a stack slice by slice
-    (``reconstruct_stack(..., batch=False)``, the looped reference)."""
+    """One preprocessed operator reconstructs a stack, each slice
+    bit-identical to its single-slice reconstruction."""
 
     def test_stack_reconstruction(self, problem, rng):
         g, op, report, _, _, _, spec = problem
@@ -121,7 +121,7 @@ class TestVolume:
             slices.append(sino)
             truths.append(truth)
         result = reconstruct_stack(
-            np.stack(slices), g, operator=op, batch=False, iterations=15
+            np.stack(slices), g, operator=op, iterations=15
         )
         assert result.volume.shape == (3, g.grid.n, g.grid.n)
         assert result.num_slices == 3
@@ -136,9 +136,9 @@ class TestVolume:
         the stack they ride in: preprocessing is reused (never re-run)
         and a slice reconstructs identically alone or among others."""
         g, op, report, _, noisy, _, _ = problem
-        one = reconstruct_stack(noisy[None], g, operator=op, batch=False, iterations=3)
+        one = reconstruct_stack(noisy[None], g, operator=op, iterations=3)
         many = reconstruct_stack(
-            np.repeat(noisy[None], 5, axis=0), g, operator=op, batch=False, iterations=3
+            np.repeat(noisy[None], 5, axis=0), g, operator=op, iterations=3
         )
         assert one.operator is op and many.operator is op
         assert many.preprocess_report.total_seconds == 0.0  # nothing re-traced
@@ -149,6 +149,6 @@ class TestVolume:
     def test_validation(self, problem):
         g, op, _, _, noisy, _, _ = problem
         with pytest.raises(ValueError):
-            reconstruct_stack(noisy, g, operator=op, batch=False)  # 2D, not 3D
+            reconstruct_stack(noisy, g, operator=op)  # 2D, not 3D
         with pytest.raises(ValueError):
-            reconstruct_stack(np.zeros((2, 3, 3)), g, operator=op, batch=False)
+            reconstruct_stack(np.zeros((2, 3, 3)), g, operator=op)

@@ -108,7 +108,7 @@ class TestCorruptedStructures:
         g = ParallelBeamGeometry(10, 8)
         op, _ = preprocess(g)
         with pytest.raises(ValueError):
-            reconstruct_stack(np.zeros((2, 10, 9)), g, operator=op, batch=False)
+            reconstruct_stack(np.zeros((2, 10, 9)), g, operator=op)
 
 
 class TestNumericalStability:

@@ -150,7 +150,7 @@ class TestGeometryConformance:
         reverse = np.arange(geometry.grid.num_pixels, dtype=np.int32)[::-1]
         for col_rank in (None, reverse):
             for start, stop in ((0, 2), (1, 1)):
-                rows, cols, vals = matrix_builder._trace_view_chunk(
+                rows, cols, vals = matrix_builder.trace_view_chunk(
                     (geometry, start, stop, None, col_rank, np.dtype(dtype))
                 )
                 assert (rows.dtype, cols.dtype, vals.dtype) == (np.int32, np.int32, dtype)

@@ -97,7 +97,7 @@ class TestVolumePipeline:
             [spec.sinogram(loaded, incident_photons=1e6, seed=s)[0] for s in range(2)]
         )
         result = reconstruct_stack(
-            slices, g, operator=loaded, batch=False, iterations=10
+            slices, g, operator=loaded, iterations=10
         )
         assert result.volume.shape[0] == 2
         truth0 = spec.phantom(seed=0)

@@ -206,8 +206,12 @@ class TestArrayForm:
 
         vector, vector_attrs = totals(op.forward, x)
         one, one_attrs = totals(op.forward_batch, x[:, None])
-        with op.serial_scope():
+        ambient = op.config.workers
+        op.set_workers("serial")
+        try:
             serial, _ = totals(op.forward, x)
+        finally:
+            op.set_workers(ambient)
         assert vector == one == serial
         assert vector_attrs == {"kernel": kernel}
         assert one_attrs == {"kernel": kernel, "batch": 1}
@@ -266,9 +270,9 @@ class TestCompiledView:
         op = operators[(kernel, dtype)]
         x = _input(op, (3,))
         y = np.random.default_rng(3).standard_normal(op.num_rays).astype(op.compute_dtype)
-        with op.serial_scope():
-            ref = op.forward(x), op.adjoint(y)
         ambient = op.config.workers
+        op.set_workers("serial")
+        ref = op.forward(x), op.adjoint(y)
         op.set_workers("process:2")
         try:
             for _ in range(2):  # the workers keep their slices between calls

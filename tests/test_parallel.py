@@ -295,17 +295,13 @@ class TestEngineBitIdentity:
         finally:
             op.set_workers(None)
 
-    def test_serial_scope_pins_serial(self, operators):
+    def test_set_workers_serial_pins_serial(self, operators):
         op = operators["buffered"]
         op.set_workers("process:2")
         try:
             assert op._active_engine() is not None
-            with op.serial_scope():
-                assert op._active_engine() is None
-                with op.serial_scope():
-                    assert op._active_engine() is None
-                assert op._active_engine() is None
-            assert op._active_engine() is not None
+            op.set_workers("serial")
+            assert op._active_engine() is None
         finally:
             op.set_workers(None)
 
@@ -464,14 +460,17 @@ class TestPipelineWorkers:
             ).volume
             assert (vol == ref).all(), spec
 
-    def test_looped_slice_fanout_bit_identical(self, stack, stack_geometry):
-        ref = reconstruct_stack(
-            stack, stack_geometry, iterations=6, batch=False
-        ).volume
-        vol = reconstruct_stack(
-            stack, stack_geometry, iterations=6, batch=False, workers=2
-        ).volume
-        assert (vol == ref).all()
+    def test_sink_and_conveyor_bit_identical(self, stack, stack_geometry, tmp_path):
+        """Workers compose with the conveyor's threads and a disk sink."""
+        from repro.dataio import load_volume
+
+        ref = reconstruct_stack(stack, stack_geometry, iterations=6).volume
+        for spec in (2, "process:2"):
+            result = reconstruct_stack(
+                stack, stack_geometry, iterations=6, workers=spec, chunk_slices=2,
+                prefetch=2, sink=tmp_path / f"vol-{spec}.raw",
+            )
+            assert (load_volume(result.extra["output_path"]) == ref).all(), spec
 
     def test_env_var_workers(self, stack, stack_geometry, monkeypatch):
         ref = reconstruct_stack(stack, stack_geometry, iterations=4).volume

@@ -3,15 +3,20 @@
 Covers the conditioning stages individually (dark/flat, negative log,
 ring suppression, center finding/correction), the stacked phantom
 generators that feed them, and the streaming executor's contracts:
-batched == looped volumes bitwise, chunking invariance, per-chunk
-checkpoint/resume bit-exactness, and fingerprint validation.
+slab volumes equal to per-slice single solves bitwise, chunking
+invariance, per-chunk checkpoint/resume bit-exactness, fingerprint
+validation, and one operator-resolution rule shared with ``reconstruct``.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import OperatorConfig, preprocess
+from repro.core import MemXCTOperator, OperatorConfig, preprocess, reconstruct
+from repro.dataio import ArraySource, RawVolumeSink
+from repro.precision import solver_dtype
 from repro.geometry import ParallelBeamGeometry
 from repro.phantoms import (
     inject_center_shift,
@@ -26,6 +31,7 @@ from repro.pipeline import (
     DarkFlatNormalize,
     NegativeLog,
     RingSuppression,
+    Stage,
     StageContext,
     chunk_slices_for_budget,
     default_stages,
@@ -34,6 +40,32 @@ from repro.pipeline import (
     reconstruct_stack,
 )
 from repro.resilience import CheckpointError
+from repro.solvers import cgls, mlem, sirt
+
+SINGLE_SOLVERS = {"cg": cgls, "sirt": sirt, "mlem": mlem}
+
+
+def _per_slice_solves(raw, geometry, operator, stages, solver, iterations,
+                      tolerance=0.0, chunk_slices=None):
+    """The slab path's reference: the same conditioning, chunk by chunk,
+    then one single-slice solve per slice of each conditioned chunk."""
+    solve = SINGLE_SOLVERS[solver]
+    chunk_slices = chunk_slices or len(raw)
+    ctx = StageContext(angles=geometry.angles())
+    images, iterations_run = [], []
+    for start in range(0, len(raw), chunk_slices):
+        ctx.info["slice_offset"] = start
+        chunk = raw[start : start + chunk_slices]
+        for stage in stages:
+            chunk = stage(chunk, ctx)
+        for sinogram in chunk:
+            y = operator.sinogram_to_ordered(sinogram).astype(solver_dtype(operator))
+            if solver == "mlem":
+                np.maximum(y, 0.0, out=y)
+            res = solve(operator, y, num_iterations=iterations, tolerance=tolerance)
+            images.append(operator.ordered_to_image(res.x))
+            iterations_run.append(res.iterations)
+    return np.stack(images), iterations_run
 
 
 @pytest.fixture(scope="module")
@@ -230,48 +262,49 @@ class TestExecutor:
             assert corr > 0.9
 
     def test_batched_equals_looped(self, demo):
-        kwargs = dict(
-            darks=demo.darks,
-            flats=demo.flats,
-            solver="cg",
-            iterations=6,
-            chunk_slices=2,
-            operator=demo.operator,
+        stages = default_stages(demo.darks, demo.flats)
+        batched = reconstruct_stack(
+            demo.raw, demo.geometry, stages=stages, solver="cg", iterations=6,
+            chunk_slices=2, operator=demo.operator,
         )
-        batched = reconstruct_stack(demo.raw, demo.geometry, batch=True, **kwargs)
-        looped = reconstruct_stack(demo.raw, demo.geometry, batch=False, **kwargs)
-        assert np.array_equal(batched.volume, looped.volume)
+        looped, _ = _per_slice_solves(
+            demo.raw, demo.geometry, demo.operator, stages, "cg", 6, chunk_slices=2
+        )
+        assert np.array_equal(batched.volume, looped)
 
     @pytest.mark.parametrize("solver", ["sirt", "mlem"])
     def test_batched_equals_looped_other_solvers(self, demo, solver):
-        kwargs = dict(
-            darks=demo.darks,
-            flats=demo.flats,
-            solver=solver,
-            iterations=4,
+        stages = default_stages(demo.darks, demo.flats)
+        batched = reconstruct_stack(
+            demo.raw, demo.geometry, stages=stages, solver=solver, iterations=4,
             operator=demo.operator,
         )
-        batched = reconstruct_stack(demo.raw, demo.geometry, batch=True, **kwargs)
-        looped = reconstruct_stack(demo.raw, demo.geometry, batch=False, **kwargs)
-        assert np.array_equal(batched.volume, looped.volume)
+        looped, _ = _per_slice_solves(
+            demo.raw, demo.geometry, demo.operator, stages, solver, 4
+        )
+        assert np.array_equal(batched.volume, looped)
 
     @pytest.mark.parametrize("solver", ["cg", "sirt", "mlem"])
     def test_batched_equals_looped_with_firing_tolerance(self, demo, solver):
-        """``tolerance`` means the same thing on both paths: every slice
-        stops early, at the same iteration, with the same bits."""
-        kwargs = dict(
-            darks=demo.darks,
-            flats=demo.flats,
-            solver=solver,
-            iterations=40,
-            tolerance=0.7,
-            operator=demo.operator,
+        """``tolerance`` means the same thing in a slab and alone: every
+        slice stops early, at the same iteration, with the same bits."""
+        stages = default_stages(demo.darks, demo.flats)
+        batched = reconstruct_stack(
+            demo.raw, demo.geometry, stages=stages, solver=solver, iterations=40,
+            tolerance=0.7, operator=demo.operator,
         )
-        batched = reconstruct_stack(demo.raw, demo.geometry, batch=True, **kwargs)
-        looped = reconstruct_stack(demo.raw, demo.geometry, batch=False, **kwargs)
-        assert batched.chunks[0]["iterations"] == looped.chunks[0]["iterations"]
-        assert max(batched.chunks[0]["iterations"]) < 40  # the tolerance fired
-        assert np.array_equal(batched.volume, looped.volume)
+        looped, iterations = _per_slice_solves(
+            demo.raw, demo.geometry, demo.operator, stages, solver, 40, tolerance=0.7
+        )
+        assert batched.chunks[0]["iterations"] == iterations
+        assert max(iterations) < 40  # the tolerance fired
+        assert np.array_equal(batched.volume, looped)
+
+    def test_one_solve_path(self):
+        """The looped mode and its keyword are gone: every chunk is a slab."""
+        assert "batch" not in inspect.signature(reconstruct_stack).parameters
+        assert not hasattr(MemXCTOperator, "serial_scope")
+
 
     def test_chunking_invariance(self, demo):
         """Without cross-chunk stages, the volume must not depend on
@@ -410,6 +443,71 @@ class TestExecutor:
             reconstruct_stack(demo.sinograms, demo.geometry, resume=True)
 
 
+class _ClosingSource(ArraySource):
+    """ArraySource that counts ``close()`` calls."""
+
+    def __init__(self, stack):
+        super().__init__(stack)
+        self.closes = 0
+
+    def close(self):
+        self.closes += 1
+        super().close()
+
+
+class _ClosingRawSink(RawVolumeSink):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.closes = 0
+
+    def close(self):
+        self.closes += 1
+        super().close()
+
+
+class _FailingStage(Stage):
+    name = "failing"
+
+    def apply(self, chunk, ctx):
+        raise RuntimeError("stage failed")
+
+
+class TestCleanup:
+    """The source and the sink are closed on every exit path."""
+
+    def test_success_closes_source(self, demo):
+        source = _ClosingSource(demo.sinograms)
+        reconstruct_stack(source, demo.geometry, stages=[], iterations=1,
+                          operator=demo.operator)
+        assert source.closes == 1
+
+    def test_geometry_mismatch_closes_source(self, demo):
+        source = _ClosingSource(demo.sinograms)
+        with pytest.raises(ValueError, match="geometry expects"):
+            reconstruct_stack(source, ParallelBeamGeometry(40, 32), operator=demo.operator)
+        assert source.closes == 1
+
+    @pytest.mark.parametrize("prefetch", [0, 2])
+    def test_failing_stage_closes_source_and_sink(self, demo, tmp_path, prefetch):
+        source = _ClosingSource(demo.sinograms)
+        sink = _ClosingRawSink(tmp_path / "vol.raw", 6, 32)
+        with pytest.raises(RuntimeError, match="stage failed"):
+            reconstruct_stack(
+                source, demo.geometry, stages=[_FailingStage()], iterations=1,
+                operator=demo.operator, sink=sink, prefetch=prefetch,
+            )
+        assert source.closes == 1 and sink.closes == 1
+        assert sink._fh is None  # the .partial file handle is released
+        assert not (tmp_path / "vol.raw").exists()
+
+    def test_solver_error_closes_source(self, demo):
+        source = _ClosingSource(demo.sinograms)
+        with pytest.raises(TypeError):
+            reconstruct_stack(source, demo.geometry, stages=[], iterations=1,
+                              operator=demo.operator, no_such_solver_option=1)
+        assert source.closes == 1
+
+
 class TestCheckpointResume:
     def _run(self, demo, tmp_path, **kwargs):
         return reconstruct_stack(
@@ -433,6 +531,16 @@ class TestCheckpointResume:
         assert len(resumed.chunks) == 1  # only the remaining chunk ran
         full = self._run(demo, tmp_path)
         assert np.array_equal(resumed.volume, full.volume)
+
+    def test_in_memory_resume_with_prefetch(self, demo, tmp_path):
+        """With the writer thread on, a checkpoint marks done only what the
+        sink confirmed, and the resumed volume is still bit-exact."""
+        path = tmp_path / "stack.npz"
+        partial = self._run(demo, tmp_path, checkpoint=path, max_chunks=2, prefetch=2)
+        assert partial.extra["remaining_slices"] == 2
+        resumed = self._run(demo, tmp_path, checkpoint=path, resume=True, prefetch=2)
+        assert resumed.extra["resumed_slices"] == 4
+        assert np.array_equal(resumed.volume, self._run(demo, tmp_path).volume)
 
     def test_resume_restores_center_estimate(self, tmp_path):
         """The center found before the kill is reused after resume —
@@ -623,6 +731,38 @@ class TestOperatorOverrides:
             )
 
 
+class TestOneOperatorResolution:
+    """``reconstruct`` and ``reconstruct_stack`` adopt a prebuilt operator
+    by the same rule."""
+
+    @pytest.fixture()
+    def mixed(self, demo, monkeypatch):
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
+        op, _ = preprocess(demo.geometry)
+        yield op
+        op.close()
+
+    def test_reconstruct_dtype_mismatch_raises(self, demo, mixed):
+        with pytest.raises(ValueError, match="conflicts with the prebuilt"):
+            reconstruct(demo.sinograms[0], demo.geometry, iterations=1,
+                        operator=mixed, dtype="float32")
+
+    def test_reconstruct_tune_warns(self, demo, mixed):
+        with pytest.warns(UserWarning, match="prebuilt operator"):
+            reconstruct(demo.sinograms[0], demo.geometry, iterations=1,
+                        operator=mixed, tune="auto")
+
+    @pytest.mark.parametrize("front_door", ["reconstruct", "reconstruct_stack"])
+    def test_workers_repoint_prebuilt_operator(self, demo, mixed, front_door):
+        if front_door == "reconstruct":
+            reconstruct(demo.sinograms[0], demo.geometry, iterations=1,
+                        operator=mixed, workers="thread:2")
+        else:
+            reconstruct_stack(demo.sinograms[:1], demo.geometry, stages=[],
+                              iterations=1, operator=mixed, workers="thread:2")
+        assert mixed.config.workers == "thread:2"
+
+
 class TestPipelineCLI:
     def test_demo_run(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
@@ -657,6 +797,13 @@ class TestPipelineCLI:
         )
         assert code == 0
         assert "3/3 slices" in capsys.readouterr().out
+
+    def test_no_batch_flag_is_gone(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["pipeline", "run", "--demo", "--no-batch", "--cache", "off"])
+        assert "--no-batch" in capsys.readouterr().err
 
     def test_missing_input_errors(self, capsys):
         from repro.cli import main

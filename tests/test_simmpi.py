@@ -1,9 +1,12 @@
 """Tests for the simulated MPI communicator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.dist import CommLog, SimComm
+from repro.resilience import FaultConfig, FaultInjector
 
 
 class TestAlltoallv:
@@ -91,3 +94,52 @@ class TestCommLog:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             SimComm(0)
+
+
+class TestReliableDelivery:
+    def test_seeded_faults_replay_pinned_stats(self):
+        """Both collectives share one delivery loop; a seeded, faulted
+        4-rank run draws its faults in a fixed order, so the draw sequence,
+        its stats, its traffic log and the injector's next draw are
+        pinned values."""
+        inj = FaultInjector(FaultConfig(drop=0.2, corrupt=0.15, delay=0.1, seed=11))
+        draws = []
+        real_draw = inj.draw
+
+        def logged_draw(sender, receiver):
+            outcome = real_draw(sender, receiver)
+            draws.append((sender, receiver, outcome))
+            return outcome
+
+        inj.draw = logged_draw
+        comm = SimComm(4, fault_injector=inj)
+        rng = np.random.default_rng(5)
+        send = [[rng.random(p + q + 1) for q in range(4)] for p in range(4)]
+        for _ in range(3):
+            recv = comm.alltoallv(send)
+            total = comm.allreduce_sum([rng.random(6) for _ in range(4)])
+            assert all(recv[q][p] is send[p][q] for p in range(4) for q in range(4))
+            assert total.shape == (6,)
+        assert len(draws) == 87
+        assert [d for d in draws if d[2] != "ok"][:6] == [
+            (0, 1, "drop"), (1, 0, "drop"), (1, 2, "drop"),
+            (2, 0, "drop"), (2, 1, "drop"), (3, 1, "delay"),
+        ]
+        digest = hashlib.sha256(repr(draws).encode()).hexdigest()[:16]
+        assert digest == "2f2caf1ed9ccc384"
+        assert inj.stats.as_dict() == {
+            "drops": 24, "corruptions": 15, "delays": 5, "crashes": 0,
+            "retries": 39, "recoveries": 23,
+            "backoff_seconds": pytest.approx(0.029),
+        }
+        np.testing.assert_array_equal(
+            comm.log.volume_bytes,
+            [[24, 264, 72, 96], [48, 72, 312, 120], [72, 96, 120, 360],
+             [312, 120, 144, 168]],
+        )
+        np.testing.assert_array_equal(
+            comm.log.message_counts,
+            [[3, 6, 3, 3], [3, 3, 6, 3], [3, 3, 3, 6], [6, 3, 3, 3]],
+        )
+        assert comm.log.collective_calls == 6
+        assert inj.rng.random() == 0.786284788623732
