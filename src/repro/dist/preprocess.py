@@ -30,38 +30,12 @@ from ..geometry import ScanGeometry
 from ..ordering import make_ordering
 from ..sparse import CSRMatrix
 from ..topology import HierComm, Topology
-from ..trace import trace_view_chunk
+from ..trace import trace_view_range
 from .decomposition import decompose_both
 from .partitioned import DistributedOperator, RankData
 from .simmpi import SimComm
 
 __all__ = ["distributed_preprocess"]
-
-
-def _assemble_rank(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    col_range: tuple[int, int],
-    sino_bounds: np.ndarray,
-) -> RankData:
-    """Build one rank's RankData from its received triplets.
-
-    The triplets are assembled as ``A_p^T`` (local tomogram cell by
-    global sinogram position; duplicate entries from corner-grazing
-    rays summed, as the serial builder sums them) and cut by the
-    constructor that slices a global transpose.
-    """
-    num_local_cols = col_range[1] - col_range[0]
-    partial_transpose = CSRMatrix.from_scipy(
-        sp.coo_matrix(
-            (vals, (cols - col_range[0], rows)),
-            shape=(num_local_cols, int(sino_bounds[-1])),
-        )
-    )
-    return RankData.from_transpose_rows(
-        partial_transpose, 0, num_local_cols, sino_bounds
-    )
 
 
 def distributed_preprocess(
@@ -102,43 +76,37 @@ def distributed_preprocess(
     tomo_dec, sino_dec = decompose_both(tomo_ordering, sino_ordering, num_ranks)
 
     # Step 1+2: angle-parallel tracing, then triplet exchange by column
-    # owner.  The three parallel Alltoallv calls model one exchange of
-    # a (row, col, val) struct stream.
+    # owner.  The tracer's per-ray counts expand into ranked rows; the
+    # three parallel Alltoallv calls model one exchange of a
+    # (row, col, val) struct stream.
     angle_cuts = np.round(np.linspace(0, geometry.num_angles, num_ranks + 1)).astype(int)
-    send_rows: list[list[np.ndarray]] = []
-    send_cols: list[list[np.ndarray]] = []
-    send_vals: list[list[np.ndarray]] = []
-    ranks = (sino_ordering.rank.astype(np.int32), tomo_ordering.rank.astype(np.int32))
+    col_rank = tomo_ordering.rank.astype(np.int32)
+    row_rank = sino_ordering.rank.astype(np.int32)
+    sends: tuple[list, list, list] = ([], [], [])  # rows, cols, vals: rank -> owner -> piece
     for r in range(num_ranks):
         start, stop = int(angle_cuts[r]), int(angle_cuts[r + 1])
-        rows, cols, vals = trace_view_chunk(
-            (geometry, start, stop, *ranks, np.dtype(np.float32))
+        counts, cols, vals = trace_view_range(
+            (geometry, start, stop, col_rank, np.dtype(np.float32))
         )
+        first_ray = int(geometry.ray_index(start, 0))
+        rows = np.repeat(row_rank[first_ray : first_ray + len(counts)], counts)
         owners = tomo_dec.owner_of(cols)
         order = np.argsort(owners, kind="stable")
-        rows, cols, vals, owners = rows[order], cols[order], vals[order], owners[order]
-        cuts = np.searchsorted(owners, np.arange(num_ranks + 1))
-        send_rows.append([rows[cuts[q] : cuts[q + 1]] for q in range(num_ranks)])
-        send_cols.append([cols[cuts[q] : cuts[q + 1]] for q in range(num_ranks)])
-        send_vals.append([vals[cuts[q] : cuts[q + 1]] for q in range(num_ranks)])
-    recv_rows = comm.alltoallv(send_rows)
-    recv_cols = comm.alltoallv(send_cols)
-    recv_vals = comm.alltoallv(send_vals)
+        cuts = np.searchsorted(owners[order], np.arange(num_ranks + 1))
+        for send, stream in zip(sends, (rows[order], cols[order], vals[order])):
+            send.append([stream[cuts[q] : cuts[q + 1]] for q in range(num_ranks)])
+    recvs = [comm.alltoallv(send) for send in sends]
 
-    # Step 3: per-rank assembly.
+    # Step 3: each rank assembles its triplets as A_p^T (local tomogram
+    # cell by global sinogram position) and cuts it with the constructor
+    # that slices a global transpose.
     rank_data = []
     for p in range(num_ranks):
-        rows = np.concatenate(recv_rows[p]) if recv_rows[p] else np.empty(0, np.int64)
-        cols = np.concatenate(recv_cols[p]) if recv_cols[p] else np.empty(0, np.int64)
-        vals = np.concatenate(recv_vals[p]) if recv_vals[p] else np.empty(0, np.float32)
+        rows, cols, vals = (np.concatenate(recv[p]) for recv in recvs)
+        c0, c1 = int(tomo_dec.bounds[p]), int(tomo_dec.bounds[p + 1])
+        local = sp.coo_matrix((vals, (cols - c0, rows)), shape=(c1 - c0, int(sino_dec.bounds[-1])))
         rank_data.append(
-            _assemble_rank(
-                rows,
-                cols,
-                vals,
-                (int(tomo_dec.bounds[p]), int(tomo_dec.bounds[p + 1])),
-                sino_dec.bounds,
-            )
+            RankData.from_transpose_rows(CSRMatrix.from_scipy(local), 0, c1 - c0, sino_dec.bounds)
         )
 
     return DistributedOperator(

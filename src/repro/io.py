@@ -262,9 +262,10 @@ class OperatorArchive:
     def seal(self, operator: MemXCTOperator) -> Path:
         """Finish the archive around ``operator`` and rename it into place.
 
-        The operator's pair must be the reserved streams.  If it is not
-        (a duplicate sum shrank the matrix after its reservation), the
-        archive is dropped and the operator is written by copy.
+        The operator's pair must be the reserved streams — a ``ValueError``
+        otherwise.  The payload checksum splices in the CRCs the seal
+        takes of the reserved members, so each of their bytes is read
+        once.
         """
         pair = {"": operator.matrix, "t_": operator.transpose}
         if self._reserved.keys() != pair.keys() or any(
@@ -272,14 +273,13 @@ class OperatorArchive:
             for prefix, matrix in pair.items()
             for ours, theirs in zip(self._reserved[prefix][1:], (matrix.ind, matrix.val))
         ):
-            self.close()
-            return save_operator(self._npz.path, operator, compress=False)
+            raise ValueError("the operator's pair is not the one this archive reserved")
         with self._npz as npz:
             for prefix, matrix in pair.items():
                 self._reserved[prefix][0][:] = matrix.displ
             for name, value in _trailing_members(operator).items():
                 npz.add(name, value)
-            npz.add("checksum", np.uint32(payload_checksum(npz.payload)))
+            npz.add("checksum", np.uint32(payload_checksum(npz.payload, npz.data_crcs())))
             return npz.seal()
 
     def close(self) -> None:

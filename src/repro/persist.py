@@ -37,8 +37,9 @@ and one parser (:func:`read_npz`) of an archive:
   its headers, allocate its data region on disk (``posix_fallocate``,
   so a full disk is an ``OSError`` there and never a fault later) and
   hand out a writable shared-map view of it for the producer to fill
-  where it lies; sealing takes the CRCs from the mapped pages, syncs
-  and renames.  The sealed file is byte for byte what adding the same
+  where it lies; sealing reads each filled byte once (its CRC feeds the
+  zip CRC and the payload checksum, :func:`crc32_combine`), syncs and
+  renames.  The sealed file is byte for byte what adding the same
   arrays writes.
 """
 
@@ -62,6 +63,7 @@ from numpy.lib import format as npy_format
 __all__ = [
     "raw_buffer",
     "payload_checksum",
+    "crc32_combine",
     "NpzWriter",
     "atomic_savez",
     "atomic_write_text",
@@ -84,19 +86,50 @@ def raw_buffer(value) -> bytes | memoryview:
         return arr.tobytes()
 
 
-def payload_checksum(payload: dict) -> int:
+def payload_checksum(payload: dict, known: dict | None = None) -> int:
     """CRC-32 over every payload array (name + raw bytes), name-sorted.
 
     The ``checksum`` key itself is excluded so the stored checksum can
-    live inside the payload it protects.
+    live inside the payload it protects.  ``known`` maps member names
+    to the CRC-32 of their raw bytes, spliced in instead of re-read.
     """
+    known = known or {}
     crc = 0
     for name in sorted(payload):
         if name == "checksum":
             continue
         crc = zlib.crc32(name.encode("utf-8"), crc)
-        crc = zlib.crc32(raw_buffer(payload[name]), crc)
+        data = raw_buffer(payload[name])
+        crc = crc32_combine(crc, known[name], len(data)) if name in known else zlib.crc32(data, crc)
     return crc & 0xFFFFFFFF
+
+
+def _multmodp(a: int, b: int) -> int:
+    """``a * b`` modulo zlib's CRC-32 polynomial, bits reflected; ``a`` nonzero."""
+    m, p = 1 << 31, 0
+    while True:
+        if a & m:
+            p ^= b
+            if not a & (m - 1):
+                return p
+        m >>= 1
+        b = (b >> 1) ^ 0xEDB88320 if b & 1 else b >> 1
+
+
+_X2N = [1 << 30]  # x**(2**k) modulo the polynomial, k = 0..31
+for _ in range(31):
+    _X2N.append(_multmodp(_X2N[-1], _X2N[-1]))
+
+
+def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """CRC-32 of ``a + b`` from ``crc32(a)``, ``crc32(b)`` and ``len(b)``:
+    zlib's ``crc32_combine`` (``crc1`` times ``x**(8 * len2)``, plus ``crc2``)."""
+    op, k = 1 << 31, 3
+    while len2:
+        if len2 & 1:
+            op = _multmodp(_X2N[k & 31], op)
+        len2, k = len2 >> 1, k + 1
+    return _multmodp(op, crc1 & 0xFFFFFFFF) ^ (crc2 & 0xFFFFFFFF)
 
 
 def _atomic_write(path: Path, mode: str, write) -> None:
@@ -156,7 +189,8 @@ class NpzWriter:
         #: Every member so far, by name, as stored — what
         #: :func:`payload_checksum` covers.
         self.payload: dict = {}
-        self._reserved: list = []  # (ZipInfo, npy header, view, its map)
+        self._reserved: list = []  # (name, ZipInfo, npy header, view, its map)
+        self._crcs: dict | None = None
 
     def __enter__(self) -> "NpzWriter":
         return self
@@ -230,21 +264,29 @@ class NpzWriter:
         self._zip.start_dir = data + nbytes
         self._zip.filelist.append(info)
         self._zip.NameToInfo[info.filename] = info
-        self._reserved.append((info, header, view, mapped))
+        self._reserved.append((name, info, header, view, mapped))
         self.payload[name] = view
         return view
+
+    def data_crcs(self) -> dict:
+        """CRC-32 of each reserved member's data, by name: read once from
+        the mapped pages (fill the views first), reused by :meth:`seal`."""
+        if self._crcs is None:
+            self._crcs = {name: zlib.crc32(raw_buffer(v)) for name, _, _, v, _ in self._reserved}
+        return self._crcs
 
     def seal(self) -> Path:
         """Finish the archive and rename it into place.
 
-        Reserved members get their CRCs from the mapped pages; the
-        pages are synced, then dropped from this process's page tables
-        — a view that outlives the writer stays valid and re-faults
-        from the page cache, but no longer counts the file's pages a
-        second time beside a map of the sealed file.
+        A reserved member's zip CRC is its header's combined with its
+        :meth:`data_crcs` entry; the pages are synced, then dropped from
+        this process's page tables — a view that outlives the writer
+        stays valid and re-faults from the page cache, but no longer
+        counts the file's pages a second time beside a map of the
+        sealed file.
         """
-        for info, header, view, mapped in self._reserved:
-            info.CRC = zlib.crc32(raw_buffer(view), zlib.crc32(header))
+        for name, info, header, view, mapped in self._reserved:
+            info.CRC = crc32_combine(zlib.crc32(header), self.data_crcs()[name], view.nbytes)
             self._fh.seek(info.header_offset)
             self._fh.write(info.FileHeader(zip64=True))
             mapped.flush()

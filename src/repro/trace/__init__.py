@@ -4,7 +4,7 @@ from .matrix_builder import (
     build_projection_matrix,
     projection_matrix_stats,
     trace_view,
-    trace_view_chunk,
+    trace_view_range,
 )
 from .siddon import RaySegments, trace_angle, trace_ray, trace_rays
 from .siddon3d import trace_rays_3d
@@ -18,5 +18,5 @@ __all__ = [
     "trace_rays",
     "trace_rays_3d",
     "trace_view",
-    "trace_view_chunk",
+    "trace_view_range",
 ]

@@ -9,18 +9,18 @@ MemXCT builds this matrix once during preprocessing and reuses it every
 iteration; the builder is the memoization step that the compute-centric
 baseline refuses to pay for.
 
-A nonzero is written once on its way to the sort: each traced view
-appends its ``(row, column, length)`` triplets at the running offset of
-three growable streams (no per-view list, no concatenate), and the
-compiled ``coo -> csr`` writes the matrix into arrays the caller may
-own — the plan cache passes the pages of the archive it is assembling.
+There is no global sort: a view's rays are consecutive rows, so each
+view is column-sorted alone and its ``(column, length)`` pairs appended
+to two growable streams.  One compiled row gather writes the rows in
+ranked order into arrays the caller may own — the plan cache passes the
+pages of the archive it is assembling.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import coo_tocsr
+from scipy.sparse._sparsetools import csr_row_index
 
 from ..geometry import ParallelBeamGeometry, ScanGeometry
 from ..parallel.backend import ExecutionBackend, SerialBackend
@@ -30,7 +30,7 @@ from .siddon3d import trace_rays_3d
 
 __all__ = [
     "trace_view",
-    "trace_view_chunk",
+    "trace_view_range",
     "build_projection_matrix",
     "projection_matrix_stats",
 ]
@@ -55,27 +55,29 @@ def trace_view(geometry: ScanGeometry, angle_index: int) -> RaySegments:
     )
 
 
-class _TripletStreams:
-    """Three growable streams: int32 rows, int32 columns, ``dtype`` values.
+class _ColumnStreams:
+    """Two growable streams: int32 columns and ``dtype`` values.
 
     :meth:`append` writes at the running offset; a stream that is full
     grows through ``ndarray.resize`` — ``realloc``, which for a large
     block is ``mremap``: the touched pages keep their frames and only
     the new tail is touched.  ``resize`` zero-fills that tail, so the
-    capacity stays an eighth ahead of the count, not a multiple.
+    capacity stays an eighth ahead of the count, not a multiple.  The
+    first capacity is at least glibc's largest mmap threshold (32 MB),
+    so a stream is its own map even in a thread's arena — never a heap
+    block whose growth leaves resident holes — and the untouched part
+    of it is never resident.
     """
 
-    def __init__(self, dtype, capacity: int = 1 << 16) -> None:
+    def __init__(self, dtype, capacity: int = 1 << 23) -> None:
         self.count = 0
-        self._streams = [
-            np.empty(capacity, np.int32), np.empty(capacity, np.int32), np.empty(capacity, dtype)
-        ]
+        self._streams = [np.empty(capacity, np.int32), np.empty(capacity, dtype)]
 
-    def append(self, rows, cols, vals) -> None:
+    def append(self, cols, vals) -> None:
         stop = self.count + len(vals)
         if stop > len(self._streams[0]):
             self._resize(stop + stop // 8)
-        for stream, piece in zip(self._streams, (rows, cols, vals)):
+        for stream, piece in zip(self._streams, (cols, vals)):
             stream[self.count : stop] = piece
         self.count = stop
 
@@ -89,36 +91,66 @@ class _TripletStreams:
         return self._streams
 
 
-def trace_view_chunk(task) -> list[np.ndarray]:
-    """Trace a contiguous view range into ``[rows, cols, vals]`` streams.
+def _sort_view(segs: RaySegments, first_ray: int, num_rays: int, col_rank, cbits: int, dtype):
+    """One view's per-ray counts and its rays' ranked columns and values,
+    each ray's columns ascending: one ``np.sort`` of a packed int64 key
+    (ray, column, trace position; a stable argsort where it has no room
+    for the position), a grazed corner's repeated pixel summed in trace
+    order and in ``dtype``, as ``sum_duplicates`` sums it."""
+    n = len(segs)
+    key = segs.ray_index - first_ray
+    key <<= cbits
+    key |= segs.pixel_index if col_rank is None else col_rank[segs.pixel_index]
+    vals = segs.length.astype(dtype)
+    ibits = n.bit_length()
+    if (num_rays - 1).bit_length() + cbits + ibits < 64:
+        key <<= ibits
+        key |= np.arange(n)
+        key.sort()
+        vals = vals[key & ((1 << ibits) - 1)]
+        key >>= ibits
+    else:
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+    head = np.ones(n, bool)
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    if not head.all():
+        starts = np.flatnonzero(head)
+        key, vals = key[starts], np.add.reduceat(vals, starts)
+    counts = np.diff(np.searchsorted(key, np.arange(num_rays + 1) << cbits))
+    key &= (1 << cbits) - 1
+    return counts, key.astype(np.int32), vals
 
-    ``task`` is ``(geometry, start, stop, row_rank, col_rank, dtype)``
-    with int32 rank arrays.  Each view's segments are narrowed as they
-    are appended — ``row_rank[ray]``, ``col_rank[pixel]`` (the row-major
-    indices themselves where a rank is ``None``) and ``dtype`` lengths,
-    12 B per triplet at float32: no per-view piece outlives its view.
-    An empty range yields empty streams.
+
+def trace_view_range(task) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trace a contiguous view range into ``(counts, cols, vals)``.
+
+    ``task`` is ``(geometry, start, stop, col_rank, dtype)``, the rank an
+    int32 array or ``None`` (row-major columns).  ``counts`` has one
+    entry per ray of the range, in ray-major order; ``cols`` / ``vals``
+    are those rays' rows back to back, 8 B per nonzero at float32.
 
     Module-level so the process backend can pickle it; the geometry is
     a small frozen dataclass and a rank array is 4 B per cell, so
     shipping them per task is cheap.
     """
-    geometry, start, stop, row_rank, col_rank, dtype = task
-    streams = _TripletStreams(dtype)
-    for angle_index in range(start, stop):
-        segs = trace_view(geometry, angle_index)
-        ray, pixel = segs.ray_index, segs.pixel_index
-        streams.append(
-            ray if row_rank is None else row_rank[ray],
-            pixel if col_rank is None else col_rank[pixel],
-            segs.length,
+    geometry, start, stop, col_rank, dtype = task
+    rays = geometry.num_channels
+    cbits = (geometry.grid.num_pixels - 1).bit_length()
+    counts = np.empty((stop - start) * rays, np.int64)
+    streams = _ColumnStreams(dtype)
+    for view, angle_index in enumerate(range(start, stop)):
+        segs, first_ray = trace_view(geometry, angle_index), geometry.ray_index(angle_index, 0)
+        counts[view * rays : (view + 1) * rays], cols, vals = _sort_view(
+            segs, int(first_ray), rays, col_rank, cbits, dtype
         )
-    return streams.arrays()
+        streams.append(cols, vals)
+    return (counts, *streams.arrays())
 
 
 def _angle_chunks(num_angles: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous angle ranges: ~4 per worker for load balance, one
-    range — one set of streams, nothing to append — without workers."""
+    range — one set of streams, nothing to join — without workers."""
     chunks = min(num_angles, workers * 4 if workers > 1 else 1)
     bounds = np.linspace(0, num_angles, chunks + 1, dtype=np.int64)
     return [
@@ -136,11 +168,10 @@ def build_projection_matrix(
 ) -> sp.csr_matrix:
     """Trace every ray of ``geometry`` and assemble ``A`` in CSR form.
 
-    The one assembly of a traced geometry: every view's triplets are
-    emitted in the coordinates the caller asks for, and scipy's compiled
-    ``coo -> csr`` (a counting sort by row, then an index sort within
-    each row) yields the matrix in those coordinates — rows by
-    ``row_rank``, each row's columns ascending in ``col_rank``.
+    The one assembly of a traced geometry: views traced and column-sorted
+    by :func:`trace_view_range`, then one compiled row gather
+    (``csr_row_index``) — rows by ``row_rank``, each row's columns
+    ascending in ``col_rank``.
 
     Parameters
     ----------
@@ -152,7 +183,7 @@ def build_projection_matrix(
         float32).
     backend:
         Optional execution backend that fans per-view tracing out
-        across workers.  Chunks are appended in angle order, so the
+        across workers.  Chunks are joined in angle order, so the
         assembled matrix is bit-identical to the serial build.
     row_rank, col_rank:
         Domain orderings applied while tracing: ``row_rank[ray]`` is
@@ -164,7 +195,7 @@ def build_projection_matrix(
         from, re-ordered afterwards with :meth:`CSRMatrix.permute`.
     out:
         ``out(nnz)`` returns the ``(indices, data)`` arrays — int32 and
-        ``dtype`` or wider, ``nnz`` long — that the sort writes the
+        ``dtype`` or wider, ``nnz`` long — that the gather writes the
         matrix into; fresh arrays by default.  The plan cache passes
         the reserved members of the archive it is assembling.
     """
@@ -176,24 +207,26 @@ def build_projection_matrix(
     if backend is None:
         backend = SerialBackend()
     tasks = [
-        (geometry, start, stop, row_rank, col_rank, np.dtype(dtype))
+        (geometry, start, stop, col_rank, np.dtype(dtype))
         for start, stop in _angle_chunks(geometry.num_angles, backend.workers)
     ]
-    chunks = backend.map(trace_view_chunk, tasks)
-    if len(chunks) != 1:  # workers' chunks, appended in angle order
-        streams = _TripletStreams(np.dtype(dtype))
-        for chunk in chunks:
-            streams.append(*chunk)
-        chunks = [streams.arrays()]
-    ((rows, cols, vals),) = chunks
+    chunks = backend.map(trace_view_range, tasks)
+    if len(chunks) != 1:  # workers' chunks, joined in angle order
+        chunks = [[np.concatenate(part) for part in zip(*chunks)]]
+    ((counts, cols, vals),) = chunks
     nnz = len(vals)
     if nnz > np.iinfo(np.int32).max:
-        raise OverflowError(f"{nnz} nonzeros do not fit the int32 row offsets of the sort")
+        raise OverflowError(f"{nnz} nonzeros do not fit the int32 row offsets of A")
+    rows = np.arange(shape[0], dtype=np.int32)
+    if row_rank is not None:
+        rows[row_rank] = rows.copy()  # the ray at each ranked row
+    traced, indptr = (np.zeros(shape[0] + 1, np.int32) for _ in range(2))
+    np.cumsum(counts, out=traced[1:])
+    np.cumsum(counts[rows], out=indptr[1:])
     indices, data = out(nnz) if out else (np.empty(nnz, np.int32), np.empty(nnz, dtype))
-    indptr = np.empty(shape[0] + 1, np.int32)
-    coo_tocsr(*shape, nnz, rows, cols, vals.astype(data.dtype, copy=False), indptr, indices, data)
+    csr_row_index(shape[0], rows, traced, cols, vals.astype(data.dtype, copy=False), indices, data)
     csr = sp.csr_matrix((data, indices, indptr), shape=shape)
-    csr.sum_duplicates()  # sorts each row's indices, sums corner-grazing repeats
+    csr.has_canonical_format = True  # columns ascending, repeats summed per view
     return csr
 
 

@@ -119,21 +119,19 @@ def trace_angle(geometry: ParallelBeamGeometry, angle_index: int) -> RaySegments
     t_all = np.concatenate([tx, ty], axis=1)
     # Clamp out-of-grid crossings onto the entry parameter so they
     # collapse into zero-length segments after sorting.
-    t_all = np.clip(t_all, t_min[:, None], t_max[:, None])
+    np.clip(t_all, t_min[:, None], t_max[:, None], out=t_all)
     t_all.sort(axis=1)
 
     seg_len = np.diff(t_all, axis=1)  # |direction| == 1, so dt == length
-    t_mid = 0.5 * (t_all[:, :-1] + t_all[:, 1:])
-    px = ox[:, None] + t_mid * dx
-    py = oy[:, None] + t_mid * dy
+    # Only segments that count reach the midpoint and pixel arithmetic.
+    keep = (seg_len > _MIN_SEGMENT) & hits[:, None]
+    chan = np.repeat(np.arange(nchan), np.count_nonzero(keep, axis=1))
+    t_mid, seg_len = 0.5 * (t_all[:, :-1][keep] + t_all[:, 1:][keep]), seg_len[keep]
     inv = 1.0 / grid.pixel_size
-    ix = np.floor((px + half) * inv).astype(np.int64)
-    iy = np.floor((py + half) * inv).astype(np.int64)
+    ix = np.floor((ox[chan] + t_mid * dx + half) * inv).astype(np.int64)
+    iy = np.floor((oy[chan] + t_mid * dy + half) * inv).astype(np.int64)
+    valid = (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
 
-    valid = (seg_len > _MIN_SEGMENT) & hits[:, None]
-    valid &= (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
-
-    chan = np.broadcast_to(np.arange(nchan, dtype=np.int64)[:, None], valid.shape)
     ray_index = geometry.ray_index(angle_index, chan[valid])
     pixel_index = grid.pixel_index(ix[valid], iy[valid])
     return RaySegments(ray_index, pixel_index, seg_len[valid])
@@ -173,7 +171,6 @@ def trace_rays(
     half = grid.half_extent
     ox, oy = origins[:, 0], origins[:, 1]
     dx, dy = directions[:, 0], directions[:, 1]
-    k = origins.shape[0]
 
     # Per-ray slab entry/exit.
     big = 8.0 * half + np.abs(ox) + np.abs(oy) + 1.0
@@ -201,21 +198,18 @@ def trace_rays(
             t_min[:, None],
         )
     t_all = np.concatenate([tx, ty], axis=1)
-    t_all = np.clip(t_all, t_min[:, None], t_max[:, None])
+    np.clip(t_all, t_min[:, None], t_max[:, None], out=t_all)
     t_all.sort(axis=1)
 
     seg_len = np.diff(t_all, axis=1)
-    t_mid = 0.5 * (t_all[:, :-1] + t_all[:, 1:])
-    px = ox[:, None] + t_mid * dx[:, None]
-    py = oy[:, None] + t_mid * dy[:, None]
+    keep = (seg_len > _MIN_SEGMENT) & hits[:, None]
+    ray = np.repeat(np.arange(len(keep)), np.count_nonzero(keep, axis=1))
+    t_mid, seg_len = 0.5 * (t_all[:, :-1][keep] + t_all[:, 1:][keep]), seg_len[keep]
     inv = 1.0 / grid.pixel_size
-    ix = np.floor((px + half) * inv).astype(np.int64)
-    iy = np.floor((py + half) * inv).astype(np.int64)
-    valid = (seg_len > _MIN_SEGMENT) & hits[:, None]
-    valid &= (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
-
-    ids = np.broadcast_to(ray_ids[:, None], valid.shape)
-    return RaySegments(ids[valid], grid.pixel_index(ix[valid], iy[valid]), seg_len[valid])
+    ix = np.floor((ox[ray] + t_mid * dx[ray] + half) * inv).astype(np.int64)
+    iy = np.floor((oy[ray] + t_mid * dy[ray] + half) * inv).astype(np.int64)
+    valid = (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
+    return RaySegments(ray_ids[ray[valid]], grid.pixel_index(ix[valid], iy[valid]), seg_len[valid])
 
 
 def trace_ray(geometry: ParallelBeamGeometry, angle_index: int, channel_index: int) -> RaySegments:

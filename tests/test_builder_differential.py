@@ -1,0 +1,106 @@
+"""The per-view builder against the assembly it replaced.
+
+The oracle is the old path, kept here in ten lines: every view's
+triplets appended into three streams, scipy's compiled ``coo -> csr``,
+then ``sum_duplicates``.  The builder must reproduce it bit for bit —
+``indptr``, ``indices`` and the value bytes — for every kind of
+geometry, with and without ranks, in both precisions, serial and
+fanned out over threads or processes.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from scipy.sparse._sparsetools import coo_tocsr
+
+from repro.geometry import ConeBeamGeometry, FanBeamGeometry, ParallelBeamGeometry
+from repro.parallel.backend import make_backend, parse_workers
+from repro.trace import build_projection_matrix, matrix_builder
+from repro.trace.siddon import RaySegments
+
+GEOMETRIES = {
+    "parallel": ParallelBeamGeometry(16, 12),
+    "parallel-odd": ParallelBeamGeometry(17, 13),
+    "fan": FanBeamGeometry(15, 11, source_distance=40.0),
+    "cone": ConeBeamGeometry(7, 5, 6, source_distance=30.0),
+}
+
+
+def coo_assembly(geometry, dtype, row_rank, col_rank) -> sp.csr_matrix:
+    """Streams -> ``coo_tocsr`` -> ``sum_duplicates``: the old builder."""
+    views = [matrix_builder.trace_view(geometry, a) for a in range(geometry.num_angles)]
+    ray, pixel = (np.concatenate([getattr(v, f) for v in views]) for f in FIELDS[:2])
+    rows = (ray if row_rank is None else row_rank[ray]).astype(np.int32)
+    cols = (pixel if col_rank is None else col_rank[pixel]).astype(np.int32)
+    vals = np.concatenate([v.length for v in views]).astype(dtype)
+    shape, nnz = (geometry.num_rays, geometry.grid.num_pixels), len(vals)
+    indptr, indices = np.empty(shape[0] + 1, np.int32), np.empty(nnz, np.int32)
+    data = np.empty(nnz, dtype)
+    coo_tocsr(*shape, nnz, rows, cols, vals, indptr, indices, data)
+    csr = sp.csr_matrix((data, indices, indptr), shape=shape)
+    csr.sum_duplicates()
+    return csr
+
+
+FIELDS = ("ray_index", "pixel_index", "length")
+_trace_view = matrix_builder.trace_view
+
+
+def view_one(edit):
+    """``trace_view`` with view 1's segments passed through ``edit``."""
+
+    def trace_view(geometry, angle_index):
+        segs = _trace_view(geometry, angle_index)
+        return edit(segs) if angle_index == 1 else segs
+
+    return trace_view
+
+
+TRACERS = {
+    "traced": None,
+    # every ray of the view misses the grid
+    "empty-view": view_one(lambda s: RaySegments(*(getattr(s, f)[:0] for f in FIELDS))),
+    # a grazed corner: the view's first segment, traced twice
+    "repeated-segment": view_one(
+        lambda s: RaySegments(*(np.append(getattr(s, f), getattr(s, f)[0]) for f in FIELDS))
+    ),
+}
+
+
+def _ranks(geometry, ranked):
+    if not ranked:
+        return None, None
+    rng = np.random.default_rng(geometry.num_rays)
+    return rng.permutation(geometry.num_rays), rng.permutation(geometry.grid.num_pixels)
+
+
+@pytest.mark.parametrize("workers", [None, "2", "process:2"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ranked", [False, True], ids=["unranked", "ranked"])
+@pytest.mark.parametrize("tracer", list(TRACERS))
+@pytest.mark.parametrize("kind", list(GEOMETRIES))
+def test_builder_is_the_coo_assembly_bit_for_bit(
+    kind, tracer, ranked, dtype, workers, monkeypatch
+):
+    geometry = GEOMETRIES[kind]
+    if TRACERS[tracer] is not None:
+        monkeypatch.setattr(matrix_builder, "trace_view", TRACERS[tracer])
+    row_rank, col_rank = _ranks(geometry, ranked)
+    want = coo_assembly(geometry, dtype, row_rank, col_rank)
+    backend = make_backend(*parse_workers(workers))
+    try:
+        got = build_projection_matrix(
+            geometry, dtype=dtype, backend=backend, row_rank=row_rank, col_rank=col_rank
+        )
+    finally:
+        backend.close()
+    assert got.shape == want.shape and got.has_canonical_format
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.dtype == want.data.dtype
+    assert got.data.tobytes() == want.data.tobytes()
+    traced = sum(len(matrix_builder.trace_view(geometry, a)) for a in range(geometry.num_angles))
+    assert got.nnz == traced - (tracer == "repeated-segment")  # the repeat was summed
+    if tracer == "empty-view":
+        rays = slice(geometry.num_channels, 2 * geometry.num_channels)
+        assert not np.diff(coo_assembly(geometry, dtype, None, None).indptr)[rays].any()

@@ -376,16 +376,18 @@ class TestAssembledInPlace:
         assert np.shares_memory(warm.matrix.val, cold.matrix.val)
         assert warm.config == cold.config
 
-    def test_a_summed_duplicate_falls_back_to_the_copying_store(
+    def test_a_summed_duplicate_is_assembled_in_place(
         self, tmp_path, small_geometry, monkeypatch
     ):
-        """The matrix no longer fills its reservation, so the entry is
-        written by copy: the file an uncached build + store writes."""
+        """Repeats are summed per view before the reservation, so the
+        reservation is exact: nothing is written by copy, and the entry
+        is the file an uncached build + store writes."""
         from repro import io
         from repro.trace import matrix_builder
 
         from .test_matrix_builder import repeat_first_segment
 
+        plain, _ = preprocess(small_geometry)
         monkeypatch.setattr(matrix_builder, "trace_view", repeat_first_segment)
         copies = []
         real_save = io.save_operator
@@ -393,13 +395,31 @@ class TestAssembledInPlace:
             io, "save_operator", lambda *a, **k: copies.append(a[0]) or real_save(*a, **k)
         )
         cold, entry = _cold(small_geometry, tmp_path / "plans")
-        assert copies == [entry]
+        assert copies == []
         assert _temp_files(tmp_path / "plans") == []
         uncached, _ = preprocess(small_geometry)
-        assert uncached.matrix.nnz == cold.matrix.nnz
-        assert float(cold.matrix.val.max()) == float(uncached.matrix.val.max())
+        assert uncached.matrix.nnz == cold.matrix.nnz == plain.matrix.nnz
+        assert np.count_nonzero(cold.matrix.val != plain.matrix.val) == 1
         copied = real_save(tmp_path / "copied.npz", uncached, compress=False)
         assert entry.read_bytes() == copied.read_bytes()
+
+    def test_sealing_a_pair_the_archive_did_not_reserve_raises(
+        self, tmp_path, small_geometry
+    ):
+        from repro.io import OperatorArchive
+
+        op, _ = preprocess(small_geometry)
+        archive = OperatorArchive(
+            tmp_path / "x.npz", small_geometry, op.tomo_ordering, op.sino_ordering, "float32"
+        )
+        try:
+            archive.reserve_matrix(op.matrix.nnz)
+            archive.reserve_transpose(op.transpose.nnz)
+            with pytest.raises(ValueError, match="reserved"):
+                archive.seal(op)
+        finally:
+            archive.close()
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_full_disk_raises_leaves_nothing_and_a_retry_succeeds(
         self, tmp_path, small_geometry, monkeypatch

@@ -142,20 +142,21 @@ class TestGeometryConformance:
                 build_projection_matrix(geometry, **{which: bad})
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_a_chunk_emits_twelve_byte_triplets(self, geometry, dtype):
-        """A chunk is three streams: int32 coordinates and values
-        already in the matrix's dtype, with or without rank arrays,
-        trimmed to the triplets traced.  An empty range gives empty
-        streams."""
+    def test_a_view_range_emits_ray_counts_and_eight_byte_pairs(self, geometry, dtype):
+        """A view range is one count per ray of the range and two
+        streams — int32 columns and values already in the matrix's
+        dtype, with or without a rank array — trimmed to the nonzeros
+        traced.  An empty range gives empty arrays."""
         reverse = np.arange(geometry.grid.num_pixels, dtype=np.int32)[::-1]
         for col_rank in (None, reverse):
             for start, stop in ((0, 2), (1, 1)):
-                rows, cols, vals = matrix_builder.trace_view_chunk(
-                    (geometry, start, stop, None, col_rank, np.dtype(dtype))
+                counts, cols, vals = matrix_builder.trace_view_range(
+                    (geometry, start, stop, col_rank, np.dtype(dtype))
                 )
-                assert (rows.dtype, cols.dtype, vals.dtype) == (np.int32, np.int32, dtype)
-                assert rows.shape == cols.shape == vals.shape
-                assert (rows.size > 0) == (stop > start)
+                assert (cols.dtype, vals.dtype) == (np.int32, dtype)
+                assert counts.shape == ((stop - start) * geometry.num_channels,)
+                assert cols.shape == vals.shape == (counts.sum(),)
+                assert (cols.size > 0) == (stop > start)
 
     def test_distributed_preprocess_with_more_ranks_than_angles(self, geometry):
         """Ranks left without an angle trace an empty range and still

@@ -5,9 +5,12 @@ import gc
 import hashlib
 import os
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib import format as npy_format
 
 from repro import persist
@@ -430,7 +433,7 @@ class TestReserveFillSeal:
     }
     RESERVED = ("displ", "ind", "val", "grid", "none")
 
-    def _assemble(self, path, fill=True):
+    def _assemble(self, path, fill=True, known=False):
         views = {}
         with persist.NpzWriter(path) as npz:
             for name, value in self.PAYLOAD.items():
@@ -440,7 +443,8 @@ class TestReserveFillSeal:
                         views[name][...] = value
                 else:
                     npz.add(name, value)
-            npz.add("checksum", np.uint32(persist.payload_checksum(npz.payload)))
+            crcs = npz.data_crcs() if known else None
+            npz.add("checksum", np.uint32(persist.payload_checksum(npz.payload, crcs)))
             npz.seal()
         return views
 
@@ -457,6 +461,43 @@ class TestReserveFillSeal:
             assert view.flags.writeable and view.flags.aligned
             assert view.ctypes.data % persist.ALIGNMENT == 0 or view.size == 0
             assert np.array_equal(view, self.PAYLOAD[name]), name
+
+    def test_known_crcs_give_the_same_file_and_read_each_reserved_byte_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Sealing with the reserved members' data CRCs spliced into
+        both the zip CRCs and the payload checksum writes the same file,
+        and zlib sees each reserved byte once, not twice."""
+        hashed = {}
+        real = persist.zlib.crc32
+        for name, known in (("twice", False), ("once", True)):
+            hashed[name] = 0
+
+            def counted(data, *crc, name=name):
+                hashed[name] += len(data)
+                return real(data, *crc)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(persist.zlib, "crc32", counted)
+                self._assemble(tmp_path / f"{name}.npz", known=known)
+        assert (tmp_path / "once.npz").read_bytes() == (tmp_path / "twice.npz").read_bytes()
+        reserved = sum(self.PAYLOAD[name].nbytes for name in self.RESERVED)
+        assert hashed["twice"] - hashed["once"] == reserved
+
+    @given(data=st.binary(max_size=300), cut=st.integers(0, 300), crc=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_crc32_combine_is_the_crc_of_the_concatenation(self, data, cut, crc):
+        head, tail = data[: min(cut, len(data))], data[min(cut, len(data)) :]
+        assert persist.crc32_combine(
+            zlib.crc32(head, crc), zlib.crc32(tail), len(tail)
+        ) == zlib.crc32(data, crc)
+
+    @pytest.mark.parametrize("size", [0, 1, 4096, 3 << 20])
+    def test_crc32_combine_on_long_tails(self, size):
+        tail = np.random.default_rng(size).integers(0, 256, size, np.uint8).tobytes()
+        assert persist.crc32_combine(zlib.crc32(b"head"), zlib.crc32(tail), size) == zlib.crc32(
+            b"head" + tail
+        )
 
     def test_an_unfilled_reservation_is_zeros_with_a_matching_crc(self, tmp_path):
         self._assemble(tmp_path / "zeros.npz", fill=False)

@@ -50,16 +50,17 @@ class TestBuildProjectionMatrix:
     def test_nonnegative_values(self, small_matrix):
         assert (small_matrix.val >= 0).all()
 
-    def test_streams_forced_through_many_growths_give_the_same_matrix(
+    def test_column_streams_forced_through_many_growths_give_the_same_matrix(
         self, small_geometry, monkeypatch
     ):
-        """From a one-triplet capacity every view grows the streams;
-        serial (traced in place) and threads (chunks appended) agree
-        with the default build array for array."""
+        """From a one-pair capacity every view grows the two streams;
+        what they hold is the views' pieces back to back, and serial
+        (one range) and threads (ranges joined) agree with the default
+        build array for array."""
         want = build_projection_matrix(small_geometry)
         growths = []
 
-        class Tiny(matrix_builder._TripletStreams):
+        class Tiny(matrix_builder._ColumnStreams):
             def __init__(self, dtype):
                 super().__init__(dtype, capacity=1)
 
@@ -67,12 +68,16 @@ class TestBuildProjectionMatrix:
                 growths.append(capacity)
                 super()._resize(capacity)
 
-        monkeypatch.setattr(matrix_builder, "_TripletStreams", Tiny)
+        monkeypatch.setattr(matrix_builder, "_ColumnStreams", Tiny)
+        task = (small_geometry, 0, small_geometry.num_angles, None, np.dtype(np.float32))
+        counts, cols, vals = matrix_builder.trace_view_range(task)
+        assert len(growths) > 10 and growths[-1] == want.nnz  # the trim
+        assert (cols.dtype, vals.dtype) == (np.int32, np.float32)
+        assert np.array_equal(counts, np.diff(want.indptr))
+        assert np.array_equal(cols, want.indices)
+        assert np.array_equal(vals, want.data)
         for backend in (None, ThreadBackend(2)):
-            growths.clear()
             got = build_projection_matrix(small_geometry, backend=backend)
-            assert len(growths) > 10
-            assert growths[-1] == want.nnz  # the trim
             for name in ("indptr", "indices", "data"):
                 assert getattr(got, name).dtype == getattr(want, name).dtype
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -111,6 +116,21 @@ class TestBuildProjectionMatrix:
         changed = np.flatnonzero(got.data != want.data)
         assert changed.size == 1
         assert got.data[changed[0]] == np.float32(2) * want.data[changed[0]]
+
+
+    def test_a_key_too_wide_to_pack_sorts_the_same(self):
+        """Where ray, column and position bits overflow 63, a stable
+        argsort orders the view: same counts, columns and summed values
+        (a 256-channel view with a repeat, its columns given 40 bits)."""
+        geometry = ParallelBeamGeometry(4, 256)
+        segs = repeat_first_segment(geometry, 0)
+        rank = np.random.default_rng(3).permutation(geometry.grid.num_pixels).astype(np.int32)
+        packed = matrix_builder._sort_view(segs, 0, 256, rank, 16, np.dtype(np.float32))
+        wide = matrix_builder._sort_view(segs, 0, 256, rank, 40, np.dtype(np.float32))
+        assert 8 + 40 + len(segs).bit_length() >= 64  # the fallback runs
+        assert packed[2].size == len(segs) - 1  # the repeat was summed
+        for got, want in zip(wide, packed):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def repeat_first_segment(geometry, angle_index):
