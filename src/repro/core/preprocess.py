@@ -106,8 +106,8 @@ def preprocess(
     assembles is already the ordered ``A``; the transposition stage
     converts it to our dtypes and scans out ``A^T``.  The worker spec
     in ``config.workers`` (or ``REPRO_WORKERS``) also
-    parallelizes the tracing stage here: per-angle Siddon tracing fans
-    out across the backend, with chunks reassembled in angle order so
+    parallelizes the tracing stage here: per-orbit Siddon tracing fans
+    out across the backend, with chunks reassembled in orbit order so
     the traced matrix is bit-identical to a serial build.  The cache
     fingerprint excludes the worker spec — plans are shared across
     worker counts.
@@ -199,7 +199,8 @@ def preprocess(
                 )
 
             workers, mode = parse_workers(config.workers)
-            with span("preprocess.tracing", workers=workers, mode=mode) as sp:
+            views = {"views": geometry.num_angles, "views_traced": len(geometry.view_orbits())}
+            with span("preprocess.tracing", workers=workers, mode=mode, **views) as sp:
                 backend = make_backend(workers, mode)
                 try:
                     raw = build_projection_matrix(

@@ -17,8 +17,8 @@ communicator:
    transpose, and the send segments of the communication plan —
    exactly the :class:`RankData` the runtime operator consumes.
 
-The result is numerically identical to slicing a globally-built matrix
-(verified in tests); the difference is the memory high-water mark.
+Each rank's data are array-equal to slicing the globally built, ordered
+matrix (verified in tests); the difference is the memory high-water mark.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def distributed_preprocess(
     for r in range(num_ranks):
         start, stop = int(angle_cuts[r]), int(angle_cuts[r + 1])
         counts, cols, vals = trace_view_range(
-            (geometry, start, stop, col_rank, np.dtype(np.float32))
+            (geometry, range(start, stop), col_rank, np.dtype(np.float32))
         )
         first_ray = int(geometry.ray_index(start, 0))
         rows = np.repeat(row_rank[first_ray : first_ray + len(counts)], counts)

@@ -103,7 +103,7 @@ class ScanGeometry:
 
     A geometry is a frozen dataclass with ``num_angles``,
     ``num_channels`` (rays per view) and a ``grid``; on top of those it
-    states four facts under the same names for every kind (see
+    states five facts under the same names for every kind (see
     ``docs/architecture.md``):
 
     * the array shapes :attr:`sinogram_shape` / :attr:`volume_shape`;
@@ -111,12 +111,14 @@ class ScanGeometry:
       :attr:`sino_layout_shape` — the space-filling orderings are
       bijections over flat indices, so a domain that is not literally
       2D only has to name an equivalent rectangle;
+    * :meth:`view_source` — its view symmetry: which view's trace,
+      index-mapped, is this view's;
     * ``fingerprint_fields()`` — its section of the plan fingerprint;
     * ``archive_fields()`` / ``from_archive(data)`` — the operator
       archive keys it writes and rebuilds itself from.
 
-    The defaults below are the planar (2D) answers and the archive keys
-    every kind shares; the rest is written out by each class.
+    The defaults below are the planar (2D) answers, no symmetry and the
+    archive keys every kind shares; the rest is written out by each class.
     """
 
     @property
@@ -147,6 +149,21 @@ class ScanGeometry:
     def ray_index(self, angle_index: np.ndarray, channel_index: np.ndarray) -> np.ndarray:
         """Row-major flat measurement index of ``(angle, channel)`` pairs."""
         return np.asarray(angle_index) * self.num_channels + np.asarray(channel_index)
+
+    def view_source(self, angle_index: int) -> tuple[int, np.ndarray | None]:
+        """``(source, pixel_map)``: this view is view ``source``'s trace,
+        channel for channel, with pixel ``p`` moved to ``pixel_map[p]``
+        (a source is the smallest view of its orbit).  The default, no
+        symmetry, traces every view itself: ``(angle_index, None)``."""
+        return angle_index, None
+
+    def view_orbits(self) -> list[list[int]]:
+        """Every view grouped by its source, by ascending source (each
+        group's first view): one trace per group."""
+        orbits: dict[int, list[int]] = {}
+        for view in range(self.num_angles):
+            orbits.setdefault(self.view_source(view)[0], []).append(view)
+        return list(orbits.values())
 
     def archive_fields(self) -> dict:
         """Operator-archive keys of this geometry (see repro.io).

@@ -18,12 +18,25 @@ tomogram).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .grid import Grid2D, ScanGeometry
 
 __all__ = ["ParallelBeamGeometry", "Ray"]
+
+
+@lru_cache(maxsize=4)
+def _pixel_maps(n: int) -> dict[str, np.ndarray]:
+    """Flat pixel index maps of an ``n x n`` grid, ``(ix, iy)`` to the
+    x-mirror ``(n-1-ix, iy)``, quarter turn ``(n-1-iy, ix)`` and
+    diagonal ``(iy, ix)``."""
+    iy, ix = np.divmod(np.arange(n * n, dtype=np.int32), np.int32(n))
+    maps = {"mirror": iy * n + n - 1 - ix, "quarter": ix * n + n - 1 - iy, "diagonal": ix * n + iy}
+    for pixel_map in maps.values():  # shared by every caller
+        pixel_map.flags.writeable = False
+    return maps
 
 
 @dataclass(frozen=True)
@@ -115,19 +128,45 @@ class ParallelBeamGeometry(ScanGeometry):
             channel_index=channel_index,
         )
 
+    def view_source(self, angle_index: int) -> tuple[int, np.ndarray | None]:
+        """Over exactly pi, the x-mirror takes view ``j`` to ``M - j``
+        and, for even ``M``, the quarter turn to ``j + M/2`` and the
+        diagonal to ``M/2 - j``, each keeping the channel: ``M/4 + 1``
+        views are traced for even ``M``, ``(M + 1)/2`` for odd.  View
+        ``M/2`` traces itself when its rays run along grid lines
+        (``n - N`` odd), which a direct trace splits by rounding.
+        """
+        j = int(angle_index)
+        if float(self.angle_range) != np.pi:
+            return j, None
+        m, maps = self.num_angles, _pixel_maps(self.grid.n)
+        if m % 2:
+            return (j, None) if 2 * j <= m else (m - j, maps["mirror"])
+        h = m // 2
+        source = min(j % h, h - j % h)
+        if j == source or (j == h and (self.grid.n - self.num_channels) % 2):
+            return j, None
+        if j <= h:
+            return source, maps["diagonal"]
+        return source, maps["quarter" if j == h + source else "mirror"]
+
     def fingerprint_fields(self) -> dict:
         """Geometry section of the plan fingerprint (see repro.cache).
 
-        No ``kind`` entry: this is the document every parallel-beam
-        cache key has always hashed.
+        No ``kind`` entry: the document parallel-beam keys have always
+        hashed, plus ``view_symmetry`` where :meth:`view_source` maps
+        views (a mapped view may differ from its direct trace by an ulp).
         """
-        return {
+        fields = {
             "num_angles": int(self.num_angles),
             "num_channels": int(self.num_channels),
             "angle_range": float(self.angle_range).hex(),
             "grid_n": int(self.grid.n),
             "pixel_size": float(self.grid.pixel_size).hex(),
         }
+        if float(self.angle_range) == np.pi:
+            fields["view_symmetry"] = "half-turn"
+        return fields
 
     @classmethod
     def from_archive(cls, data) -> "ParallelBeamGeometry":

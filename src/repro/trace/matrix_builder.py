@@ -11,9 +11,11 @@ baseline refuses to pay for.
 
 There is no global sort: a view's rays are consecutive rows, so each
 view is column-sorted alone and its ``(column, length)`` pairs appended
-to two growable streams.  One compiled row gather writes the rows in
-ranked order into arrays the caller may own — the plan cache passes the
-pages of the archive it is assembling.
+to two growable streams.  Views come orbit by orbit (see
+:meth:`~repro.geometry.ScanGeometry.view_source`): an orbit's source is
+traced once and every member sorted from that one trace.  One compiled
+row gather writes the rows in ranked order into arrays the caller may
+own — the plan cache passes the pages of the archive it is assembling.
 """
 
 from __future__ import annotations
@@ -39,12 +41,18 @@ __all__ = [
 def trace_view(geometry: ScanGeometry, angle_index: int) -> RaySegments:
     """Trace every ray of one view (projection angle) of ``geometry``.
 
-    The one place tracing depends on the kind of geometry.  Parallel
-    rays of a view share a direction, which :func:`trace_angle`
-    exploits; any other geometry hands over its ``ray_bundle`` of
-    (origins, directions) and is traced ray by ray, in 2D or 3D
-    according to the bundle's dimension.
+    The one place tracing depends on the kind of geometry.  A view with
+    a source (:meth:`~repro.geometry.ScanGeometry.view_source`) is that
+    view's trace, pixel-mapped.  Parallel rays of a view share a
+    direction, which :func:`trace_angle` exploits; any other geometry
+    hands over its ``ray_bundle`` of (origins, directions) and is traced
+    ray by ray, in 2D or 3D according to the bundle's dimension.
     """
+    source, pixel_map = geometry.view_source(angle_index)
+    if pixel_map is not None:
+        segs = trace_view(geometry, source)
+        shift = geometry.ray_index(angle_index, 0) - geometry.ray_index(source, 0)
+        return RaySegments(segs.ray_index + shift, pixel_map[segs.pixel_index], segs.length)
     if isinstance(geometry, ParallelBeamGeometry):
         return trace_angle(geometry, angle_index)
     origins, directions = geometry.ray_bundle(angle_index)
@@ -123,36 +131,45 @@ def _sort_view(segs: RaySegments, first_ray: int, num_rays: int, col_rank, cbits
 
 
 def trace_view_range(task) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace a contiguous view range into ``(counts, cols, vals)``.
+    """Trace a sequence of views into ``(counts, cols, vals)``.
 
-    ``task`` is ``(geometry, start, stop, col_rank, dtype)``, the rank an
-    int32 array or ``None`` (row-major columns).  ``counts`` has one
-    entry per ray of the range, in ray-major order; ``cols`` / ``vals``
+    ``task`` is ``(geometry, views, col_rank, dtype)``: ``views`` any
+    sequence of view indices (a ``range``, or orbits back to back), the
+    rank an int32 array or ``None`` (row-major columns).  ``counts`` has
+    one entry per ray of the views, in their order; ``cols`` / ``vals``
     are those rays' rows back to back, 8 B per nonzero at float32.
+    Consecutive views of one orbit share their source's trace, each
+    sorted through ``col_rank[pixel_map]``.
 
     Module-level so the process backend can pickle it; the geometry is
     a small frozen dataclass and a rank array is 4 B per cell, so
     shipping them per task is cheap.
     """
-    geometry, start, stop, col_rank, dtype = task
+    geometry, views, col_rank, dtype = task
     rays = geometry.num_channels
     cbits = (geometry.grid.num_pixels - 1).bit_length()
-    counts = np.empty((stop - start) * rays, np.int64)
+    counts = np.empty(len(views) * rays, np.int64)
     streams = _ColumnStreams(dtype)
-    for view, angle_index in enumerate(range(start, stop)):
-        segs, first_ray = trace_view(geometry, angle_index), geometry.ray_index(angle_index, 0)
-        counts[view * rays : (view + 1) * rays], cols, vals = _sort_view(
-            segs, int(first_ray), rays, col_rank, cbits, dtype
+    traced, ranks = None, {}
+    for i, view in enumerate(views):
+        source, pixel_map = geometry.view_source(view)
+        if traced != source:
+            segs, traced = trace_view(geometry, source), source
+        if pixel_map is not None and id(pixel_map) not in ranks:  # kept: its id is not reused
+            ranks[id(pixel_map)] = pixel_map, pixel_map if col_rank is None else col_rank[pixel_map]
+        rank = col_rank if pixel_map is None else ranks[id(pixel_map)][1]
+        counts[i * rays : (i + 1) * rays], cols, vals = _sort_view(
+            segs, int(geometry.ray_index(source, 0)), rays, rank, cbits, dtype
         )
         streams.append(cols, vals)
     return (counts, *streams.arrays())
 
 
-def _angle_chunks(num_angles: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous angle ranges: ~4 per worker for load balance, one
+def _chunks(count: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous index ranges: ~4 per worker for load balance, one
     range — one set of streams, nothing to join — without workers."""
-    chunks = min(num_angles, workers * 4 if workers > 1 else 1)
-    bounds = np.linspace(0, num_angles, chunks + 1, dtype=np.int64)
+    chunks = min(count, workers * 4 if workers > 1 else 1)
+    bounds = np.linspace(0, count, chunks + 1, dtype=np.int64)
     return [
         (int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
     ]
@@ -168,10 +185,11 @@ def build_projection_matrix(
 ) -> sp.csr_matrix:
     """Trace every ray of ``geometry`` and assemble ``A`` in CSR form.
 
-    The one assembly of a traced geometry: views traced and column-sorted
-    by :func:`trace_view_range`, then one compiled row gather
-    (``csr_row_index``) — rows by ``row_rank``, each row's columns
-    ascending in ``col_rank``.
+    The one assembly of a traced geometry: each orbit's source traced
+    once and every view of the orbit column-sorted from it, appended in
+    orbit order; then one compiled row gather (``csr_row_index``) takes
+    each ranked row's stream row — rows by ``row_rank``, each row's
+    columns ascending in ``col_rank``.
 
     Parameters
     ----------
@@ -182,9 +200,10 @@ def build_projection_matrix(
         Value dtype the lengths are traced in (the paper stores
         float32).
     backend:
-        Optional execution backend that fans per-view tracing out
-        across workers.  Chunks are joined in angle order, so the
-        assembled matrix is bit-identical to the serial build.
+        Optional execution backend that fans tracing out across
+        workers, a chunk being a range of orbits.  Chunks are joined in
+        orbit order, so the assembled matrix is bit-identical to the
+        serial build.
     row_rank, col_rank:
         Domain orderings applied while tracing: ``row_rank[ray]`` is
         the row of a row-major sinogram index, ``col_rank[pixel]`` the
@@ -206,12 +225,13 @@ def build_projection_matrix(
         col_rank = checked_rank(col_rank, shape[1], "col_rank").astype(np.int32)
     if backend is None:
         backend = SerialBackend()
+    orbits = geometry.view_orbits()
     tasks = [
-        (geometry, start, stop, col_rank, np.dtype(dtype))
-        for start, stop in _angle_chunks(geometry.num_angles, backend.workers)
+        (geometry, [view for orbit in orbits[lo:hi] for view in orbit], col_rank, np.dtype(dtype))
+        for lo, hi in _chunks(len(orbits), backend.workers)
     ]
     chunks = backend.map(trace_view_range, tasks)
-    if len(chunks) != 1:  # workers' chunks, joined in angle order
+    if len(chunks) != 1:  # workers' chunks, joined in orbit order
         chunks = [[np.concatenate(part) for part in zip(*chunks)]]
     ((counts, cols, vals),) = chunks
     nnz = len(vals)
@@ -220,6 +240,9 @@ def build_projection_matrix(
     rows = np.arange(shape[0], dtype=np.int32)
     if row_rank is not None:
         rows[row_rank] = rows.copy()  # the ray at each ranked row
+    # Views were appended orbit by orbit: the stream row of each ray.
+    slot = np.argsort(np.concatenate(orbits)).astype(np.int32)[:, None] * geometry.num_channels
+    rows = (slot + np.arange(geometry.num_channels, dtype=np.int32)).ravel()[rows]
     traced, indptr = (np.zeros(shape[0] + 1, np.int32) for _ in range(2))
     np.cumsum(counts, out=traced[1:])
     np.cumsum(counts[rows], out=indptr[1:])

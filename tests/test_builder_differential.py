@@ -6,6 +6,11 @@ then ``sum_duplicates``.  The builder must reproduce it bit for bit —
 ``indptr``, ``indices`` and the value bytes — for every kind of
 geometry, with and without ranks, in both precisions, serial and
 fanned out over threads or processes.
+
+Both go through one per-view function, ``trace_view``: on a half-turn
+parallel scan it traces a view's orbit source and pixel-maps it, so the
+oracle's views are the builder's bit for bit — and an edit to view 1
+reaches every view of view 1's orbit, in both.
 """
 
 import numpy as np
@@ -100,7 +105,9 @@ def test_builder_is_the_coo_assembly_bit_for_bit(
     assert got.data.dtype == want.data.dtype
     assert got.data.tobytes() == want.data.tobytes()
     traced = sum(len(matrix_builder.trace_view(geometry, a)) for a in range(geometry.num_angles))
-    assert got.nnz == traced - (tracer == "repeated-segment")  # the repeat was summed
+    (orbit,) = (o for o in geometry.view_orbits() if 1 in o)
+    # the repeat was summed, once in each view that carries view 1's trace
+    assert got.nnz == traced - (tracer == "repeated-segment") * len(orbit)
     if tracer == "empty-view":
         rays = slice(geometry.num_channels, 2 * geometry.num_channels)
         assert not np.diff(coo_assembly(geometry, dtype, None, None).indptr)[rays].any()

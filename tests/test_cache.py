@@ -67,18 +67,21 @@ class TestFingerprint:
         )
 
     def test_named_kernels_keep_their_keys(self, monkeypatch):
-        """A config that names its kernel hashes as it always has: the
-        default moved from buffered to csr, no key did.  (Values of the
-        commit before the move, 64x48 parallel beam.)"""
+        """A config that names its kernel hashes one key per kernel: the
+        default moved from buffered to csr, no key did.  The values were
+        restated once since, when a half-turn parallel scan began tracing
+        each view orbit once: its plan values may differ from a direct
+        trace in the last bits, so its geometry document gained
+        ``view_symmetry`` (64x48 parallel beam)."""
         monkeypatch.delenv("REPRO_DTYPE", raising=False)
         geometry = ParallelBeamGeometry(64, 48)
         assert {
             kernel: plan_fingerprint(geometry, OperatorConfig(kernel=kernel))
             for kernel in ("csr", "buffered", "ell")
         } == {
-            "csr": "99a987a1782b19c83cddd7e4e385a58c92f3aec3149d95aae158c4959652b8fb",
-            "buffered": "8c34b6c2d2df8c67bd8bc8fab229e8d34a7f59cb09c48c6e9ba58990918384bd",
-            "ell": "130c9045ede303d3c28945afd27e12ab437277282ae27b34cf0fd4881783517a",
+            "csr": "46fea8b3853b5c5d3b9fe56bb3d50c27f3d30b489502a263c6424b866a9f34fe",
+            "buffered": "b607a051caf77b3cf5739f014816a3e472e8770b144cbedab38f1666c6b306c4",
+            "ell": "f84a1f16ddfe4c2ea56054599295723c31edafb9843735b059a179c8d126a005",
         }
 
     def test_float_inputs_hashed_exactly(self, small_geometry):
@@ -381,7 +384,9 @@ class TestAssembledInPlace:
     ):
         """Repeats are summed per view before the reservation, so the
         reservation is exact: nothing is written by copy, and the entry
-        is the file an uncached build + store writes."""
+        is the file an uncached build + store writes.  View 0's repeat
+        changes one value per view of its orbit, {0, M/2}: both are
+        sorted from view 0's one trace."""
         from repro import io
         from repro.trace import matrix_builder
 
@@ -399,7 +404,8 @@ class TestAssembledInPlace:
         assert _temp_files(tmp_path / "plans") == []
         uncached, _ = preprocess(small_geometry)
         assert uncached.matrix.nnz == cold.matrix.nnz == plain.matrix.nnz
-        assert np.count_nonzero(cold.matrix.val != plain.matrix.val) == 1
+        assert small_geometry.view_orbits()[0] == [0, 18]
+        assert np.count_nonzero(cold.matrix.val != plain.matrix.val) == 2
         copied = real_save(tmp_path / "copied.npz", uncached, compress=False)
         assert entry.read_bytes() == copied.read_bytes()
 

@@ -1,4 +1,10 @@
-"""Tests for the MPI-parallel preprocessing pipeline (paper Section 3.5)."""
+"""Tests for the MPI-parallel preprocessing pipeline (paper Section 3.5).
+
+Every rank's data must be array-equal, dtype for dtype, to the slices
+of the globally built and ordered matrix.  Both kinds of geometry run:
+a half-turn scan, whose views are traced through their orbit sources,
+and a full-turn one, whose views are all traced directly.
+"""
 
 import numpy as np
 import pytest
@@ -16,9 +22,13 @@ from repro.trace import build_projection_matrix
 from .test_partitioned import _assert_same_rank_data
 
 
-@pytest.fixture(scope="module")
-def geometry():
-    return ParallelBeamGeometry(36, 24)
+@pytest.fixture(
+    scope="module",
+    params=[np.pi, 2 * np.pi],
+    ids=["symmetric", "asymmetric"],
+)
+def geometry(request):
+    return ParallelBeamGeometry(36, 24, angle_range=request.param)
 
 
 def _reference(geometry, op):

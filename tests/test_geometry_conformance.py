@@ -151,7 +151,7 @@ class TestGeometryConformance:
         for col_rank in (None, reverse):
             for start, stop in ((0, 2), (1, 1)):
                 counts, cols, vals = matrix_builder.trace_view_range(
-                    (geometry, start, stop, col_rank, np.dtype(dtype))
+                    (geometry, range(start, stop), col_rank, np.dtype(dtype))
                 )
                 assert (cols.dtype, vals.dtype) == (np.int32, dtype)
                 assert counts.shape == ((stop - start) * geometry.num_channels,)
@@ -247,11 +247,23 @@ class TestOneSeam:
         assert plan_fingerprint(parallel) != plan_fingerprint(fan)
 
     def test_parallel_and_cone_fingerprint_documents_are_unchanged(self):
-        # The documents every existing cache key hashed (parent commit).
+        # The documents existing cache keys hashed, but for one key: a
+        # half-turn parallel scan traces each view orbit once, which may
+        # move its plan values by an ulp, so its document gains
+        # ``view_symmetry``.  Any other parallel scan keeps its document
+        # (and its plan bytes).
         assert GEOMETRIES["parallel"].fingerprint_fields() == {
             "num_angles": 16,
             "num_channels": 12,
             "angle_range": "0x1.921fb54442d18p+1",
+            "grid_n": 12,
+            "pixel_size": "0x1.0000000000000p+0",
+            "view_symmetry": "half-turn",
+        }
+        assert ParallelBeamGeometry(16, 12, angle_range=2 * np.pi).fingerprint_fields() == {
+            "num_angles": 16,
+            "num_channels": 12,
+            "angle_range": "0x1.921fb54442d18p+2",
             "grid_n": 12,
             "pixel_size": "0x1.0000000000000p+0",
         }

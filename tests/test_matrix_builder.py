@@ -69,7 +69,7 @@ class TestBuildProjectionMatrix:
                 super()._resize(capacity)
 
         monkeypatch.setattr(matrix_builder, "_ColumnStreams", Tiny)
-        task = (small_geometry, 0, small_geometry.num_angles, None, np.dtype(np.float32))
+        task = (small_geometry, range(small_geometry.num_angles), None, np.dtype(np.float32))
         counts, cols, vals = matrix_builder.trace_view_range(task)
         assert len(growths) > 10 and growths[-1] == want.nnz  # the trim
         assert (cols.dtype, vals.dtype) == (np.int32, np.float32)
@@ -107,15 +107,18 @@ class TestBuildProjectionMatrix:
 
     def test_a_repeated_triplet_is_summed(self, small_geometry, monkeypatch):
         """No geometry in the suite traces one twice, so one is made by
-        hand: the first segment of view 0, emitted again."""
+        hand: the first segment of view 0, emitted again.  View 0's
+        trace is also view M/2's (the quarter turn maps one onto the
+        other), so one value changes in each view of that orbit."""
         want = build_projection_matrix(small_geometry)
         monkeypatch.setattr(matrix_builder, "trace_view", repeat_first_segment)
         got = build_projection_matrix(small_geometry)
         assert got.nnz == want.nnz and got.has_canonical_format
         assert np.array_equal(got.indices, want.indices)
         changed = np.flatnonzero(got.data != want.data)
-        assert changed.size == 1
-        assert got.data[changed[0]] == np.float32(2) * want.data[changed[0]]
+        assert small_geometry.view_orbits()[0] == [0, 18]
+        assert changed.size == 2
+        assert (got.data[changed] == np.float32(2) * want.data[changed]).all()
 
 
     def test_a_key_too_wide_to_pack_sorts_the_same(self):
