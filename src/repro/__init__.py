@@ -18,7 +18,7 @@ Public API highlights:
   cache simulator behind the performance studies.
 """
 
-from . import autotune, cache, cachesim, cli, core, dataio, dist, geometry, io, machine, measurement, obs, ordering, persist, phantoms, pipeline, precision, resilience, scenarios, service, solvers, sparse, trace, utils
+from . import autotune, cache, cachesim, cli, core, dataio, dist, geometry, io, machine, obs, ordering, persist, phantoms, pipeline, precision, resilience, scenarios, service, solvers, sparse, trace, utils
 from .core import (
     CompXCTOperator,
     DatasetSpec,
@@ -43,7 +43,6 @@ __all__ = [
     "geometry",
     "io",
     "machine",
-    "measurement",
     "ordering",
     "phantoms",
     "pipeline",

@@ -57,6 +57,10 @@ DEFAULT_KERNELS = ("csr", "buffered", "ell")
 #: OperatorConfig default, so applying such a record is a no-op there.
 _NO_BUFFER = 32 * 1024
 
+#: Rows sampled, and the access cap, for the cache-simulated miss rate.
+MISS_SAMPLE_ROWS = 1024
+MISS_MAX_ACCESSES = 200_000
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -140,8 +144,6 @@ class Autotuner:
         measure=None,
         seed: int = 0,
         smt: int = 1,
-        miss_sample_rows: int = 1024,
-        miss_max_accesses: int = 200_000,
     ):
         self.device = get_device(device) if isinstance(device, str) else device
         self.kernels = tuple(kernels)
@@ -152,8 +154,6 @@ class Autotuner:
         self.measure = measure
         self.seed = int(seed)
         self.smt = int(smt)
-        self.miss_sample_rows = int(miss_sample_rows)
-        self.miss_max_accesses = int(miss_max_accesses)
 
     # -- phase 1: prediction -------------------------------------------
 
@@ -180,12 +180,12 @@ class Autotuner:
         """Cache-simulated gather miss rate, sampled once per search."""
         from ..cachesim import miss_rate_csr, sample_rows
 
-        sample = sample_rows(matrix, self.miss_sample_rows, seed=self.seed)
+        sample = sample_rows(matrix, MISS_SAMPLE_ROWS, seed=self.seed)
         stats = miss_rate_csr(
             sample,
             capacity_bytes=int(self.device.l2_bytes),
             line_bytes=int(self.device.cache_line_bytes),
-            max_accesses=self.miss_max_accesses,
+            max_accesses=MISS_MAX_ACCESSES,
         )
         return float(stats.miss_rate)
 

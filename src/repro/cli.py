@@ -26,9 +26,12 @@ Twelve subcommands cover the beamline workflow:
 * ``submit`` / ``status`` / ``result`` — client commands against a
   running server: send a sinogram, poll a job, fetch its image.
 
-``preprocess``, ``reconstruct`` and ``pipeline`` additionally accept
-``--dtype float32|float64`` (compute precision) and ``--tune
-auto|predict|force`` (autotuned kernel configuration).
+``preprocess``, ``scenario``, ``reconstruct`` and ``pipeline`` build
+their operator from one :class:`~repro.core.OperatorConfig` read off
+their flags, ``--workers``, ``--dtype float32|float64`` (compute
+precision) and ``--tune auto|predict|force`` (autotuned kernel
+configuration) among them.  A loaded ``reconstruct --operator`` is
+already built: it takes ``--workers`` and refuses ``--dtype``/``--tune``.
 
 Commands that build an operator plan (``preprocess``, ``scenario``,
 ``reconstruct``, ``pipeline``) consult the plan cache transparently —
@@ -126,21 +129,30 @@ def _build_cli_geometry(args: argparse.Namespace):
     return ParallelBeamGeometry(args.angles, args.channels)
 
 
+def _operator_config(args: argparse.Namespace) -> OperatorConfig:
+    """The one :class:`OperatorConfig` a command's flags describe.
+
+    Reads whichever of ``--kernel``, ``--partition-size``, ``--buffer-kb``,
+    ``--workers``, ``--dtype`` and ``--tune`` the subcommand has; a flag
+    it lacks (or leaves unset) keeps the field's default.
+    """
+    fields = {
+        name: getattr(args, name, None)
+        for name in ("kernel", "partition_size", "workers", "dtype", "tune")
+    }
+    if getattr(args, "buffer_kb", None) is not None:
+        fields["buffer_bytes"] = args.buffer_kb * 1024
+    return OperatorConfig(**{k: v for k, v in fields.items() if v is not None})
+
+
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     from .io import save_operator
 
     geometry = _build_cli_geometry(args)
-    config = OperatorConfig(
-        kernel=args.kernel,
-        partition_size=args.partition_size,
-        buffer_bytes=args.buffer_kb * 1024,
-        workers=args.workers,
-        dtype=args.dtype,
-        tune=args.tune,
-    )
     t0 = time.perf_counter()
     operator, report = preprocess(
-        geometry, config=config, ordering=args.ordering, cache=args.cache
+        geometry, config=_operator_config(args), ordering=args.ordering,
+        cache=args.cache,
     )
     save_operator(args.output, operator)
     _print_cache_status(report)
@@ -167,12 +179,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         try_center,
     )
 
-    config = OperatorConfig(
-        kernel=args.kernel,
-        workers=args.workers,
-        dtype=args.dtype,
-        tune=args.tune,
-    )
+    config = _operator_config(args)
     t0 = time.perf_counter()
 
     if args.kind == "cone":
@@ -259,20 +266,24 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
     operator = None
     if args.operator:
+        if args.dtype or args.tune:
+            print(
+                "error: --dtype and --tune configure preprocessing; a loaded "
+                "--operator is already built (rebuild it with 'preprocess')",
+                file=sys.stderr,
+            )
+            return 2
         operator = load_operator(args.operator)
+        if args.workers is not None:
+            operator.set_workers(args.workers)
 
-    tune = args.tune
+    config = _operator_config(args)
     if args.demo:
         spec = get_dataset(args.demo).scaled(args.scale)
         geometry = spec.geometry()
         if operator is None:
-            operator, prep = preprocess(
-                geometry,
-                config=OperatorConfig(dtype=args.dtype, tune=tune),
-                cache=args.cache,
-            )
+            operator, prep = preprocess(geometry, config=config, cache=args.cache)
             _print_cache_status(prep)
-            tune = None  # spent on the preprocess above
         sinogram, truth = spec.sinogram(operator, incident_photons=args.photons)
     else:
         if not args.sinogram:
@@ -288,6 +299,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         geometry,
         solver=args.solver,
         iterations=args.iterations,
+        config=config,
         operator=operator,
         num_ranks=args.ranks,
         topology=args.topology,
@@ -296,9 +308,6 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
         health=args.health or None,
-        workers=args.workers,
-        dtype=args.dtype,
-        tune=tune,
         cache=args.cache,
     )
     line = (
@@ -347,7 +356,7 @@ def _print_resilience_summary(result) -> None:
 
 def _cmd_pipeline_make_demo(args: argparse.Namespace) -> int:
     """Synthesize a raw demo stack and write it to disk as pipeline input."""
-    from .phantoms import write_stack_dataset
+    from .dataio import save_stack
     from .pipeline import demo_stack
 
     demo = demo_stack(
@@ -360,7 +369,7 @@ def _cmd_pipeline_make_demo(args: argparse.Namespace) -> int:
         seed=args.seed,
         cache=args.cache,
     )
-    path = write_stack_dataset(
+    path = save_stack(
         args.output, demo.raw, demo.darks, demo.flats,
         shard_slices=args.shard_slices, compress=args.compress,
     )
@@ -399,6 +408,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             # The demo helper builds a default-precision operator;
             # drop it so the stack preprocess honours --dtype/--tune.
             operator = None
+        elif args.workers is not None:
+            operator.set_workers(args.workers)
     else:
         if not args.input:
             print("error: provide --input FILE or --demo", file=sys.stderr)
@@ -429,13 +440,11 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             else None
         ),
         operator=operator,
+        config=_operator_config(args),
         cache=args.cache,
         checkpoint=args.checkpoint,
         resume=args.resume,
         max_chunks=args.max_chunks,
-        workers=args.workers,
-        dtype=args.dtype,
-        tune=args.tune,
         sink=sink,
         compress=args.compress,
         prefetch=args.prefetch,

@@ -5,7 +5,7 @@ reconstruction API."""
 from .compxct import CompXCTOperator
 from .datasets import CHORD_CONSTANT, DATASETS, TABLE3_PAPER, DatasetSpec, get_dataset, table3_row
 from .operator import KERNELS, MemXCTOperator, OperatorConfig
-from .preprocess import PreprocessReport, preprocess, resolve_operator
+from .preprocess import PreprocessReport, preprocess
 from .reconstructor import SOLVERS, ReconstructionResult, reconstruct
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "OperatorConfig",
     "PreprocessReport",
     "preprocess",
-    "resolve_operator",
     "SOLVERS",
     "ReconstructionResult",
     "reconstruct",

@@ -26,19 +26,17 @@ hand out the same read-only mapped operator.
 from __future__ import annotations
 
 import os
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..geometry import ScanGeometry
 from ..obs import AUTOTUNE_HITS, AUTOTUNE_MISSES, add_count, span
 from ..ordering import make_ordering
 from ..parallel.backend import make_backend, parse_workers
-from ..precision import parse_dtype
 from ..sparse import CSRMatrix, build_buffered, build_ell, scan_transpose
 from ..trace import build_projection_matrix
 from .operator import MemXCTOperator, OperatorConfig
 
-__all__ = ["PreprocessReport", "preprocess", "resolve_operator"]
+__all__ = ["PreprocessReport", "preprocess"]
 
 
 @dataclass
@@ -314,47 +312,3 @@ def preprocess(
             archive.close()
     return operator, report
 
-
-def resolve_operator(
-    geometry: ScanGeometry,
-    operator: MemXCTOperator | None = None,
-    *,
-    config: OperatorConfig | None = None,
-    ordering: str = "pseudo-hilbert",
-    cache=None,
-    workers: int | str | None = None,
-    dtype: str | None = None,
-    tune: str | None = None,
-) -> tuple[MemXCTOperator, PreprocessReport]:
-    """The operator a reconstruction runs on, and its preprocessing report.
-
-    ``workers`` / ``dtype`` / ``tune`` override the matching ``config``
-    fields, and :func:`preprocess` builds (or loads) the operator from
-    that config.  A passed-in ``operator`` is adopted instead, with an
-    empty report: ``workers`` re-points it (execution only), while its
-    precision and layout are fixed — a ``dtype`` that contradicts them
-    raises, and ``tune``, which only preprocessing can act on, warns.
-    """
-    if operator is None:
-        overrides = {"workers": workers, "dtype": dtype, "tune": tune}
-        overrides = {k: v for k, v in overrides.items() if v is not None}
-        if overrides:
-            config = replace(config or OperatorConfig(), **overrides)
-        return preprocess(geometry, config=config, ordering=ordering, cache=cache)
-    if dtype is not None and parse_dtype(dtype) != operator.config.dtype:
-        have = operator.config.dtype or "the default mixed precision"
-        raise ValueError(
-            f"dtype={dtype!r} conflicts with the prebuilt operator ({have}); "
-            f"rebuild the operator with OperatorConfig(dtype={dtype!r}) or "
-            "drop the override"
-        )
-    if tune is not None:
-        warnings.warn(
-            "tune= has no effect on a prebuilt operator; omit operator= to "
-            "let preprocessing run the autotuner",
-            UserWarning,
-            stacklevel=3,
-        )
-    if workers is not None:
-        operator.set_workers(workers)
-    return operator, PreprocessReport()

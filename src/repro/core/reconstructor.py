@@ -22,7 +22,7 @@ from ..obs import span
 from ..resilience import CheckpointManager, FaultConfig, FaultInjector, HealthMonitor
 from ..solvers import SolveResult, cgls, icd, sgd, sirt
 from .operator import MemXCTOperator, OperatorConfig
-from .preprocess import PreprocessReport, resolve_operator
+from .preprocess import PreprocessReport, preprocess
 
 __all__ = ["ReconstructionResult", "reconstruct", "SOLVERS"]
 
@@ -159,15 +159,11 @@ def reconstruct(
     num_ranks: int = 1,
     topology=None,
     operator: MemXCTOperator | None = None,
-    preprocess_report: PreprocessReport | None = None,
     faults=None,
     checkpoint=None,
     checkpoint_every: int = 0,
     resume=None,
     health=None,
-    workers: int | str | None = None,
-    dtype: str | None = None,
-    tune: str | None = None,
     cache=None,
     **solver_kwargs,
 ) -> ReconstructionResult:
@@ -186,7 +182,9 @@ def reconstruct(
     ordering:
         Domain ordering for both domains.
     config:
-        Kernel configuration (``OperatorConfig()`` by default).
+        The operator's configuration (``OperatorConfig()`` by default):
+        kernel, precision, worker spec and autotuning mode all live
+        here.  Used only when preprocessing runs here.
     num_ranks:
         Simulated MPI ranks; > 1 reconstructs through the distributed
         ``A = R C A_p`` operator (numerically identical by design).
@@ -201,9 +199,11 @@ def reconstruct(
         :class:`~repro.topology.HierComm` — bit-exact with the flat
         path; the two-level traffic split lands in ``result.extra``.
         Defaults to the ambient ``REPRO_TOPOLOGY`` (flat when unset).
-    operator, preprocess_report:
-        Pass a previously preprocessed operator to skip preprocessing —
-        the paper's many-slice amortization (Table 5).
+    operator:
+        A previously preprocessed operator, adopted as is (the result's
+        ``preprocess_report`` is then empty) — the paper's many-slice
+        amortization (Table 5).  To run it on other workers, call
+        ``operator.set_workers(...)`` first.
     faults:
         Fault-injection spec for the simulated communicator (a spec
         string like ``"drop=0.05,corrupt=0.02,seed=7"``, a
@@ -226,25 +226,6 @@ def reconstruct(
         :class:`~repro.resilience.HealthMonitor` — detects NaN/Inf and
         sustained divergence, rolling back to the last checkpoint with
         a damped step.
-    workers:
-        Parallel-execution spec for the SpMV hot path (count, mode, or
-        ``"mode:count"`` — see :func:`repro.parallel.parse_workers`).
-        Overrides ``config.workers`` and applies to a passed-in
-        ``operator`` too.  Execution-only: the reconstruction is
-        bit-identical across worker counts.
-    dtype:
-        Compute precision: ``None`` (default mixed precision),
-        ``"float32"`` (end-to-end single precision — half the memory
-        traffic, see docs/autotuning.md for the error contract) or
-        ``"float64"`` (full double-precision reference).  Overrides
-        ``config.dtype`` when preprocessing runs here; with a passed-in
-        ``operator`` it must match the operator's precision (a
-        mismatch raises).
-    tune:
-        Autotuning mode (``"auto"``, ``"predict"``, ``"force"``) — see
-        :mod:`repro.autotune`.  Overrides ``config.tune`` when
-        preprocessing runs here; warned and ignored with a passed-in
-        ``operator`` (see :func:`repro.core.resolve_operator`).
     cache:
         Plan-cache selector forwarded to :func:`preprocess` (also
         where tuning records persist).
@@ -269,12 +250,12 @@ def reconstruct(
         solver, checkpoint, checkpoint_every, resume, health
     )
 
-    operator, report = resolve_operator(
-        geometry, operator, config=config, ordering=ordering, cache=cache,
-        workers=workers, dtype=dtype, tune=tune,
-    )
-    if preprocess_report is None:
-        preprocess_report = report
+    if operator is None:
+        operator, preprocess_report = preprocess(
+            geometry, config=config, ordering=ordering, cache=cache
+        )
+    else:
+        preprocess_report = PreprocessReport()
 
     y = operator.sinogram_to_ordered(sinogram)
 

@@ -8,7 +8,6 @@ from .stack import (
     simulate_counts,
     stacked_shepp_logan,
     synthetic_darks_flats,
-    write_stack_dataset,
 )
 from .synthetic import beer_law_sinogram, brain_phantom, shale_phantom
 from .volume import ellipsoid_volume, shepp_logan_3d
@@ -26,5 +25,4 @@ __all__ = [
     "inject_rings",
     "inject_center_shift",
     "simulate_counts",
-    "write_stack_dataset",
 ]

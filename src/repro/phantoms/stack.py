@@ -30,7 +30,6 @@ __all__ = [
     "inject_rings",
     "inject_center_shift",
     "simulate_counts",
-    "write_stack_dataset",
 ]
 
 
@@ -199,32 +198,3 @@ def simulate_counts(
         counts = expected
     return counts, float(attenuation_scale)
 
-
-def write_stack_dataset(
-    destination,
-    raw_stack: np.ndarray,
-    darks: np.ndarray | None = None,
-    flats: np.ndarray | None = None,
-    *,
-    shard_slices: int | None = None,
-    compress: bool = False,
-):
-    """Persist a raw stack (plus calibration) as a pipeline input.
-
-    Thin delegation to :func:`repro.dataio.save_stack` (imported
-    lazily so the phantom layer stays import-light): the destination's
-    form picks the format — ``.npz`` archive, ``.h5``/``.hdf5``
-    tomobank-layout file (needs ``h5py``), or an ``.npz``-shard
-    directory.  Returns the written path; the result is directly
-    consumable by ``reconstruct_stack(...)`` / ``pipeline run --input``.
-    """
-    from ..dataio import save_stack
-
-    return save_stack(
-        destination,
-        raw_stack,
-        darks,
-        flats,
-        shard_slices=shard_slices,
-        compress=compress,
-    )

@@ -17,16 +17,11 @@ smeared by the uncorrected offset ``delta``.  Two estimators:
   the correlation peak sits at lag ``2 delta``; a parabolic fit through
   the peak's neighbours refines to sub-pixel.  Uses only two
   projections — cheap, and independent of the centroid model.
-  Delegates to :func:`repro.measurement.estimate_center_of_rotation`
-  (the single-slice primitive) and converts the absolute axis position
-  to a shift.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ..measurement import estimate_center_of_rotation
 
 __all__ = ["find_center_shift", "CENTER_METHODS"]
 
@@ -67,10 +62,42 @@ def _center_of_mass_shift(sinogram: np.ndarray, angles: np.ndarray) -> float:
 
 
 def _correlation_shift(sinogram: np.ndarray) -> float:
-    # Mirroring about the axis at (N-1)/2 + delta maps channel i to
-    # 2 delta + (N-1) - i, so the correlation lag equals 2 delta.
-    # estimate_center_of_rotation returns the absolute axis position.
-    return estimate_center_of_rotation(sinogram) - (sinogram.shape[1] - 1) / 2.0
+    # The first projection against the flipped last one (nearly 180
+    # degrees away).  Mirroring about the axis at (N-1)/2 + delta maps
+    # channel i to 2 delta + (N-1) - i, so the correlation lag equals
+    # 2 delta.
+    if sinogram.shape[0] < 2:
+        raise ValueError("need a 2D sinogram with at least two projections")
+    n = sinogram.shape[1]
+    if n < 3:
+        raise ValueError(
+            f"need at least 3 detector channels to localize the axis, got {n}"
+        )
+    if not np.isfinite(sinogram[0]).all() or not np.isfinite(sinogram[-1]).all():
+        raise ValueError(
+            "sinogram contains non-finite values in the reference "
+            "projections; clean the data before estimating the center"
+        )
+    p0 = sinogram[0] - sinogram[0].mean()
+    p180 = sinogram[-1][::-1] - sinogram[-1].mean()
+    # A flat (zero-variance) projection correlates identically at every
+    # lag — argmax would return the arbitrary first maximum and the
+    # "estimate" would be garbage.  Fail loudly instead.
+    if float(p0 @ p0) == 0.0 or float(p180 @ p180) == 0.0:
+        raise ValueError(
+            "reference projections have zero variance (blank detector "
+            "rows); the correlation peak is undefined"
+        )
+    correlation = np.correlate(p0, p180, mode="full")  # lags -(n-1)..(n-1)
+    peak = int(np.argmax(correlation))
+    # Parabolic sub-sample refinement around the peak.
+    offset = 0.0
+    if 0 < peak < correlation.shape[0] - 1:
+        y0, y1, y2 = correlation[peak - 1 : peak + 2]
+        denom = y0 - 2.0 * y1 + y2
+        if denom != 0:
+            offset = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
+    return (peak + offset - (n - 1)) / 2.0
 
 
 def find_center_shift(

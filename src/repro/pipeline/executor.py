@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.operator import MemXCTOperator, OperatorConfig
-from ..core.preprocess import PreprocessReport, resolve_operator
+from ..core.preprocess import PreprocessReport, preprocess
 from ..dataio import (
     ChunkSink,
     ChunkSource,
@@ -252,9 +252,6 @@ def reconstruct_stack(
     checkpoint=None,
     resume: bool = False,
     max_chunks: int | None = None,
-    workers: int | str | None = None,
-    dtype: str | None = None,
-    tune: str | None = None,
     sink=None,
     compress: bool = False,
     prefetch: int = 0,
@@ -301,8 +298,15 @@ def reconstruct_stack(
         is one chunk for the whole stack.
     operator, config, ordering, cache:
         Operator reuse and construction knobs, as in
-        :func:`repro.core.reconstruct`; ``cache`` enables the on-disk
-        plan cache so warm runs skip preprocessing entirely.
+        :func:`repro.core.reconstruct`: a passed ``operator`` is adopted
+        as is, otherwise :func:`repro.core.preprocess` builds one from
+        ``config`` (kernel, precision, worker spec, autotuning mode);
+        ``cache`` enables the on-disk plan cache so warm runs skip
+        preprocessing entirely.  A worker spec parallelizes each
+        multi-RHS SpMV across partition ranges (the volume is
+        bit-identical to a serial run); with ``dtype="float32"`` the
+        right-hand sides and solver state run in single precision and
+        the assembled volume stays float64.
     checkpoint:
         Path (or :class:`~repro.resilience.CheckpointManager`) for
         per-chunk checkpoints.  With the in-memory
@@ -323,15 +327,6 @@ def reconstruct_stack(
     max_chunks:
         Stop (cleanly, after checkpointing) once this many chunks were
         processed in *this* run — the hook CI uses to simulate a kill.
-    workers, dtype, tune:
-        Execution backend, compute precision and autotuning mode,
-        resolved with the operator by
-        :func:`repro.core.resolve_operator` exactly as in
-        :func:`repro.core.reconstruct`.  ``workers`` parallelizes each
-        multi-RHS SpMV across partition ranges; the volume is
-        bit-identical to a serial run.  With ``dtype="float32"`` the
-        right-hand sides and solver state run in single precision; the
-        assembled volume stays float64.
     sink:
         Where reconstructed slabs go: a :class:`~repro.dataio.ChunkSink`,
         or a destination path for :func:`~repro.dataio.make_sink` (a
@@ -393,10 +388,12 @@ def reconstruct_stack(
             raise ValueError("resume=True requires a checkpoint")
 
         cleanup.enter_context(span("pipeline.run", slices=num_slices, solver=solver))
-        operator, report = resolve_operator(
-            geometry, operator, config=config, ordering=ordering, cache=cache,
-            workers=workers, dtype=dtype, tune=tune,
-        )
+        if operator is None:
+            operator, report = preprocess(
+                geometry, config=config, ordering=ordering, cache=cache
+            )
+        else:
+            report = PreprocessReport()
         n = geometry.num_channels
         if sink is None:
             sink = VolumeSink(num_slices, n)

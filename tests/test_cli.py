@@ -70,6 +70,46 @@ class TestCommands:
     def test_reconstruct_requires_input(self, capsys):
         assert main(["reconstruct"]) == 2
 
+    @pytest.mark.parametrize("flag", [["--dtype", "float64"], ["--tune", "auto"]])
+    def test_loaded_operator_rejects_preprocessing_flags(self, tmp_path, capsys, flag):
+        """A loaded operator is already built: --dtype / --tune have no
+        preprocessing left to configure."""
+        op_file = tmp_path / "op.npz"
+        assert main([
+            "preprocess", "--angles", "12", "--channels", "16", "--cache", "off",
+            "-o", str(op_file),
+        ]) == 0
+        sino_file = tmp_path / "sino.npz"
+        np.savez(sino_file, sinogram=np.ones((12, 16)))
+        capsys.readouterr()
+        assert main([
+            "reconstruct", "--sinogram", str(sino_file), "--operator", str(op_file),
+            "--iterations", "1", "--cache", "off", "-o", str(tmp_path / "r.npz"),
+            *flag,
+        ]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "r.npz").exists()
+
+    def test_loaded_operator_takes_workers(self, tmp_path):
+        """--workers re-points a loaded operator; the image is unchanged."""
+        op_file = tmp_path / "op.npz"
+        assert main([
+            "preprocess", "--angles", "12", "--channels", "16", "--cache", "off",
+            "-o", str(op_file),
+        ]) == 0
+        sino_file = tmp_path / "sino.npz"
+        np.savez(sino_file, sinogram=np.random.default_rng(0).random((12, 16)))
+        images = []
+        for extra in ([], ["--workers", "thread:2"]):
+            out = tmp_path / f"r{len(images)}.npz"
+            assert main([
+                "reconstruct", "--sinogram", str(sino_file), "--operator",
+                str(op_file), "--iterations", "3", "--cache", "off", "-o", str(out),
+                *extra,
+            ]) == 0
+            images.append(np.load(out)["reconstruction"])
+        assert np.array_equal(images[0], images[1])
+
     def test_scale_command(self, capsys):
         assert main([
             "scale", "--dataset", "RDS1", "--machine", "theta",

@@ -444,15 +444,22 @@ class TestDisabledOverhead:
 
         for _ in range(5):  # warm up
             timed(kernel)
-        # Interleave the two and compare minima: a host slowdown hits
-        # both sides alike instead of whichever block it lands in.  The
-        # compiled kernel takes ~0.2 ms here, so the minima need a few
-        # hundred samples to settle inside the 5 % they are held to.
-        bare = instrumented = float("inf")
-        for _ in range(300):
-            bare = min(bare, timed(kernel))
-            instrumented = min(instrumented, timed(op.forward))
+        # Time the two back to back, alternating which goes first, and
+        # hold the median of the paired ratios to 5 %: a host slowdown
+        # hits both calls of a pair alike, so neither a burst nor a
+        # single lucky sample on one side decides the comparison (as it
+        # can for two independent minima of a ~0.2 ms kernel).
+        ratios = []
+        for i in range(300):
+            if i % 2:
+                bare = timed(kernel)
+                instrumented = timed(op.forward)
+            else:
+                instrumented = timed(op.forward)
+                bare = timed(kernel)
+            ratios.append(instrumented / bare)
+        overhead = float(np.median(ratios))
         assert not obs.REGISTRY.active
-        assert instrumented <= bare * 1.05, (
-            f"disabled-obs overhead too high: {instrumented:.6f}s vs {bare:.6f}s"
+        assert overhead <= 1.05, (
+            f"disabled-obs overhead too high: {overhead:.3f}x the bare kernel"
         )

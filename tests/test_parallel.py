@@ -344,13 +344,13 @@ class TestSolverEquivalence:
             sinogram, geometry, solver="cg", iterations=8, operator=operators[kernel]
         ).image
         for spec in WORKER_SPECS:
+            operators[kernel].set_workers(spec)
             image = reconstruct(
                 sinogram,
                 geometry,
                 solver="cg",
                 iterations=8,
                 operator=operators[kernel],
-                workers=spec,
             ).image
             assert (image == ref).all(), spec
         operators[kernel].set_workers(None)
@@ -374,9 +374,10 @@ class TestSolverEquivalence:
         assert clone.matrix.val.flags.writeable
         for operator in (mapped, clone):
             for spec in ("serial", "process:2"):
+                operator.set_workers(spec)
                 image = reconstruct(
                     sinogram, geometry, solver="cg", iterations=8,
-                    operator=operator, workers=spec,
+                    operator=operator,
                 ).image
                 assert (image == ref).all(), spec
             operator.set_workers(None)
@@ -393,7 +394,8 @@ class TestSolverEquivalence:
             operator=op,
         )
         ref = reconstruct(sinogram, geometry, **kwargs)
-        parallel = reconstruct(sinogram, geometry, workers=2, **kwargs)
+        op.set_workers(2)
+        parallel = reconstruct(sinogram, geometry, **kwargs)
         op.set_workers(None)
         assert (parallel.image == ref.image).all()
         assert parallel.extra["fault_stats"]["recoveries"] >= 1
@@ -456,7 +458,8 @@ class TestPipelineWorkers:
         ref = reconstruct_stack(stack, stack_geometry, iterations=6).volume
         for spec in (2, "process:2"):
             vol = reconstruct_stack(
-                stack, stack_geometry, iterations=6, workers=spec
+                stack, stack_geometry, iterations=6,
+                config=OperatorConfig(workers=spec),
             ).volume
             assert (vol == ref).all(), spec
 
@@ -467,7 +470,8 @@ class TestPipelineWorkers:
         ref = reconstruct_stack(stack, stack_geometry, iterations=6).volume
         for spec in (2, "process:2"):
             result = reconstruct_stack(
-                stack, stack_geometry, iterations=6, workers=spec, chunk_slices=2,
+                stack, stack_geometry, iterations=6,
+                config=OperatorConfig(workers=spec), chunk_slices=2,
                 prefetch=2, sink=tmp_path / f"vol-{spec}.raw",
             )
             assert (load_volume(result.extra["output_path"]) == ref).all(), spec

@@ -5,10 +5,12 @@ ring suppression, center finding/correction), the stacked phantom
 generators that feed them, and the streaming executor's contracts:
 slab volumes equal to per-slice single solves bitwise, chunking
 invariance, per-chunk checkpoint/resume bit-exactness, fingerprint
-validation, and one operator-resolution rule shared with ``reconstruct``.
+validation, and the one rule both front doors share for a prebuilt
+operator: it is adopted as is.
 """
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +84,15 @@ def operator(geo):
 
 
 @pytest.fixture(scope="module")
+def clean_sinogram():
+    from repro.core import get_dataset
+
+    spec = get_dataset("ADS1").scaled(0.25)
+    op, _ = preprocess(spec.geometry())
+    return op.project_image(spec.phantom())
+
+
+@pytest.fixture(scope="module")
 def demo():
     return demo_stack(size=32, num_slices=6, num_angles=48, poisson=False)
 
@@ -139,6 +150,65 @@ class TestStackPhantoms:
         assert np.allclose(recovered, scale * sino, atol=1e-10)
 
 
+def _counts_to_line_integrals(sinogram, flat_level, dark_level=80.0, noise=0.0,
+                              seed=0, dead_pixel=False):
+    """One slice through the acquisition chain the pipeline runs:
+    ``simulate_counts`` (Poisson), then dark/flat + negative log.
+    Returns the recovered line integrals divided by the attenuation
+    scale, i.e. in the units of ``sinogram``."""
+    darks, flats = synthetic_darks_flats(
+        1, sinogram.shape[-1], dark_level=dark_level, flat_level=flat_level,
+        noise=noise, seed=seed,
+    )
+    raw, scale = simulate_counts(sinogram[None], darks, flats, seed=seed)
+    if dead_pixel:
+        raw[0, 0, 0] = 0.0
+    ctx = StageContext()
+    ctx.info["slice_offset"] = 0
+    recovered = NegativeLog()(DarkFlatNormalize(darks, flats)(raw, ctx), ctx)
+    return recovered[0] / scale
+
+
+class TestCountsToLineIntegrals:
+    """Photon statistics through ``phantoms.simulate_counts`` and the
+    dark/flat + negative-log stages, the chain ``demo_stack`` and the
+    stack workloads run (paper §2.1)."""
+
+    def test_roundtrip_at_high_dose(self, clean_sinogram):
+        sino = _counts_to_line_integrals(clean_sinogram, flat_level=1e7)
+        assert np.abs(sino - clean_sinogram).mean() < 0.01 * clean_sinogram.mean()
+
+    def test_noise_decreases_with_dose(self, clean_sinogram):
+        def residual(photons):
+            sino = _counts_to_line_integrals(clean_sinogram, flat_level=photons,
+                                             dark_level=5.0, seed=1)
+            return np.std(sino - clean_sinogram)
+
+        assert residual(1e6) < 0.3 * residual(1e3)
+
+    def test_dark_field_removed(self, clean_sinogram):
+        """A large dark offset must not bias the recovered sinogram."""
+        sino = _counts_to_line_integrals(clean_sinogram, flat_level=1e7,
+                                         dark_level=500.0, seed=2)
+        assert np.abs(sino - clean_sinogram).mean() < 0.02 * clean_sinogram.mean()
+
+    def test_finite_on_dead_pixels(self, clean_sinogram):
+        sino = _counts_to_line_integrals(clean_sinogram, flat_level=100.0,
+                                         dark_level=5.0, seed=3, dead_pixel=True)
+        assert np.isfinite(sino).all()
+
+    def test_validation(self):
+        darks, flats = synthetic_darks_flats(2, 8)
+        with pytest.raises(ValueError, match="positive"):
+            DarkFlatNormalize(darks, flats, min_transmission=0.0)
+        with pytest.raises(ValueError, match="calibration"):
+            DarkFlatNormalize(darks[None], flats[None])(
+                np.ones((2, 4, 8)), StageContext()
+            )
+        with pytest.raises(ValueError, match="per-slice"):
+            DarkFlatNormalize(darks, flats)(np.ones((3, 4, 8)), StageContext())
+
+
 class TestCenterFinding:
     @pytest.mark.parametrize("true_shift", [-2.0, -0.75, 0.0, 1.25, 2.0])
     def test_com_recovers_shift(self, demo, true_shift):
@@ -171,6 +241,34 @@ class TestCenterFinding:
     def test_rejects_angle_mismatch(self, demo):
         with pytest.raises(ValueError, match="angles"):
             find_center_shift(demo.sinograms[0], np.zeros(3))
+
+
+class TestCorrelationCenter:
+    """The two-projection correlation estimator on a whole-channel shift
+    of a centred scan (``np.roll``: exact, no interpolation)."""
+
+    def test_centered_scan(self, clean_sinogram):
+        found = find_center_shift(clean_sinogram, method="correlation")
+        assert found == pytest.approx(0.0, abs=0.25)
+
+    @pytest.mark.parametrize("shift", [-4, -1, 2, 5])
+    def test_shifted_scan(self, clean_sinogram, shift):
+        shifted = np.roll(clean_sinogram, shift, axis=1)
+        found = find_center_shift(shifted, method="correlation")
+        assert found == pytest.approx(shift, abs=0.3)
+
+    def test_robust_to_noise(self, clean_sinogram):
+        rng = np.random.default_rng(0)
+        noisy = clean_sinogram + rng.normal(scale=0.05 * clean_sinogram.max(),
+                                            size=clean_sinogram.shape)
+        found = find_center_shift(noisy, method="correlation")
+        assert found == pytest.approx(0.0, abs=0.5)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            find_center_shift(np.zeros(5), method="correlation")
+        with pytest.raises(ValueError, match="two projections"):
+            find_center_shift(np.zeros((1, 5)), method="correlation")
 
 
 class TestStages:
@@ -690,50 +788,36 @@ class TestCheckpointResume:
 
 
 class TestOperatorOverrides:
-    def test_dtype_mismatch_with_operator_raises(self, demo, monkeypatch):
-        # The old behaviour silently ignored dtype= and returned a
-        # volume at the operator's precision, not the requested one.
-        monkeypatch.delenv("REPRO_DTYPE", raising=False)
-        operator, _ = preprocess(demo.geometry)  # default mixed precision
-        with pytest.raises(ValueError, match="dtype"):
-            reconstruct_stack(
-                demo.sinograms,
-                demo.geometry,
-                stages=[],
-                iterations=2,
-                operator=operator,
-                dtype="float32",
-            )
+    """A prebuilt operator's precision is its own: the front door takes
+    no second copy of it."""
 
-    def test_matching_dtype_with_operator_accepted(self, demo):
-        from repro.core import OperatorConfig, preprocess
-
-        op32, _ = preprocess(demo.geometry, config=OperatorConfig(dtype="float32"))
-        result = reconstruct_stack(
-            demo.sinograms,
-            demo.geometry,
-            stages=[],
-            iterations=2,
-            operator=op32,
-            dtype="fp32",  # alias of the operator's own precision
-        )
-        assert result.volume.shape == demo.truth.shape
-
-    def test_tune_with_operator_warns(self, demo):
-        with pytest.warns(UserWarning, match="prebuilt operator"):
+    def test_dtype_mismatch_with_operator_raises(self, demo):
+        with pytest.raises(TypeError, match="dtype"):
             reconstruct_stack(
                 demo.sinograms,
                 demo.geometry,
                 stages=[],
                 iterations=2,
                 operator=demo.operator,
-                tune="auto",
+                dtype="float32",
             )
+
+    def test_matching_dtype_with_operator_accepted(self, demo):
+        op32, _ = preprocess(demo.geometry, config=OperatorConfig(dtype="float32"))
+        kwargs = dict(stages=[], iterations=2, operator=op32)
+        plain = reconstruct_stack(demo.sinograms, demo.geometry, **kwargs)
+        matching = reconstruct_stack(
+            demo.sinograms, demo.geometry,
+            config=OperatorConfig(dtype="fp32"),  # alias of the operator's own
+            **kwargs,
+        )
+        assert matching.volume.shape == demo.truth.shape
+        assert np.array_equal(matching.volume, plain.volume)
 
 
 class TestOneOperatorResolution:
     """``reconstruct`` and ``reconstruct_stack`` adopt a prebuilt operator
-    by the same rule."""
+    by the same rule: as is, worker spec included."""
 
     @pytest.fixture()
     def mixed(self, demo, monkeypatch):
@@ -742,25 +826,43 @@ class TestOneOperatorResolution:
         yield op
         op.close()
 
+    @staticmethod
+    def _run(front_door, demo, operator, **kwargs):
+        if front_door == "reconstruct":
+            result = reconstruct(demo.sinograms[0], demo.geometry, iterations=1,
+                                 operator=operator, **kwargs)
+            return result.image, result.preprocess_report
+        result = reconstruct_stack(demo.sinograms[:1], demo.geometry, stages=[],
+                                   iterations=1, operator=operator, **kwargs)
+        return result.volume[0], result.preprocess_report
+
     def test_reconstruct_dtype_mismatch_raises(self, demo, mixed):
-        with pytest.raises(ValueError, match="conflicts with the prebuilt"):
+        with pytest.raises(TypeError, match="dtype"):
             reconstruct(demo.sinograms[0], demo.geometry, iterations=1,
                         operator=mixed, dtype="float32")
 
-    def test_reconstruct_tune_warns(self, demo, mixed):
-        with pytest.warns(UserWarning, match="prebuilt operator"):
-            reconstruct(demo.sinograms[0], demo.geometry, iterations=1,
-                        operator=mixed, tune="auto")
-
     @pytest.mark.parametrize("front_door", ["reconstruct", "reconstruct_stack"])
     def test_workers_repoint_prebuilt_operator(self, demo, mixed, front_door):
-        if front_door == "reconstruct":
-            reconstruct(demo.sinograms[0], demo.geometry, iterations=1,
-                        operator=mixed, workers="thread:2")
-        else:
-            reconstruct_stack(demo.sinograms[:1], demo.geometry, stages=[],
-                              iterations=1, operator=mixed, workers="thread:2")
+        serial, _ = self._run(front_door, demo, mixed)
+        mixed.set_workers("thread:2")
+        threaded, _ = self._run(front_door, demo, mixed)
         assert mixed.config.workers == "thread:2"
+        assert np.array_equal(threaded, serial)
+
+    @pytest.mark.parametrize("front_door", ["reconstruct", "reconstruct_stack"])
+    def test_prebuilt_operator_adopted_as_is(self, demo, mixed, front_door):
+        """``config`` only describes an operator still to be built: with
+        a prebuilt one it neither rebuilds, retunes nor warns."""
+        ref, _ = self._run(front_door, demo, mixed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            image, report = self._run(
+                front_door, demo, mixed,
+                config=OperatorConfig(dtype="float32", tune="auto"),
+            )
+        assert np.array_equal(image, ref)
+        assert mixed.config.dtype is None
+        assert report.total_seconds == 0.0 and report.cache_key is None
 
 
 class TestPipelineCLI:

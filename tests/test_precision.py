@@ -15,8 +15,7 @@ roughly 10x below each bound:
 
 Also pins the dtype plumbing itself: fp32/fp64 plan fingerprints never
 collide, persistence round-trips float64 values, and the upcast fixes
-(solver ``_safe_reciprocal``, ``normalize_counts``) stay
-dtype-preserving.
+(solver ``_safe_reciprocal``) stay dtype-preserving.
 """
 
 import numpy as np
@@ -25,7 +24,6 @@ import pytest
 from repro.cache import plan_fingerprint
 from repro.core import MemXCTOperator, OperatorConfig, preprocess
 from repro.geometry import ParallelBeamGeometry
-from repro.measurement import normalize_counts, simulate_counts
 from repro.phantoms import shepp_logan
 from repro.precision import compute_dtype, parse_dtype, solver_dtype
 from repro.solvers import cgls, cgls_batch, mlem, mlem_batch, sirt, sirt_batch
@@ -270,29 +268,17 @@ class TestUpcastPinning:
         out = _safe_reciprocal(np.array([[2.0], [0.0]], dtype=np.float32))
         assert out.dtype == np.float32
 
-    def test_normalize_counts_preserves_float32(self):
-        sino = np.full((4, 8), 0.7, dtype=np.float32)
-        frames = simulate_counts(sino, seed=1)
-        out = normalize_counts(
-            frames["counts"].astype(np.float32),
-            frames["flat"].astype(np.float32),
-            frames["dark"].astype(np.float32),
-            attenuation_scale=float(frames["attenuation_scale"]),
-        )
-        assert out.dtype == np.float32
+    def test_dark_flat_integer_counts_promote_to_float64(self):
+        """Raw uint16 detector counts below the dark level must clip,
+        not wrap around, on their way to a float64 transmission."""
+        from repro.pipeline import DarkFlatNormalize, StageContext
 
-    def test_normalize_counts_integer_frames_promote_to_float64(self):
-        counts = np.array([[900, 800]], dtype=np.int64)
-        flat = np.array([[1000, 1000]], dtype=np.int64)
-        dark = np.array([[10, 10]], dtype=np.int64)
-        assert normalize_counts(counts, flat, dark).dtype == np.float64
-
-    def test_normalize_counts_explicit_dtype_wins(self):
-        counts = np.array([[900.0]])
-        flat = np.array([[1000.0]])
-        dark = np.array([[10.0]])
-        out = normalize_counts(counts, flat, dark, dtype="float32")
-        assert out.dtype == np.float32
+        counts = np.array([[[50, 3000]]], dtype=np.uint16)
+        darks = np.full((2, 2), 100, dtype=np.uint16)
+        flats = np.full((2, 2), 4100, dtype=np.uint16)
+        out = DarkFlatNormalize(darks, flats)(counts, StageContext())
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out[0, 0], [1e-6, 0.725])
 
     def test_parallel_rebuild_preserves_float64_values(self):
         """The worker-side rebuild is ``from_arrays(to_arrays())``; the

@@ -303,7 +303,7 @@ class TestEngineSolve:
             assert svc.wait([ack["job_id"]], timeout=60)
             assert np.array_equal(
                 svc.result(ack["job_id"]),
-                reference(sino(3), dtype="float32"),
+                reference(sino(3), config=OperatorConfig(dtype="float32")),
             )
 
     def test_unknown_and_not_ready(self, tmp_path):
