@@ -10,7 +10,11 @@ directions conjugate to previous ones.
 The implementation is the textbook CGLS recurrence (paper ref [24],
 Barrett et al.), which applies ``A`` and ``A^T`` exactly once per
 iteration, written once over an ``(N, S)`` slab and run by
-:func:`repro.solvers.driver.solve_slab` (``docs/solvers.md``).
+:func:`repro.solvers.driver.solve_slab` (``docs/solvers.md``).  From a
+zero start the initial residual is ``y`` itself, so the one adjoint
+that seeds the search direction stands in for the last iteration's,
+which is skipped when nothing reads its gradient (no tolerance, no
+checkpoint): ``k`` iterations cost ``2k`` operator applications.
 
 Checkpoint / resume / health hooks: see :func:`cgls` and
 ``docs/resilience.md``.
@@ -41,7 +45,7 @@ class _CG(Recurrence):
 
     def start(self, restored):
         if restored is None:
-            self.R = self.Y - self.forward(self.X)
+            self.R = self.initial_residual()
             self._steepest_descent()
             self.gamma0 = self.gamma.copy()
             self.damping = 1.0
@@ -59,9 +63,10 @@ class _CG(Recurrence):
         self.P = self.adjoint(self.R).copy()  # updated in place: never alias
         self.gamma = column_dots(self.P)
 
-    def step(self, active):
+    def step(self, active, final):
         # P keeps its frozen columns, so the forward runs on the whole
-        # slab; the adjoint below runs on the live columns only.
+        # slab; the adjoint below runs on the live columns only, and not
+        # at all on a ``final`` step, whose gradient nothing reads.
         Q = self.forward(self.P)
         qq = column_dots(Q)
         # A search direction in null(A) can only follow from a zero
@@ -77,11 +82,12 @@ class _CG(Recurrence):
             alpha = (self.damping * (self.gamma[act] / qq[act])).astype(self.work)
             self.X[:, act] += alpha * self.P[:, act]
             self.R[:, act] -= alpha * Q[:, act]
-            G = self.adjoint(np.ascontiguousarray(self.R[:, act]))
-            gamma_new = column_dots(G)
-            beta = (gamma_new / self.gamma[act]).astype(self.work)
-            self.P[:, act] = G + beta * self.P[:, act]
-            self.gamma[act] = gamma_new
+            if not final:
+                G = self.adjoint(np.ascontiguousarray(self.R[:, act]))
+                gamma_new = column_dots(G)
+                beta = (gamma_new / self.gamma[act]).astype(self.work)
+                self.P[:, act] = G + beta * self.P[:, act]
+                self.gamma[act] = gamma_new
         return (null, "search direction in null space") if null.any() else None
 
     def stops(self, tolerance, rnorm, started):

@@ -172,10 +172,13 @@ class Recurrence:
 
     * ``start(restored)`` — build the remaining state, from scratch or
       from the :class:`SolverCheckpoint` being resumed;
-    * ``step(active)`` — advance the ``active`` columns one iteration;
-      frozen columns must keep their bits.  May return ``(mask, reason)``
-      for active columns that could *not* advance (CG: search direction
-      in the null space); the driver freezes them before recording;
+    * ``step(active, final)`` — advance the ``active`` columns one
+      iteration; frozen columns must keep their bits.  ``final`` marks
+      the last step of a solve that reads nothing after it but ``X``
+      and ``R`` (no tolerance, no checkpoint).  May return
+      ``(mask, reason)`` for active columns that could *not* advance
+      (CG: search direction in the null space); the driver freezes them
+      before recording;
     * ``state()`` — ``(arrays, scalars)`` of a one-column solve in the
       on-disk checkpoint layout (1-D arrays, float scalars).
 
@@ -196,6 +199,14 @@ class Recurrence:
 
     def adjoint(self, Y: np.ndarray) -> np.ndarray:
         return np.asarray(adjoint_batch(self.op, Y), dtype=self.work)
+
+    def initial_residual(self) -> np.ndarray:
+        """``Y - A X``, with no forward when ``X`` has no nonzero: every
+        kernel sums from +0, so ``A 0`` is +0 and ``Y - 0`` is ``Y``,
+        bit for bit."""
+        if not self.X.any():
+            return self.Y.copy()
+        return self.Y - self.forward(self.X)
 
     def stops(self, tolerance: float, rnorm: np.ndarray, started: bool) -> list:
         """``(mask, reason)`` stopping rules, checked in order.
@@ -281,9 +292,12 @@ def solve_slab(
         for it in range(start, num_iterations):
             if not active.any():
                 break
+            # Nothing reads a final step's state beyond X and R unless a
+            # tolerance rule or a snapshot follows it.
+            final = it + 1 == num_iterations and tolerance <= 0.0 and checkpoint is None
             # ``solver.iterations`` counts logical per-column iterations.
             with iteration_span(rec.name, it, count=int(active.sum()), **attrs):
-                halted = rec.step(active)
+                halted = rec.step(active, final)
                 if halted is not None:
                     freeze(*halted)
                     if not active.any():

@@ -50,7 +50,8 @@ class _MLEM(Recurrence):
         self.projection = self.forward(self.X)
         self.R = self.Y - self.projection
 
-    def step(self, active):
+    def step(self, active, final):
+        # ``final`` changes nothing: the last forward feeds the history.
         ratio = np.zeros_like(self.Y)
         positive = self.projection > _EPS
         ratio[positive] = self.Y[positive] / self.projection[positive]

@@ -53,9 +53,10 @@ class _SIRT(Recurrence):
             col_sums = np.asarray(op.adjoint(np.ones(op.num_rays)), dtype=work)
         self.r_inv = _safe_reciprocal(row_sums)[:, None]
         self.c_inv = _safe_reciprocal(col_sums)[:, None]
-        self.R = self.Y - self.forward(self.X)
+        self.R = self.initial_residual()
 
-    def step(self, active):
+    def step(self, active, final):
+        # ``final`` changes nothing: the last forward feeds the history.
         update = self.c_inv * self.adjoint(self.r_inv * self.R)
         act = columns(active)
         self.X[:, act] += self.relaxation * update[:, act]

@@ -304,51 +304,67 @@ def build_buffered(
     """
     buffer_elements = validate_buffer_bytes(buffer_bytes)
     parts = RowPartitions(matrix.num_rows, partition_size)
+    partsize = parts.partition_size
 
     partdispl = np.zeros(parts.num_partitions + 1, dtype=np.int64)
-    stage_sizes: list[int] = []
+    size_parts: list[np.ndarray] = []
     map_parts: list[np.ndarray] = []
     displ_parts: list[np.ndarray] = []
     ind_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
+    # Scratch shared by every partition, so each costs O(its nnz), not
+    # O(num_cols): a stamp and a position per input column, and the
+    # arange they use.
+    rows_nnz = np.diff(matrix.displ)
+    part_nnz = np.diff(matrix.displ[parts.all_bounds()], axis=1)
+    arange = np.arange(part_nnz.max(initial=0), dtype=np.int64)
+    stamp = np.empty(matrix.num_cols, dtype=np.int64)
+    pos = np.empty(matrix.num_cols, dtype=np.int64)
 
     for part in range(parts.num_partitions):
         row0, row1 = parts.bounds(part)
         lo, hi = matrix.displ[row0], matrix.displ[row1]
         cols = matrix.ind[lo:hi]
         vals = matrix.val[lo:hi]
-        rows_local = np.repeat(
-            np.arange(row1 - row0, dtype=np.int64), np.diff(matrix.displ[row0 : row1 + 1])
-        )
-        # Distinct inputs of the partition, in domain (ascending) order.
-        distinct, inverse = np.unique(cols, return_inverse=True)
+        # Distinct inputs of the partition, in domain (ascending) order:
+        # exactly one entry of each column keeps its own stamp.
+        here = arange[: cols.shape[0]]
+        stamp[cols] = here
+        distinct = np.sort(cols[stamp[cols] == here])
+        pos[distinct] = arange[: distinct.shape[0]]
+        inverse = pos[cols]
         num_stages = max(1, -(-distinct.shape[0] // buffer_elements))
-        stage_of_nnz = inverse // buffer_elements
         local_ind = (inverse % buffer_elements).astype(np.uint16)
 
         # Group this partition's nonzeros by (stage, row), keeping the
-        # within-row domain order.
-        order = np.lexsort((np.arange(cols.shape[0]), rows_local, stage_of_nnz))
-        sorted_stage = stage_of_nnz[order]
-        sorted_rows = rows_local[order]
-        ind_parts.append(local_ind[order])
-        val_parts.append(vals[order])
-
-        # Per-(stage, row-slot) counts -> displ block for this partition.
-        partsize = parts.partition_size
-        slot = sorted_stage * partsize + sorted_rows
-        counts = np.bincount(slot, minlength=num_stages * partsize)
-        displ_parts.append(counts.astype(np.int64))
+        # within-row domain order, and count each (stage, row) slot.  A
+        # one-stage partition is grouped already: its slots are its rows.
+        if num_stages == 1:
+            counts = np.zeros(partsize, dtype=np.int64)
+            counts[: row1 - row0] = rows_nnz[row0:row1]
+        else:
+            rows_local = np.repeat(
+                np.arange(row1 - row0, dtype=np.int64), rows_nnz[row0:row1]
+            )
+            key = inverse // buffer_elements * partsize + rows_local
+            counts = np.bincount(key, minlength=num_stages * partsize)
+            if num_stages * partsize <= 1 << 16:
+                key = key.astype(np.uint16)  # numpy radix-sorts 16-bit keys
+            order = np.argsort(key, kind="stable")
+            local_ind, vals = local_ind[order], vals[order]
+        ind_parts.append(local_ind)
+        val_parts.append(vals)
+        displ_parts.append(counts)
 
         # Stage buffers: consecutive chunks of the distinct-input list.
-        for s in range(num_stages):
-            chunk = distinct[s * buffer_elements : (s + 1) * buffer_elements]
-            map_parts.append(chunk.astype(np.int32))
-            stage_sizes.append(chunk.shape[0])
+        map_parts.append(distinct.astype(np.int32))
+        starts = np.arange(num_stages, dtype=np.int64) * buffer_elements
+        size_parts.append(np.minimum(buffer_elements, distinct.shape[0] - starts))
         partdispl[part + 1] = partdispl[part] + num_stages
 
-    stagedispl = np.zeros(len(stage_sizes) + 1, dtype=np.int64)
-    np.cumsum(np.asarray(stage_sizes, dtype=np.int64), out=stagedispl[1:])
+    stage_sizes = np.concatenate(size_parts) if size_parts else np.empty(0, np.int64)
+    stagedispl = np.zeros(stage_sizes.shape[0] + 1, dtype=np.int64)
+    np.cumsum(stage_sizes, out=stagedispl[1:])
     all_counts = (
         np.concatenate(displ_parts) if displ_parts else np.empty(0, dtype=np.int64)
     )

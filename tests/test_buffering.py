@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cachesim import listing3_spmv
-from repro.sparse import BufferedMatrix, CSRMatrix, build_buffered
+from repro.sparse import BufferedMatrix, CSRMatrix, RowPartitions, build_buffered
 
 
 def _random_sorted(rows, cols, density, seed):
@@ -114,6 +114,89 @@ class TestStructure:
         B = build_buffered(A, 4, 8192)
         assert B.buffer_bytes == 8192
         assert B.buffer_elements == 2048
+
+
+def _reference_build(matrix, partition_size, buffer_bytes):
+    """The straightforward builder: ``np.unique`` per partition and a
+    lexsort by (stage, row, position).  ``build_buffered`` must lay out
+    the very same arrays."""
+    buffer_elements = buffer_bytes // 4
+    parts = RowPartitions(matrix.num_rows, partition_size)
+    partdispl = np.zeros(parts.num_partitions + 1, dtype=np.int64)
+    sizes, maps, counts, inds, vals = [], [], [], [], []
+    for part in range(parts.num_partitions):
+        row0, row1 = parts.bounds(part)
+        lo, hi = matrix.displ[row0], matrix.displ[row1]
+        cols = matrix.ind[lo:hi]
+        rows = np.repeat(
+            np.arange(row1 - row0, dtype=np.int64), np.diff(matrix.displ[row0 : row1 + 1])
+        )
+        distinct, inverse = np.unique(cols, return_inverse=True)
+        num_stages = max(1, -(-distinct.shape[0] // buffer_elements))
+        stage = inverse // buffer_elements
+        order = np.lexsort((np.arange(cols.shape[0]), rows, stage))
+        inds.append((inverse % buffer_elements).astype(np.uint16)[order])
+        vals.append(matrix.val[lo:hi][order])
+        slot = stage[order] * partition_size + rows[order]
+        counts.append(np.bincount(slot, minlength=num_stages * partition_size))
+        for s in range(num_stages):
+            chunk = distinct[s * buffer_elements : (s + 1) * buffer_elements]
+            maps.append(chunk.astype(np.int32))
+            sizes.append(chunk.shape[0])
+        partdispl[part + 1] = partdispl[part] + num_stages
+    stagedispl = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    displ = np.concatenate([[0], np.cumsum(np.concatenate(counts), dtype=np.int64)])
+    return {
+        "buffer_elements": np.asarray(buffer_elements, dtype=np.int64),
+        "partdispl": partdispl,
+        "stagedispl": stagedispl,
+        "map": np.concatenate(maps),
+        "displ": displ,
+        "ind": np.concatenate(inds),
+        "val": np.concatenate(vals),
+    }
+
+
+def _assert_same_layout(built, reference):
+    arrays = built.to_arrays()
+    assert arrays.keys() == reference.keys()
+    for name, expected in reference.items():
+        assert arrays[name].dtype == expected.dtype, name
+        np.testing.assert_array_equal(arrays[name], expected, err_msg=name)
+
+
+class TestBuilderMatchesReference:
+    """The O(nnz) builder writes the reference builder's plan bytes."""
+
+    @pytest.fixture(scope="class", params=[None, "float32", "float64"])
+    def operator(self, request):
+        from repro.core import OperatorConfig, preprocess
+        from repro.geometry import ParallelBeamGeometry
+
+        config = OperatorConfig(kernel="csr", dtype=request.param)
+        op, _ = preprocess(ParallelBeamGeometry(60, 48), config=config, cache=None)
+        return op
+
+    @pytest.mark.parametrize("buffer_bytes", [4 * 1024, 32 * 1024, 256 * 1024])
+    @pytest.mark.parametrize("direction", ["matrix", "transpose"])
+    def test_traced_operator(self, operator, direction, buffer_bytes):
+        matrix = getattr(operator, direction)
+        built = build_buffered(matrix, 128, buffer_bytes)
+        _assert_same_layout(built, _reference_build(matrix, 128, buffer_bytes))
+
+    def test_wide_stage_keys(self):
+        """Over 2^16 (stage, row) slots in one partition: the grouping
+        key no longer fits 16 bits and sorts as int64."""
+        A = _random_sorted(64, 3000, 0.5, 14)
+        built = build_buffered(A, 32, 4)
+        assert built.stages_per_partition().max() * 32 > 1 << 16
+        _assert_same_layout(built, _reference_build(A, 32, 4))
+
+    def test_empty_partitions(self):
+        A = CSRMatrix.from_scipy(sp.csr_matrix(
+            (np.ones(4, dtype=np.float32), ([0, 0, 1, 1], [5, 2, 2, 7])), shape=(12, 8)
+        ))
+        _assert_same_layout(build_buffered(A, 4, 8), _reference_build(A, 4, 8))
 
 
 class TestLimits:

@@ -332,9 +332,10 @@ class TestInstrumentation:
         assert len(iterations) == 3
         assert all(s.parent is solve and s.attrs["batch"] == 4 for s in iterations)
         assert cap.total(obs.SOLVER_ITERATIONS) == 9
-        # init: forward + adjoint on 4 columns; per iteration: forward on
-        # the whole slab (4), adjoint on the 3 live columns.
-        assert cap.total(obs.SPMV_CALLS) == 8 + 3 * (4 + 3)
+        # init: adjoint on 4 columns (a zero start needs no forward);
+        # per iteration: forward on the whole slab (4), adjoint on the 3
+        # live columns — except the last, whose gradient nothing reads.
+        assert cap.total(obs.SPMV_CALLS) == 4 + (4 + 3) + (4 + 3) + 4
 
     def test_single_solve_spans_carry_no_batch_attribute(self, small_operator):
         """A single solve is told apart on its *solver* spans (no
@@ -346,10 +347,11 @@ class TestInstrumentation:
         spans = cap.find_spans("solver.solve") + cap.find_spans("solver.iteration")
         assert len(spans) == 3 and all("batch" not in s.attrs for s in spans)
         kernels = cap.find_spans("spmv.forward") + cap.find_spans("spmv.adjoint")
-        # One initial forward, then one adjoint + one forward per iteration.
-        assert len(kernels) == 1 + 2 * 2
+        # One adjoint + one forward per iteration; a zero start needs no
+        # initial forward.
+        assert len(kernels) == 2 * 2
         assert all(s.attrs["batch"] == 1 for s in kernels)
-        assert cap.total(obs.SPMV_CALLS) == 1 + 2 * 2
+        assert cap.total(obs.SPMV_CALLS) == 2 * 2
 
     def test_comm_counters_from_simulated_mpi(self):
         from repro.dist import SimComm

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro import obs
+from repro.resilience import CheckpointManager
 from repro.solvers import cgls, lcurve_corner, overfit_onset, sgd, sirt
 from repro.sparse import CSRMatrix, scan_transpose
+
+from .solver_conformance import conformance_operator
 
 
 class MatrixOperator:
@@ -304,3 +308,85 @@ class TestMLEM:
         op, _, y = consistent_problem
         with pytest.raises(ValueError):
             mlem(op, y, x0=np.zeros(op.num_pixels))
+
+
+class TestOperatorBudget:
+    """CG applies one adjoint to start, then one forward and one adjoint
+    per iteration, and no adjoint after the last unless a tolerance or a
+    checkpoint reads its gradient; a zero start costs no forward."""
+
+    @pytest.fixture()
+    def system(self):
+        op = conformance_operator("csr", None)
+        truth = np.random.default_rng(3).random(op.num_pixels)
+        return op, np.asarray(op.forward(truth), dtype=np.float64)
+
+    @staticmethod
+    def counted(solve, *args, **kwargs):
+        """``(result, (forwards, adjoints))`` of one solve."""
+        with obs.capture() as cap:
+            result = solve(*args, **kwargs)
+        kernels = tuple(len(cap.find_spans(f"spmv.{d}")) for d in ("forward", "adjoint"))
+        return result, kernels
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_zero_start_costs_2k(self, system, k):
+        op, y = system
+        result, kernels = self.counted(cgls, op, y, num_iterations=k)
+        assert result.iterations == k
+        assert kernels == (k, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_tolerance_or_checkpoint_pays_the_last_adjoint(self, system, k):
+        op, y = system
+        plain, _ = self.counted(cgls, op, y, num_iterations=k)
+        for kwargs in ({"tolerance": 1e-30}, {"checkpoint": CheckpointManager(every=1)}):
+            result, kernels = self.counted(cgls, op, y, num_iterations=k, **kwargs)
+            assert kernels == (k, k + 1), kwargs
+            assert np.array_equal(result.x, plain.x)
+            assert result.residual_norms == plain.residual_norms
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_nonzero_start_pays_one_forward(self, system, k):
+        op, y = system
+        x0 = np.full(op.num_pixels, 0.5)
+        _, kernels = self.counted(cgls, op, y, num_iterations=k, x0=x0)
+        assert kernels == (k + 1, k)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_explicit_zero_start_is_no_start(self, system, k):
+        op, y = system
+        plain, plain_kernels = self.counted(cgls, op, y, num_iterations=k)
+        for x0 in (np.zeros(op.num_pixels), np.full(op.num_pixels, -0.0)):
+            zero, kernels = self.counted(cgls, op, y, num_iterations=k, x0=x0)
+            assert kernels == plain_kernels
+            assert np.array_equal(zero.x, plain.x)
+            assert zero.residual_norms == plain.residual_norms
+
+    def test_sirt_zero_start_skips_its_initial_forward(self, system):
+        op, y = system
+        _, kernels = self.counted(sirt, op, y, num_iterations=3)
+        assert kernels == (3, 3)
+        _, kernels = self.counted(sirt, op, y, num_iterations=3, x0=np.ones(op.num_pixels))
+        assert kernels == (4, 3)
+
+    def test_last_iteration_does_not_look_for_an_exact_solution(self):
+        """``A = I`` and ``y`` of ones: CG is exact after one iteration
+        (alpha = 1, r = y - y = 0).  Without a tolerance or checkpoint
+        the last iteration's gradient is never formed, so a budget of one
+        reports exhaustion where a budget of two sees the exact solution;
+        the image and histories are the same."""
+        op = MatrixOperator(CSRMatrix.from_scipy(sp.identity(8, dtype=np.float32, format="csr")))
+        y = np.ones(8)
+        last = cgls(op, y, num_iterations=1)
+        early = cgls(op, y, num_iterations=2)
+        assert (early.iterations, early.stop_reason) == (1, "exact solution reached")
+        assert (last.iterations, last.stop_reason) == (1, "iteration budget exhausted")
+        assert not last.converged and early.converged
+        assert np.array_equal(last.x, early.x) and np.array_equal(last.x, y)
+        assert last.residual_norms == early.residual_norms == [np.sqrt(8.0), 0.0]
+        # A rule or a snapshot that reads the gradient still forms it.
+        tolerant = cgls(op, y, num_iterations=1, tolerance=1e-30)
+        assert tolerant.stop_reason == "gradient tolerance reached"
+        saved = cgls(op, y, num_iterations=1, checkpoint=CheckpointManager(every=1))
+        assert saved.stop_reason == "exact solution reached"
