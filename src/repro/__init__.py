@@ -18,7 +18,7 @@ Public API highlights:
   cache simulator behind the performance studies.
 """
 
-from . import autotune, cache, cachesim, cli, core, dataio, dist, geometry, io, machine, obs, ordering, persist, phantoms, pipeline, precision, resilience, scenarios, service, solvers, sparse, trace, utils
+from . import cache, cachesim, cli, core, dataio, dist, geometry, io, machine, obs, ordering, persist, phantoms, pipeline, precision, resilience, scenarios, service, solvers, sparse, trace, utils
 from .core import (
     CompXCTOperator,
     DatasetSpec,
@@ -33,7 +33,6 @@ from .core import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "autotune",
     "cache",
     "cachesim",
     "cli",

@@ -39,9 +39,8 @@ def fingerprint_inputs(
     explicitly set: fp32 and fp64 plans therefore hash to different
     keys and never collide, while the default mixed-precision
     fingerprints (and every cache written before the dtype path
-    existed) remain unchanged.  The ``tune``/``workers`` execution
-    knobs are deliberately excluded — tuning is resolved *before*
-    fingerprinting and workers never change the numbers.
+    existed) remain unchanged.  The ``workers`` execution knob is
+    deliberately excluded — workers never change the numbers.
     """
     config = config or OperatorConfig()
     doc = {

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Twelve subcommands cover the beamline workflow:
+Eleven subcommands cover the beamline workflow:
 
 * ``info``        — list datasets (Table 3) and machine models (Table 2);
 * ``preprocess``  — memoize a scan geometry into an operator file
@@ -18,8 +18,6 @@ Twelve subcommands cover the beamline workflow:
   (paper Fig. 11) for a dataset-machine pair;
 * ``cache``       — list / inspect / clear / prune the persistent
   operator-plan cache (see ``docs/persistence.md``);
-* ``tune``        — run / show / clear autotuned kernel configurations
-  (see ``docs/autotuning.md``);
 * ``serve``       — run the crash-safe journaled reconstruction job
   server (admission control, coalesced batching, deadlines; see
   ``docs/service.md``);
@@ -28,10 +26,9 @@ Twelve subcommands cover the beamline workflow:
 
 ``preprocess``, ``scenario``, ``reconstruct`` and ``pipeline`` build
 their operator from one :class:`~repro.core.OperatorConfig` read off
-their flags, ``--workers``, ``--dtype float32|float64`` (compute
-precision) and ``--tune auto|predict|force`` (autotuned kernel
-configuration) among them.  A loaded ``reconstruct --operator`` is
-already built: it takes ``--workers`` and refuses ``--dtype``/``--tune``.
+their flags, ``--workers`` and ``--dtype float32|float64`` (compute
+precision) among them.  A loaded ``reconstruct --operator`` is already
+built: it takes ``--workers`` and refuses ``--dtype``.
 
 Commands that build an operator plan (``preprocess``, ``scenario``,
 ``reconstruct``, ``pipeline``) consult the plan cache transparently —
@@ -62,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DATASETS, KERNELS, OperatorConfig, get_dataset, preprocess, reconstruct
+from .core import DATASETS, KERNELS, SOLVERS, OperatorConfig, get_dataset, preprocess, reconstruct
 from .machine import MACHINES
 from .utils import format_bytes, format_seconds, psnr, render_table
 
@@ -133,12 +130,12 @@ def _operator_config(args: argparse.Namespace) -> OperatorConfig:
     """The one :class:`OperatorConfig` a command's flags describe.
 
     Reads whichever of ``--kernel``, ``--partition-size``, ``--buffer-kb``,
-    ``--workers``, ``--dtype`` and ``--tune`` the subcommand has; a flag
+    ``--workers`` and ``--dtype`` the subcommand has; a flag
     it lacks (or leaves unset) keeps the field's default.
     """
     fields = {
         name: getattr(args, name, None)
-        for name in ("kernel", "partition_size", "workers", "dtype", "tune")
+        for name in ("kernel", "partition_size", "workers", "dtype")
     }
     if getattr(args, "buffer_kb", None) is not None:
         fields["buffer_bytes"] = args.buffer_kb * 1024
@@ -266,10 +263,10 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
     operator = None
     if args.operator:
-        if args.dtype or args.tune:
+        if args.dtype:
             print(
-                "error: --dtype and --tune configure preprocessing; a loaded "
-                "--operator is already built (rebuild it with 'preprocess')",
+                "error: --dtype configures preprocessing; a loaded --operator "
+                "is already built (rebuild it with 'preprocess')",
                 file=sys.stderr,
             )
             return 2
@@ -404,9 +401,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         darks, flats = demo.darks, demo.flats
         geometry, operator = demo.geometry, demo.operator
         _print_cache_status(demo.preprocess_report)
-        if args.dtype or args.tune:
+        if args.dtype:
             # The demo helper builds a default-precision operator;
-            # drop it so the stack preprocess honours --dtype/--tune.
+            # drop it so the stack preprocess honours --dtype.
             operator = None
         elif args.workers is not None:
             operator.set_workers(args.workers)
@@ -634,81 +631,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from .autotune import TuneStore
-
-    if args.action == "run":
-        if args.angles is None or args.channels is None:
-            print(
-                "error: 'tune run' needs --angles and --channels", file=sys.stderr
-            )
-            return 2
-        from .geometry import ParallelBeamGeometry
-
-        geometry = ParallelBeamGeometry(args.angles, args.channels)
-        config = OperatorConfig(dtype=args.dtype, tune=args.mode)
-        t0 = time.perf_counter()
-        operator, report = preprocess(
-            geometry, config=config, ordering=args.ordering, cache=args.cache
-        )
-        cfg = operator.config
-        if report.extra.get("autotune_warm"):
-            print("tuning record hit: reused the persisted winner")
-        else:
-            print(
-                f"tuned {args.angles}x{args.channels} in "
-                f"{format_seconds(time.perf_counter() - t0)}: "
-                f"{report.extra.get('autotune_candidates', 0):.0f} candidates "
-                f"predicted, {report.extra.get('autotune_trials', 0):.0f} trials "
-                f"measured"
-            )
-        print(
-            f"winner: kernel={cfg.kernel} partition_size={cfg.partition_size} "
-            f"buffer_bytes={cfg.buffer_bytes}"
-            + (f" workers={cfg.workers}" if cfg.workers else "")
-            + (f" dtype={cfg.dtype}" if cfg.dtype else "")
-        )
-        return 0
-
-    store = TuneStore.resolve(args.cache if args.cache != "off" else "auto")
-    if store is None:
-        print("error: tuning store unavailable (cache off)", file=sys.stderr)
-        return 1
-
-    if args.action == "show":
-        entries = store.entries()
-        if not entries:
-            print(f"no tuning records at {store.root}")
-            return 0
-        rows = []
-        for key, rec in entries:
-            measured = (
-                f"{rec.measured_seconds * 1e3:.3g} ms"
-                if rec.measured_seconds is not None
-                else "-"
-            )
-            rows.append([
-                key[:12],
-                rec.kernel,
-                rec.partition_size,
-                format_bytes(rec.buffer_bytes),
-                rec.workers,
-                rec.dtype or "default",
-                f"{rec.predicted_seconds * 1e3:.3g} ms",
-                measured,
-                rec.trials,
-            ])
-        print(render_table(
-            ["Key", "Kernel", "Part", "Buffer", "Workers", "Dtype",
-             "Predicted", "Measured", "Trials"],
-            rows, title=f"Tuning records at {store.root}"))
-        return 0
-
-    removed = store.clear()
-    print(f"removed {removed} tuning records from {store.root}")
-    return 0
-
-
 def _load_sinogram_file(path: str) -> "np.ndarray":
     """A 2-D sinogram from a .npy file or a .npz archive."""
     p = Path(path)
@@ -840,7 +762,9 @@ def _default(config_class, name: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .service import ServiceConfig
+    from .pipeline import PIPELINE_SOLVERS
+    from .scenarios import SCENARIO_SOLVERS
+    from .service import SERVICE_SOLVERS, ServiceConfig
 
     parser = argparse.ArgumentParser(
         prog="repro", description="MemXCT reproduction command-line interface"
@@ -879,23 +803,15 @@ def build_parser() -> argparse.ArgumentParser:
         "Results are bit-identical across worker counts (docs/parallel.md)",
     )
 
-    tune_flags = argparse.ArgumentParser(add_help=False)
-    tune_flags.add_argument(
+    dtype_flags = argparse.ArgumentParser(add_help=False)
+    dtype_flags.add_argument(
         "--dtype",
         default=None,
         choices=("float32", "float64"),
         help="compute precision: omit for the default mixed precision, "
         "'float32' for end-to-end single precision (half the vector "
-        "traffic; see docs/autotuning.md for the error contract), "
+        "traffic; see docs/precision.md for the error contract), "
         "'float64' for the full double-precision reference path",
-    )
-    tune_flags.add_argument(
-        "--tune",
-        default=None,
-        choices=("auto", "predict", "force"),
-        help="autotune the kernel configuration: 'auto' reuses a persisted "
-        "record or runs predict+trial search, 'predict' is model-only, "
-        "'force' re-runs the search ignoring any record",
     )
 
     sub.add_parser(
@@ -905,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "preprocess",
         help="memoize a scan geometry",
-        parents=[obs_flags, cache_flags, workers_flags, tune_flags],
+        parents=[obs_flags, cache_flags, workers_flags, dtype_flags],
     )
     p.add_argument("--angles", type=int, required=True)
     p.add_argument("--channels", type=int, required=True)
@@ -950,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "scenario",
         help="degraded-scan and alignment workload scenarios",
-        parents=[obs_flags, cache_flags, workers_flags, tune_flags],
+        parents=[obs_flags, cache_flags, workers_flags, dtype_flags],
     )
     p.add_argument(
         "kind",
@@ -983,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--solver",
         default="tv",
-        choices=("cgls", "tikhonov", "gradient", "tv"),
+        choices=SCENARIO_SOLVERS,
         help="degraded-scan solver",
     )
     p.add_argument(
@@ -1013,14 +929,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reconstruct",
         help="reconstruct a sinogram",
-        parents=[obs_flags, cache_flags, workers_flags, tune_flags],
+        parents=[obs_flags, cache_flags, workers_flags, dtype_flags],
     )
     p.add_argument("--sinogram", help=".npz file with a 'sinogram' array")
     p.add_argument("--demo", choices=sorted(DATASETS), help="synthesize a demo dataset")
     p.add_argument("--scale", type=float, default=0.125)
     p.add_argument("--photons", type=float, default=1e5)
     p.add_argument("--operator", help="operator file from 'preprocess'")
-    p.add_argument("--solver", default="cg", choices=("cg", "sirt", "sgd", "icd", "fbp"))
+    p.add_argument("--solver", default="cg", choices=SOLVERS)
     p.add_argument("--iterations", type=int, default=30)
     p.add_argument("--output", "-o", default="reconstruction.npz")
     p.add_argument(
@@ -1062,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "pipeline",
         help="streaming multi-slice stack reconstruction (docs/pipeline.md)",
-        parents=[obs_flags, cache_flags, workers_flags, tune_flags],
+        parents=[obs_flags, cache_flags, workers_flags, dtype_flags],
     )
     p.add_argument(
         "action", choices=("run", "make-demo"),
@@ -1092,7 +1008,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--no-noise", action="store_true", help="disable Poisson noise (demo)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--solver", default="cg", choices=("cg", "sirt", "mlem"))
+    p.add_argument("--solver", default="cg", choices=PIPELINE_SOLVERS)
     p.add_argument("--iterations", type=int, default=30)
     p.add_argument(
         "--tolerance", type=float, default=0.0,
@@ -1179,25 +1095,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "tune",
-        help="run / show / clear autotuned operator configurations "
-        "(docs/autotuning.md)",
-        parents=[obs_flags, cache_flags],
-    )
-    p.add_argument("action", choices=("run", "show", "clear"))
-    p.add_argument("--angles", type=int, default=None, help="geometry to tune (run)")
-    p.add_argument("--channels", type=int, default=None, help="geometry to tune (run)")
-    p.add_argument("--ordering", default="pseudo-hilbert")
-    p.add_argument(
-        "--mode", default="auto", choices=("auto", "predict", "force"),
-        help="search mode for 'run' (see --tune on reconstruct)",
-    )
-    p.add_argument(
-        "--dtype", default=None, choices=("float32", "float64"),
-        help="tune for this compute precision (records are per-dtype)",
-    )
-
-    p = sub.add_parser(
         "serve",
         help="run the journaled reconstruction job server (docs/service.md)",
         parents=[cache_flags],
@@ -1254,7 +1151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sinogram", help=".npy file or .npz with a 'sinogram' array")
     p.add_argument("--url", default="http://127.0.0.1:8780")
     p.add_argument("--tenant", default="default")
-    p.add_argument("--solver", default="cg", choices=("cg", "sirt", "mlem"))
+    p.add_argument("--solver", default="cg", choices=SERVICE_SOLVERS)
     p.add_argument("--iterations", type=int, default=30)
     p.add_argument("--tolerance", type=float, default=0.0)
     p.add_argument("--dtype", default=None, choices=("float32", "float64"))
@@ -1313,7 +1210,6 @@ def main(argv: list[str] | None = None) -> int:
         "pipeline": _cmd_pipeline,
         "scale": _cmd_scale,
         "cache": _cmd_cache,
-        "tune": _cmd_tune,
         "serve": _cmd_serve,
         "submit": _cmd_submit,
         "status": _cmd_status,

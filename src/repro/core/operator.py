@@ -14,6 +14,7 @@ to and from row-major 2D arrays.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,15 +45,9 @@ from ..sparse import (
     validate_buffer_bytes,
 )
 
-__all__ = ["MemXCTOperator", "OperatorConfig", "KERNELS", "TUNE_MODES"]
+__all__ = ["MemXCTOperator", "OperatorConfig", "KERNELS"]
 
 KERNELS = ("csr", "buffered", "ell")
-
-#: Autotuning modes accepted by ``OperatorConfig.tune`` (besides None):
-#: ``auto`` = predict + short measured trials (persisted), ``predict`` =
-#: perf-model ranking only (no trials), ``force`` = ignore any persisted
-#: record and re-tune.
-TUNE_MODES = ("auto", "predict", "force")
 
 
 @dataclass(frozen=True)
@@ -89,11 +84,6 @@ class OperatorConfig:
         double-precision reference path (matrix values stored float64).
         Folded into plan-cache fingerprints when set, so fp32 and fp64
         plans never collide.
-    tune:
-        Autotuning mode (``None`` = off, or one of
-        :data:`TUNE_MODES`).  Resolved during preprocessing — the
-        tuner replaces kernel/partition_size/buffer_bytes (and workers,
-        unless explicitly set) with the persisted per-geometry winner.
     """
 
     kernel: str = "csr"
@@ -101,11 +91,18 @@ class OperatorConfig:
     buffer_bytes: int = 32 * 1024
     workers: int | str | None = None
     dtype: str | None = None
-    tune: str | None = None
 
     def __post_init__(self) -> None:
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {KERNELS}")
+        # Layout sizes index arrays: a float (or bool) would pass the
+        # range checks, trace the whole matrix, then fail in numpy — and
+        # fingerprint as its int() twin.  numpy integers become int.
+        for name in ("partition_size", "buffer_bytes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.partition_size < 1:
             raise ValueError(
                 f"partition_size must be >= 1, got {self.partition_size}"
@@ -125,13 +122,6 @@ class OperatorConfig:
         object.__setattr__(
             self, "dtype", parse_dtype(self.dtype) or ambient_dtype()
         )
-        if self.tune is not None:
-            if not isinstance(self.tune, str) or self.tune.lower() not in TUNE_MODES:
-                raise ValueError(
-                    f"invalid tune mode {self.tune!r}: expected one of "
-                    f"{TUNE_MODES} or None"
-                )
-            object.__setattr__(self, "tune", self.tune.lower())
 
     def evolve(self, **changes) -> "OperatorConfig":
         """``dataclasses.replace`` for a config whose precision is decided.

@@ -25,11 +25,10 @@ hand out the same read-only mapped operator.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..geometry import ScanGeometry
-from ..obs import AUTOTUNE_HITS, AUTOTUNE_MISSES, add_count, span
+from ..obs import span
 from ..ordering import make_ordering
 from ..parallel.backend import make_backend, parse_workers
 from ..sparse import CSRMatrix, build_buffered, build_ell, scan_transpose
@@ -54,7 +53,6 @@ class PreprocessReport:
     partitioning_seconds: float = 0.0
     cache_hit: bool = False
     cache_key: str | None = None
-    extra: dict[str, float] = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:
@@ -117,37 +115,8 @@ def preprocess(
     config = config or OperatorConfig()
     report = PreprocessReport()
 
-    # Resolve a pending tune request from the persisted record first:
-    # a warm tuning hit rewrites the layout knobs *before* the plan
-    # fingerprint is computed, so the tuned plan itself is also a warm
-    # cache hit and the whole warm path costs two file reads.
-    tune_mode = config.tune
-    tune_store = None
-    tune_key = None
-    if tune_mode is not None:
-        from ..autotune import TuneStore, tune_fingerprint
-
-        tune_store = TuneStore.resolve(cache)
-        tune_key = tune_fingerprint(
-            geometry,
-            ordering=ordering,
-            min_tiles=min_tiles,
-            tile_size=tile_size,
-            dtype=config.dtype,
-        )
-        record = None
-        if tune_store is not None and tune_mode != "force":
-            record = tune_store.load(tune_key)
-        if record is not None:
-            add_count(AUTOTUNE_HITS, 1)
-            config = record.apply(config)
-            tune_mode = None
-            report.extra["autotune_warm"] = 1.0
-        else:
-            add_count(AUTOTUNE_MISSES, 1)
-
     plan_cache = PlanCache.resolve(cache)
-    if plan_cache is not None and tune_mode is None:
+    if plan_cache is not None:
         key = plan_fingerprint(geometry, config, ordering, min_tiles, tile_size)
         report.cache_key = key
         operator = plan_cache.load(key)
@@ -160,9 +129,8 @@ def preprocess(
             report.cache_hit = True
             return operator, report
 
-    # With a cache (and the plan's key already known: no search
-    # pending) the ordered pair is assembled inside the entry's own
-    # archive, not beside it.
+    # With a cache the ordered pair is assembled inside the entry's
+    # own archive, not beside it.
     archive = None
     try:
         with span(
@@ -191,7 +159,7 @@ def preprocess(
             report.ordering_seconds = sp.duration
 
             value_dtype = config.dtype or "float32"
-            if plan_cache is not None and tune_mode is None:
+            if plan_cache is not None:
                 archive = plan_cache.reserve(
                     report.cache_key, geometry, tomo_ordering, sino_ordering, value_dtype
                 )
@@ -218,51 +186,6 @@ def preprocess(
                     matrix, out=archive and archive.reserve_transpose(matrix.nnz)
                 )
             report.transpose_seconds = sp.duration
-
-            if tune_mode is not None:
-                # The search runs on the traced matrix the operator will
-                # actually use — between transpose and partitioning, so
-                # nothing is traced twice and only the winning layout is
-                # built below.
-                from ..autotune import Autotuner, TuningRecord
-
-                with span("preprocess.autotune", mode=tune_mode) as sp:
-                    tuner = Autotuner()
-                    outcome = tuner.tune(
-                        matrix,
-                        transpose,
-                        mode="predict" if tune_mode == "predict" else "auto",
-                    )
-                    best = outcome.best
-                    record = TuningRecord(
-                        key=tune_key or "",
-                        kernel=best.candidate.kernel,
-                        partition_size=best.candidate.partition_size,
-                        buffer_bytes=best.candidate.buffer_bytes,
-                        # The search no longer tunes a worker count (no
-                        # worker spec changes the kernels it times); the
-                        # field stays in the record format.
-                        workers=1,
-                        dtype=config.dtype,
-                        mode=tune_mode,
-                        predicted_seconds=best.predicted_seconds,
-                        measured_seconds=best.measured_seconds,
-                        candidates_considered=outcome.candidates_considered,
-                        trials=len(outcome.trials),
-                        cpu_count=os.cpu_count() or 0,
-                    )
-                    config = record.apply(config)
-                    if tune_store is not None and tune_key is not None:
-                        tune_store.save(tune_key, record)
-                report.extra["autotune_seconds"] = sp.duration
-                report.extra["autotune_candidates"] = float(
-                    outcome.candidates_considered
-                )
-                report.extra["autotune_trials"] = float(len(outcome.trials))
-                if plan_cache is not None:
-                    report.cache_key = plan_fingerprint(
-                        geometry, config, ordering, min_tiles, tile_size
-                    )
 
             with span("preprocess.partitioning", kernel=config.kernel) as sp:
                 buffered_forward = buffered_adjoint = None

@@ -176,14 +176,17 @@ def reconstruct(
     geometry:
         Scan geometry; inferred from the sinogram shape when omitted.
     solver:
-        ``"cg"`` (MemXCT's choice), ``"sirt"`` (Trace's) or ``"sgd"``.
+        One of :data:`SOLVERS`: ``"cg"`` (MemXCT's choice), ``"sirt"``
+        (Trace's), ``"sgd"``, ``"icd"`` (coordinate descent on the
+        ordered pair) or ``"fbp"`` (direct filtered backprojection;
+        ``iterations`` is ignored).
     iterations:
         Iteration budget (30 CG iterations is the paper's early stop).
     ordering:
         Domain ordering for both domains.
     config:
         The operator's configuration (``OperatorConfig()`` by default):
-        kernel, precision, worker spec and autotuning mode all live
+        kernel, layout sizes, precision and worker spec all live
         here.  Used only when preprocessing runs here.
     num_ranks:
         Simulated MPI ranks; > 1 reconstructs through the distributed

@@ -133,14 +133,6 @@ PARALLEL_TASKS = _declare("parallel.tasks", "task")
 PARALLEL_DISPATCHES = _declare("parallel.dispatches", "dispatch")
 #: Bytes placed in multiprocessing shared memory by the process backend.
 PARALLEL_SHM_BYTES = _declare("parallel.shm_bytes", "byte")
-#: Autotuning requests satisfied by a persisted record (warm lookup).
-AUTOTUNE_HITS = _declare("autotune.hits", "hit")
-#: Autotuning requests that had to run the search.
-AUTOTUNE_MISSES = _declare("autotune.misses", "miss")
-#: Configurations scored by the perf-model/cachesim prediction stage.
-AUTOTUNE_CANDIDATES = _declare("autotune.candidates", "candidate")
-#: Measured trials run on the prediction stage's top candidates.
-AUTOTUNE_TRIALS = _declare("autotune.trials", "trial")
 #: SpMV kernel applications computed in float32 (default and fp32 paths).
 DTYPE_FP32_SPMV = _declare("dtype.fp32_spmv", "call")
 #: SpMV kernel applications computed in float64 (opt-in fp64 path).

@@ -12,7 +12,7 @@ solver state drops to ``float32`` too, halving vector traffic on a
 bandwidth-bound SpMV (paper Section 5's roofline).  ``dtype="float64"``
 is the full double-precision reference path — matrix values are stored
 ``float64`` as well — used by the tolerance-contract tests and the
-``bench_autotune`` fp32-speedup comparison.
+``bench_kernels`` fp32-speedup comparison (see ``docs/precision.md``).
 
 Only :func:`parse_dtype` raises; everything downstream trusts the
 normalized ``None | "float32" | "float64"`` spelling.

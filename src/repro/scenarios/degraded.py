@@ -39,6 +39,7 @@ from ..obs import SCENARIO_RUNS, SCENARIO_VIEWS_DROPPED, add_count, span
 from ..solvers import SolveResult, cgls, regularized_cgls, tv_cgls
 
 __all__ = [
+    "SCENARIO_SOLVERS",
     "ScenarioResult",
     "sparse_view_geometry",
     "sparse_view_sinogram",
@@ -136,7 +137,8 @@ class ScenarioResult:
     extra: dict[str, float] = field(default_factory=dict)
 
 
-_SOLVERS = ("cgls", "tikhonov", "gradient", "tv")
+#: Solvers :func:`reconstruct_scenario` accepts.
+SCENARIO_SOLVERS = ("cgls", "tikhonov", "gradient", "tv")
 
 
 def reconstruct_scenario(
@@ -185,8 +187,8 @@ def reconstruct_scenario(
             f"unknown scenario kind {kind!r}; expected 'sparse-view' or "
             "'limited-angle'"
         )
-    if solver not in _SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; expected one of {_SOLVERS}")
+    if solver not in SCENARIO_SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}; expected one of {SCENARIO_SOLVERS}")
 
     dropped = geometry.num_angles - sub_geometry.num_angles
     add_count(SCENARIO_RUNS, 1)

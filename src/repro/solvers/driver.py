@@ -246,6 +246,8 @@ def solve_slab(
     one-column slab.  ``single`` marks a solve issued through the 1-D
     adapters: its spans carry no ``batch=`` attribute.
     """
+    if num_iterations < 0:
+        raise ValueError(f"num_iterations must be >= 0, got {num_iterations}")
     work = solver_dtype(op)
     Y = _slab(Y, op.num_rays, "measurement slab", work)
     S = Y.shape[1]

@@ -52,6 +52,8 @@ def icd(
         of the paper's Eq. 1; the coordinate-wise minimizer under a
         bound is the clamped unconstrained one).
     """
+    if num_sweeps < 0:
+        raise ValueError(f"num_sweeps must be >= 0, got {num_sweeps}")
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape[0] != matrix.num_rows:
         raise ValueError(f"y has {y.shape[0]} entries, expected {matrix.num_rows}")

@@ -41,6 +41,8 @@ def sgd(
         scale is estimated from the operator (guaranteeing descent for
         unit-norm-bounded rows).
     """
+    if num_iterations < 0:
+        raise ValueError(f"num_iterations must be >= 0, got {num_iterations}")
     if not 0.0 < batch_fraction <= 1.0:
         raise ValueError(f"batch fraction must be in (0, 1], got {batch_fraction}")
     y = np.asarray(y, dtype=np.float64).reshape(-1)

@@ -323,6 +323,28 @@ class TestPreprocessIntegration:
         assert report2.cache_hit is True
         assert op2.ell_forward is not None
 
+    def test_a_leftover_tuning_directory_is_inert(self, tmp_path, small_geometry, capsys):
+        """Older versions kept ``<cache>/tuning/<key>.json`` records
+        beside the plans; the cache globs ``*.npz``, so such a directory
+        changes no lookup, listing, eviction or clear."""
+        from repro.cli import main
+
+        cachedir = tmp_path / "plans"
+        _, cold = preprocess(small_geometry, cache=cachedir)
+        tuning = cachedir / "tuning"
+        tuning.mkdir()
+        (tuning / f"{'0' * 64}.json").write_text('{"kernel": "buffered"}')
+
+        _, warm = preprocess(small_geometry, cache=cachedir)
+        assert warm.cache_hit is True and warm.cache_key == cold.cache_key
+        cache = PlanCache(cachedir)
+        assert [e.key for e in cache.entries()] == [cold.cache_key]
+        assert main(["cache", "list", "--cache", str(cachedir)]) == 0
+        assert cold.cache_key[:12] in capsys.readouterr().out
+        assert cache.evict(max_bytes=0) == []  # the newest entry is kept
+        assert cache.clear() == 1 and cache.entries() == []
+        assert (tuning / f"{'0' * 64}.json").exists()
+
 
 def _cold(geometry, cachedir, **config):
     operator, report = preprocess(geometry, config=OperatorConfig(**config), cache=cachedir)
@@ -463,18 +485,6 @@ class TestAssembledInPlace:
         cold, entry = _cold(small_geometry, cachedir)
         assert entry.exists() and _temp_files(cachedir) == []
         assert PlanCache(cachedir).load(entry.stem) is not None
-
-    def test_a_pending_tune_builds_beside_the_entry_and_still_returns_it(
-        self, tmp_path, small_geometry
-    ):
-        """The plan's key is not known until the search has run."""
-        cold, report = preprocess(
-            small_geometry, config=OperatorConfig(tune="predict"), cache=tmp_path / "plans"
-        )
-        assert report.cache_hit is False and report.cache_key is not None
-        assert not cold.matrix.val.flags.writeable
-        assert PlanCache(tmp_path / "plans").entry(report.cache_key) is not None
-        assert _temp_files(tmp_path / "plans") == []
 
 
 class TestGracefulDegradation:

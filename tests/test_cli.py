@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,44 @@ class TestParser:
     def test_invalid_solver_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["reconstruct", "--solver", "mlem"])
+
+    @pytest.mark.parametrize("command,module,name", [
+        ("scenario", "repro.scenarios", "SCENARIO_SOLVERS"),
+        ("reconstruct", "repro.core", "SOLVERS"),
+        ("pipeline", "repro.pipeline", "PIPELINE_SOLVERS"),
+        ("submit", "repro.service", "SERVICE_SOLVERS"),
+    ])
+    def test_solver_choices_read_the_module_tuples(self, command, module, name):
+        """Each --solver list is the library's own tuple, not a copy."""
+        import importlib
+
+        subcommands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        solver = next(
+            action for action in subcommands.choices[command]._actions
+            if action.dest == "solver"
+        )
+        assert solver.choices is getattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize("argv", [
+        ["preprocess", "--angles", "10", "--channels", "8"],
+        ["scenario", "cone"],
+        ["reconstruct", "--demo", "ADS1"],
+        ["pipeline", "run", "--demo"],
+    ])
+    def test_tune_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--tune", "auto"])
+        assert exc.value.code == 2
+        assert "--tune" in capsys.readouterr().err
+
+    def test_tune_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["tune", "show"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'tune'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -70,10 +110,20 @@ class TestCommands:
     def test_reconstruct_requires_input(self, capsys):
         assert main(["reconstruct"]) == 2
 
-    @pytest.mark.parametrize("flag", [["--dtype", "float64"], ["--tune", "auto"]])
+    def test_negative_iterations_is_an_error(self, tmp_path):
+        """--iterations -1 fails instead of saving the all-zero start."""
+        out_file = tmp_path / "neg.npz"
+        with pytest.raises(ValueError, match=">= 0"):
+            main([
+                "reconstruct", "--demo", "ADS1", "--scale", "0.0625",
+                "--iterations", "-1", "--cache", "off", "-o", str(out_file),
+            ])
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("flag", [["--dtype", "float64"], ["--dtype", "float32"]])
     def test_loaded_operator_rejects_preprocessing_flags(self, tmp_path, capsys, flag):
-        """A loaded operator is already built: --dtype / --tune have no
-        preprocessing left to configure."""
+        """A loaded operator is already built: --dtype has no
+        preprocessing left to configure, whichever precision it names."""
         op_file = tmp_path / "op.npz"
         assert main([
             "preprocess", "--angles", "12", "--channels", "16", "--cache", "off",

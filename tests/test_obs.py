@@ -126,10 +126,6 @@ class TestCounterDeclarations:
     it replaced."""
 
     UNITS = {
-        "AUTOTUNE_CANDIDATES": ("autotune.candidates", "candidate"),
-        "AUTOTUNE_HITS": ("autotune.hits", "hit"),
-        "AUTOTUNE_MISSES": ("autotune.misses", "miss"),
-        "AUTOTUNE_TRIALS": ("autotune.trials", "trial"),
         "BUFFER_STAGES": ("buffer.stages", "stage"),
         "CACHE_BYTES_READ": ("cache.bytes_read", "byte"),
         "CACHE_BYTES_WRITTEN": ("cache.bytes_written", "byte"),
@@ -196,7 +192,7 @@ class TestCounterDeclarations:
     def test_exported_names_are_the_parent_s_set(self):
         from repro.obs import counters
 
-        assert len(obs.__all__) == len(set(obs.__all__)) == 73
+        assert len(obs.__all__) == len(set(obs.__all__)) == 69
         assert set(obs.__all__) == set(self.UNITS) | self.OTHER
         assert set(counters.__all__) == set(self.UNITS) | {"Counter", "unit_of"}
 

@@ -852,16 +852,16 @@ class TestOneOperatorResolution:
     @pytest.mark.parametrize("front_door", ["reconstruct", "reconstruct_stack"])
     def test_prebuilt_operator_adopted_as_is(self, demo, mixed, front_door):
         """``config`` only describes an operator still to be built: with
-        a prebuilt one it neither rebuilds, retunes nor warns."""
+        a prebuilt one it neither rebuilds nor warns."""
         ref, _ = self._run(front_door, demo, mixed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             image, report = self._run(
                 front_door, demo, mixed,
-                config=OperatorConfig(dtype="float32", tune="auto"),
+                config=OperatorConfig(kernel="ell", dtype="float32"),
             )
         assert np.array_equal(image, ref)
-        assert mixed.config.dtype is None
+        assert mixed.config.dtype is None and mixed.config.kernel == "csr"
         assert report.total_seconds == 0.0 and report.cache_key is None
 
 

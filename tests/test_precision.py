@@ -1,6 +1,6 @@
 """Tolerance contract of the opt-in float32 compute path.
 
-Every bound asserted here is documented in docs/autotuning.md; this
+Every bound asserted here is documented in docs/precision.md; this
 file IS the contract.  Measured headroom (32x32 demo geometry) is
 roughly 10x below each bound:
 
@@ -99,13 +99,28 @@ class TestOperatorConfigValidation:
         with pytest.raises((ValueError, TypeError), match="dtype"):
             OperatorConfig(dtype=bad)
 
-    @pytest.mark.parametrize("bad", ["yes", "exhaustive", "", 1, True])
-    def test_bad_tune_rejected(self, bad):
-        with pytest.raises((ValueError, TypeError), match="tune"):
-            OperatorConfig(tune=bad)
+    @pytest.mark.parametrize("field", ["partition_size", "buffer_bytes"])
+    @pytest.mark.parametrize("bad", [2.5, 4096.0, True, "128", None])
+    def test_non_integer_layout_size_rejected(self, field, bad):
+        # Rejected at construction, before any tracing runs (and before
+        # a float could fingerprint as its int() twin).
+        with pytest.raises(ValueError, match=field):
+            OperatorConfig(kernel="ell", **{field: bad})
 
-    def test_tune_normalized_lowercase(self):
-        assert OperatorConfig(tune="AUTO").tune == "auto"
+    def test_numpy_integer_layout_sizes_normalized(self):
+        config = OperatorConfig(
+            partition_size=np.int64(64), buffer_bytes=np.int32(16 * 1024)
+        )
+        assert type(config.partition_size) is int and config.partition_size == 64
+        assert type(config.buffer_bytes) is int and config.buffer_bytes == 16 * 1024
+
+    def test_tune_field_is_gone(self):
+        # The kernel and layout are exactly what the caller names.
+        assert list(OperatorConfig.__dataclass_fields__) == [
+            "kernel", "partition_size", "buffer_bytes", "workers", "dtype",
+        ]
+        with pytest.raises(TypeError, match="tune"):
+            OperatorConfig(tune="auto")
 
     def test_dtype_properties(self, operators):
         op32 = operators[("float32", "csr")]

@@ -185,7 +185,6 @@ class TestConfigSpecRejection:
 
     _DTYPE_OK = {"float32", "fp32", "single", "f32",
                  "float64", "fp64", "double", "f64"}
-    _TUNE_OK = {"auto", "predict", "force"}
 
     @given(spec=st.text(min_size=0, max_size=12))
     @settings(max_examples=60, deadline=None)
@@ -197,17 +196,6 @@ class TestConfigSpecRejection:
         else:
             with pytest.raises(ValueError, match="dtype"):
                 parse_dtype(spec)
-
-    @given(spec=st.text(min_size=0, max_size=12))
-    @settings(max_examples=60, deadline=None)
-    def test_operator_config_tune_junk_strings(self, spec):
-        from repro.core import OperatorConfig
-
-        if spec.strip().lower() in self._TUNE_OK:
-            assert OperatorConfig(tune=spec).tune in self._TUNE_OK
-        else:
-            with pytest.raises(ValueError, match="tune"):
-                OperatorConfig(tune=spec)
 
     @given(spec=st.one_of(
         st.integers(min_value=-10, max_value=0),
@@ -233,11 +221,12 @@ class TestConfigSpecRejection:
             )
 
     @given(dtype=st.sampled_from(sorted(_DTYPE_OK) + [None]),
-           tune=st.sampled_from(sorted(_TUNE_OK) + [None]))
+           kernel=st.sampled_from(("csr", "buffered", "ell")),
+           partition_size=st.integers(min_value=1, max_value=1024))
     @settings(max_examples=20, deadline=None)
-    def test_valid_combinations_always_construct(self, dtype, tune):
+    def test_valid_combinations_always_construct(self, dtype, kernel, partition_size):
         from repro.core import OperatorConfig
 
-        config = OperatorConfig(dtype=dtype, tune=tune)
+        config = OperatorConfig(kernel=kernel, partition_size=partition_size, dtype=dtype)
         assert config.dtype in (None, "float32", "float64")
-        assert config.tune in (None, "auto", "predict", "force")
+        assert (config.kernel, config.partition_size) == (kernel, partition_size)

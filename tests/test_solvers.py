@@ -390,3 +390,66 @@ class TestOperatorBudget:
         assert tolerant.stop_reason == "gradient tolerance reached"
         saved = cgls(op, y, num_iterations=1, checkpoint=CheckpointManager(every=1))
         assert saved.stop_reason == "exact solution reached"
+
+
+_BUDGET_SOLVERS = [
+    "cg", "sirt", "mlem", "cg-slab", "sirt-slab", "mlem-slab", "sgd", "icd",
+    "reconstruct", "reconstruct-stack",
+]
+
+
+class TestNegativeBudget:
+    """A negative iteration budget is an error, not an empty solve that
+    returns the start image; a budget of zero stays legal."""
+
+    @staticmethod
+    def _solvers(op, y):
+        from repro.core import reconstruct
+        from repro.pipeline import reconstruct_stack
+        from repro.solvers import cgls_batch, icd, mlem, mlem_batch, sirt_batch
+
+        Y = np.stack([y, 2 * y], axis=1)
+        sinogram = op.ordered_to_sinogram(y)
+        stack = np.stack([sinogram, 2 * sinogram])
+        return {
+            "cg": lambda n: cgls(op, y, num_iterations=n),
+            "sirt": lambda n: sirt(op, y, num_iterations=n),
+            "mlem": lambda n: mlem(op, np.abs(y), num_iterations=n),
+            "cg-slab": lambda n: cgls_batch(op, Y, num_iterations=n),
+            "sirt-slab": lambda n: sirt_batch(op, Y, num_iterations=n),
+            "mlem-slab": lambda n: mlem_batch(op, np.abs(Y), num_iterations=n),
+            "sgd": lambda n: sgd(op, y, num_iterations=n),
+            "icd": lambda n: icd(op.matrix, op.transpose, y, num_sweeps=n),
+            "reconstruct": lambda n: reconstruct(sinogram, operator=op, iterations=n),
+            "reconstruct-stack": lambda n: reconstruct_stack(
+                stack, stages=[], operator=op, iterations=n
+            ),
+        }
+
+    @pytest.mark.parametrize("solver", _BUDGET_SOLVERS)
+    def test_negative_budget_rejected(self, solver):
+        op = conformance_operator("csr", None)
+        y = np.asarray(op.forward(np.ones(op.num_pixels)), dtype=np.float64)
+        solve = self._solvers(op, y)[solver]
+        with pytest.raises(ValueError, match=">= 0"):
+            solve(-1)
+        solve(0)
+
+    @pytest.mark.parametrize("solver", _BUDGET_SOLVERS)
+    def test_zero_budget_returns_the_start_image(self, solver):
+        # The default start is zero, except MLEM's multiplicative update,
+        # which starts from ones.
+        op = conformance_operator("csr", None)
+        y = np.asarray(op.forward(np.ones(op.num_pixels)), dtype=np.float64)
+        result = self._solvers(op, y)[solver](0)
+        start = 1.0 if solver.startswith("mlem") else 0.0
+        if solver == "reconstruct":
+            image, iterations = result.image, [result.solve.iterations]
+        elif solver == "reconstruct-stack":
+            image, iterations = result.volume, [0]
+        elif solver.endswith("-slab"):
+            image, iterations = result.X, result.iterations
+        else:
+            image, iterations = result.x, [result.iterations]
+        assert np.all(np.asarray(iterations) == 0)
+        np.testing.assert_array_equal(image, start)
