@@ -3,8 +3,8 @@
 MemXCT's thesis is memoization: trace once, reuse the matrix every
 iteration.  This package extends that economy across *processes*: a
 plan (the full product of the four preprocessing stages — orderings,
-traced matrix, scan transpose, buffered/ELL layouts) is stored on disk
-under a stable fingerprint of its inputs, so a beamline workflow
+traced matrix, buffered/ELL layouts) is stored on disk under a stable
+fingerprint of its inputs, so a beamline workflow
 preprocesses once per scan geometry and every later run — more slices,
 another solver, a different process — skips preprocessing entirely.
 

@@ -1,7 +1,7 @@
 """The on-disk operator-plan cache.
 
 One directory of content-addressed entries: ``<fingerprint>.npz`` (the
-full v2 operator archive written by :func:`repro.io.save_operator`)
+full operator archive written by :func:`repro.io.save_operator`)
 plus a ``<fingerprint>.json`` sidecar with human-readable metadata for
 ``repro cache list`` / ``info``.
 
@@ -20,7 +20,7 @@ Robustness properties:
 * **Graceful degradation** — a corrupt, truncated, or version-stale
   entry is *discarded with a warning* and reported as a miss, so the
   caller re-traces instead of crashing (the checksum embedded in every
-  v2 archive is what catches silent bit corruption).
+  archive is what catches silent bit corruption).
 * **Size-capped eviction** — after each store the cache evicts
   least-recently-used entries (hits bump an entry's mtime) until it is
   back under ``max_bytes``.

@@ -1,11 +1,14 @@
 """The memory-centric MemXCT operator.
 
 Bundles everything the paper's Section 3 builds during preprocessing:
-the memoized projection matrix in ordered coordinates, its scan-based
-transpose, and (optionally) the multi-stage buffered and ELL layouts.
-``forward``/``adjoint`` dispatch to the selected kernel; every kernel
-is a pure gather — the scatter races of compute-centric backprojection
-are gone because ``A^T`` is materialized.
+the memoized projection matrix in ordered coordinates and (optionally)
+the multi-stage buffered and ELL layouts of both directions.
+``forward``/``adjoint`` dispatch to the selected kernel.  The paper
+materializes ``A^T`` so that parallel backprojection is a pure gather,
+free of scatter races; on one core there is no race, so the csr
+adjoint is a serial CSC scatter over ``A``'s own arrays, and the scan
+transpose is materialized only where work is partitioned by pixel
+rows (see :attr:`MemXCTOperator.transpose`).
 
 Vectors handled by the operator live in *ordered* coordinates (tomogram
 curve order / sinogram curve order); the image-space helpers translate
@@ -60,10 +63,10 @@ class OperatorConfig:
         ``"csr"`` (default; Listing 2 on the ordered matrix),
         ``"buffered"`` (Listing 3) or ``"ell"`` (GPU-style
         partition-padded layout).  Every operator holds the ordered
-        CSR pair ``matrix``/``transpose``; ``csr`` runs on it as it
-        stands, so the pair is the only form built, persisted and
-        loaded.  The other two build, hold and persist their layout
-        pair beside it.
+        CSR ``matrix``; ``csr`` runs both directions on it as it
+        stands, so it is the only form built, persisted and loaded.
+        The other two build, hold and persist their layout pair
+        beside it.
     partition_size:
         Rows per partition; the paper's tuned KNL value is 128.
     buffer_bytes:
@@ -152,7 +155,7 @@ class MemXCTOperator:
         tomo_ordering: DomainOrdering,
         sino_ordering: DomainOrdering,
         matrix: CSRMatrix,
-        transpose: CSRMatrix,
+        transpose: CSRMatrix | None,
         config: OperatorConfig,
         buffered_forward: BufferedMatrix | None = None,
         buffered_adjoint: BufferedMatrix | None = None,
@@ -163,7 +166,9 @@ class MemXCTOperator:
         self.tomo_ordering = tomo_ordering
         self.sino_ordering = sino_ordering
         self.matrix = matrix
-        self.transpose = transpose
+        # ``A^T`` as its own CSR matrix, derived on first use (a held
+        # one may be handed in); close() drops it.
+        self._transpose = transpose
         self.config = config
         self.buffered_forward = buffered_forward
         self.buffered_adjoint = buffered_adjoint
@@ -172,21 +177,22 @@ class MemXCTOperator:
         # The one place the configured kernel picks its layouts: the
         # (forward, adjoint) pair every kernel call and the parallel
         # engine run on.  A kernel whose layouts were not built runs
-        # on the CSR pair.
+        # as csr, whose adjoint (``None`` here) is the transposed
+        # product over ``matrix`` itself.
         forward, adjoint = {
-            "csr": (matrix, transpose),
+            "csr": (matrix, None),
             "buffered": (buffered_forward, buffered_adjoint),
             "ell": (ell_forward, ell_adjoint),
         }[config.kernel]
         if forward is None or adjoint is None:
-            forward, adjoint = matrix, transpose
+            forward, adjoint = matrix, None
         self._layouts = {"forward": forward, "adjoint": adjoint}
         # buffer.stages is counted only when the staged kernel runs.
         self._staged = forward is buffered_forward
         # Row-subset operators (SGD minibatches) keyed by the row-set
         # bytes; bounded so adversarial row sampling cannot grow it
         # without limit.
-        self._subset_cache: dict[bytes, tuple[CSRMatrix, CSRMatrix]] = {}
+        self._subset_cache: dict[bytes, CSRMatrix] = {}
         # The rank decomposition a distributed ``reconstruct`` last cut:
         # at most one entry, keyed by both decompositions' bounds bytes
         # and holding its list[RankData] (~12 B/nnz).  close() drops it.
@@ -212,12 +218,15 @@ class MemXCTOperator:
             if workers >= 2 and mode == "process":
                 from ..parallel import ParallelSpmvEngine
 
+                # Workers own output rows: the csr adjoint partitions
+                # the derived transpose's pixel rows.
+                adjoint = self._layouts["adjoint"]
                 self._engine = ParallelSpmvEngine(
                     workers=workers,
                     mode=mode,
                     partition_size=self.config.partition_size,
                     forward_layout=self._layouts["forward"],
-                    adjoint_layout=self._layouts["adjoint"],
+                    adjoint_layout=self.transpose if adjoint is None else adjoint,
                 )
         return self._engine
 
@@ -232,14 +241,16 @@ class MemXCTOperator:
         self.config = self.config.evolve(workers=workers)
 
     def close(self) -> None:
-        """Release the parallel engine (pools, shared memory) and the
-        memoized rank decomposition; idempotent.
+        """Release the parallel engine (pools, shared memory), the
+        memoized rank decomposition and the derived transpose;
+        idempotent.
 
         The operator remains fully usable afterwards — the next kernel
         call re-resolves the backend from ``config.workers`` and the
         next distributed ``reconstruct`` cuts its ranks again.
         """
         self._rank_data.clear()
+        self._transpose = None
         self._close_engine()
 
     def _close_engine(self) -> None:
@@ -247,6 +258,19 @@ class MemXCTOperator:
         self._engine_resolved = False
         if engine is not None:
             engine.close()
+
+    @property
+    def transpose(self) -> CSRMatrix:
+        """``A^T`` as a CSR matrix: the scan transpose of ``matrix``.
+
+        Derived state, built at first use and held until :meth:`close`.
+        No kernel of a serial solve reads it; only work partitioned by
+        pixel rows does (the ``process`` engine's csr adjoint, the
+        distributed rank blocks, ICD's column sweeps).
+        """
+        if self._transpose is None:
+            self._transpose = scan_transpose(self.matrix)
+        return self._transpose
 
     # -- protocol ------------------------------------------------------
 
@@ -290,7 +314,8 @@ class MemXCTOperator:
         engine = self._active_engine()
         if engine is not None:
             return engine.apply(direction, v)
-        return self._layouts[direction].spmv(v)
+        layout = self._layouts[direction]
+        return self.matrix.spmv_transposed(v) if layout is None else layout.spmv(v)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forward projection ``y = A x`` in ordered coordinates.
@@ -342,33 +367,32 @@ class MemXCTOperator:
     #: Maximum number of memoized row-subset operators (FIFO eviction).
     _SUBSET_CACHE_CAPACITY = 128
 
-    def _subset_operators(self, rows: np.ndarray) -> tuple[CSRMatrix, CSRMatrix]:
-        """Memoized (submatrix, transpose) pair for a row subset.
+    def _subset_operators(self, rows: np.ndarray) -> CSRMatrix:
+        """Memoized submatrix of a row subset; it runs both directions.
 
         SGD revisits the same minibatch row-sets every epoch; rebuilding
-        the permuted submatrix and its scan transpose per step costs
-        more than the SpMV itself, so both are cached per row-set.
+        the permuted submatrix per step costs more than the SpMV
+        itself, so it is cached per row-set.
         """
         rows = np.asarray(rows, dtype=np.int64)
         key = rows.tobytes()
-        cached = self._subset_cache.get(key)
-        if cached is None:
+        sub = self._subset_cache.get(key)
+        if sub is None:
             sub = self.matrix.permute(rows, None)
-            cached = (sub, scan_transpose(sub))
             if len(self._subset_cache) >= self._SUBSET_CACHE_CAPACITY:
                 self._subset_cache.pop(next(iter(self._subset_cache)))
-            self._subset_cache[key] = cached
-        return cached
+            self._subset_cache[key] = sub
+        return sub
 
     def row_subset_forward(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Partial forward projection over a row subset (SGD support)."""
-        sub, _ = self._subset_operators(rows)
+        sub = self._subset_operators(rows)
         return sub.spmv(np.asarray(x, dtype=self.compute_dtype))
 
     def row_subset_adjoint(self, y_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Partial backprojection of values on a row subset (SGD support)."""
-        _, sub_t = self._subset_operators(rows)
-        return sub_t.spmv(np.asarray(y_rows, dtype=self.compute_dtype))
+        sub = self._subset_operators(rows)
+        return sub.spmv_transposed(np.asarray(y_rows, dtype=self.compute_dtype))
 
     # -- image-space helpers --------------------------------------------
 
@@ -433,10 +457,13 @@ class MemXCTOperator:
         per_value = self.matrix.val.dtype.itemsize
         per_vector = self.compute_dtype.itemsize
         regular_each = nnz * (per_value + per_index)
+        # The csr adjoint streams ``A``'s own row offsets again.
+        csr_adjoint = self._layouts["adjoint"] is None
+        adjoint_rows = self.num_rays if csr_adjoint else self.num_pixels
         return {
             "irregular_forward": self.num_pixels * per_vector,
             "irregular_adjoint": self.num_rays * per_vector,
             "regular_forward": regular_each,
             "regular_adjoint": regular_each,
-            "displ_bytes": 8 * (self.matrix.displ.shape[0] + self.transpose.displ.shape[0]),
+            "displ_bytes": 8 * (self.num_rays + adjoint_rows + 2),
         }

@@ -6,8 +6,10 @@ Four steps, each timed:
    pseudo-Hilbert orderings of both domains;
 2. **ray tracing** — construct the forward-projection matrix, traced
    in the ordered coordinates of step 1 and assembled by one sort;
-3. **sparse transposition** — scan-based, order-preserving transpose
-   for the backprojection matrix;
+3. **sparse transposition** — the traced matrix in our dtypes and,
+   for the buffered and ELL kernels, the scan-based, order-preserving
+   transpose their backprojection layouts are built from (the csr
+   adjoint runs over ``A`` itself and needs none);
 4. **row partitioning and buffer construction** — the multi-stage
    buffer data structures for both directions.
 
@@ -17,10 +19,10 @@ operator) is reused across all slices of a 3D dataset (paper Table 5's
 :class:`repro.cache.PlanCache`), that reuse extends across processes:
 the finished plan is stored content-addressed on disk, and a later
 ``preprocess`` call with identical inputs loads it back and skips all
-four stages.  The cold call builds the plan *in* that entry — steps 2
-and 3 write ``A`` and ``A^T`` into pages of the entry's archive, the
-store seals it — and returns the entry loaded, so cold and warm calls
-hand out the same read-only mapped operator.
+four stages.  The cold call builds the plan *in* that entry — step 2
+writes ``A`` into pages of the entry's archive, the store seals it —
+and returns the entry loaded, so cold and warm calls hand out the same
+read-only mapped operator.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def preprocess(
         Scan geometry to memoize.
     config:
         Kernel configuration (``OperatorConfig()`` by default: the CSR
-        kernel on the ordered pair, no further layout built).
+        kernel on the ordered matrix, no further layout built).
     ordering:
         Domain-ordering scheme for both domains (``"row-major"``,
         ``"morton"``, ``"hilbert"``, ``"pseudo-hilbert"``).
@@ -100,8 +102,9 @@ def preprocess(
 
     The tracer is handed both orderings' rank arrays, so the matrix it
     assembles is already the ordered ``A``; the transposition stage
-    converts it to our dtypes and scans out ``A^T``.  The worker spec
-    in ``config.workers`` (or ``REPRO_WORKERS``) also
+    converts it to our dtypes and, for a buffered or ELL kernel, scans
+    out the ``A^T`` its adjoint layout is built from, then drops it.
+    The worker spec in ``config.workers`` (or ``REPRO_WORKERS``) also
     parallelizes the tracing stage here: per-orbit Siddon tracing fans
     out across the backend, with chunks reassembled in orbit order so
     the traced matrix is bit-identical to a serial build.  The cache
@@ -129,7 +132,7 @@ def preprocess(
             report.cache_hit = True
             return operator, report
 
-    # With a cache the ordered pair is assembled inside the entry's
+    # With a cache the ordered matrix is assembled inside the entry's
     # own archive, not beside it.
     archive = None
     try:
@@ -182,9 +185,8 @@ def preprocess(
 
             with span("preprocess.transpose") as sp:
                 matrix = CSRMatrix.from_scipy(raw, dtype=value_dtype)
-                transpose = scan_transpose(
-                    matrix, out=archive and archive.reserve_transpose(matrix.nnz)
-                )
+                if config.kernel != "csr":
+                    transpose = scan_transpose(matrix)
             report.transpose_seconds = sp.duration
 
             with span("preprocess.partitioning", kernel=config.kernel) as sp:
@@ -207,7 +209,7 @@ def preprocess(
             tomo_ordering=tomo_ordering,
             sino_ordering=sino_ordering,
             matrix=matrix,
-            transpose=transpose,
+            transpose=None,
             config=config,
             buffered_forward=buffered_forward,
             buffered_adjoint=buffered_adjoint,

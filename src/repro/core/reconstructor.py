@@ -178,8 +178,8 @@ def reconstruct(
     solver:
         One of :data:`SOLVERS`: ``"cg"`` (MemXCT's choice), ``"sirt"``
         (Trace's), ``"sgd"``, ``"icd"`` (coordinate descent on the
-        ordered pair) or ``"fbp"`` (direct filtered backprojection;
-        ``iterations`` is ignored).
+        ordered matrix and its derived transpose) or ``"fbp"`` (direct
+        filtered backprojection; ``iterations`` is ignored).
     iterations:
         Iteration budget (30 CG iterations is the paper's early stop).
     ordering:
@@ -296,9 +296,10 @@ def reconstruct(
         # Rank data depend only on the two decompositions: the operator
         # keeps the last cut (one slot) and a hit builds nothing.  On a
         # miss the old entry goes first, so one decomposition stays
-        # resident, and the rank blocks are sliced out of the transpose
-        # held here.  The list is stored before the solve: a crash's
-        # degrade() replaces solve_op.ranks, never this list.
+        # resident, and the rank blocks are sliced out of the operator's
+        # derived transpose (built at the first cut, dropped with the
+        # blocks by close()).  The list is stored before the solve: a
+        # crash's degrade() replaces solve_op.ranks, never this list.
         key = (tomo_dec.bounds.tobytes(), sino_dec.bounds.tobytes())
         rank_data = operator._rank_data.get(key)
         if rank_data is None:

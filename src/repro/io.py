@@ -4,20 +4,23 @@ Preprocessing is the expensive step (paper Table 4/5); persisting its
 product lets a beamline workflow preprocess once per scan geometry and
 reconstruct thousands of slices across separate processes.
 
-Format **v2** stores *all four* preprocessing products in one ``.npz``:
-the geometry, both orderings, the ordered matrix, the scan-based
-transpose, and the buffered / ELL kernel layouts — so a load skips
-every preprocessing stage, not just tracing.  Format v1 files (matrix
-only; transpose and layouts rebuilt on load) are still readable.
+Format **v3** stores every preprocessing product a kernel runs on in
+one ``.npz``: the geometry, both orderings, the ordered matrix, and the
+buffered / ELL kernel layouts — so a load skips every preprocessing
+stage, not just tracing.  ``A^T`` is not stored: the csr adjoint runs
+over ``A`` itself, and the operator derives the scan transpose on
+demand.  Format v2 files (which also held it under ``t_`` members,
+checked and then ignored) and v1 files (matrix only; layouts rebuilt
+on load) are still readable.
 
 Writes are crash-safe: the archive is written to a temporary file in
 the destination directory, fsynced, and atomically renamed into place,
 so a crashed or killed writer can never leave a half-written operator
-under the final name.  Every v2 file embeds a CRC-32 checksum over all
+under the final name.  Every v2+ file embeds a CRC-32 checksum over all
 payload arrays which is verified on load; a flipped bit surfaces as
 :class:`OperatorIntegrityError` instead of silently corrupt physics.
 
-A load opens and parses the file once.  An uncompressed v2 file (what
+A load opens and parses the file once.  An uncompressed v2+ file (what
 the plan cache stores) is *mapped*, not copied: the operator's arrays
 are read-only views of one shared map of the file
 (:func:`repro.persist.read_npz`), and the checksum is computed over
@@ -28,9 +31,9 @@ files load as private copies with identical contents.
 The member order of the archive is decided in this module alone.
 :func:`save_operator` writes a finished operator by copy;
 :class:`OperatorArchive` is the same archive assembled *in place* for
-the plan cache — the pair's index and value streams are reserved in the
-file and filled by the loops that compute them — and seals to the same
-bytes.
+the plan cache — the matrix's index and value streams are reserved in
+the file and filled by the row gather that computes them — and seals
+to the same bytes.
 """
 
 from __future__ import annotations
@@ -72,10 +75,10 @@ __all__ = [
     "OperatorIntegrityError",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Versions this loader understands.
-_READABLE_VERSIONS = (1, 2)
+_READABLE_VERSIONS = (1, 2, 3)
 
 
 class OperatorFormatError(ValueError):
@@ -93,8 +96,8 @@ class OperatorIntegrityError(ValueError):
 #: Archive-key prefix, layout class and direction (is it a layout of
 #: the transpose?) of each optional kernel layout, by operator
 #: attribute.  A layout's own keys (and how it is rebuilt from them)
-#: are its class's ``to_arrays``/``from_arrays``; the ordered matrix and
-#: its transpose are stored the same way under "" and "t_".
+#: are its class's ``to_arrays``/``from_arrays``; the ordered matrix is
+#: stored the same way under "" (a v2 file's "t_" members held ``A^T``).
 _LAYOUTS = {
     "buffered_forward": ("bf_", BufferedMatrix, False),
     "buffered_adjoint": ("ba_", BufferedMatrix, True),
@@ -129,9 +132,9 @@ def _without_prefix(prefix: str, data: dict) -> dict:
 
 # -- save -------------------------------------------------------------------
 #
-# The member order of a v2 archive is decided here and nowhere else:
-# ``_leading_members``, the ordered matrix, its transpose ("t_"),
-# ``_trailing_members``, ``checksum``.
+# The member order of a v3 archive is decided here and nowhere else:
+# ``_leading_members``, the ordered matrix, ``_trailing_members``,
+# ``checksum``.
 
 
 def _leading_members(
@@ -153,7 +156,7 @@ def _leading_members(
 
 
 def _trailing_members(operator: MemXCTOperator) -> dict:
-    """What follows the transpose: config, geometry's own keys, layouts."""
+    """What follows the matrix: config, geometry's own keys, layouts."""
     common = ScanGeometry.archive_fields(operator.geometry)
     payload: dict = {
         "kernel": operator.config.kernel,
@@ -199,7 +202,6 @@ def save_operator(
             operator.geometry, operator.tomo_ordering, operator.sino_ordering
         ),
         **operator.matrix.to_arrays(),
-        **_with_prefix("t_", operator.transpose.to_arrays()),
         **_trailing_members(operator),
     }
     atomic_savez_checked(path, payload, compress)
@@ -207,15 +209,16 @@ def save_operator(
 
 
 class OperatorArchive:
-    """An uncompressed v2 archive assembled in place, for the plan cache.
+    """An uncompressed v3 archive assembled in place, for the plan cache.
 
     Members, order and bytes are those of ``save_operator(path,
     operator, compress=False)``, but the index and value streams of the
-    ordered pair — all of a default plan that grows with ``nnz`` — are
-    *reserved* (:meth:`repro.persist.NpzWriter.reserve`) and handed to
-    the compiled loops that produce them: each nonzero is written once,
-    into the page of the file it will be loaded from.  Everything else
-    is added by copy.  Unsealed, :meth:`close` leaves nothing behind.
+    ordered matrix — all of a default plan that grows with ``nnz`` —
+    are *reserved* (:meth:`repro.persist.NpzWriter.reserve`) and handed
+    to the tracer's compiled row gather: each nonzero is written once,
+    into the page of the file it will be loaded from.  Everything
+    else is added by copy.  Unsealed, :meth:`close` leaves nothing
+    behind.
     """
 
     def __init__(
@@ -227,9 +230,9 @@ class OperatorArchive:
         value_dtype: str,
     ) -> None:
         self._npz = NpzWriter(_stored_path(path))
-        self._num_rows = {"": geometry.num_rays, "t_": geometry.grid.num_pixels}
+        self._num_rows = geometry.num_rays
         self._value_dtype = value_dtype
-        self._reserved: dict = {}
+        self._reserved: list = []
         try:
             for name, value in _leading_members(
                 geometry, tomo_ordering, sino_ordering
@@ -242,41 +245,32 @@ class OperatorArchive:
     def reserve_matrix(self, nnz: int) -> tuple[np.ndarray, np.ndarray]:
         """Lay down the ordered matrix with ``nnz`` nonzeros; the
         archive's writable ``(ind, val)`` for the sort to fill."""
-        return self._reserve("", nnz)
-
-    def reserve_transpose(self, nnz: int) -> tuple[np.ndarray, np.ndarray]:
-        """The same for the transpose, which follows the matrix."""
-        return self._reserve("t_", nnz)
-
-    def _reserve(self, prefix: str, nnz: int) -> tuple[np.ndarray, np.ndarray]:
-        displ, ind, val = self._reserved[prefix] = [
-            self._npz.reserve(prefix + name, shape, dtype)
+        self._reserved = [
+            self._npz.reserve(name, shape, dtype)
             for name, shape, dtype in (
-                ("displ", (self._num_rows[prefix] + 1,), np.int64),
+                ("displ", (self._num_rows + 1,), np.int64),
                 ("ind", (nnz,), np.int32),
                 ("val", (nnz,), self._value_dtype),
             )
         ]
-        return ind, val
+        return tuple(self._reserved[1:])
 
     def seal(self, operator: MemXCTOperator) -> Path:
         """Finish the archive around ``operator`` and rename it into place.
 
-        The operator's pair must be the reserved streams — a ``ValueError``
-        otherwise.  The payload checksum splices in the CRCs the seal
-        takes of the reserved members, so each of their bytes is read
-        once.
+        The operator's matrix must be the reserved streams — a
+        ``ValueError`` otherwise.  The payload checksum splices in the
+        CRCs the seal takes of the reserved members, so each of their
+        bytes is read once.
         """
-        pair = {"": operator.matrix, "t_": operator.transpose}
-        if self._reserved.keys() != pair.keys() or any(
+        matrix = operator.matrix
+        if not self._reserved or any(
             (ours.ctypes.data, ours.shape) != (theirs.ctypes.data, theirs.shape)
-            for prefix, matrix in pair.items()
-            for ours, theirs in zip(self._reserved[prefix][1:], (matrix.ind, matrix.val))
+            for ours, theirs in zip(self._reserved[1:], (matrix.ind, matrix.val))
         ):
-            raise ValueError("the operator's pair is not the one this archive reserved")
+            raise ValueError("the operator's matrix is not what this archive reserved")
         with self._npz as npz:
-            for prefix, matrix in pair.items():
-                self._reserved[prefix][0][:] = matrix.displ
+            self._reserved[0][:] = matrix.displ
             for name, value in _trailing_members(operator).items():
                 npz.add(name, value)
             npz.add("checksum", np.uint32(payload_checksum(npz.payload, npz.data_crcs())))
@@ -300,7 +294,6 @@ def _operator_from_arrays(data: dict, version: int) -> MemXCTOperator:
     if kind not in _GEOMETRIES:
         raise OperatorFormatError(f"unsupported geometry kind {kind!r}")
     geometry = _GEOMETRIES[kind].from_archive(data)
-    num_pixels = geometry.grid.num_pixels
     tomo = _ordering_from_arrays(
         data["tomo_name"][()], *geometry.tomo_layout_shape, data["tomo_perm"]
     )
@@ -316,22 +309,22 @@ def _operator_from_arrays(data: dict, version: int) -> MemXCTOperator:
         buffer_bytes=int(data["buffer_bytes"]),
     ).evolve(dtype=saved_dtype or None)
     psize = config.partition_size
-    matrix = CSRMatrix.from_arrays(data, geometry.num_rays, num_pixels, psize)
+    matrix = CSRMatrix.from_arrays(
+        data, geometry.num_rays, geometry.grid.num_pixels, psize
+    )
 
     layouts = dict.fromkeys(_LAYOUTS)
     if version >= 2:
-        transpose = CSRMatrix.from_arrays(
-            _without_prefix("t_", data), num_pixels, matrix.num_rows, psize
-        )
+        # A v2 file's "t_" members passed the checksum and stay unread.
         for attr, (prefix, layout_class, transposed) in _LAYOUTS.items():
             arrays = _without_prefix(prefix, data)
             if arrays:
-                num_rows, num_cols = (transpose if transposed else matrix).shape
+                num_rows, num_cols = matrix.shape[::-1] if transposed else matrix.shape
                 layouts[attr] = layout_class.from_arrays(
                     arrays, num_rows, num_cols, psize
                 )
-    else:
-        # v1 stored the matrix only: rebuild the remaining stages.
+    elif config.kernel != "csr":
+        # v1 stored the matrix only: rebuild the kernel's layouts.
         transpose = scan_transpose(matrix)
         if config.kernel == "buffered":
             layouts["buffered_forward"] = build_buffered(
@@ -349,7 +342,7 @@ def _operator_from_arrays(data: dict, version: int) -> MemXCTOperator:
         tomo_ordering=tomo,
         sino_ordering=sino,
         matrix=matrix,
-        transpose=transpose,
+        transpose=None,
         config=config,
         **layouts,
     )
@@ -358,7 +351,7 @@ def _operator_from_arrays(data: dict, version: int) -> MemXCTOperator:
 def load_operator(path: str | Path) -> MemXCTOperator:
     """Load an operator saved by :func:`save_operator`.
 
-    v2 files restore the transpose and kernel layouts directly (no
+    v2 and v3 files restore the kernel layouts directly (no
     preprocessing stage re-runs); v1 files rebuild them
     deterministically from the stored matrix.
 

@@ -26,7 +26,7 @@ callers rely on nothing else to run, slice, persist or ship a layout:
   that partition range, bit-identically (the parallel backend's unit);
 * ``to_arrays()`` / ``from_arrays(arrays, num_rows, num_cols,
   partition_size)`` — the layout as named arrays (the key names of the
-  v2 operator archive) and back, rebuilt as views, never copies.
+  operator archive) and back, rebuilt as views, never copies.
 """
 
 from __future__ import annotations
@@ -212,21 +212,33 @@ class CSRMatrix:
         each irregular gather ``x[ind[j], :]`` pulls ``S`` contiguous
         elements, amortizing the random access.
         """
-        x = spmv_input(x, self.num_cols)
+        return self._scipy_view() @ spmv_input(x, self.num_cols)
+
+    def spmv_transposed(self, y: np.ndarray) -> np.ndarray:
+        """``x = A^T y`` from this matrix's own arrays, with no ``A^T``.
+
+        The CSR arrays of ``A`` are the CSC arrays of ``A^T``: scipy's
+        ``csc_matvec(s)`` scatters each row's products into its columns
+        in increasing row order, from +0 — the order in which the scan
+        transpose's gather sums them, so the result is bit-identical to
+        ``scan_transpose(self).spmv(y)``, vector and slab.
+        """
+        return self._scipy_view().T @ spmv_input(y, self.num_rows)
+
+    def _scipy_view(self) -> sp.csr_matrix:
         view = getattr(self, "_view", None)
         if view is None:
             view = self._view = self.to_scipy()
-        return view @ x
+        return view
 
     def row_sums(self) -> np.ndarray:
         """Sum of values per row (used by SIRT scaling)."""
         return csr_row_sums(self.val, self.displ, self.num_rows)
 
     def col_sums(self) -> np.ndarray:
-        """Sum of values per column (used by SIRT scaling)."""
-        out = np.zeros(self.num_cols, dtype=self.val.dtype)
-        np.add.at(out, self.ind, self.val)
-        return out
+        """Sum of values per column (used by SIRT scaling): the
+        transposed product with ones, each column summed in row order."""
+        return self.spmv_transposed(np.ones(self.num_rows, self.val.dtype))
 
     def permute(self, row_perm: np.ndarray | None, col_rank: np.ndarray | None) -> "CSRMatrix":
         """Reindex rows and/or columns.

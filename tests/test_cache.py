@@ -69,19 +69,21 @@ class TestFingerprint:
     def test_named_kernels_keep_their_keys(self, monkeypatch):
         """A config that names its kernel hashes one key per kernel: the
         default moved from buffered to csr, no key did.  The values were
-        restated once since, when a half-turn parallel scan began tracing
-        each view orbit once: its plan values may differ from a direct
-        trace in the last bits, so its geometry document gained
-        ``view_symmetry`` (64x48 parallel beam)."""
+        restated twice since: when a half-turn parallel scan began
+        tracing each view orbit once (its plan values may differ from a
+        direct trace in the last bits, so its geometry document gained
+        ``view_symmetry``), and when the archive dropped ``A^T`` and its
+        format version, which every key hashes, became 3 (64x48
+        parallel beam)."""
         monkeypatch.delenv("REPRO_DTYPE", raising=False)
         geometry = ParallelBeamGeometry(64, 48)
         assert {
             kernel: plan_fingerprint(geometry, OperatorConfig(kernel=kernel))
             for kernel in ("csr", "buffered", "ell")
         } == {
-            "csr": "46fea8b3853b5c5d3b9fe56bb3d50c27f3d30b489502a263c6424b866a9f34fe",
-            "buffered": "b607a051caf77b3cf5739f014816a3e472e8770b144cbedab38f1666c6b306c4",
-            "ell": "f84a1f16ddfe4c2ea56054599295723c31edafb9843735b059a179c8d126a005",
+            "csr": "d3046699675e661a1e200606518ce9b009a6d0e5d5d1d3c16de9559910903eda",
+            "buffered": "9c61733b34705336e97912c7aad67863f12c52d048a2aadb901819f82a7b0b6a",
+            "ell": "65273cb113bbdfce45aeeddc96cad464e308ee6b26a8fbba152261c712722914",
         }
 
     def test_float_inputs_hashed_exactly(self, small_geometry):
@@ -357,7 +359,7 @@ def _temp_files(cachedir):
 
 
 class TestAssembledInPlace:
-    """With a cache the cold build writes the ordered pair straight
+    """With a cache the cold build writes the ordered matrix straight
     into the entry's archive and returns the entry, loaded."""
 
     @pytest.mark.parametrize("workers", [None, "process:2"])
@@ -389,8 +391,8 @@ class TestAssembledInPlace:
         assert cap.total(obs.CACHE_BYTES_WRITTEN) > 0
         assert cap.span_names().count("cache.store") == 1
         assert cap.find_spans("cache.load") == []
-        pair = [cold.matrix.ind, cold.matrix.val, cold.transpose.ind, cold.transpose.val]
-        for array in pair:
+        assert cold._transpose is None  # the entry holds A alone
+        for array in (cold.matrix.ind, cold.matrix.val):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
@@ -434,20 +436,22 @@ class TestAssembledInPlace:
     def test_sealing_a_pair_the_archive_did_not_reserve_raises(
         self, tmp_path, small_geometry
     ):
+        """A matrix built elsewhere, or no reservation at all."""
         from repro.io import OperatorArchive
 
         op, _ = preprocess(small_geometry)
-        archive = OperatorArchive(
-            tmp_path / "x.npz", small_geometry, op.tomo_ordering, op.sino_ordering, "float32"
-        )
-        try:
-            archive.reserve_matrix(op.matrix.nnz)
-            archive.reserve_transpose(op.transpose.nnz)
-            with pytest.raises(ValueError, match="reserved"):
-                archive.seal(op)
-        finally:
-            archive.close()
-        assert list(tmp_path.iterdir()) == []
+        for reserve in (True, False):
+            archive = OperatorArchive(
+                tmp_path / "x.npz", small_geometry, op.tomo_ordering, op.sino_ordering, "float32"
+            )
+            try:
+                if reserve:
+                    archive.reserve_matrix(op.matrix.nnz)
+                with pytest.raises(ValueError, match="reserved"):
+                    archive.seal(op)
+            finally:
+                archive.close()
+            assert list(tmp_path.iterdir()) == []
 
     def test_a_full_disk_raises_leaves_nothing_and_a_retry_succeeds(
         self, tmp_path, small_geometry, monkeypatch
@@ -472,14 +476,15 @@ class TestAssembledInPlace:
 
         stages = sys.modules["repro.core.preprocess"]  # the name is also the function
 
-        def broken(matrix, out=None):
-            out[1][: matrix.nnz // 2] = 1.0  # half of t_val written
-            raise RuntimeError("scan interrupted")
+        def broken(geometry, out=None, **kwargs):
+            _, val = out(1000)
+            val[:500] = 1.0  # half of val written
+            raise RuntimeError("sort interrupted")
 
         cachedir = tmp_path / "plans"
         with monkeypatch.context() as patch:
-            patch.setattr(stages, "scan_transpose", broken)
-            with pytest.raises(RuntimeError, match="scan interrupted"):
+            patch.setattr(stages, "build_projection_matrix", broken)
+            with pytest.raises(RuntimeError, match="sort interrupted"):
                 preprocess(small_geometry, cache=cachedir)
         assert list(cachedir.iterdir()) == []
         cold, entry = _cold(small_geometry, cachedir)

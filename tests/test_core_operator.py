@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import KERNELS, MemXCTOperator, OperatorConfig, preprocess
+from repro import obs
+from repro.core import KERNELS, MemXCTOperator, OperatorConfig, preprocess, reconstruct
 from repro.geometry import ParallelBeamGeometry
+from repro.sparse import scan_transpose
 
 
 @pytest.fixture(scope="module")
@@ -125,14 +127,18 @@ class TestOneResidentForm:
     ):
         """After its kernels have run, vector and slab, the only buffers
         of nnz length reachable from a default operator are the index
-        and value arrays of ``matrix`` and ``transpose`` — the compiled
-        loop runs on them as they stand.  The same holds for the
-        operator a cold build into a plan cache returns (the entry it
-        assembled in place, mapped)."""
+        and value arrays of ``matrix`` — the compiled loops run both
+        directions on them as they stand, and no ``A^T`` is derived.
+        The same holds for the operator a cold build into a plan cache
+        returns (the entry it assembled in place, mapped).  Serial
+        whatever ``REPRO_WORKERS`` says: a ``process`` engine partitions
+        the adjoint by pixel rows, over the derived ``A^T``."""
         import gc
 
         op, _ = preprocess(
-            ParallelBeamGeometry(36, 24), cache=tmp_path / "plans" if cached else None
+            ParallelBeamGeometry(36, 24),
+            config=OperatorConfig(workers="serial"),
+            cache=tmp_path / "plans" if cached else None,
         )
         assert op.config.kernel == "csr"
         assert op.buffered_forward is op.ell_forward is None
@@ -158,8 +164,38 @@ class TestOneResidentForm:
             if callable(obj):
                 continue
             stack.extend(gc.get_referents(obj))
-        pair = [op.matrix.ind, op.matrix.val, op.transpose.ind, op.transpose.val]
-        assert set(big) == {id(owner(a)) for a in pair}
+        assert op._transpose is None
+        assert set(big) == {id(owner(a)) for a in (op.matrix.ind, op.matrix.val)}
+
+
+class TestDerivedTranspose:
+    """``A^T`` is derived state: nothing a serial csr solve runs builds
+    it, and ``close()`` drops it once something has."""
+
+    @pytest.fixture()
+    def op(self):
+        return preprocess(
+            ParallelBeamGeometry(24, 16), config=OperatorConfig(workers="serial")
+        )[0]
+
+    @pytest.mark.parametrize("solver", ["cg", "sirt"])
+    def test_nothing_derives_it_behind_the_solvers_back(self, op, rng, solver):
+        sinogram = rng.random(op.geometry.sinogram_shape)
+        with obs.capture() as cap:
+            reconstruct(sinogram, op.geometry, solver=solver, iterations=3, operator=op)
+            op.memory_footprint()
+        assert cap.total(obs.SPMV_CALLS) > 0
+        assert op._transpose is None
+
+    def test_it_is_the_scan_transpose_held_until_close(self, op):
+        held = op.transpose
+        assert op.transpose is held
+        want = scan_transpose(op.matrix)
+        for name in ("displ", "ind", "val"):
+            assert np.array_equal(getattr(held, name), getattr(want, name)), name
+        op.close()
+        assert op._transpose is None
+        assert op.transpose is not held
 
 
 class TestFootprints:
@@ -169,6 +205,8 @@ class TestFootprints:
         assert fp["irregular_forward"] == 24 * 24 * 4
         assert fp["irregular_adjoint"] == 36 * 24 * 4
         assert fp["regular_forward"] == ops["csr"].matrix.nnz * 8
+        # Both csr directions stream A's own row offsets.
+        assert fp["displ_bytes"] == 2 * 8 * (36 * 24 + 1)
 
     def test_buffered_uses_16bit_indices(self, operators):
         _, ops = operators

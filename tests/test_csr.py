@@ -101,6 +101,45 @@ class TestSpMV:
         np.testing.assert_allclose(A.row_sums(), [3, 3])
         np.testing.assert_allclose(A.col_sums(), [1, 2, 3])
 
+    @staticmethod
+    def _add_at_col_sums(A):
+        out = np.zeros(A.num_cols, dtype=A.val.dtype)
+        np.add.at(out, A.ind, A.val)
+        return out
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_col_sums_are_the_sequential_scatter(self, seed, dtype):
+        """Each column sums its rows in increasing row order from +0,
+        as ``np.add.at`` over the stored stream does, bit for bit —
+        including columns with no nonzero."""
+        rng = np.random.default_rng(seed)
+        S = _random_sparse(int(rng.integers(1, 60)), int(rng.integers(1, 60)), 0.2, seed)
+        empty = S.shape[1] // 3
+        keep = np.arange(S.shape[1]) >= empty  # zero-nnz columns before it
+        masked = sp.csr_matrix(S.multiply(keep))
+        masked.eliminate_zeros()
+        A = CSRMatrix.from_scipy(masked, dtype=dtype)
+        assert not np.bincount(A.ind, minlength=A.num_cols)[:empty].any()
+        got = A.col_sums()
+        assert got.dtype == np.dtype(dtype) and got.shape == (A.num_cols,)
+        assert np.array_equal(got, self._add_at_col_sums(A))
+        assert not got[:empty].any()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 4), (4, 0)])
+    def test_col_sums_of_an_empty_matrix(self, shape, dtype):
+        A = CSRMatrix.from_scipy(sp.csr_matrix(shape, dtype=np.float32), dtype=dtype)
+        got = A.col_sums()
+        assert got.dtype == np.dtype(dtype) and np.array_equal(got, np.zeros(shape[1]))
+
+    def test_transposed_product_checks_its_input(self):
+        A = CSRMatrix.from_scipy(_random_sparse(6, 4, 0.5, 3))
+        with pytest.raises(ValueError, match="expected 6"):
+            A.spmv_transposed(np.ones(4, np.float32))
+        with pytest.raises(ValueError, match="slab"):
+            A.spmv_transposed(np.ones((6, 2, 1), np.float32))
+
 
 class TestCsrRowSums:
     def test_basic(self):

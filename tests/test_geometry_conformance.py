@@ -17,7 +17,7 @@ import pytest
 from repro.cache import plan_fingerprint
 from repro.core import MemXCTOperator, OperatorConfig, preprocess
 from repro.geometry import ConeBeamGeometry, FanBeamGeometry, ParallelBeamGeometry
-from repro.io import load_operator, save_operator
+from repro.io import FORMAT_VERSION, load_operator, save_operator
 from repro.parallel.backend import make_backend, parse_workers
 from repro.dist import distributed_preprocess
 from repro.sparse import CSRMatrix, scan_transpose
@@ -287,7 +287,7 @@ class TestOneSeam:
             op, _ = preprocess(GEOMETRIES[name], config=SMALL)
             with np.load(save_operator(tmp_path / name, op)) as npz:
                 keys[name] = set(npz.files)
-                assert int(npz["format_version"]) == 2
+                assert int(npz["format_version"]) == FORMAT_VERSION
         assert "geometry_kind" not in keys["parallel"]
         assert keys["fan"] - keys["parallel"] == {
             "geometry_kind", "source_distance", "fan_angle"

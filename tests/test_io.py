@@ -24,6 +24,7 @@ from repro.io import (
     load_operator,
     save_operator,
 )
+from repro.sparse import scan_transpose
 
 KERNELS = ("csr", "buffered", "ell")
 PRECISIONS = (None, "float32", "float64")
@@ -51,7 +52,6 @@ def operator_arrays(operator) -> dict[str, np.ndarray]:
     arrays = {}
     for tag, layout in [
         ("matrix", operator.matrix),
-        ("transpose", operator.transpose),
         ("bf", operator.buffered_forward),
         ("ba", operator.buffered_adjoint),
         ("ef", operator.ell_forward),
@@ -168,16 +168,18 @@ class TestRoundtrip:
     def test_archive_holds_the_pair_and_the_named_layout(
         self, tmp_path, config, layout_prefixes
     ):
-        """One form per direction: the ordered CSR pair always, a
-        staged or padded layout only for the kernel that runs on it —
-        none at all for the default config."""
+        """The ordered matrix always and never its transpose (the csr
+        adjoint runs over ``A``), a staged or padded layout pair only
+        for the kernel that runs on it — none at all for the default
+        config."""
         import zipfile
 
         op, report = preprocess(ParallelBeamGeometry(10, 8), config, cache=tmp_path)
         archive = save_operator(tmp_path / "op.npz", op)
         for path in (archive, PlanCache(tmp_path).plan_path(report.cache_key)):
             names = [n.removesuffix(".npy") for n in zipfile.ZipFile(path).namelist()]
-            assert {"displ", "ind", "val", "t_displ", "t_ind", "t_val"} <= set(names)
+            assert {"displ", "ind", "val"} <= set(names)
+            assert not [n for n in names if n.startswith("t_")]
             found = {n[:3] for n in names if n[:3] in ("bf_", "ba_", "ef_", "ea_")}
             assert found == layout_prefixes
 
@@ -342,6 +344,84 @@ class TestV1BackCompat:
         y = rng.random(op.num_rays).astype(np.float32)
         np.testing.assert_array_equal(loaded.forward(x), op.forward(x))
         np.testing.assert_array_equal(loaded.adjoint(y), op.adjoint(y))
+
+
+class TestV2BackCompat:
+    """A v2 file held ``A^T`` as ``t_`` members: it still loads, the
+    members are checked with the rest and then left unread."""
+
+    @staticmethod
+    def _v2(tmp_path, op, tamper=False):
+        """``op`` saved as a v2 writer saved it: ``t_`` members between
+        the matrix and the config, ``format_version`` 2, checksummed."""
+        with np.load(save_operator(tmp_path / "v3.npz", op)) as data:
+            arrays = {name: data[name] for name in data.files if name != "checksum"}
+        assert int(arrays["format_version"]) == FORMAT_VERSION == 3
+        arrays["format_version"] = np.int64(2)
+        transpose = {
+            "t_" + name: array
+            for name, array in scan_transpose(op.matrix).to_arrays().items()
+        }
+        names = list(arrays)
+        cut = names.index("val") + 1
+        payload = {
+            **{name: arrays[name] for name in names[:cut]},
+            **transpose,
+            **{name: arrays[name] for name in names[cut:]},
+        }
+        path = tmp_path / "v2.npz"
+        persist.atomic_savez_checked(path, payload)
+        if tamper:
+            with np.load(path) as data:
+                flipped = {name: data[name] for name in data.files}
+            flipped["t_val"] = flipped["t_val"].copy()
+            flipped["t_val"][0] += 1.0
+            np.savez(path, **flipped)
+        return path
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_a_v2_file_loads_and_solves_like_the_v3_file(self, tmp_path, rng, kernel):
+        from repro.core import reconstruct
+
+        op = small_operator_of(kernel)
+        old = load_operator(self._v2(tmp_path, op))
+        new = load_operator(tmp_path / "v3.npz")
+        assert old._transpose is None
+        assert_equal_operators(old, new)
+        sinogram = rng.random(op.geometry.sinogram_shape)
+        images = [
+            reconstruct(sinogram, op.geometry, iterations=5, operator=loaded).image
+            for loaded in (old, new)
+        ]
+        assert np.array_equal(*images)
+
+    def test_a_v2_files_transpose_members_are_checksummed(self, tmp_path):
+        path = self._v2(tmp_path, small_operator_of("csr"), tamper=True)
+        with pytest.raises(OperatorIntegrityError, match="checksum mismatch"):
+            load_operator(path)
+
+    def test_a_v1_csr_file_loads_without_a_transpose(self, tmp_path, monkeypatch, rng):
+        from repro import io
+        from repro.core import operator as core_operator
+
+        op = small_operator_of("csr")
+        with np.load(save_operator(tmp_path / "v3.npz", op)) as data:
+            arrays = {name: data[name] for name in data.files if name != "checksum"}
+        arrays["format_version"] = np.int64(1)
+        np.savez(tmp_path / "v1.npz", **arrays)
+
+        y = rng.random(op.num_rays).astype(np.float32)
+        want = scan_transpose(op.matrix).spmv(y)
+
+        def refused(matrix, out=None):
+            raise AssertionError("scan_transpose called")
+
+        monkeypatch.setattr(io, "scan_transpose", refused)
+        monkeypatch.setattr(core_operator, "scan_transpose", refused)
+        loaded = load_operator(tmp_path / "v1.npz")
+        assert loaded._transpose is None
+        loaded.set_workers("serial")  # a process engine would derive A^T
+        assert np.array_equal(loaded.adjoint(y), want)
 
 
 class TestAlignedArchive:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.cachesim import listing3_spmv
-from repro.geometry import ParallelBeamGeometry
+from repro.core import OperatorConfig, preprocess, reconstruct
+from repro.geometry import ConeBeamGeometry, FanBeamGeometry, ParallelBeamGeometry
 from repro.sparse import (
     CSRMatrix,
     build_buffered,
@@ -136,3 +137,80 @@ class TestDegenerateShapes:
         np.testing.assert_allclose(
             _apply_ell(A, x, partition_size=4 * A.num_rows), ref, **TOL
         )
+
+
+# -- the csr adjoint reads A ------------------------------------------------
+
+ADJOINT_GEOMETRIES = {
+    "parallel": ParallelBeamGeometry(16, 12),
+    "fan": FanBeamGeometry(16, 12, source_distance=40.0),
+    "cone": ConeBeamGeometry(8, 4, 6, source_distance=30.0),
+}
+ADJOINT_DTYPES = {"mixed": None, "float32": "float32", "float64": "float64"}
+
+
+def _slab(rng, rows, S, layout, dtype):
+    """A ``(rows, S)`` right-hand side (``(rows,)`` for ``S = 1``
+    vector), C- or F-ordered, or a strided view whose columns run
+    backwards through a twice-as-wide array."""
+    if layout == "vector":
+        return rng.standard_normal(rows).astype(dtype)
+    if layout == "strided":
+        wide = rng.standard_normal((rows, 2 * S)).astype(dtype)
+        return wide[:, ::-2]
+    order = "F" if layout == "F" else "C"
+    return np.asarray(rng.standard_normal((rows, S)).astype(dtype), order=order)
+
+
+@pytest.fixture(scope="module")
+def csr_operators():
+    return {
+        (kind, dtype): preprocess(
+            geometry,
+            config=OperatorConfig(dtype=ADJOINT_DTYPES[dtype], workers="serial"),
+        )[0]
+        for kind, geometry in ADJOINT_GEOMETRIES.items()
+        for dtype in ADJOINT_DTYPES
+    }
+
+
+@pytest.mark.parametrize("dtype", ADJOINT_DTYPES)
+@pytest.mark.parametrize("kind", ADJOINT_GEOMETRIES)
+class TestAdjointReadsA:
+    """The csr operator's adjoint runs scipy's CSC loop over ``A``'s own
+    arrays; it is the scan transpose's gather, bit for bit: each pixel
+    sums its rays in increasing ray order, from +0, with the same
+    products."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("S", [1, 2, 4, 16])
+    def test_adjoint_is_the_scan_transposes_gather(
+        self, csr_operators, kind, dtype, S, layout
+    ):
+        op = csr_operators[(kind, dtype)]
+        rng = np.random.default_rng(S)
+        transpose = scan_transpose(op.matrix)
+        for shape in ("vector", layout) if S == 1 else (layout,):
+            y = _slab(rng, op.num_rays, S, shape, op.compute_dtype)
+            got = op.adjoint(y)
+            want = transpose.spmv(y)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), shape
+        assert op._transpose is None
+
+
+def test_process_engine_partitions_the_derived_transpose():
+    """``process:2`` splits the csr adjoint by pixel rows of the derived
+    ``A^T``; its CG image equals the serial CSC loop's bit for bit."""
+    geometry = ParallelBeamGeometry(24, 16)
+    op, _ = preprocess(geometry, config=OperatorConfig(workers="serial"))
+    sinogram = np.random.default_rng(3).random(geometry.sinogram_shape)
+    serial = reconstruct(sinogram, geometry, iterations=4, operator=op).image
+    assert op._transpose is None
+    op.set_workers("process:2")
+    try:
+        parallel = reconstruct(sinogram, geometry, iterations=4, operator=op).image
+        assert op._transpose is not None
+    finally:
+        op.close()
+    assert np.array_equal(parallel, serial)
