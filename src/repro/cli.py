@@ -59,8 +59,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DATASETS, KERNELS, SOLVERS, OperatorConfig, get_dataset, preprocess, reconstruct
+from .core import DATASETS, KERNELS, OperatorConfig, get_dataset, preprocess, reconstruct
 from .machine import MACHINES
+from .solvers.table import solver_names, solver_row
 from .utils import format_bytes, format_seconds, psnr, render_table
 
 __all__ = ["main"]
@@ -260,6 +261,13 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     from .io import load_operator
+
+    resilient = args.checkpoint or args.checkpoint_every or args.resume or args.health
+    try:  # refuse what the solver table refuses before anything is built
+        solver_row(args.solver, ranks=args.ranks > 1, resilient=bool(resilient))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     operator = None
     if args.operator:
@@ -762,9 +770,7 @@ def _default(config_class, name: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .pipeline import PIPELINE_SOLVERS
-    from .scenarios import SCENARIO_SOLVERS
-    from .service import SERVICE_SOLVERS, ServiceConfig
+    from .service import ServiceConfig
 
     parser = argparse.ArgumentParser(
         prog="repro", description="MemXCT reproduction command-line interface"
@@ -896,12 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.5,
         help="limited-angle: fraction of views kept",
     )
-    p.add_argument(
-        "--solver",
-        default="tv",
-        choices=SCENARIO_SOLVERS,
-        help="degraded-scan solver",
-    )
+    p.add_argument("--solver", default="tv", choices=solver_names(), help="degraded-scan solver")
     p.add_argument(
         "--strength", type=float, default=0.05, help="regularization strength"
     )
@@ -936,7 +937,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=0.125)
     p.add_argument("--photons", type=float, default=1e5)
     p.add_argument("--operator", help="operator file from 'preprocess'")
-    p.add_argument("--solver", default="cg", choices=SOLVERS)
+    # No --strength here: the prior rows run through 'scenario'.
+    p.add_argument("--solver", default="cg", choices=solver_names(lambda r: not r.prior))
     p.add_argument("--iterations", type=int, default=30)
     p.add_argument("--output", "-o", default="reconstruction.npz")
     p.add_argument(
@@ -958,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--checkpoint", metavar="FILE",
-        help="write periodic solver checkpoints to FILE (cg/sirt)",
+        help="write periodic solver checkpoints to FILE (resilient solvers)",
     )
     p.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="N",
@@ -967,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--resume", metavar="FILE",
-        help="resume the solve from a checkpoint file (bit-exact for cg)",
+        help="resume the solve from a checkpoint file (bit-exact)",
     )
     p.add_argument(
         "--health", action="store_true",
@@ -1008,7 +1010,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--no-noise", action="store_true", help="disable Poisson noise (demo)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--solver", default="cg", choices=PIPELINE_SOLVERS)
+    p.add_argument("--solver", default="cg", choices=solver_names(lambda row: row.slab))
     p.add_argument("--iterations", type=int, default=30)
     p.add_argument(
         "--tolerance", type=float, default=0.0,
@@ -1151,7 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sinogram", help=".npy file or .npz with a 'sinogram' array")
     p.add_argument("--url", default="http://127.0.0.1:8780")
     p.add_argument("--tenant", default="default")
-    p.add_argument("--solver", default="cg", choices=SERVICE_SOLVERS)
+    p.add_argument("--solver", default="cg", choices=solver_names(lambda row: row.slab))
     p.add_argument("--iterations", type=int, default=30)
     p.add_argument("--tolerance", type=float, default=0.0)
     p.add_argument("--dtype", default=None, choices=("float32", "float64"))

@@ -6,7 +6,7 @@ from .compxct import CompXCTOperator
 from .datasets import CHORD_CONSTANT, DATASETS, TABLE3_PAPER, DatasetSpec, get_dataset, table3_row
 from .operator import KERNELS, MemXCTOperator, OperatorConfig
 from .preprocess import PreprocessReport, preprocess
-from .reconstructor import SOLVERS, ReconstructionResult, reconstruct
+from .reconstructor import ReconstructionResult, reconstruct
 
 __all__ = [
     "CompXCTOperator",
@@ -21,7 +21,6 @@ __all__ = [
     "OperatorConfig",
     "PreprocessReport",
     "preprocess",
-    "SOLVERS",
     "ReconstructionResult",
     "reconstruct",
 ]

@@ -20,17 +20,14 @@ from ..topology import HierComm, Topology, parse_topology
 from ..geometry import ParallelBeamGeometry
 from ..obs import span
 from ..resilience import CheckpointManager, FaultConfig, FaultInjector, HealthMonitor
-from ..solvers import SolveResult, cgls, icd, sgd, sirt
+from ..precision import solver_dtype
+from ..solvers import SolveResult
+from ..solvers.table import SolverRow, clip_counts, solver_row
+from ..solvers import cgls, fbp, icd, mlem, regularized_cgls, sgd, sirt, tv_cgls  # row entries
 from .operator import MemXCTOperator, OperatorConfig
 from .preprocess import PreprocessReport, preprocess
 
-__all__ = ["ReconstructionResult", "reconstruct", "SOLVERS"]
-
-SOLVERS = ("cg", "sirt", "sgd", "icd", "fbp")
-
-#: Solvers whose recurrence state the checkpoint/resume/health layer
-#: understands (see docs/resilience.md).
-RESILIENT_SOLVERS = ("cg", "sirt")
+__all__ = ["ReconstructionResult", "reconstruct"]
 
 
 @dataclass
@@ -51,43 +48,39 @@ class ReconstructionResult:
         return self.solve_seconds / max(self.solve.iterations, 1)
 
 
-def _run_solver(solver: str, op, y: np.ndarray, iterations: int, **solver_kwargs) -> SolveResult:
-    if solver == "cg":
-        return cgls(op, y, num_iterations=iterations, **solver_kwargs)
-    if solver == "sirt":
-        return sirt(op, y, num_iterations=iterations, **solver_kwargs)
-    if solver == "sgd":
-        return sgd(op, y, num_iterations=iterations, **solver_kwargs)
-    raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-
-
-def _run_direct_or_matrix_solver(
-    solver: str,
+def run_solver(
+    row: SolverRow,
     operator: MemXCTOperator,
-    sinogram: np.ndarray,
     y: np.ndarray,
     iterations: int,
+    solve_op=None,
     **solver_kwargs,
 ) -> SolveResult:
-    """Solvers needing operator internals: FBP (one-shot) and ICD."""
-    if solver == "fbp":
-        from ..solvers import fbp
+    """One solve of ``row`` on ordered ``y`` — the single-solve dispatch
+    of :func:`reconstruct` and :func:`repro.scenarios.reconstruct_scenario`.
 
-        image = fbp(operator, sinogram, **solver_kwargs)
-        x = operator.image_to_ordered(image)
-        residual = float(
-            np.linalg.norm(np.asarray(operator.forward(x), dtype=np.float64) - y)
+    ``solve_op`` (default ``operator``) is what the iterations run on;
+    the entry is this module's attribute named by the row, read at call
+    time.  ICD reads the ordered matrix and its derived transpose; FBP
+    is the one-shot direct solve (``iterations`` is ignored).
+    """
+    solve_op = operator if solve_op is None else solve_op
+    y = clip_counts(row, y, solver_dtype(solve_op))
+    if row.name == "icd":
+        return icd(operator.matrix, operator.transpose, y, num_sweeps=iterations,
+                   **solver_kwargs)
+    if row.name == "fbp":
+        x = operator.image_to_ordered(
+            fbp(operator, operator.ordered_to_sinogram(y), **solver_kwargs)
         )
-        result = SolveResult(x=x, iterations=1)
-        result.residual_norms.append(residual)
-        result.solution_norms.append(float(np.linalg.norm(x)))
-        result.stop_reason = "direct solve"
-        return result
-    if solver == "icd":
-        return icd(
-            operator.matrix, operator.transpose, y, num_sweeps=iterations, **solver_kwargs
+        residual = np.asarray(operator.forward(x), dtype=np.float64) - y
+        return SolveResult(
+            x=x, iterations=1, residual_norms=[float(np.linalg.norm(residual))],
+            solution_norms=[float(np.linalg.norm(x))], stop_reason="direct solve",
         )
-    raise AssertionError(solver)
+    if row.entry == "regularized_cgls":
+        solver_kwargs["regularizer"] = row.prior
+    return globals()[row.entry](solve_op, y, num_iterations=iterations, **solver_kwargs)
 
 
 def _resolve_faults(faults, num_ranks: int) -> FaultInjector | None:
@@ -127,10 +120,8 @@ def _resolve_topology(topology, num_ranks: int) -> Topology:
     raise TypeError(f"cannot interpret topology spec {topology!r}")
 
 
-def _resolve_resilience_kwargs(
-    solver: str, checkpoint, checkpoint_every: int, resume, health
-) -> dict:
-    """Build the checkpoint/resume/health kwargs for a resilient solver."""
+def _resolve_resilience_kwargs(checkpoint, checkpoint_every: int, resume, health) -> dict:
+    """Build the checkpoint/resume/health kwargs of a resilient solve."""
     extras: dict = {}
     if checkpoint is not None or checkpoint_every:
         if not isinstance(checkpoint, CheckpointManager):
@@ -141,11 +132,6 @@ def _resolve_resilience_kwargs(
         extras["resume"] = resume
     if health is not None and health is not False:
         extras["health"] = health if isinstance(health, HealthMonitor) else HealthMonitor()
-    if extras and solver not in RESILIENT_SOLVERS:
-        raise ValueError(
-            f"solver {solver!r} does not support checkpoint/resume/health; "
-            f"resilient solvers are {RESILIENT_SOLVERS}"
-        )
     return extras
 
 
@@ -176,10 +162,10 @@ def reconstruct(
     geometry:
         Scan geometry; inferred from the sinogram shape when omitted.
     solver:
-        One of :data:`SOLVERS`: ``"cg"`` (MemXCT's choice), ``"sirt"``
-        (Trace's), ``"sgd"``, ``"icd"`` (coordinate descent on the
-        ordered matrix and its derived transpose) or ``"fbp"`` (direct
-        filtered backprojection; ``iterations`` is ignored).
+        A row of :data:`repro.solvers.SOLVER_TABLE` (``"cg"`` is MemXCT's
+        choice; a prior row needs ``strength=``).  A row the table says
+        cannot do what the call asks, or a non-finite sinogram, is
+        refused before anything is preprocessed.
     iterations:
         Iteration budget (30 CG iterations is the paper's early stop).
     ordering:
@@ -223,15 +209,14 @@ def reconstruct(
         for health rollback.
     resume:
         Checkpoint to continue from (path, manager, or snapshot);
-        continuation is bit-exact for CG.
+        continuation is bit-exact for every resilient solver.
     health:
         ``True`` (default monitor) or a configured
         :class:`~repro.resilience.HealthMonitor` — detects NaN/Inf and
         sustained divergence, rolling back to the last checkpoint with
         a damped step.
     cache:
-        Plan-cache selector forwarded to :func:`preprocess` (also
-        where tuning records persist).
+        Plan-cache selector forwarded to :func:`preprocess`.
     solver_kwargs:
         Extra arguments for the chosen solver.
     """
@@ -247,10 +232,17 @@ def reconstruct(
         )
     if num_ranks < 1:
         raise ValueError(f"rank count must be >= 1, got {num_ranks}")
+    if not np.all(np.isfinite(sinogram)):
+        raise ValueError("sinogram contains non-finite values")
 
     injector = _resolve_faults(faults, num_ranks)
+    topo = _resolve_topology(topology, num_ranks) if num_ranks > 1 else None
     resilience_kwargs = _resolve_resilience_kwargs(
-        solver, checkpoint, checkpoint_every, resume, health
+        checkpoint, checkpoint_every, resume, health
+    )
+    row = solver_row(
+        solver, ranks=num_ranks > 1, resilient=bool(resilience_kwargs),
+        strength=solver_kwargs.get("strength"),
     )
 
     if operator is None:
@@ -262,30 +254,11 @@ def reconstruct(
 
     y = operator.sinogram_to_ordered(sinogram)
 
-    if solver in ("fbp", "icd"):
-        if num_ranks > 1:
-            raise ValueError(f"solver {solver!r} does not support num_ranks > 1")
-        t0 = time.perf_counter()
-        solve = _run_direct_or_matrix_solver(
-            solver, operator, sinogram, y, iterations, **solver_kwargs
-        )
-        solve_seconds = time.perf_counter() - t0
-        return ReconstructionResult(
-            image=operator.ordered_to_image(solve.x),
-            solve=solve,
-            preprocess_report=preprocess_report,
-            operator=operator,
-            solve_seconds=solve_seconds,
-            solver=solver,
-            num_ranks=1,
-        )
-
     solve_op = operator
     if num_ranks > 1:
         tomo_dec, sino_dec = decompose_both(
             operator.tomo_ordering, operator.sino_ordering, num_ranks
         )
-        topo = _resolve_topology(topology, num_ranks)
         comm = None
         if injector is not None:
             comm = (
@@ -312,8 +285,8 @@ def reconstruct(
         operator._rank_data[key] = solve_op.ranks
 
     t0 = time.perf_counter()
-    solve = _run_solver(
-        solver, solve_op, y, iterations, **resilience_kwargs, **solver_kwargs
+    solve = run_solver(
+        row, operator, y, iterations, solve_op, **resilience_kwargs, **solver_kwargs
     )
     solve_seconds = time.perf_counter() - t0
 

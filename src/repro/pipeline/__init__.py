@@ -21,7 +21,6 @@ See ``docs/pipeline.md`` for the full guide.
 from .center import CENTER_METHODS, find_center_shift
 from .demo import DemoStack, demo_stack
 from .executor import (
-    PIPELINE_SOLVERS,
     StackResult,
     chunk_slices_for_budget,
     reconstruct_stack,
@@ -41,7 +40,6 @@ __all__ = [
     "find_center_shift",
     "DemoStack",
     "demo_stack",
-    "PIPELINE_SOLVERS",
     "StackResult",
     "chunk_slices_for_budget",
     "reconstruct_stack",

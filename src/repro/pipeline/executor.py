@@ -59,17 +59,15 @@ from ..obs import (
 )
 from ..precision import solver_dtype
 from ..resilience.checkpoint import CheckpointError, CheckpointManager, SolverCheckpoint
-from ..solvers import cgls_batch, mlem_batch, sirt_batch
+from ..solvers.table import clip_counts, solver_row
+from ..solvers import cgls_batch, mlem_batch, sirt_batch  # row entries
 from .stages import Stage, StageContext, default_stages
 
 __all__ = [
     "StackResult",
     "reconstruct_stack",
     "chunk_slices_for_budget",
-    "PIPELINE_SOLVERS",
 ]
-
-PIPELINE_SOLVERS = ("cg", "sirt", "mlem")
 
 #: Checkpoint tag distinguishing stack checkpoints from solver ones.
 _CHECKPOINT_SOLVER = "pipeline"
@@ -172,15 +170,6 @@ def _stack_fingerprint(
     return np.frombuffer(h.digest(), dtype=np.uint8).copy()
 
 
-def _slab_solver(name: str):
-    """The slab entry point of a solver name.
-
-    The table is built per call so the functions stay the module's
-    late-bound names (wrappable by attribute, e.g. by a tracer).
-    """
-    return {"cg": cgls_batch, "sirt": sirt_batch, "mlem": mlem_batch}[name]
-
-
 def _done_runs(done: np.ndarray) -> list[tuple[int, int]]:
     """Contiguous ``[start, stop)`` runs of True in a boolean mask."""
     runs: list[tuple[int, int]] = []
@@ -260,9 +249,9 @@ def reconstruct_stack(
 ) -> StackResult:
     """Reconstruct a 3D stack of sinograms through the staged pipeline.
 
-    Every chunk is solved as one slab by the multi-RHS solvers
-    (``cgls_batch`` / ``sirt_batch`` / ``mlem_batch``): column ``j`` of
-    a slab is bit-identical to the single-slice solve of slice ``j``.
+    Every chunk is solved as one slab by the solver row's multi-RHS
+    entry: column ``j`` of a slab is bit-identical to the single-slice
+    solve of slice ``j``.
 
     Parameters
     ----------
@@ -287,7 +276,7 @@ def reconstruct_stack(
         ``default_stages(darks, flats)`` when calibration is supplied,
         otherwise to no conditioning at all.
     solver:
-        ``"cg"``, ``"sirt"`` or ``"mlem"``.
+        A ``slab`` row of :data:`repro.solvers.SOLVER_TABLE` (cg, sirt, mlem).
     tolerance:
         Per-slice early-stop tolerance (a per-column convergence mask
         in the slab); ``0`` runs the full budget.
@@ -349,6 +338,7 @@ def reconstruct_stack(
         or any object with ``update(done_slices, backlog)`` / ``done()``.
     """
     t_start = time.perf_counter()
+    row = solver_row(solver, slab=True)
     with contextlib.ExitStack() as cleanup:
         # The run's head and tail are not overlapped by anything: opening
         # the source, starting the conveyor, draining the last write and
@@ -364,10 +354,6 @@ def reconstruct_stack(
             raise ValueError(
                 f"stack slices have shape {source.shape[1:]}, geometry expects "
                 f"{geometry.sinogram_shape}"
-            )
-        if solver not in PIPELINE_SOLVERS:
-            raise ValueError(
-                f"unknown solver {solver!r}; expected one of {PIPELINE_SOLVERS}"
             )
         if chunk_slices is not None and memory_budget_bytes is not None:
             raise ValueError("pass either chunk_slices or memory_budget_bytes, not both")
@@ -488,19 +474,19 @@ def reconstruct_stack(
                     # Right-hand sides go straight to the operator's solve
                     # precision: stacking to float64 first would silently
                     # double the chunk's memory on the fp32 path.
+                    work = solver_dtype(operator)
                     Y = np.stack(
                         [operator.sinogram_to_ordered(chunk[k])
                          for k in range(chunk.shape[0])],
                         axis=1,
-                    ).astype(solver_dtype(operator))
-                    if solver == "mlem":
-                        # MLEM models counts; conditioning noise can leave
-                        # slightly negative line integrals — clip at zero.
-                        np.maximum(Y, 0.0, out=Y)
+                    ).astype(work)
+                    Y = clip_counts(row, Y, work)
 
                     t0 = time.perf_counter()
                     with span("pipeline.solve", solver=solver, batch=Y.shape[1]):
-                        result = _slab_solver(solver)(
+                        # Read at call time: the slab entry stays this
+                        # module's attribute (wrappable, e.g. by a tracer).
+                        result = globals()[row.batch](
                             operator, Y, num_iterations=iterations,
                             tolerance=tolerance, **solver_kwargs,
                         )

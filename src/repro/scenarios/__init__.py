@@ -7,7 +7,6 @@ batched-RHS solve.  See ``docs/scenarios.md``.
 """
 
 from .degraded import (
-    SCENARIO_SOLVERS,
     ScenarioResult,
     limited_angle_geometry,
     limited_angle_sinogram,
@@ -25,7 +24,6 @@ from .try_center import (
 )
 
 __all__ = [
-    "SCENARIO_SOLVERS",
     "ScenarioResult",
     "TryCenterResult",
     "center_slab",

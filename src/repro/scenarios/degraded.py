@@ -24,7 +24,7 @@ The subset constructions work for any geometry whose dataclass carries
 These scenarios are where explicit regularization (Section 3.5.2's
 plug-and-play claim) earns its keep: with missing data the normal
 equations are badly conditioned and :func:`repro.solvers.tv_cgls` /
-:func:`repro.solvers.regularized_cgls` noticeably beat plain CGLS.
+:func:`repro.solvers.regularized_cgls` noticeably beat plain CG.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import OperatorConfig, preprocess
+from ..core.reconstructor import run_solver
 from ..obs import SCENARIO_RUNS, SCENARIO_VIEWS_DROPPED, add_count, span
-from ..solvers import SolveResult, cgls, regularized_cgls, tv_cgls
+from ..solvers import SolveResult, solver_row
 
 __all__ = [
-    "SCENARIO_SOLVERS",
     "ScenarioResult",
     "sparse_view_geometry",
     "sparse_view_sinogram",
@@ -137,10 +137,6 @@ class ScenarioResult:
     extra: dict[str, float] = field(default_factory=dict)
 
 
-#: Solvers :func:`reconstruct_scenario` accepts.
-SCENARIO_SOLVERS = ("cgls", "tikhonov", "gradient", "tv")
-
-
 def reconstruct_scenario(
     geometry,
     sinogram: np.ndarray,
@@ -165,17 +161,20 @@ def reconstruct_scenario(
         ``"sparse-view"`` (keeps every ``keep_every``-th view) or
         ``"limited-angle"`` (keeps the first ``fraction`` of views).
     solver:
-        ``"cgls"`` (unregularized baseline), ``"tikhonov"``,
-        ``"gradient"`` (smoothness Tikhonov), or ``"tv"`` (IRLS total
-        variation, the default — missing-data artifacts are piecewise
-        constant-friendly).
+        A row of :data:`repro.solvers.SOLVER_TABLE`, solved as
+        :func:`repro.core.reconstruct` does: ``"cg"`` (unregularized
+        baseline), ``"tikhonov"``, ``"gradient"`` (smoothness Tikhonov),
+        ``"tv"`` (IRLS total variation, the default) or any other row.
     strength, num_iterations, **solver_kwargs:
-        Forwarded to the selected solver.
+        Forwarded to the selected solver (``strength`` to prior rows only).
     config, cache:
         Forwarded to :func:`repro.core.preprocess` for the degraded
         geometry's operator (plan caching works as usual: the degraded
         geometry fingerprints like any other).
     """
+    row = solver_row(solver, strength=strength)
+    if row.prior is not None:
+        solver_kwargs["strength"] = strength
     if kind == "sparse-view":
         sub_geometry = sparse_view_geometry(geometry, keep_every)
         sub_sinogram = sparse_view_sinogram(sinogram, keep_every)
@@ -187,8 +186,6 @@ def reconstruct_scenario(
             f"unknown scenario kind {kind!r}; expected 'sparse-view' or "
             "'limited-angle'"
         )
-    if solver not in SCENARIO_SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; expected one of {SCENARIO_SOLVERS}")
 
     dropped = geometry.num_angles - sub_geometry.num_angles
     add_count(SCENARIO_RUNS, 1)
@@ -196,34 +193,7 @@ def reconstruct_scenario(
     with span("scenario", kind=kind, solver=solver, views=sub_geometry.num_angles):
         operator, _ = preprocess(sub_geometry, config=config, cache=cache)
         y = operator.sinogram_to_ordered(sub_sinogram)
-        if solver == "cgls":
-            result = cgls(operator, y, num_iterations=num_iterations, **solver_kwargs)
-        elif solver == "tikhonov":
-            result = regularized_cgls(
-                operator,
-                y,
-                strength=strength,
-                num_iterations=num_iterations,
-                regularizer="identity",
-                **solver_kwargs,
-            )
-        elif solver == "gradient":
-            result = regularized_cgls(
-                operator,
-                y,
-                strength=strength,
-                num_iterations=num_iterations,
-                regularizer="gradient",
-                **solver_kwargs,
-            )
-        else:
-            result = tv_cgls(
-                operator,
-                y,
-                strength=strength,
-                num_iterations=num_iterations,
-                **solver_kwargs,
-            )
+        result = run_solver(row, operator, y, num_iterations, **solver_kwargs)
         image = operator.ordered_to_image(result.x)
     return ScenarioResult(
         kind=kind,

@@ -16,7 +16,6 @@ faults for the chaos battery.  See ``docs/service.md``.
 """
 
 from .engine import (
-    SERVICE_SOLVERS,
     DroppedSubmissionError,
     Job,
     JobFailedError,
@@ -35,7 +34,6 @@ from .server import ServiceServer, serve
 from .client import ServiceClient, ServiceUnavailableError
 
 __all__ = [
-    "SERVICE_SOLVERS",
     "ReconService",
     "ServiceConfig",
     "JobSpec",

@@ -73,12 +73,12 @@ from ..obs import (
 )
 from ..precision import solver_dtype
 from ..resilience import CheckpointManager, RetryPolicy
-from ..solvers import cgls, cgls_batch, mlem, mlem_batch, sirt, sirt_batch
+from ..solvers.table import clip_counts, solver_row
+from ..solvers import cgls, cgls_batch, mlem, mlem_batch, sirt, sirt_batch  # row entries
 from .faults import InjectedSolveCrash, ServiceFaultConfig, ServiceFaultInjector
 from .journal import JobJournal
 
 __all__ = [
-    "SERVICE_SOLVERS",
     "JobSpec",
     "Job",
     "ServiceConfig",
@@ -91,19 +91,6 @@ __all__ = [
     "ResultNotReadyError",
     "JobFailedError",
 ]
-
-SERVICE_SOLVERS = ("cg", "sirt", "mlem")
-
-
-def _solver_for(name: str, batched: bool):
-    """The single or slab entry point of a :data:`SERVICE_SOLVERS` name.
-
-    The table is built per call so the functions stay the module's
-    late-bound names (wrappable by attribute, e.g. by a tracer).
-    """
-    pairs = {"cg": (cgls, cgls_batch), "sirt": (sirt, sirt_batch), "mlem": (mlem, mlem_batch)}
-    return pairs[name][batched]
-
 
 #: Job lifecycle states.  ``done``/``failed``/``expired`` are terminal.
 JOB_STATES = ("queued", "running", "done", "failed", "expired")
@@ -190,10 +177,7 @@ class JobSpec:
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
-        if self.solver not in SERVICE_SOLVERS:
-            raise ValueError(
-                f"solver must be one of {SERVICE_SOLVERS}, got {self.solver!r}"
-            )
+        solver_row(self.solver, slab=True, resilient=self.checkpoint_every > 0)
         if self.num_angles <= 0 or self.num_channels <= 0:
             raise ValueError(
                 f"geometry must be non-empty, got "
@@ -988,9 +972,11 @@ class ReconService:
         A lone job is the single solve (with snapshots and bit-exact
         resume when its spec asks for them); a cohort is one slab solve
         — the same recurrence either way, so a job's image does not
-        depend on whether it rode alone or coalesced.
+        depend on whether it rode alone or coalesced.  Entries are read
+        off this module at call time (wrappable, e.g. by a tracer).
         """
         spec = batch[0].spec
+        row = solver_row(spec.solver)
         op = self._operator_for(spec)
         work = solver_dtype(op)
         inputs = []
@@ -1003,8 +989,8 @@ class ReconService:
             "callback": self._deadline_callback(batch, crash),
         }
         if len(batch) > 1:
-            Y = np.stack(inputs, axis=1).astype(work, copy=False)
-            result = _solver_for(spec.solver, batched=True)(op, Y, **kwargs)
+            Y = clip_counts(row, np.stack(inputs, axis=1).astype(work, copy=False), work)
+            result = globals()[row.batch](op, Y, **kwargs)
             images = [
                 op.ordered_to_image(np.ascontiguousarray(result.X[:, j]))
                 for j in range(len(batch))
@@ -1020,6 +1006,6 @@ class ReconService:
             if snapshot is not None:
                 kwargs["resume"] = snapshot
                 resumed_from = int(snapshot.iteration)
-        y = np.ascontiguousarray(inputs[0]).astype(work, copy=False)
-        result = _solver_for(spec.solver, batched=False)(op, y, **kwargs)
+        y = clip_counts(row, np.ascontiguousarray(inputs[0]).astype(work, copy=False), work)
+        result = globals()[row.entry](op, y, **kwargs)
         return [op.ordered_to_image(result.x)], [result.iterations], resumed_from

@@ -2,7 +2,8 @@
 
 CG, SIRT and MLEM are three recurrences run by one slab driver
 (:mod:`repro.solvers.driver`, ``docs/solvers.md``); a single solve is
-the one-column slab.
+the one-column slab.  :data:`SOLVER_TABLE` (:mod:`repro.solvers.table`)
+names every solver once, with what it can do.
 """
 
 from .base import (
@@ -28,6 +29,7 @@ from .regularized import (
     tv_cgls,
 )
 from .sirt import sirt, sirt_batch
+from .table import SOLVER_TABLE, solver_row
 
 __all__ = [
     "MatrixOperator",
@@ -56,4 +58,6 @@ __all__ = [
     "sgd",
     "sirt",
     "solver_dtype",
+    "SOLVER_TABLE",
+    "solver_row",
 ]

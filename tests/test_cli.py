@@ -23,17 +23,17 @@ class TestParser:
 
     def test_invalid_solver_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["reconstruct", "--solver", "mlem"])
+            build_parser().parse_args(["reconstruct", "--solver", "bogus"])
 
-    @pytest.mark.parametrize("command,module,name", [
-        ("scenario", "repro.scenarios", "SCENARIO_SOLVERS"),
-        ("reconstruct", "repro.core", "SOLVERS"),
-        ("pipeline", "repro.pipeline", "PIPELINE_SOLVERS"),
-        ("submit", "repro.service", "SERVICE_SOLVERS"),
+    @pytest.mark.parametrize("command,keeps", [
+        ("scenario", lambda row: True),
+        ("reconstruct", lambda row: row.prior is None),
+        ("pipeline", lambda row: row.slab),
+        ("submit", lambda row: row.slab),
     ])
-    def test_solver_choices_read_the_module_tuples(self, command, module, name):
-        """Each --solver list is the library's own tuple, not a copy."""
-        import importlib
+    def test_solver_choices_filter_the_table(self, command, keeps):
+        """Each --solver list is a filter of the solver table, in its order."""
+        from repro.solvers import SOLVER_TABLE
 
         subcommands = next(
             action for action in build_parser()._actions
@@ -43,7 +43,7 @@ class TestParser:
             action for action in subcommands.choices[command]._actions
             if action.dest == "solver"
         )
-        assert solver.choices is getattr(importlib.import_module(module), name)
+        assert list(solver.choices) == [row.name for row in SOLVER_TABLE if keeps(row)]
 
     @pytest.mark.parametrize("argv", [
         ["preprocess", "--angles", "10", "--channels", "8"],
@@ -109,6 +109,30 @@ class TestCommands:
 
     def test_reconstruct_requires_input(self, capsys):
         assert main(["reconstruct"]) == 2
+
+    @pytest.mark.parametrize("flags,needs", [
+        (["--solver", "icd", "--ranks", "2"], "num_ranks > 1"),
+        (["--solver", "fbp", "--checkpoint", "ck.npz"], "checkpoint/resume/health"),
+    ])
+    def test_table_refusal_is_an_error_before_preprocessing(
+        self, tmp_path, capsys, flags, needs
+    ):
+        """A solver the table refuses exits 2 with one 'error:' line;
+        nothing is preprocessed (no cache status line) or written."""
+        from repro import obs
+
+        out_file = tmp_path / "refused.npz"
+        with obs.capture() as cap:
+            code = main([
+                "reconstruct", "--demo", "ADS1", "--scale", "0.0625",
+                *flags, "--cache", "off", "-o", str(out_file),
+            ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and needs in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not any(s.name.startswith("preprocess") for s in cap.spans)
+        assert not out_file.exists()
 
     def test_negative_iterations_is_an_error(self, tmp_path):
         """--iterations -1 fails instead of saving the all-zero start."""

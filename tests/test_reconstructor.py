@@ -82,8 +82,8 @@ class TestValidation:
 
     def test_unknown_solver_rejected(self, problem):
         g, op, _, sino, _ = problem
-        with pytest.raises(ValueError):
-            reconstruct(sino, g, solver="mlem", operator=op)
+        with pytest.raises(ValueError, match="unknown solver"):
+            reconstruct(sino, g, solver="bogus", operator=op)
 
     def test_invalid_ranks_rejected(self, problem):
         g, op, _, sino, _ = problem

@@ -113,7 +113,7 @@ class TestReconstructScenario:
             geometry, sinogram, "sparse-view", solver="tv", strength=0.02, **common
         )
         plain = reconstruct_scenario(
-            geometry, sinogram, "sparse-view", solver="cgls", **common
+            geometry, sinogram, "sparse-view", solver="cg", **common
         )
         err_tv = np.linalg.norm(tv.image - phantom)
         err_plain = np.linalg.norm(plain.image - phantom)
@@ -153,7 +153,7 @@ class TestReconstructScenario:
                 sinogram,
                 "sparse-view",
                 keep_every=4,
-                solver="cgls",
+                solver="cg",
                 num_iterations=3,
                 config=OperatorConfig(kernel="csr"),
                 cache="off",
