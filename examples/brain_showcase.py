@@ -26,7 +26,7 @@ def main() -> None:
     geometry = ParallelBeamGeometry(ANGLES, SIZE)
     operator, report = preprocess(geometry)
     print(f"preprocessing {format_seconds(report.total_seconds)}; "
-          f"matrix nnz {operator.matrix.nnz:,}")
+          f"matrix nnz {operator.nnz:,}")
 
     truth = brain_phantom(SIZE, seed=0)
     sinogram = beer_law_sinogram(operator.project_image(truth),

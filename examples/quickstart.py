@@ -27,7 +27,7 @@ def main() -> None:
     operator, report = preprocess(geometry)
     print(f"preprocessing: {format_seconds(report.total_seconds)} "
           f"(tracing {format_seconds(report.tracing_seconds)}), "
-          f"matrix nnz = {operator.matrix.nnz:,}")
+          f"matrix nnz = {operator.nnz:,}")
 
     # Simulate a measurement: forward-project the phantom and apply
     # Poisson (Beer-law) noise at a moderate dose.

@@ -21,7 +21,7 @@ def main() -> None:
     geometry = spec.geometry()
     operator, _ = preprocess(geometry)
     print(f"dataset {spec.name}: sinogram {geometry.sinogram_shape}, "
-          f"nnz {operator.matrix.nnz:,}")
+          f"nnz {operator.nnz:,}")
 
     sinogram, truth = spec.sinogram(operator, incident_photons=3e3, seed=0)
     y = operator.sinogram_to_ordered(sinogram)

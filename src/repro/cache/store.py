@@ -249,7 +249,7 @@ class PlanCache:
                     "partition_size": operator.config.partition_size,
                     "buffer_bytes": operator.config.buffer_bytes,
                 },
-                "nnz": operator.matrix.nnz,
+                "nnz": operator.nnz,
             }
             if extra_meta:
                 meta.update(extra_meta)

@@ -163,7 +163,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         f"preprocessed {shape} in "
         f"{format_seconds(time.perf_counter() - t0)} "
         f"(tracing {format_seconds(report.tracing_seconds)}); "
-        f"nnz {operator.matrix.nnz:,}; saved to {args.output}"
+        f"nnz {operator.nnz:,}; saved to {args.output}"
     )
     return 0
 

@@ -10,6 +10,12 @@ adjoint is a serial CSC scatter over ``A``'s own arrays, and the scan
 transpose is materialized only where work is partitioned by pixel
 rows (see :attr:`MemXCTOperator.transpose`).
 
+On a scan whose ray group has 8 slots (a half-turn parallel scan, even
+``M``) the csr plan is an :class:`~repro.sparse.OrbitMatrix`: it holds
+only the traced rows ``Q`` and runs both directions as 8-column SpMMs
+over them.  ``A`` itself (:attr:`MemXCTOperator.matrix`) is then a memo
+expanded from ``Q`` on first read, like the transpose.
+
 Vectors handled by the operator live in *ordered* coordinates (tomogram
 curve order / sinogram curve order); the image-space helpers translate
 to and from row-major 2D arrays.
@@ -44,6 +50,7 @@ from ..sparse import (
     BufferedMatrix,
     CSRMatrix,
     ELLPartitioned,
+    OrbitMatrix,
     scan_transpose,
     validate_buffer_bytes,
 )
@@ -62,10 +69,11 @@ class OperatorConfig:
     kernel:
         ``"csr"`` (default; Listing 2 on the ordered matrix),
         ``"buffered"`` (Listing 3) or ``"ell"`` (GPU-style
-        partition-padded layout).  Every operator holds the ordered
-        CSR ``matrix``; ``csr`` runs both directions on it as it
-        stands, so it is the only form built, persisted and loaded.
-        The other two build, hold and persist their layout pair
+        partition-padded layout).  ``csr`` runs both directions on the
+        plan as it stands — the ordered ``A``, or on a scan with an
+        8-slot ray group its traced rows ``Q`` — so that is the only
+        form built, persisted and loaded.  The other two hold the
+        ordered ``A`` and build, hold and persist their layout pair
         beside it.
     partition_size:
         Rows per partition; the paper's tuned KNL value is 128.
@@ -154,7 +162,7 @@ class MemXCTOperator:
         geometry: ScanGeometry,
         tomo_ordering: DomainOrdering,
         sino_ordering: DomainOrdering,
-        matrix: CSRMatrix,
+        matrix: CSRMatrix | OrbitMatrix,
         transpose: CSRMatrix | None,
         config: OperatorConfig,
         buffered_forward: BufferedMatrix | None = None,
@@ -165,7 +173,11 @@ class MemXCTOperator:
         self.geometry = geometry
         self.tomo_ordering = tomo_ordering
         self.sino_ordering = sino_ordering
-        self.matrix = matrix
+        # The plan's form of ``A``: the ordered CSR matrix, or an orbit
+        # layout whose expanded ``A`` is derived on first read.
+        self.plan = matrix
+        self._orbit = isinstance(matrix, OrbitMatrix)
+        self._matrix = None if self._orbit else matrix
         # ``A^T`` as its own CSR matrix, derived on first use (a held
         # one may be handed in); close() drops it.
         self._transpose = transpose
@@ -178,7 +190,7 @@ class MemXCTOperator:
         # (forward, adjoint) pair every kernel call and the parallel
         # engine run on.  A kernel whose layouts were not built runs
         # as csr, whose adjoint (``None`` here) is the transposed
-        # product over ``matrix`` itself.
+        # product over the plan itself.
         forward, adjoint = {
             "csr": (matrix, None),
             "buffered": (buffered_forward, buffered_adjoint),
@@ -219,13 +231,16 @@ class MemXCTOperator:
                 from ..parallel import ParallelSpmvEngine
 
                 # Workers own output rows: the csr adjoint partitions
-                # the derived transpose's pixel rows.
-                adjoint = self._layouts["adjoint"]
+                # the derived transpose's pixel rows — of ``Q`` on an
+                # orbit plan, whose gathers stay here.
+                forward, adjoint = self._layouts["forward"], self._layouts["adjoint"]
+                if self._orbit:
+                    forward, adjoint = self.stored, scan_transpose(self.stored)
                 self._engine = ParallelSpmvEngine(
                     workers=workers,
                     mode=mode,
                     partition_size=self.config.partition_size,
-                    forward_layout=self._layouts["forward"],
+                    forward_layout=forward,
                     adjoint_layout=self.transpose if adjoint is None else adjoint,
                 )
         return self._engine
@@ -242,8 +257,8 @@ class MemXCTOperator:
 
     def close(self) -> None:
         """Release the parallel engine (pools, shared memory), the
-        memoized rank decomposition and the derived transpose;
-        idempotent.
+        memoized rank decomposition and the derived ``A`` (of an orbit
+        plan) and transpose; idempotent.
 
         The operator remains fully usable afterwards — the next kernel
         call re-resolves the backend from ``config.workers`` and the
@@ -251,6 +266,8 @@ class MemXCTOperator:
         """
         self._rank_data.clear()
         self._transpose = None
+        if self._orbit:
+            self._matrix = None
         self._close_engine()
 
     def _close_engine(self) -> None:
@@ -258,6 +275,27 @@ class MemXCTOperator:
         self._engine_resolved = False
         if engine is not None:
             engine.close()
+
+    @property
+    def matrix(self) -> CSRMatrix:
+        """``A``, the ordered CSR matrix: the plan itself, or an orbit
+        plan's expansion, built at first read and held until
+        :meth:`close`.  No csr kernel reads it; the buffered / ELL
+        layout builds, the distributed rank cut, ICD and SGD's row
+        subsets do."""
+        if self._matrix is None:
+            self._matrix = self.plan.expand()
+        return self._matrix
+
+    @property
+    def stored(self) -> CSRMatrix:
+        """The CSR matrix the plan persists: ``A``, or an orbit plan's ``Q``."""
+        return self.plan.stored if self._orbit else self.plan
+
+    @property
+    def nnz(self) -> int:
+        """Nonzeros of ``A``, read from the plan without expanding it."""
+        return self.plan.nnz
 
     @property
     def transpose(self) -> CSRMatrix:
@@ -276,11 +314,11 @@ class MemXCTOperator:
 
     @property
     def num_rays(self) -> int:
-        return self.matrix.num_rows
+        return self.plan.num_rows
 
     @property
     def num_pixels(self) -> int:
-        return self.matrix.num_cols
+        return self.plan.num_cols
 
     @property
     def compute_dtype(self) -> np.dtype:
@@ -312,10 +350,14 @@ class MemXCTOperator:
 
     def _kernel(self, direction: str, v: np.ndarray) -> np.ndarray:
         engine = self._active_engine()
-        if engine is not None:
+        if engine is None:
+            layout = self._layouts[direction]
+            return self.plan.spmv_transposed(v) if layout is None else layout.spmv(v)
+        if not self._orbit:
             return engine.apply(direction, v)
-        layout = self._layouts[direction]
-        return self.matrix.spmv_transposed(v) if layout is None else layout.spmv(v)
+        if direction == "forward":
+            return self.plan.pick_rays(engine.apply(direction, self.plan.spread_pixels(v)), v)
+        return self.plan.fold_pixels(engine.apply(direction, self.plan.spread_rays(v)), v)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forward projection ``y = A x`` in ordered coordinates.
@@ -345,7 +387,7 @@ class MemXCTOperator:
         streams are charged **once** — that amortization is exactly
         what a multi-RHS kernel call buys.
         """
-        nnz = self.matrix.nnz
+        nnz = self.nnz
         footprint = self.memory_footprint()
         add_count(SPMV_CALLS, batch)
         add_count(
@@ -359,10 +401,10 @@ class MemXCTOperator:
             add_count(BUFFER_STAGES, self._layouts[direction].num_stages)
 
     def row_sums(self) -> np.ndarray:
-        return self.matrix.row_sums()
+        return self.plan.row_sums()
 
     def col_sums(self) -> np.ndarray:
-        return self.matrix.col_sums()
+        return self.plan.col_sums()
 
     #: Maximum number of memoized row-subset operators (FIFO eviction).
     _SUBSET_CACHE_CAPACITY = 128
@@ -451,19 +493,28 @@ class MemXCTOperator:
         on csr and buffered alike, so ``spmv.regular_bytes`` on the
         buffered kernel undercounts the executed index stream by
         2 B/nnz.
+
+        An orbit plan streams ``Q`` once per call for all 8 slots, and
+        its irregular gathers are the ``8 x pixels`` input spread and
+        the ``8 x Q rows`` output pick (forward), or their mirror images
+        (adjoint).
         """
-        nnz = self.matrix.nnz
+        stored = self.stored
         per_index = 2 if self.config.kernel == "buffered" else 4
-        per_value = self.matrix.val.dtype.itemsize
+        per_value = stored.val.dtype.itemsize
         per_vector = self.compute_dtype.itemsize
-        regular_each = nnz * (per_value + per_index)
-        # The csr adjoint streams ``A``'s own row offsets again.
+        regular_each = stored.nnz * (per_value + per_index)
+        irregular = (self.num_pixels * per_vector, self.num_rays * per_vector)
+        if self._orbit:
+            gathered = self.plan.slots * (self.num_pixels + stored.num_rows)
+            irregular = (gathered * per_vector,) * 2
+        # The csr adjoint streams the stored matrix's own row offsets again.
         csr_adjoint = self._layouts["adjoint"] is None
-        adjoint_rows = self.num_rays if csr_adjoint else self.num_pixels
+        adjoint_rows = stored.num_rows if csr_adjoint else self.num_pixels
         return {
-            "irregular_forward": self.num_pixels * per_vector,
-            "irregular_adjoint": self.num_rays * per_vector,
+            "irregular_forward": irregular[0],
+            "irregular_adjoint": irregular[1],
             "regular_forward": regular_each,
             "regular_adjoint": regular_each,
-            "displ_bytes": 8 * (self.num_rays + adjoint_rows + 2),
+            "displ_bytes": 8 * (stored.num_rows + adjoint_rows + 2),
         }

@@ -5,7 +5,9 @@ Four steps, each timed:
 1. **Hilbert ordering and domain decomposition** — build the two-level
    pseudo-Hilbert orderings of both domains;
 2. **ray tracing** — construct the forward-projection matrix, traced
-   in the ordered coordinates of step 1 and assembled by one sort;
+   in the ordered coordinates of step 1 (on a half-turn parallel scan
+   only its traced rows ``Q``, which a csr plan keeps as they are and
+   every other kernel expands to ``A``);
 3. **sparse transposition** — the traced matrix in our dtypes and,
    for the buffered and ELL kernels, the scan-based, order-preserving
    transpose their backprojection layouts are built from (the csr
@@ -33,7 +35,14 @@ from ..geometry import ScanGeometry
 from ..obs import span
 from ..ordering import make_ordering
 from ..parallel.backend import make_backend, parse_workers
-from ..sparse import CSRMatrix, build_buffered, build_ell, scan_transpose
+from ..sparse import (
+    CSRMatrix,
+    OrbitMatrix,
+    build_buffered,
+    build_ell,
+    orbit_group,
+    scan_transpose,
+)
 from ..trace import build_projection_matrix
 from .operator import MemXCTOperator, OperatorConfig
 
@@ -101,15 +110,15 @@ def preprocess(
         entry, loaded as a hit would load it.
 
     The tracer is handed both orderings' rank arrays, so the matrix it
-    assembles is already the ordered ``A``; the transposition stage
-    converts it to our dtypes and, for a buffered or ELL kernel, scans
-    out the ``A^T`` its adjoint layout is built from, then drops it.
-    The worker spec in ``config.workers`` (or ``REPRO_WORKERS``) also
-    parallelizes the tracing stage here: per-orbit Siddon tracing fans
-    out across the backend, with chunks reassembled in orbit order so
-    the traced matrix is bit-identical to a serial build.  The cache
-    fingerprint excludes the worker spec — plans are shared across
-    worker counts.
+    assembles is already the ordered ``A`` (or a csr plan's ``Q``); the
+    transposition stage converts it to our dtypes and, for a buffered
+    or ELL kernel, scans out the ``A^T`` its adjoint layout is built
+    from, then drops it.  The worker spec in ``config.workers`` (or
+    ``REPRO_WORKERS``) also parallelizes the tracing stage here:
+    per-view Siddon tracing fans out across the backend, with chunks
+    reassembled in view order so the traced matrix is bit-identical to
+    a serial build.  The cache fingerprint excludes the worker spec —
+    plans are shared across worker counts.
     """
     # Imported lazily: repro.cache depends on repro.io which imports
     # repro.core — a module-level import here would close that cycle.
@@ -162,6 +171,8 @@ def preprocess(
             report.ordering_seconds = sp.duration
 
             value_dtype = config.dtype or "float32"
+            # A csr plan on a scan with an 8-slot ray group is ``Q``.
+            group = orbit_group(geometry) if config.kernel == "csr" else None
             if plan_cache is not None:
                 archive = plan_cache.reserve(
                     report.cache_key, geometry, tomo_ordering, sino_ordering, value_dtype
@@ -178,6 +189,7 @@ def preprocess(
                         row_rank=sino_ordering.rank,
                         col_rank=tomo_ordering.rank,
                         out=archive and archive.reserve_matrix,
+                        expand=group is None,
                     )
                 finally:
                     backend.close()
@@ -185,6 +197,10 @@ def preprocess(
 
             with span("preprocess.transpose") as sp:
                 matrix = CSRMatrix.from_scipy(raw, dtype=value_dtype)
+                if group is not None:
+                    matrix = OrbitMatrix.from_group(
+                        matrix, group, tomo_ordering.rank, sino_ordering.perm
+                    )
                 if config.kernel != "csr":
                     transpose = scan_transpose(matrix)
             report.transpose_seconds = sp.duration

@@ -61,8 +61,9 @@ def run_solver(
 
     ``solve_op`` (default ``operator``) is what the iterations run on;
     the entry is this module's attribute named by the row, read at call
-    time.  ICD reads the ordered matrix and its derived transpose; FBP
-    is the one-shot direct solve (``iterations`` is ignored).
+    time.  ICD reads the ordered ``A`` and its transpose (both derived
+    on an orbit plan); FBP is the one-shot direct solve (``iterations``
+    is ignored).
     """
     solve_op = operator if solve_op is None else solve_op
     y = clip_counts(row, y, solver_dtype(solve_op))
@@ -270,9 +271,10 @@ def reconstruct(
         # keeps the last cut (one slot) and a hit builds nothing.  On a
         # miss the old entry goes first, so one decomposition stays
         # resident, and the rank blocks are sliced out of the operator's
-        # derived transpose (built at the first cut, dropped with the
-        # blocks by close()).  The list is stored before the solve: a
-        # crash's degrade() replaces solve_op.ranks, never this list.
+        # derived transpose — of its derived ``A``, on an orbit plan —
+        # both built at the first cut and dropped with the blocks by
+        # close().  The list is stored before the solve: a crash's
+        # degrade() replaces solve_op.ranks, never this list.
         key = (tomo_dec.bounds.tobytes(), sino_dec.bounds.tobytes())
         rank_data = operator._rank_data.get(key)
         if rank_data is None:

@@ -85,9 +85,9 @@ def distributed_preprocess(
     sends: tuple[list, list, list] = ([], [], [])  # rows, cols, vals: rank -> owner -> piece
     for r in range(num_ranks):
         start, stop = int(angle_cuts[r]), int(angle_cuts[r + 1])
-        counts, cols, vals = trace_view_range(
-            (geometry, range(start, stop), col_rank, np.dtype(np.float32))
-        )
+        views = [(view, geometry.num_channels) for view in range(start, stop)]
+        task = (geometry, views, col_rank, np.dtype(np.float32))
+        counts, cols, vals = trace_view_range(task)
         first_ray = int(geometry.ray_index(start, 0))
         rows = np.repeat(row_rank[first_ray : first_ray + len(counts)], counts)
         owners = tomo_dec.owner_of(cols)

@@ -2,7 +2,7 @@
 
 from .cone_beam import ConeBeamGeometry, Grid3D
 from .fan_beam import FanBeamGeometry
-from .grid import Grid2D, ScanGeometry
+from .grid import Grid2D, RayGroup, ScanGeometry
 from .parallel_beam import ParallelBeamGeometry, Ray
 
 __all__ = [
@@ -12,5 +12,6 @@ __all__ = [
     "Grid3D",
     "ParallelBeamGeometry",
     "Ray",
+    "RayGroup",
     "ScanGeometry",
 ]

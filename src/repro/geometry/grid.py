@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid2D", "ScanGeometry"]
+__all__ = ["Grid2D", "RayGroup", "ScanGeometry"]
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,26 @@ class Grid2D:
         return x, y
 
 
+@dataclass(frozen=True)
+class RayGroup:
+    """The ray symmetry of a scan: which rays are traced, and how every
+    other ray is one of them moved across the grid.
+
+    Ray ``r`` (row-major) is ray ``source[r]``'s trace with pixel ``p``
+    moved to ``maps[slot[r], p]``.  Slot 0 is the identity, and a traced
+    ray is its own source in slot 0.  A view's traced rays are its first
+    channels.
+    """
+
+    maps: np.ndarray  # (slots, pixels) row-major pixel maps; row 0 the identity
+    source: np.ndarray  # (rays,) int64
+    slot: np.ndarray  # (rays,) int64
+
+    def stored_rays(self) -> np.ndarray:
+        """The traced rays, ascending (row-major)."""
+        return np.flatnonzero(self.source == np.arange(len(self.source)))
+
+
 class ScanGeometry:
     """What a scan geometry provides to tracing, preprocessing and storage.
 
@@ -111,8 +131,9 @@ class ScanGeometry:
       :attr:`sino_layout_shape` — the space-filling orderings are
       bijections over flat indices, so a domain that is not literally
       2D only has to name an equivalent rectangle;
-    * :meth:`view_source` — its view symmetry: which view's trace,
-      index-mapped, is this view's;
+    * :meth:`view_source` / :meth:`ray_group` — its symmetry: which
+      view's trace, index-mapped, is this view's, and which traced ray
+      each ray is;
     * ``fingerprint_fields()`` — its section of the plan fingerprint;
     * ``archive_fields()`` / ``from_archive(data)`` — the operator
       archive keys it writes and rebuilds itself from.
@@ -156,6 +177,11 @@ class ScanGeometry:
         (a source is the smallest view of its orbit).  The default, no
         symmetry, traces every view itself: ``(angle_index, None)``."""
         return angle_index, None
+
+    def ray_group(self) -> RayGroup | None:
+        """The :class:`RayGroup` of the scan; ``None`` (the default)
+        when every ray is traced itself."""
+        return None
 
     def view_orbits(self) -> list[list[int]]:
         """Every view grouped by its source, by ascending source (each

@@ -22,9 +22,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid2D, ScanGeometry
+from .grid import Grid2D, RayGroup, ScanGeometry
 
 __all__ = ["ParallelBeamGeometry", "Ray"]
+
+#: Pixel maps of view slots 1-3 (see :meth:`ParallelBeamGeometry.view_source`).
+_VIEW_MAPS = ("diagonal", "quarter", "mirror")
 
 
 @lru_cache(maxsize=4)
@@ -128,6 +131,28 @@ class ParallelBeamGeometry(ScanGeometry):
             channel_index=channel_index,
         )
 
+    def _view_slot(self, angle_index: int) -> tuple[int, int]:
+        """``(source, slot)`` of a view: slot 0 keeps the pixels, slots
+        1-3 move them by :data:`_VIEW_MAPS`."""
+        j = int(angle_index)
+        if float(self.angle_range) != np.pi:
+            return j, 0
+        m = self.num_angles
+        if m % 2:
+            return (j, 0) if 2 * j <= m else (m - j, 3)
+        h = m // 2
+        source = min(j % h, h - j % h)
+        if j == source or (j == h and self._along_grid_lines()):
+            return j, 0
+        if j <= h:
+            return source, 1
+        return source, 2 if j == h + source else 3
+
+    def _along_grid_lines(self) -> bool:
+        """Whether the rays of views 0 and ``M/2`` run along grid lines
+        (``n - N`` odd), where a trace splits them by rounding."""
+        return bool((self.grid.n - self.num_channels) % 2)
+
     def view_source(self, angle_index: int) -> tuple[int, np.ndarray | None]:
         """Over exactly pi, the x-mirror takes view ``j`` to ``M - j``
         and, for even ``M``, the quarter turn to ``j + M/2`` and the
@@ -136,19 +161,37 @@ class ParallelBeamGeometry(ScanGeometry):
         ``M/2`` traces itself when its rays run along grid lines
         (``n - N`` odd), which a direct trace splits by rounding.
         """
-        j = int(angle_index)
+        source, slot = self._view_slot(angle_index)
+        return source, _pixel_maps(self.grid.n)[_VIEW_MAPS[slot - 1]] if slot else None
+
+    @lru_cache(maxsize=4)  # a geometry is a small frozen (hashable) key
+    def ray_group(self) -> RayGroup | None:
+        """Over exactly pi, the view maps of :meth:`view_source` and, for
+        even ``M``, the half turn too: channel ``N-1-c`` of a view is
+        channel ``c``'s trace with pixel ``p`` moved to ``P-1-p``.  That
+        makes 8 slots (the square's dihedral group), and a source view
+        stores its first ``ceil(N/2)`` channels — all ``N`` for views 0
+        and ``M/2`` when their rays run along grid lines."""
         if float(self.angle_range) != np.pi:
-            return j, None
-        m, maps = self.num_angles, _pixel_maps(self.grid.n)
-        if m % 2:
-            return (j, None) if 2 * j <= m else (m - j, maps["mirror"])
-        h = m // 2
-        source = min(j % h, h - j % h)
-        if j == source or (j == h and (self.grid.n - self.num_channels) % 2):
-            return j, None
-        if j <= h:
-            return source, maps["diagonal"]
-        return source, maps["quarter" if j == h + source else "mirror"]
+            return None
+        m, n, pixels = self.num_angles, self.num_channels, self.grid.num_pixels
+        maps = _pixel_maps(self.grid.n)
+        rows = [np.arange(pixels, dtype=np.int32)] + [maps[name] for name in _VIEW_MAPS]
+        views, slots = np.array([self._view_slot(j) for j in range(m)]).T
+        channels = np.arange(n)
+        source = views[:, None] * n + channels
+        slot = np.repeat(slots, n).reshape(m, n)
+        if m % 2 == 0:
+            rows += [pixels - 1 - row for row in rows]
+            turned = channels >= (n + 1) // 2
+            if self._along_grid_lines():
+                turned = turned & ((views % (m // 2)) != 0)[:, None]
+            source = np.where(turned, views[:, None] * n + n - 1 - channels, source)
+            slot = slot + 4 * turned
+        group = RayGroup(np.stack(rows), source.ravel(), slot.ravel().astype(np.int64))
+        for array in (group.maps, group.source, group.slot):  # shared by every caller
+            array.flags.writeable = False
+        return group
 
     def fingerprint_fields(self) -> dict:
         """Geometry section of the plan fingerprint (see repro.cache).

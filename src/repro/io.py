@@ -4,14 +4,18 @@ Preprocessing is the expensive step (paper Table 4/5); persisting its
 product lets a beamline workflow preprocess once per scan geometry and
 reconstruct thousands of slices across separate processes.
 
-Format **v3** stores every preprocessing product a kernel runs on in
+Format **v4** stores every preprocessing product a kernel runs on in
 one ``.npz``: the geometry, both orderings, the ordered matrix, and the
 buffered / ELL kernel layouts — so a load skips every preprocessing
 stage, not just tracing.  ``A^T`` is not stored: the csr adjoint runs
 over ``A`` itself, and the operator derives the scan transpose on
-demand.  Format v2 files (which also held it under ``t_`` members,
-checked and then ignored) and v1 files (matrix only; layouts rebuilt
-on load) are still readable.
+demand.  A csr plan on a scan with an 8-slot ray group stores only the
+traced rows ``Q`` under the matrix's names; the group's gather indices
+are derived from the geometry and the orderings at load
+(:class:`repro.sparse.OrbitMatrix`).  Format v3 files (the full ``A``
+whatever the geometry; loaded as they are), v2 files (which also held
+``A^T`` under ``t_`` members, checked and then ignored) and v1 files
+(matrix only; layouts rebuilt on load) are still readable.
 
 Writes are crash-safe: the archive is written to a temporary file in
 the destination directory, fsynced, and atomically renamed into place,
@@ -61,8 +65,10 @@ from .sparse import (
     BufferedMatrix,
     CSRMatrix,
     ELLPartitioned,
+    OrbitMatrix,
     build_buffered,
     build_ell,
+    orbit_group,
     scan_transpose,
 )
 
@@ -75,10 +81,10 @@ __all__ = [
     "OperatorIntegrityError",
 ]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Versions this loader understands.
-_READABLE_VERSIONS = (1, 2, 3)
+_READABLE_VERSIONS = (1, 2, 3, 4)
 
 
 class OperatorFormatError(ValueError):
@@ -132,7 +138,7 @@ def _without_prefix(prefix: str, data: dict) -> dict:
 
 # -- save -------------------------------------------------------------------
 #
-# The member order of a v3 archive is decided here and nowhere else:
+# The member order of a v4 archive is decided here and nowhere else:
 # ``_leading_members``, the ordered matrix, ``_trailing_members``,
 # ``checksum``.
 
@@ -201,7 +207,7 @@ def save_operator(
         **_leading_members(
             operator.geometry, operator.tomo_ordering, operator.sino_ordering
         ),
-        **operator.matrix.to_arrays(),
+        **operator.stored.to_arrays(),
         **_trailing_members(operator),
     }
     atomic_savez_checked(path, payload, compress)
@@ -209,7 +215,7 @@ def save_operator(
 
 
 class OperatorArchive:
-    """An uncompressed v3 archive assembled in place, for the plan cache.
+    """An uncompressed v4 archive assembled in place, for the plan cache.
 
     Members, order and bytes are those of ``save_operator(path,
     operator, compress=False)``, but the index and value streams of the
@@ -242,13 +248,17 @@ class OperatorArchive:
             self.close()
             raise
 
-    def reserve_matrix(self, nnz: int) -> tuple[np.ndarray, np.ndarray]:
-        """Lay down the ordered matrix with ``nnz`` nonzeros; the
-        archive's writable ``(ind, val)`` for the sort to fill."""
+    def reserve_matrix(
+        self, nnz: int, num_rows: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Lay down the stored matrix with ``nnz`` nonzeros — ``A``, or
+        ``Q``'s ``num_rows`` rows; the archive's writable ``(ind, val)``
+        for the builder to fill."""
+        rows = self._num_rows if num_rows is None else num_rows
         self._reserved = [
             self._npz.reserve(name, shape, dtype)
             for name, shape, dtype in (
-                ("displ", (self._num_rows + 1,), np.int64),
+                ("displ", (rows + 1,), np.int64),
                 ("ind", (nnz,), np.int32),
                 ("val", (nnz,), self._value_dtype),
             )
@@ -258,12 +268,12 @@ class OperatorArchive:
     def seal(self, operator: MemXCTOperator) -> Path:
         """Finish the archive around ``operator`` and rename it into place.
 
-        The operator's matrix must be the reserved streams — a
+        The operator's stored matrix must be the reserved streams — a
         ``ValueError`` otherwise.  The payload checksum splices in the
         CRCs the seal takes of the reserved members, so each of their
         bytes is read once.
         """
-        matrix = operator.matrix
+        matrix = operator.stored
         if not self._reserved or any(
             (ours.ctypes.data, ours.shape) != (theirs.ctypes.data, theirs.shape)
             for ours, theirs in zip(self._reserved[1:], (matrix.ind, matrix.val))
@@ -309,9 +319,12 @@ def _operator_from_arrays(data: dict, version: int) -> MemXCTOperator:
         buffer_bytes=int(data["buffer_bytes"]),
     ).evolve(dtype=saved_dtype or None)
     psize = config.partition_size
-    matrix = CSRMatrix.from_arrays(
-        data, geometry.num_rays, geometry.grid.num_pixels, psize
-    )
+    # A v4 csr plan of an orbit group is ``Q``; earlier versions hold ``A``.
+    group = orbit_group(geometry) if version >= 4 and config.kernel == "csr" else None
+    rows = geometry.num_rays if group is None else len(group.stored_rays())
+    matrix = CSRMatrix.from_arrays(data, rows, geometry.grid.num_pixels, psize)
+    if group is not None:
+        matrix = OrbitMatrix.from_group(matrix, group, tomo.rank, sino.perm)
 
     layouts = dict.fromkeys(_LAYOUTS)
     if version >= 2:
@@ -351,9 +364,9 @@ def _operator_from_arrays(data: dict, version: int) -> MemXCTOperator:
 def load_operator(path: str | Path) -> MemXCTOperator:
     """Load an operator saved by :func:`save_operator`.
 
-    v2 and v3 files restore the kernel layouts directly (no
-    preprocessing stage re-runs); v1 files rebuild them
-    deterministically from the stored matrix.
+    v2+ files restore the kernel layouts directly (no preprocessing
+    stage re-runs); v1 files rebuild them deterministically from the
+    stored matrix.
 
     Raises
     ------

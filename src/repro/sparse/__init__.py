@@ -9,6 +9,7 @@ from .buffering import (
 )
 from .csr import CSRMatrix, csr_row_sums
 from .ell import ELLPartitioned, build_ell
+from .orbit import OrbitMatrix, orbit_group
 from .partition import (
     RowPartitions,
     partition_data_reuse,
@@ -26,6 +27,8 @@ __all__ = [
     "csr_row_sums",
     "ELLPartitioned",
     "build_ell",
+    "OrbitMatrix",
+    "orbit_group",
     "RowPartitions",
     "partition_data_reuse",
     "partition_input_footprints",

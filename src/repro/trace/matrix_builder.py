@@ -11,11 +11,11 @@ baseline refuses to pay for.
 
 There is no global sort: a view's rays are consecutive rows, so each
 view is column-sorted alone and its ``(column, length)`` pairs appended
-to two growable streams.  Views come orbit by orbit (see
-:meth:`~repro.geometry.ScanGeometry.view_source`): an orbit's source is
-traced once and every member sorted from that one trace.  One compiled
-row gather writes the rows in ranked order into arrays the caller may
-own — the plan cache passes the pages of the archive it is assembling.
+to two growable streams.  Only the traced rays of the geometry's
+:meth:`~repro.geometry.ScanGeometry.ray_group` are traced; ``A`` is
+their expansion (:meth:`repro.sparse.OrbitMatrix.expand`), or, for a
+csr plan, those rows ``Q`` are the plan — written into arrays the
+caller may own: the plan cache passes the pages of its archive.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from scipy.sparse._sparsetools import csr_row_index
 
 from ..geometry import ParallelBeamGeometry, ScanGeometry
 from ..parallel.backend import ExecutionBackend, SerialBackend
-from ..sparse.csr import checked_rank
+from ..sparse.csr import CSRMatrix, checked_rank
+from ..sparse.orbit import OrbitMatrix, orbit_group
 from .siddon import RaySegments, trace_angle, trace_rays
 from .siddon3d import trace_rays_3d
 
@@ -38,8 +39,11 @@ __all__ = [
 ]
 
 
-def trace_view(geometry: ScanGeometry, angle_index: int) -> RaySegments:
-    """Trace every ray of one view (projection angle) of ``geometry``.
+def trace_view(
+    geometry: ScanGeometry, angle_index: int, channels: int | None = None
+) -> RaySegments:
+    """Trace the first ``channels`` rays (default all) of one view
+    (projection angle) of ``geometry``.
 
     The one place tracing depends on the kind of geometry.  A view with
     a source (:meth:`~repro.geometry.ScanGeometry.view_source`) is that
@@ -50,17 +54,15 @@ def trace_view(geometry: ScanGeometry, angle_index: int) -> RaySegments:
     """
     source, pixel_map = geometry.view_source(angle_index)
     if pixel_map is not None:
-        segs = trace_view(geometry, source)
+        segs = trace_view(geometry, source, channels)
         shift = geometry.ray_index(angle_index, 0) - geometry.ray_index(source, 0)
         return RaySegments(segs.ray_index + shift, pixel_map[segs.pixel_index], segs.length)
     if isinstance(geometry, ParallelBeamGeometry):
-        return trace_angle(geometry, angle_index)
-    origins, directions = geometry.ray_bundle(angle_index)
-    channels = np.arange(geometry.num_channels, dtype=np.int64)
+        return trace_angle(geometry, angle_index, channels)
+    origins, directions = (part[:channels] for part in geometry.ray_bundle(angle_index))
+    rays = geometry.ray_index(angle_index, np.arange(len(origins), dtype=np.int64))
     tracer = trace_rays_3d if directions.shape[1] == 3 else trace_rays
-    return tracer(
-        geometry.grid, origins, directions, geometry.ray_index(angle_index, channels)
-    )
+    return tracer(geometry.grid, origins, directions, rays)
 
 
 class _ColumnStreams:
@@ -131,37 +133,31 @@ def _sort_view(segs: RaySegments, first_ray: int, num_rays: int, col_rank, cbits
 
 
 def trace_view_range(task) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace a sequence of views into ``(counts, cols, vals)``.
+    """Trace a sequence of view prefixes into ``(counts, cols, vals)``.
 
-    ``task`` is ``(geometry, views, col_rank, dtype)``: ``views`` any
-    sequence of view indices (a ``range``, or orbits back to back), the
-    rank an int32 array or ``None`` (row-major columns).  ``counts`` has
-    one entry per ray of the views, in their order; ``cols`` / ``vals``
-    are those rays' rows back to back, 8 B per nonzero at float32.
-    Consecutive views of one orbit share their source's trace, each
-    sorted through ``col_rank[pixel_map]``.
+    ``task`` is ``(geometry, views, col_rank, dtype)``: ``views`` a
+    sequence of ``(view, channels)`` pairs — the first ``channels`` rays
+    of each view — the rank an int32 array or ``None`` (row-major
+    columns).  ``counts`` has one entry per traced ray, in their order;
+    ``cols`` / ``vals`` are those rays' rows back to back, each row's
+    columns ascending, 8 B per nonzero at float32.
 
     Module-level so the process backend can pickle it; the geometry is
     a small frozen dataclass and a rank array is 4 B per cell, so
     shipping them per task is cheap.
     """
     geometry, views, col_rank, dtype = task
-    rays = geometry.num_channels
     cbits = (geometry.grid.num_pixels - 1).bit_length()
-    counts = np.empty(len(views) * rays, np.int64)
+    counts = np.empty(sum(channels for _, channels in views), np.int64)
     streams = _ColumnStreams(dtype)
-    traced, ranks = None, {}
-    for i, view in enumerate(views):
-        source, pixel_map = geometry.view_source(view)
-        if traced != source:
-            segs, traced = trace_view(geometry, source), source
-        if pixel_map is not None and id(pixel_map) not in ranks:  # kept: its id is not reused
-            ranks[id(pixel_map)] = pixel_map, pixel_map if col_rank is None else col_rank[pixel_map]
-        rank = col_rank if pixel_map is None else ranks[id(pixel_map)][1]
-        counts[i * rays : (i + 1) * rays], cols, vals = _sort_view(
-            segs, int(geometry.ray_index(source, 0)), rays, rank, cbits, dtype
+    at = 0
+    for view, channels in views:
+        counts[at : at + channels], cols, vals = _sort_view(
+            trace_view(geometry, view, channels),
+            int(geometry.ray_index(view, 0)), channels, col_rank, cbits, dtype,
         )
         streams.append(cols, vals)
+        at += channels
     return (counts, *streams.arrays())
 
 
@@ -182,14 +178,16 @@ def build_projection_matrix(
     row_rank: np.ndarray | None = None,
     col_rank: np.ndarray | None = None,
     out=None,
+    expand: bool = True,
 ) -> sp.csr_matrix:
-    """Trace every ray of ``geometry`` and assemble ``A`` in CSR form.
+    """Trace ``geometry``'s traced rays and assemble ``A`` in CSR form.
 
-    The one assembly of a traced geometry: each orbit's source traced
-    once and every view of the orbit column-sorted from it, appended in
-    orbit order; then one compiled row gather (``csr_row_index``) takes
-    each ranked row's stream row — rows by ``row_rank``, each row's
-    columns ascending in ``col_rank``.
+    The one assembly of a traced geometry.  Only the rays of its
+    :meth:`~repro.geometry.ScanGeometry.ray_group` are traced (every
+    ray without one), each row's columns ascending in ``col_rank``.
+    Without a group, one compiled row gather (``csr_row_index``) takes
+    each ranked row's traced row; with one, the traced rows ``Q`` are
+    expanded through the group's maps (:meth:`OrbitMatrix.expand`).
 
     Parameters
     ----------
@@ -201,8 +199,8 @@ def build_projection_matrix(
         float32).
     backend:
         Optional execution backend that fans tracing out across
-        workers, a chunk being a range of orbits.  Chunks are joined in
-        orbit order, so the assembled matrix is bit-identical to the
+        workers, a chunk being a range of views.  Chunks are joined in
+        view order, so the assembled matrix is bit-identical to the
         serial build.
     row_rank, col_rank:
         Domain orderings applied while tracing: ``row_rank[ray]`` is
@@ -214,9 +212,14 @@ def build_projection_matrix(
         from, re-ordered afterwards with :meth:`CSRMatrix.permute`.
     out:
         ``out(nnz)`` returns the ``(indices, data)`` arrays — int32 and
-        ``dtype`` or wider, ``nnz`` long — that the gather writes the
-        matrix into; fresh arrays by default.  The plan cache passes
-        the reserved members of the archive it is assembling.
+        ``dtype`` or wider, ``nnz`` long — that the matrix is written
+        into; fresh arrays by default.  The plan cache passes the
+        reserved members of the archive it is assembling.  For ``Q`` it
+        is called as ``out(nnz, rows)``.
+    expand:
+        ``False`` returns ``Q`` itself — one row per traced ray, in
+        ascending ray order, of a geometry whose group a csr plan
+        stores alone (:func:`~repro.sparse.orbit_group`).
     """
     shape = (geometry.num_rays, geometry.grid.num_pixels)
     if row_rank is not None:
@@ -225,31 +228,48 @@ def build_projection_matrix(
         col_rank = checked_rank(col_rank, shape[1], "col_rank").astype(np.int32)
     if backend is None:
         backend = SerialBackend()
-    orbits = geometry.view_orbits()
+    group = geometry.ray_group()
+    if not expand and orbit_group(geometry) is None:
+        raise ValueError("only a geometry with an orbit group has a Q to return")
+    per_view = [geometry.num_channels] * geometry.num_angles
+    if group is not None:
+        per_view = np.bincount(group.stored_rays() // per_view[0], minlength=len(per_view))
+    views = [(view, int(k)) for view, k in enumerate(per_view) if k]
     tasks = [
-        (geometry, [view for orbit in orbits[lo:hi] for view in orbit], col_rank, np.dtype(dtype))
-        for lo, hi in _chunks(len(orbits), backend.workers)
+        (geometry, views[lo:hi], col_rank, np.dtype(dtype))
+        for lo, hi in _chunks(len(views), backend.workers)
     ]
     chunks = backend.map(trace_view_range, tasks)
-    if len(chunks) != 1:  # workers' chunks, joined in orbit order
+    if len(chunks) != 1:  # workers' chunks, joined in view order
         chunks = [[np.concatenate(part) for part in zip(*chunks)]]
     ((counts, cols, vals),) = chunks
     nnz = len(vals)
     if nnz > np.iinfo(np.int32).max:
         raise OverflowError(f"{nnz} nonzeros do not fit the int32 row offsets of A")
+    traced = np.zeros(len(counts) + 1, np.int32)
+    np.cumsum(counts, out=traced[1:])
     rows = np.arange(shape[0], dtype=np.int32)
     if row_rank is not None:
         rows[row_rank] = rows.copy()  # the ray at each ranked row
-    # Views were appended orbit by orbit: the stream row of each ray.
-    slot = np.argsort(np.concatenate(orbits)).astype(np.int32)[:, None] * geometry.num_channels
-    rows = (slot + np.arange(geometry.num_channels, dtype=np.int32)).ravel()[rows]
-    traced, indptr = (np.zeros(shape[0] + 1, np.int32) for _ in range(2))
-    np.cumsum(counts, out=traced[1:])
-    np.cumsum(counts[rows], out=indptr[1:])
-    indices, data = out(nnz) if out else (np.empty(nnz, np.int32), np.empty(nnz, dtype))
-    csr_row_index(shape[0], rows, traced, cols, vals.astype(data.dtype, copy=False), indices, data)
+    if not expand:
+        shape, indptr = (len(counts), shape[1]), traced
+        indices, data = (
+            out(nnz, shape[0]) if out else (np.empty(nnz, np.int32), np.empty(nnz, dtype))
+        )
+        indices[:], data[:] = cols, vals
+    elif group is not None:
+        stored = CSRMatrix(traced, cols, vals, shape[1], np.dtype(dtype).name)
+        matrix = OrbitMatrix.from_group(stored, group, col_rank, rows).expand(out)
+        indices, data, indptr = matrix.ind, matrix.val, matrix.displ
+    else:
+        indptr = np.zeros(shape[0] + 1, np.int32)
+        np.cumsum(counts[rows], out=indptr[1:])
+        indices, data = out(nnz) if out else (np.empty(nnz, np.int32), np.empty(nnz, dtype))
+        csr_row_index(
+            shape[0], rows, traced, cols, vals.astype(data.dtype, copy=False), indices, data
+        )
     csr = sp.csr_matrix((data, indices, indptr), shape=shape)
-    csr.has_canonical_format = True  # columns ascending, repeats summed per view
+    csr.has_canonical_format = True  # columns ascending, repeats summed per ray
     return csr
 
 

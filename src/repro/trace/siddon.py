@@ -87,21 +87,24 @@ def _entry_exit(
     return np.maximum(txmin, tymin), np.minimum(txmax, tymax)
 
 
-def trace_angle(geometry: ParallelBeamGeometry, angle_index: int) -> RaySegments:
-    """Trace every detector channel of one projection angle.
+def trace_angle(
+    geometry: ParallelBeamGeometry, angle_index: int, channels: int | None = None
+) -> RaySegments:
+    """Trace the first ``channels`` detector channels (default all ``N``)
+    of one projection angle.
 
-    Returns the concatenated pixel segments of all ``N`` rays of the
-    angle, ordered by channel then by position along the ray.
+    Returns the concatenated pixel segments of those rays, ordered by
+    channel then by position along the ray.
     """
     grid = geometry.grid
     n = grid.n
     half = grid.half_extent
     d = geometry.ray_directions()[angle_index]
     dx, dy = float(d[0]), float(d[1])
-    origins = geometry.ray_origins(angle_index)
+    origins = geometry.ray_origins(angle_index)[:channels]
     ox = origins[:, 0]
     oy = origins[:, 1]
-    nchan = geometry.num_channels
+    nchan = len(origins)
 
     t_min, t_max = _entry_exit(ox, oy, dx, dy, half)
     hits = t_min < t_max - _MIN_SEGMENT

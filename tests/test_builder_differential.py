@@ -7,10 +7,13 @@ then ``sum_duplicates``.  The builder must reproduce it bit for bit —
 geometry, with and without ranks, in both precisions, serial and
 fanned out over threads or processes.
 
-Both go through one per-view function, ``trace_view``: on a half-turn
-parallel scan it traces a view's orbit source and pixel-maps it, so the
-oracle's views are the builder's bit for bit — and an edit to view 1
-reaches every view of view 1's orbit, in both.
+Both go through one per-view function, ``trace_view``, and through the
+geometry's ray group: on a half-turn parallel scan every ray is a copy
+of a traced ray (a view's orbit source, and for even ``M`` the first
+half of its channels), pixel-mapped.  The oracle copies each ray's
+triplets from its traced ray's; the builder sorts the traced rows and
+expands them — so an edit to view 1 reaches every ray that copies one
+of view 1's, in both.
 """
 
 import numpy as np
@@ -32,12 +35,23 @@ GEOMETRIES = {
 
 
 def coo_assembly(geometry, dtype, row_rank, col_rank) -> sp.csr_matrix:
-    """Streams -> ``coo_tocsr`` -> ``sum_duplicates``: the old builder."""
+    """Streams -> ``coo_tocsr`` -> ``sum_duplicates``: the old builder,
+    each ray's triplets copied from its traced ray's through the group."""
     views = [matrix_builder.trace_view(geometry, a) for a in range(geometry.num_angles)]
-    ray, pixel = (np.concatenate([getattr(v, f) for v in views]) for f in FIELDS[:2])
+    ray, pixel, length = (np.concatenate([getattr(v, f) for v in views]) for f in FIELDS)
+    group = geometry.ray_group()
+    if group is not None:
+        order = np.argsort(ray, kind="stable")  # an edit may append out of ray order
+        ray, pixel, length = ray[order], pixel[order], length[order]
+        bounds = np.searchsorted(ray, np.arange(geometry.num_rays + 1))
+        counts = np.diff(bounds)[group.source]
+        take = np.concatenate([np.arange(bounds[s], bounds[s] + c) for s, c in zip(group.source, counts)])
+        ray = np.repeat(np.arange(geometry.num_rays), counts)
+        pixel = group.maps[np.repeat(group.slot, counts), pixel[take]]
+        length = length[take]
     rows = (ray if row_rank is None else row_rank[ray]).astype(np.int32)
     cols = (pixel if col_rank is None else col_rank[pixel]).astype(np.int32)
-    vals = np.concatenate([v.length for v in views]).astype(dtype)
+    vals = length.astype(dtype)
     shape, nnz = (geometry.num_rays, geometry.grid.num_pixels), len(vals)
     indptr, indices = np.empty(shape[0] + 1, np.int32), np.empty(nnz, np.int32)
     data = np.empty(nnz, dtype)
@@ -54,8 +68,8 @@ _trace_view = matrix_builder.trace_view
 def view_one(edit):
     """``trace_view`` with view 1's segments passed through ``edit``."""
 
-    def trace_view(geometry, angle_index):
-        segs = _trace_view(geometry, angle_index)
+    def trace_view(geometry, angle_index, channels=None):
+        segs = _trace_view(geometry, angle_index, channels)
         return edit(segs) if angle_index == 1 else segs
 
     return trace_view

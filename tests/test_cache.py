@@ -73,7 +73,9 @@ class TestFingerprint:
         tracing each view orbit once (its plan values may differ from a
         direct trace in the last bits, so its geometry document gained
         ``view_symmetry``), and when the archive dropped ``A^T`` and its
-        format version, which every key hashes, became 3 (64x48
+        format version, which every key hashes, became 3, and when a
+        csr plan of a half-turn scan with even ``M`` came to store only
+        its traced rows ``Q`` and the format version became 4 (64x48
         parallel beam)."""
         monkeypatch.delenv("REPRO_DTYPE", raising=False)
         geometry = ParallelBeamGeometry(64, 48)
@@ -81,9 +83,9 @@ class TestFingerprint:
             kernel: plan_fingerprint(geometry, OperatorConfig(kernel=kernel))
             for kernel in ("csr", "buffered", "ell")
         } == {
-            "csr": "d3046699675e661a1e200606518ce9b009a6d0e5d5d1d3c16de9559910903eda",
-            "buffered": "9c61733b34705336e97912c7aad67863f12c52d048a2aadb901819f82a7b0b6a",
-            "ell": "65273cb113bbdfce45aeeddc96cad464e308ee6b26a8fbba152261c712722914",
+            "csr": "35981976beecef4595a1aa11589fb1c1b228b37e7b7770acb6d0515f5116f012",
+            "buffered": "2b9e20e2cb426ced89f1074a9d7a0410d65baef175d26b8e94a0d266799a0574",
+            "ell": "beb58de87fd9cc61ef041b22ad4fd16d3f5cf55a4f2c22c47d312ef7426ccd74",
         }
 
     def test_float_inputs_hashed_exactly(self, small_geometry):
@@ -391,8 +393,9 @@ class TestAssembledInPlace:
         assert cap.total(obs.CACHE_BYTES_WRITTEN) > 0
         assert cap.span_names().count("cache.store") == 1
         assert cap.find_spans("cache.load") == []
-        assert cold._transpose is None  # the entry holds A alone
-        for array in (cold.matrix.ind, cold.matrix.val):
+        # the entry holds Q alone: neither A nor its transpose is built
+        assert cold._transpose is None and cold._matrix is None
+        for array in (cold.stored.ind, cold.stored.val):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
@@ -400,7 +403,7 @@ class TestAssembledInPlace:
         warm, report = preprocess(small_geometry, cache=tmp_path / "plans")
         assert report.cache_hit is True
         assert len(persist._LIVE_MAPS) == 1  # one map of the entry, shared
-        assert np.shares_memory(warm.matrix.val, cold.matrix.val)
+        assert np.shares_memory(warm.stored.val, cold.stored.val)
         assert warm.config == cold.config
 
     def test_a_summed_duplicate_is_assembled_in_place(
@@ -409,8 +412,9 @@ class TestAssembledInPlace:
         """Repeats are summed per view before the reservation, so the
         reservation is exact: nothing is written by copy, and the entry
         is the file an uncached build + store writes.  View 0's repeat
-        changes one value per view of its orbit, {0, M/2}: both are
-        sorted from view 0's one trace."""
+        changes one value of the stored ``Q`` — ray ``(0, 0)``'s — and
+        so one value in each ray of ``A`` that copies it: channels 0 and
+        ``N-1`` of views 0 and M/2."""
         from repro import io
         from repro.trace import matrix_builder
 
@@ -427,9 +431,10 @@ class TestAssembledInPlace:
         assert copies == []
         assert _temp_files(tmp_path / "plans") == []
         uncached, _ = preprocess(small_geometry)
-        assert uncached.matrix.nnz == cold.matrix.nnz == plain.matrix.nnz
+        assert uncached.nnz == cold.nnz == plain.nnz == plain.matrix.nnz
         assert small_geometry.view_orbits()[0] == [0, 18]
-        assert np.count_nonzero(cold.matrix.val != plain.matrix.val) == 2
+        assert np.count_nonzero(cold.stored.val != plain.stored.val) == 1
+        assert np.count_nonzero(cold.matrix.val != plain.matrix.val) == 4
         copied = real_save(tmp_path / "copied.npz", uncached, compress=False)
         assert entry.read_bytes() == copied.read_bytes()
 

@@ -126,9 +126,11 @@ class TestOneResidentForm:
         self, rng, tmp_path, cached
     ):
         """After its kernels have run, vector and slab, the only buffers
-        of nnz length reachable from a default operator are the index
-        and value arrays of ``matrix`` — the compiled loops run both
-        directions on them as they stand, and no ``A^T`` is derived.
+        of ``Q``'s nnz length or more reachable from a default operator
+        on a half-turn scan are the index and value arrays of the stored
+        ``Q`` and the ``8 x pixels`` group indices — the compiled loops
+        run both directions on ``Q`` as it stands, and neither ``A`` nor
+        ``A^T`` is derived.
         The same holds for the operator a cold build into a plan cache
         returns (the entry it assembled in place, mapped).  Serial
         whatever ``REPRO_WORKERS`` says: a ``process`` engine partitions
@@ -158,14 +160,15 @@ class TestOneResidentForm:
                 continue
             seen.add(id(obj))
             if isinstance(obj, np.ndarray):
-                if obj.size >= op.matrix.nnz:
+                if obj.size >= op.stored.nnz:
                     big[id(owner(obj))] = owner(obj)
                 continue
             if callable(obj):
                 continue
             stack.extend(gc.get_referents(obj))
-        assert op._transpose is None
-        assert set(big) == {id(owner(a)) for a in (op.matrix.ind, op.matrix.val)}
+        assert op._transpose is None and op._matrix is None
+        held = (op.stored.ind, op.stored.val, op.plan.gather, op.plan._fold)
+        assert set(big) == {id(owner(a)) for a in held}
 
 
 class TestDerivedTranspose:
@@ -199,14 +202,39 @@ class TestDerivedTranspose:
 
 
 class TestFootprints:
-    def test_table3_conventions(self, operators):
-        g, ops = operators
-        fp = ops["csr"].memory_footprint()
+    def test_table3_conventions(self):
+        """A csr plan of ``A`` itself (odd ``M``: no 8-slot group)."""
+        op, _ = preprocess(ParallelBeamGeometry(35, 24))
+        assert op.plan is op.matrix
+        fp = op.memory_footprint()
         assert fp["irregular_forward"] == 24 * 24 * 4
-        assert fp["irregular_adjoint"] == 36 * 24 * 4
-        assert fp["regular_forward"] == ops["csr"].matrix.nnz * 8
+        assert fp["irregular_adjoint"] == 35 * 24 * 4
+        assert fp["regular_forward"] == op.matrix.nnz * 8
         # Both csr directions stream A's own row offsets.
-        assert fp["displ_bytes"] == 2 * 8 * (36 * 24 + 1)
+        assert fp["displ_bytes"] == 2 * 8 * (35 * 24 + 1)
+
+    def test_an_orbit_plan_streams_q_once_and_gathers_eight_slots(self, operators, rng):
+        """``Q``'s bytes once per call, slab or not; the irregular
+        bytes are the 8 x pixels and 8 x Q-rows gathers per column; the
+        logical FLOPs stay ``2 nnz(A)`` per column — and counting builds
+        no ``A``."""
+        _, ops = operators
+        op = ops["csr"]
+        op.close()
+        q_rows = op.stored.num_rows
+        assert q_rows == 10 * 12  # source views 0 to 9, 12 of 24 channels each
+        fp = op.memory_footprint()
+        assert fp["regular_forward"] == fp["regular_adjoint"] == op.stored.nnz * 8
+        assert fp["irregular_forward"] == fp["irregular_adjoint"] == 8 * (24 * 24 + q_rows) * 4
+        assert fp["displ_bytes"] == 2 * 8 * (q_rows + 1)
+        with obs.capture() as cap:
+            op.forward(rng.random((op.num_pixels, 3)))
+            op.adjoint(rng.random(op.num_rays))
+        assert cap.total(obs.SPMV_FLOPS) == 2 * op.nnz * 4
+        assert cap.total(obs.SPMV_REGULAR_BYTES) == 2 * op.stored.nnz * 8
+        assert cap.total(obs.SPMV_IRREGULAR_BYTES) == 4 * fp["irregular_forward"]
+        assert op._matrix is None
+        assert op.nnz == op.matrix.nnz
 
     def test_buffered_uses_16bit_indices(self, operators):
         _, ops = operators

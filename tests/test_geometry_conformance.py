@@ -150,8 +150,9 @@ class TestGeometryConformance:
         reverse = np.arange(geometry.grid.num_pixels, dtype=np.int32)[::-1]
         for col_rank in (None, reverse):
             for start, stop in ((0, 2), (1, 1)):
+                views = [(view, geometry.num_channels) for view in range(start, stop)]
                 counts, cols, vals = matrix_builder.trace_view_range(
-                    (geometry, range(start, stop), col_rank, np.dtype(dtype))
+                    (geometry, views, col_rank, np.dtype(dtype))
                 )
                 assert (cols.dtype, vals.dtype) == (np.int32, dtype)
                 assert counts.shape == ((stop - start) * geometry.num_channels,)

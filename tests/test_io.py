@@ -51,7 +51,7 @@ def operator_arrays(operator) -> dict[str, np.ndarray]:
     """Every array of nnz or row length a loaded operator runs on."""
     arrays = {}
     for tag, layout in [
-        ("matrix", operator.matrix),
+        ("matrix", operator.stored),
         ("bf", operator.buffered_forward),
         ("ba", operator.buffered_adjoint),
         ("ef", operator.ell_forward),
@@ -348,15 +348,29 @@ class TestV1BackCompat:
 
 class TestV2BackCompat:
     """A v2 file held ``A^T`` as ``t_`` members: it still loads, the
-    members are checked with the rest and then left unread."""
+    members are checked with the rest and then left unread.  A v3 file
+    held ``A`` itself whatever the geometry: it loads as a csr plan of
+    ``A``, the operator every kernel ran on before a half-turn csr plan
+    came to store ``Q``."""
 
     @staticmethod
-    def _v2(tmp_path, op, tamper=False):
+    def _v3(tmp_path, op):
+        """``op`` saved as a v3 writer saved it: ``A`` under the matrix
+        names, ``format_version`` 3, checksummed."""
+        with np.load(save_operator(tmp_path / "v4.npz", op)) as data:
+            arrays = {name: data[name] for name in data.files if name != "checksum"}
+        assert int(arrays["format_version"]) == FORMAT_VERSION == 4
+        arrays.update(op.matrix.to_arrays(), format_version=np.int64(3))
+        path = tmp_path / "v3.npz"
+        persist.atomic_savez_checked(path, arrays)
+        return path
+
+    @classmethod
+    def _v2(cls, tmp_path, op, tamper=False):
         """``op`` saved as a v2 writer saved it: ``t_`` members between
         the matrix and the config, ``format_version`` 2, checksummed."""
-        with np.load(save_operator(tmp_path / "v3.npz", op)) as data:
+        with np.load(cls._v3(tmp_path, op)) as data:
             arrays = {name: data[name] for name in data.files if name != "checksum"}
-        assert int(arrays["format_version"]) == FORMAT_VERSION == 3
         arrays["format_version"] = np.int64(2)
         transpose = {
             "t_" + name: array
@@ -387,6 +401,7 @@ class TestV2BackCompat:
         old = load_operator(self._v2(tmp_path, op))
         new = load_operator(tmp_path / "v3.npz")
         assert old._transpose is None
+        assert old.plan is old.stored and new.plan is new.stored  # A, not Q
         assert_equal_operators(old, new)
         sinogram = rng.random(op.geometry.sinogram_shape)
         images = [
@@ -400,12 +415,34 @@ class TestV2BackCompat:
         with pytest.raises(OperatorIntegrityError, match="checksum mismatch"):
             load_operator(path)
 
+    @pytest.mark.parametrize("dtype", PRECISIONS)
+    def test_a_v3_csr_file_of_a_half_turn_scan_is_a_plan_of_a(self, tmp_path, rng, dtype):
+        """Its images are the csr kernel's on ``A`` bit for bit — what
+        the v3 reader gave — and within rounding of the ``Q`` plan's."""
+        from repro.core import MemXCTOperator, reconstruct
+
+        op = small_operator_of("csr", dtype)
+        old = load_operator(self._v3(tmp_path, op))
+        assert old.plan is old.matrix and old.nnz == op.nnz
+        for name in ("displ", "ind", "val"):
+            assert np.array_equal(getattr(old.matrix, name), getattr(op.matrix, name)), name
+        of_a = MemXCTOperator(
+            op.geometry, op.tomo_ordering, op.sino_ordering, op.matrix, None, op.config
+        )
+        sinogram = rng.random(op.geometry.sinogram_shape)
+        images = [
+            reconstruct(sinogram, op.geometry, iterations=5, operator=loaded).image
+            for loaded in (old, of_a, op)
+        ]
+        assert np.array_equal(images[0], images[1])
+        np.testing.assert_allclose(images[2], images[0], rtol=1e-3, atol=1e-4)
+
     def test_a_v1_csr_file_loads_without_a_transpose(self, tmp_path, monkeypatch, rng):
         from repro import io
         from repro.core import operator as core_operator
 
         op = small_operator_of("csr")
-        with np.load(save_operator(tmp_path / "v3.npz", op)) as data:
+        with np.load(self._v3(tmp_path, op)) as data:
             arrays = {name: data[name] for name in data.files if name != "checksum"}
         arrays["format_version"] = np.int64(1)
         np.savez(tmp_path / "v1.npz", **arrays)

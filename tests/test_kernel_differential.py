@@ -142,7 +142,7 @@ class TestDegenerateShapes:
 # -- the csr adjoint reads A ------------------------------------------------
 
 ADJOINT_GEOMETRIES = {
-    "parallel": ParallelBeamGeometry(16, 12),
+    "parallel": ParallelBeamGeometry(15, 12),  # odd M: a csr plan of A itself
     "fan": FanBeamGeometry(16, 12, source_distance=40.0),
     "cone": ConeBeamGeometry(8, 4, 6, source_distance=30.0),
 }
@@ -199,18 +199,121 @@ class TestAdjointReadsA:
         assert op._transpose is None
 
 
-def test_process_engine_partitions_the_derived_transpose():
+@pytest.mark.parametrize("angles", [23, 24], ids=["plan-of-A", "orbit"])
+def test_process_engine_partitions_the_derived_transpose(angles):
     """``process:2`` splits the csr adjoint by pixel rows of the derived
-    ``A^T``; its CG image equals the serial CSC loop's bit for bit."""
-    geometry = ParallelBeamGeometry(24, 16)
+    ``A^T`` — of ``Q^T`` on an orbit plan, whose gathers stay in the
+    parent and which derives neither ``A`` nor ``A^T``; its CG image
+    equals the serial kernels' bit for bit."""
+    geometry = ParallelBeamGeometry(angles, 16)
     op, _ = preprocess(geometry, config=OperatorConfig(workers="serial"))
+    orbit = op.plan is not op.stored
+    assert orbit == (angles % 2 == 0)
     sinogram = np.random.default_rng(3).random(geometry.sinogram_shape)
     serial = reconstruct(sinogram, geometry, iterations=4, operator=op).image
     assert op._transpose is None
     op.set_workers("process:2")
     try:
         parallel = reconstruct(sinogram, geometry, iterations=4, operator=op).image
-        assert op._transpose is not None
+        assert (op._transpose is None) == orbit
+        assert (op._matrix is None) == orbit
     finally:
         op.close()
     assert np.array_equal(parallel, serial)
+
+
+# -- the orbit kernel --------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", ADJOINT_DTYPES)
+class TestOrbitKernel:
+    """A half-turn csr plan (even ``M``) runs both directions as
+    8-column SpMMs over ``Q``: a slab column is the vector call's bit
+    for bit, the products are ``A``'s to rounding (a row sums in
+    ``Q``'s column order), and the pair is adjoint to rounding."""
+
+    @pytest.fixture(scope="class")
+    def ops(self):
+        geometry = ParallelBeamGeometry(16, 12)
+        return {
+            dtype: preprocess(
+                geometry, config=OperatorConfig(dtype=name, workers="serial")
+            )[0]
+            for dtype, name in ADJOINT_DTYPES.items()
+        }
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("S", [1, 2, 4, 16])
+    def test_slab_columns_are_the_vector_calls(self, ops, dtype, S, layout):
+        op = ops[dtype]
+        assert op.plan.slots == 8 and op.stored.num_rows < op.num_rays
+        rng = np.random.default_rng(S)
+        for direction, rows in (("forward", op.num_pixels), ("adjoint", op.num_rays)):
+            apply = getattr(op, direction)
+            slab = _slab(rng, rows, S, layout, op.compute_dtype)
+            got = apply(slab)
+            for j in range(S):
+                assert np.array_equal(got[:, j], apply(np.ascontiguousarray(slab[:, j])))
+        assert op._matrix is None and op._transpose is None
+
+    def test_products_are_a_s_to_rounding_and_adjoint(self, ops, dtype):
+        op = ops[dtype]
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(op.num_pixels).astype(op.compute_dtype)
+        y = rng.standard_normal(op.num_rays).astype(op.compute_dtype)
+        fwd, adj = op.forward(x), op.adjoint(y)
+        scale = np.abs(op.matrix.to_scipy()) @ np.abs(x)
+        eps = np.finfo(op.compute_dtype).eps
+        assert (np.abs(fwd - op.matrix.spmv(x)) <= 16 * eps * scale).all()
+        np.testing.assert_allclose(adj, op.matrix.spmv_transposed(y), rtol=1e-5, atol=1e-5)
+        lhs = float(np.dot(fwd.astype(np.float64), y))
+        rhs = float(np.dot(x, adj.astype(np.float64)))
+        gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+        assert gap < (1e-10 if op.compute_dtype == np.float64 else 1e-6)
+
+
+TRIVIAL_GEOMETRIES = {
+    "fan": FanBeamGeometry(16, 12, source_distance=40.0),
+    "cone": ConeBeamGeometry(8, 4, 6, source_distance=30.0),
+    "full-turn": ParallelBeamGeometry(16, 12, angle_range=2 * np.pi),
+    "odd-M": ParallelBeamGeometry(15, 12),
+}
+
+
+@pytest.mark.parametrize("kind", TRIVIAL_GEOMETRIES)
+def test_a_scan_without_an_8_slot_group_keeps_the_plan_of_a(kind, monkeypatch):
+    """Fan, cone, parallel not over pi and odd ``M``: the csr plan is
+    ``A`` itself — for odd ``M`` the bytes of a build that traces every
+    channel — and a vector runs scipy's 1-D ``csr_matvec``; an orbit
+    plan's vector call is one 8-column ``csr_matvecs``."""
+    from scipy.sparse import _sparsetools
+
+    from repro.sparse import orbit_group
+
+    from .test_view_symmetry import TracedEveryRay
+
+    geometry = TRIVIAL_GEOMETRIES[kind]
+    op, _ = preprocess(geometry, config=OperatorConfig(workers="serial"))
+    assert orbit_group(geometry) is None and op.plan is op.matrix
+    if kind == "odd-M":
+        want = build_projection_matrix(
+            TracedEveryRay(15, 12),
+            row_rank=op.sino_ordering.rank,
+            col_rank=op.tomo_ordering.rank,
+        )
+        for ours, theirs in ((op.matrix.displ, want.indptr), (op.matrix.ind, want.indices)):
+            assert np.array_equal(ours, theirs)
+        assert op.matrix.val.tobytes() == want.data.tobytes()
+    widths = []
+    for name in ("csr_matvec", "csr_matvecs"):
+        real = getattr(_sparsetools, name)
+
+        def spy(*args, real=real, name=name):
+            widths.append(args[2] if name == "csr_matvecs" else None)
+            return real(*args)
+
+        monkeypatch.setattr(_sparsetools, name, spy)
+    op.forward(np.ones(op.num_pixels))
+    orbit, _ = preprocess(ParallelBeamGeometry(16, 12), config=OperatorConfig(workers="serial"))
+    orbit.forward(np.ones(orbit.num_pixels))
+    assert widths == [None, 8]

@@ -25,7 +25,7 @@ import pytest
 from repro import obs
 from repro.cache import PlanCache
 from repro.cachesim import ell_lockstep_spmv, listing3_spmv
-from repro.core import KERNELS, OperatorConfig, preprocess
+from repro.core import KERNELS, OperatorConfig, preprocess, reconstruct
 from repro.geometry import ParallelBeamGeometry
 from repro.io import load_operator, save_operator
 from repro.parallel import partition_ranges
@@ -47,7 +47,9 @@ SPMV_COUNTERS = (
 
 @pytest.fixture(scope="module")
 def operators():
-    geometry = ParallelBeamGeometry(36, 24)
+    # Odd M: every kernel's plan holds A itself (TestOrbitLayout below
+    # states the contract for the csr plan of an even-M half turn).
+    geometry = ParallelBeamGeometry(35, 24)
     return {
         (kernel, dtype): preprocess(
             geometry,
@@ -65,7 +67,7 @@ def operators():
 
 def _layouts(op):
     return {
-        "csr": (op.matrix, op.transpose),
+        "csr": (op.plan, op.transpose),
         "buffered": (op.buffered_forward, op.buffered_adjoint),
         "ell": (op.ell_forward, op.ell_adjoint),
     }[op.config.kernel]
@@ -378,7 +380,7 @@ class TestNoDerivationAtSetup:
         cache = PlanCache(tmp_path / "plans")
 
         def layouts(op):
-            found = [op.matrix, op.transpose, op.buffered_forward, op.buffered_adjoint]
+            found = [op.stored, op.buffered_forward, op.buffered_adjoint]
             return [layout for layout in found if layout is not None]
 
         def members(path):
@@ -403,3 +405,90 @@ class TestNoDerivationAtSetup:
         stored = members(cache.plan_path(cold_report.cache_key))
         cache.store(cold_report.cache_key, cold)
         assert members(cache.plan_path(cold_report.cache_key)) == stored
+        # Nothing above, nor a CG solve, expands a csr plan's Q into A.
+        reconstruct(np.ones(geometry.sinogram_shape), geometry, iterations=3, operator=warm)
+        orbit = kernel == "csr"
+        assert orbit == (cold.plan is not cold.stored)
+        assert all((op._matrix is None) == orbit for op in (cold, warm))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+class TestOrbitLayout:
+    """The csr plan of a half-turn scan with even ``M`` is an
+    :class:`~repro.sparse.OrbitMatrix` (``Q`` and its 8-slot group),
+    held to the same protocol: one kernel over a vector or a slab whose
+    columns are the vector calls, partition slices that tile the output,
+    an array form that round-trips as views, a pickle that is the array
+    form, accounting blind to input rank and backend, and a ``process:2``
+    run equal to serial."""
+
+    @pytest.fixture(scope="class")
+    def orbits(self):
+        geometry = ParallelBeamGeometry(36, 24)
+        return {
+            dtype: preprocess(
+                geometry, config=OperatorConfig(partition_size=PARTITION_SIZE, dtype=name)
+            )[0]
+            for dtype, name in DTYPES.items()
+        }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_spmv_slices_and_array_form(self, orbits, dtype, shape):
+        op = orbits[dtype]
+        layout = op.plan
+        assert layout.slots == 8 and layout.nnz == op.matrix.nnz
+        x = _input(op, SHAPES[shape])
+        y = layout.spmv(x)
+        ref = op.matrix.to_scipy().toarray().astype(np.float64) @ x.astype(np.float64)
+        tol = 1e-10 if x.dtype == np.float64 else 1e-4
+        assert y.dtype == np.result_type(x.dtype, np.float32)
+        assert np.abs(y - ref).max() <= tol * np.abs(ref).max()
+        for j in range(x.shape[1] if x.ndim == 2 else 0):
+            assert np.array_equal(y[:, j], layout.spmv(x[:, j]))
+        num_partitions = -(-layout.num_rows // PARTITION_SIZE)
+        for workers in (2, 3, num_partitions):
+            pieces = [
+                layout.partition_slice(p0, p1, PARTITION_SIZE).spmv(x)
+                for p0, p1 in partition_ranges(num_partitions, workers)
+            ]
+            assert np.array_equal(np.concatenate(pieces), y)
+        arrays = layout.to_arrays()
+        rebuilt = type(layout).from_arrays(
+            arrays, layout.num_rows, layout.num_cols, PARTITION_SIZE
+        )
+        assert np.shares_memory(rebuilt.stored.val, arrays["val"])
+        assert rebuilt.stored.val.dtype == op.stored.val.dtype
+        for clone in (rebuilt, pickle.loads(pickle.dumps(layout))):
+            assert np.array_equal(clone.spmv(x), y)
+        assert np.array_equal(op.forward(x), y)
+
+    def test_accounting_is_rank_and_backend_blind(self, orbits, dtype):
+        op = orbits[dtype]
+        x = _input(op, ())
+
+        def totals(call, arg):
+            with obs.capture() as cap:
+                call(arg)
+            return {c: cap.total(c) for c in SPMV_COUNTERS}
+
+        vector, one = totals(op.forward, x), totals(op.forward_batch, x[:, None])
+        four = totals(op.forward, np.stack([x] * 4, axis=1))
+        assert vector == one
+        for counter in SPMV_COUNTERS:
+            once = counter in (obs.SPMV_REGULAR_BYTES, obs.BUFFER_STAGES)
+            assert four[counter] == vector[counter] * (1 if once else 4)
+
+    def test_serial_is_process_2(self, orbits, dtype):
+        op = orbits[dtype]
+        x = _input(op, (3,))
+        y = np.random.default_rng(3).standard_normal(op.num_rays).astype(op.compute_dtype)
+        ambient = op.config.workers
+        op.set_workers("serial")
+        ref = op.forward(x), op.adjoint(y)
+        op.set_workers("process:2")
+        try:
+            for _ in range(2):
+                assert np.array_equal(op.forward(x), ref[0])
+                assert np.array_equal(op.adjoint(y), ref[1])
+        finally:
+            op.set_workers(ambient)

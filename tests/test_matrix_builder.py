@@ -69,7 +69,8 @@ class TestBuildProjectionMatrix:
                 super()._resize(capacity)
 
         monkeypatch.setattr(matrix_builder, "_ColumnStreams", Tiny)
-        task = (small_geometry, range(small_geometry.num_angles), None, np.dtype(np.float32))
+        views = [(view, small_geometry.num_channels) for view in range(small_geometry.num_angles)]
+        task = (small_geometry, views, None, np.dtype(np.float32))
         counts, cols, vals = matrix_builder.trace_view_range(task)
         assert len(growths) > 10 and growths[-1] == want.nnz  # the trim
         assert (cols.dtype, vals.dtype) == (np.int32, np.float32)
@@ -107,9 +108,10 @@ class TestBuildProjectionMatrix:
 
     def test_a_repeated_triplet_is_summed(self, small_geometry, monkeypatch):
         """No geometry in the suite traces one twice, so one is made by
-        hand: the first segment of view 0, emitted again.  View 0's
-        trace is also view M/2's (the quarter turn maps one onto the
-        other), so one value changes in each view of that orbit."""
+        hand: the first segment of view 0, emitted again.  Ray ``(0, 0)``
+        is also ray ``(0, N-1)`` (the half turn) and, in view M/2, rays
+        ``(M/2, 0)`` and ``(M/2, N-1)`` (the diagonal maps view 0 onto
+        view M/2), so one value changes in each of those four rays."""
         want = build_projection_matrix(small_geometry)
         monkeypatch.setattr(matrix_builder, "trace_view", repeat_first_segment)
         got = build_projection_matrix(small_geometry)
@@ -117,7 +119,8 @@ class TestBuildProjectionMatrix:
         assert np.array_equal(got.indices, want.indices)
         changed = np.flatnonzero(got.data != want.data)
         assert small_geometry.view_orbits()[0] == [0, 18]
-        assert changed.size == 2
+        group = small_geometry.ray_group()
+        assert np.count_nonzero(group.source == 0) == changed.size == 4
         assert (got.data[changed] == np.float32(2) * want.data[changed]).all()
 
 
@@ -136,9 +139,9 @@ class TestBuildProjectionMatrix:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def repeat_first_segment(geometry, angle_index):
+def repeat_first_segment(geometry, angle_index, channels=None):
     """``trace_view`` with view 0's first ``(ray, pixel, length)`` twice."""
-    segs = trace_angle(geometry, angle_index)
+    segs = trace_angle(geometry, angle_index, channels)
     if angle_index:
         return segs
     return RaySegments(

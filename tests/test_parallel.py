@@ -369,9 +369,9 @@ class TestSolverEquivalence:
         cache = PlanCache(tmp_path / "plans")
         cache.store("0" * 64, built)
         mapped = cache.load("0" * 64)
-        assert not mapped.matrix.val.flags.writeable
+        assert not mapped.stored.val.flags.writeable
         clone = pickle.loads(pickle.dumps(mapped))
-        assert clone.matrix.val.flags.writeable
+        assert clone.stored.val.flags.writeable
         for operator in (mapped, clone):
             for spec in ("serial", "process:2"):
                 operator.set_workers(spec)

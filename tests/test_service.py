@@ -88,9 +88,16 @@ def make_engine(tmp_path, *, clock=None, monotonic=None, **cfg) -> ReconService:
     return ReconService(ServiceConfig(**cfg), **kwargs)
 
 
-def reference(sinogram, **kw) -> np.ndarray:
+SERVICE_KERNEL = ServiceConfig.__dataclass_fields__["kernel"].default
+
+
+def reference(sinogram, config=None, **kw) -> np.ndarray:
+    """``reconstruct``'s image on the service's kernel: a job's result
+    is it bit for bit.  (The default csr kernel on a half-turn scan runs
+    the orbit plan ``Q``, equal to it only to rounding.)"""
     kw.setdefault("iterations", 6)
-    return reconstruct(sinogram, **kw).image
+    config = (config or OperatorConfig()).evolve(kernel=SERVICE_KERNEL)
+    return reconstruct(sinogram, config=config, **kw).image
 
 
 # -- persist primitives --------------------------------------------------
@@ -608,7 +615,7 @@ class TestRecovery:
         # Simulate a previous run killed mid-solve: leave a real
         # iteration-3 checkpoint in the job's spool slot.
         geometry = ParallelBeamGeometry(ANGLES, CHANNELS)
-        op, _ = preprocess(geometry)
+        op, _ = preprocess(geometry, config=OperatorConfig(kernel=SERVICE_KERNEL))
         y = op.sinogram_to_ordered(sino(0))
         manager = CheckpointManager(
             svc.journal.checkpoint_path(ack["job_id"]), every=3
