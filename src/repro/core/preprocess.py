@@ -44,6 +44,7 @@ from ..sparse import (
     scan_transpose,
 )
 from ..trace import build_projection_matrix
+from ..trace.matrix_builder import _traced_views
 from .operator import MemXCTOperator, OperatorConfig
 
 __all__ = ["PreprocessReport", "preprocess"]
@@ -179,7 +180,7 @@ def preprocess(
                 )
 
             workers, mode = parse_workers(config.workers)
-            views = {"views": geometry.num_angles, "views_traced": len(geometry.view_orbits())}
+            views = {"views": geometry.num_angles, "views_traced": len(_traced_views(geometry))}
             with span("preprocess.tracing", workers=workers, mode=mode, **views) as sp:
                 backend = make_backend(workers, mode)
                 try:

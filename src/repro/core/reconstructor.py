@@ -293,6 +293,8 @@ def reconstruct(
     solve_seconds = time.perf_counter() - t0
 
     extra: dict = {}
+    if isinstance(solve_op, DistributedOperator):  # passed in or ambient
+        injector = solve_op.comm.fault_injector
     if injector is not None:
         extra["fault_stats"] = injector.stats.as_dict()
     if isinstance(solve_op, DistributedOperator):

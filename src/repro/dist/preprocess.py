@@ -9,16 +9,17 @@ per-node memory shrink as 1/P and makes terabyte-scale problems fit.
 The pipeline here mirrors that exactly over the simulated
 communicator:
 
-1. every rank runs Siddon tracing for its angle range (angle-parallel,
-   embarrassingly so);
-2. the traced (row, column, length) triplets are exchanged with one
+1. every rank traces a contiguous run of the geometry's traced views
+   and expands those rows to every ray of their orbits;
+2. the (row, column, length) triplets are exchanged with one
    ``Alltoallv`` keyed by the tomogram-column owner;
 3. each rank assembles its partial matrix ``A_p``, its scan-based
    transpose, and the send segments of the communication plan —
    exactly the :class:`RankData` the runtime operator consumes.
 
 Each rank's data are array-equal to slicing the globally built, ordered
-matrix (verified in tests); the difference is the memory high-water mark.
+matrix — its rows come out of the builder's own expansion; the
+difference is the memory high-water mark.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ import scipy.sparse as sp
 
 from ..geometry import ScanGeometry
 from ..ordering import make_ordering
-from ..sparse import CSRMatrix
+from ..sparse import CSRMatrix, OrbitMatrix
 from ..topology import HierComm, Topology
 from ..trace import trace_view_range
+from ..trace.matrix_builder import _traced_views
 from .decomposition import decompose_both
 from .partitioned import DistributedOperator, RankData
 from .simmpi import SimComm
@@ -50,8 +52,9 @@ def distributed_preprocess(
 
     Returns a ready :class:`DistributedOperator` whose per-rank data
     was built without ever holding the full matrix: rank ``r`` traces
-    angles ``[r*M/P, (r+1)*M/P)`` and ships each nonzero to its
-    tomogram-column owner.  With a non-flat ``topology`` (explicit or
+    the ``r``-th of ``P`` contiguous runs of the traced views, each
+    traced ray once, and ships each nonzero of their orbits' rows to
+    its tomogram-column owner.  With a non-flat ``topology`` (explicit or
     ambient ``REPRO_TOPOLOGY``), the triplet exchange and the returned
     operator run over a hierarchical :class:`HierComm`.
     """
@@ -75,21 +78,32 @@ def distributed_preprocess(
     )
     tomo_dec, sino_dec = decompose_both(tomo_ordering, sino_ordering, num_ranks)
 
-    # Step 1+2: angle-parallel tracing, then triplet exchange by column
-    # owner.  The tracer's per-ray counts expand into ranked rows; the
-    # three parallel Alltoallv calls model one exchange of a
-    # (row, col, val) struct stream.
-    angle_cuts = np.round(np.linspace(0, geometry.num_angles, num_ranks + 1)).astype(int)
+    # Step 1+2: each traced ray traced once, expanded to its orbit by the
+    # builder's expansion over a Q holding the run's rows alone, then
+    # the triplets exchanged by column owner: three parallel Alltoallv
+    # calls model one exchange of a (row, col, val) struct stream.
+    group = geometry.ray_group()
+    traced = np.arange(geometry.num_rays) if group is None else group.stored_rays()
+    views = _traced_views(geometry)
+    view_cuts = np.round(np.linspace(0, len(views), num_ranks + 1)).astype(int)
+    ray_cuts = np.cumsum([0] + [channels for _, channels in views])[view_cuts]
+    q_row = None if group is None else np.searchsorted(traced, group.source)
     col_rank = tomo_ordering.rank.astype(np.int32)
     row_rank = sino_ordering.rank.astype(np.int32)
     sends: tuple[list, list, list] = ([], [], [])  # rows, cols, vals: rank -> owner -> piece
     for r in range(num_ranks):
-        start, stop = int(angle_cuts[r]), int(angle_cuts[r + 1])
-        views = [(view, geometry.num_channels) for view in range(start, stop)]
-        task = (geometry, views, col_rank, np.dtype(np.float32))
+        lo, hi = int(ray_cuts[r]), int(ray_cuts[r + 1])
+        task = (geometry, views[view_cuts[r] : view_cuts[r + 1]], col_rank, np.dtype(np.float32))
         counts, cols, vals = trace_view_range(task)
-        first_ray = int(geometry.ray_index(start, 0))
-        rows = np.repeat(row_rank[first_ray : first_ray + len(counts)], counts)
+        rays = traced[lo:hi]
+        if group is not None:
+            held = np.zeros(len(traced), np.int64)
+            held[lo:hi] = counts
+            run = CSRMatrix(np.concatenate(([0], np.cumsum(held))), cols, vals, len(col_rank))
+            rays = np.flatnonzero((q_row >= lo) & (q_row < hi))
+            expanded = OrbitMatrix.from_group(run, group, col_rank, rays).expand()
+            counts, cols, vals = expanded.row_nnz(), expanded.ind, expanded.val
+        rows = np.repeat(row_rank[rays], counts)
         owners = tomo_dec.owner_of(cols)
         order = np.argsort(owners, kind="stable")
         cuts = np.searchsorted(owners[order], np.arange(num_ranks + 1))

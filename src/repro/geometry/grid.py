@@ -131,8 +131,7 @@ class ScanGeometry:
       :attr:`sino_layout_shape` — the space-filling orderings are
       bijections over flat indices, so a domain that is not literally
       2D only has to name an equivalent rectangle;
-    * :meth:`view_source` / :meth:`ray_group` — its symmetry: which
-      view's trace, index-mapped, is this view's, and which traced ray
+    * :meth:`ray_group` — its symmetry: which traced ray, pixel-mapped,
       each ray is;
     * ``fingerprint_fields()`` — its section of the plan fingerprint;
     * ``archive_fields()`` / ``from_archive(data)`` — the operator
@@ -171,25 +170,10 @@ class ScanGeometry:
         """Row-major flat measurement index of ``(angle, channel)`` pairs."""
         return np.asarray(angle_index) * self.num_channels + np.asarray(channel_index)
 
-    def view_source(self, angle_index: int) -> tuple[int, np.ndarray | None]:
-        """``(source, pixel_map)``: this view is view ``source``'s trace,
-        channel for channel, with pixel ``p`` moved to ``pixel_map[p]``
-        (a source is the smallest view of its orbit).  The default, no
-        symmetry, traces every view itself: ``(angle_index, None)``."""
-        return angle_index, None
-
     def ray_group(self) -> RayGroup | None:
         """The :class:`RayGroup` of the scan; ``None`` (the default)
         when every ray is traced itself."""
         return None
-
-    def view_orbits(self) -> list[list[int]]:
-        """Every view grouped by its source, by ascending source (each
-        group's first view): one trace per group."""
-        orbits: dict[int, list[int]] = {}
-        for view in range(self.num_angles):
-            orbits.setdefault(self.view_source(view)[0], []).append(view)
-        return list(orbits.values())
 
     def archive_fields(self) -> dict:
         """Operator-archive keys of this geometry (see repro.io).

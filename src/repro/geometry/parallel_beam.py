@@ -26,7 +26,7 @@ from .grid import Grid2D, RayGroup, ScanGeometry
 
 __all__ = ["ParallelBeamGeometry", "Ray"]
 
-#: Pixel maps of view slots 1-3 (see :meth:`ParallelBeamGeometry.view_source`).
+#: Pixel maps of view slots 1-3 (see :meth:`ParallelBeamGeometry.ray_group`).
 _VIEW_MAPS = ("diagonal", "quarter", "mirror")
 
 
@@ -153,25 +153,21 @@ class ParallelBeamGeometry(ScanGeometry):
         (``n - N`` odd), where a trace splits them by rounding."""
         return bool((self.grid.n - self.num_channels) % 2)
 
-    def view_source(self, angle_index: int) -> tuple[int, np.ndarray | None]:
-        """Over exactly pi, the x-mirror takes view ``j`` to ``M - j``
-        and, for even ``M``, the quarter turn to ``j + M/2`` and the
-        diagonal to ``M/2 - j``, each keeping the channel: ``M/4 + 1``
-        views are traced for even ``M``, ``(M + 1)/2`` for odd.  View
-        ``M/2`` traces itself when its rays run along grid lines
-        (``n - N`` odd), which a direct trace splits by rounding.
-        """
-        source, slot = self._view_slot(angle_index)
-        return source, _pixel_maps(self.grid.n)[_VIEW_MAPS[slot - 1]] if slot else None
-
     @lru_cache(maxsize=4)  # a geometry is a small frozen (hashable) key
     def ray_group(self) -> RayGroup | None:
-        """Over exactly pi, the view maps of :meth:`view_source` and, for
-        even ``M``, the half turn too: channel ``N-1-c`` of a view is
-        channel ``c``'s trace with pixel ``p`` moved to ``P-1-p``.  That
-        makes 8 slots (the square's dihedral group), and a source view
-        stores its first ``ceil(N/2)`` channels — all ``N`` for views 0
-        and ``M/2`` when their rays run along grid lines."""
+        """Over exactly pi, the x-mirror takes view ``j`` to ``M - j``
+        and, for even ``M``, the quarter turn to ``j + M/2`` and the
+        diagonal to ``M/2 - j``, each keeping the channel (a view's
+        source is the smallest view of its orbit), and the half turn
+        takes channel ``c`` to ``N-1-c`` of the same view, with pixel
+        ``p`` moved to ``P-1-p``.  That makes 8 slots (the square's
+        dihedral group): ``M/4 + 1`` source views store their first
+        ``ceil(N/2)`` channels.  Odd ``M`` has the mirror alone: ``(M +
+        1)/2`` source views store every channel.  Where the rays of
+        views 0 and ``M/2`` run along grid lines (``n - N`` odd), which
+        a direct trace splits by rounding, view ``M/2`` is a source too
+        and both store every channel.
+        """
         if float(self.angle_range) != np.pi:
             return None
         m, n, pixels = self.num_angles, self.num_channels, self.grid.num_pixels
@@ -197,8 +193,8 @@ class ParallelBeamGeometry(ScanGeometry):
         """Geometry section of the plan fingerprint (see repro.cache).
 
         No ``kind`` entry: the document parallel-beam keys have always
-        hashed, plus ``view_symmetry`` where :meth:`view_source` maps
-        views (a mapped view may differ from its direct trace by an ulp).
+        hashed, plus ``view_symmetry`` where :meth:`ray_group` maps
+        rays (a mapped ray may differ from its direct trace by an ulp).
         """
         fields = {
             "num_angles": int(self.num_angles),

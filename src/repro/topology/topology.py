@@ -112,21 +112,14 @@ class Topology:
 
     @staticmethod
     def ambient(num_ranks: int) -> "Topology":
-        """Topology for ``num_ranks`` honouring ``REPRO_TOPOLOGY``.
-
-        Without the env var (or for a single rank) this is flat.  With
-        ``nodes:N,ranks:M`` set, ranks are grouped M per node — exactly
-        N nodes when ``N*M == num_ranks``, otherwise as many nodes of M
-        as the rank count fills (the node *count* in the spec describes
-        the reference machine, not a constraint on every communicator).
+        """Topology for ``num_ranks`` honouring ``REPRO_TOPOLOGY``: its
+        spec read by :func:`parse_topology`, the grammar of
+        ``--topology``; flat without the env var or for a single rank.
         """
         spec = os.environ.get(TOPOLOGY_ENV, "").strip()
-        if not spec or num_ranks <= 1:
+        if num_ranks <= 1:
             return Topology.flat(num_ranks)
-        _, ranks_per_node = _parse_spec(spec)
-        if ranks_per_node >= num_ranks:
-            return Topology.flat(num_ranks)
-        return Topology.grouped(num_ranks, ranks_per_node)
+        return parse_topology(spec or "flat", num_ranks)
 
     # -- queries --------------------------------------------------------
 

@@ -45,24 +45,29 @@ def trace_view(
     """Trace the first ``channels`` rays (default all) of one view
     (projection angle) of ``geometry``.
 
-    The one place tracing depends on the kind of geometry.  A view with
-    a source (:meth:`~repro.geometry.ScanGeometry.view_source`) is that
-    view's trace, pixel-mapped.  Parallel rays of a view share a
-    direction, which :func:`trace_angle` exploits; any other geometry
-    hands over its ``ray_bundle`` of (origins, directions) and is traced
-    ray by ray, in 2D or 3D according to the bundle's dimension.
+    The one place tracing depends on the kind of geometry.  Parallel
+    rays of a view share a direction, which :func:`trace_angle`
+    exploits; any other geometry hands over its ``ray_bundle`` of
+    (origins, directions) and is traced ray by ray, in 2D or 3D
+    according to the bundle's dimension.
     """
-    source, pixel_map = geometry.view_source(angle_index)
-    if pixel_map is not None:
-        segs = trace_view(geometry, source, channels)
-        shift = geometry.ray_index(angle_index, 0) - geometry.ray_index(source, 0)
-        return RaySegments(segs.ray_index + shift, pixel_map[segs.pixel_index], segs.length)
     if isinstance(geometry, ParallelBeamGeometry):
         return trace_angle(geometry, angle_index, channels)
     origins, directions = (part[:channels] for part in geometry.ray_bundle(angle_index))
     rays = geometry.ray_index(angle_index, np.arange(len(origins), dtype=np.int64))
     tracer = trace_rays_3d if directions.shape[1] == 3 else trace_rays
     return tracer(geometry.grid, origins, directions, rays)
+
+
+def _traced_views(geometry: ScanGeometry) -> list[tuple[int, int]]:
+    """``(view, channels)`` for each view holding a traced ray of the
+    geometry's ray group — its first ``channels`` rays — in view order;
+    every view whole without a group."""
+    per_view = [geometry.num_channels] * geometry.num_angles
+    group = geometry.ray_group()
+    if group is not None:
+        per_view = np.bincount(group.stored_rays() // per_view[0], minlength=len(per_view))
+    return [(view, int(k)) for view, k in enumerate(per_view) if k]
 
 
 class _ColumnStreams:
@@ -231,10 +236,7 @@ def build_projection_matrix(
     group = geometry.ray_group()
     if not expand and orbit_group(geometry) is None:
         raise ValueError("only a geometry with an orbit group has a Q to return")
-    per_view = [geometry.num_channels] * geometry.num_angles
-    if group is not None:
-        per_view = np.bincount(group.stored_rays() // per_view[0], minlength=len(per_view))
-    views = [(view, int(k)) for view, k in enumerate(per_view) if k]
+    views = _traced_views(geometry)
     tasks = [
         (geometry, views[lo:hi], col_rank, np.dtype(dtype))
         for lo, hi in _chunks(len(views), backend.workers)

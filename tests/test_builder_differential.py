@@ -118,10 +118,14 @@ def test_builder_is_the_coo_assembly_bit_for_bit(
     assert np.array_equal(got.indices, want.indices)
     assert got.data.dtype == want.data.dtype
     assert got.data.tobytes() == want.data.tobytes()
-    traced = sum(len(matrix_builder.trace_view(geometry, a)) for a in range(geometry.num_angles))
-    (orbit,) = (o for o in geometry.view_orbits() if 1 in o)
-    # the repeat was summed, once in each view that carries view 1's trace
-    assert got.nnz == traced - (tracer == "repeated-segment") * len(orbit)
+    views = [matrix_builder.trace_view(geometry, a) for a in range(geometry.num_angles)]
+    group = geometry.ray_group()
+    source = np.arange(geometry.num_rays) if group is None else group.source
+    traced = np.bincount(np.concatenate([v.ray_index for v in views]), minlength=len(source))
+    # the repeat (view 1's last segment) was summed, once in each ray
+    # that copies its ray
+    copies = np.count_nonzero(np.isin(source, views[1].ray_index[-1:]))
+    assert got.nnz == traced[source].sum() - (tracer == "repeated-segment") * copies
     if tracer == "empty-view":
         rays = slice(geometry.num_channels, 2 * geometry.num_channels)
         assert not np.diff(coo_assembly(geometry, dtype, None, None).indptr)[rays].any()

@@ -1,9 +1,10 @@
 """Tests for the MPI-parallel preprocessing pipeline (paper Section 3.5).
 
 Every rank's data must be array-equal, dtype for dtype, to the slices
-of the globally built and ordered matrix.  Both kinds of geometry run:
-a half-turn scan, whose views are traced through their orbit sources,
-and a full-turn one, whose views are all traced directly.
+of the globally built and ordered matrix.  Four geometries run: a
+half-turn scan (an 8-slot ray group) and an odd-``M`` one (4 slots),
+whose ranks trace only the group's traced rays and expand them, and a
+full-turn and a fan scan, with no group, whose rays are all traced.
 """
 
 import numpy as np
@@ -15,20 +16,24 @@ from repro.dist import (
     decompose_both,
     distributed_preprocess,
 )
-from repro.geometry import ParallelBeamGeometry
+from repro.geometry import FanBeamGeometry, ParallelBeamGeometry
 from repro.sparse import CSRMatrix
-from repro.trace import build_projection_matrix
+from repro.trace import build_projection_matrix, matrix_builder
 
 from .test_partitioned import _assert_same_rank_data
 
 
-@pytest.fixture(
-    scope="module",
-    params=[np.pi, 2 * np.pi],
-    ids=["symmetric", "asymmetric"],
-)
+GEOMETRIES = {
+    "symmetric": ParallelBeamGeometry(36, 24),
+    "asymmetric": ParallelBeamGeometry(36, 24, angle_range=2 * np.pi),
+    "odd-m": ParallelBeamGeometry(35, 24),
+    "fan": FanBeamGeometry(36, 24, source_distance=48.0),
+}
+
+
+@pytest.fixture(scope="module", params=list(GEOMETRIES))
 def geometry(request):
-    return ParallelBeamGeometry(36, 24, angle_range=request.param)
+    return GEOMETRIES[request.param]
 
 
 def _reference(geometry, op):
@@ -60,6 +65,28 @@ class TestDistributedPreprocess:
         op = distributed_preprocess(geometry, ranks)
         ref, _ = _reference(geometry, op)
         _assert_same_rank_data(op, ref)
+
+    def test_each_traced_ray_is_traced_once(self, geometry, monkeypatch):
+        """Ranks trace disjoint runs of the traced views: the rays
+        handed to ``trace_view`` are the ray group's traced rays, each
+        once (120 of the half-turn 36x24 scan's 864), or every ray
+        without a group."""
+        real, handed = matrix_builder.trace_view, []
+
+        def trace_view(geometry, angle_index, channels=None):
+            count = geometry.num_channels if channels is None else channels
+            handed.extend(geometry.ray_index(angle_index, np.arange(count)))
+            return real(geometry, angle_index, channels)
+
+        monkeypatch.setattr(matrix_builder, "trace_view", trace_view)
+        group = geometry.ray_group()
+        want = np.arange(geometry.num_rays) if group is None else group.stored_rays()
+        if geometry is GEOMETRIES["symmetric"]:
+            assert len(want) == 120
+        for ranks in (1, 2, 3, 5, 8):
+            handed.clear()
+            distributed_preprocess(geometry, ranks)
+            assert np.array_equal(np.sort(handed), want), ranks
 
     def test_no_global_matrix_held(self, geometry):
         """The point of distributed preprocessing: no rank (and not the

@@ -283,27 +283,22 @@ TRIVIAL_GEOMETRIES = {
 @pytest.mark.parametrize("kind", TRIVIAL_GEOMETRIES)
 def test_a_scan_without_an_8_slot_group_keeps_the_plan_of_a(kind, monkeypatch):
     """Fan, cone, parallel not over pi and odd ``M``: the csr plan is
-    ``A`` itself — for odd ``M`` the bytes of a build that traces every
-    channel — and a vector runs scipy's 1-D ``csr_matvec``; an orbit
-    plan's vector call is one 8-column ``csr_matvecs``."""
+    ``A`` itself — for odd ``M`` each ray its traced ray moved by its
+    slot, bit for bit — and a vector runs scipy's 1-D ``csr_matvec``; an
+    orbit plan's vector call is one 8-column ``csr_matvecs``."""
     from scipy.sparse import _sparsetools
 
     from repro.sparse import orbit_group
 
-    from .test_view_symmetry import TracedEveryRay
+    from .test_view_symmetry import assert_each_ray_is_its_traced_ray_moved
 
     geometry = TRIVIAL_GEOMETRIES[kind]
     op, _ = preprocess(geometry, config=OperatorConfig(workers="serial"))
     assert orbit_group(geometry) is None and op.plan is op.matrix
     if kind == "odd-M":
-        want = build_projection_matrix(
-            TracedEveryRay(15, 12),
-            row_rank=op.sino_ordering.rank,
-            col_rank=op.tomo_ordering.rank,
+        assert_each_ray_is_its_traced_ray_moved(
+            geometry, op.matrix, op.sino_ordering.rank, op.tomo_ordering.rank
         )
-        for ours, theirs in ((op.matrix.displ, want.indptr), (op.matrix.ind, want.indices)):
-            assert np.array_equal(ours, theirs)
-        assert op.matrix.val.tobytes() == want.data.tobytes()
     widths = []
     for name in ("csr_matvec", "csr_matvecs"):
         real = getattr(_sparsetools, name)

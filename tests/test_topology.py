@@ -149,6 +149,14 @@ class TestParse:
         monkeypatch.setenv("REPRO_TOPOLOGY", "ranks:64")
         assert Topology.ambient(4).is_flat  # whole job fits on one node
 
+    @pytest.mark.parametrize("ranks", [1, 4, 6])
+    @pytest.mark.parametrize("spec", ["flat", "nodes:2,ranks:2", "ranks:3"])
+    def test_ambient_spec_reads_the_argument_grammar(self, spec, ranks, monkeypatch):
+        """``REPRO_TOPOLOGY`` means what ``--topology`` and
+        ``reconstruct(topology=)`` mean, ``flat`` included."""
+        monkeypatch.setenv("REPRO_TOPOLOGY", spec)
+        assert Topology.ambient(ranks) == parse_topology(spec, ranks)
+
 
 # -- the distributed scenario --------------------------------------------
 
@@ -350,6 +358,27 @@ class TestHierChaos:
         assert np.array_equal(chaotic.image, clean.image)
         assert chaotic.extra["topology"] == "nodes:2,ranks:2"
         assert chaotic.extra["hier_comm"]["inter_bytes"] > 0
+        operator.close()
+
+    def test_ambient_faults_are_reported(self, monkeypatch):
+        """The fault stats of a solve are its communicator's, whether the
+        injector was passed in or read from ``REPRO_FAULTS``."""
+        from repro.phantoms import shepp_logan
+
+        spec = "drop=0.2,corrupt=0.1,seed=3"
+        geometry = ParallelBeamGeometry(24, 16)
+        operator, _ = preprocess(geometry)
+        sinogram = operator.project_image(shepp_logan(16))
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        monkeypatch.delenv("REPRO_FAULT_SEED", raising=False)
+        explicit = reconstruct(
+            sinogram, geometry, operator=operator, num_ranks=2, iterations=3, faults=spec
+        )
+        monkeypatch.setenv("REPRO_FAULTS", spec)
+        ambient = reconstruct(sinogram, geometry, operator=operator, num_ranks=2, iterations=3)
+        assert explicit.extra["fault_stats"]["drops"] > 0
+        assert ambient.extra["fault_stats"] == explicit.extra["fault_stats"]
+        assert np.array_equal(ambient.image, explicit.image)
         operator.close()
 
 

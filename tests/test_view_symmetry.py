@@ -3,16 +3,15 @@
 On a square grid centred on the rotation axis, a uniform scan over pi
 maps views onto each other — the x-mirror (view ``j`` to ``M - j``)
 and, for even ``M``, the quarter turn (``j + M/2``) and the diagonal
-(``M/2 - j``) — each keeping the channel index.  ``trace_view`` traces
-a view's orbit source and pixel-maps it.  For even ``M`` the half turn
-joins them (the ray group's 8 slots): channel ``N-1-c`` of a view is
-channel ``c``'s trace with pixel ``p`` moved to ``P-1-p``, so only the
-first half of a source's channels is traced.  The contract: a derived
-view or ray is, pair for pair, what a direct trace of it gives
-(lengths to rounding); a geometry that declares no symmetry traces
-every view itself; the expansion of the traced rows is the build that
-traces every ray, bit for bit; and the build is the same bytes however
-it is fanned out.
+(``M/2 - j``) — each keeping the channel index.  For even ``M`` the
+half turn joins them (the ray group's 8 slots): channel ``N-1-c`` of a
+view is channel ``c``'s trace with pixel ``p`` moved to ``P-1-p``, so
+only the first half of a source view's channels is traced.  The
+contract: a ray is, pair for pair, what a direct trace of it gives
+(lengths to rounding); a geometry that declares no symmetry has no ray
+group and traces every view directly; the expansion of the traced rows
+is each ray's traced ray moved by its slot, bit for bit; and the build
+is the same bytes however it is fanned out.
 """
 
 import numpy as np
@@ -47,33 +46,15 @@ def half_turn_scans(draw):
     return ParallelBeamGeometry(draw(st.integers(1, 48)), channels, grid=Grid2D(n, pixel_size))
 
 
-@given(geometry=half_turn_scans())
-@settings(max_examples=60, deadline=None)
-def test_a_derived_view_is_its_direct_trace(geometry):
-    m = geometry.num_angles
-    orbits = geometry.view_orbits()
-    # view M/2 traces itself where its rays run along grid lines
-    along_lines = (geometry.grid.n - geometry.num_channels) % 2
-    assert len(orbits) == ((m + 1) // 2 if m % 2 else m // 4 + 1 + along_lines)
-    for view in range(m):
-        source, pixel_map = geometry.view_source(view)
-        assert source == min(next(o for o in orbits if view in o))
-        assert (pixel_map is None) == (source == view)
-        got_keys, got = _pairs(trace_view(geometry, view), geometry.grid.num_pixels)
-        want_keys, want = _pairs(trace_angle(geometry, view), geometry.grid.num_pixels)
-        assert np.array_equal(got_keys, want_keys), (view, source)
-        np.testing.assert_allclose(got, want, rtol=1e-6)
-
-
 @pytest.mark.parametrize("m", [36, 180, 192, 256, 17])
 def test_traced_view_counts(m):
     """Stored rays: a source view's first 4 of 8 channels for even ``M``
     (all 8 for odd ``M``, which has no 8-slot group)."""
     views = {36: 10, 180: 46, 192: 49, 256: 65, 17: 9}[m]
-    geometry = ParallelBeamGeometry(m, 8)
-    assert len(geometry.view_orbits()) == views
-    group = geometry.ray_group()
-    assert len(group.stored_rays()) == views * (8 if m % 2 else 4)
+    group = ParallelBeamGeometry(m, 8).ray_group()
+    stored = group.stored_rays()
+    assert len(np.unique(stored // 8)) == views
+    assert len(stored) == views * (8 if m % 2 else 4)
     assert len(group.maps) == (4 if m % 2 else 8)
 
 
@@ -117,13 +98,19 @@ def test_a_ray_is_its_traced_ray_moved_by_its_slot(geometry):
     np.testing.assert_allclose(got, want, rtol=1e-6)
     stored = group.stored_rays()
     assert (group.slot[stored] == 0).all()
+    # a source view is the smallest of its orbit; view M/2 is a source
+    # too where its rays run along grid lines
+    sources = np.unique(group.source // n)
+    assert (group.source // n <= np.arange(geometry.num_rays) // n).all()
+    along_lines = (geometry.grid.n - n) % 2
+    assert len(sources) == ((m + 1) // 2 if m % 2 else m // 4 + 1 + along_lines)
+    assert np.array_equal(sources, np.unique(stored // n))
     channel = np.arange(geometry.num_rays) % n
     turned = group.slot >= 4
     assert (group.source[turned] % n == n - 1 - channel[turned]).all()
     if m % 2:
         assert not turned.any()
         return
-    sources = np.array([v for v in range(m) if geometry.view_source(v)[1] is None])
     assert np.isin(geometry.ray_index(sources, (n - 1) // 2), stored).all()
     if (geometry.grid.n - n) % 2:
         for view in {0, m // 2}:
@@ -131,28 +118,47 @@ def test_a_ray_is_its_traced_ray_moved_by_its_slot(geometry):
 
 
 class TracedEveryRay(ParallelBeamGeometry):
-    """The same scan without a ray group: every channel of every view
-    traced (a mapped view's trace is its source's)."""
+    """The same scan without a ray group: every ray traced directly."""
 
     ray_group = ScanGeometry.ray_group
+
+
+def assert_each_ray_is_its_traced_ray_moved(geometry, matrix, row_rank, col_rank):
+    """Bit for bit, one slot's rays at a time: row ``row_rank[r]`` of
+    ``matrix`` (a ``CSRMatrix``) is ray ``r``'s traced ray's row of a
+    row-major build that traces every ray, pixels moved by ``r``'s slot
+    and ranked by ``col_rank``, columns ascending."""
+    group = geometry.ray_group()
+    traced = build_projection_matrix(
+        TracedEveryRay(geometry.num_angles, geometry.num_channels, grid=geometry.grid)
+    )
+    got = matrix.to_scipy()
+    for slot, pixel_map in enumerate(group.maps):
+        rays = np.flatnonzero(group.slot == slot)
+        want = traced[group.source[rays]]
+        want.indices = col_rank[pixel_map[want.indices]].astype(np.int32)
+        want.has_sorted_indices = False
+        want.sort_indices()
+        ours = got[row_rank[rays]]
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ours, name), getattr(want, name)), (slot, name)
+        assert ours.data.dtype == want.data.dtype
 
 
 @pytest.mark.parametrize(
     "workload, m, n",
     [("slice256", 256, 256), ("stack16/service8", 180, 128), ("cluster4", 192, 192)],
 )
-def test_the_expanded_a_is_the_build_that_traces_every_ray(workload, m, n):
+def test_the_expanded_a_is_each_ray_its_traced_ray_moved(workload, m, n):
     """The bench geometries: ``Q`` expanded through the 8 slots is the
-    ordered ``A`` of a build that traces every ray, bit for bit."""
-    op, _ = preprocess(ParallelBeamGeometry(m, n))
+    ordered ``A`` whose row of each ray is its traced ray's, pixels
+    moved by its slot."""
+    geometry = ParallelBeamGeometry(m, n)
+    op, _ = preprocess(geometry)
     assert op.plan is not op.stored  # an orbit plan
-    want = build_projection_matrix(
-        TracedEveryRay(m, n), row_rank=op.sino_ordering.rank, col_rank=op.tomo_ordering.rank
+    assert_each_ray_is_its_traced_ray_moved(
+        geometry, op.matrix, op.sino_ordering.rank, op.tomo_ordering.rank
     )
-    got = op.matrix
-    for ours, theirs in ((got.displ, want.indptr), (got.ind, want.indices), (got.val, want.data)):
-        assert np.array_equal(ours, theirs)
-    assert got.val.dtype == want.data.dtype
 
 
 @st.composite
@@ -170,12 +176,11 @@ def asymmetric_scans(draw):
 @given(geometry=asymmetric_scans())
 @settings(max_examples=30, deadline=None)
 def test_a_geometry_without_symmetry_traces_every_view(geometry):
-    """Every view is its own source, traced by the direct tracer of its
-    kind, and the fingerprint document carries no ``view_symmetry``."""
-    assert geometry.view_orbits() == [[v] for v in range(geometry.num_angles)]
+    """No ray group: every view is traced whole by the direct tracer of
+    its kind, and the fingerprint document carries no ``view_symmetry``."""
+    assert geometry.ray_group() is None
     assert "view_symmetry" not in geometry.fingerprint_fields()
     for view in range(geometry.num_angles):
-        assert geometry.view_source(view) == (view, None)
         if isinstance(geometry, ParallelBeamGeometry):
             want = trace_angle(geometry, view)
         else:
