@@ -35,7 +35,7 @@ def _build(operator, injector=None):
         operator.tomo_ordering, operator.sino_ordering, NUM_RANKS
     )
     comm = SimComm(NUM_RANKS, fault_injector=injector) if injector else None
-    return DistributedOperator(operator.matrix, tomo_dec, sino_dec, comm=comm)
+    return DistributedOperator(operator.plan, tomo_dec, sino_dec, comm=comm)
 
 
 def _best_of(fn, repeats=REPEATS):

@@ -42,7 +42,7 @@ def main() -> None:
     prev = None
     for ranks in (4, 16, 64):
         td, sd = decompose_both(operator.tomo_ordering, operator.sino_ordering, ranks)
-        op = DistributedOperator(operator.matrix, td, sd)
+        op = DistributedOperator(operator.plan, td, sd)
         volume = op.communication_matrix().sum()
         growth = f"{volume / prev:.2f}x" if prev else "-"
         rows.append([ranks, f"{volume / 1024:.0f} KB",

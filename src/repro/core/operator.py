@@ -207,7 +207,8 @@ class MemXCTOperator:
         self._subset_cache: dict[bytes, CSRMatrix] = {}
         # The rank decomposition a distributed ``reconstruct`` last cut:
         # at most one entry, keyed by both decompositions' bounds bytes
-        # and holding its list[RankData] (~12 B/nnz).  close() drops it.
+        # and holding its list[RankData] (~16 B/nnz cut from an orbit
+        # plan, ~12 beside a csr plan's transpose).  close() drops it.
         self._rank_data: dict[tuple[bytes, bytes], list] = {}
         # Parallel SpMV engine, resolved lazily on first kernel call so
         # loading an operator stays cheap and env resolution happens at
@@ -280,9 +281,9 @@ class MemXCTOperator:
     def matrix(self) -> CSRMatrix:
         """``A``, the ordered CSR matrix: the plan itself, or an orbit
         plan's expansion, built at first read and held until
-        :meth:`close`.  No csr kernel reads it; the buffered / ELL
-        layout builds, the distributed rank cut, ICD and SGD's row
-        subsets do."""
+        :meth:`close`.  No csr kernel reads it, nor does the distributed
+        rank cut (it cuts from the plan); the buffered / ELL layout
+        builds, ICD and SGD's row subsets do."""
         if self._matrix is None:
             self._matrix = self.plan.expand()
         return self._matrix
@@ -304,7 +305,8 @@ class MemXCTOperator:
         Derived state, built at first use and held until :meth:`close`.
         No kernel of a serial solve reads it; only work partitioned by
         pixel rows does (the ``process`` engine's csr adjoint, the
-        distributed rank blocks, ICD's column sweeps).
+        distributed rank blocks of a csr plan, ICD's column sweeps).
+        An orbit plan's rank blocks are cut from ``Q`` without it.
         """
         if self._transpose is None:
             self._transpose = scan_transpose(self.matrix)

@@ -270,19 +270,22 @@ def reconstruct(
         # Rank data depend only on the two decompositions: the operator
         # keeps the last cut (one slot) and a hit builds nothing.  On a
         # miss the old entry goes first, so one decomposition stays
-        # resident, and the rank blocks are sliced out of the operator's
-        # derived transpose — of its derived ``A``, on an orbit plan —
-        # both built at the first cut and dropped with the blocks by
-        # close().  The list is stored before the solve: a crash's
-        # degrade() replaces solve_op.ranks, never this list.
+        # resident, and the rank blocks are the rank cut of the plan's
+        # ``A^T``: sliced out of the operator's derived transpose (held
+        # until close()) on a csr plan, cut straight from ``Q`` on an
+        # orbit plan, where neither ``A`` nor ``A^T`` is built — nor is
+        # it when a crash's degrade() cuts again.  The list is stored
+        # before the solve: degrade() replaces solve_op.ranks, never
+        # this list.
         key = (tomo_dec.bounds.tobytes(), sino_dec.bounds.tobytes())
         rank_data = operator._rank_data.get(key)
         if rank_data is None:
             operator._rank_data.clear()
         with span("dist.build", ranks=num_ranks, reused=rank_data is not None):
             solve_op = DistributedOperator(
-                operator.matrix, tomo_dec, sino_dec, comm=comm, topology=topo,
-                rank_data=rank_data, transpose=operator.transpose,
+                operator.plan, tomo_dec, sino_dec, comm=comm, topology=topo,
+                rank_data=rank_data,
+                transpose=None if operator._orbit else operator.transpose,
             )
         operator._rank_data[key] = solve_op.ranks
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from ..obs import FAULT_RECOVERIES, add_count, span
 from ..resilience.faults import RankCrashError
-from ..sparse import CSRMatrix, scan_transpose
+from ..sparse import CSRMatrix, OrbitMatrix, scan_transpose
 from ..topology import HierComm, HierLog, Topology
 from .decomposition import Decomposition, decompose_both
 from .simmpi import CommLog, SimComm
@@ -123,11 +123,15 @@ class DistributedOperator:
     curve, ``y`` along the sinogram curve.  The serial-API methods
     (:meth:`forward` / :meth:`adjoint`) scatter, execute all ranks, and
     gather, so the operator plugs directly into the solvers.
+
+    ``matrix`` is the plan the ranks are cut from: ``A`` itself, or an
+    orbit plan (:class:`~repro.sparse.OrbitMatrix`), which is cut
+    straight from its ``Q`` with no global ``A`` or ``A^T``.
     """
 
     def __init__(
         self,
-        matrix: CSRMatrix | None,
+        matrix: CSRMatrix | OrbitMatrix | None,
         tomo_dec: Decomposition,
         sino_dec: Decomposition,
         comm: SimComm | None = None,
@@ -148,7 +152,8 @@ class DistributedOperator:
             raise ValueError("either a global matrix or per-rank data is required")
         self.matrix = matrix
         # The scan transpose of ``matrix`` the caller already holds (an
-        # operator's); without one the first build derives it, once.
+        # operator's); without one the first build derives it, once, or
+        # cuts an orbit plan's ranks from ``Q`` without any.
         self.transpose = transpose
         self.tomo_dec = tomo_dec
         self.sino_dec = sino_dec
@@ -217,15 +222,18 @@ class DistributedOperator:
 
     def _build(self) -> None:
         """Cut every rank's block out of the transpose (views + one
-        block-sized index copy each; no copy of the global matrix)."""
-        if self.transpose is None:
-            self.transpose = scan_transpose(self.matrix)
-        tomo_bounds = self.tomo_dec.bounds
+        block-sized index copy each; no copy of the global matrix), or,
+        on an orbit plan with no transpose held, out of ``Q``: each
+        rank's rows of ``A^T`` are built alone and cut whole."""
+        bounds = self.tomo_dec.bounds
+        if self.transpose is None and isinstance(self.matrix, OrbitMatrix):
+            cuts = ((block, 0, block.num_rows) for block in self.matrix.transpose_blocks(bounds))
+        else:
+            if self.transpose is None:
+                self.transpose = scan_transpose(self.matrix)
+            cuts = ((self.transpose, bounds[p], bounds[p + 1]) for p in range(self.num_ranks))
         self.ranks = [
-            RankData.from_transpose_rows(
-                self.transpose, tomo_bounds[p], tomo_bounds[p + 1], self.sino_dec.bounds
-            )
-            for p in range(self.num_ranks)
+            RankData.from_transpose_rows(*cut, self.sino_dec.bounds) for cut in cuts
         ]
 
     def _build_recv_ids(self) -> None:
@@ -327,8 +335,8 @@ class DistributedOperator:
         survivors' node placement.  Either way ``A_p``/``A_p^T`` and
         the exchange segments are re-partitioned and a fresh
         communicator inherits the fault injector so the chaos schedule
-        keeps running.  Requires the global matrix — per-rank-only
-        operators cannot re-shard the lost columns.
+        keeps running.  Requires the plan (``A`` or its orbit form) —
+        per-rank-only operators cannot re-shard the lost columns.
         """
         dead = sorted(set(int(r) for r in dead_ranks))
         survivors = self.num_ranks - len(dead)
@@ -337,7 +345,7 @@ class DistributedOperator:
         if self.matrix is None:
             raise RuntimeError(
                 "cannot degrade: operator was built from per-rank data only; "
-                "the global matrix is required to redistribute a dead rank"
+                "the plan is required to redistribute a dead rank"
             )
         with span("resilience.degrade", dead=dead, survivors=survivors):
             injector = self.comm.fault_injector
@@ -419,11 +427,30 @@ class DistributedOperator:
         return self._absorbing_crashes(run)
 
     def row_sums(self) -> np.ndarray:
+        # An orbit plan's sums are A's, bit for bit: Q sums a row in its
+        # own column order, which differs in the last bit.
+        if isinstance(self.matrix, OrbitMatrix):  # one rank's rows expanded at a time
+            bounds = self.sino_dec.bounds
+            return np.concatenate([
+                self.matrix.partition_slice(bounds[p], bounds[p + 1], 1).expand().row_sums()
+                for p in range(self.num_ranks)
+            ])
         if self.matrix is not None:
             return self.matrix.row_sums()
         return self.forward(np.ones(self.num_pixels, dtype=np.float32))
 
     def col_sums(self) -> np.ndarray:
+        if isinstance(self.matrix, OrbitMatrix):
+            # Each row of A^T summed in ray order, as A's adjoint sums it:
+            # float32 rank blocks hold the plan's own values; an fp64
+            # plan's are cut again at its precision.
+            if self.matrix.stored.value_dtype == "float32":
+                blocks = [rank.partial_transpose for rank in self.ranks]
+            else:
+                blocks = self.matrix.transpose_blocks(self.tomo_dec.bounds)
+            return np.concatenate(
+                [block.spmv(np.ones(block.num_cols, block.val.dtype)) for block in blocks]
+            )
         if self.matrix is not None:
             return self.matrix.col_sums()
         return self.adjoint(np.ones(self.num_rays, dtype=np.float32))

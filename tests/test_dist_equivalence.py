@@ -22,7 +22,8 @@ from repro.dist import (
     distributed_preprocess,
 )
 from repro.geometry import ParallelBeamGeometry
-from repro.solvers import cgls
+from repro.solvers import cgls, mlem, sirt
+from repro.sparse import OrbitMatrix, scan_transpose
 
 from .test_partitioned import _assert_same_rank_data
 
@@ -241,3 +242,77 @@ class TestReconstructMemo:
         assert len(cuts) == 4
         assert dist.matrix is None
         DistributedOperator(None, dist.tomo_dec, dist.sino_dec, rank_data=dist.ranks)
+
+
+class TestOrbitPlanCut:
+    """On an orbit plan the rank blocks are cut straight from ``Q``: the
+    cut is the global transpose's, and ``A`` / ``A^T`` are never built."""
+
+    @pytest.mark.parametrize(
+        "faults",
+        [{}, {"topology": "nodes:2,ranks:2"}, {"faults": "crash=1@3,seed=7"}],
+        ids=["flat", "hier", "degraded"],
+    )
+    def test_the_a_memo_stays_empty(self, cuts, faults):
+        operator, sinogram = _scene()
+        assert isinstance(operator.plan, OrbitMatrix)
+        result = _solve(operator, sinogram, **faults)
+        assert operator._matrix is None and operator._transpose is None
+        assert len(cuts) == (4 + 3 if "faults" in faults else 4)
+        assert ("degradations" in result.extra) == ("faults" in faults)
+
+    @pytest.mark.parametrize("dtype", [None, "float64"], ids=["fp32", "fp64"])
+    @pytest.mark.parametrize(
+        "shape", [(24, 32), (24, 31), (36, 24), (36, 23)], ids=lambda s: "%dx%d" % s
+    )
+    def test_blocks_are_rows_of_the_global_transpose(self, shape, dtype):
+        operator, _ = preprocess(
+            ParallelBeamGeometry(*shape), config=OperatorConfig(kernel="csr", dtype=dtype)
+        )
+        plan = operator.plan
+        whole = scan_transpose(plan.expand())
+        n = plan.num_cols
+        for bounds in ([0, n], [0, 7, 7, n // 2, n], [5, 5]):
+            for c0, c1, block in zip(bounds[:-1], bounds[1:], plan.transpose_blocks(bounds)):
+                lo, hi = whole.displ[c0], whole.displ[c1]
+                for got, want in (
+                    (block.displ, whole.displ[c0 : c1 + 1] - lo),
+                    (block.ind, whole.ind[lo:hi]),
+                    (block.val, whole.val[lo:hi]),
+                ):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert block.shape == (c1 - c0, whole.num_cols)
+
+    @pytest.mark.parametrize(
+        "shape, ranks, dtype",
+        [((24, 32), r, None) for r in (1, 2, 3, 4, 7)]
+        + [((24, 32), 4, "float64"), ((8, 4), 20, None)],
+        ids=["1", "2", "3", "4", "7", "4-fp64", "8x4-20"],
+    )
+    def test_plan_build_is_the_transpose_build(self, shape, ranks, dtype):
+        operator, _ = preprocess(
+            ParallelBeamGeometry(*shape), config=OperatorConfig(kernel="csr", dtype=dtype)
+        )
+        matrix = operator.plan.expand()
+        tomo_dec, sino_dec = decompose_both(
+            operator.tomo_ordering, operator.sino_ordering, ranks
+        )
+        from_plan = DistributedOperator(operator.plan, tomo_dec, sino_dec)
+        from_matrix = DistributedOperator(
+            matrix, tomo_dec, sino_dec, transpose=scan_transpose(matrix)
+        )
+        _assert_same_rank_data(from_plan, from_matrix)
+        assert any(rank.partial_matrix.nnz == 0 for rank in from_plan.ranks) == (ranks == 20)
+        for got, want in (
+            (from_plan.row_sums(), matrix.row_sums()),
+            (from_plan.col_sums(), matrix.col_sums()),
+        ):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        y = from_matrix.forward(
+            np.random.default_rng(5).random(matrix.num_cols).astype(np.float32)
+        )
+        for solver in (sirt, mlem):
+            assert np.array_equal(
+                solver(from_plan, y, num_iterations=4).x,
+                solver(from_matrix, y, num_iterations=4).x,
+            )

@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core import OperatorConfig, preprocess
 from repro.dist import DistributedOperator, SimComm, decompose_both
-from repro.sparse import CSRMatrix, scan_transpose
+from repro.geometry import ParallelBeamGeometry
+from repro.sparse import CSRMatrix, OrbitMatrix, scan_transpose
 from repro.topology import Topology, parse_topology
 
 
@@ -285,3 +287,32 @@ class TestBuildFromTranspose:
         for rank in op.ranks:
             assert np.shares_memory(rank.partial_transpose.val, transpose.val)
         assert kept - before < 2 * one_global_copy
+
+    def test_plan_build_copies_no_global_matrix(self):
+        """An orbit plan's build keeps to the same bound with no ``A``
+        and no ``A^T`` held at all: ``Q^T`` is an eighth of ``A^T`` and
+        each rank's rows are built alone."""
+        import tracemalloc
+
+        operator, _ = preprocess(
+            ParallelBeamGeometry(128, 128), config=OperatorConfig(kernel="csr")
+        )
+        plan = operator.plan
+        assert isinstance(plan, OrbitMatrix)
+        ranks = 8
+        td, sd = decompose_both(operator.tomo_ordering, operator.sino_ordering, ranks)
+        topology = Topology.flat(ranks)
+        DistributedOperator(plan, td, sd, topology=topology)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            op = DistributedOperator(plan, td, sd, topology=topology)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_global_copy = plan.nnz * (4 + plan.stored.val.itemsize)
+        assert peak - kept < one_global_copy / 2
+        # Kept: 16 B/nnz plus the row offsets — the values of A_p^T are
+        # the rank's own, not views of a held transpose.
+        assert op.per_rank_nnz().sum() == plan.nnz
+        assert kept - before < 2.25 * one_global_copy
