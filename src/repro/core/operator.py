@@ -11,10 +11,12 @@ transpose is materialized only where work is partitioned by pixel
 rows (see :attr:`MemXCTOperator.transpose`).
 
 On a scan whose ray group has 8 slots (a half-turn parallel scan, even
-``M``) the csr plan is an :class:`~repro.sparse.OrbitMatrix`: it holds
-only the traced rows ``Q`` and runs both directions as 8-column SpMMs
-over them.  ``A`` itself (:attr:`MemXCTOperator.matrix`) is then a memo
-expanded from ``Q`` on first read, like the transpose.
+``M``) the plan of every kernel is an :class:`~repro.sparse.OrbitMatrix`:
+it holds only the traced rows ``Q``.  The csr kernel runs both
+directions as 8-column SpMMs over them; a buffered or ELL operator runs
+its layout pair, built from ``A`` and persisted beside ``Q``.  ``A``
+itself (:attr:`MemXCTOperator.matrix`) is then a memo expanded from
+``Q`` on first read, like the transpose.
 
 Vectors handled by the operator live in *ordered* coordinates (tomogram
 curve order / sinogram curve order); the image-space helpers translate
@@ -69,12 +71,12 @@ class OperatorConfig:
     kernel:
         ``"csr"`` (default; Listing 2 on the ordered matrix),
         ``"buffered"`` (Listing 3) or ``"ell"`` (GPU-style
-        partition-padded layout).  ``csr`` runs both directions on the
-        plan as it stands — the ordered ``A``, or on a scan with an
-        8-slot ray group its traced rows ``Q`` — so that is the only
-        form built, persisted and loaded.  The other two hold the
-        ordered ``A`` and build, hold and persist their layout pair
-        beside it.
+        partition-padded layout).  Every kernel's plan is the ordered
+        ``A``, or on a scan with an 8-slot ray group its traced rows
+        ``Q``.  ``csr`` runs both directions on the plan as it stands,
+        so that is the only form built, persisted and loaded.  The
+        other two build their layout pair from ``A`` and hold and
+        persist it beside the plan.
     partition_size:
         Rows per partition; the paper's tuned KNL value is 128.
     buffer_bytes:
@@ -199,6 +201,9 @@ class MemXCTOperator:
         if forward is None or adjoint is None:
             forward, adjoint = matrix, None
         self._layouts = {"forward": forward, "adjoint": adjoint}
+        # The orbit kernel runs only where the forward layout is the
+        # plan: a layout pair of an orbit plan runs as it would on ``A``.
+        self._orbit_kernel = isinstance(forward, OrbitMatrix)
         # buffer.stages is counted only when the staged kernel runs.
         self._staged = forward is buffered_forward
         # Row-subset operators (SGD minibatches) keyed by the row-set
@@ -208,7 +213,7 @@ class MemXCTOperator:
         # The rank decomposition a distributed ``reconstruct`` last cut:
         # at most one entry, keyed by both decompositions' bounds bytes
         # and holding its list[RankData] (~16 B/nnz cut from an orbit
-        # plan, ~12 beside a csr plan's transpose).  close() drops it.
+        # plan, ~12 beside the transpose of a plan of ``A``).  close() drops it.
         self._rank_data: dict[tuple[bytes, bytes], list] = {}
         # Parallel SpMV engine, resolved lazily on first kernel call so
         # loading an operator stays cheap and env resolution happens at
@@ -235,7 +240,7 @@ class MemXCTOperator:
                 # the derived transpose's pixel rows — of ``Q`` on an
                 # orbit plan, whose gathers stay here.
                 forward, adjoint = self._layouts["forward"], self._layouts["adjoint"]
-                if self._orbit:
+                if self._orbit_kernel:
                     forward, adjoint = self.stored, scan_transpose(self.stored)
                 self._engine = ParallelSpmvEngine(
                     workers=workers,
@@ -281,9 +286,10 @@ class MemXCTOperator:
     def matrix(self) -> CSRMatrix:
         """``A``, the ordered CSR matrix: the plan itself, or an orbit
         plan's expansion, built at first read and held until
-        :meth:`close`.  No csr kernel reads it, nor does the distributed
-        rank cut (it cuts from the plan); the buffered / ELL layout
-        builds, ICD and SGD's row subsets do."""
+        :meth:`close`.  No kernel reads it, nor does the distributed
+        rank cut (it cuts from the plan); ICD and SGD's row subsets do.
+        A buffered / ELL build takes ``A`` from the tracer and drops
+        it, so an operator of an orbit plan starts without it."""
         if self._matrix is None:
             self._matrix = self.plan.expand()
         return self._matrix
@@ -305,7 +311,7 @@ class MemXCTOperator:
         Derived state, built at first use and held until :meth:`close`.
         No kernel of a serial solve reads it; only work partitioned by
         pixel rows does (the ``process`` engine's csr adjoint, the
-        distributed rank blocks of a csr plan, ICD's column sweeps).
+        distributed rank blocks of a plan of ``A``, ICD's column sweeps).
         An orbit plan's rank blocks are cut from ``Q`` without it.
         """
         if self._transpose is None:
@@ -355,7 +361,7 @@ class MemXCTOperator:
         if engine is None:
             layout = self._layouts[direction]
             return self.plan.spmv_transposed(v) if layout is None else layout.spmv(v)
-        if not self._orbit:
+        if not self._orbit_kernel:
             return engine.apply(direction, v)
         if direction == "forward":
             return self.plan.pick_rays(engine.apply(direction, self.plan.spread_pixels(v)), v)
@@ -496,27 +502,31 @@ class MemXCTOperator:
         buffered kernel undercounts the executed index stream by
         2 B/nnz.
 
-        An orbit plan streams ``Q`` once per call for all 8 slots, and
+        The orbit kernel streams ``Q`` once per call for all 8 slots, and
         its irregular gathers are the ``8 x pixels`` input spread and
         the ``8 x Q rows`` output pick (forward), or their mirror images
         (adjoint).
         """
+        # The orbit kernel streams ``Q``; every other kernel streams ``A``.
         stored = self.stored
+        nnz, rows = (
+            (stored.nnz, stored.num_rows) if self._orbit_kernel else (self.nnz, self.num_rays)
+        )
         per_index = 2 if self.config.kernel == "buffered" else 4
         per_value = stored.val.dtype.itemsize
         per_vector = self.compute_dtype.itemsize
-        regular_each = stored.nnz * (per_value + per_index)
+        regular_each = nnz * (per_value + per_index)
         irregular = (self.num_pixels * per_vector, self.num_rays * per_vector)
-        if self._orbit:
-            gathered = self.plan.slots * (self.num_pixels + stored.num_rows)
+        if self._orbit_kernel:
+            gathered = self.plan.slots * (self.num_pixels + rows)
             irregular = (gathered * per_vector,) * 2
         # The csr adjoint streams the stored matrix's own row offsets again.
         csr_adjoint = self._layouts["adjoint"] is None
-        adjoint_rows = stored.num_rows if csr_adjoint else self.num_pixels
+        adjoint_rows = rows if csr_adjoint else self.num_pixels
         return {
             "irregular_forward": irregular[0],
             "irregular_adjoint": irregular[1],
             "regular_forward": regular_each,
             "regular_adjoint": regular_each,
-            "displ_bytes": 8 * (stored.num_rows + adjoint_rows + 2),
+            "displ_bytes": 8 * (rows + adjoint_rows + 2),
         }

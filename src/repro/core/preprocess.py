@@ -6,12 +6,13 @@ Four steps, each timed:
    pseudo-Hilbert orderings of both domains;
 2. **ray tracing** — construct the forward-projection matrix, traced
    in the ordered coordinates of step 1 (on a half-turn parallel scan
-   only its traced rows ``Q``, which a csr plan keeps as they are and
-   every other kernel expands to ``A``);
+   only its traced rows ``Q``, which every plan keeps as they are; a
+   buffered or ELL plan also gets them expanded to ``A`` for its
+   layouts);
 3. **sparse transposition** — the traced matrix in our dtypes and,
    for the buffered and ELL kernels, the scan-based, order-preserving
-   transpose their backprojection layouts are built from (the csr
-   adjoint runs over ``A`` itself and needs none);
+   transpose of ``A`` their backprojection layouts are built from (the
+   csr adjoint runs over the plan itself and needs none);
 4. **row partitioning and buffer construction** — the multi-stage
    buffer data structures for both directions.
 
@@ -22,9 +23,9 @@ operator) is reused across all slices of a 3D dataset (paper Table 5's
 the finished plan is stored content-addressed on disk, and a later
 ``preprocess`` call with identical inputs loads it back and skips all
 four stages.  The cold call builds the plan *in* that entry — step 2
-writes ``A`` into pages of the entry's archive, the store seals it —
-and returns the entry loaded, so cold and warm calls hand out the same
-read-only mapped operator.
+writes ``A`` (or ``Q``) into pages of the entry's archive, the store
+seals it — and returns the entry loaded, so cold and warm calls hand
+out the same read-only mapped operator.
 """
 
 from __future__ import annotations
@@ -111,14 +112,17 @@ def preprocess(
         entry, loaded as a hit would load it.
 
     The tracer is handed both orderings' rank arrays, so the matrix it
-    assembles is already the ordered ``A`` (or a csr plan's ``Q``); the
-    transposition stage converts it to our dtypes and, for a buffered
-    or ELL kernel, scans out the ``A^T`` its adjoint layout is built
-    from, then drops it.  The worker spec in ``config.workers`` (or
-    ``REPRO_WORKERS``) also parallelizes the tracing stage here:
-    per-view Siddon tracing fans out across the backend, with chunks
-    reassembled in view order so the traced matrix is bit-identical to
-    a serial build.  The cache fingerprint excludes the worker spec —
+    assembles is already the ordered ``A`` (or, on a scan with an
+    8-slot ray group, the plan's ``Q``, whatever the kernel); the
+    transposition stage converts it to our dtypes.  For a buffered or
+    ELL kernel it also scans out the ``A^T`` the adjoint layout is
+    built from; both layouts are built from ``A`` — on an 8-slot scan
+    the tracer's expansion of ``Q`` — and ``A`` and ``A^T`` are then
+    dropped: the operator holds neither.  The worker spec in
+    ``config.workers`` (or ``REPRO_WORKERS``) also parallelizes the
+    tracing stage here: per-view Siddon tracing fans out across the
+    backend, with chunks reassembled in view order so the traced
+    matrix is bit-identical to a serial build.  The cache fingerprint excludes the worker spec —
     plans are shared across worker counts.
     """
     # Imported lazily: repro.cache depends on repro.io which imports
@@ -172,8 +176,11 @@ def preprocess(
             report.ordering_seconds = sp.duration
 
             value_dtype = config.dtype or "float32"
-            # A csr plan on a scan with an 8-slot ray group is ``Q``.
-            group = orbit_group(geometry) if config.kernel == "csr" else None
+            # A plan on a scan with an 8-slot ray group is ``Q``; a
+            # layout kernel also takes ``A``, expanded by the tracer.
+            group = orbit_group(geometry)
+            layouts = config.kernel != "csr"
+            expand = True if group is None else "both" if layouts else False
             if plan_cache is not None:
                 archive = plan_cache.reserve(
                     report.cache_key, geometry, tomo_ordering, sino_ordering, value_dtype
@@ -190,20 +197,22 @@ def preprocess(
                         row_rank=sino_ordering.rank,
                         col_rank=tomo_ordering.rank,
                         out=archive and archive.reserve_matrix,
-                        expand=group is None,
+                        expand=expand,
                     )
                 finally:
                     backend.close()
             report.tracing_seconds = sp.duration
 
             with span("preprocess.transpose") as sp:
+                raw, full = raw if expand == "both" else (raw, None)
                 matrix = CSRMatrix.from_scipy(raw, dtype=value_dtype)
+                # ``A`` for the layouts: the plan, or the tracer's expansion.
+                full = matrix if full is None else CSRMatrix.from_scipy(full, dtype=value_dtype)
                 if group is not None:
                     matrix = OrbitMatrix.from_group(
                         matrix, group, tomo_ordering.rank, sino_ordering.perm
                     )
-                if config.kernel != "csr":
-                    transpose = scan_transpose(matrix)
+                transpose = scan_transpose(full) if layouts else None
             report.transpose_seconds = sp.duration
 
             with span("preprocess.partitioning", kernel=config.kernel) as sp:
@@ -211,14 +220,15 @@ def preprocess(
                 ell_forward = ell_adjoint = None
                 if config.kernel == "buffered":
                     buffered_forward = build_buffered(
-                        matrix, config.partition_size, config.buffer_bytes
+                        full, config.partition_size, config.buffer_bytes
                     )
                     buffered_adjoint = build_buffered(
                         transpose, config.partition_size, config.buffer_bytes
                     )
                 elif config.kernel == "ell":
-                    ell_forward = build_ell(matrix, config.partition_size)
+                    ell_forward = build_ell(full, config.partition_size)
                     ell_adjoint = build_ell(transpose, config.partition_size)
+                del raw, full, transpose  # gone before the store: only the plan stays
             report.partitioning_seconds = sp.duration
 
         operator = MemXCTOperator(

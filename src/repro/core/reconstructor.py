@@ -272,7 +272,7 @@ def reconstruct(
         # miss the old entry goes first, so one decomposition stays
         # resident, and the rank blocks are the rank cut of the plan's
         # ``A^T``: sliced out of the operator's derived transpose (held
-        # until close()) on a csr plan, cut straight from ``Q`` on an
+        # until close()) on a plan of ``A``, cut straight from ``Q`` on an
         # orbit plan, where neither ``A`` nor ``A^T`` is built — nor is
         # it when a crash's degrade() cuts again.  The list is stored
         # before the solve: degrade() replaces solve_op.ranks, never

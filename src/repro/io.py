@@ -4,18 +4,21 @@ Preprocessing is the expensive step (paper Table 4/5); persisting its
 product lets a beamline workflow preprocess once per scan geometry and
 reconstruct thousands of slices across separate processes.
 
-Format **v4** stores every preprocessing product a kernel runs on in
+Format **v5** stores every preprocessing product a kernel runs on in
 one ``.npz``: the geometry, both orderings, the ordered matrix, and the
 buffered / ELL kernel layouts — so a load skips every preprocessing
 stage, not just tracing.  ``A^T`` is not stored: the csr adjoint runs
-over ``A`` itself, and the operator derives the scan transpose on
-demand.  A csr plan on a scan with an 8-slot ray group stores only the
-traced rows ``Q`` under the matrix's names; the group's gather indices
-are derived from the geometry and the orderings at load
-(:class:`repro.sparse.OrbitMatrix`).  Format v3 files (the full ``A``
-whatever the geometry; loaded as they are), v2 files (which also held
-``A^T`` under ``t_`` members, checked and then ignored) and v1 files
-(matrix only; layouts rebuilt on load) are still readable.
+over the plan itself, and the operator derives the scan transpose on
+demand.  Every plan on a scan with an 8-slot ray group, whatever its
+kernel, stores only the traced rows ``Q`` under the matrix's names;
+the group's gather indices are derived from the geometry and the
+orderings at load (:class:`repro.sparse.OrbitMatrix`).  A buffered or
+ELL plan's layouts are those of ``A``, as before.  Format v4 files
+(``Q`` for a csr plan of such a scan, ``A`` for every other plan), v3
+files (the full ``A`` whatever the geometry), v2 files (which also
+held ``A^T`` under ``t_`` members, checked and then ignored) and v1
+files (matrix only; layouts rebuilt on load) are still readable, each
+as it was written.
 
 Writes are crash-safe: the archive is written to a temporary file in
 the destination directory, fsynced, and atomically renamed into place,
@@ -81,10 +84,10 @@ __all__ = [
     "OperatorIntegrityError",
 ]
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 #: Versions this loader understands.
-_READABLE_VERSIONS = (1, 2, 3, 4)
+_READABLE_VERSIONS = (1, 2, 3, 4, 5)
 
 
 class OperatorFormatError(ValueError):
@@ -138,7 +141,7 @@ def _without_prefix(prefix: str, data: dict) -> dict:
 
 # -- save -------------------------------------------------------------------
 #
-# The member order of a v4 archive is decided here and nowhere else:
+# The member order of an archive is decided here and nowhere else:
 # ``_leading_members``, the ordered matrix, ``_trailing_members``,
 # ``checksum``.
 
@@ -215,7 +218,7 @@ def save_operator(
 
 
 class OperatorArchive:
-    """An uncompressed v4 archive assembled in place, for the plan cache.
+    """An uncompressed archive assembled in place, for the plan cache.
 
     Members, order and bytes are those of ``save_operator(path,
     operator, compress=False)``, but the index and value streams of the
@@ -319,8 +322,10 @@ def _operator_from_arrays(data: dict, version: int) -> MemXCTOperator:
         buffer_bytes=int(data["buffer_bytes"]),
     ).evolve(dtype=saved_dtype or None)
     psize = config.partition_size
-    # A v4 csr plan of an orbit group is ``Q``; earlier versions hold ``A``.
-    group = orbit_group(geometry) if version >= 4 and config.kernel == "csr" else None
+    # Every v5 plan of an orbit group is ``Q``, a v4 one only on csr;
+    # earlier versions hold ``A``.
+    stores_q = version >= 5 or (version == 4 and config.kernel == "csr")
+    group = orbit_group(geometry) if stores_q else None
     rows = geometry.num_rays if group is None else len(group.stored_rays())
     matrix = CSRMatrix.from_arrays(data, rows, geometry.grid.num_pixels, psize)
     if group is not None:

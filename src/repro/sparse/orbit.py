@@ -20,7 +20,7 @@ from .transpose import scan_transpose
 
 __all__ = ["MIN_SLOTS", "OrbitMatrix", "orbit_group"]
 
-#: Fewest slots a ray group needs before a csr plan stores ``Q`` alone:
+#: Fewest slots a ray group needs before a plan stores ``Q`` alone:
 #: scipy's multi-vector CSR loop pays below ~8 columns (2 slots measured
 #: 0.62x of the plain SpMV pair at 256x256, 4 slots 1.40x, 8 slots 2.10x).
 MIN_SLOTS = 8
@@ -31,7 +31,7 @@ _EXPAND_CHUNK = 1 << 15
 
 
 def orbit_group(geometry):
-    """``geometry``'s ray group when a csr plan stores its traced rows
+    """``geometry``'s ray group when a plan stores its traced rows
     alone (at least :data:`MIN_SLOTS` slots), else ``None``."""
     group = geometry.ray_group()
     return group if group is not None and len(group.maps) >= MIN_SLOTS else None

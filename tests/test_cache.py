@@ -69,23 +69,24 @@ class TestFingerprint:
     def test_named_kernels_keep_their_keys(self, monkeypatch):
         """A config that names its kernel hashes one key per kernel: the
         default moved from buffered to csr, no key did.  The values were
-        restated twice since: when a half-turn parallel scan began
+        restated since: when a half-turn parallel scan began
         tracing each view orbit once (its plan values may differ from a
         direct trace in the last bits, so its geometry document gained
         ``view_symmetry``), and when the archive dropped ``A^T`` and its
         format version, which every key hashes, became 3, and when a
         csr plan of a half-turn scan with even ``M`` came to store only
-        its traced rows ``Q`` and the format version became 4 (64x48
-        parallel beam)."""
+        its traced rows ``Q`` and the format version became 4, and when
+        every plan of such a scan came to store ``Q`` and it became 5
+        (64x48 parallel beam)."""
         monkeypatch.delenv("REPRO_DTYPE", raising=False)
         geometry = ParallelBeamGeometry(64, 48)
         assert {
             kernel: plan_fingerprint(geometry, OperatorConfig(kernel=kernel))
             for kernel in ("csr", "buffered", "ell")
         } == {
-            "csr": "35981976beecef4595a1aa11589fb1c1b228b37e7b7770acb6d0515f5116f012",
-            "buffered": "2b9e20e2cb426ced89f1074a9d7a0410d65baef175d26b8e94a0d266799a0574",
-            "ell": "beb58de87fd9cc61ef041b22ad4fd16d3f5cf55a4f2c22c47d312ef7426ccd74",
+            "csr": "b329ee528e3d08c5ea57f7f7e75e0a013f327f07d00fa344bbed87ae5bf94547",
+            "buffered": "d48d8daa197cc0aff46f052c54547188d988b2bf02099afc102b92e15c43d593",
+            "ell": "b5a0665ce89f92d9c603ff885381c10b46a87f3539d3e5918cc9df26e40c5a7a",
         }
 
     def test_float_inputs_hashed_exactly(self, small_geometry):
@@ -212,7 +213,7 @@ class TestMappedEntries:
         first, second, other = (cache.load(k * 64) for k in "aab")
         assert len(persist._LIVE_MAPS) == 2
         for mine, same, others in [
-            (first.matrix.val, second.matrix.val, other.matrix.val),
+            (first.stored.val, second.stored.val, other.stored.val),
             (first.buffered_adjoint.ind, second.buffered_adjoint.ind,
              other.buffered_adjoint.ind),
         ]:

@@ -28,6 +28,7 @@ from repro.sparse import scan_transpose
 
 KERNELS = ("csr", "buffered", "ell")
 PRECISIONS = (None, "float32", "float64")
+LAYOUTS = ("buffered_forward", "buffered_adjoint", "ell_forward", "ell_adjoint")
 
 
 def member_spans(path) -> dict[str, tuple[int, int]]:
@@ -78,6 +79,17 @@ def assert_equal_operators(loaded, operator) -> None:
     for name in ours:
         assert ours[name].dtype == theirs[name].dtype, name
         assert np.array_equal(ours[name], theirs[name]), name
+
+
+def plan_of_a(op):
+    """``op`` with ``A`` for its plan and the same layouts: what every
+    archive before v4 held, whatever the kernel."""
+    from repro.core import MemXCTOperator
+
+    layouts = {attr: getattr(op, attr) for attr in LAYOUTS}
+    return MemXCTOperator(
+        op.geometry, op.tomo_ordering, op.sino_ordering, op.matrix, None, op.config, **layouts
+    )
 
 
 def small_operator_of(kernel, dtype=None):
@@ -332,7 +344,7 @@ class TestV1BackCompat:
         ]
         for name in v2_only:
             del arrays[name]
-        arrays["format_version"] = np.int64(1)
+        arrays.update(op.matrix.to_arrays(), format_version=np.int64(1))  # v1 held A
         old = tmp_path / "v1.npz"
         np.savez(old, **arrays)
 
@@ -359,7 +371,7 @@ class TestV2BackCompat:
         names, ``format_version`` 3, checksummed."""
         with np.load(save_operator(tmp_path / "v4.npz", op)) as data:
             arrays = {name: data[name] for name in data.files if name != "checksum"}
-        assert int(arrays["format_version"]) == FORMAT_VERSION == 4
+        assert int(arrays["format_version"]) == FORMAT_VERSION == 5
         arrays.update(op.matrix.to_arrays(), format_version=np.int64(3))
         path = tmp_path / "v3.npz"
         persist.atomic_savez_checked(path, arrays)
@@ -459,6 +471,109 @@ class TestV2BackCompat:
         assert loaded._transpose is None
         loaded.set_workers("serial")  # a process engine would derive A^T
         assert np.array_equal(loaded.adjoint(y), want)
+
+
+def _kernel_results(op, rng) -> list[np.ndarray]:
+    x, y = rng.random(op.num_pixels), rng.random(op.num_rays)
+    xs, ys = rng.random((op.num_pixels, 3)), rng.random((op.num_rays, 3))
+    return [op.forward(x), op.adjoint(y), op.forward_batch(xs), op.adjoint_batch(ys)]
+
+
+class TestLayoutPlansStoreQ:
+    """A buffered or ELL plan of a scan with an 8-slot ray group stores
+    ``Q``, as a csr plan does, and runs the layouts of ``A`` — cold or
+    warm — with neither ``A`` nor ``A^T`` kept from the build.  23x32
+    (odd ``M``) has no 8-slot group: its plan stays ``A``."""
+
+    @pytest.mark.parametrize("dtype", PRECISIONS)
+    @pytest.mark.parametrize("kernel", ("buffered", "ell"))
+    @pytest.mark.parametrize("shape", [(24, 32), (36, 24), (24, 31), (23, 32)])
+    def test_cold_and_warm_plans_are_q_and_run_a_s_layouts(
+        self, tmp_path, shape, kernel, dtype
+    ):
+        from repro.core import MemXCTOperator
+        from repro.sparse import OrbitMatrix, orbit_group
+
+        geometry = ParallelBeamGeometry(*shape)
+        group = orbit_group(geometry)
+        config = OperatorConfig(kernel=kernel, partition_size=32, buffer_bytes=2048, dtype=dtype)
+        uncached, _ = preprocess(geometry, config=config)
+        cold, cold_report = preprocess(geometry, config=config, cache=tmp_path)
+        warm, warm_report = preprocess(geometry, config=config, cache=tmp_path)
+        assert not cold_report.cache_hit and warm_report.cache_hit
+        for op in (uncached, cold, warm):
+            assert (type(op.plan) is OrbitMatrix) == (group is not None)
+            rows = geometry.num_rays if group is None else len(group.stored_rays())
+            assert op.stored.num_rows == rows
+            matrix = op.plan if group is None else op.plan.expand()
+            of_a = MemXCTOperator(
+                geometry, op.tomo_ordering, op.sino_ordering, matrix, None, op.config,
+                **{attr: getattr(op, attr) for attr in LAYOUTS},
+            )
+            for ours, theirs in zip(
+                _kernel_results(op, np.random.default_rng(7)),
+                _kernel_results(of_a, np.random.default_rng(7)),
+            ):
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+            # ``A`` is held only as the plan itself; ``A^T`` not at all.
+            assert op._matrix is (None if group else op.plan) and op._transpose is None
+
+
+    @pytest.mark.parametrize("dtype", PRECISIONS)
+    def test_every_kernel_of_a_scan_shares_the_plan_s_sums(self, dtype):
+        ops = [small_operator_of(kernel, dtype) for kernel in KERNELS]
+        for sums in ("row_sums", "col_sums"):
+            want = getattr(ops[0], sums)()
+            for op in ops[1:]:
+                got = getattr(op, sums)()
+                assert got.dtype == want.dtype and np.array_equal(got, want), sums
+
+
+class TestV4Archives:
+    """A v4 file loads as it was written: ``A`` for a buffered or ELL
+    plan, ``Q`` for a csr plan of a half-turn scan."""
+
+    @staticmethod
+    def _v4(monkeypatch, path, op):
+        from repro import io
+
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "FORMAT_VERSION", 4)
+            return save_operator(path, op, compress=False)
+
+    @pytest.mark.parametrize("kernel", ("buffered", "ell"))
+    def test_a_v4_layout_plan_is_a_and_runs_as_the_v5_plan(self, tmp_path, monkeypatch, kernel):
+        from repro.sparse import OrbitMatrix
+
+        op = small_operator_of(kernel)
+        old = load_operator(self._v4(monkeypatch, tmp_path / "v4.npz", plan_of_a(op)))
+        new = load_operator(save_operator(tmp_path / "v5.npz", op, compress=False))
+        with np.load(tmp_path / "v4.npz") as data:
+            assert int(data["format_version"]) == 4
+        assert old.plan is old.matrix and isinstance(new.plan, OrbitMatrix)
+        assert_equal_operators(old, plan_of_a(new))
+        for ours, theirs in zip(
+            _kernel_results(old, np.random.default_rng(3)),
+            _kernel_results(new, np.random.default_rng(3)),
+        ):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+    def test_a_v4_csr_plan_is_still_q(self, tmp_path, monkeypatch):
+        from repro.sparse import OrbitMatrix
+
+        op = small_operator_of("csr")
+        old = load_operator(self._v4(monkeypatch, tmp_path / "v4.npz", op))
+        assert isinstance(old.plan, OrbitMatrix)
+        assert_equal_operators(old, op)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_the_v5_key_is_not_the_v4_key(self, monkeypatch, kernel):
+        from repro.cache import fingerprint
+
+        geometry, config = ParallelBeamGeometry(30, 20), OperatorConfig(kernel=kernel)
+        v5 = fingerprint.plan_fingerprint(geometry, config)
+        monkeypatch.setattr(fingerprint, "FORMAT_VERSION", 4)
+        assert fingerprint.plan_fingerprint(geometry, config) != v5
 
 
 class TestAlignedArchive:
@@ -686,13 +801,13 @@ class TestMappedLoad:
         """scipy copies "a small view of a much larger array": every
         member is its own base, so the compiled view is the map."""
         loaded = load_operator(path)
-        loaded.matrix.spmv(np.ones(loaded.num_pixels, np.float32))
-        assert np.shares_memory(loaded.matrix._view.data, loaded.matrix.val)
-        assert np.shares_memory(loaded.matrix._view.indices, loaded.matrix.ind)
+        loaded.stored.spmv(np.ones(loaded.num_pixels, np.float32))
+        assert np.shares_memory(loaded.stored._view.data, loaded.stored.val)
+        assert np.shares_memory(loaded.stored._view.indices, loaded.stored.ind)
 
     def test_last_operator_dropped_unmaps_the_file(self, path):
         first, second = load_operator(path), load_operator(path)
-        val = first.matrix.val
+        val = first.stored.val
         del first, second
         gc.collect()
         assert len(persist._LIVE_MAPS) == 1  # one array is enough to hold it
@@ -711,7 +826,7 @@ class TestMappedLoad:
             fh.write(bytes([byte[0] ^ 0x10]))
         with pytest.raises(OperatorIntegrityError, match="checksum mismatch"):
             load_operator(path)
-        assert alive.matrix.val.size  # the older operator sees the same pages
+        assert alive.stored.val.size  # the older operator sees the same pages
 
     def test_pickle_is_a_private_equal_copy(self, path):
         import pickle
@@ -736,11 +851,11 @@ class TestMappedLoad:
             if name != "checksum"
             and not name.startswith(("t_", "bf_", "ba_", "ef_", "ea_"))
         }
-        v1["format_version"] = np.int64(1)
+        v1.update(op.matrix.to_arrays(), format_version=np.int64(1))  # v1 held A
         persist.atomic_savez(tmp_path / "v1.npz", v1, compress=False)  # aligned, unchecked
         for name in ("savez.npz", "deflated.npz", "v1.npz"):
             loaded = load_operator(tmp_path / name)
-            assert_equal_operators(loaded, op)
+            assert_equal_operators(loaded, plan_of_a(op) if name == "v1.npz" else op)
             big = [a for a in operator_arrays(loaded).values() if a.itemsize == 8]
             assert big and all(a.flags.writeable for a in big), name
         del loaded, big

@@ -76,3 +76,33 @@ class TestPreprocess:
         res = reconstruct(sino, small_geometry, iterations=2, operator=op)
         assert res.preprocess_report.tracing_seconds == 0.0
         assert res.operator is op
+
+
+@pytest.mark.parametrize("cache", [False, True])
+@pytest.mark.parametrize("kernel", ["buffered", "ell"])
+def test_a_layout_plan_expands_q_once_inside_the_tracer(
+    small_geometry, tmp_path, monkeypatch, kernel, cache
+):
+    """A cold buffered or ELL build of a half-turn scan expands ``Q`` to
+    ``A`` exactly once, for its layouts, and inside
+    ``build_projection_matrix``: the tracing stage is what a profile of
+    preprocessing charges it to."""
+    import traceback
+
+    from repro.sparse import OrbitMatrix
+
+    stacks = []
+    expand = OrbitMatrix.expand
+
+    def counted(self, out=None):
+        stacks.append([frame.name for frame in traceback.extract_stack()])
+        return expand(self, out)
+
+    monkeypatch.setattr(OrbitMatrix, "expand", counted)
+    op, report = preprocess(
+        small_geometry,
+        config=OperatorConfig(kernel=kernel),
+        cache=tmp_path if cache else None,
+    )
+    assert not report.cache_hit and isinstance(op.plan, OrbitMatrix)
+    assert len(stacks) == 1 and "build_projection_matrix" in stacks[0]
