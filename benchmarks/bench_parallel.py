@@ -36,6 +36,10 @@ exhibit it; CI runners enforce the floors):
 
 ``REPRO_BENCH_PARALLEL_SIZE`` scales the demo (default 256; set 512
 for the paper-scale run — tracing grows ~cubically, so budget minutes).
+
+At an even size the scan has an 8-slot ray group, so ``kernel="buffered"``
+builds no layout: the solves time the orbit SpMM over the traced rows
+``Q`` (the ``process`` engine partitions ``Q``), not the buffered layout.
 """
 
 import os

@@ -23,6 +23,11 @@ timing that lands in one reads 22-31 ms per iteration instead of 11-13
 and averages over them.  ``SpMV share`` is the part of that fastest
 memoized solve spent in the kernel; the rest is SIRT's vector
 arithmetic.
+
+Both scaled instances are half-turn parallel scans with an even number
+of views, so their plans have an 8-slot ray group: ``kernel="buffered"``
+builds no layout there and the memoized column times the orbit SpMM
+over the traced rows ``Q``, not Listing 3's buffered kernel.
 """
 
 import time

@@ -21,9 +21,12 @@ def main() -> None:
     geometry = ParallelBeamGeometry(num_angles=180, num_channels=128)
 
     # Preprocessing = the memory-centric step: trace every ray once,
-    # order both domains with the two-level pseudo-Hilbert curve, build
-    # the transpose (OperatorConfig(kernel="buffered") adds Listing 3's
-    # staged layout on top).
+    # order both domains with the two-level pseudo-Hilbert curve.  On
+    # this half-turn scan (even angle count) the plan keeps only the
+    # traced rows of each 8-ray symmetry orbit, and every kernel runs
+    # over them; OperatorConfig(kernel="buffered") adds Listing 3's
+    # staged layout only on a scan without that symmetry (odd angles,
+    # fan, cone).
     operator, report = preprocess(geometry)
     print(f"preprocessing: {format_seconds(report.total_seconds)} "
           f"(tracing {format_seconds(report.tracing_seconds)}), "

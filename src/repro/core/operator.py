@@ -12,11 +12,12 @@ rows (see :attr:`MemXCTOperator.transpose`).
 
 On a scan whose ray group has 8 slots (a half-turn parallel scan, even
 ``M``) the plan of every kernel is an :class:`~repro.sparse.OrbitMatrix`:
-it holds only the traced rows ``Q``.  The csr kernel runs both
-directions as 8-column SpMMs over them; a buffered or ELL operator runs
-its layout pair, built from ``A`` and persisted beside ``Q``.  ``A``
-itself (:attr:`MemXCTOperator.matrix`) is then a memo expanded from
-``Q`` on first read, like the transpose.
+it holds only the traced rows ``Q``, and every kernel runs both
+directions as 8-column SpMMs over them — no layout is built there.
+``A`` itself (:attr:`MemXCTOperator.matrix`) is then a memo expanded
+from ``Q`` on first read, like the transpose.  (A format-v5 file of a
+buffered or ELL plan still holds its layout pair beside ``Q``, and its
+operator runs that pair.)
 
 Vectors handled by the operator live in *ordered* coordinates (tomogram
 curve order / sinogram curve order); the image-space helpers translate
@@ -73,10 +74,12 @@ class OperatorConfig:
         ``"buffered"`` (Listing 3) or ``"ell"`` (GPU-style
         partition-padded layout).  Every kernel's plan is the ordered
         ``A``, or on a scan with an 8-slot ray group its traced rows
-        ``Q``.  ``csr`` runs both directions on the plan as it stands,
-        so that is the only form built, persisted and loaded.  The
-        other two build their layout pair from ``A`` and hold and
-        persist it beside the plan.
+        ``Q``.  On such a scan every kernel runs the orbit SpMM over
+        ``Q``, so the plan is the only form built, persisted and
+        loaded.  The layout names choose how a plan of ``A`` runs:
+        ``csr`` runs both directions on it as it stands, the other two
+        build their layout pair from it and hold and persist it beside
+        the plan.  The kernel stays part of the plan key either way.
     partition_size:
         Rows per partition; the paper's tuned KNL value is 128.
     buffer_bytes:
@@ -213,7 +216,8 @@ class MemXCTOperator:
         # The rank decomposition a distributed ``reconstruct`` last cut:
         # at most one entry, keyed by both decompositions' bounds bytes
         # and holding its list[RankData] (~16 B/nnz cut from an orbit
-        # plan, ~12 beside the transpose of a plan of ``A``).  close() drops it.
+        # plan, ~12 beside the transpose of a plan of ``A``) with any row
+        # sums filled into it.  close() drops it.
         self._rank_data: dict[tuple[bytes, bytes], list] = {}
         # Parallel SpMV engine, resolved lazily on first kernel call so
         # loading an operator stays cheap and env resolution happens at
@@ -287,9 +291,7 @@ class MemXCTOperator:
         """``A``, the ordered CSR matrix: the plan itself, or an orbit
         plan's expansion, built at first read and held until
         :meth:`close`.  No kernel reads it, nor does the distributed
-        rank cut (it cuts from the plan); ICD and SGD's row subsets do.
-        A buffered / ELL build takes ``A`` from the tracer and drops
-        it, so an operator of an orbit plan starts without it."""
+        rank cut (it cuts from the plan); ICD and SGD's row subsets do."""
         if self._matrix is None:
             self._matrix = self.plan.expand()
         return self._matrix
@@ -498,9 +500,10 @@ class MemXCTOperator:
         These are the paper kernel's *modelled* streams — the buffered
         kernel of Listing 3 reads a 2 B buffer-local index per nonzero.
         The executed kernel is scipy's CSR loop over 4 B column indices
-        on csr and buffered alike, so ``spmv.regular_bytes`` on the
-        buffered kernel undercounts the executed index stream by
-        2 B/nnz.
+        on csr and buffered alike, so ``spmv.regular_bytes`` on a
+        running buffered layout undercounts the executed index stream
+        by 2 B/nnz.  A buffered operator without its layouts (on an
+        8-slot scan) is charged the orbit kernel's 4 B.
 
         The orbit kernel streams ``Q`` once per call for all 8 slots, and
         its irregular gathers are the ``8 x pixels`` input spread and
@@ -512,7 +515,7 @@ class MemXCTOperator:
         nnz, rows = (
             (stored.nnz, stored.num_rows) if self._orbit_kernel else (self.nnz, self.num_rays)
         )
-        per_index = 2 if self.config.kernel == "buffered" else 4
+        per_index = 2 if self._staged else 4
         per_value = stored.val.dtype.itemsize
         per_vector = self.compute_dtype.itemsize
         regular_each = nnz * (per_value + per_index)

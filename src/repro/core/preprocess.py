@@ -6,15 +6,15 @@ Four steps, each timed:
    pseudo-Hilbert orderings of both domains;
 2. **ray tracing** — construct the forward-projection matrix, traced
    in the ordered coordinates of step 1 (on a half-turn parallel scan
-   only its traced rows ``Q``, which every plan keeps as they are; a
-   buffered or ELL plan also gets them expanded to ``A`` for its
-   layouts);
+   only its traced rows ``Q``, which every plan keeps as they are);
 3. **sparse transposition** — the traced matrix in our dtypes and,
-   for the buffered and ELL kernels, the scan-based, order-preserving
-   transpose of ``A`` their backprojection layouts are built from (the
-   csr adjoint runs over the plan itself and needs none);
+   for the buffered and ELL kernels on a plan of ``A``, the scan-based,
+   order-preserving transpose their backprojection layouts are built
+   from (the csr adjoint runs over the plan itself and needs none);
 4. **row partitioning and buffer construction** — the multi-stage
-   buffer data structures for both directions.
+   buffer data structures for both directions.  A plan of ``Q`` builds
+   none: on a scan with an 8-slot ray group every kernel runs the orbit
+   SpMM over ``Q``, which streams about 1/8 of ``A``'s bytes.
 
 Preprocessing is paid once per scan geometry; its product (the
 operator) is reused across all slices of a 3D dataset (paper Table 5's
@@ -114,11 +114,10 @@ def preprocess(
     The tracer is handed both orderings' rank arrays, so the matrix it
     assembles is already the ordered ``A`` (or, on a scan with an
     8-slot ray group, the plan's ``Q``, whatever the kernel); the
-    transposition stage converts it to our dtypes.  For a buffered or
-    ELL kernel it also scans out the ``A^T`` the adjoint layout is
-    built from; both layouts are built from ``A`` — on an 8-slot scan
-    the tracer's expansion of ``Q`` — and ``A`` and ``A^T`` are then
-    dropped: the operator holds neither.  The worker spec in
+    transposition stage converts it to our dtypes.  On a plan of ``A``
+    a buffered or ELL kernel also scans out the ``A^T`` its adjoint
+    layout is built from, then drops it.  A plan of ``Q`` builds no
+    layout for any kernel: all three run the orbit SpMM.  The worker spec in
     ``config.workers`` (or ``REPRO_WORKERS``) also parallelizes the
     tracing stage here: per-view Siddon tracing fans out across the
     backend, with chunks reassembled in view order so the traced
@@ -176,11 +175,11 @@ def preprocess(
             report.ordering_seconds = sp.duration
 
             value_dtype = config.dtype or "float32"
-            # A plan on a scan with an 8-slot ray group is ``Q``; a
-            # layout kernel also takes ``A``, expanded by the tracer.
+            # A plan on a scan with an 8-slot ray group is ``Q``, and
+            # every kernel runs the orbit SpMM over it: only a plan of
+            # ``A`` builds a buffered or ELL layout.
             group = orbit_group(geometry)
-            layouts = config.kernel != "csr"
-            expand = True if group is None else "both" if layouts else False
+            layouts = config.kernel != "csr" and group is None
             if plan_cache is not None:
                 archive = plan_cache.reserve(
                     report.cache_key, geometry, tomo_ordering, sino_ordering, value_dtype
@@ -197,38 +196,35 @@ def preprocess(
                         row_rank=sino_ordering.rank,
                         col_rank=tomo_ordering.rank,
                         out=archive and archive.reserve_matrix,
-                        expand=expand,
+                        expand=group is None,
                     )
                 finally:
                     backend.close()
             report.tracing_seconds = sp.duration
 
             with span("preprocess.transpose") as sp:
-                raw, full = raw if expand == "both" else (raw, None)
                 matrix = CSRMatrix.from_scipy(raw, dtype=value_dtype)
-                # ``A`` for the layouts: the plan, or the tracer's expansion.
-                full = matrix if full is None else CSRMatrix.from_scipy(full, dtype=value_dtype)
                 if group is not None:
                     matrix = OrbitMatrix.from_group(
                         matrix, group, tomo_ordering.rank, sino_ordering.perm
                     )
-                transpose = scan_transpose(full) if layouts else None
+                transpose = scan_transpose(matrix) if layouts else None
             report.transpose_seconds = sp.duration
 
             with span("preprocess.partitioning", kernel=config.kernel) as sp:
                 buffered_forward = buffered_adjoint = None
                 ell_forward = ell_adjoint = None
-                if config.kernel == "buffered":
+                if layouts and config.kernel == "buffered":
                     buffered_forward = build_buffered(
-                        full, config.partition_size, config.buffer_bytes
+                        matrix, config.partition_size, config.buffer_bytes
                     )
                     buffered_adjoint = build_buffered(
                         transpose, config.partition_size, config.buffer_bytes
                     )
-                elif config.kernel == "ell":
-                    ell_forward = build_ell(full, config.partition_size)
+                elif layouts:
+                    ell_forward = build_ell(matrix, config.partition_size)
                     ell_adjoint = build_ell(transpose, config.partition_size)
-                del raw, full, transpose  # gone before the store: only the plan stays
+                del raw, transpose  # gone before the store: only the plan stays
             report.partitioning_seconds = sp.duration
 
         operator = MemXCTOperator(

@@ -276,7 +276,8 @@ def reconstruct(
         # orbit plan, where neither ``A`` nor ``A^T`` is built — nor is
         # it when a crash's degrade() cuts again.  The list is stored
         # before the solve: degrade() replaces solve_op.ranks, never
-        # this list.
+        # this list.  An orbit plan's row sums are kept in its entries,
+        # so a later solve on the same cut expands no rows.
         key = (tomo_dec.bounds.tobytes(), sino_dec.bounds.tobytes())
         rank_data = operator._rank_data.get(key)
         if rank_data is None:

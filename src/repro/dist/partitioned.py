@@ -36,7 +36,7 @@ only the partitioning changed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,6 +79,10 @@ class RankData:
     partial_transpose: CSRMatrix
     touched_rows: np.ndarray
     send_segments: list[tuple[int, int]]
+    # The sums of A's rows this rank owns in the sinogram decomposition,
+    # filled by an orbit plan's DistributedOperator.row_sums(): they live
+    # as long as the rank data, so a memoized cut reuses them.
+    _row_sums: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_transpose_rows(
@@ -428,13 +432,15 @@ class DistributedOperator:
 
     def row_sums(self) -> np.ndarray:
         # An orbit plan's sums are A's, bit for bit: Q sums a row in its
-        # own column order, which differs in the last bit.
-        if isinstance(self.matrix, OrbitMatrix):  # one rank's rows expanded at a time
+        # own column order, which differs in the last bit.  One rank's
+        # rows are expanded at a time, once per rank data.
+        if isinstance(self.matrix, OrbitMatrix):
             bounds = self.sino_dec.bounds
-            return np.concatenate([
-                self.matrix.partition_slice(bounds[p], bounds[p + 1], 1).expand().row_sums()
-                for p in range(self.num_ranks)
-            ])
+            for p, rank in enumerate(self.ranks):
+                if rank._row_sums is None:
+                    rows = self.matrix.partition_slice(bounds[p], bounds[p + 1], 1)
+                    rank._row_sums = rows.expand().row_sums()
+            return np.concatenate([rank._row_sums for rank in self.ranks])
         if self.matrix is not None:
             return self.matrix.row_sums()
         return self.forward(np.ones(self.num_pixels, dtype=np.float32))

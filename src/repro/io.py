@@ -4,21 +4,23 @@ Preprocessing is the expensive step (paper Table 4/5); persisting its
 product lets a beamline workflow preprocess once per scan geometry and
 reconstruct thousands of slices across separate processes.
 
-Format **v5** stores every preprocessing product a kernel runs on in
+Format **v6** stores every preprocessing product a kernel runs on in
 one ``.npz``: the geometry, both orderings, the ordered matrix, and the
 buffered / ELL kernel layouts — so a load skips every preprocessing
 stage, not just tracing.  ``A^T`` is not stored: the csr adjoint runs
 over the plan itself, and the operator derives the scan transpose on
 demand.  Every plan on a scan with an 8-slot ray group, whatever its
-kernel, stores only the traced rows ``Q`` under the matrix's names;
-the group's gather indices are derived from the geometry and the
-orderings at load (:class:`repro.sparse.OrbitMatrix`).  A buffered or
-ELL plan's layouts are those of ``A``, as before.  Format v4 files
-(``Q`` for a csr plan of such a scan, ``A`` for every other plan), v3
-files (the full ``A`` whatever the geometry), v2 files (which also
-held ``A^T`` under ``t_`` members, checked and then ignored) and v1
-files (matrix only; layouts rebuilt on load) are still readable, each
-as it was written.
+kernel, stores only the traced rows ``Q`` under the matrix's names and
+no layout: every kernel runs the orbit SpMM over it.  The group's
+gather indices are derived from the geometry and the orderings at load
+(:class:`repro.sparse.OrbitMatrix`).  Only a plan of ``A`` carries a
+buffered or ELL layout pair.  Format v5 files (``Q`` plus the layouts
+of ``A`` for a buffered or ELL plan of such a scan), v4 files (``Q``
+for a csr plan of such a scan, ``A`` for every other plan), v3 files
+(the full ``A`` whatever the geometry), v2 files (which also held
+``A^T`` under ``t_`` members, checked and then ignored) and v1 files
+(matrix only; layouts rebuilt on load) are still readable, each as it
+was written, and run the layouts they hold.
 
 Writes are crash-safe: the archive is written to a temporary file in
 the destination directory, fsynced, and atomically renamed into place,
@@ -84,10 +86,10 @@ __all__ = [
     "OperatorIntegrityError",
 ]
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 #: Versions this loader understands.
-_READABLE_VERSIONS = (1, 2, 3, 4, 5)
+_READABLE_VERSIONS = (1, 2, 3, 4, 5, 6)
 
 
 class OperatorFormatError(ValueError):
@@ -322,7 +324,7 @@ def _operator_from_arrays(data: dict, version: int) -> MemXCTOperator:
         buffer_bytes=int(data["buffer_bytes"]),
     ).evolve(dtype=saved_dtype or None)
     psize = config.partition_size
-    # Every v5 plan of an orbit group is ``Q``, a v4 one only on csr;
+    # Every v5+ plan of an orbit group is ``Q``, a v4 one only on csr;
     # earlier versions hold ``A``.
     stores_q = version >= 5 or (version == 4 and config.kernel == "csr")
     group = orbit_group(geometry) if stores_q else None

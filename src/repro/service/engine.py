@@ -298,6 +298,8 @@ class ServiceConfig:
     ))
     cache: object = "auto"
     ordering: str = "pseudo-hilbert"
+    # Part of every plan key.  A scan with an 8-slot ray group runs the
+    # orbit SpMM whatever it names; elsewhere it picks the layout.
     kernel: str = "buffered"
     faults: ServiceFaultConfig | None = None
     #: Evict a terminal job's spool payload this many seconds after it

@@ -16,8 +16,7 @@ to two growable streams.  Only the traced rays of the geometry's
 their expansion (:meth:`repro.sparse.OrbitMatrix.expand`), or, for a
 plan of a scan with an 8-slot group, those rows ``Q`` are the plan —
 written into arrays the caller may own: the plan cache passes the
-pages of its archive.  A plan that builds kernel layouts also gets
-``A``, expanded here from ``Q`` into fresh arrays.
+pages of its archive.
 """
 
 from __future__ import annotations
@@ -185,8 +184,8 @@ def build_projection_matrix(
     row_rank: np.ndarray | None = None,
     col_rank: np.ndarray | None = None,
     out=None,
-    expand: bool | str = True,
-) -> sp.csr_matrix | tuple[sp.csr_matrix, sp.csr_matrix]:
+    expand: bool = True,
+) -> sp.csr_matrix:
     """Trace ``geometry``'s traced rays and assemble ``A`` in CSR form.
 
     The one assembly of a traced geometry.  Only the rays of its
@@ -224,13 +223,9 @@ def build_projection_matrix(
         reserved members of the archive it is assembling.  For ``Q`` it
         is called as ``out(nnz, rows)``.
     expand:
-        ``True`` (default) returns ``A``.  ``False`` returns ``Q``
-        itself — one row per traced ray, in ascending ray order, of a
-        geometry whose group a plan stores alone
-        (:func:`~repro.sparse.orbit_group`).  ``"both"`` returns
-        ``(Q, A)``: ``Q`` in ``out``, ``A`` expanded from it into fresh
-        arrays of ``Q``'s value dtype — what a buffered or ELL plan
-        builds its layouts from and then drops.
+        ``False`` returns ``Q`` itself — one row per traced ray, in
+        ascending ray order, of a geometry whose group a plan stores
+        alone (:func:`~repro.sparse.orbit_group`).
     """
     shape = (geometry.num_rays, geometry.grid.num_pixels)
     if row_rank is not None:
@@ -240,9 +235,7 @@ def build_projection_matrix(
     if backend is None:
         backend = SerialBackend()
     group = geometry.ray_group()
-    if expand not in (True, False, "both"):
-        raise ValueError(f"expand must be True, False or 'both', got {expand!r}")
-    if expand is not True and orbit_group(geometry) is None:
+    if not expand and orbit_group(geometry) is None:
         raise ValueError("only a geometry with an orbit group has a Q to return")
     views = _traced_views(geometry)
     tasks = [
@@ -261,16 +254,13 @@ def build_projection_matrix(
     rows = np.arange(shape[0], dtype=np.int32)
     if row_rank is not None:
         rows[row_rank] = rows.copy()  # the ray at each ranked row
-    if expand is not True:
+    if not expand:
+        shape, indptr = (len(counts), shape[1]), traced
         indices, data = (
-            out(nnz, len(counts)) if out else (np.empty(nnz, np.int32), np.empty(nnz, dtype))
+            out(nnz, shape[0]) if out else (np.empty(nnz, np.int32), np.empty(nnz, dtype))
         )
         indices[:], data[:] = cols, vals
-        q = _canonical(data, indices, traced, (len(counts), shape[1]))
-        if expand is False:
-            return q
-        cols, vals, out = indices, data, None  # A from Q as stored, into fresh arrays
-    if group is not None:
+    elif group is not None:
         stored = CSRMatrix(traced, cols, vals, shape[1], vals.dtype.name)
         matrix = OrbitMatrix.from_group(stored, group, col_rank, rows).expand(out)
         indices, data, indptr = matrix.ind, matrix.val, matrix.displ
@@ -281,15 +271,8 @@ def build_projection_matrix(
         csr_row_index(
             shape[0], rows, traced, cols, vals.astype(data.dtype, copy=False), indices, data
         )
-    matrix = _canonical(data, indices, indptr, shape)
-    return matrix if expand is True else (q, matrix)
-
-
-def _canonical(data, indices, indptr, shape) -> sp.csr_matrix:
-    """The scipy matrix of arrays whose rows are columns ascending,
-    repeats summed per ray."""
     csr = sp.csr_matrix((data, indices, indptr), shape=shape)
-    csr.has_canonical_format = True
+    csr.has_canonical_format = True  # columns ascending, repeats summed per ray
     return csr
 
 

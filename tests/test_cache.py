@@ -76,17 +76,18 @@ class TestFingerprint:
         format version, which every key hashes, became 3, and when a
         csr plan of a half-turn scan with even ``M`` came to store only
         its traced rows ``Q`` and the format version became 4, and when
-        every plan of such a scan came to store ``Q`` and it became 5
-        (64x48 parallel beam)."""
+        every plan of such a scan came to store ``Q`` and it became 5,
+        and when such a plan stopped carrying any kernel's layouts and
+        it became 6 (64x48 parallel beam)."""
         monkeypatch.delenv("REPRO_DTYPE", raising=False)
         geometry = ParallelBeamGeometry(64, 48)
         assert {
             kernel: plan_fingerprint(geometry, OperatorConfig(kernel=kernel))
             for kernel in ("csr", "buffered", "ell")
         } == {
-            "csr": "b329ee528e3d08c5ea57f7f7e75e0a013f327f07d00fa344bbed87ae5bf94547",
-            "buffered": "d48d8daa197cc0aff46f052c54547188d988b2bf02099afc102b92e15c43d593",
-            "ell": "b5a0665ce89f92d9c603ff885381c10b46a87f3539d3e5918cc9df26e40c5a7a",
+            "csr": "0819633a4ace8bba2b158fb0ea2f8ed11a8ab47f00ca34cd790200e2aa758766",
+            "buffered": "c6da40f6a6d688539dcf69636965d49191dc95c54a9509cdaba85fa520136148",
+            "ell": "6cf43c0055be757f18929082df9468f2be9e23dfab7762b5fcf53188914f0901",
         }
 
     def test_float_inputs_hashed_exactly(self, small_geometry):
@@ -205,22 +206,29 @@ class TestMappedEntries:
     """A hit is read-only views of one shared map of the entry; the
     entry's file may go away under a live operator, never change."""
 
-    def test_loads_share_an_entry_s_pages_and_entries_do_not(
-        self, cache, small_operator
-    ):
-        cache.store("a" * 64, small_operator)
-        cache.store("b" * 64, small_operator)
+    @pytest.mark.parametrize("angles", [35, 36])
+    def test_loads_share_an_entry_s_pages_and_entries_do_not(self, cache, angles):
+        """A buffered plan without an 8-slot group (35 views) maps its
+        layouts with the plan; one of an 8-slot scan (36) is ``Q`` alone."""
+        operator, _ = preprocess(
+            ParallelBeamGeometry(angles, 24),
+            config=OperatorConfig(kernel="buffered", partition_size=32, buffer_bytes=4096),
+        )
+        cache.store("a" * 64, operator)
+        cache.store("b" * 64, operator)
         first, second, other = (cache.load(k * 64) for k in "aab")
         assert len(persist._LIVE_MAPS) == 2
-        for mine, same, others in [
-            (first.stored.val, second.stored.val, other.stored.val),
-            (first.buffered_adjoint.ind, second.buffered_adjoint.ind,
-             other.buffered_adjoint.ind),
-        ]:
+        held = [(first.stored.val, second.stored.val, other.stored.val)]
+        if angles % 2:
+            held.append((first.buffered_adjoint.ind, second.buffered_adjoint.ind,
+                         other.buffered_adjoint.ind))
+        else:
+            assert first.buffered_adjoint is None and first._orbit_kernel
+        for mine, same, others in held:
             assert not mine.flags.writeable and mine.flags.aligned
             assert np.shares_memory(mine, same)
             assert not np.shares_memory(mine, others)
-        del first, second, other, mine, same, others
+        del first, second, other, mine, same, others, held
         gc.collect()
         assert len(persist._LIVE_MAPS) == 0  # the last operator unmaps
 
@@ -316,17 +324,21 @@ class TestPreprocessIntegration:
         _, report = preprocess(small_geometry, cache="auto")
         assert PlanCache.resolve("auto").entry(report.cache_key) is not None
 
-    def test_distinct_configs_do_not_collide(self, tmp_path, small_geometry, rng):
+    @pytest.mark.parametrize("angles", [35, 36])
+    def test_distinct_configs_do_not_collide(self, tmp_path, angles, rng):
+        """The kernel stays in the key on an 8-slot scan (36 views),
+        where the ELL plan holds no layouts, as it does without one."""
+        geometry = ParallelBeamGeometry(angles, 24)
         cachedir = tmp_path / "plans"
         csr = OperatorConfig(kernel="csr")
         ell = OperatorConfig(kernel="ell", partition_size=32)
-        preprocess(small_geometry, config=csr, cache=cachedir)
-        op, report = preprocess(small_geometry, config=ell, cache=cachedir)
+        preprocess(geometry, config=csr, cache=cachedir)
+        op, report = preprocess(geometry, config=ell, cache=cachedir)
         assert report.cache_hit is False  # different plan, different key
         assert op.config.kernel == "ell"
-        op2, report2 = preprocess(small_geometry, config=ell, cache=cachedir)
+        op2, report2 = preprocess(geometry, config=ell, cache=cachedir)
         assert report2.cache_hit is True
-        assert op2.ell_forward is not None
+        assert (op2.ell_forward is not None) == bool(angles % 2)
 
     def test_a_leftover_tuning_directory_is_inert(self, tmp_path, small_geometry, capsys):
         """Older versions kept ``<cache>/tuning/<key>.json`` records

@@ -237,9 +237,17 @@ class TestFootprints:
         assert op.nnz == op.matrix.nnz
 
     def test_buffered_uses_16bit_indices(self, operators):
+        """Only a running buffered layout is charged 2 B per index: on
+        23x32 (no 8-slot group) it runs; on 36x24 the buffered operator
+        runs the orbit kernel over ``Q``'s 4 B indices, as csr does."""
+        cfg = OperatorConfig(kernel="buffered", partition_size=16, buffer_bytes=512)
+        op, _ = preprocess(ParallelBeamGeometry(23, 32), config=cfg)
+        assert op.buffered_forward is not None
+        fp = op.memory_footprint()
+        assert fp["regular_forward"] == op.matrix.nnz * 6
         _, ops = operators
-        fp = ops["buffered"].memory_footprint()
-        assert fp["regular_forward"] == ops["buffered"].matrix.nnz * 6
+        assert ops["buffered"].buffered_forward is None
+        assert ops["buffered"].memory_footprint() == ops["csr"].memory_footprint()
 
 
 class TestConfig:

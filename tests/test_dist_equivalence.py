@@ -261,6 +261,36 @@ class TestOrbitPlanCut:
         assert len(cuts) == (4 + 3 if "faults" in faults else 4)
         assert ("degradations" in result.extra) == ("faults" in faults)
 
+    @pytest.mark.parametrize("solver, ranks_expanded", [("sirt", 4), ("sgd", 4), ("mlem", 0)])
+    def test_row_sums_are_kept_with_the_rank_cut(self, monkeypatch, solver, ranks_expanded):
+        """The first distributed SIRT / SGD solve expands one rank's
+        rows at a time for ``A``'s row sums (MLEM reads none); the sums
+        stay in the memoized rank data, so a second solve expands
+        nothing, until close() drops them with the cut."""
+        operator, sinogram = _scene()
+        want = operator.plan.expand().row_sums()
+        calls = []
+        expand = OrbitMatrix.expand
+
+        def counted(self, out=None):
+            calls.append(self.num_rows)
+            return expand(self, out)
+
+        monkeypatch.setattr(OrbitMatrix, "expand", counted)
+        first = _solve(operator, sinogram, solver=solver)
+        expanded = len(calls)
+        assert expanded == ranks_expanded
+        if expanded:
+            sums = np.concatenate([rank._row_sums for rank in _memo(operator)])
+            assert sums.dtype == want.dtype and np.array_equal(sums, want)
+        second = _solve(operator, sinogram, solver=solver)
+        assert len(calls) == expanded  # no expand on the second solve
+        assert np.array_equal(first.image, second.image)
+        operator.close()
+        assert operator._rank_data == {}
+        assert np.array_equal(_solve(operator, sinogram, solver=solver).image, first.image)
+        assert len(calls) == 2 * expanded
+
     @pytest.mark.parametrize("dtype", [None, "float64"], ids=["fp32", "fp64"])
     @pytest.mark.parametrize(
         "shape", [(24, 32), (24, 31), (36, 24), (36, 23)], ids=lambda s: "%dx%d" % s

@@ -20,7 +20,7 @@ from repro.geometry import ConeBeamGeometry, FanBeamGeometry, ParallelBeamGeomet
 from repro.io import FORMAT_VERSION, load_operator, save_operator
 from repro.parallel.backend import make_backend, parse_workers
 from repro.dist import distributed_preprocess
-from repro.sparse import CSRMatrix, scan_transpose
+from repro.sparse import CSRMatrix, orbit_group, scan_transpose
 from repro.trace import build_projection_matrix, matrix_builder, trace_view
 
 GEOMETRIES = {
@@ -179,7 +179,9 @@ class TestGeometryConformance:
         assert not cold_report.cache_hit and warm_report.cache_hit
         assert cold_report.cache_key == warm_report.cache_key
         _assert_same_operator(warm, cold)
-        assert warm.buffered_forward is not None
+        # Only a plan of ``A`` holds layouts: an 8-slot scan's is ``Q`` alone.
+        of_q = orbit_group(geometry) is not None
+        assert (warm.buffered_forward is None) == of_q == warm._orbit_kernel
 
     def test_archive_round_trips_to_an_equal_geometry_of_the_same_class(
         self, geometry, tmp_path
@@ -283,9 +285,16 @@ class TestOneSeam:
         }
 
     def test_parallel_archive_carries_no_kind_and_fan_only_adds_keys(self, tmp_path):
+        """Both scans without an 8-slot group (15 parallel views, the
+        fan) archive their buffered layouts; the 16-view parallel plan
+        is ``Q`` alone, with the same keys less the layouts'."""
         keys = {}
-        for name in ("parallel", "fan"):
-            op, _ = preprocess(GEOMETRIES[name], config=SMALL)
+        for name, geometry in (
+            ("parallel", ParallelBeamGeometry(15, 12)),
+            ("fan", GEOMETRIES["fan"]),
+            ("orbit", GEOMETRIES["parallel"]),
+        ):
+            op, _ = preprocess(geometry, config=SMALL)
             with np.load(save_operator(tmp_path / name, op)) as npz:
                 keys[name] = set(npz.files)
                 assert int(npz["format_version"]) == FORMAT_VERSION
@@ -294,6 +303,9 @@ class TestOneSeam:
             "geometry_kind", "source_distance", "fan_angle"
         }
         assert keys["parallel"] <= keys["fan"]
+        assert keys["orbit"] == {
+            key for key in keys["parallel"] if not key.startswith(("bf_", "ba_"))
+        }
 
     def test_fan_matrix_matches_the_dedicated_builder_it_replaced(self):
         # shape / nnz / CRC recorded from the parent commit's

@@ -92,9 +92,31 @@ def plan_of_a(op):
     )
 
 
-def small_operator_of(kernel, dtype=None):
+def layout_operator(op, plan):
+    """``op``'s kernel running the layout pair built from ``A`` (what
+    a buffered or ELL plan of an 8-slot scan ran before v6), with
+    ``plan`` for its plan."""
+    from repro.core import MemXCTOperator
+    from repro.sparse import build_buffered, build_ell
+
+    config, psize = op.config, op.config.partition_size
+    pair = (op.matrix, scan_transpose(op.matrix))
+    if config.kernel == "buffered":
+        built = [build_buffered(m, psize, config.buffer_bytes) for m in pair]
+    else:
+        built = [build_ell(m, psize) for m in pair]
+    layouts = dict(zip((f"{config.kernel}_forward", f"{config.kernel}_adjoint"), built))
+    return MemXCTOperator(
+        op.geometry, op.tomo_ordering, op.sino_ordering, plan, None, config, **layouts
+    )
+
+
+def small_operator_of(kernel, dtype=None, angles=30):
+    """A 30-view scan has an 8-slot ray group, so every kernel's plan
+    is ``Q`` alone; 29 views (odd ``M``) have none, so the plan is
+    ``A`` and a buffered or ELL kernel builds its layouts."""
     op, _ = preprocess(
-        ParallelBeamGeometry(30, 20),
+        ParallelBeamGeometry(angles, 20),
         config=OperatorConfig(
             kernel=kernel, partition_size=32, buffer_bytes=2048, dtype=dtype
         ),
@@ -102,15 +124,23 @@ def small_operator_of(kernel, dtype=None):
     return op
 
 
-@pytest.fixture(scope="module")
-def saved(tmp_path_factory):
-    g = ParallelBeamGeometry(30, 20)
-    op, _ = preprocess(
-        g, config=OperatorConfig(kernel="buffered", partition_size=32, buffer_bytes=2048)
-    )
+def _saved(tmp_path_factory, angles):
+    op = small_operator_of("buffered", angles=angles)
     path = tmp_path_factory.mktemp("ops") / "op.npz"
     save_operator(path, op)
-    return g, op, path
+    return op.geometry, op, path
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A buffered plan of an 8-slot scan: ``Q`` alone."""
+    return _saved(tmp_path_factory, 30)
+
+
+@pytest.fixture(scope="module")
+def saved_of_a(tmp_path_factory):
+    """A buffered plan of a scan without a group: ``A`` and its layouts."""
+    return _saved(tmp_path_factory, 29)
 
 
 class TestRoundtrip:
@@ -143,11 +173,14 @@ class TestRoundtrip:
         np.testing.assert_array_equal(loaded.tomo_ordering.perm, op.tomo_ordering.perm)
         np.testing.assert_array_equal(loaded.sino_ordering.rank, op.sino_ordering.rank)
 
-    def test_config_restored(self, saved):
-        _, op, path = saved
-        loaded = load_operator(path)
-        assert loaded.config == op.config
-        assert loaded.buffered_forward is not None
+    def test_config_restored(self, saved, saved_of_a):
+        """A buffered plan of ``A`` comes back with its layouts; one of
+        an 8-slot scan is ``Q`` alone and runs the orbit kernel."""
+        for (_, op, path), of_a in ((saved, False), (saved_of_a, True)):
+            loaded = load_operator(path)
+            assert loaded.config == op.config
+            assert (loaded.buffered_forward is not None) == of_a
+            assert loaded._orbit_kernel != of_a
 
     def test_reconstruction_through_loaded_operator(self, saved, rng):
         g, op, path = saved
@@ -168,6 +201,7 @@ class TestRoundtrip:
         assert loaded.config.kernel == "csr"
         assert loaded.buffered_forward is None
 
+    @pytest.mark.parametrize("angles", [9, 10])
     @pytest.mark.parametrize(
         "config, layout_prefixes",
         [
@@ -178,15 +212,18 @@ class TestRoundtrip:
         ],
     )
     def test_archive_holds_the_pair_and_the_named_layout(
-        self, tmp_path, config, layout_prefixes
+        self, tmp_path, config, layout_prefixes, angles
     ):
         """The ordered matrix always and never its transpose (the csr
         adjoint runs over ``A``), a staged or padded layout pair only
         for the kernel that runs on it — none at all for the default
-        config."""
+        config, nor for any kernel of an 8-slot scan (10 views), whose
+        plan is ``Q`` alone."""
         import zipfile
 
-        op, report = preprocess(ParallelBeamGeometry(10, 8), config, cache=tmp_path)
+        if angles % 2 == 0:
+            layout_prefixes = set()
+        op, report = preprocess(ParallelBeamGeometry(angles, 8), config, cache=tmp_path)
         archive = save_operator(tmp_path / "op.npz", op)
         for path in (archive, PlanCache(tmp_path).plan_path(report.cache_key)):
             names = [n.removesuffix(".npy") for n in zipfile.ZipFile(path).namelist()]
@@ -207,16 +244,16 @@ class TestRoundtrip:
         with pytest.raises(ValueError):
             load_operator(bad)
 
+    @pytest.mark.parametrize("angles", [29, 30])
     @pytest.mark.parametrize("kernel", ["csr", "buffered", "ell"])
-    def test_all_kernels_bit_identical(self, tmp_path, rng, kernel):
+    def test_all_kernels_bit_identical(self, tmp_path, rng, kernel, angles):
         """v2 persists the kernel layouts themselves, so the loaded
-        operator must produce *bit-identical* results, not just close."""
-        g = ParallelBeamGeometry(30, 20)
-        op, _ = preprocess(
-            g,
-            config=OperatorConfig(kernel=kernel, partition_size=32, buffer_bytes=2048),
-        )
+        operator must produce *bit-identical* results, not just close.
+        An 8-slot scan (30 views) persists no layout for any kernel."""
+        op = small_operator_of(kernel, angles=angles)
         loaded = load_operator(save_operator(tmp_path / f"{kernel}.npz", op))
+        if angles % 2 == 0:
+            assert all(getattr(loaded, attr) is None for attr in LAYOUTS)
         np.testing.assert_array_equal(loaded.transpose.displ, op.transpose.displ)
         np.testing.assert_array_equal(loaded.transpose.ind, op.transpose.ind)
         np.testing.assert_array_equal(loaded.transpose.val, op.transpose.val)
@@ -224,14 +261,14 @@ class TestRoundtrip:
         y = rng.random(op.num_rays).astype(np.float32)
         np.testing.assert_array_equal(loaded.forward(x), op.forward(x))
         np.testing.assert_array_equal(loaded.adjoint(y), op.adjoint(y))
-        if kernel == "buffered":
+        if kernel == "buffered" and angles % 2:
             np.testing.assert_array_equal(
                 loaded.buffered_forward.map, op.buffered_forward.map
             )
             np.testing.assert_array_equal(
                 loaded.buffered_adjoint.ind, op.buffered_adjoint.ind
             )
-        if kernel == "ell":
+        if kernel == "ell" and angles % 2:
             assert len(loaded.ell_forward.ind_slabs) == len(op.ell_forward.ind_slabs)
 
     def test_uncompressed_roundtrip(self, saved, tmp_path, rng):
@@ -330,10 +367,14 @@ class TestIntegrity:
 
 
 class TestV1BackCompat:
-    def test_v1_archive_rebuilds_layouts(self, saved, tmp_path, rng):
+    @pytest.mark.parametrize("which", ["saved_of_a", "saved"])
+    def test_v1_archive_rebuilds_layouts(self, request, which, tmp_path, rng):
         """A v1 file (matrix only, no checksum) still loads — the
-        transpose and kernel layouts are rebuilt deterministically."""
-        _, op, path = saved
+        transpose and kernel layouts are rebuilt deterministically, on
+        an 8-slot scan too: a v1 file holds ``A``, and its operator runs
+        the layouts of ``A``."""
+        _, op, path = request.getfixturevalue(which)
+        want = op if op.buffered_forward is not None else layout_operator(op, op.matrix)
         with np.load(path) as data:
             arrays = dict(data)
         v2_only = [
@@ -354,8 +395,8 @@ class TestV1BackCompat:
         assert loaded.buffered_forward is not None
         x = rng.random(op.num_pixels).astype(np.float32)
         y = rng.random(op.num_rays).astype(np.float32)
-        np.testing.assert_array_equal(loaded.forward(x), op.forward(x))
-        np.testing.assert_array_equal(loaded.adjoint(y), op.adjoint(y))
+        np.testing.assert_array_equal(loaded.forward(x), want.forward(x))
+        np.testing.assert_array_equal(loaded.adjoint(y), want.adjoint(y))
 
 
 class TestV2BackCompat:
@@ -371,7 +412,7 @@ class TestV2BackCompat:
         names, ``format_version`` 3, checksummed."""
         with np.load(save_operator(tmp_path / "v4.npz", op)) as data:
             arrays = {name: data[name] for name in data.files if name != "checksum"}
-        assert int(arrays["format_version"]) == FORMAT_VERSION == 5
+        assert int(arrays["format_version"]) == FORMAT_VERSION == 6
         arrays.update(op.matrix.to_arrays(), format_version=np.int64(3))
         path = tmp_path / "v3.npz"
         persist.atomic_savez_checked(path, arrays)
@@ -480,18 +521,18 @@ def _kernel_results(op, rng) -> list[np.ndarray]:
 
 
 class TestLayoutPlansStoreQ:
-    """A buffered or ELL plan of a scan with an 8-slot ray group stores
-    ``Q``, as a csr plan does, and runs the layouts of ``A`` — cold or
-    warm — with neither ``A`` nor ``A^T`` kept from the build.  23x32
-    (odd ``M``) has no 8-slot group: its plan stays ``A``."""
+    """A buffered or ELL plan of a scan with an 8-slot ray group is the
+    csr plan: ``Q`` alone, no layout, and the orbit kernel's results —
+    cold or warm — with neither ``A`` nor ``A^T`` kept from the build.
+    23x32 (odd ``M``) has no 8-slot group: its plan stays ``A`` and
+    runs its layouts."""
 
     @pytest.mark.parametrize("dtype", PRECISIONS)
     @pytest.mark.parametrize("kernel", ("buffered", "ell"))
     @pytest.mark.parametrize("shape", [(24, 32), (36, 24), (24, 31), (23, 32)])
-    def test_cold_and_warm_plans_are_q_and_run_a_s_layouts(
+    def test_cold_and_warm_plans_are_q_alone_and_run_as_csr(
         self, tmp_path, shape, kernel, dtype
     ):
-        from repro.core import MemXCTOperator
         from repro.sparse import OrbitMatrix, orbit_group
 
         geometry = ParallelBeamGeometry(*shape)
@@ -500,24 +541,29 @@ class TestLayoutPlansStoreQ:
         uncached, _ = preprocess(geometry, config=config)
         cold, cold_report = preprocess(geometry, config=config, cache=tmp_path)
         warm, warm_report = preprocess(geometry, config=config, cache=tmp_path)
+        csr, _ = preprocess(geometry, config=config.evolve(kernel="csr"))
         assert not cold_report.cache_hit and warm_report.cache_hit
         for op in (uncached, cold, warm):
             assert (type(op.plan) is OrbitMatrix) == (group is not None)
             rows = geometry.num_rays if group is None else len(group.stored_rays())
             assert op.stored.num_rows == rows
-            matrix = op.plan if group is None else op.plan.expand()
-            of_a = MemXCTOperator(
-                geometry, op.tomo_ordering, op.sino_ordering, matrix, None, op.config,
-                **{attr: getattr(op, attr) for attr in LAYOUTS},
-            )
+            for name in ("displ", "ind", "val"):
+                ours, theirs = getattr(op.stored, name), getattr(csr.stored, name)
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+            held = [attr for attr in LAYOUTS if getattr(op, attr) is not None]
+            if group is None:
+                assert held == [f"{kernel}_forward", f"{kernel}_adjoint"]
+                want = layout_operator(op, op.plan)
+            else:
+                assert held == [] and op._orbit_kernel
+                want = csr
             for ours, theirs in zip(
                 _kernel_results(op, np.random.default_rng(7)),
-                _kernel_results(of_a, np.random.default_rng(7)),
+                _kernel_results(want, np.random.default_rng(7)),
             ):
                 assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
             # ``A`` is held only as the plan itself; ``A^T`` not at all.
             assert op._matrix is (None if group else op.plan) and op._transpose is None
-
 
     @pytest.mark.parametrize("dtype", PRECISIONS)
     def test_every_kernel_of_a_scan_shares_the_plan_s_sums(self, dtype):
@@ -529,51 +575,78 @@ class TestLayoutPlansStoreQ:
                 assert got.dtype == want.dtype and np.array_equal(got, want), sums
 
 
+def _saved_as(version, monkeypatch, path, op):
+    """``op`` saved as a writer of format ``version`` saved it."""
+    from repro import io
+
+    with monkeypatch.context() as patch:
+        patch.setattr(io, "FORMAT_VERSION", version)
+        path = save_operator(path, op, compress=False)
+    with np.load(path) as data:
+        assert int(data["format_version"]) == version
+    return path
+
+
+def _assert_same_results(ours, theirs, seed=3):
+    for a, b in zip(
+        _kernel_results(ours, np.random.default_rng(seed)),
+        _kernel_results(theirs, np.random.default_rng(seed)),
+    ):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 class TestV4Archives:
-    """A v4 file loads as it was written: ``A`` for a buffered or ELL
-    plan, ``Q`` for a csr plan of a half-turn scan."""
-
-    @staticmethod
-    def _v4(monkeypatch, path, op):
-        from repro import io
-
-        with monkeypatch.context() as patch:
-            patch.setattr(io, "FORMAT_VERSION", 4)
-            return save_operator(path, op, compress=False)
+    """A v4 file loads as it was written: ``A`` and its layouts for a
+    buffered or ELL plan, ``Q`` for a csr plan of a half-turn scan."""
 
     @pytest.mark.parametrize("kernel", ("buffered", "ell"))
-    def test_a_v4_layout_plan_is_a_and_runs_as_the_v5_plan(self, tmp_path, monkeypatch, kernel):
-        from repro.sparse import OrbitMatrix
-
+    def test_a_v4_layout_plan_is_a_and_runs_its_layouts(self, tmp_path, monkeypatch, kernel):
         op = small_operator_of(kernel)
-        old = load_operator(self._v4(monkeypatch, tmp_path / "v4.npz", plan_of_a(op)))
-        new = load_operator(save_operator(tmp_path / "v5.npz", op, compress=False))
-        with np.load(tmp_path / "v4.npz") as data:
-            assert int(data["format_version"]) == 4
-        assert old.plan is old.matrix and isinstance(new.plan, OrbitMatrix)
-        assert_equal_operators(old, plan_of_a(new))
-        for ours, theirs in zip(
-            _kernel_results(old, np.random.default_rng(3)),
-            _kernel_results(new, np.random.default_rng(3)),
-        ):
-            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+        written = layout_operator(op, op.matrix)
+        old = load_operator(_saved_as(4, monkeypatch, tmp_path / "v4.npz", written))
+        assert old.plan is old.matrix and not old._orbit_kernel
+        assert_equal_operators(old, written)
+        _assert_same_results(old, written)
 
     def test_a_v4_csr_plan_is_still_q(self, tmp_path, monkeypatch):
         from repro.sparse import OrbitMatrix
 
         op = small_operator_of("csr")
-        old = load_operator(self._v4(monkeypatch, tmp_path / "v4.npz", op))
+        old = load_operator(_saved_as(4, monkeypatch, tmp_path / "v4.npz", op))
         assert isinstance(old.plan, OrbitMatrix)
         assert_equal_operators(old, op)
 
+    @pytest.mark.parametrize("older", [4, 5])
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_the_v5_key_is_not_the_v4_key(self, monkeypatch, kernel):
+    def test_the_current_key_is_not_an_older_one(self, monkeypatch, kernel, older):
+        """A v5 buffered entry (``Q`` and layouts) is never served
+        where a v6 one (``Q`` alone) is expected."""
         from repro.cache import fingerprint
 
         geometry, config = ParallelBeamGeometry(30, 20), OperatorConfig(kernel=kernel)
-        v5 = fingerprint.plan_fingerprint(geometry, config)
-        monkeypatch.setattr(fingerprint, "FORMAT_VERSION", 4)
-        assert fingerprint.plan_fingerprint(geometry, config) != v5
+        current = fingerprint.plan_fingerprint(geometry, config)
+        monkeypatch.setattr(fingerprint, "FORMAT_VERSION", older)
+        assert fingerprint.plan_fingerprint(geometry, config) != current
+
+
+class TestV5Archives:
+    """A v5 buffered or ELL file of an 8-slot scan holds ``Q`` plus the
+    layouts of ``A``: it loads as written and runs those layouts."""
+
+    @pytest.mark.parametrize("kernel", ("buffered", "ell"))
+    def test_a_v5_layout_plan_is_q_and_runs_its_layouts(self, tmp_path, monkeypatch, kernel):
+        from repro.sparse import OrbitMatrix
+
+        op = small_operator_of(kernel)
+        written = layout_operator(op, op.plan)
+        path = _saved_as(5, monkeypatch, tmp_path / "v5.npz", written)
+        with np.load(path) as data:
+            prefixes = {name[:3] for name in data.files}
+        assert ({"bf_", "ba_"} if kernel == "buffered" else {"ef_", "ea_"}) <= prefixes
+        old = load_operator(path)
+        assert isinstance(old.plan, OrbitMatrix) and not old._orbit_kernel
+        assert_equal_operators(old, written)
+        _assert_same_results(old, layout_operator(op, op.matrix))
 
 
 class TestAlignedArchive:
@@ -767,8 +840,9 @@ class TestMappedLoad:
 
     @pytest.fixture()
     def path(self, tmp_path):
+        """A plan of ``A`` with its buffered layouts, all mapped."""
         return save_operator(
-            tmp_path / "op.npz", small_operator_of("buffered"), compress=False
+            tmp_path / "op.npz", small_operator_of("buffered", angles=29), compress=False
         )
 
     @pytest.mark.parametrize("dtype", PRECISIONS)

@@ -232,8 +232,14 @@ class TestEngineBitIdentity:
 
     def test_each_range_is_pinned_to_one_worker(self, operators):
         """A partition range runs on the same process every call, and a
-        worker derives and holds its own range's slice and no other."""
-        op = operators["buffered"]
+        worker derives and holds its own range's slice and no other.
+        The buffered layouts are those of a 39-view scan: the 40-view
+        buffered operator runs the orbit kernel and holds none."""
+        assert operators["buffered"].buffered_forward is None
+        op, _ = preprocess(
+            ParallelBeamGeometry(39, 32),
+            config=OperatorConfig(kernel="buffered", partition_size=16, buffer_bytes=2048),
+        )
         fwd, adj = op.buffered_forward, op.buffered_adjoint
         rng = np.random.default_rng(3)
         x = rng.random(fwd.num_cols).astype(np.float32)
@@ -507,10 +513,13 @@ class TestBufferedPlanPersistence:
         clone = pickle.loads(pickle.dumps(layout))
         assert not hasattr(clone, "_view")
 
-    def test_warm_operator_cache_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("angles", [23, 24])
+    def test_warm_operator_cache_roundtrip(self, tmp_path, angles):
         """Regression: a warmed operator persists and reloads cleanly,
-        and the loaded copy rebuilds its view lazily."""
-        geometry = ParallelBeamGeometry(24, 24)
+        and the loaded copy rebuilds its view lazily.  The view is the
+        buffered layout's on 23 views; on 24 (an 8-slot scan) the
+        buffered operator runs the orbit kernel over ``Q``'s own view."""
+        geometry = ParallelBeamGeometry(angles, 24)
         cache = PlanCache(tmp_path / "plans")
         op, _ = preprocess(
             geometry,
@@ -523,11 +532,12 @@ class TestBufferedPlanPersistence:
         )
         x = np.ones(op.num_pixels, dtype=np.float32)
         warm_result = op.forward(x)  # derives the compiled view
-        assert hasattr(op.buffered_forward, "_view")
+        running = "buffered_forward" if angles % 2 else "stored"
+        assert hasattr(getattr(op, running), "_view")
         path = tmp_path / "op.npz"
         save_operator(path, op)
         loaded = load_operator(path)
-        assert not hasattr(loaded.buffered_forward, "_view")
+        assert not hasattr(getattr(loaded, running), "_view")
         assert (loaded.forward(x) == warm_result).all()
 
 
