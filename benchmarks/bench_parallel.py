@@ -37,9 +37,9 @@ exhibit it; CI runners enforce the floors):
 ``REPRO_BENCH_PARALLEL_SIZE`` scales the demo (default 256; set 512
 for the paper-scale run — tracing grows ~cubically, so budget minutes).
 
-At an even size the scan has an 8-slot ray group, so ``kernel="buffered"``
-builds no layout: the solves time the orbit SpMM over the traced rows
-``Q`` (the ``process`` engine partitions ``Q``), not the buffered layout.
+At an even size the scan has an 8-slot ray group: the solves time the
+orbit SpMM over the traced rows ``Q`` (the ``process`` engine
+partitions ``Q``); at an odd size they time csr.
 """
 
 import os
@@ -60,9 +60,7 @@ MIN_PREPROCESS_SPEEDUP_4 = 1.5
 
 
 def _config(workers=None) -> OperatorConfig:
-    return OperatorConfig(
-        kernel="buffered", partition_size=128, buffer_bytes=8192, workers=workers
-    )
+    return OperatorConfig(partition_size=128, workers=workers)
 
 
 def test_parallel_speedup_curve(report):
@@ -124,7 +122,7 @@ def test_parallel_speedup_curve(report):
     best = {2: speedup["process:2"], 4: speedup["process:4"]}
 
     lines = [
-        f"parallel backend, {SIZE}x{SIZE} buffered kernel, CG x{ITERATIONS}, "
+        f"parallel backend, {SIZE}x{SIZE} orbit kernel, CG x{ITERATIONS}, "
         f"{cores} core(s), OPENBLAS_NUM_THREADS="
         f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
         f"  preprocess cold         : {preprocess_serial:8.3f} s serial vs "

@@ -13,12 +13,12 @@ correction, CG) and compares it with the loop it replaces:
 * **batched** — ``reconstruct_stack(...)``: one multi-RHS CG over the
   ``(rays, 8)`` slab, streaming the matrix once per iteration.
 
-The comparison uses the partition-padded ELL kernel — the GPU-style
-coalesced layout of the paper — where the regular stream is the
-dominant cost and amortizing it is worth >2x.  (The CSR and buffered
-batch paths share the same bit-exact contract but their single-slice
-loops are already gather-bound, so the regular-stream amortization is
-a wash there at laptop sizes; see docs/pipeline.md.)
+The comparison runs the plan ``preprocess`` builds: on this half-turn
+scan (128 views) the orbit SpMM over the traced rows ``Q``, whose
+calls are multi-column SpMMs already, so a slab reads ``Q`` once per
+iteration for all slices (a scan without an 8-slot group would run
+csr).  The batch paths share the same bit-exact contract; see
+docs/pipeline.md.
 
 Acceptance:
 
@@ -75,7 +75,7 @@ def test_batched_stack_speedup(report):
         num_slices=SLICES,
         center_shift=INJECTED_SHIFT,
         poisson=False,
-        config=OperatorConfig(kernel="ell"),
+        config=OperatorConfig(),
     )
     common = dict(
         darks=demo.darks,
@@ -105,7 +105,7 @@ def test_batched_stack_speedup(report):
     reg_loop = cap_loop.total(obs.SPMV_REGULAR_BYTES)
 
     lines = [
-        f"streaming pipeline, {SIZE}x{SIZE} ELL kernel, {SLICES} slices, "
+        f"streaming pipeline, {SIZE}x{SIZE} orbit kernel, {SLICES} slices, "
         f"CG x{ITERATIONS}",
         f"  looped solve            : {looped_solve_seconds:8.3f} s "
         f"({looped_solve_seconds / SLICES * 1e3:7.1f} ms/slice)",
@@ -127,7 +127,7 @@ def test_batched_stack_speedup(report):
             "size": SIZE,
             "slices": SLICES,
             "iterations": ITERATIONS,
-            "kernel": "ell",
+            "kernel": "orbit",
             "looped_solve_seconds": looped_solve_seconds,
             "batched_solve_seconds": batched.solve_seconds,
             "looped_wall_seconds": looped_wall,

@@ -11,10 +11,10 @@ benchmark submits the same eight same-geometry jobs to two engines:
 * **coalesced**   — ``max_batch=8`` with the jobs queued before the
   scheduler starts: one batched solve serves all eight.
 
-Both engines use the partition-padded ELL kernel — the layout where
-the regular stream dominates and amortizing it pays (the service's
-``kernel="ell"`` knob; see bench_pipeline.py for the per-kernel story).
-Results are compared bit-exactly: coalescing never changes arithmetic.
+Both engines run the service's one plan: on this half-turn scan the
+orbit SpMM over the traced rows ``Q``, each call a multi-column SpMM
+whose regular stream a batch reads once.  Results are compared
+bit-exactly: coalescing never changes arithmetic.
 
 A second phase measures the fault-injection tax: an engine with an
 armed injector that (almost) never fires must cost within a few
@@ -45,7 +45,6 @@ ANGLES = 90 if SMOKE else 180
 CHANNELS = 64 if SMOKE else 128
 JOBS = 8
 ITERATIONS = 6 if SMOKE else 12
-KERNEL = "ell"
 MIN_SPEEDUP = 1.1 if SMOKE else 1.5
 MAX_FAULT_TAX = 0.25 if SMOKE else 0.05
 REPEATS = 2 if SMOKE else 4
@@ -75,7 +74,6 @@ def _run_engine(tmp, tag, sinos, *, max_batch, faults=None):
         queue_limit=2 * JOBS,
         max_batch=max_batch,
         coalesce_window_s=0.0,
-        kernel=KERNEL,
         retry=RetryPolicy(max_retries=0),
         faults=faults,
     )
@@ -115,7 +113,7 @@ def test_coalesced_batching_speedup(tmp_path, report):
 
     lines = [
         f"service coalescing, {JOBS} jobs of {ANGLES}x{CHANNELS}, "
-        f"CG x{ITERATIONS}, {KERNEL} kernel"
+        f"CG x{ITERATIONS}, orbit kernel"
         + (" [smoke]" if SMOKE else ""),
         f"  independent (max_batch=1) : {solo_wall:8.3f} s aggregate",
         f"  coalesced   (max_batch={JOBS}) : {batch_wall:8.3f} s aggregate",

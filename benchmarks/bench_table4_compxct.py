@@ -25,9 +25,9 @@ memoized solve spent in the kernel; the rest is SIRT's vector
 arithmetic.
 
 Both scaled instances are half-turn parallel scans with an even number
-of views, so their plans have an 8-slot ray group: ``kernel="buffered"``
-builds no layout there and the memoized column times the orbit SpMM
-over the traced rows ``Q``, not Listing 3's buffered kernel.
+of views, so their plans have an 8-slot ray group: the memoized column
+times the orbit SpMM over the traced rows ``Q`` (a plan without one
+would run csr), not Listing 3's buffered kernel.
 """
 
 import time
@@ -49,7 +49,7 @@ FLOOR = 16.0
 def _measure(spec, cap):
     g = spec.geometry()
     t0 = time.perf_counter()
-    config = OperatorConfig(kernel="buffered", partition_size=128, buffer_bytes=8192)
+    config = OperatorConfig(partition_size=128)
     op, rep = preprocess(g, config=config)
     preproc = time.perf_counter() - t0
 

@@ -23,10 +23,10 @@ def main() -> None:
     # Preprocessing = the memory-centric step: trace every ray once,
     # order both domains with the two-level pseudo-Hilbert curve.  On
     # this half-turn scan (even angle count) the plan keeps only the
-    # traced rows of each 8-ray symmetry orbit, and every kernel runs
-    # over them; OperatorConfig(kernel="buffered") adds Listing 3's
-    # staged layout only on a scan without that symmetry (odd angles,
-    # fan, cone).
+    # traced rows of each 8-ray symmetry orbit and runs over them (a
+    # scan without that symmetry keeps the full matrix); no plan holds
+    # Listing 3's staged layout, which repro.sparse.build_buffered
+    # builds for a caller that hands it to MemXCTOperator.
     operator, report = preprocess(geometry)
     print(f"preprocessing: {format_seconds(report.total_seconds)} "
           f"(tracing {format_seconds(report.tracing_seconds)}), "

@@ -7,7 +7,7 @@ Parallelization, Hidayetoglu et al., SC '19
 Public API highlights:
 
 * :func:`repro.core.reconstruct` — sinogram in, tomogram out;
-* :func:`repro.core.preprocess` — the memoizing four-step pipeline;
+* :func:`repro.core.preprocess` — the memoizing three-step pipeline;
 * :class:`repro.core.MemXCTOperator` / :class:`repro.core.CompXCTOperator`
   — memory-centric vs compute-centric projection operators;
 * :mod:`repro.ordering` — two-level pseudo-Hilbert ordering;

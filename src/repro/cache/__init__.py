@@ -2,8 +2,8 @@
 
 MemXCT's thesis is memoization: trace once, reuse the matrix every
 iteration.  This package extends that economy across *processes*: a
-plan (the full product of the four preprocessing stages — orderings,
-traced matrix, buffered/ELL layouts) is stored on disk under a stable
+plan (the full product of the three preprocessing stages — orderings
+and traced matrix) is stored on disk under a stable
 fingerprint of its inputs, so a beamline workflow
 preprocesses once per scan geometry and every later run — more slices,
 another solver, a different process — skips preprocessing entirely.

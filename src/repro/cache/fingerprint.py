@@ -2,8 +2,10 @@
 
 A plan is fully determined by the scan geometry (which writes its own
 section, ``geometry.fingerprint_fields()``), the domain-ordering
-scheme (and its two-level granularity parameters), the kernel
-configuration, and the on-disk format version.  Hashing a canonical
+scheme (and its two-level granularity parameters), the partition
+size and precision, and the on-disk format version.  The kernel name
+and the buffer size are not inputs: no plan holds a layout, so every
+kernel of one scan shares one entry.  Hashing a canonical
 JSON rendering of exactly those inputs gives a stable key: the same
 preprocessing request always maps to the same cache entry, across
 processes and machines, and *any* change to an input (including a
@@ -37,10 +39,8 @@ def fingerprint_inputs(
 
     The config section carries the compute ``dtype`` only when one is
     explicitly set: fp32 and fp64 plans therefore hash to different
-    keys and never collide, while the default mixed-precision
-    fingerprints (and every cache written before the dtype path
-    existed) remain unchanged.  The ``workers`` execution knob is
-    deliberately excluded — workers never change the numbers.
+    keys and never collide.  ``workers``, ``kernel`` and
+    ``buffer_bytes`` are deliberately excluded — none changes the plan.
     """
     config = config or OperatorConfig()
     doc = {
@@ -51,11 +51,7 @@ def fingerprint_inputs(
             "min_tiles": int(min_tiles),
             "tile_size": None if tile_size is None else int(tile_size),
         },
-        "config": {
-            "kernel": config.kernel,
-            "partition_size": int(config.partition_size),
-            "buffer_bytes": int(config.buffer_bytes),
-        },
+        "config": {"partition_size": int(config.partition_size)},
     }
     if config.dtype is not None:
         doc["config"]["dtype"] = config.dtype

@@ -245,9 +245,8 @@ class PlanCache:
                 "nbytes": nbytes,
                 "geometry": operator.geometry.archive_fields(),
                 "config": {
-                    "kernel": operator.config.kernel,
                     "partition_size": operator.config.partition_size,
-                    "buffer_bytes": operator.config.buffer_bytes,
+                    "dtype": operator.config.dtype,
                 },
                 "nnz": operator.nnz,
             }

@@ -33,7 +33,7 @@ built: it takes ``--workers`` and refuses ``--dtype``.
 Commands that build an operator plan (``preprocess``, ``scenario``,
 ``reconstruct``, ``pipeline``) consult the plan cache transparently —
 ``--cache auto`` is the default, ``--cache off`` disables it, ``--cache
-DIR`` selects an explicit directory.  A warm cache skips all four
+DIR`` selects an explicit directory.  A warm cache skips all three
 preprocessing stages.
 
 Every subcommand additionally accepts the observability flags
@@ -59,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DATASETS, KERNELS, OperatorConfig, get_dataset, preprocess, reconstruct
+from .core import DATASETS, OperatorConfig, get_dataset, preprocess, reconstruct
 from .machine import MACHINES
 from .solvers.table import solver_names, solver_row
 from .utils import format_bytes, format_seconds, psnr, render_table
@@ -100,7 +100,7 @@ def _print_cache_status(report) -> None:
     if report.cache_hit:
         print(
             f"plan cache hit ({report.cache_key[:12]}): skipped "
-            "ordering/tracing/transpose/partitioning"
+            "ordering/tracing/transpose"
         )
     else:
         print(
@@ -130,16 +130,14 @@ def _build_cli_geometry(args: argparse.Namespace):
 def _operator_config(args: argparse.Namespace) -> OperatorConfig:
     """The one :class:`OperatorConfig` a command's flags describe.
 
-    Reads whichever of ``--kernel``, ``--partition-size``, ``--buffer-kb``,
-    ``--workers`` and ``--dtype`` the subcommand has; a flag
-    it lacks (or leaves unset) keeps the field's default.
+    Reads whichever of ``--partition-size``, ``--workers`` and
+    ``--dtype`` the subcommand has; a flag it lacks (or leaves unset)
+    keeps the field's default.
     """
     fields = {
         name: getattr(args, name, None)
-        for name in ("kernel", "partition_size", "workers", "dtype")
+        for name in ("partition_size", "workers", "dtype")
     }
-    if getattr(args, "buffer_kb", None) is not None:
-        fields["buffer_bytes"] = args.buffer_kb * 1024
     return OperatorConfig(**{k: v for k, v in fields.items() if v is not None})
 
 
@@ -592,13 +590,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             rows.append([
                 e.key[:12],
                 sino,
-                cfg.get("kernel", "?"),
+                (cfg.get("dtype") or "mixed") if cfg else "?",
                 f"{e.meta.get('nnz', 0):,}" if e.meta else "?",
                 format_bytes(e.nbytes),
                 format_seconds(e.age_seconds),
             ])
         print(render_table(
-            ["Key", "Sinogram", "Kernel", "nnz", "Size", "Last used"],
+            ["Key", "Sinogram", "Dtype", "nnz", "Size", "Last used"],
             rows, title=f"Plan cache at {plan_cache.root}"))
         total = plan_cache.total_bytes()
         print(
@@ -680,7 +678,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_retries=args.retries, backoff_base=args.backoff,
         ),
         cache=args.cache,
-        kernel=args.kernel,
         faults=faults,
         result_ttl_s=args.result_ttl,
         spool_cap_bytes=args.spool_cap,
@@ -857,15 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--ordering", default="pseudo-hilbert")
     p.add_argument(
-        "--kernel", default=_default(OperatorConfig, "kernel"), choices=KERNELS
-    )
-    p.add_argument(
         "--partition-size", type=int, default=_default(OperatorConfig, "partition_size")
-    )
-    p.add_argument(
-        "--buffer-kb",
-        type=int,
-        default=_default(OperatorConfig, "buffer_bytes") // 1024,
     )
     p.add_argument("--output", "-o", default="operator.npz")
 
@@ -920,9 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--step", type=float, default=0.5, help="try-center: candidate spacing"
-    )
-    p.add_argument(
-        "--kernel", default=_default(OperatorConfig, "kernel"), choices=KERNELS
     )
     p.add_argument("--iterations", type=int, default=20)
     p.add_argument("--output", "-o", default="scenario.npz")
@@ -1129,10 +1115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backoff", type=float, default=retry.backoff_base,
                    metavar="SECONDS",
                    help="first-retry backoff (doubles per attempt)")
-    p.add_argument("--kernel", default=_default(ServiceConfig, "kernel"),
-                   choices=KERNELS,
-                   help="SpMV kernel for service operators (ell amortizes "
-                   "best across coalesced multi-RHS batches)")
     p.add_argument("--result-ttl", type=float,
                    default=_default(ServiceConfig, "result_ttl_s"), metavar="SECONDS",
                    help="evict a finished job's spool payload this long after "

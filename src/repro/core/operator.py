@@ -1,9 +1,11 @@
 """The memory-centric MemXCT operator.
 
 Bundles everything the paper's Section 3 builds during preprocessing:
-the memoized projection matrix in ordered coordinates and (optionally)
-the multi-stage buffered and ELL layouts of both directions.
-``forward``/``adjoint`` dispatch to the selected kernel.  The paper
+the memoized projection matrix in ordered coordinates and, when a
+caller hands them in, the multi-stage buffered or ELL layouts of both
+directions (the paper's Listing 3 and GPU kernels).  ``preprocess``
+and ``load_operator`` hand in none: a plan runs csr, or the orbit SpMM
+below.  ``forward``/``adjoint`` dispatch to the selected kernel.  The paper
 materializes ``A^T`` so that parallel backprojection is a pure gather,
 free of scatter races; on one core there is no race, so the csr
 adjoint is a serial CSC scatter over ``A``'s own arrays, and the scan
@@ -11,13 +13,11 @@ transpose is materialized only where work is partitioned by pixel
 rows (see :attr:`MemXCTOperator.transpose`).
 
 On a scan whose ray group has 8 slots (a half-turn parallel scan, even
-``M``) the plan of every kernel is an :class:`~repro.sparse.OrbitMatrix`:
-it holds only the traced rows ``Q``, and every kernel runs both
-directions as 8-column SpMMs over them — no layout is built there.
-``A`` itself (:attr:`MemXCTOperator.matrix`) is then a memo expanded
-from ``Q`` on first read, like the transpose.  (A format-v5 file of a
-buffered or ELL plan still holds its layout pair beside ``Q``, and its
-operator runs that pair.)
+``M``) the plan is an :class:`~repro.sparse.OrbitMatrix`: it holds only
+the traced rows ``Q``, and the operator runs both directions as
+8-column SpMMs over them; it takes no layout beside it.  ``A`` itself
+(:attr:`MemXCTOperator.matrix`) is then a memo expanded from ``Q`` on
+first read, like the transpose.
 
 Vectors handled by the operator live in *ordered* coordinates (tomogram
 curve order / sinogram curve order); the image-space helpers translate
@@ -72,18 +72,16 @@ class OperatorConfig:
     kernel:
         ``"csr"`` (default; Listing 2 on the ordered matrix),
         ``"buffered"`` (Listing 3) or ``"ell"`` (GPU-style
-        partition-padded layout).  Every kernel's plan is the ordered
-        ``A``, or on a scan with an 8-slot ray group its traced rows
-        ``Q``.  On such a scan every kernel runs the orbit SpMM over
-        ``Q``, so the plan is the only form built, persisted and
-        loaded.  The layout names choose how a plan of ``A`` runs:
-        ``csr`` runs both directions on it as it stands, the other two
-        build their layout pair from it and hold and persist it beside
-        the plan.  The kernel stays part of the plan key either way.
+        partition-padded layout).  It picks which pair of layouts
+        handed to the constructor runs; an operator handed none runs
+        csr (or the orbit SpMM on a plan of ``Q``) whatever it names.
+        ``preprocess`` and ``load_operator`` hand in none, so the
+        kernel changes neither the plan nor its cache key.
     partition_size:
         Rows per partition; the paper's tuned KNL value is 128.
     buffer_bytes:
-        Input-buffer capacity for the buffered kernel (<= 256 KB).
+        Input-buffer capacity a caller building a buffered layout
+        sizes it with (<= 256 KB); no plan reads it.
     workers:
         Parallel-execution spec: a count (``4``), a mode
         (``"thread"``/``"process"``/``"serial"``/``"auto"``) or
@@ -158,8 +156,9 @@ class MemXCTOperator:
     """Memoized forward/backprojection with ordered domains.
 
     Build via :func:`repro.core.preprocess.preprocess` rather than
-    directly — preprocessing performs (and times) the paper's four
-    steps in order.
+    directly — preprocessing performs (and times) the paper's steps in
+    order.  Buffered / ELL layouts run only when handed in here, and
+    only beside a plan of ``A``.
     """
 
     def __init__(
@@ -182,6 +181,11 @@ class MemXCTOperator:
         # layout whose expanded ``A`` is derived on first read.
         self.plan = matrix
         self._orbit = isinstance(matrix, OrbitMatrix)
+        if self._orbit and any(
+            layout is not None
+            for layout in (buffered_forward, buffered_adjoint, ell_forward, ell_adjoint)
+        ):
+            raise ValueError("an orbit plan runs the orbit SpMM: it takes no layouts")
         self._matrix = None if self._orbit else matrix
         # ``A^T`` as its own CSR matrix, derived on first use (a held
         # one may be handed in); close() drops it.
@@ -193,7 +197,7 @@ class MemXCTOperator:
         self.ell_adjoint = ell_adjoint
         # The one place the configured kernel picks its layouts: the
         # (forward, adjoint) pair every kernel call and the parallel
-        # engine run on.  A kernel whose layouts were not built runs
+        # engine run on.  A kernel whose layouts were not handed in runs
         # as csr, whose adjoint (``None`` here) is the transposed
         # product over the plan itself.
         forward, adjoint = {
@@ -204,9 +208,6 @@ class MemXCTOperator:
         if forward is None or adjoint is None:
             forward, adjoint = matrix, None
         self._layouts = {"forward": forward, "adjoint": adjoint}
-        # The orbit kernel runs only where the forward layout is the
-        # plan: a layout pair of an orbit plan runs as it would on ``A``.
-        self._orbit_kernel = isinstance(forward, OrbitMatrix)
         # buffer.stages is counted only when the staged kernel runs.
         self._staged = forward is buffered_forward
         # Row-subset operators (SGD minibatches) keyed by the row-set
@@ -244,7 +245,7 @@ class MemXCTOperator:
                 # the derived transpose's pixel rows — of ``Q`` on an
                 # orbit plan, whose gathers stay here.
                 forward, adjoint = self._layouts["forward"], self._layouts["adjoint"]
-                if self._orbit_kernel:
+                if self._orbit:
                     forward, adjoint = self.stored, scan_transpose(self.stored)
                 self._engine = ParallelSpmvEngine(
                     workers=workers,
@@ -363,7 +364,7 @@ class MemXCTOperator:
         if engine is None:
             layout = self._layouts[direction]
             return self.plan.spmv_transposed(v) if layout is None else layout.spmv(v)
-        if not self._orbit_kernel:
+        if not self._orbit:
             return engine.apply(direction, v)
         if direction == "forward":
             return self.plan.pick_rays(engine.apply(direction, self.plan.spread_pixels(v)), v)
@@ -502,8 +503,9 @@ class MemXCTOperator:
         The executed kernel is scipy's CSR loop over 4 B column indices
         on csr and buffered alike, so ``spmv.regular_bytes`` on a
         running buffered layout undercounts the executed index stream
-        by 2 B/nnz.  A buffered operator without its layouts (on an
-        8-slot scan) is charged the orbit kernel's 4 B.
+        by 2 B/nnz.  Only handed-in layouts are charged as layouts: an
+        operator from ``preprocess`` or ``load_operator`` is charged
+        the csr or orbit kernel's 4 B, whatever its config names.
 
         The orbit kernel streams ``Q`` once per call for all 8 slots, and
         its irregular gathers are the ``8 x pixels`` input spread and
@@ -513,14 +515,14 @@ class MemXCTOperator:
         # The orbit kernel streams ``Q``; every other kernel streams ``A``.
         stored = self.stored
         nnz, rows = (
-            (stored.nnz, stored.num_rows) if self._orbit_kernel else (self.nnz, self.num_rays)
+            (stored.nnz, stored.num_rows) if self._orbit else (self.nnz, self.num_rays)
         )
         per_index = 2 if self._staged else 4
         per_value = stored.val.dtype.itemsize
         per_vector = self.compute_dtype.itemsize
         regular_each = nnz * (per_value + per_index)
         irregular = (self.num_pixels * per_vector, self.num_rays * per_vector)
-        if self._orbit_kernel:
+        if self._orbit:
             gathered = self.plan.slots * (self.num_pixels + rows)
             irregular = (gathered * per_vector,) * 2
         # The csr adjoint streams the stored matrix's own row offsets again.

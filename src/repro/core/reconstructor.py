@@ -173,8 +173,7 @@ def reconstruct(
         Domain ordering for both domains.
     config:
         The operator's configuration (``OperatorConfig()`` by default):
-        kernel, layout sizes, precision and worker spec all live
-        here.  Used only when preprocessing runs here.
+        partition size, precision and worker spec all live here.  Used only when preprocessing runs here.
     num_ranks:
         Simulated MPI ranks; > 1 reconstructs through the distributed
         ``A = R C A_p`` operator (numerically identical by design).

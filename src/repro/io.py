@@ -4,38 +4,32 @@ Preprocessing is the expensive step (paper Table 4/5); persisting its
 product lets a beamline workflow preprocess once per scan geometry and
 reconstruct thousands of slices across separate processes.
 
-Format **v6** stores every preprocessing product a kernel runs on in
-one ``.npz``: the geometry, both orderings, the ordered matrix, and the
-buffered / ELL kernel layouts — so a load skips every preprocessing
-stage, not just tracing.  ``A^T`` is not stored: the csr adjoint runs
-over the plan itself, and the operator derives the scan transpose on
-demand.  Every plan on a scan with an 8-slot ray group, whatever its
-kernel, stores only the traced rows ``Q`` under the matrix's names and
-no layout: every kernel runs the orbit SpMM over it.  The group's
-gather indices are derived from the geometry and the orderings at load
-(:class:`repro.sparse.OrbitMatrix`).  Only a plan of ``A`` carries a
-buffered or ELL layout pair.  Format v5 files (``Q`` plus the layouts
-of ``A`` for a buffered or ELL plan of such a scan), v4 files (``Q``
-for a csr plan of such a scan, ``A`` for every other plan), v3 files
-(the full ``A`` whatever the geometry), v2 files (which also held
-``A^T`` under ``t_`` members, checked and then ignored) and v1 files
-(matrix only; layouts rebuilt on load) are still readable, each as it
-was written, and run the layouts they hold.
+Format **v7** stores every preprocessing product in one ``.npz``: the
+geometry, both orderings, the traced matrix, its partition size and
+its dtype — so a load skips every preprocessing stage, not just
+tracing.  The traced matrix is ``A``, or on a scan with an 8-slot ray
+group only its traced rows ``Q`` under the same names; which one is
+decided by the geometry alone (:func:`repro.sparse.orbit_group`), and
+the group's gather indices are derived from the geometry and the
+orderings at load (:class:`repro.sparse.OrbitMatrix`).  ``A^T`` is not
+stored: the csr adjoint runs over the plan itself, and the operator
+derives the scan transpose on demand.  No kernel layout is stored
+either.  Only v7 loads: an older file raises
+:class:`OperatorFormatError`, and ``preprocess`` rebuilds it.
 
 Writes are crash-safe: the archive is written to a temporary file in
 the destination directory, fsynced, and atomically renamed into place,
 so a crashed or killed writer can never leave a half-written operator
-under the final name.  Every v2+ file embeds a CRC-32 checksum over all
+under the final name.  Every file embeds a CRC-32 checksum over all
 payload arrays which is verified on load; a flipped bit surfaces as
 :class:`OperatorIntegrityError` instead of silently corrupt physics.
 
-A load opens and parses the file once.  An uncompressed v2+ file (what
+A load opens and parses the file once.  An uncompressed file (what
 the plan cache stores) is *mapped*, not copied: the operator's arrays
 are read-only views of one shared map of the file
 (:func:`repro.persist.read_npz`), and the checksum is computed over
 those pages before :func:`load_operator` returns — on every load.
-Compressed files, files written before members were aligned, and v1
-files load as private copies with identical contents.
+Compressed files load as private copies with identical contents.
 
 The member order of the archive is decided in this module alone.
 :func:`save_operator` writes a finished operator by copy;
@@ -66,16 +60,7 @@ from .persist import (
     read_npz,
     verify_checksum,
 )
-from .sparse import (
-    BufferedMatrix,
-    CSRMatrix,
-    ELLPartitioned,
-    OrbitMatrix,
-    build_buffered,
-    build_ell,
-    orbit_group,
-    scan_transpose,
-)
+from .sparse import CSRMatrix, OrbitMatrix, orbit_group
 
 __all__ = [
     "save_operator",
@@ -86,10 +71,7 @@ __all__ = [
     "OperatorIntegrityError",
 ]
 
-FORMAT_VERSION = 6
-
-#: Versions this loader understands.
-_READABLE_VERSIONS = (1, 2, 3, 4, 5, 6)
+FORMAT_VERSION = 7
 
 
 class OperatorFormatError(ValueError):
@@ -104,41 +86,15 @@ class OperatorIntegrityError(ValueError):
 # operator format, the plan cache, and solver checkpoints share one
 # hardened path.
 
-#: Archive-key prefix, layout class and direction (is it a layout of
-#: the transpose?) of each optional kernel layout, by operator
-#: attribute.  A layout's own keys (and how it is rebuilt from them)
-#: are its class's ``to_arrays``/``from_arrays``; the ordered matrix is
-#: stored the same way under "" (a v2 file's "t_" members held ``A^T``).
-_LAYOUTS = {
-    "buffered_forward": ("bf_", BufferedMatrix, False),
-    "buffered_adjoint": ("ba_", BufferedMatrix, True),
-    "ell_forward": ("ef_", ELLPartitioned, False),
-    "ell_adjoint": ("ea_", ELLPartitioned, True),
-}
-
-
 #: Geometry class by the archive's ``geometry_kind``.  Which keys a
 #: geometry writes and how it is rebuilt from them are the class's own
 #: ``archive_fields`` / ``from_archive``; an archive without the key is
-#: parallel-beam (the only kind there was when v2 was defined).
+#: parallel-beam.
 _GEOMETRIES = {
     "parallel": ParallelBeamGeometry,
     "fan": FanBeamGeometry,
     "cone": ConeBeamGeometry,
 }
-
-
-def _with_prefix(prefix: str, arrays: dict) -> dict:
-    return {prefix + name: array for name, array in arrays.items()}
-
-
-def _without_prefix(prefix: str, data: dict) -> dict:
-    """The entries of ``data`` under ``prefix``, keyed by bare name."""
-    return {
-        name[len(prefix):]: array
-        for name, array in data.items()
-        if name.startswith(prefix)
-    }
 
 
 # -- save -------------------------------------------------------------------
@@ -167,14 +123,11 @@ def _leading_members(
 
 
 def _trailing_members(operator: MemXCTOperator) -> dict:
-    """What follows the matrix: config, geometry's own keys, layouts."""
+    """What follows the matrix: the plan's config, the geometry's own keys."""
     common = ScanGeometry.archive_fields(operator.geometry)
-    payload: dict = {
-        "kernel": operator.config.kernel,
+    return {
         "partition_size": operator.config.partition_size,
-        "buffer_bytes": operator.config.buffer_bytes,
-        # Empty string encodes "no explicit dtype" (npz has no None);
-        # files written before the dtype path simply lack the key.
+        # Empty string encodes "no explicit dtype" (npz has no None).
         "dtype": operator.config.dtype or "",
         **{
             name: value
@@ -182,11 +135,6 @@ def _trailing_members(operator: MemXCTOperator) -> dict:
             if name not in common
         },
     }
-    for attr, (prefix, _, _) in _LAYOUTS.items():
-        layout = getattr(operator, attr)
-        if layout is not None:
-            payload.update(_with_prefix(prefix, layout.to_arrays()))
-    return payload
 
 
 def _stored_path(path: str | Path) -> Path:
@@ -304,7 +252,7 @@ def _ordering_from_arrays(name: str, rows: int, cols: int, perm: np.ndarray) -> 
     return DomainOrdering(str(name), rows, cols, perm.astype(np.int64), rank)
 
 
-def _operator_from_arrays(data: dict, version: int) -> MemXCTOperator:
+def _operator_from_arrays(data: dict) -> MemXCTOperator:
     kind = str(data["geometry_kind"][()]) if "geometry_kind" in data else "parallel"
     if kind not in _GEOMETRIES:
         raise OperatorFormatError(f"unsupported geometry kind {kind!r}")
@@ -315,48 +263,18 @@ def _operator_from_arrays(data: dict, version: int) -> MemXCTOperator:
     sino = _ordering_from_arrays(
         data["sino_name"][()], *geometry.sino_layout_shape, data["sino_perm"]
     )
-    saved_dtype = str(data["dtype"][()]) if "dtype" in data else ""
     # evolve, not the constructor: an archive's precision is the one it
     # was saved with, whatever REPRO_DTYPE says in this process.
-    config = OperatorConfig(
-        kernel=str(data["kernel"][()]),
-        partition_size=int(data["partition_size"]),
-        buffer_bytes=int(data["buffer_bytes"]),
-    ).evolve(dtype=saved_dtype or None)
-    psize = config.partition_size
-    # Every v5+ plan of an orbit group is ``Q``, a v4 one only on csr;
-    # earlier versions hold ``A``.
-    stores_q = version >= 5 or (version == 4 and config.kernel == "csr")
-    group = orbit_group(geometry) if stores_q else None
+    config = OperatorConfig(partition_size=int(data["partition_size"])).evolve(
+        dtype=str(data["dtype"][()]) or None
+    )
+    group = orbit_group(geometry)
     rows = geometry.num_rays if group is None else len(group.stored_rays())
-    matrix = CSRMatrix.from_arrays(data, rows, geometry.grid.num_pixels, psize)
+    matrix = CSRMatrix.from_arrays(
+        data, rows, geometry.grid.num_pixels, config.partition_size
+    )
     if group is not None:
         matrix = OrbitMatrix.from_group(matrix, group, tomo.rank, sino.perm)
-
-    layouts = dict.fromkeys(_LAYOUTS)
-    if version >= 2:
-        # A v2 file's "t_" members passed the checksum and stay unread.
-        for attr, (prefix, layout_class, transposed) in _LAYOUTS.items():
-            arrays = _without_prefix(prefix, data)
-            if arrays:
-                num_rows, num_cols = matrix.shape[::-1] if transposed else matrix.shape
-                layouts[attr] = layout_class.from_arrays(
-                    arrays, num_rows, num_cols, psize
-                )
-    elif config.kernel != "csr":
-        # v1 stored the matrix only: rebuild the kernel's layouts.
-        transpose = scan_transpose(matrix)
-        if config.kernel == "buffered":
-            layouts["buffered_forward"] = build_buffered(
-                matrix, psize, config.buffer_bytes
-            )
-            layouts["buffered_adjoint"] = build_buffered(
-                transpose, psize, config.buffer_bytes
-            )
-        elif config.kernel == "ell":
-            layouts["ell_forward"] = build_ell(matrix, psize)
-            layouts["ell_adjoint"] = build_ell(transpose, psize)
-
     return MemXCTOperator(
         geometry=geometry,
         tomo_ordering=tomo,
@@ -364,23 +282,19 @@ def _operator_from_arrays(data: dict, version: int) -> MemXCTOperator:
         matrix=matrix,
         transpose=None,
         config=config,
-        **layouts,
     )
 
 
 def load_operator(path: str | Path) -> MemXCTOperator:
-    """Load an operator saved by :func:`save_operator`.
-
-    v2+ files restore the kernel layouts directly (no preprocessing
-    stage re-runs); v1 files rebuild them deterministically from the
-    stored matrix.
+    """Load an operator saved by :func:`save_operator`; no preprocessing
+    stage re-runs.
 
     Raises
     ------
     FileNotFoundError
         ``path`` does not exist.
     OperatorFormatError
-        The file has an unsupported format version.
+        The file is not format v7 (re-run ``preprocess`` to rebuild it).
     OperatorIntegrityError
         The file is not a readable operator archive (corrupt,
         truncated, wrong file type) or fails its embedded checksum.
@@ -389,18 +303,15 @@ def load_operator(path: str | Path) -> MemXCTOperator:
     try:
         # One parse: the version is read from the same arrays the
         # operator is built from.  An unknown version is a format error
-        # whatever its checksum says, and v1 files carry no checksum
-        # (``read_npz`` hands out views only of archives that do).
+        # whatever its checksum says.
         data = read_npz(path, mapped=True)
         version = int(data["format_version"])
-        if version not in _READABLE_VERSIONS:
+        if version != FORMAT_VERSION:
             raise OperatorFormatError(
-                f"unsupported operator file version {version} "
-                f"(expected one of {_READABLE_VERSIONS})"
+                f"{path} is operator format version {version}; only version "
+                f"{FORMAT_VERSION} loads (re-run preprocess to rebuild it)"
             )
-        if version >= 2:
-            data = verify_checksum(data, path)
-        return _operator_from_arrays(data, version)
+        return _operator_from_arrays(verify_checksum(data, path))
     except (FileNotFoundError, OperatorFormatError, OperatorIntegrityError):
         raise
     except Exception as exc:

@@ -4,7 +4,7 @@ The instrumentation substrate behind every performance claim the
 reproduction makes.  Three pieces:
 
 * **Spans** (:class:`span` / :func:`traced`) — named, timed, nested
-  regions.  The four preprocessing stages, every SpMV kernel call, and
+  regions.  The three preprocessing stages, every SpMV kernel call, and
   every solver iteration are spans.
 * **Counters** (:func:`add_count` + canonical names in
   :mod:`repro.obs.counters`) — typed accumulators for the paper's key

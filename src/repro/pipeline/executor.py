@@ -289,7 +289,7 @@ def reconstruct_stack(
         Operator reuse and construction knobs, as in
         :func:`repro.core.reconstruct`: a passed ``operator`` is adopted
         as is, otherwise :func:`repro.core.preprocess` builds one from
-        ``config`` (kernel, layout sizes, precision, worker spec);
+        ``config`` (partition size, precision, worker spec);
         ``cache`` enables the on-disk plan cache so warm runs skip
         preprocessing entirely.  A worker spec parallelizes each
         multi-RHS SpMV across partition ranges (the volume is

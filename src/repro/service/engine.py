@@ -298,9 +298,6 @@ class ServiceConfig:
     ))
     cache: object = "auto"
     ordering: str = "pseudo-hilbert"
-    # Part of every plan key.  A scan with an 8-slot ray group runs the
-    # orbit SpMM whatever it names; elsewhere it picks the layout.
-    kernel: str = "buffered"
     faults: ServiceFaultConfig | None = None
     #: Evict a terminal job's spool payload this many seconds after it
     #: turns terminal (None = keep forever).  ``result`` then answers
@@ -311,8 +308,6 @@ class ServiceConfig:
     spool_cap_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        # Fail a bad kernel name at config time, not at first dispatch.
-        OperatorConfig(kernel=self.kernel)
         if self.queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
         if self.max_batch < 1:
@@ -828,8 +823,7 @@ class ReconService:
             geometry = ParallelBeamGeometry(spec.num_angles, spec.num_channels)
             op, _report = preprocess(
                 geometry,
-                config=OperatorConfig(kernel=self.config.kernel,
-                                      dtype=spec.dtype),
+                config=OperatorConfig(dtype=spec.dtype),
                 ordering=self.config.ordering,
                 cache=PlanCache.resolve(self.config.cache),
             )

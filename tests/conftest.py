@@ -9,11 +9,46 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import OperatorConfig, preprocess
+from repro.core import MemXCTOperator, OperatorConfig, preprocess
 from repro.geometry import ParallelBeamGeometry
 from repro.ordering import make_ordering
-from repro.sparse import CSRMatrix
+from repro.sparse import CSRMatrix, build_buffered, build_ell
 from repro.trace import build_projection_matrix
+
+
+def with_layouts(operator, kernel: str | None = None):
+    """``operator`` with the paper layout pair of ``kernel`` handed in.
+
+    No plan holds a layout, so a test of the buffered or ELL kernel
+    builds its pair here, from ``operator.matrix`` / ``operator.transpose``
+    and the config's sizes, as ``bench/kernels.py`` does (an orbit
+    plan's pair is built over its expanded ``A``).  ``kernel`` defaults
+    to the operator's own; a csr operator comes back as it is.
+    """
+    config = operator.config.evolve(kernel=kernel or operator.config.kernel)
+    if config.kernel == "csr":
+        return operator
+    matrix, transpose = operator.matrix, operator.transpose
+    size = config.partition_size
+    if config.kernel == "buffered":
+        layouts = {
+            "buffered_forward": build_buffered(matrix, size, config.buffer_bytes),
+            "buffered_adjoint": build_buffered(transpose, size, config.buffer_bytes),
+        }
+    else:
+        layouts = {
+            "ell_forward": build_ell(matrix, size),
+            "ell_adjoint": build_ell(transpose, size),
+        }
+    return MemXCTOperator(
+        operator.geometry,
+        operator.tomo_ordering,
+        operator.sino_ordering,
+        matrix,
+        transpose,
+        config,
+        **layouts,
+    )
 
 
 @pytest.fixture(autouse=True)

@@ -46,16 +46,11 @@ class TestFingerprint:
             plan_fingerprint(small_geometry, ordering="row-major"),
             plan_fingerprint(small_geometry, min_tiles=4),
             plan_fingerprint(small_geometry, tile_size=8),
-            plan_fingerprint(small_geometry, config=OperatorConfig(kernel="buffered")),
-            plan_fingerprint(small_geometry, config=OperatorConfig(kernel="ell")),
             plan_fingerprint(
                 small_geometry,
                 config=OperatorConfig(partition_size=64),
             ),
-            plan_fingerprint(
-                small_geometry,
-                config=OperatorConfig(buffer_bytes=16384),
-            ),
+            plan_fingerprint(small_geometry, config=OperatorConfig(dtype="float64")),
         ]
         assert base not in variants
         assert len(set(variants)) == len(variants)
@@ -66,29 +61,17 @@ class TestFingerprint:
             small_geometry, config=OperatorConfig(kernel="csr")
         )
 
-    def test_named_kernels_keep_their_keys(self, monkeypatch):
-        """A config that names its kernel hashes one key per kernel: the
-        default moved from buffered to csr, no key did.  The values were
-        restated since: when a half-turn parallel scan began
-        tracing each view orbit once (its plan values may differ from a
-        direct trace in the last bits, so its geometry document gained
-        ``view_symmetry``), and when the archive dropped ``A^T`` and its
-        format version, which every key hashes, became 3, and when a
-        csr plan of a half-turn scan with even ``M`` came to store only
-        its traced rows ``Q`` and the format version became 4, and when
-        every plan of such a scan came to store ``Q`` and it became 5,
-        and when such a plan stopped carrying any kernel's layouts and
-        it became 6 (64x48 parallel beam)."""
+    def test_every_kernel_and_buffer_size_is_one_pinned_key(self, monkeypatch):
+        """No plan holds a layout, so neither the kernel nor the buffer
+        size is a key input: every config differing only in them hashes
+        one key, pinned (format v7, 64x48 parallel beam)."""
         monkeypatch.delenv("REPRO_DTYPE", raising=False)
         geometry = ParallelBeamGeometry(64, 48)
         assert {
-            kernel: plan_fingerprint(geometry, OperatorConfig(kernel=kernel))
-            for kernel in ("csr", "buffered", "ell")
-        } == {
-            "csr": "0819633a4ace8bba2b158fb0ea2f8ed11a8ab47f00ca34cd790200e2aa758766",
-            "buffered": "c6da40f6a6d688539dcf69636965d49191dc95c54a9509cdaba85fa520136148",
-            "ell": "6cf43c0055be757f18929082df9468f2be9e23dfab7762b5fcf53188914f0901",
-        }
+            plan_fingerprint(geometry, OperatorConfig(kernel=kernel, buffer_bytes=size))
+            for kernel in KERNELS
+            for size in (1024, 32 * 1024, 256 * 1024)
+        } == {"50fcc99638bac72e083dc168fb43617f54183f5419fa753a8fddff2e4c98352f"}
 
     def test_float_inputs_hashed_exactly(self, small_geometry):
         """One-ulp geometry changes must map to a different plan."""
@@ -208,8 +191,8 @@ class TestMappedEntries:
 
     @pytest.mark.parametrize("angles", [35, 36])
     def test_loads_share_an_entry_s_pages_and_entries_do_not(self, cache, angles):
-        """A buffered plan without an 8-slot group (35 views) maps its
-        layouts with the plan; one of an 8-slot scan (36) is ``Q`` alone."""
+        """The plan is all an entry maps: ``A`` without an 8-slot group
+        (35 views), ``Q`` on an 8-slot scan (36), whatever the kernel."""
         operator, _ = preprocess(
             ParallelBeamGeometry(angles, 24),
             config=OperatorConfig(kernel="buffered", partition_size=32, buffer_bytes=4096),
@@ -218,12 +201,11 @@ class TestMappedEntries:
         cache.store("b" * 64, operator)
         first, second, other = (cache.load(k * 64) for k in "aab")
         assert len(persist._LIVE_MAPS) == 2
-        held = [(first.stored.val, second.stored.val, other.stored.val)]
-        if angles % 2:
-            held.append((first.buffered_adjoint.ind, second.buffered_adjoint.ind,
-                         other.buffered_adjoint.ind))
-        else:
-            assert first.buffered_adjoint is None and first._orbit_kernel
+        assert first.buffered_adjoint is None and first._orbit == (angles % 2 == 0)
+        held = [
+            (first.stored.val, second.stored.val, other.stored.val),
+            (first.stored.ind, second.stored.ind, other.stored.ind),
+        ]
         for mine, same, others in held:
             assert not mine.flags.writeable and mine.flags.aligned
             assert np.shares_memory(mine, same)
@@ -315,7 +297,6 @@ class TestPreprocessIntegration:
             "preprocess.ordering",
             "preprocess.tracing",
             "preprocess.transpose",
-            "preprocess.partitioning",
         ):
             assert cap.find_spans(stage) == [], stage
 
@@ -326,8 +307,9 @@ class TestPreprocessIntegration:
 
     @pytest.mark.parametrize("angles", [35, 36])
     def test_distinct_configs_do_not_collide(self, tmp_path, angles, rng):
-        """The kernel stays in the key on an 8-slot scan (36 views),
-        where the ELL plan holds no layouts, as it does without one."""
+        """A config that changes the plan (its partition size) is another
+        key; one that only names another kernel is the same entry, on a
+        plan of ``A`` (35 views) or of ``Q`` (36)."""
         geometry = ParallelBeamGeometry(angles, 24)
         cachedir = tmp_path / "plans"
         csr = OperatorConfig(kernel="csr")
@@ -336,9 +318,11 @@ class TestPreprocessIntegration:
         op, report = preprocess(geometry, config=ell, cache=cachedir)
         assert report.cache_hit is False  # different plan, different key
         assert op.config.kernel == "ell"
-        op2, report2 = preprocess(geometry, config=ell, cache=cachedir)
-        assert report2.cache_hit is True
-        assert (op2.ell_forward is not None) == bool(angles % 2)
+        buffered = ell.evolve(kernel="buffered")
+        op2, report2 = preprocess(geometry, config=buffered, cache=cachedir)
+        assert report2.cache_hit is True and report2.cache_key == report.cache_key
+        assert op2.config == buffered and op2.buffered_forward is None
+        assert len(PlanCache(cachedir).entries()) == 2
 
     def test_a_leftover_tuning_directory_is_inert(self, tmp_path, small_geometry, capsys):
         """Older versions kept ``<cache>/tuning/<key>.json`` records

@@ -19,7 +19,19 @@ class TestParser:
         p = build_parser()
         assert p.parse_args(["info"]).command == "info"
         args = p.parse_args(["preprocess", "--angles", "10", "--channels", "8"])
-        assert args.angles == 10 and args.kernel == OperatorConfig().kernel
+        assert args.angles == 10
+        assert args.partition_size == OperatorConfig().partition_size
+
+    @pytest.mark.parametrize("argv", [
+        ["preprocess", "--angles", "8", "--channels", "8", "--kernel", "ell"],
+        ["preprocess", "--angles", "8", "--channels", "8", "--buffer-kb", "8"],
+        ["scenario", "cone", "--kernel", "buffered"],
+        ["serve", "--spool", "s", "--kernel", "buffered"],
+    ])
+    def test_no_command_takes_a_kernel_or_buffer_size(self, argv, capsys):
+        """A plan is the same for every kernel, so no flag selects one."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_invalid_solver_rejected(self):
         with pytest.raises(SystemExit):
@@ -219,7 +231,7 @@ class TestPlanCacheCLI:
         assert main(self.ARGS + ["-o", str(tmp_path / "b.npz")]) == 0
         second = capsys.readouterr().out
         assert "plan cache hit" in second
-        assert "skipped ordering/tracing/transpose/partitioning" in second
+        assert "skipped ordering/tracing/transpose" in second
 
     def test_cli_then_api_is_one_request(self, tmp_path, capsys):
         """The flags' defaults are ``OperatorConfig``'s: the API call
@@ -238,7 +250,7 @@ class TestPlanCacheCLI:
         args = build_parser().parse_args(["serve", "--spool", "s"])
         config = ServiceConfig(spool="s")
         for flag, field in [
-            ("kernel", "kernel"), ("queue_limit", "queue_limit"),
+            ("queue_limit", "queue_limit"),
             ("max_batch", "max_batch"), ("coalesce_window", "coalesce_window_s"),
             ("rate_limit", "rate_limit"), ("rate_burst", "rate_burst"),
             ("result_ttl", "result_ttl_s"), ("spool_cap", "spool_cap_bytes"),
@@ -284,13 +296,13 @@ class TestPlanCacheCLI:
         assert "is empty" in capsys.readouterr().out
 
         assert main(
-            self.ARGS + ["--kernel", "buffered", "-o", str(tmp_path / "a.npz")]
+            self.ARGS + ["--dtype", "float32", "-o", str(tmp_path / "a.npz")]
         ) == 0
         capsys.readouterr()
 
         assert main(["cache", "list"]) == 0
         out = capsys.readouterr().out
-        assert "24x16" in out and "buffered" in out
+        assert "24x16" in out and "float32" in out
         assert "1 entries" in out
 
         key = [

@@ -18,6 +18,8 @@ from repro.phantoms import ellipsoid_volume
 from repro.solvers import cgls
 from repro.trace import build_projection_matrix, trace_rays_3d
 
+from .conftest import with_layouts
+
 
 @pytest.fixture(scope="module")
 def cone_geometry() -> ConeBeamGeometry:
@@ -196,9 +198,10 @@ class TestKernelConsistency:
 
     @pytest.fixture(scope="class")
     def kernel_ops(self, cone_geometry):
+        """The buffered and ELL operators run their layout pairs, handed in."""
         ops = {}
         for kernel in ("csr", "buffered", "ell"):
-            ops[kernel], _ = preprocess(
+            ops[kernel] = with_layouts(preprocess(
                 cone_geometry,
                 config=OperatorConfig(
                     kernel=kernel,
@@ -207,7 +210,9 @@ class TestKernelConsistency:
                     dtype="float64",
                 ),
                 cache="off",
-            )
+            )[0])
+        assert ops["buffered"].buffered_forward is not None
+        assert ops["ell"].ell_forward is not None
         return ops
 
     def test_buffered_bitwise_equals_csr(self, kernel_ops, rng):

@@ -8,15 +8,18 @@ from repro.core import KERNELS, MemXCTOperator, OperatorConfig, preprocess, reco
 from repro.geometry import ParallelBeamGeometry
 from repro.sparse import scan_transpose
 
+from .conftest import with_layouts
+
 
 @pytest.fixture(scope="module")
 def operators():
-    """One operator per kernel on the same geometry."""
+    """One operator per kernel on the same geometry: the csr one runs
+    the orbit plan, the others their paper layouts of ``A``, handed in."""
     g = ParallelBeamGeometry(36, 24)
     ops = {}
     for kernel in KERNELS:
         cfg = OperatorConfig(kernel=kernel, partition_size=16, buffer_bytes=512)
-        ops[kernel], _ = preprocess(g, config=cfg)
+        ops[kernel] = with_layouts(preprocess(g, config=cfg)[0])
     return g, ops
 
 
@@ -236,18 +239,31 @@ class TestFootprints:
         assert op._matrix is None
         assert op.nnz == op.matrix.nnz
 
-    def test_buffered_uses_16bit_indices(self, operators):
-        """Only a running buffered layout is charged 2 B per index: on
-        23x32 (no 8-slot group) it runs; on 36x24 the buffered operator
-        runs the orbit kernel over ``Q``'s 4 B indices, as csr does."""
+    @pytest.mark.parametrize("angles", [23, 24])
+    def test_buffered_uses_16bit_indices(self, angles):
+        """Only a handed-in buffered layout is charged 2 B per index.
+        ``preprocess`` hands in none, so its buffered operator is
+        charged as csr is: ``A``'s 4 B on 23x32, the orbit kernel's
+        over ``Q`` on 24x32."""
+        geometry = ParallelBeamGeometry(angles, 32)
         cfg = OperatorConfig(kernel="buffered", partition_size=16, buffer_bytes=512)
-        op, _ = preprocess(ParallelBeamGeometry(23, 32), config=cfg)
-        assert op.buffered_forward is not None
-        fp = op.memory_footprint()
-        assert fp["regular_forward"] == op.matrix.nnz * 6
+        op, _ = preprocess(geometry, config=cfg)
+        assert op.buffered_forward is None
+        csr, _ = preprocess(geometry, config=cfg.evolve(kernel="csr"))
+        assert op.memory_footprint() == csr.memory_footprint()
+        paper = with_layouts(op)
+        assert paper.memory_footprint()["regular_forward"] == op.matrix.nnz * 6
+
+    def test_an_orbit_plan_takes_no_layouts(self, operators):
         _, ops = operators
-        assert ops["buffered"].buffered_forward is None
-        assert ops["buffered"].memory_footprint() == ops["csr"].memory_footprint()
+        plan, paper = ops["csr"], ops["buffered"]
+        with pytest.raises(ValueError, match="no layouts"):
+            MemXCTOperator(
+                plan.geometry, plan.tomo_ordering, plan.sino_ordering,
+                plan.plan, None, paper.config,
+                buffered_forward=paper.buffered_forward,
+                buffered_adjoint=paper.buffered_adjoint,
+            )
 
 
 class TestConfig:

@@ -14,6 +14,8 @@ from repro.geometry import ParallelBeamGeometry
 from repro.io import save_operator
 from repro.sparse import CSRMatrix, build_ell
 
+from .conftest import with_layouts
+
 
 def _random_sparse(rows, cols, density, seed):
     rng = np.random.default_rng(seed)
@@ -192,13 +194,12 @@ def test_sparsetools_entry_points():
 @pytest.fixture(scope="module")
 def stack_ell():
     """The ELL layout of the ``stack16`` benchmark scan's ``A`` (180x128,
-    float32).  That scan has an 8-slot ray group, so its ELL operator
-    runs the orbit kernel and builds no layout: this is the one its
-    plan ran before format v6, built from ``A`` directly."""
+    float32), handed in as a test of the paper's kernel builds it: that
+    scan's plan is ``Q`` alone and runs the orbit kernel."""
     config = OperatorConfig(kernel="ell", dtype="float32", workers="serial")
     op = preprocess(ParallelBeamGeometry(180, 128), config=config)[0]
-    assert op.ell_forward is None and op._orbit_kernel
-    return build_ell(op.matrix, config.partition_size)
+    assert op.ell_forward is None and op._orbit
+    return with_layouts(op).ell_forward
 
 
 class TestNothingDerived:
@@ -226,8 +227,9 @@ class TestNothingDerived:
     @pytest.mark.parametrize("angles", [35, 36])
     @pytest.mark.parametrize("dtype", [None, "float32", "float64"])
     def test_pickle_and_archive_are_blind_to_kernel_calls(self, tmp_path, dtype, angles):
-        """35 views have no 8-slot group, so the ELL layouts are built;
-        an ELL plan of 36 views is ``Q`` alone."""
+        """35 views have no 8-slot group, so the plan is ``A``; 36
+        views' plan is ``Q``.  Either way the ELL pair is handed in,
+        built from ``A``, and the archive holds the plan alone."""
         def members(path):
             with zipfile.ZipFile(path) as archive:
                 return [(i.filename, i.file_size, i.CRC) for i in archive.infolist()]
@@ -236,14 +238,16 @@ class TestNothingDerived:
             kernel="ell", dtype=dtype, partition_size=32, workers="serial"
         )
         op = preprocess(ParallelBeamGeometry(angles, 24), config=config)[0]
-        layouts = [e for e in (op.ell_forward, op.ell_adjoint) if e is not None]
-        assert len(layouts) == (2 if angles % 2 else 0)
+        assert op.ell_forward is None and op._orbit == (angles % 2 == 0)
+        paper = with_layouts(op)
+        layouts = [paper.ell_forward, paper.ell_adjoint]
         fields = [set(vars(e)) for e in layouts]
         pickled = [pickle.dumps(e) for e in layouts]
         save_operator(tmp_path / "before.npz", op, compress=False)
         x = np.ones((op.num_pixels, 3), dtype=op.compute_dtype)
-        op.adjoint(op.forward(x))
-        op.adjoint(op.forward(x[:, 0]))
+        for kernel in (op, paper):
+            kernel.adjoint(kernel.forward(x))
+            kernel.adjoint(kernel.forward(x[:, 0]))
         assert [set(vars(e)) for e in layouts] == fields
         assert [pickle.dumps(e) for e in layouts] == pickled
         save_operator(tmp_path / "after.npz", op, compress=False)

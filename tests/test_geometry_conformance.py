@@ -43,7 +43,7 @@ def _trace(geometry, spec):
 def _assert_same_operator(a, b):
     assert type(a.geometry) is type(b.geometry)
     assert a.geometry == b.geometry
-    assert a.config.kernel == b.config.kernel
+    assert a.config.partition_size == b.config.partition_size
     assert a.config.dtype == b.config.dtype
     for mine, theirs in ((a.matrix, b.matrix), (a.transpose, b.transpose)):
         assert mine.shape == theirs.shape
@@ -179,9 +179,10 @@ class TestGeometryConformance:
         assert not cold_report.cache_hit and warm_report.cache_hit
         assert cold_report.cache_key == warm_report.cache_key
         _assert_same_operator(warm, cold)
-        # Only a plan of ``A`` holds layouts: an 8-slot scan's is ``Q`` alone.
-        of_q = orbit_group(geometry) is not None
-        assert (warm.buffered_forward is None) == of_q == warm._orbit_kernel
+        assert warm.config == cold.config == SMALL
+        # No plan holds a layout; an 8-slot scan's is ``Q``.
+        assert warm.buffered_forward is None
+        assert warm._orbit == (orbit_group(geometry) is not None)
 
     def test_archive_round_trips_to_an_equal_geometry_of_the_same_class(
         self, geometry, tmp_path
@@ -285,9 +286,8 @@ class TestOneSeam:
         }
 
     def test_parallel_archive_carries_no_kind_and_fan_only_adds_keys(self, tmp_path):
-        """Both scans without an 8-slot group (15 parallel views, the
-        fan) archive their buffered layouts; the 16-view parallel plan
-        is ``Q`` alone, with the same keys less the layouts'."""
+        """No plan archives a layout, so a parallel plan of ``A`` (15
+        views) and one of ``Q`` (16 views) have the same keys."""
         keys = {}
         for name, geometry in (
             ("parallel", ParallelBeamGeometry(15, 12)),
@@ -303,9 +303,7 @@ class TestOneSeam:
             "geometry_kind", "source_distance", "fan_angle"
         }
         assert keys["parallel"] <= keys["fan"]
-        assert keys["orbit"] == {
-            key for key in keys["parallel"] if not key.startswith(("bf_", "ba_"))
-        }
+        assert keys["orbit"] == keys["parallel"]
 
     def test_fan_matrix_matches_the_dedicated_builder_it_replaced(self):
         # shape / nnz / CRC recorded from the parent commit's

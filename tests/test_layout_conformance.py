@@ -31,6 +31,8 @@ from repro.io import load_operator, save_operator
 from repro.parallel import partition_ranges
 from repro.sparse import build_buffered
 
+from .conftest import with_layouts
+
 PARTITION_SIZE = 32
 DTYPES = {"mixed": None, "float32": "float32", "float64": "float64"}
 SHAPES = {"vector": (), "slab1": (1,), "slab4": (4,)}
@@ -47,19 +49,22 @@ SPMV_COUNTERS = (
 
 @pytest.fixture(scope="module")
 def operators():
-    # Odd M: every kernel's plan holds A itself (TestOrbitLayout below
-    # states the contract for the csr plan of an even-M half turn).
+    # Odd M: the plan holds A itself (TestOrbitLayout below states the
+    # contract for the plan of an even-M half turn).  The buffered and
+    # ELL pairs are handed in, built from it.
     geometry = ParallelBeamGeometry(35, 24)
     return {
-        (kernel, dtype): preprocess(
-            geometry,
-            config=OperatorConfig(
-                kernel=kernel,
-                partition_size=PARTITION_SIZE,
-                buffer_bytes=1024,  # several stages per partition
-                dtype=DTYPES[dtype],
-            ),
-        )[0]
+        (kernel, dtype): with_layouts(
+            preprocess(
+                geometry,
+                config=OperatorConfig(
+                    kernel=kernel,
+                    partition_size=PARTITION_SIZE,
+                    buffer_bytes=1024,  # several stages per partition
+                    dtype=DTYPES[dtype],
+                ),
+            )[0]
+        )
         for kernel in KERNELS
         for dtype in DTYPES
     }

@@ -40,6 +40,8 @@ from repro.resilience import FaultConfig
 from repro.sparse import CSRMatrix, build_buffered, build_ell, validate_buffer_bytes
 from repro.trace import build_projection_matrix
 
+from .conftest import with_layouts
+
 KERNELS = ("csr", "buffered", "ell")
 WORKER_SPECS = (2, 4, "process:2")
 
@@ -73,6 +75,13 @@ def operators(geometry) -> dict[str, MemXCTOperator]:
         )[0]
         for kernel in KERNELS
     }
+
+
+@pytest.fixture(scope="module")
+def paper_operators(operators) -> dict[str, MemXCTOperator]:
+    """The same operators with their buffered / ELL pairs handed in
+    (the csr one runs the orbit plan as it is)."""
+    return {kernel: with_layouts(op) for kernel, op in operators.items()}
 
 
 @pytest.fixture(scope="module")
@@ -192,8 +201,8 @@ class TestSharedMemory:
 class TestEngineBitIdentity:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("spec", WORKER_SPECS)
-    def test_forward_adjoint_batch(self, operators, kernel, spec):
-        serial = operators[kernel]
+    def test_forward_adjoint_batch(self, paper_operators, kernel, spec):
+        serial = paper_operators[kernel]
         rng = np.random.default_rng(7)
         x = rng.random(serial.num_pixels).astype(np.float32)
         y = rng.random(serial.num_rays).astype(np.float32)
@@ -230,16 +239,10 @@ class TestEngineBitIdentity:
         with pytest.raises(RuntimeError):
             engine.apply("forward", x)
 
-    def test_each_range_is_pinned_to_one_worker(self, operators):
+    def test_each_range_is_pinned_to_one_worker(self, paper_operators):
         """A partition range runs on the same process every call, and a
-        worker derives and holds its own range's slice and no other.
-        The buffered layouts are those of a 39-view scan: the 40-view
-        buffered operator runs the orbit kernel and holds none."""
-        assert operators["buffered"].buffered_forward is None
-        op, _ = preprocess(
-            ParallelBeamGeometry(39, 32),
-            config=OperatorConfig(kernel="buffered", partition_size=16, buffer_bytes=2048),
-        )
+        worker derives and holds its own range's slice and no other."""
+        op = paper_operators["buffered"]
         fwd, adj = op.buffered_forward, op.buffered_adjoint
         rng = np.random.default_rng(3)
         x = rng.random(fwd.num_cols).astype(np.float32)
@@ -516,9 +519,9 @@ class TestBufferedPlanPersistence:
     @pytest.mark.parametrize("angles", [23, 24])
     def test_warm_operator_cache_roundtrip(self, tmp_path, angles):
         """Regression: a warmed operator persists and reloads cleanly,
-        and the loaded copy rebuilds its view lazily.  The view is the
-        buffered layout's on 23 views; on 24 (an 8-slot scan) the
-        buffered operator runs the orbit kernel over ``Q``'s own view."""
+        and the loaded copy rebuilds its view lazily.  The buffered
+        config builds no layout, so the view is the plan's own: ``A``'s
+        on 23 views, ``Q``'s on 24 (an 8-slot scan)."""
         geometry = ParallelBeamGeometry(angles, 24)
         cache = PlanCache(tmp_path / "plans")
         op, _ = preprocess(
@@ -532,12 +535,11 @@ class TestBufferedPlanPersistence:
         )
         x = np.ones(op.num_pixels, dtype=np.float32)
         warm_result = op.forward(x)  # derives the compiled view
-        running = "buffered_forward" if angles % 2 else "stored"
-        assert hasattr(getattr(op, running), "_view")
+        assert op.buffered_forward is None and hasattr(op.stored, "_view")
         path = tmp_path / "op.npz"
         save_operator(path, op)
         loaded = load_operator(path)
-        assert not hasattr(getattr(loaded, running), "_view")
+        assert not hasattr(loaded.stored, "_view")
         assert (loaded.forward(x) == warm_result).all()
 
 

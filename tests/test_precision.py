@@ -28,6 +28,8 @@ from repro.phantoms import shepp_logan
 from repro.precision import compute_dtype, parse_dtype, solver_dtype
 from repro.solvers import cgls, cgls_batch, mlem, mlem_batch, sirt, sirt_batch
 
+from .conftest import with_layouts
+
 N = 32
 KERNELS = ("csr", "buffered", "ell")
 
@@ -321,8 +323,9 @@ class TestPersistenceRoundTrip:
     @pytest.mark.parametrize("drop_a_view", [False, True])
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_fp64_operator_survives_save_load(self, tmp_path, geometry, kernel, drop_a_view):
-        """With a view dropped (odd ``M``, no 8-slot group) a buffered or
-        ELL plan holds fp64 layouts; without, it is ``Q`` alone."""
+        """The plan round-trips in fp64: ``A`` with a view dropped (odd
+        ``M``, no 8-slot group), ``Q`` without.  A buffered or ELL pair
+        built from the loaded plan is fp64 too."""
         from repro.io import load_operator, save_operator
 
         if drop_a_view:
@@ -334,13 +337,18 @@ class TestPersistenceRoundTrip:
         assert loaded.config.dtype == "float64"
         assert loaded.matrix.val.dtype == np.float64
         assert loaded.transpose.val.dtype == np.float64
-        assert loaded._orbit_kernel != drop_a_view
-        if kernel == "buffered" and drop_a_view:
-            assert loaded.buffered_forward.val.dtype == np.float64
-        if kernel == "ell" and drop_a_view:
-            assert loaded.ell_forward.val_slabs[0].dtype == np.float64
+        assert loaded._orbit != drop_a_view
+        paper = with_layouts(loaded, kernel)
+        if kernel == "buffered":
+            assert paper.buffered_forward.val.dtype == np.float64
+        if kernel == "ell":
+            assert paper.ell_forward.val_slabs[0].dtype == np.float64
         x = np.random.default_rng(0).random(op.num_pixels)
         assert np.array_equal(loaded.forward(x), op.forward(x))
+        if kernel != "csr":
+            y = paper.forward(x)
+            assert y.dtype == np.float64
+            np.testing.assert_allclose(y, loaded.forward(x), rtol=1e-10, atol=1e-12)
 
     def test_legacy_file_without_dtype_key_loads_as_default(
         self, tmp_path, geometry, monkeypatch

@@ -1,12 +1,19 @@
-"""Tests for the four-step preprocessing pipeline (paper Section 3.5)."""
+"""Tests for the three-step preprocessing pipeline (paper Section 3.5)."""
+
+import filecmp
+import itertools
+import zipfile
 
 import numpy as np
 import pytest
 
-from repro.core import OperatorConfig, preprocess
+from repro.cache import PlanCache
+from repro.core import KERNELS, OperatorConfig, preprocess
 from repro.geometry import ParallelBeamGeometry
-from repro.sparse import CSRMatrix
+from repro.sparse import CSRMatrix, OrbitMatrix
 from repro.trace import build_projection_matrix
+
+LAYOUTS = ("buffered_forward", "buffered_adjoint", "ell_forward", "ell_adjoint")
 
 
 class TestPreprocess:
@@ -15,12 +22,8 @@ class TestPreprocess:
         assert report.ordering_seconds >= 0
         assert report.tracing_seconds > 0
         assert report.transpose_seconds > 0
-        assert report.partitioning_seconds >= 0
         assert report.total_seconds == pytest.approx(
-            report.ordering_seconds
-            + report.tracing_seconds
-            + report.transpose_seconds
-            + report.partitioning_seconds
+            report.ordering_seconds + report.tracing_seconds + report.transpose_seconds
         )
 
     def test_matrix_is_permuted_raw_trace(self, small_geometry):
@@ -41,40 +44,57 @@ class TestPreprocess:
             atol=1e-7,
         )
 
-    def test_buffered_structures_built_only_for_buffered_kernel(self):
-        """On a scan without an 8-slot group (23x32, odd ``M``)."""
-        geometry = ParallelBeamGeometry(23, 32)
-        op_b, _ = preprocess(geometry, config=OperatorConfig(kernel="buffered"))
-        assert op_b.buffered_forward is not None
-        assert op_b.buffered_adjoint is not None
-        op_c, _ = preprocess(geometry, config=OperatorConfig(kernel="csr"))
-        assert op_c.buffered_forward is None
-        op_e, _ = preprocess(geometry, config=OperatorConfig(kernel="ell"))
-        assert op_e.ell_forward is not None and op_e.buffered_forward is None
-
-    def test_an_eight_slot_scan_builds_no_layout_for_any_kernel(self, small_geometry):
-        """Every kernel's plan is the one ``Q``, and every kernel gives
-        the csr kernel's results, vector and slab, bit for bit."""
-        from repro.sparse import OrbitMatrix
-
-        ops = [
-            preprocess(small_geometry, config=OperatorConfig(kernel=kernel))[0]
-            for kernel in ("csr", "buffered", "ell")
-        ]
+    @pytest.mark.parametrize("angles", [23, 24])
+    def test_every_kernel_is_one_plan(self, tmp_path, angles):
+        """No kernel builds a layout, on a plan of ``A`` (23 views, no
+        8-slot group) or of ``Q`` (24): the three kernels' cache entries
+        are one file, byte for byte, under one key and with no layout
+        member, and every kernel gives the csr kernel's results, vector
+        and slab, bit for bit."""
+        geometry = ParallelBeamGeometry(angles, 32)
+        ops, paths = [], []
+        for kernel in KERNELS:
+            cache = PlanCache(tmp_path / kernel)
+            op, report = preprocess(geometry, config=OperatorConfig(kernel=kernel), cache=cache)
+            ops.append(op)
+            paths.append(cache.plan_path(report.cache_key))
+        assert len({path.name for path in paths}) == 1
+        assert all(filecmp.cmp(paths[0], path, shallow=False) for path in paths[1:])
+        with zipfile.ZipFile(paths[0]) as archive:
+            names = {name.removesuffix(".npy") for name in archive.namelist()}
+        assert not {name for name in names if name[:3] in ("bf_", "ba_", "ef_", "ea_")}
+        assert not names & {"kernel", "buffer_bytes"}
+        assert isinstance(ops[0].plan, OrbitMatrix) == (angles % 2 == 0)
         rng = np.random.default_rng(5)
         x, xs = rng.random(ops[0].num_pixels), rng.random((ops[0].num_pixels, 3))
         y, ys = rng.random(ops[0].num_rays), rng.random((ops[0].num_rays, 3))
+        csr = ops[0]
         for op in ops:
-            assert isinstance(op.plan, OrbitMatrix) and op._orbit_kernel
-            for attr in ("buffered_forward", "buffered_adjoint", "ell_forward", "ell_adjoint"):
+            for attr in LAYOUTS:
                 assert getattr(op, attr) is None, attr
-            for name in ("displ", "ind", "val"):
-                assert np.array_equal(getattr(op.stored, name), getattr(ops[0].stored, name))
             for ours, theirs in zip(
                 (op.forward(x), op.adjoint(y), op.forward(xs), op.adjoint(ys)),
-                (ops[0].forward(x), ops[0].adjoint(y), ops[0].forward(xs), ops[0].adjoint(ys)),
+                (csr.forward(x), csr.adjoint(y), csr.forward(xs), csr.adjoint(ys)),
             ):
                 assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("first,then", itertools.product(KERNELS, KERNELS))
+    def test_every_path_returns_the_request_config(self, tmp_path, first, then):
+        """Cold uncached, cold cached and warm calls return operators
+        whose ``config`` is the request's, also where the warm hit is the
+        entry a call naming another kernel stored."""
+        geometry = ParallelBeamGeometry(23, 16)
+        request = OperatorConfig(
+            kernel=then, partition_size=32, buffer_bytes=4096, workers="serial"
+        )
+        uncached, _ = preprocess(geometry, config=request)
+        cold, cold_report = preprocess(geometry, config=request, cache=tmp_path / "a")
+        warm, warm_report = preprocess(geometry, config=request, cache=tmp_path / "a")
+        preprocess(geometry, config=request.evolve(kernel=first), cache=tmp_path / "b")
+        crossed, crossed_report = preprocess(geometry, config=request, cache=tmp_path / "b")
+        assert not cold_report.cache_hit
+        assert warm_report.cache_hit and crossed_report.cache_hit
+        assert uncached.config == cold.config == warm.config == crossed.config == request
 
     @pytest.mark.parametrize("ordering", ["row-major", "morton", "hilbert", "pseudo-hilbert"])
     def test_all_orderings_work(self, ordering):
@@ -111,8 +131,6 @@ def test_a_cold_eight_slot_build_never_expands_q(
 ):
     """A cold build of a half-turn scan, whatever its kernel, never
     expands ``Q`` to ``A``: no layout is built from it."""
-    from repro.sparse import OrbitMatrix
-
     calls = []
     expand = OrbitMatrix.expand
 

@@ -88,15 +88,10 @@ def make_engine(tmp_path, *, clock=None, monotonic=None, **cfg) -> ReconService:
     return ReconService(ServiceConfig(**cfg), **kwargs)
 
 
-SERVICE_KERNEL = ServiceConfig.__dataclass_fields__["kernel"].default
-
-
 def reference(sinogram, config=None, **kw) -> np.ndarray:
-    """``reconstruct``'s image on the service's kernel: a job's result
-    is it bit for bit.  (The default csr kernel on a half-turn scan runs
-    the orbit plan ``Q``, equal to it only to rounding.)"""
+    """``reconstruct``'s image on the service's operator (a default
+    config): a job's result is it bit for bit."""
     kw.setdefault("iterations", 6)
-    config = (config or OperatorConfig()).evolve(kernel=SERVICE_KERNEL)
     return reconstruct(sinogram, config=config, **kw).image
 
 
@@ -306,6 +301,24 @@ class TestEngineSolve:
                 svc.result(ack["job_id"]),
                 reference(sino(3), config=OperatorConfig(dtype="float32")),
             )
+
+    @pytest.mark.parametrize("angles", [ANGLES, ANGLES - 1])
+    @pytest.mark.parametrize("seeded_by", ["csr", "buffered", "ell"])
+    def test_the_engine_serves_the_entry_any_kernel_stored(self, tmp_path, seeded_by, angles):
+        """An engine at defaults finds the plan entry a config naming any
+        kernel stored: one entry after a job, on a plan of ``Q`` (36
+        views) or of ``A`` (35)."""
+        from repro.cache import PlanCache
+
+        cache = PlanCache(tmp_path / "plans")
+        geometry = ParallelBeamGeometry(angles, CHANNELS)
+        preprocess(geometry, config=OperatorConfig(kernel=seeded_by), cache=cache)
+        with make_engine(tmp_path, cache=str(cache.root)) as svc:
+            svc.start(recover=False)
+            ack = svc.submit(sino(0)[:angles], spec(num_angles=angles))
+            assert svc.wait([ack["job_id"]], timeout=60)
+            assert svc.status(ack["job_id"])["state"] == "done"
+        assert len(cache.entries()) == 1
 
     def test_unknown_and_not_ready(self, tmp_path):
         with make_engine(tmp_path) as svc:
@@ -615,7 +628,7 @@ class TestRecovery:
         # Simulate a previous run killed mid-solve: leave a real
         # iteration-3 checkpoint in the job's spool slot.
         geometry = ParallelBeamGeometry(ANGLES, CHANNELS)
-        op, _ = preprocess(geometry, config=OperatorConfig(kernel=SERVICE_KERNEL))
+        op, _ = preprocess(geometry, config=OperatorConfig())
         y = op.sinogram_to_ordered(sino(0))
         manager = CheckpointManager(
             svc.journal.checkpoint_path(ack["job_id"]), every=3

@@ -73,7 +73,7 @@ def _refused_before_preprocessing(call, match: str) -> None:
 
 def _service(tmp_path) -> ReconService:
     return ReconService(ServiceConfig(
-        spool=str(tmp_path / "spool"), kernel="csr", cache="off",
+        spool=str(tmp_path / "spool"), cache="off",
         coalesce_window_s=0.0,
     ))
 
