@@ -231,9 +231,10 @@ class MemXCTOperator:
     def _active_engine(self):
         """The parallel engine, or None for serial execution.
 
-        Only a ``process`` spec partitions SpMV: the compiled kernels
-        hold the GIL, so a thread spec runs them serially (it still
-        fans out tracing).
+        Only a ``process`` spec partitions SpMV; a thread spec runs the
+        kernels serially (it still fans out tracing).  scipy's loops hold
+        the GIL; the compiled row loops of :mod:`repro.sparse.native`
+        release it, but no thread dispatch partitions them yet.
         """
         if not self._engine_resolved:
             self._engine_resolved = True
@@ -500,12 +501,14 @@ class MemXCTOperator:
 
         These are the paper kernel's *modelled* streams — the buffered
         kernel of Listing 3 reads a 2 B buffer-local index per nonzero.
-        The executed kernel is scipy's CSR loop over 4 B column indices
-        on csr and buffered alike, so ``spmv.regular_bytes`` on a
-        running buffered layout undercounts the executed index stream
-        by 2 B/nnz.  Only handed-in layouts are charged as layouts: an
-        operator from ``preprocess`` or ``load_operator`` is charged
-        the csr or orbit kernel's 4 B, whatever its config names.
+        The executed kernel is a CSR loop over 4 B column indices on csr
+        and buffered alike (scipy's, or on an orbit plan's slabs the
+        compiled row loops of :mod:`repro.sparse.native`), so
+        ``spmv.regular_bytes`` on a running buffered layout undercounts
+        the executed index stream by 2 B/nnz.  Only handed-in layouts
+        are charged as layouts: an operator from ``preprocess`` or
+        ``load_operator`` is charged the csr or orbit kernel's 4 B,
+        whatever its config names.
 
         The orbit kernel streams ``Q`` once per call for all 8 slots, and
         its irregular gathers are the ``8 x pixels`` input spread and

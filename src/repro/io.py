@@ -137,6 +137,24 @@ def _trailing_members(operator: MemXCTOperator) -> dict:
     }
 
 
+def _plan_matrix(operator: MemXCTOperator) -> CSRMatrix:
+    """The matrix ``operator``'s archive stores, or ``ValueError``.
+
+    A load reads ``Q`` or ``A`` as the geometry's ray group decides
+    (:func:`repro.sparse.orbit_group`), so an operator holding the other
+    form (``A`` on an 8-slot scan, as a caller handing layouts in builds
+    it) would write a file no load accepts.
+    """
+    orbit = orbit_group(operator.geometry) is not None
+    if isinstance(operator.plan, OrbitMatrix) != orbit:
+        held, stored = ("A", "Q") if orbit else ("Q", "A")
+        raise ValueError(
+            f"the operator holds {held}, but a plan of this scan stores {stored}:"
+            " save the operator preprocess built"
+        )
+    return operator.stored
+
+
 def _stored_path(path: str | Path) -> Path:
     """``path`` with ``.npz`` appended when missing (``np.savez``'s rule)."""
     path = Path(path)
@@ -153,14 +171,17 @@ def save_operator(
     cache uses, since its entries exist purely to be loaded fast.
 
     Returns the path actually written (``.npz`` appended when missing,
-    matching ``np.savez`` conventions).
+    matching ``np.savez`` conventions).  An operator whose plan is not
+    the form its geometry's plans take (``Q`` on a scan with an 8-slot
+    ray group, ``A`` elsewhere) raises ``ValueError`` and writes nothing.
     """
+    matrix = _plan_matrix(operator)
     path = _stored_path(path)
     payload = {
         **_leading_members(
             operator.geometry, operator.tomo_ordering, operator.sino_ordering
         ),
-        **operator.stored.to_arrays(),
+        **matrix.to_arrays(),
         **_trailing_members(operator),
     }
     atomic_savez_checked(path, payload, compress)
@@ -226,7 +247,7 @@ class OperatorArchive:
         CRCs the seal takes of the reserved members, so each of their
         bytes is read once.
         """
-        matrix = operator.stored
+        matrix = _plan_matrix(operator)
         if not self._reserved or any(
             (ours.ctypes.data, ours.shape) != (theirs.ctypes.data, theirs.shape)
             for ours, theirs in zip(self._reserved[1:], (matrix.ind, matrix.val))

@@ -6,7 +6,8 @@ of three interchangeable backends:
 
 * ``serial`` — inline execution, the bit-identity reference;
 * ``thread`` — a shared thread pool; fans out tracing, not SpMV
-  (the compiled kernels hold the GIL);
+  (scipy's loops hold the GIL; the compiled row loops release it but
+  have no thread dispatch yet);
 * ``process`` — a fork-context process pool whose workers attach the
   operator's arrays from POSIX shared memory; partitions SpMV.
 

@@ -12,7 +12,9 @@ come from one of three interchangeable backends:
     A shared :class:`~concurrent.futures.ThreadPoolExecutor`.  It fans
     out work that releases the GIL or waits — per-angle tracing, the
     pipeline's per-slice solves — without pickling anything.  It does
-    not partition SpMV: the compiled CSR loops hold the GIL.
+    not partition SpMV: scipy's CSR loops hold the GIL, and the compiled
+    row loops of :mod:`repro.sparse.native`, which release it, have no
+    thread dispatch yet.
 ``process``
     A fork-context :class:`~concurrent.futures.ProcessPoolExecutor`
     whose workers attach the operator's arrays from POSIX shared

@@ -11,10 +11,11 @@ instruction stream, which makes parallel output **bit-identical** to
 serial output for every backend (the determinism contract the tests
 enforce).
 
-Only **process** mode partitions SpMV.  The kernels are scipy's
-compiled CSR loops, which hold the GIL, so threads cannot overlap them
-(two threads read 1.0x on the kernel and 0.5x through the dispatch);
-a thread spec still fans out tracing, and runs the serial kernel
+Only **process** mode partitions SpMV.  scipy's compiled CSR loops
+hold the GIL, so threads cannot overlap them (two threads read 1.0x on
+the kernel and 0.5x through the dispatch); the compiled row loops of
+:mod:`repro.sparse.native` release it, but have no thread dispatch yet.
+A thread spec still fans out tracing, and runs the serial kernel
 here.  Process mode exports each layout's arrays into POSIX shared
 memory once, at engine construction, and starts **one worker process
 per partition range**: a worker attaches the arrays, takes its own range's ``partition_slice`` of each layout

@@ -1,5 +1,6 @@
 """Sparse kernels: CSR/ELL storage, scan transposition, row partitions,
-and the multi-stage input-buffered SpMV (paper Sections 3.1, 3.3, 3.5.1)."""
+and the multi-stage input-buffered SpMV (paper Sections 3.1, 3.3, 3.5.1).
+CSR slabs run the compiled row loops of :mod:`repro.sparse.native`."""
 
 from .buffering import (
     BYTES_PER_INPUT_ELEMENT,

@@ -5,12 +5,17 @@ This mirrors the paper's Listing 2: a gather-only row-parallel SpMV
     for i in rows: y[i] = sum_j val[j] * x[ind[j]]
 
 with the regular streams ``ind``/``val`` and the irregular gather
-``x[ind[j]]``.  The kernel is that loop, compiled: scipy's
-``csr_matvec`` (``csr_matvecs`` for a slab) run over the matrix's own
-``(val, ind, displ)`` through a zero-copy ``scipy.sparse.csr_matrix``
-view.  The view is *derived* state: built at the first kernel call,
-cached on the instance, and never built at set-up, persisted, pickled
-or shipped — the array form below is all that ever leaves an object.
+``x[ind[j]]``.  The kernel is that loop, compiled, in one of two
+builds with the same bits.  A slab of 8 or more columns (every orbit
+SpMM) runs the row gather of :mod:`repro.sparse.native`, and an
+8-column transposed product its row scatter: C loops over the matrix's
+own arrays, built on first use.  Every other call, and every call on a
+host without a C compiler, runs scipy's ``csr_matvec`` (``csr_matvecs``
+for a slab) over ``(val, ind, displ)`` through a zero-copy
+``scipy.sparse.csr_matrix`` view.  The view is *derived* state: built
+at the first call that needs it, cached on the instance, and never built
+at set-up, persisted, pickled or shipped — the array form below is all
+that ever leaves an object.
 
 Every layout class of :mod:`repro.sparse` (this one,
 :class:`~repro.sparse.BufferedMatrix`,
@@ -36,9 +41,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import native
 from .partition import RowPartitions
 
 __all__ = ["CSRMatrix", "checked_rank", "csr_row_sums", "spmv_input"]
+
+#: Fewest slab columns the compiled row gather runs on.  Against scipy's
+#: loop (fp32, one core) it loses on one column (35 vs 10 ms on the
+#: 192x192 ``A``), wins on 8 (6.0 vs 12.8 ms on the 256x256 ``Q``: every
+#: orbit vector call) and is level from 64.
+GATHER_MIN_COLUMNS = 8
+#: The one slab width the compiled row scatter runs on, an orbit vector
+#: adjoint: 7.3 vs 13.9 ms on the 256x256 ``Q``.  A scatter of any width
+#: lost on one column (28 vs 12 ms on the 192x192 ``A``) and was level at
+#: 64 (80 vs 79 ms).
+SCATTER_COLUMNS = 8
 
 
 def spmv_input(x, num_cols: int) -> np.ndarray:
@@ -210,9 +227,16 @@ class CSRMatrix:
 
         Each row is summed sequentially in stored order.  For a slab,
         each irregular gather ``x[ind[j], :]`` pulls ``S`` contiguous
-        elements, amortizing the random access.
+        elements, amortizing the random access.  A slab of
+        :data:`GATHER_MIN_COLUMNS` or more columns runs the compiled row
+        gather, below that scipy's loop: the same bits.
         """
-        return self._scipy_view() @ spmv_input(x, self.num_cols)
+        x = spmv_input(x, self.num_cols)
+        if x.ndim == 2 and x.shape[1] >= GATHER_MIN_COLUMNS:
+            y = native.gather(self, x)
+            if y is not None:
+                return y
+        return self._scipy_view() @ x
 
     def spmv_transposed(self, y: np.ndarray) -> np.ndarray:
         """``x = A^T y`` from this matrix's own arrays, with no ``A^T``.
@@ -221,9 +245,16 @@ class CSRMatrix:
         ``csc_matvec(s)`` scatters each row's products into its columns
         in increasing row order, from +0 — the order in which the scan
         transpose's gather sums them, so the result is bit-identical to
-        ``scan_transpose(self).spmv(y)``, vector and slab.
+        ``scan_transpose(self).spmv(y)``, vector and slab.  A slab of
+        exactly :data:`SCATTER_COLUMNS` columns runs the compiled row
+        scatter, in that same order.
         """
-        return self._scipy_view().T @ spmv_input(y, self.num_rows)
+        y = spmv_input(y, self.num_rows)
+        if y.ndim == 2 and y.shape[1] == SCATTER_COLUMNS:
+            x = native.scatter8(self, y)
+            if x is not None:
+                return x
+        return self._scipy_view().T @ y
 
     def _scipy_view(self) -> sp.csr_matrix:
         view = getattr(self, "_view", None)

@@ -123,7 +123,8 @@ class OrbitMatrix:
         return self.pick_rays(self.stored.spmv(self.spread_pixels(x)), x)
 
     def spmv_transposed(self, y: np.ndarray) -> np.ndarray:
-        """``x = A^T y`` through ``Q``'s CSC loop."""
+        """``x = A^T y`` through ``Q``'s CSC loop: an 8-column row scatter
+        over ``Q`` for a vector."""
         y = spmv_input(y, self.num_rows)
         return self.fold_pixels(self.stored.spmv_transposed(self.spread_rays(y)), y)
 

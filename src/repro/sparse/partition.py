@@ -68,7 +68,7 @@ class RowPartitions:
                 f"[0, {self.num_partitions})"
             )
         return (
-            part0 * self.partition_size,
+            min(part0 * self.partition_size, self.num_rows),
             min(part1 * self.partition_size, self.num_rows),
         )
 

@@ -12,7 +12,7 @@ import pytest
 from repro.core import MemXCTOperator, OperatorConfig, preprocess
 from repro.geometry import ParallelBeamGeometry
 from repro.ordering import make_ordering
-from repro.sparse import CSRMatrix, build_buffered, build_ell
+from repro.sparse import CSRMatrix, build_buffered, build_ell, native
 from repro.trace import build_projection_matrix
 
 
@@ -59,6 +59,35 @@ def _isolated_plan_cache(tmp_path, monkeypatch):
     read and write the developer's real ``~/.cache/repro/plans``.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "plan-cache"))
+
+
+@pytest.fixture(params=["native", "scipy"])
+def row_loops(request, monkeypatch):
+    """Run a test on the compiled row loops of ``repro.sparse.native`` and
+    again on scipy's, the fallback of a host without a C compiler (forced
+    by patching the loader).  Both give the same bits."""
+    if request.param == "scipy":
+        monkeypatch.setattr(native, "library", lambda: None)
+    elif native.library() is None:
+        pytest.skip("the compiled row loops are unavailable on this host")
+    return request.param
+
+
+@pytest.fixture()
+def native_calls(monkeypatch):
+    """``(loop, width)`` of every slab the compiled loops computed."""
+    calls = []
+    for name in ("gather", "scatter8"):
+        real = getattr(native, name)
+
+        def spy(*args, real=real, name=name):
+            out = real(*args)
+            if out is not None:
+                calls.append((name, out.shape[1]))
+            return out
+
+        monkeypatch.setattr(native, name, spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

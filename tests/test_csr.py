@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from repro.sparse import CSRMatrix, csr_row_sums
 from repro.sparse.csr import _concat_ranges
 
+# Every kernel here runs on the compiled row loops and on scipy's.
+pytestmark = pytest.mark.usefixtures("row_loops")
+
 
 def _random_sparse(rows, cols, density, seed):
     rng = np.random.default_rng(seed)

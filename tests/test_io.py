@@ -15,8 +15,8 @@ from numpy.lib import format as npy_format
 
 from repro import persist
 from repro.cache import PlanCache
-from repro.core import OperatorConfig, preprocess
-from repro.geometry import ParallelBeamGeometry
+from repro.core import MemXCTOperator, OperatorConfig, preprocess
+from repro.geometry import ConeBeamGeometry, FanBeamGeometry, ParallelBeamGeometry
 from repro.io import (
     FORMAT_VERSION,
     OperatorFormatError,
@@ -259,6 +259,62 @@ class TestRoundtrip:
         _, op, _ = saved
         save_operator(tmp_path / "clean.npz", op)
         assert [p.name for p in tmp_path.glob("*.tmp-*")] == []
+
+
+WRITER_GEOMETRIES = {
+    "orbit": ParallelBeamGeometry(24, 16),
+    "odd-M": ParallelBeamGeometry(23, 16),
+    "full-turn": ParallelBeamGeometry(24, 16, angle_range=2 * np.pi),
+    "fan": FanBeamGeometry(16, 12, source_distance=40.0),
+    "cone": ConeBeamGeometry(8, 4, 6, source_distance=30.0),
+}
+
+
+class TestWriterRefusesAPlanOfTheWrongForm:
+    """A load reads ``Q`` or ``A`` as ``orbit_group(geometry)`` decides,
+    so the writer refuses an operator holding the other form rather than
+    write a file no load accepts, and writes nothing."""
+
+    def test_an_operator_over_a_on_an_8_slot_scan(self, tmp_path):
+        op, _ = preprocess(WRITER_GEOMETRIES["orbit"], OperatorConfig(workers="serial"))
+        over_a = with_layouts(op, "buffered")
+        assert over_a.plan is over_a.matrix
+        cache = PlanCache(tmp_path / "plans")
+        for write in (
+            lambda: save_operator(tmp_path / "op.npz", over_a),
+            lambda: cache.store("k" * 64, over_a),
+        ):
+            with pytest.raises(ValueError, match="holds A, but a plan of this scan stores Q"):
+                write()
+        assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == []
+
+    def test_an_operator_over_q_on_a_scan_without_a_group(self, tmp_path):
+        op, _ = preprocess(WRITER_GEOMETRIES["orbit"], OperatorConfig(workers="serial"))
+        full_turn = MemXCTOperator(
+            WRITER_GEOMETRIES["full-turn"], op.tomo_ordering, op.sino_ordering,
+            op.plan, None, op.config,
+        )
+        with pytest.raises(ValueError, match="holds Q, but a plan of this scan stores A"):
+            save_operator(tmp_path / "op.npz", full_turn)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dtype", PRECISIONS)
+    @pytest.mark.parametrize("kind", WRITER_GEOMETRIES)
+    def test_every_preprocess_operator_round_trips_byte_for_byte(self, tmp_path, kind, dtype):
+        """Cold (in-place archive), warm and uncached operators all save,
+        and a loaded operator saves the same bytes again."""
+        geometry = WRITER_GEOMETRIES[kind]
+        config = OperatorConfig(dtype=dtype, workers="serial")
+        cache = tmp_path / "plans"
+        paths = []
+        for i, op in enumerate(
+            [preprocess(geometry, config)[0]]
+            + [preprocess(geometry, config, cache=cache)[0] for _ in range(2)]
+        ):
+            paths.append(save_operator(tmp_path / f"{i}.npz", op, compress=False))
+            again = save_operator(tmp_path / f"{i}-again.npz", load_operator(paths[-1]), compress=False)
+            assert again.read_bytes() == paths[-1].read_bytes()
+        assert len({p.read_bytes() for p in paths}) == 1
 
 
 class TestIntegrity:

@@ -24,6 +24,9 @@ from repro.trace import build_projection_matrix
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 
+# Every kernel here runs on the compiled row loops and on scipy's.
+pytestmark = pytest.mark.usefixtures("row_loops")
+
 
 def _random_geometry_matrix(seed: int) -> CSRMatrix:
     """Trace a randomized small parallel-beam scan (seeded)."""
@@ -281,11 +284,14 @@ TRIVIAL_GEOMETRIES = {
 
 
 @pytest.mark.parametrize("kind", TRIVIAL_GEOMETRIES)
-def test_a_scan_without_an_8_slot_group_keeps_the_plan_of_a(kind, monkeypatch):
+def test_a_scan_without_an_8_slot_group_keeps_the_plan_of_a(
+    kind, row_loops, native_calls, monkeypatch
+):
     """Fan, cone, parallel not over pi and odd ``M``: the csr plan is
     ``A`` itself — for odd ``M`` each ray its traced ray moved by its
     slot, bit for bit — and a vector runs scipy's 1-D ``csr_matvec``; an
-    orbit plan's vector call is one 8-column ``csr_matvecs``."""
+    orbit plan's vector call is one 8-column gather: the compiled one,
+    or scipy's ``csr_matvecs`` on the fallback."""
     from scipy.sparse import _sparsetools
 
     from repro.sparse import orbit_group
@@ -309,6 +315,10 @@ def test_a_scan_without_an_8_slot_group_keeps_the_plan_of_a(kind, monkeypatch):
 
         monkeypatch.setattr(_sparsetools, name, spy)
     op.forward(np.ones(op.num_pixels))
+    assert widths == [None] and native_calls == []
     orbit, _ = preprocess(ParallelBeamGeometry(16, 12), config=OperatorConfig(workers="serial"))
     orbit.forward(np.ones(orbit.num_pixels))
-    assert widths == [None, 8]
+    if row_loops == "native":
+        assert widths == [None] and native_calls == [("gather", 8)]
+    else:
+        assert widths == [None, 8] and native_calls == []

@@ -36,6 +36,14 @@ class TestRowPartitions:
     def test_zero_rows(self):
         assert RowPartitions(0, 4).num_partitions == 0
 
+    def test_an_empty_range_past_a_short_last_partition(self):
+        """``[P, P)`` after a partial last partition is the empty range at
+        the end, and its slice is a matrix of no rows."""
+        p = RowPartitions(10, 4)
+        assert p.row_range(3, 3) == (10, 10)
+        matrix = CSRMatrix.from_scipy(sp.random(10, 6, density=0.5, random_state=0))
+        assert matrix.partition_slice(3, 3, 4).shape == (0, 6)
+
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             RowPartitions(10, 4).bounds(3)
