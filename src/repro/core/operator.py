@@ -3,9 +3,10 @@
 Bundles everything the paper's Section 3 builds during preprocessing:
 the memoized projection matrix in ordered coordinates and, when a
 caller hands them in, the multi-stage buffered or ELL layouts of both
-directions (the paper's Listing 3 and GPU kernels).  ``preprocess``
-and ``load_operator`` hand in none: a plan runs csr, or the orbit SpMM
-below.  ``forward``/``adjoint`` dispatch to the selected kernel.  The paper
+directions (the paper's Listing 3 and GPU kernels), which run serially
+whatever ``workers`` says.  ``preprocess`` and ``load_operator`` hand
+in none: a plan runs csr, or the orbit SpMM below.
+``forward``/``adjoint`` dispatch to the selected kernel.  The paper
 materializes ``A^T`` so that parallel backprojection is a pure gather,
 free of scatter races; on one core there is no race, so the csr
 adjoint is a serial CSC scatter over ``A``'s own arrays, and the scan
@@ -157,8 +158,8 @@ class MemXCTOperator:
 
     Build via :func:`repro.core.preprocess.preprocess` rather than
     directly — preprocessing performs (and times) the paper's steps in
-    order.  Buffered / ELL layouts run only when handed in here, and
-    only beside a plan of ``A``.
+    order.  Buffered / ELL layouts run only when handed in here, only
+    beside a plan of ``A``, and always serially.
     """
 
     def __init__(
@@ -231,29 +232,29 @@ class MemXCTOperator:
     def _active_engine(self):
         """The parallel engine, or None for serial execution.
 
-        Only a ``process`` spec partitions SpMV; a thread spec runs the
-        kernels serially (it still fans out tracing).  scipy's loops hold
-        the GIL; the compiled row loops of :mod:`repro.sparse.native`
-        release it, but no thread dispatch partitions them yet.
+        Only a ``process`` spec partitions SpMV, and only on the plan's
+        CSR pair; a thread spec runs the kernels serially (it still fans
+        out tracing), and so does a handed-in buffered or ELL pair.
+        scipy's loops hold the GIL; the compiled row loops of
+        :mod:`repro.sparse.native` release it, but no thread dispatch
+        partitions them yet.
         """
         if not self._engine_resolved:
             self._engine_resolved = True
             workers, mode = parse_workers(self.config.workers)
-            if workers >= 2 and mode == "process":
+            if workers >= 2 and mode == "process" and self._layouts["adjoint"] is None:
                 from ..parallel import ParallelSpmvEngine
 
-                # Workers own output rows: the csr adjoint partitions
-                # the derived transpose's pixel rows — of ``Q`` on an
-                # orbit plan, whose gathers stay here.
-                forward, adjoint = self._layouts["forward"], self._layouts["adjoint"]
-                if self._orbit:
-                    forward, adjoint = self.stored, scan_transpose(self.stored)
+                # Workers own output rows: the adjoint partitions the
+                # transpose's pixel rows — of ``Q`` on an orbit plan,
+                # whose gathers stay here.
+                forward = self.stored
+                adjoint = scan_transpose(forward) if self._orbit else self.transpose
                 self._engine = ParallelSpmvEngine(
                     workers=workers,
-                    mode=mode,
                     partition_size=self.config.partition_size,
                     forward_layout=forward,
-                    adjoint_layout=self.transpose if adjoint is None else adjoint,
+                    adjoint_layout=adjoint,
                 )
         return self._engine
 

@@ -39,9 +39,11 @@ from ..ordering import make_ordering
 from ..parallel.backend import make_backend, parse_workers
 from ..sparse import CSRMatrix, OrbitMatrix, orbit_group
 
-# Not called here: the traced bench run patches these names on this
-# module (``bench/layers.py::setup_targets``), so they must resolve.
-from ..sparse import build_buffered, build_ell, scan_transpose  # noqa: F401
+# Imported but not called here: the traced bench patches these names on
+# this module (``bench/layers.py::setup_targets`` reads them as
+# ``vars(module)[name]``); ``tests/test_bench_patch_points.py`` fails if
+# one goes.
+from ..sparse import build_buffered, build_ell, scan_transpose  # noqa: F401 (patch points)
 from ..trace import build_projection_matrix
 from ..trace.matrix_builder import _traced_views
 from .operator import MemXCTOperator, OperatorConfig

@@ -291,9 +291,7 @@ def _operator_from_arrays(data: dict) -> MemXCTOperator:
     )
     group = orbit_group(geometry)
     rows = geometry.num_rays if group is None else len(group.stored_rays())
-    matrix = CSRMatrix.from_arrays(
-        data, rows, geometry.grid.num_pixels, config.partition_size
-    )
+    matrix = CSRMatrix.from_arrays(data, rows, geometry.grid.num_pixels)
     if group is not None:
         matrix = OrbitMatrix.from_group(matrix, group, tomo.rank, sino.perm)
     return MemXCTOperator(

@@ -9,12 +9,13 @@ of three interchangeable backends:
   (scipy's loops hold the GIL; the compiled row loops release it but
   have no thread dispatch yet);
 * ``process`` — a fork-context process pool whose workers attach the
-  operator's arrays from POSIX shared memory; partitions SpMV.
+  operator's CSR arrays from POSIX shared memory; partitions SpMV.
 
 Because every worker owns a contiguous partition range and reductions
 concatenate in fixed partition-major order, parallel results are
-**bit-identical** to serial results on all three matrix layouts — the
-backends change wall time, never numerics.
+**bit-identical** to serial results — the backends change wall time,
+never numerics.  Only CSR is partitioned and shipped; a handed-in
+buffered or ELL layout runs serially.
 
 Worker counts resolve from ``workers=`` arguments / ``--workers``
 flags, then the ``REPRO_WORKERS`` environment variable, then serial.

@@ -1,37 +1,34 @@
-"""Partition-parallel SpMV engine over the three matrix layouts.
+"""Partition-parallel SpMV engine over the operator's CSR pair.
 
-The decomposition mirrors the paper's OpenMP strategy: the row
-partitions (Hilbert-ordered, so spatially coherent) are split into one
-**contiguous range per worker**.  Every layout — CSR row blocks,
-stage-grouped buffered, partition-padded ELL — produces a disjoint,
-contiguous span of output rows per partition range, so the parallel
-result is the concatenation of the per-worker results in partition
-order.  Within each range the kernels execute exactly the serial
-instruction stream, which makes parallel output **bit-identical** to
-serial output for every backend (the determinism contract the tests
-enforce).
+The decomposition mirrors the paper's OpenMP strategy (Section 4.1):
+the row partitions (Hilbert-ordered, so spatially coherent) are split
+into one **contiguous range per worker**.  A CSR row block yields a
+disjoint, contiguous span of output rows, so the parallel result is the
+concatenation of the per-worker results in partition order.  Within
+each range the kernel executes exactly the serial instruction stream,
+which makes parallel output **bit-identical** to serial output (the
+determinism contract the tests enforce).
 
-Only **process** mode partitions SpMV.  scipy's compiled CSR loops
-hold the GIL, so threads cannot overlap them (two threads read 1.0x on
-the kernel and 0.5x through the dispatch); the compiled row loops of
-:mod:`repro.sparse.native` release it, but have no thread dispatch yet.
-A thread spec still fans out tracing, and runs the serial kernel
-here.  Process mode exports each layout's arrays into POSIX shared
-memory once, at engine construction, and starts **one worker process
-per partition range**: a worker attaches the arrays, takes its own range's ``partition_slice`` of each layout
-and keeps it, so the slice's compiled view (derived at its first
-kernel call) is built once per range and lives in that worker only.
-Input and output travel through one scratch segment the engine keeps
-across calls; a task is ``(direction, segment name, input shape and
-dtype)`` and the reply a dtype and two timestamps.
+The engine runs the two :class:`~repro.sparse.CSRMatrix` objects an
+operator runs: ``A`` and ``A^T``, or an orbit plan's ``Q`` and
+``scan_transpose(Q)``.  CSR is the only layout that crosses a process
+boundary; the paper's buffered and ELL layouts are serial kernels to
+measure against it.  The engine exports each matrix's ``displ`` /
+``ind`` / ``val`` into POSIX shared memory once, at construction, and
+starts **one worker process per partition range**: a worker attaches
+the arrays, takes its own range's ``partition_slice`` and keeps it, so
+the slice's compiled view (derived at its first kernel call) is built
+once per range and lives in that worker only.  Input and output travel
+through one scratch segment the engine keeps across calls; a task is
+``(direction, segment name, input shape and dtype)`` and the reply a
+dtype and two timestamps.
 
-This module deliberately knows nothing about operators or geometry,
-and nothing about any one layout either: it uses only what every
-layout class of :mod:`repro.sparse` offers — ``spmv``,
-``partition_slice`` and the ``to_arrays``/``from_arrays`` pair the
-operator archive is also written with — so it receives layouts and a
-partition size explicitly, keeping ``repro.parallel``
-import-cycle-free below ``repro.core``.
+Only ``MemXCTOperator`` builds an engine, and only for a ``process``
+spec of two or more workers: scipy's compiled CSR loops hold the GIL,
+so threads cannot overlap them, and the compiled row loops of
+:mod:`repro.sparse.native`, which release it, have no thread dispatch
+yet.  This module knows nothing about operators or geometry, keeping
+``repro.parallel`` import-cycle-free below ``repro.core``.
 """
 
 from __future__ import annotations
@@ -50,6 +47,7 @@ from ..obs import (
     add_count,
     emit_span,
 )
+from ..sparse.csr import CSRMatrix
 from ..sparse.partition import RowPartitions
 from . import shm
 from .backend import ProcessBackend
@@ -88,17 +86,18 @@ _WORKER_SLICES: dict[str, tuple] = {}
 _WIDEST = 8
 
 
-def _worker_init(payload: dict, index: int) -> None:
+def _worker_init(payload: dict, partition_size: int, index: int) -> None:
     """Pool initializer: attach shm segments, keep range ``index``."""
     _WORKER_SLICES.clear()
-    for direction, (layout_class, seg_name, manifest, dims, ranges) in payload.items():
+    for direction, (seg_name, manifest, (num_rows, num_cols), ranges) in payload.items():
         if index >= len(ranges):
             continue
-        num_rows, _, partition_size = dims
-        layout = layout_class.from_arrays(shm.attach_arrays(seg_name, manifest), *dims)
+        matrix = CSRMatrix.from_arrays(
+            shm.attach_arrays(seg_name, manifest), num_rows, num_cols
+        )
         rows = RowPartitions(num_rows, partition_size).row_range(*ranges[index])
         _WORKER_SLICES[direction] = (
-            layout.partition_slice(*ranges[index], partition_size),
+            matrix.partition_slice(*ranges[index], partition_size),
             rows,
             num_rows,
         )
@@ -124,31 +123,26 @@ class ParallelSpmvEngine:
 
     Parameters
     ----------
-    workers, mode:
-        Resolved backend spec (see :func:`repro.parallel.parse_workers`).
-        ``process`` with two or more workers dispatches; anything else
-        runs the layouts' serial kernels.
+    workers:
+        Number of worker processes (two or more).
     partition_size:
-        Rows per partition — the decomposition granularity; buffered
-        and ELL layouts must have been built with the same value.
+        Rows per partition — the decomposition granularity.
     forward_layout, adjoint_layout:
-        The two kernel objects; any layout class of
-        :mod:`repro.sparse`.
+        The two :class:`~repro.sparse.CSRMatrix` objects to run.
     """
 
     def __init__(
         self,
         *,
         workers: int,
-        mode: str,
         partition_size: int,
-        forward_layout,
-        adjoint_layout,
+        forward_layout: CSRMatrix,
+        adjoint_layout: CSRMatrix,
     ):
-        self.workers = workers
-        self.mode = mode
-        self.partition_size = partition_size
         self._layouts = {"forward": forward_layout, "adjoint": adjoint_layout}
+        for layout in self._layouts.values():
+            if not isinstance(layout, CSRMatrix):
+                raise TypeError(f"the engine runs CSRMatrix, not {type(layout).__name__}")
         self._ranges = {
             direction: partition_ranges(
                 RowPartitions(layout.num_rows, partition_size).num_partitions,
@@ -158,31 +152,28 @@ class ParallelSpmvEngine:
         }
         self._segments: list[shm.SharedArrays] = []
         self._scratch = shm.SharedScratch()
-        self._backends: list[ProcessBackend] = []
         # One dispatch at a time: the scratch segment is shared.
         self._lock = threading.Lock()
         self._closed = False
-        if mode == "process" and workers >= 2:
-            payload = {}
-            shm_bytes = 0
-            for direction, layout in self._layouts.items():
-                shared = shm.SharedArrays(layout.to_arrays())
-                self._segments.append(shared)
-                shm_bytes += shared.nbytes
-                payload[direction] = (
-                    type(layout),
-                    shared.name,
-                    shared.manifest,
-                    (layout.num_rows, layout.num_cols, partition_size),
-                    self._ranges[direction],
-                )
-            add_count(PARALLEL_SHM_BYTES, shm_bytes)
-            # One single-worker pool per range pins each range to one
-            # process, which therefore derives and holds one slice.
-            self._backends = [
-                ProcessBackend(1, initializer=_worker_init, initargs=(payload, index))
-                for index in range(max(len(r) for r in self._ranges.values()))
-            ]
+        payload = {}
+        for direction, layout in self._layouts.items():
+            shared = shm.SharedArrays(layout.to_arrays())
+            self._segments.append(shared)
+            payload[direction] = (
+                shared.name,
+                shared.manifest,
+                layout.shape,
+                self._ranges[direction],
+            )
+        add_count(PARALLEL_SHM_BYTES, sum(shared.nbytes for shared in self._segments))
+        # One single-worker pool per range pins each range to one
+        # process, which therefore derives and holds one slice.
+        self._backends = [
+            ProcessBackend(
+                1, initializer=_worker_init, initargs=(payload, partition_size, index)
+            )
+            for index in range(max(len(r) for r in self._ranges.values()))
+        ]
         # Shared-memory segments must not outlive the process even if
         # close() is never called explicitly.
         self._finalizer = weakref.finalize(
@@ -194,14 +185,14 @@ class ParallelSpmvEngine:
     def apply(self, direction: str, x: np.ndarray) -> np.ndarray:
         """Run the ``direction`` kernel on ``x`` (1D vector or 2D slab).
 
-        Falls back to the plain serial kernel when the decomposition
-        is degenerate (one range or serial backend).
+        Runs the serial kernel here when the decomposition is
+        degenerate (a single range).
         """
         if self._closed:
             raise RuntimeError("engine is closed")
         layout = self._layouts[direction]
         ranges = self._ranges[direction]
-        if len(ranges) < 2 or not self._backends:
+        if len(ranges) < 2:
             return layout.spmv(x)
         observing = REGISTRY.active
         x = np.asarray(x)
@@ -234,7 +225,6 @@ class ParallelSpmvEngine:
                     direction=direction,
                     part0=p0,
                     part1=p1,
-                    mode=self.mode,
                 )
         return y
 

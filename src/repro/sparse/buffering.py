@@ -25,7 +25,8 @@ are its (stage, row) slots in stage-grouped order — ``displ`` and
 ``val`` as stored, the 16-bit local indices resolved through ``map``
 into one 32-bit column array — followed by a fold of each row's slots.
 That view is derived state, built at the first kernel call and never
-at set-up, persisted, pickled or shipped.  The literal
+at set-up.  The layout is a serial kernel to measure against csr: no
+plan holds one, and no worker receives one.  The literal
 partition/stage/row loop nest is :func:`repro.cachesim.listing3_spmv` —
 the reference the tests compare the kernel against, next to the cache
 simulator that replays its access pattern.
@@ -122,54 +123,6 @@ class BufferedMatrix:
         """Stage count of each partition (paper Fig. 6(b))."""
         return np.diff(self.partdispl)
 
-    # -- array form ----------------------------------------------------
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The Listing-3 arrays under their operator-archive names."""
-        return {
-            "buffer_elements": np.asarray(self.buffer_elements, dtype=np.int64),
-            "partdispl": self.partdispl,
-            "stagedispl": self.stagedispl,
-            "map": self.map,
-            "displ": self.displ,
-            "ind": self.ind,
-            "val": self.val,
-        }
-
-    @classmethod
-    def from_arrays(
-        cls, arrays, num_rows: int, num_cols: int, partition_size: int
-    ) -> "BufferedMatrix":
-        """Inverse of :meth:`to_arrays`, as views of ``arrays``."""
-        return cls(
-            partitions=RowPartitions(num_rows, partition_size),
-            buffer_elements=np.asarray(arrays["buffer_elements"]).item(),
-            partdispl=arrays["partdispl"],
-            stagedispl=arrays["stagedispl"],
-            map=arrays["map"],
-            displ=arrays["displ"],
-            ind=arrays["ind"],
-            val=arrays["val"],
-            num_cols=num_cols,
-        )
-
-    def __reduce__(self):
-        """Pickle and copy the array form, never the cached kernel view.
-
-        The view holds a 4 B/nnz column array derived from ``map`` and
-        ``ind``; carrying it through pickling would persist megabytes
-        of redundant state.  It is rebuilt at the next kernel call.
-        """
-        return (
-            type(self).from_arrays,
-            (
-                self.to_arrays(),
-                self.num_rows,
-                self.num_cols,
-                self.partitions.partition_size,
-            ),
-        )
-
     def map_bytes(self) -> int:
         """Extra memory traffic for staging: the ``map`` reads."""
         return int(self.map.shape[0]) * 4
@@ -245,42 +198,6 @@ class BufferedMatrix:
         slots, fold = self._compiled()
         y = slots @ x
         return y if fold is None else fold @ y
-
-    def partition_slice(
-        self, part0: int, part1: int, partition_size: int
-    ) -> "BufferedMatrix":
-        """View-based sub-layout of the partition range ``[part0, part1)``.
-
-        The stage-grouped arrays of a contiguous partition range are
-        themselves contiguous, so the slice shares ``map``/``ind``/
-        ``val`` storage with the parent; only the small offset arrays
-        are rebased copies.  The kernel on the slice produces exactly
-        the rows ``[part0 * partsize, min(part1 * partsize, num_rows))``
-        of the parent's result, bit-identically — the contract the
-        partition-parallel backend is built on.  ``partition_size``
-        must be the one the layout was built with.
-        """
-        partsize = self.partitions.partition_size
-        if partition_size != partsize:
-            raise ValueError(
-                f"layout is partitioned by {partsize} rows, not {partition_size}"
-            )
-        row0, row1 = self.partitions.row_range(part0, part1)
-        s0, s1 = int(self.partdispl[part0]), int(self.partdispl[part1])
-        m0, m1 = int(self.stagedispl[s0]), int(self.stagedispl[s1])
-        d0 = int(self.displ[s0 * partsize])
-        d1 = int(self.displ[s1 * partsize])
-        return BufferedMatrix(
-            partitions=RowPartitions(row1 - row0, partsize),
-            buffer_elements=self.buffer_elements,
-            partdispl=self.partdispl[part0 : part1 + 1] - s0,
-            stagedispl=self.stagedispl[s0 : s1 + 1] - m0,
-            map=self.map[m0:m1],
-            displ=self.displ[s0 * partsize : s1 * partsize + 1] - d0,
-            ind=self.ind[d0:d1],
-            val=self.val[d0:d1],
-            num_cols=self.num_cols,
-        )
 
 
 def build_buffered(

@@ -19,19 +19,20 @@ that ever leaves an object.
 
 Every layout class of :mod:`repro.sparse` (this one,
 :class:`~repro.sparse.BufferedMatrix`,
-:class:`~repro.sparse.ELLPartitioned`) offers the same four things, and
-callers rely on nothing else to run, slice, persist or ship a layout:
+:class:`~repro.sparse.ELLPartitioned`) offers ``spmv(x)``, the one
+kernel, over an ``(n,)`` vector or an ``(n, S)`` slab of ``S``
+right-hand sides: one pass over the regular streams drives all ``S``
+columns, and column ``j`` of a slab result is bit-identical to the
+vector call on ``x[:, j]``.  CSR alone is also cut, archived and shipped:
 
-* ``spmv(x)`` — the one production kernel, over an ``(n,)`` vector or
-  an ``(n, S)`` slab of ``S`` right-hand sides.  One pass over the
-  regular streams drives all ``S`` columns, and column ``j`` of a slab
-  result is bit-identical to the vector call on ``x[:, j]``;
 * ``partition_slice(part0, part1, partition_size)`` — a view-based
-  sub-layout whose kernel yields exactly the parent's output rows of
-  that partition range, bit-identically (the parallel backend's unit);
-* ``to_arrays()`` / ``from_arrays(arrays, num_rows, num_cols,
-  partition_size)`` — the layout as named arrays (the key names of the
-  operator archive) and back, rebuilt as views, never copies.
+  sub-matrix whose kernel yields exactly the parent's output rows of
+  that partition range, bit-identically (the parallel engine's unit);
+* ``to_arrays()`` / ``from_arrays(arrays, num_rows, num_cols)`` — the
+  matrix as named arrays (the key names of the operator archive) and
+  back, rebuilt as views, never copies.
+
+The buffered and ELL layouts are serial kernels to measure against it.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class CSRMatrix:
         """Pickle and copy the array form, never the cached kernel view."""
         return (
             type(self).from_arrays,
-            (self.to_arrays(), self.num_rows, self.num_cols, 0),
+            (self.to_arrays(), self.num_rows, self.num_cols),
         )
 
     # -- properties ----------------------------------------------------
@@ -342,16 +343,12 @@ class CSRMatrix:
         return {"displ": self.displ, "ind": self.ind, "val": self.val}
 
     @classmethod
-    def from_arrays(
-        cls, arrays, num_rows: int, num_cols: int, partition_size: int
-    ) -> "CSRMatrix":
+    def from_arrays(cls, arrays, num_rows: int, num_cols: int) -> "CSRMatrix":
         """Inverse of :meth:`to_arrays`, as views of ``arrays``.
 
         The value precision is the stored ``val`` dtype — an fp64
         matrix must not be downcast to the float32 default on the way
         through an archive or a shared-memory segment.
-        ``partition_size`` is part of the signature every layout
-        shares; CSR rows are not blocked, so it is unused here.
         """
         matrix = cls(
             displ=arrays["displ"],

@@ -78,77 +78,6 @@ class ELLPartitioned:
         total = self.padded_nnz
         return 1.0 - real / total if total else 0.0
 
-    def partition_slice(
-        self, part0: int, part1: int, partition_size: int
-    ) -> "ELLPartitioned":
-        """View-based sub-layout of the partition range ``[part0, part1)``.
-
-        The per-partition slabs are shared (list slices of the same
-        arrays), so worker-owned partition ranges of the parallel
-        backend cost no slab copies.  The kernel on the slice produces
-        exactly rows ``[part0 * partsize, min(part1 * partsize,
-        num_rows))`` of the parent's result, bit-identically.
-        ``partition_size`` must be the one the layout was built with.
-        """
-        partsize = self.partitions.partition_size
-        if partition_size != partsize:
-            raise ValueError(
-                f"layout is partitioned by {partsize} rows, not {partition_size}"
-            )
-        row0, row1 = self.partitions.row_range(part0, part1)
-        return ELLPartitioned(
-            partitions=RowPartitions(row1 - row0, partsize),
-            widths=self.widths[part0:part1],
-            ind_slabs=self.ind_slabs[part0:part1],
-            val_slabs=self.val_slabs[part0:part1],
-            num_cols=self.num_cols,
-        )
-
-    # -- array form ----------------------------------------------------
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Pad widths plus the slabs flattened into one ``ind``/``val`` pair.
-
-        ``val`` keeps the slabs' own dtype: an fp64 layout must not be
-        rounded to float32 on the way to an archive or a worker.
-        """
-
-        def flat(slabs: list[np.ndarray], dtype) -> np.ndarray:
-            if not slabs:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate([slab.ravel() for slab in slabs])
-
-        return {
-            "widths": self.widths,
-            "ind": flat(self.ind_slabs, np.int32).astype(np.int32, copy=False),
-            "val": flat(self.val_slabs, np.float32),
-        }
-
-    @classmethod
-    def from_arrays(
-        cls, arrays, num_rows: int, num_cols: int, partition_size: int
-    ) -> "ELLPartitioned":
-        """Inverse of :meth:`to_arrays`: slabs are views of ``ind``/``val``."""
-        parts = RowPartitions(num_rows, partition_size)
-        widths = np.asarray(arrays["widths"], dtype=np.int64)
-        ind_slabs: list[np.ndarray] = []
-        val_slabs: list[np.ndarray] = []
-        offset = 0
-        for part in range(parts.num_partitions):
-            start, stop = parts.bounds(part)
-            shape = (int(widths[part]), stop - start)
-            size = shape[0] * shape[1]
-            ind_slabs.append(arrays["ind"][offset : offset + size].reshape(shape))
-            val_slabs.append(arrays["val"][offset : offset + size].reshape(shape))
-            offset += size
-        return cls(
-            partitions=parts,
-            widths=widths,
-            ind_slabs=ind_slabs,
-            val_slabs=val_slabs,
-            num_cols=num_cols,
-        )
-
     # -- kernel --------------------------------------------------------
 
     def spmv(self, x: np.ndarray) -> np.ndarray:

@@ -230,25 +230,10 @@ class OrbitMatrix:
                 ind[lo:hi] = key & ((1 << rbits) - 1)
             yield CSRMatrix(displ, ind, val, self.num_rows, stored.value_dtype)
 
-    # -- layout protocol -------------------------------------------------
+    # -- row slices ------------------------------------------------------
 
     def partition_slice(self, part0: int, part1: int, partition_size: int) -> "OrbitMatrix":
         """The rows of partitions ``[part0, part1)``: the same ``Q`` and
         gather (shared), ``out`` cut to the range."""
         row0, row1 = RowPartitions(self.num_rows, partition_size).row_range(part0, part1)
         return OrbitMatrix(self.stored, self.gather, self.out[row0:row1])
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """``Q``'s arrays and the two group indices."""
-        return {**self.stored.to_arrays(), "gather": self.gather, "out": self.out}
-
-    @classmethod
-    def from_arrays(cls, arrays, num_rows: int, num_cols: int, partition_size: int):
-        """Inverse of :meth:`to_arrays` (``Q``'s arrays as views)."""
-        stored = CSRMatrix.from_arrays(
-            arrays, len(arrays["displ"]) - 1, num_cols, partition_size
-        )
-        matrix = cls(stored, arrays["gather"], arrays["out"])
-        if matrix.num_rows != num_rows:
-            raise ValueError(f"out describes {matrix.num_rows} rows, expected {num_rows}")
-        return matrix

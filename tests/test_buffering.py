@@ -158,8 +158,7 @@ def _reference_build(matrix, partition_size, buffer_bytes):
 
 
 def _assert_same_layout(built, reference):
-    arrays = built.to_arrays()
-    assert arrays.keys() == reference.keys()
+    arrays = {name: np.asarray(getattr(built, name)) for name in reference}
     for name, expected in reference.items():
         assert arrays[name].dtype == expected.dtype, name
         np.testing.assert_array_equal(arrays[name], expected, err_msg=name)

@@ -1,16 +1,19 @@
 """What every kernel layout promises, written once.
 
 Each layout class of ``repro.sparse`` (CSR, multi-stage buffered,
-partition-padded ELL) offers one production kernel ``spmv`` over a
-vector or a slab, one ``partition_slice``, and one ``to_arrays`` /
-``from_arrays`` pair that the operator archive, the shared-memory
-export and pickling all go through.  This file states that contract
-over the product layout x precision x input rank.
+partition-padded ELL) offers one kernel ``spmv`` over a vector or a
+slab.  CSR alone is also cut (``partition_slice``) and turned into
+arrays and back (``to_arrays`` / ``from_arrays``): the operator
+archive, the shared-memory export and pickling all go through that
+pair, and the buffered and ELL layouts are serial kernels to measure
+against it.  This file states that contract over the product layout x
+precision x input rank.
 
 The operators are built with the *ambient* worker spec, so running the
 file under ``REPRO_WORKERS=2`` (threads) or ``process:2`` (shared
-memory, i.e. ``from_arrays(to_arrays())`` inside each worker) checks
-the parallel path against the serial kernel, bit for bit.
+memory, i.e. ``from_arrays(to_arrays())`` of the plan's CSR pair
+inside each worker) checks the parallel path against the serial
+kernel, bit for bit.
 """
 
 import copy
@@ -147,14 +150,15 @@ class TestKernelConformance:
             assert np.array_equal(ell_lockstep_spmv(layout, x), y)
             assert np.array_equal(op.matrix.spmv(x), y)
 
-        # Partition-range slices tile the output, bit for bit.
-        num_partitions = -(-layout.num_rows // PARTITION_SIZE)
-        for workers in (2, 3, num_partitions):
-            pieces = [
-                layout.partition_slice(p0, p1, PARTITION_SIZE).spmv(x)
-                for p0, p1 in partition_ranges(num_partitions, workers)
-            ]
-            assert np.array_equal(np.concatenate(pieces), y)
+        # CSR's partition-range slices tile the output, bit for bit.
+        if kernel == "csr":
+            num_partitions = -(-layout.num_rows // PARTITION_SIZE)
+            for workers in (2, 3, num_partitions):
+                pieces = [
+                    layout.partition_slice(p0, p1, PARTITION_SIZE).spmv(x)
+                    for p0, p1 in partition_ranges(num_partitions, workers)
+                ]
+                assert np.array_equal(np.concatenate(pieces), y)
 
         # The operator runs exactly this kernel, whichever worker
         # backend is ambient, under both protocol names.
@@ -172,25 +176,23 @@ class TestKernelConformance:
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("kernel", KERNELS)
 class TestArrayForm:
+    @pytest.mark.parametrize("kernel", ["csr"])
     def test_round_trip_is_the_layout(self, operators, kernel, dtype):
-        """``from_arrays(to_arrays())`` is the layout, field by field —
+        """``from_arrays(to_arrays())`` is the matrix, field by field —
         value dtype included — and is made of views, not copies."""
         op = operators[(kernel, dtype)]
         for layout in _layouts(op):
             arrays = layout.to_arrays()
-            rebuilt = type(layout).from_arrays(
-                arrays, layout.num_rows, layout.num_cols, PARTITION_SIZE
-            )
+            rebuilt = type(layout).from_arrays(arrays, layout.num_rows, layout.num_cols)
             for field in dataclasses.fields(layout):
                 _assert_same_field(
                     getattr(layout, field.name), getattr(rebuilt, field.name), field.name
                 )
-            values = rebuilt.val_slabs[0] if kernel == "ell" else rebuilt.val
-            assert values.dtype == op.matrix.val.dtype
-            assert np.shares_memory(values, arrays["val"])
+            assert rebuilt.val.dtype == op.matrix.val.dtype
+            assert np.shares_memory(rebuilt.val, arrays["val"])
 
+    @pytest.mark.parametrize("kernel", ["csr"])
     def test_pickle_is_the_array_form(self, operators, kernel, dtype):
         op = operators[(kernel, dtype)]
         layout = _forward_layout(op)
@@ -198,6 +200,7 @@ class TestArrayForm:
         clone = pickle.loads(pickle.dumps(layout))
         assert np.array_equal(clone.spmv(x), layout.spmv(x))
 
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_accounting_is_rank_and_backend_blind(self, operators, kernel, dtype):
         """A vector call, a one-column slab and (under ``REPRO_WORKERS``)
         a parallel run account identically; ``S`` columns count ``S`` times
@@ -232,10 +235,8 @@ COMPILED = ("csr", "buffered")
 
 
 def _fresh(layout):
-    """The layout as an archive or a worker would rebuild it."""
-    return type(layout).from_arrays(
-        layout.to_arrays(), layout.num_rows, layout.num_cols, PARTITION_SIZE
-    )
+    """A new layout over the same arrays, nothing derived."""
+    return dataclasses.replace(layout)
 
 
 def _derived(layout) -> bool:
@@ -243,12 +244,12 @@ def _derived(layout) -> bool:
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("kernel", COMPILED)
 class TestCompiledView:
     """CSR and buffered run scipy's compiled CSR loop over a view of
-    their own arrays.  The view is derived at the first kernel call and
-    is never part of what a layout persists, pickles or ships."""
+    their own arrays.  The view is derived at the first kernel call,
+    and is never part of what a CSR matrix persists, pickles or ships."""
 
+    @pytest.mark.parametrize("kernel", COMPILED)
     def test_vector_is_the_one_column_slab(self, operators, kernel, dtype):
         """scipy runs two loops (``csr_matvec``, ``csr_matvecs``); a slab
         column is the vector call bit for bit, whatever the slab's
@@ -262,6 +263,7 @@ class TestCompiledView:
             assert np.array_equal(layout.spmv(x[:, j]), y[:, j])
             assert np.array_equal(layout.spmv(x[:, j : j + 1]), y[:, j : j + 1])
 
+    @pytest.mark.parametrize("kernel", COMPILED)
     def test_first_call_is_every_call(self, operators, kernel, dtype):
         op = operators[(kernel, dtype)]
         for layout, n in zip(_layouts(op), (op.num_pixels, op.num_rays)):
@@ -273,21 +275,7 @@ class TestCompiledView:
             assert np.array_equal(fresh.spmv(x), first)
             assert np.array_equal(layout.spmv(x), first)
 
-    def test_serial_is_process_2(self, operators, kernel, dtype):
-        op = operators[(kernel, dtype)]
-        x = _input(op, (3,))
-        y = np.random.default_rng(3).standard_normal(op.num_rays).astype(op.compute_dtype)
-        ambient = op.config.workers
-        op.set_workers("serial")
-        ref = op.forward(x), op.adjoint(y)
-        op.set_workers("process:2")
-        try:
-            for _ in range(2):  # the workers keep their slices between calls
-                assert np.array_equal(op.forward(x), ref[0])
-                assert np.array_equal(op.adjoint(y), ref[1])
-        finally:
-            op.set_workers(ambient)
-
+    @pytest.mark.parametrize("kernel", COMPILED)
     def test_fp64_input_on_fp32_values(self, operators, kernel, dtype):
         """A float64 vector on float32 values computes, and returns, in
         float64 — as the product ``val * x[ind]`` always promoted."""
@@ -299,6 +287,7 @@ class TestCompiledView:
         dense = op.matrix.to_scipy().toarray().astype(np.float64)
         assert np.abs(y - dense @ x).max() <= 1e-10 * np.abs(dense @ x).max()
 
+    @pytest.mark.parametrize("kernel", ["csr"])
     def test_view_never_leaves_the_layout(self, operators, kernel, dtype):
         """Pickles, copies, the array form and partition slices are the
         same size and content after a kernel call as before it."""
@@ -312,7 +301,7 @@ class TestCompiledView:
             pickle.loads(pickle.dumps(cold)),
             copy.deepcopy(cold),
             copy.copy(cold),
-            _fresh(cold),
+            type(cold).from_arrays(cold.to_arrays(), cold.num_rows, cold.num_cols),
             cold.partition_slice(0, 1, PARTITION_SIZE),
         ):
             assert not _derived(clone)
@@ -323,6 +312,7 @@ class TestCompiledView:
                 field.name,
             )
 
+    @pytest.mark.parametrize("kernel", COMPILED)
     def test_derivation_holds_no_wide_temporary(self, operators, kernel, dtype):
         """The first call allocates the result and, on the buffered
         layout, one 4 B/nnz column array — never an 8 B/nnz index."""
@@ -337,6 +327,29 @@ class TestCompiledView:
             tracemalloc.stop()
         slots = fresh.displ.shape[0]
         assert peak < 6 * fresh.nnz + 64 * slots + (1 << 16)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestWorkers:
+    def test_serial_is_process_2(self, operators, kernel, dtype):
+        """``process:2`` partitions the plan's CSR pair; a handed-in
+        buffered or ELL pair builds no engine and runs serially.  Either
+        way the bits are the serial ones."""
+        op = operators[(kernel, dtype)]
+        x = _input(op, (3,))
+        y = np.random.default_rng(3).standard_normal(op.num_rays).astype(op.compute_dtype)
+        ambient = op.config.workers
+        op.set_workers("serial")
+        ref = op.forward(x), op.adjoint(y)
+        op.set_workers("process:2")
+        try:
+            assert (op._active_engine() is None) == (kernel != "csr")
+            for _ in range(2):  # the workers keep their slices between calls
+                assert np.array_equal(op.forward(x), ref[0])
+                assert np.array_equal(op.adjoint(y), ref[1])
+        finally:
+            op.set_workers(ambient)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -428,11 +441,10 @@ class TestNoDerivationAtSetup:
 class TestOrbitLayout:
     """The csr plan of a half-turn scan with even ``M`` is an
     :class:`~repro.sparse.OrbitMatrix` (``Q`` and its 8-slot group),
-    held to the same protocol: one kernel over a vector or a slab whose
+    held to the same contract: one kernel over a vector or a slab whose
     columns are the vector calls, partition slices that tile the output,
-    an array form that round-trips as views, a pickle that is the array
-    form, accounting blind to input rank and backend, and a ``process:2``
-    run equal to serial."""
+    a pickle that runs the same kernel, accounting blind to input rank
+    and backend, and a ``process:2`` run equal to serial."""
 
     @pytest.fixture(scope="class")
     def orbits(self):
@@ -445,7 +457,7 @@ class TestOrbitLayout:
         }
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_spmv_slices_and_array_form(self, orbits, dtype, shape):
+    def test_spmv_slices_and_pickle(self, orbits, dtype, shape):
         op = orbits[dtype]
         layout = op.plan
         assert layout.slots == 8 and layout.nnz == op.matrix.nnz
@@ -464,14 +476,9 @@ class TestOrbitLayout:
                 for p0, p1 in partition_ranges(num_partitions, workers)
             ]
             assert np.array_equal(np.concatenate(pieces), y)
-        arrays = layout.to_arrays()
-        rebuilt = type(layout).from_arrays(
-            arrays, layout.num_rows, layout.num_cols, PARTITION_SIZE
-        )
-        assert np.shares_memory(rebuilt.stored.val, arrays["val"])
-        assert rebuilt.stored.val.dtype == op.stored.val.dtype
-        for clone in (rebuilt, pickle.loads(pickle.dumps(layout))):
-            assert np.array_equal(clone.spmv(x), y)
+        clone = pickle.loads(pickle.dumps(layout))
+        assert clone.stored.val.dtype == op.stored.val.dtype
+        assert np.array_equal(clone.spmv(x), y)
         assert np.array_equal(op.forward(x), y)
 
     def test_accounting_is_rank_and_backend_blind(self, orbits, dtype):

@@ -3,14 +3,15 @@
 The backend's one promise is that parallelism is an execution knob,
 never a numerics knob: every worker owns a contiguous partition range
 and reductions concatenate in fixed partition-major order, so serial
-and parallel results must be **bit-identical** on all three layouts,
-for thread and process specs (only process mode partitions SpMV; a
-thread spec runs the serial kernel), for single-vector and batched
-kernels, through every public entry point (operator, reconstruct,
-preprocess, pipeline).  These tests enforce exactly that, plus the
-satellite fixes: worker-spec parsing, shared-memory lifecycle, the
-compiled-view persistence exclusion, buffer-capacity validation, and
-``permute`` input validation.
+and parallel results must be **bit-identical** on every kernel, for
+thread and process specs (only process mode partitions SpMV, and only
+the plan's CSR pair; a thread spec and a handed-in buffered or ELL
+pair run the serial kernel), for single-vector and batched kernels,
+through every public entry point (operator, reconstruct, preprocess,
+pipeline).  These tests enforce exactly that, plus the satellite
+fixes: worker-spec parsing, shared-memory lifecycle, the compiled-view
+persistence exclusion, buffer-capacity validation, and ``permute``
+input validation.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.parallel import (
 from repro.parallel import shm as shm_mod
 from repro.pipeline import reconstruct_stack
 from repro.resilience import FaultConfig
-from repro.sparse import CSRMatrix, build_buffered, build_ell, validate_buffer_bytes
+from repro.sparse import CSRMatrix, validate_buffer_bytes
 from repro.trace import build_projection_matrix
 
 from .conftest import with_layouts
@@ -227,7 +228,6 @@ class TestEngineBitIdentity:
         fwd, adj = operators["csr"].matrix, operators["csr"].transpose
         engine = ParallelSpmvEngine(
             workers=2,
-            mode="process",
             partition_size=16,
             forward_layout=fwd,
             adjoint_layout=adj,
@@ -239,17 +239,15 @@ class TestEngineBitIdentity:
         with pytest.raises(RuntimeError):
             engine.apply("forward", x)
 
-    def test_each_range_is_pinned_to_one_worker(self, paper_operators):
+    def test_each_range_is_pinned_to_one_worker(self, operators):
         """A partition range runs on the same process every call, and a
         worker derives and holds its own range's slice and no other."""
-        op = paper_operators["buffered"]
-        fwd, adj = op.buffered_forward, op.buffered_adjoint
+        fwd, adj = operators["csr"].matrix, operators["csr"].transpose
         rng = np.random.default_rng(3)
         x = rng.random(fwd.num_cols).astype(np.float32)
         y = rng.random(adj.num_cols).astype(np.float32)
         with ParallelSpmvEngine(
             workers=3,
-            mode="process",
             partition_size=16,
             forward_layout=fwd,
             adjoint_layout=adj,
@@ -271,6 +269,22 @@ class TestEngineBitIdentity:
                 ((r0, r1), True) for r0, r1 in zip(bounds, bounds[1:])
             ]
 
+    def test_only_csr_is_shipped(self, paper_operators):
+        """The engine takes CSR alone: a buffered or ELL layout in either
+        direction is refused before anything is exported or forked."""
+        for kernel in ("buffered", "ell"):
+            op = paper_operators[kernel]
+            fwd, adj = op._layouts["forward"], op._layouts["adjoint"]
+            with pytest.raises(TypeError, match="CSRMatrix"):
+                ParallelSpmvEngine(
+                    workers=2, partition_size=16, forward_layout=fwd, adjoint_layout=adj
+                )
+            with pytest.raises(TypeError, match="CSRMatrix"):
+                ParallelSpmvEngine(
+                    workers=2, partition_size=16, forward_layout=op.matrix,
+                    adjoint_layout=adj,
+                )
+
     def test_scratch_segment_is_reused_and_regrown(self, operators):
         """Vectors travel through one segment kept across calls; a slab
         wider than anything before it replaces the segment once."""
@@ -280,7 +294,6 @@ class TestEngineBitIdentity:
         X = rng.random((fwd.num_cols, 5)).astype(np.float32)
         with ParallelSpmvEngine(
             workers=2,
-            mode="process",
             partition_size=16,
             forward_layout=fwd,
             adjoint_layout=adj,
@@ -329,7 +342,6 @@ class TestObservability:
             assert len(spans) == 2
             assert {sp.attrs["worker"] for sp in spans} == {0, 1}
             for sp in spans:
-                assert sp.attrs["mode"] == "process"
                 assert sp.duration >= 0.0
         finally:
             op.set_workers(None)
@@ -493,28 +505,7 @@ class TestPipelineWorkers:
 
 
 class TestBufferedPlanPersistence:
-    """The `_view` cache must never ride along with a pickled layout."""
-
-    @pytest.fixture()
-    def layout(self, small_matrix):
-        return build_buffered(small_matrix.sort_rows_by_index(), 16, 1024)
-
-    def test_pickle_excludes_plan(self, layout):
-        x = np.ones(layout.num_cols, dtype=np.float32)
-        warm = layout.spmv(x)
-        assert hasattr(layout, "_view")
-        clone = pickle.loads(pickle.dumps(layout))
-        assert not hasattr(clone, "_view")
-        # Lazy rebuild produces the same view and the same result.
-        assert (clone.spmv(x) == warm).all()
-        assert hasattr(clone, "_view")
-
-    def test_setstate_drops_stale_plan(self, layout):
-        """Whatever sits in ``_view`` stays behind: the pickle is the
-        array form only, so a stale view can never be resurrected."""
-        layout._view = ("stale", "stale")
-        clone = pickle.loads(pickle.dumps(layout))
-        assert not hasattr(clone, "_view")
+    """A warmed operator's `_view` never rides along into its archive."""
 
     @pytest.mark.parametrize("angles", [23, 24])
     def test_warm_operator_cache_roundtrip(self, tmp_path, angles, row_loops, native_calls):
@@ -585,7 +576,7 @@ class TestValidationFixes:
 
 
 class TestPartitionSlices:
-    """Layout slices are the unit the engine is built on — cover the
+    """CSR slices are the unit the engine is built on — cover the
     slicing math directly, including ragged final partitions."""
 
     def test_csr_row_block(self, small_matrix):
@@ -600,25 +591,3 @@ class TestPartitionSlices:
         assert (np.concatenate(parts) == ref).all()
         with pytest.raises(ValueError):
             small_matrix.partition_slice(1, 4, mid)
-
-    @pytest.mark.parametrize("builder", ["buffered", "ell"])
-    def test_partition_slice_concat(self, small_matrix, builder):
-        ordered = small_matrix.sort_rows_by_index()
-        layout = (
-            build_buffered(ordered, 16, 1024)
-            if builder == "buffered"
-            else build_ell(ordered, 16)
-        )
-        x = np.random.default_rng(1).random(layout.num_cols).astype(np.float32)
-        ref = layout.spmv(x)
-        n = layout.partitions.num_partitions
-        for split in range(1, n):
-            parts = [
-                layout.partition_slice(0, split, 16).spmv(x),
-                layout.partition_slice(split, n, 16).spmv(x),
-            ]
-            assert (np.concatenate(parts) == ref).all(), split
-        with pytest.raises(ValueError):
-            layout.partition_slice(0, n + 1, 16)
-        with pytest.raises(ValueError, match="partitioned by 16"):
-            layout.partition_slice(0, 1, 32)

@@ -299,7 +299,7 @@ class TestUpcastPinning:
 
     def test_parallel_rebuild_preserves_float64_values(self):
         """The worker-side rebuild is ``from_arrays(to_arrays())``; the
-        full field-by-field round trip of every layout is in
+        full field-by-field round trip is in
         ``test_layout_conformance.py``."""
         from repro.sparse import CSRMatrix
 
@@ -307,7 +307,7 @@ class TestUpcastPinning:
             displ=np.array([0, 1, 2]), ind=np.array([0, 1]),
             val=np.array([1.5, 2.5]), num_cols=2, value_dtype="float64",
         )
-        rebuilt = CSRMatrix.from_arrays(A.to_arrays(), A.num_rows, A.num_cols, 1)
+        rebuilt = CSRMatrix.from_arrays(A.to_arrays(), A.num_rows, A.num_cols)
         assert rebuilt.val.dtype == np.float64
 
     def test_pipeline_rhs_matches_solver_dtype(self, geometry):
