@@ -332,13 +332,19 @@ class TestCompiledView:
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("kernel", KERNELS)
 class TestWorkers:
-    def test_serial_is_process_2(self, operators, kernel, dtype):
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_serial_is_process_2(self, operators, kernel, dtype, shape):
         """``process:2`` partitions the plan's CSR pair; a handed-in
         buffered or ELL pair builds no engine and runs serially.  Either
-        way the bits are the serial ones."""
+        way the bits are the serial ones, on a vector and on a slab, in
+        both directions."""
         op = operators[(kernel, dtype)]
-        x = _input(op, (3,))
-        y = np.random.default_rng(3).standard_normal(op.num_rays).astype(op.compute_dtype)
+        x = _input(op, SHAPES[shape])
+        y = (
+            np.random.default_rng(3)
+            .standard_normal((op.num_rays,) + SHAPES[shape])
+            .astype(op.compute_dtype)
+        )
         ambient = op.config.workers
         op.set_workers("serial")
         ref = op.forward(x), op.adjoint(y)

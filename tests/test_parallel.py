@@ -269,21 +269,21 @@ class TestEngineBitIdentity:
                 ((r0, r1), True) for r0, r1 in zip(bounds, bounds[1:])
             ]
 
-    def test_only_csr_is_shipped(self, paper_operators):
+    @pytest.mark.parametrize("kernel", ["buffered", "ell"])
+    def test_only_csr_is_shipped(self, paper_operators, kernel):
         """The engine takes CSR alone: a buffered or ELL layout in either
         direction is refused before anything is exported or forked."""
-        for kernel in ("buffered", "ell"):
-            op = paper_operators[kernel]
-            fwd, adj = op._layouts["forward"], op._layouts["adjoint"]
-            with pytest.raises(TypeError, match="CSRMatrix"):
-                ParallelSpmvEngine(
-                    workers=2, partition_size=16, forward_layout=fwd, adjoint_layout=adj
-                )
-            with pytest.raises(TypeError, match="CSRMatrix"):
-                ParallelSpmvEngine(
-                    workers=2, partition_size=16, forward_layout=op.matrix,
-                    adjoint_layout=adj,
-                )
+        op = paper_operators[kernel]
+        fwd, adj = op._layouts["forward"], op._layouts["adjoint"]
+        with pytest.raises(TypeError, match="CSRMatrix"):
+            ParallelSpmvEngine(
+                workers=2, partition_size=16, forward_layout=fwd, adjoint_layout=adj
+            )
+        with pytest.raises(TypeError, match="CSRMatrix"):
+            ParallelSpmvEngine(
+                workers=2, partition_size=16, forward_layout=op.matrix,
+                adjoint_layout=adj,
+            )
 
     def test_scratch_segment_is_reused_and_regrown(self, operators):
         """Vectors travel through one segment kept across calls; a slab
