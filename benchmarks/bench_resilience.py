@@ -32,7 +32,7 @@ REPEATS = 5
 
 def _build(operator, injector=None):
     tomo_dec, sino_dec = decompose_both(
-        operator.tomo_ordering, operator.sino_ordering, NUM_RANKS
+        operator.tomo_ordering, operator.sino_ordering, NUM_RANKS, operator.plan.gather
     )
     comm = SimComm(NUM_RANKS, fault_injector=injector) if injector else None
     return DistributedOperator(operator.plan, tomo_dec, sino_dec, comm=comm)

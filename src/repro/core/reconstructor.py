@@ -176,7 +176,9 @@ def reconstruct(
         partition size, precision and worker spec all live here.  Used only when preprocessing runs here.
     num_ranks:
         Simulated MPI ranks; > 1 reconstructs through the distributed
-        ``A = R C A_p`` operator (numerically identical by design).
+        ``A = R C A_p`` operator: its adjoint is the serial one bit for
+        bit (float32 plan), its forward equal up to the float32 wire's
+        rounding of partial sums.
         The operator keeps the per-rank blocks it cut, so a later call
         at the same rank count builds nothing; ``operator.close()``
         releases them.
@@ -257,7 +259,8 @@ def reconstruct(
     solve_op = operator
     if num_ranks > 1:
         tomo_dec, sino_dec = decompose_both(
-            operator.tomo_ordering, operator.sino_ordering, num_ranks
+            operator.tomo_ordering, operator.sino_ordering, num_ranks,
+            operator.plan.gather if operator._orbit else None,
         )
         comm = None
         if injector is not None:
@@ -269,11 +272,11 @@ def reconstruct(
         # Rank data depend only on the two decompositions: the operator
         # keeps the last cut (one slot) and a hit builds nothing.  On a
         # miss the old entry goes first, so one decomposition stays
-        # resident, and the rank blocks are the rank cut of the plan's
-        # ``A^T``: sliced out of the operator's derived transpose (held
-        # until close()) on a plan of ``A``, cut straight from ``Q`` on an
-        # orbit plan, where neither ``A`` nor ``A^T`` is built — nor is
-        # it when a crash's degrade() cuts again.  The list is stored
+        # resident.  On a plan of ``A`` the rank blocks are sliced out of
+        # the operator's derived transpose (held until close()); on an
+        # orbit plan the tomogram is cut by whole orbits and each rank
+        # holds its own columns of ``Q``, so neither ``A`` nor ``A^T`` is
+        # built, nor when a crash's degrade() cuts again.  The list is stored
         # before the solve: degrade() replaces solve_op.ranks, never
         # this list.  An orbit plan's row sums are kept in its entries,
         # so a later solve on the same cut expands no rows.

@@ -6,6 +6,9 @@ rank owns one contiguous range of the two-level pseudo-Hilbert curve in
 each domain — whole tiles, so subdomains are connected 2D regions.
 Tile granularity controls load balance ("it can be improved by finer
 tile granularity at the cost of more preprocessing").
+
+An orbit plan's ranks own whole orbits of the pixel maps instead, so
+a rank's columns of ``Q`` are its columns of ``A``.
 """
 
 from __future__ import annotations
@@ -21,19 +24,34 @@ __all__ = ["Decomposition", "decompose_domain", "decompose_both"]
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Contiguous curve-range ownership of one domain by ``num_ranks``.
+    """Ownership of one domain's cells by ``num_ranks``.
 
-    ``bounds`` has ``num_ranks + 1`` entries; rank ``p`` owns ordered
-    positions ``bounds[p]:bounds[p + 1]``.
+    ``cells`` lists the ordered positions rank-major (``None``: the
+    identity, a contiguous cut); ``bounds`` has ``num_ranks + 1``
+    entries, and rank ``p`` owns ``cells[bounds[p]:bounds[p + 1]]``.
     """
 
     ordering: DomainOrdering
     num_ranks: int
     bounds: np.ndarray
+    cells: np.ndarray | None = None
+
+    def rank_cells(self, rank: int) -> np.ndarray:
+        """Ordered positions owned by ``rank``, ascending."""
+        lo, hi = self.bounds[rank], self.bounds[rank + 1]
+        return np.arange(lo, hi) if self.cells is None else self.cells[lo:hi]
 
     def owner_of(self, positions: np.ndarray) -> np.ndarray:
         """Rank owning each ordered position (vectorized)."""
-        return np.searchsorted(self.bounds, np.asarray(positions), side="right") - 1
+        positions = np.asarray(positions)
+        if self.cells is not None:  # each position's rank-major slot
+            positions = np.argsort(self.cells)[positions]
+        return np.searchsorted(self.bounds, positions, side="right") - 1
+
+    def orbit_closed(self, orbits: np.ndarray) -> bool:
+        """Whether every rank owns each image ``orbits[c]`` of its cells ``c``."""
+        owner = self.owner_of(np.arange(self.ordering.num_cells))
+        return bool((owner[orbits] == owner[:, None]).all())
 
     def rank_size(self, rank: int) -> int:
         """Number of cells owned by ``rank``."""
@@ -47,16 +65,18 @@ class Decomposition:
 
     def scatter(self, ordered: np.ndarray) -> list[np.ndarray]:
         """Split an ordered-domain vector into per-rank pieces."""
-        return [
-            np.asarray(ordered)[self.bounds[p] : self.bounds[p + 1]]
-            for p in range(self.num_ranks)
-        ]
+        ordered = np.asarray(ordered)
+        ordered = ordered if self.cells is None else ordered[self.cells]
+        return [ordered[lo:hi] for lo, hi in zip(self.bounds[:-1], self.bounds[1:])]
 
     def gather(self, pieces: list[np.ndarray]) -> np.ndarray:
         """Reassemble per-rank pieces into one ordered-domain vector."""
         if len(pieces) != self.num_ranks:
             raise ValueError(f"expected {self.num_ranks} pieces, got {len(pieces)}")
-        return np.concatenate([np.asarray(p) for p in pieces])
+        joined = np.concatenate([np.asarray(p) for p in pieces])
+        if self.cells is not None:
+            joined[self.cells] = joined.copy()
+        return joined
 
 
 def decompose_domain(ordering: DomainOrdering, num_ranks: int) -> Decomposition:
@@ -88,13 +108,37 @@ def decompose_domain(ordering: DomainOrdering, num_ranks: int) -> Decomposition:
     return Decomposition(ordering=ordering, num_ranks=num_ranks, bounds=bounds)
 
 
+def decompose_orbits(
+    ordering: DomainOrdering, num_ranks: int, orbits: np.ndarray
+) -> Decomposition:
+    """Assign whole orbits of ``orbits`` (``(cells, slots)``: where each
+    pixel map sends a cell) to ranks, so every rank's set is closed under
+    every map.  An orbit's representative is its smallest position; each
+    rank takes one contiguous run of representatives, runs balanced by cells.
+    """
+    if num_ranks <= 0:
+        raise ValueError(f"rank count must be positive, got {num_ranks}")
+    n = ordering.num_cells
+    rep = np.asarray(orbits).min(axis=1)
+    size = np.bincount(rep, minlength=n)  # an orbit's cells, at its representative
+    owner = ((np.cumsum(size) - size) * num_ranks // max(n, 1))[rep]
+    bounds = np.zeros(num_ranks + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=num_ranks), out=bounds[1:])
+    cells = np.argsort(owner, kind="stable")
+    return Decomposition(ordering=ordering, num_ranks=num_ranks, bounds=bounds, cells=cells)
+
+
 def decompose_both(
     tomo_ordering: DomainOrdering,
     sino_ordering: DomainOrdering,
     num_ranks: int,
+    orbits: np.ndarray | None = None,
 ) -> tuple[Decomposition, Decomposition]:
-    """Decompose tomogram and sinogram domains over the same ranks."""
+    """Decompose both domains over the same ranks; the tomogram by whole
+    orbits when an orbit plan's ``gather`` is given as ``orbits``."""
     return (
-        decompose_domain(tomo_ordering, num_ranks),
+        decompose_domain(tomo_ordering, num_ranks)
+        if orbits is None
+        else decompose_orbits(tomo_ordering, num_ranks, orbits),
         decompose_domain(sino_ordering, num_ranks),
     )

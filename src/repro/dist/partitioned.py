@@ -16,9 +16,11 @@ backprojects onto its own tomogram columns — no reduction on the
 tomogram side because column ownership is disjoint.  Both passes are
 pure gather/reduce; there are no scatter races anywhere.
 
-The operator is numerically exact: ``forward``/``adjoint`` results are
-bit-wise reproducible re-partitionings of the serial SpMV (verified in
-tests for arbitrary rank counts).
+The wire carries float32: on a float32 plan the adjoint is the serial
+kernel's bit for bit, and the forward equals it up to the wire's
+rounding of the partial sums (tests hold it to ``rtol=1e-4``).  On an
+orbit plan each rank owns whole orbits of the pixel maps and runs
+``Q``'s 8-column kernels over its own columns of ``Q``.
 
 Graceful degradation: when the (fault-injected) communicator reports a
 rank crash, the serial-facade passes redistribute the dead rank's
@@ -58,14 +60,16 @@ class RankData:
 
     Attributes
     ----------
-    partial_transpose:
-        ``A_p^T`` — the cut of ``A^T``'s rows ``[c0, c1)`` (the rank's
-        local tomogram cells), its columns renumbered onto
-        ``touched_rows``; backprojection runs on it.
     partial_matrix:
-        ``A_p`` — the scan transpose of ``partial_transpose``: rows are
-        this rank's *touched* sinogram rows, columns its local
-        tomogram cells.
+        ``A_p``: rows are this rank's *touched* sinogram rows, columns
+        its local tomogram cells.  On a plan of ``A``, the scan
+        transpose of ``partial_transpose``; on an orbit plan, an
+        :class:`~repro.sparse.OrbitMatrix` over the rank's columns of
+        ``Q``, which runs both directions.
+    partial_transpose:
+        ``A_p^T`` on a plan of ``A`` — the cut of ``A^T``'s rows
+        ``[c0, c1)``, its columns renumbered onto ``touched_rows``;
+        backprojection runs on it.  ``None`` on an orbit plan.
     touched_rows:
         Sorted global sinogram positions with at least one nonzero in
         this rank's tomogram columns.
@@ -75,8 +79,8 @@ class RankData:
         contiguous in curve order).
     """
 
-    partial_matrix: CSRMatrix
-    partial_transpose: CSRMatrix
+    partial_matrix: CSRMatrix | OrbitMatrix
+    partial_transpose: CSRMatrix | None
     touched_rows: np.ndarray
     send_segments: list[tuple[int, int]]
     # The sums of A's rows this rank owns in the sinogram decomposition,
@@ -119,6 +123,37 @@ class RankData:
             send_segments=[(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:])],
         )
 
+    @classmethod
+    def from_orbit_cells(
+        cls, plan: OrbitMatrix, cells: np.ndarray, sino_bounds: np.ndarray
+    ) -> "RankData":
+        """The rank owning the orbit-closed ordered ``cells`` (ascending):
+        ``Q``'s rows that meet them, columns renumbered onto them (float32
+        values), each touched ray's ``(row, slot)`` there, and the cells'
+        maps, which closure makes permutations of the cells."""
+        stored = plan.stored
+        local = np.full(stored.num_cols, -1, np.int32)
+        local[cells] = np.arange(cells.shape[0])
+        col = local[stored.ind]
+        hit = col >= 0
+        kept = np.zeros(stored.nnz + 1, np.int64)  # hits before each nonzero
+        np.cumsum(hit, out=kept[1:])
+        rows = np.flatnonzero(np.diff(kept[stored.displ]))
+        q_p = CSRMatrix(
+            displ=np.append(kept[stored.displ[rows]], kept[-1]),
+            ind=col[hit],
+            val=stored.val[hit],
+            num_cols=cells.shape[0],
+        )
+        at = np.full(stored.num_rows, -1, np.int64)
+        at[rows] = np.arange(rows.shape[0])
+        row = at[plan.out // plan.slots]  # each ray's row of Q_p, or -1
+        touched = np.flatnonzero(row >= 0)
+        out = row[touched] * plan.slots + plan.out[touched] % plan.slots
+        cuts = np.searchsorted(touched, sino_bounds)
+        segments = [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:])]
+        return cls(OrbitMatrix(q_p, local[plan.gather[cells]], out), None, touched, segments)
+
 
 class DistributedOperator:
     """MemXCT's distributed forward/backprojection over a SimComm.
@@ -128,9 +163,10 @@ class DistributedOperator:
     (:meth:`forward` / :meth:`adjoint`) scatter, execute all ranks, and
     gather, so the operator plugs directly into the solvers.
 
-    ``matrix`` is the plan the ranks are cut from: ``A`` itself, or an
-    orbit plan (:class:`~repro.sparse.OrbitMatrix`), which is cut
-    straight from its ``Q`` with no global ``A`` or ``A^T``.
+    ``matrix`` is the plan the ranks are cut from: ``A`` itself, cut
+    by rows of ``A^T``, or an orbit plan
+    (:class:`~repro.sparse.OrbitMatrix`) on an orbit-closed tomogram
+    decomposition, cut by columns of ``Q`` with no ``A`` or ``A^T``.
     """
 
     def __init__(
@@ -152,12 +188,16 @@ class DistributedOperator:
                 raise ValueError("matrix columns must match the tomogram domain")
             if transpose is not None and transpose.shape != matrix.shape[::-1]:
                 raise ValueError("transpose must have the matrix's shape, transposed")
+            orbit = isinstance(matrix, OrbitMatrix)
+            if not (tomo_dec.orbit_closed(matrix.gather) if orbit else tomo_dec.cells is None):
+                raise ValueError("an orbit plan needs an orbit-closed tomogram "
+                                 "decomposition, a plan of A a contiguous one")
         elif rank_data is None:
             raise ValueError("either a global matrix or per-rank data is required")
         self.matrix = matrix
         # The scan transpose of ``matrix`` the caller already holds (an
-        # operator's); without one the first build derives it, once, or
-        # cuts an orbit plan's ranks from ``Q`` without any.
+        # operator's); without one the first build of a plan of ``A``
+        # derives it, once.  An orbit plan's build reads none.
         self.transpose = transpose
         self.tomo_dec = tomo_dec
         self.sino_dec = sino_dec
@@ -207,10 +247,13 @@ class DistributedOperator:
         for p, rank in enumerate(rank_data):
             touched = rank.touched_rows.shape[0]
             ends = [0] + [hi for _, hi in rank.send_segments]
+            size, transpose = self.tomo_dec.rank_size(p), rank.partial_transpose
             for fits, what in (
-                (rank.partial_transpose.num_rows == self.tomo_dec.rank_size(p),
-                 "partial_transpose rows must be the rank's tomogram cells"),
-                (rank.partial_matrix.shape == rank.partial_transpose.shape[::-1],
+                (rank.partial_matrix.num_cols == size
+                 and (transpose is None or transpose.num_rows == size),
+                 "partial_transpose rows and partial_matrix columns must be "
+                 "the rank's tomogram cells"),
+                (transpose is None or rank.partial_matrix.shape == transpose.shape[::-1],
                  "partial_matrix must be partial_transpose's shape, transposed"),
                 (rank.partial_matrix.num_rows == touched,
                  "partial_matrix must have one row per touched row"),
@@ -225,19 +268,22 @@ class DistributedOperator:
                     raise ValueError(f"rank {p}: {what}")
 
     def _build(self) -> None:
-        """Cut every rank's block out of the transpose (views + one
-        block-sized index copy each; no copy of the global matrix), or,
-        on an orbit plan with no transpose held, out of ``Q``: each
-        rank's rows of ``A^T`` are built alone and cut whole."""
+        """Cut every rank's data: on an orbit plan its columns of ``Q``,
+        else its block of the transpose (views + one block-sized index
+        copy each; no copy of the global matrix)."""
+        sino_bounds = self.sino_dec.bounds
+        if isinstance(self.matrix, OrbitMatrix):
+            self.ranks = [
+                RankData.from_orbit_cells(self.matrix, self.tomo_dec.rank_cells(p), sino_bounds)
+                for p in range(self.num_ranks)
+            ]
+            return
+        if self.transpose is None:
+            self.transpose = scan_transpose(self.matrix)
         bounds = self.tomo_dec.bounds
-        if self.transpose is None and isinstance(self.matrix, OrbitMatrix):
-            cuts = ((block, 0, block.num_rows) for block in self.matrix.transpose_blocks(bounds))
-        else:
-            if self.transpose is None:
-                self.transpose = scan_transpose(self.matrix)
-            cuts = ((self.transpose, bounds[p], bounds[p + 1]) for p in range(self.num_ranks))
         self.ranks = [
-            RankData.from_transpose_rows(*cut, self.sino_dec.bounds) for cut in cuts
+            RankData.from_transpose_rows(self.transpose, bounds[p], bounds[p + 1], sino_bounds)
+            for p in range(self.num_ranks)
         ]
 
     def _build_recv_ids(self) -> None:
@@ -321,7 +367,10 @@ class DistributedOperator:
                 [recv[p][q] for q in range(self.num_ranks)]
                 or [np.empty(0, dtype=np.float32)]
             )
-            x_pieces.append(self.ranks[p].partial_transpose.spmv(y_sub))
+            rank = self.ranks[p]  # an orbit rank's A_p runs both directions
+            x_pieces.append(rank.partial_matrix.spmv_transposed(y_sub)
+                            if rank.partial_transpose is None
+                            else rank.partial_transpose.spmv(y_sub))
         return x_pieces
 
     # -- graceful degradation ----------------------------------------------
@@ -331,12 +380,13 @@ class DistributedOperator:
 
         On a flat topology the both-domain decomposition is rebuilt
         globally over ``num_ranks - len(dead_ranks)`` ranks (survivors
-        renumber).  On a hierarchical topology each dead rank's curve
-        ranges are absorbed by the nearest surviving rank of its own
-        node group — keeping the redistribution on the intra-node
-        fabric — with the nearest global neighbour as fallback when an
-        entire node died; the shrunken :class:`Topology` preserves the
-        survivors' node placement.  Either way ``A_p``/``A_p^T`` and
+        renumber; by orbits on an orbit plan).  On a hierarchical
+        topology each dead rank's curve ranges are absorbed by the
+        nearest surviving rank of its own node group — keeping the
+        redistribution on the intra-node fabric — with the nearest
+        global neighbour as fallback when an entire node died; the
+        shrunken :class:`Topology` preserves the survivors' node
+        placement.  Either way ``A_p``/``A_p^T`` and
         the exchange segments are re-partitioned and a fresh
         communicator inherits the fault injector so the chaos schedule
         keeps running.  Requires the plan (``A`` or its orbit form) —
@@ -365,7 +415,8 @@ class DistributedOperator:
             }
             if self.topology.is_flat:
                 self.tomo_dec, self.sino_dec = decompose_both(
-                    self.tomo_dec.ordering, self.sino_dec.ordering, survivors
+                    self.tomo_dec.ordering, self.sino_dec.ordering, survivors,
+                    self.matrix.gather if isinstance(self.matrix, OrbitMatrix) else None,
                 )
                 self.topology = Topology.flat(survivors)
                 self.comm = SimComm(survivors, fault_injector=injector)
@@ -446,17 +497,7 @@ class DistributedOperator:
         return self.forward(np.ones(self.num_pixels, dtype=np.float32))
 
     def col_sums(self) -> np.ndarray:
-        if isinstance(self.matrix, OrbitMatrix):
-            # Each row of A^T summed in ray order, as A's adjoint sums it:
-            # float32 rank blocks hold the plan's own values; an fp64
-            # plan's are cut again at its precision.
-            if self.matrix.stored.value_dtype == "float32":
-                blocks = [rank.partial_transpose for rank in self.ranks]
-            else:
-                blocks = self.matrix.transpose_blocks(self.tomo_dec.bounds)
-            return np.concatenate(
-                [block.spmv(np.ones(block.num_cols, block.val.dtype)) for block in blocks]
-            )
+        # An orbit plan's own: on a float32 plan, the ranks' adjoint of ones.
         if self.matrix is not None:
             return self.matrix.col_sums()
         return self.adjoint(np.ones(self.num_rays, dtype=np.float32))
@@ -505,7 +546,8 @@ def _absorb_ranges(dec: Decomposition, absorbed_by: dict[int, int]) -> Decomposi
     Every dead rank maps to a survivor on the same side of any other
     survivor (nearest-neighbour assignment over contiguous groups), so
     each survivor inherits a contiguous run of ranks and the new
-    bounds are a subset of the old tile-aligned cuts.
+    bounds are a subset of the old tile-aligned cuts.  Orbit-closed
+    ranks' ``cells`` merge whole, so the survivors' stay closed.
     """
     sizes = np.diff(dec.bounds)
     merged = sizes.astype(np.int64).copy()
@@ -518,6 +560,7 @@ def _absorb_ranges(dec: Decomposition, absorbed_by: dict[int, int]) -> Decomposi
     )
     bounds = np.zeros(survivor_sizes.shape[0] + 1, dtype=np.int64)
     np.cumsum(survivor_sizes, out=bounds[1:])
-    return Decomposition(
-        ordering=dec.ordering, num_ranks=survivor_sizes.shape[0], bounds=bounds
-    )
+    cells, owner = dec.cells, np.repeat(np.arange(survivor_sizes.shape[0]), survivor_sizes)
+    if cells is not None:  # each survivor's cells ascending again
+        cells = cells[np.lexsort((cells, owner))]
+    return Decomposition(dec.ordering, survivor_sizes.shape[0], bounds, cells)

@@ -12,11 +12,12 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .csr import CSRMatrix, spmv_input
 from .partition import RowPartitions
-from .transpose import scan_transpose
 
 __all__ = ["MIN_SLOTS", "OrbitMatrix", "orbit_group"]
 
@@ -95,7 +96,9 @@ class OrbitMatrix:
 
     def spread_pixels(self, x: np.ndarray) -> np.ndarray:
         """``x[G]``: the ``(pixels, slots * S)`` input of ``Q``'s SpMM."""
-        return x.take(self.gather, axis=0).reshape(self.num_cols, -1)
+        # Widths are stated, not inferred, so an empty rank's are defined.
+        width = self.slots * math.prod(x.shape[1:])
+        return x.take(self.gather, axis=0).reshape(self.num_cols, width)
 
     def pick_rays(self, r: np.ndarray, like: np.ndarray) -> np.ndarray:
         """Each ordered ray's entry of ``Q``'s ``(Q rows, slots * S)`` product."""
@@ -105,7 +108,7 @@ class OrbitMatrix:
         """``y`` scattered into ``(Q rows, slots * S)``, zeros elsewhere."""
         spread = np.zeros((self.stored.num_rows * self.slots,) + y.shape[1:], y.dtype)
         spread[self.out] = y
-        return spread.reshape(self.stored.num_rows, -1)
+        return spread.reshape(self.stored.num_rows, self.slots * math.prod(y.shape[1:]))
 
     def fold_pixels(self, z: np.ndarray, like: np.ndarray) -> np.ndarray:
         """Sum over slots of ``Q^T``'s product gathered back through the
@@ -175,60 +178,6 @@ class OrbitMatrix:
             key >>= pbits
             ind[lo:hi] = key & ((1 << cbits) - 1)
         return CSRMatrix(displ, ind, val, self.num_cols, np.dtype(val.dtype).name)
-
-    def transpose_blocks(self, bounds):
-        """Rows ``[bounds[p], bounds[p + 1])`` of ``A^T`` for each ``p``
-        in turn, as CSR blocks with ordered-ray columns: each equals the
-        same rows of ``scan_transpose(self.expand())``, dtype for dtype,
-        and neither ``A`` nor ``A^T`` is built.
-
-        Row ``c`` of ``A^T`` is, over slots ``k``, row ``_fold[k, c] //
-        slots`` of ``Q^T`` with each ``Q`` row ``q`` renamed to the
-        ordered ray holding ``(q, k)``; a pair no ray holds is dropped.
-        Rows are sorted a chunk at a time as :meth:`expand` sorts them:
-        one packed key (row in the chunk, ray, position) per chunk.
-        """
-        stored, slots = self.stored, self.slots
-        qt = scan_transpose(stored)
-        qt_nnz = qt.row_nnz()
-        ray = np.full(stored.num_rows * slots, -1, np.int64)
-        ray[self.out] = np.arange(self.num_rows)
-        # Each row's length: A's column counts, the adjoint of ones over
-        # Q's pattern (exact in float64).
-        pattern = CSRMatrix(
-            stored.displ, stored.ind, np.ones(stored.nnz), self.num_cols, "float64"
-        )
-        counts = OrbitMatrix(pattern, self.gather, self.out).col_sums().astype(np.int64)
-        rbits = (self.num_rows - 1).bit_length()
-        slot = np.arange(slots)
-        for c0, c1 in zip(bounds[:-1], bounds[1:]):
-            c0, c1 = int(c0), int(c1)
-            displ = np.zeros(c1 - c0 + 1, np.int64)
-            np.cumsum(counts[c0:c1], out=displ[1:])
-            ind, val = np.empty(displ[-1], np.int32), np.empty(displ[-1], stored.val.dtype)
-            sources = self._fold[:, c0:c1].T // slots  # a row's Q^T row per slot
-            found = qt_nnz[sources].sum(axis=1)  # held or not
-            reach = np.zeros(c1 - c0 + 1, np.int64)
-            np.cumsum(found, out=reach[1:])
-            edges = [*np.searchsorted(reach, np.arange(0, reach[-1], _EXPAND_CHUNK)), c1 - c0]
-            for a, b in zip(edges[:-1], edges[1:]):
-                j = sources[a:b].ravel()
-                count = qt_nnz[j]
-                shift = qt.displ[j] - (np.cumsum(count) - count)  # offset in Q^T less in chunk
-                src = np.arange(reach[b] - reach[a]) + np.repeat(shift, count)
-                key = ray[qt.ind[src] * slots + np.repeat(np.tile(slot, b - a), count)]
-                held = key >= 0
-                src, key = src[held], key[held]
-                key |= np.repeat(np.arange(b - a, dtype=np.int64) << rbits, found[a:b])[held]
-                pbits = len(src).bit_length()
-                key <<= pbits
-                key |= np.arange(len(src))
-                key.sort()
-                lo, hi = displ[a], displ[b]
-                val[lo:hi] = qt.val[src[key & ((1 << pbits) - 1)]]
-                key >>= pbits
-                ind[lo:hi] = key & ((1 << rbits) - 1)
-            yield CSRMatrix(displ, ind, val, self.num_rows, stored.value_dtype)
 
     # -- row slices ------------------------------------------------------
 

@@ -22,8 +22,8 @@ from repro.dist import (
     distributed_preprocess,
 )
 from repro.geometry import ParallelBeamGeometry
-from repro.solvers import cgls, mlem, sirt
-from repro.sparse import OrbitMatrix, scan_transpose
+from repro.solvers import cgls
+from repro.sparse import OrbitMatrix
 
 from .test_partitioned import _assert_same_rank_data
 
@@ -121,15 +121,16 @@ def _scene(config=None):
 
 @pytest.fixture
 def cuts(monkeypatch):
-    """Counts every rank block cut, whoever asks for it."""
+    """Counts every rank cut of either kind, whoever asks for it: the
+    orbit cuts of ``Q``'s columns and the row cuts of a transpose."""
     calls = []
-    original = RankData.from_transpose_rows
+    for name in ("from_orbit_cells", "from_transpose_rows"):
 
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])  # the rank's (c0, c1)
-        return original(*args, **kwargs)
+        def counting(*args, _original=getattr(RankData, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(RankData, "from_transpose_rows", staticmethod(counting))
+        monkeypatch.setattr(RankData, name, staticmethod(counting))
     return calls
 
 
@@ -153,7 +154,7 @@ class TestReconstructMemo:
         operator, sinogram = _scene()
         with obs.capture() as cap:
             first = _solve(operator, sinogram)
-            assert len(cuts) == 4
+            assert cuts == ["from_orbit_cells"] * 4
             held = _memo(operator)
             second = _solve(operator, sinogram)
         assert len(cuts) == 4  # nothing built
@@ -218,21 +219,22 @@ class TestReconstructMemo:
         ],
         ids=["buffered", "ell", "fp64"],
     )
-    def test_blocks_are_float32_cuts_of_the_csr_transpose(self, config):
+    def test_ranks_are_float32_cuts_of_q(self, config):
         operator, sinogram = _scene(config)
         first = _solve(operator, sinogram)
         memo = _memo(operator)
+        plan = operator.plan
         tomo_dec, sino_dec = decompose_both(
-            operator.tomo_ordering, operator.sino_ordering, 4
+            operator.tomo_ordering, operator.sino_ordering, 4, plan.gather
         )
-        memoized = DistributedOperator(operator.matrix, tomo_dec, sino_dec, rank_data=memo)
-        fresh = DistributedOperator(
-            operator.matrix, tomo_dec, sino_dec, transpose=operator.transpose
-        )
+        memoized = DistributedOperator(plan, tomo_dec, sino_dec, rank_data=memo)
+        fresh = DistributedOperator(plan, tomo_dec, sino_dec)
         _assert_same_rank_data(memoized, fresh)
         for rank in memo:
-            assert rank.partial_matrix.val.dtype == np.float32
-            assert rank.partial_transpose.val.dtype == np.float32
+            assert rank.partial_matrix.stored.val.dtype == np.float32
+            assert rank.partial_transpose is None
+        assert sum(rank.partial_matrix.stored.nnz for rank in memo) == plan.stored.nnz
+        assert operator._matrix is None and operator._transpose is None
         assert np.array_equal(_solve(operator, sinogram).image, first.image)
 
     def test_distributed_preprocess_is_untouched(self, cuts):
@@ -245,8 +247,8 @@ class TestReconstructMemo:
 
 
 class TestOrbitPlanCut:
-    """On an orbit plan the rank blocks are cut straight from ``Q``: the
-    cut is the global transpose's, and ``A`` / ``A^T`` are never built."""
+    """On an orbit plan each rank holds its own columns of ``Q``, and
+    ``A`` / ``A^T`` are never built."""
 
     @pytest.mark.parametrize(
         "faults",
@@ -258,7 +260,7 @@ class TestOrbitPlanCut:
         assert isinstance(operator.plan, OrbitMatrix)
         result = _solve(operator, sinogram, **faults)
         assert operator._matrix is None and operator._transpose is None
-        assert len(cuts) == (4 + 3 if "faults" in faults else 4)
+        assert cuts == ["from_orbit_cells"] * (4 + 3 if "faults" in faults else 4)
         assert ("degradations" in result.extra) == ("faults" in faults)
 
     @pytest.mark.parametrize("solver, ranks_expanded", [("sirt", 4), ("sgd", 4), ("mlem", 0)])
@@ -293,56 +295,53 @@ class TestOrbitPlanCut:
 
     @pytest.mark.parametrize("dtype", [None, "float64"], ids=["fp32", "fp64"])
     @pytest.mark.parametrize(
-        "shape", [(24, 32), (24, 31), (36, 24), (36, 23)], ids=lambda s: "%dx%d" % s
+        "shape, ranks",
+        [((24, 32), r) for r in (1, 2, 3, 4, 7)]
+        + [((24, 31), 4), ((36, 24), 4), ((36, 23), 4), ((8, 4), 20)],
+        ids=["1", "2", "3", "4", "7", "24x31", "36x24", "36x23", "8x4-20"],
     )
-    def test_blocks_are_rows_of_the_global_transpose(self, shape, dtype):
+    def test_ranks_are_the_columns_of_a(self, shape, ranks, dtype):
+        """Each rank's ``A_p`` expands to ``A``'s touched rows on the
+        rank's cells (float32); row sums are ``A``'s and column sums the
+        plan's, bit for bit, and the adjoint is the plan's on float32."""
         operator, _ = preprocess(
             ParallelBeamGeometry(*shape), config=OperatorConfig(kernel="csr", dtype=dtype)
         )
         plan = operator.plan
-        whole = scan_transpose(plan.expand())
-        n = plan.num_cols
-        for bounds in ([0, n], [0, 7, 7, n // 2, n], [5, 5]):
-            for c0, c1, block in zip(bounds[:-1], bounds[1:], plan.transpose_blocks(bounds)):
-                lo, hi = whole.displ[c0], whole.displ[c1]
-                for got, want in (
-                    (block.displ, whole.displ[c0 : c1 + 1] - lo),
-                    (block.ind, whole.ind[lo:hi]),
-                    (block.val, whole.val[lo:hi]),
-                ):
-                    assert got.dtype == want.dtype and np.array_equal(got, want)
-                assert block.shape == (c1 - c0, whole.num_cols)
-
-    @pytest.mark.parametrize(
-        "shape, ranks, dtype",
-        [((24, 32), r, None) for r in (1, 2, 3, 4, 7)]
-        + [((24, 32), 4, "float64"), ((8, 4), 20, None)],
-        ids=["1", "2", "3", "4", "7", "4-fp64", "8x4-20"],
-    )
-    def test_plan_build_is_the_transpose_build(self, shape, ranks, dtype):
-        operator, _ = preprocess(
-            ParallelBeamGeometry(*shape), config=OperatorConfig(kernel="csr", dtype=dtype)
-        )
-        matrix = operator.plan.expand()
+        matrix = plan.expand()
+        dense = matrix.to_scipy().toarray().astype(np.float32)
         tomo_dec, sino_dec = decompose_both(
-            operator.tomo_ordering, operator.sino_ordering, ranks
+            operator.tomo_ordering, operator.sino_ordering, ranks, plan.gather
         )
-        from_plan = DistributedOperator(operator.plan, tomo_dec, sino_dec)
-        from_matrix = DistributedOperator(
-            matrix, tomo_dec, sino_dec, transpose=scan_transpose(matrix)
-        )
-        _assert_same_rank_data(from_plan, from_matrix)
-        assert any(rank.partial_matrix.nnz == 0 for rank in from_plan.ranks) == (ranks == 20)
+        dist = DistributedOperator(plan, tomo_dec, sino_dec)
+        for p, rank in enumerate(dist.ranks):
+            block = dense[:, tomo_dec.rank_cells(p)]
+            assert np.array_equal(rank.touched_rows, np.flatnonzero(block.any(axis=1)))
+            expanded = rank.partial_matrix.expand()
+            assert expanded.val.dtype == np.float32
+            assert np.array_equal(expanded.to_scipy().toarray(), block[rank.touched_rows])
+        assert any(rank.partial_matrix.nnz == 0 for rank in dist.ranks) == (ranks == 20)
+        assert sum(rank.partial_matrix.stored.nnz for rank in dist.ranks) == plan.stored.nnz
         for got, want in (
-            (from_plan.row_sums(), matrix.row_sums()),
-            (from_plan.col_sums(), matrix.col_sums()),
+            (dist.row_sums(), matrix.row_sums()),
+            (dist.col_sums(), plan.col_sums()),
         ):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        y = from_matrix.forward(
-            np.random.default_rng(5).random(matrix.num_cols).astype(np.float32)
+        y = np.random.default_rng(5).random(plan.num_rows).astype(np.float32)
+        if dtype is None:
+            assert np.array_equal(dist.adjoint(y), plan.spmv_transposed(y))
+            ones = np.ones(plan.num_rows, np.float32)
+            assert np.array_equal(dist.adjoint(ones), plan.col_sums())
+
+    def test_a_contiguous_cut_is_refused(self):
+        operator, _ = _scene()
+        tomo_dec, sino_dec = decompose_both(
+            operator.tomo_ordering, operator.sino_ordering, 4
         )
-        for solver in (sirt, mlem):
-            assert np.array_equal(
-                solver(from_plan, y, num_iterations=4).x,
-                solver(from_matrix, y, num_iterations=4).x,
-            )
+        with pytest.raises(ValueError, match="orbit-closed"):
+            DistributedOperator(operator.plan, tomo_dec, sino_dec)
+        orbit_dec, _ = decompose_both(
+            operator.tomo_ordering, operator.sino_ordering, 4, operator.plan.gather
+        )
+        with pytest.raises(ValueError, match="orbit-closed"):
+            DistributedOperator(operator.matrix, orbit_dec, sino_dec)

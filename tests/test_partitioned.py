@@ -182,7 +182,11 @@ def _rank_arrays(op):
     """Every array of every rank's data, flattened for comparison."""
     out = []
     for rank in op.ranks:
-        for m in (rank.partial_matrix, rank.partial_transpose):
+        blocks = (rank.partial_matrix, rank.partial_transpose)
+        if rank.partial_transpose is None:  # an orbit rank: Q_p and its maps
+            blocks = (rank.partial_matrix.stored,)
+            out += [rank.partial_matrix.gather, rank.partial_matrix.out]
+        for m in blocks:
             out += [m.displ, m.ind, m.val, np.asarray(m.shape)]
         out += [rank.touched_rows, np.asarray(rank.send_segments)]
     return out
@@ -289,9 +293,8 @@ class TestBuildFromTranspose:
         assert kept - before < 2 * one_global_copy
 
     def test_plan_build_copies_no_global_matrix(self):
-        """An orbit plan's build keeps to the same bound with no ``A``
-        and no ``A^T`` held at all: ``Q^T`` is an eighth of ``A^T`` and
-        each rank's rows are built alone."""
+        """An orbit plan's build holds no ``A`` and no ``A^T`` at all:
+        each rank keeps its own columns of ``Q``, an eighth of ``A``'s."""
         import tracemalloc
 
         operator, _ = preprocess(
@@ -300,7 +303,9 @@ class TestBuildFromTranspose:
         plan = operator.plan
         assert isinstance(plan, OrbitMatrix)
         ranks = 8
-        td, sd = decompose_both(operator.tomo_ordering, operator.sino_ordering, ranks)
+        td, sd = decompose_both(
+            operator.tomo_ordering, operator.sino_ordering, ranks, plan.gather
+        )
         topology = Topology.flat(ranks)
         DistributedOperator(plan, td, sd, topology=topology)
         tracemalloc.start()
@@ -312,7 +317,7 @@ class TestBuildFromTranspose:
             tracemalloc.stop()
         one_global_copy = plan.nnz * (4 + plan.stored.val.itemsize)
         assert peak - kept < one_global_copy / 2
-        # Kept: 16 B/nnz plus the row offsets — the values of A_p^T are
-        # the rank's own, not views of a held transpose.
+        # Kept: 8 B per nonzero of Q plus each rank's maps and rays.
         assert op.per_rank_nnz().sum() == plan.nnz
-        assert kept - before < 2.25 * one_global_copy
+        assert sum(rank.partial_matrix.stored.nnz for rank in op.ranks) == plan.stored.nnz
+        assert kept - before < 0.5 * one_global_copy

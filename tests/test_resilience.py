@@ -494,13 +494,11 @@ class TestReconstructIntegration:
         assert after is held and len(held) == 4
         assert all(a is b for a, b in zip(after, members, strict=True))
         tomo_dec, sino_dec = decompose_both(
-            operator.tomo_ordering, operator.sino_ordering, 4
+            operator.tomo_ordering, operator.sino_ordering, 4, operator.plan.gather
         )
         _assert_same_rank_data(
-            DistributedOperator(operator.matrix, tomo_dec, sino_dec, rank_data=held),
-            DistributedOperator(
-                operator.matrix, tomo_dec, sino_dec, transpose=operator.transpose
-            ),
+            DistributedOperator(operator.plan, tomo_dec, sino_dec, rank_data=held),
+            DistributedOperator(operator.plan, tomo_dec, sino_dec),
         )
         _, other, _ = _reconstruct_scene()
         reference = reconstruct(
