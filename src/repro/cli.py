@@ -61,6 +61,7 @@ import numpy as np
 
 from .core import DATASETS, OperatorConfig, get_dataset, preprocess, reconstruct
 from .machine import MACHINES
+from .parallel import parse_workers
 from .solvers.table import solver_names, solver_row
 from .utils import format_bytes, format_seconds, psnr, render_table
 
@@ -766,6 +767,15 @@ def _default(config_class, name: str):
     return field.default_factory()
 
 
+def _workers_spec(text: str) -> str:
+    """A ``--workers`` value, refused by argparse (exit 2) when malformed."""
+    try:
+        parse_workers(text, env=False)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .service import ServiceConfig
 
@@ -799,10 +809,11 @@ def build_parser() -> argparse.ArgumentParser:
     workers_flags.add_argument(
         "--workers",
         default=None,
+        type=_workers_spec,
         metavar="N|MODE|MODE:N",
-        help="parallel execution backend: a worker count (threads), "
-        "'thread'/'process'/'auto' (one worker per CPU), or 'mode:count' "
-        "like 'process:4'; default serial (or REPRO_WORKERS). "
+        help="parallel execution backend: a thread count, 'thread'/'auto' "
+        "(one thread per CPU), or 'mode:count' like 'thread:4'; two or more "
+        "partition SpMV and fan out tracing; default serial (or REPRO_WORKERS). "
         "Results are bit-identical across worker counts (docs/parallel.md)",
     )
 

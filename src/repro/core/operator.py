@@ -85,9 +85,10 @@ class OperatorConfig:
         sizes it with (<= 256 KB); no plan reads it.
     workers:
         Parallel-execution spec: a count (``4``), a mode
-        (``"thread"``/``"process"``/``"serial"``/``"auto"``) or
-        ``"mode:count"``; ``None`` defers to the ``REPRO_WORKERS``
-        environment variable.  Purely an execution knob — it never
+        (``"thread"``/``"serial"``/``"auto"``) or ``"mode:count"``;
+        ``None`` defers to the ``REPRO_WORKERS`` environment variable.
+        Two or more workers partition SpMV on a shared thread pool and
+        fan out tracing.  Purely an execution knob — it never
         changes numerics, and it is excluded from plan-cache
         fingerprints and persisted operators.
     dtype:
@@ -232,17 +233,14 @@ class MemXCTOperator:
     def _active_engine(self):
         """The parallel engine, or None for serial execution.
 
-        Only a ``process`` spec partitions SpMV, and only on the plan's
-        CSR pair; a thread spec runs the kernels serially (it still fans
-        out tracing), and so does a handed-in buffered or ELL pair.
-        scipy's loops hold the GIL; the compiled row loops of
-        :mod:`repro.sparse.native` release it, but no thread dispatch
-        partitions them yet.
+        Any spec of two or more workers partitions SpMV on the shared
+        thread pool, and only on the plan's CSR pair; a handed-in
+        buffered or ELL pair runs serially.
         """
         if not self._engine_resolved:
             self._engine_resolved = True
-            workers, mode = parse_workers(self.config.workers)
-            if workers >= 2 and mode == "process" and self._layouts["adjoint"] is None:
+            workers, _ = parse_workers(self.config.workers)
+            if workers >= 2 and self._layouts["adjoint"] is None:
                 from ..parallel import ParallelSpmvEngine
 
                 # Workers own output rows: the adjoint partitions the
@@ -269,9 +267,9 @@ class MemXCTOperator:
         self.config = self.config.evolve(workers=workers)
 
     def close(self) -> None:
-        """Release the parallel engine (pools, shared memory), the
-        memoized rank decomposition and the derived ``A`` (of an orbit
-        plan) and transpose; idempotent.
+        """Release the parallel engine, the memoized rank decomposition
+        and the derived ``A`` (of an orbit plan) and transpose;
+        idempotent.
 
         The operator remains fully usable afterwards — the next kernel
         call re-resolves the backend from ``config.workers`` and the
@@ -315,7 +313,7 @@ class MemXCTOperator:
 
         Derived state, built at first use and held until :meth:`close`.
         No kernel of a serial solve reads it; only work partitioned by
-        pixel rows does (the ``process`` engine's csr adjoint, the
+        pixel rows does (the parallel engine's csr adjoint, the
         distributed rank blocks of a plan of ``A``, ICD's column sweeps).
         An orbit plan's rank blocks are cut from ``Q`` without it.
         """

@@ -127,12 +127,10 @@ SERVICE_RECOVERED = _declare("service.recovered", "job")
 SERVICE_JOURNAL_RECORDS = _declare("service.journal_records", "record")
 #: Terminal-job result payloads evicted from the spool (TTL / size cap).
 SERVICE_EVICTIONS = _declare("service.evictions", "job")
-#: Worker tasks executed by the shared-memory parallel backend.
+#: Partition-range tasks executed by the parallel SpMV engine.
 PARALLEL_TASKS = _declare("parallel.tasks", "task")
-#: Parallel fan-outs dispatched (one per backend.map / engine apply).
+#: Parallel SpMV fan-outs dispatched (one per engine apply).
 PARALLEL_DISPATCHES = _declare("parallel.dispatches", "dispatch")
-#: Bytes placed in multiprocessing shared memory by the process backend.
-PARALLEL_SHM_BYTES = _declare("parallel.shm_bytes", "byte")
 #: SpMV kernel applications computed in float32 (default and fp32 paths).
 DTYPE_FP32_SPMV = _declare("dtype.fp32_spmv", "call")
 #: SpMV kernel applications computed in float64 (opt-in fp64 path).

@@ -1,21 +1,18 @@
-"""repro.parallel — shared-memory parallel execution backend.
+"""repro.parallel — thread-parallel execution backend.
 
 Reproduces the intra-node parallelism of the paper (OpenMP threads
 over contiguous Hilbert-ordered partition ranges, Section 4.1) on top
-of three interchangeable backends:
+of two interchangeable backends:
 
 * ``serial`` — inline execution, the bit-identity reference;
-* ``thread`` — a shared thread pool; fans out tracing, not SpMV
-  (scipy's loops hold the GIL; the compiled row loops release it but
-  have no thread dispatch yet);
-* ``process`` — a fork-context process pool whose workers attach the
-  operator's CSR arrays from POSIX shared memory; partitions SpMV.
+* ``thread`` — a shared thread pool; fans out tracing and partitions
+  SpMV (:mod:`repro.parallel.spmv`).
 
-Because every worker owns a contiguous partition range and reductions
-concatenate in fixed partition-major order, parallel results are
-**bit-identical** to serial results — the backends change wall time,
-never numerics.  Only CSR is partitioned and shipped; a handed-in
-buffered or ELL layout runs serially.
+Because every worker owns a contiguous partition range and writes its
+own output rows, parallel results are **bit-identical** to serial
+results — the backends change wall time, never numerics.  Only the
+plan's CSR pair is partitioned; a handed-in buffered or ELL layout runs
+serially.
 
 Worker counts resolve from ``workers=`` arguments / ``--workers``
 flags, then the ``REPRO_WORKERS`` environment variable, then serial.
@@ -25,7 +22,6 @@ See ``docs/parallel.md`` for the full guide.
 from .backend import (
     ENV_WORKERS,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     make_backend,
@@ -37,7 +33,6 @@ from .spmv import ParallelSpmvEngine, partition_ranges
 __all__ = [
     "ENV_WORKERS",
     "ExecutionBackend",
-    "ProcessBackend",
     "SerialBackend",
     "ThreadBackend",
     "make_backend",

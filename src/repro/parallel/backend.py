@@ -1,31 +1,23 @@
-"""Worker-count parsing and the three execution backends.
+"""Worker-count parsing and the two execution backends.
 
 The parallel layer reproduces the *intra-node* decomposition of the
 paper (Section 4.1): each OpenMP thread owns a contiguous range of
-Hilbert-ordered row partitions.  In this reproduction the "threads"
-come from one of three interchangeable backends:
+Hilbert-ordered row partitions.  In this reproduction the threads come
+from one of two interchangeable backends:
 
 ``serial``
     No pool at all — the caller runs the tasks inline.  This is the
     reference execution every other backend must match bit-for-bit.
 ``thread``
     A shared :class:`~concurrent.futures.ThreadPoolExecutor`.  It fans
-    out work that releases the GIL or waits — per-angle tracing, the
-    pipeline's per-slice solves — without pickling anything.  It does
-    not partition SpMV: scipy's CSR loops hold the GIL, and the compiled
-    row loops of :mod:`repro.sparse.native`, which release it, have no
-    thread dispatch yet.
-``process``
-    A fork-context :class:`~concurrent.futures.ProcessPoolExecutor`
-    whose workers attach the operator's arrays from POSIX shared
-    memory (see :mod:`repro.parallel.shm`).  The one backend that
-    partitions SpMV.
+    out per-angle tracing and runs the SpMV engine's partition ranges
+    (:mod:`repro.parallel.spmv`) without pickling or copying anything.
 
 Worker counts resolve from, in priority order: an explicit
 ``workers=`` argument / ``--workers`` flag, the ``REPRO_WORKERS``
 environment variable, and finally serial.  A spec is either a count
-(``4`` — thread mode), a mode name (``"process"`` — one worker per
-CPU), ``"auto"``, or ``"mode:count"`` (``"process:4"``).
+(``4`` — thread mode), a mode name (``"thread"`` — one worker per
+CPU), ``"auto"``, or ``"mode:count"`` (``"thread:4"``).
 
 This module imports only the standard library so every layer — sparse,
 trace, pipeline — can use it without cycles.
@@ -33,18 +25,17 @@ trace, pipeline — can use it without cycles.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Sequence
 
 __all__ = [
     "ENV_WORKERS",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
+    "in_pool",
     "parse_workers",
     "make_backend",
     "shutdown_shared_pools",
@@ -53,7 +44,7 @@ __all__ = [
 #: Environment variable consulted when no explicit worker spec is given.
 ENV_WORKERS = "REPRO_WORKERS"
 
-_MODES = ("serial", "thread", "process")
+_MODES = ("serial", "thread")
 
 
 def _cpu_workers() -> int:
@@ -108,7 +99,7 @@ def parse_workers(spec: int | str | None, *, env: bool = True) -> tuple[int, str
         )
     if count < 1:
         raise ValueError(f"workers must be >= 1, got {count} in spec {spec!r}")
-    if mode == "serial" or (count == 1 and mode != "process"):
+    if mode == "serial" or count == 1:
         return 1, "serial"
     return count, mode or "thread"
 
@@ -138,6 +129,18 @@ class SerialBackend(ExecutionBackend):
 # would otherwise spin up (and leak) a pool per operator instance.
 _THREAD_POOLS: dict[int, ThreadPoolExecutor] = {}
 _THREAD_POOLS_LOCK = threading.Lock()
+# Set on every thread of a shared pool, at its start.
+_POOL_THREAD = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _POOL_THREAD.member = True
+
+
+def in_pool() -> bool:
+    """Whether the calling thread belongs to a shared pool: such a
+    caller must not wait on a pool's tasks, which may queue behind it."""
+    return getattr(_POOL_THREAD, "member", False)
 
 
 class ThreadBackend(ExecutionBackend):
@@ -150,19 +153,20 @@ class ThreadBackend(ExecutionBackend):
             raise ValueError(f"thread backend needs >= 2 workers, got {workers}")
         self.workers = workers
 
-    def _pool(self) -> ThreadPoolExecutor:
+    def pool(self) -> ThreadPoolExecutor:
         with _THREAD_POOLS_LOCK:
             pool = _THREAD_POOLS.get(self.workers)
             if pool is None:
                 pool = ThreadPoolExecutor(
                     max_workers=self.workers,
                     thread_name_prefix=f"repro-worker-{self.workers}",
+                    initializer=_mark_pool_thread,
                 )
                 _THREAD_POOLS[self.workers] = pool
             return pool
 
     def map(self, fn: Callable, tasks: Sequence) -> list:
-        return list(self._pool().map(fn, tasks))
+        return list(self.pool().map(fn, tasks))
 
     def close(self) -> None:
         # The pool is shared; it outlives any one backend.  Tests that
@@ -179,67 +183,10 @@ def shutdown_shared_pools() -> None:
         pool.shutdown(wait=True)
 
 
-class ProcessBackend(ExecutionBackend):
-    """Fork-context process pool with an attach-on-init hook.
-
-    ``initializer``/``initargs`` run once in every worker; the SpMV
-    engine uses them to attach the operator's shared-memory segments so
-    per-task payloads stay tiny.  The pool is created lazily on first
-    ``map``/``submit`` and torn down by :meth:`close`.  ``map`` hands
-    tasks to whichever worker is free; the engine, which needs each
-    partition range on the same process every call, ``submit``s to one
-    single-worker backend per range.
-    """
-
-    mode = "process"
-
-    def __init__(
-        self,
-        workers: int,
-        *,
-        initializer: Callable | None = None,
-        initargs: Iterable = (),
-    ):
-        if workers < 1:
-            raise ValueError(f"process backend needs >= 1 worker, got {workers}")
-        self.workers = workers
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=ctx,
-                initializer=self._initializer,
-                initargs=self._initargs,
-            )
-        return self._pool
-
-    def map(self, fn: Callable, tasks: Sequence) -> list:
-        return list(self._ensure_pool().map(fn, tasks))
-
-    def submit(self, fn: Callable, task) -> Future:
-        """Queue one task; the caller collects ``.result()``."""
-        return self._ensure_pool().submit(fn, task)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 def make_backend(workers: int, mode: str) -> ExecutionBackend:
     """Build the backend for a resolved ``(workers, mode)`` pair."""
     if mode == "serial" or workers < 2:
         return SerialBackend()
     if mode == "thread":
         return ThreadBackend(workers)
-    if mode == "process":
-        return ProcessBackend(workers)
     raise ValueError(f"unknown backend mode {mode!r}")

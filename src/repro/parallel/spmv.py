@@ -2,55 +2,40 @@
 
 The decomposition mirrors the paper's OpenMP strategy (Section 4.1):
 the row partitions (Hilbert-ordered, so spatially coherent) are split
-into one **contiguous range per worker**.  A CSR row block yields a
-disjoint, contiguous span of output rows, so the parallel result is the
-concatenation of the per-worker results in partition order.  Within
-each range the kernel executes exactly the serial instruction stream,
-which makes parallel output **bit-identical** to serial output (the
-determinism contract the tests enforce).
+into one **contiguous range per worker thread**.  A CSR row block
+yields a disjoint, contiguous span of output rows, so each range writes
+its own rows of one output array.  Within each range the kernel
+executes exactly the serial instruction stream, which makes parallel
+output **bit-identical** to serial output (the determinism contract the
+tests enforce).
 
 The engine runs the two :class:`~repro.sparse.CSRMatrix` objects an
 operator runs: ``A`` and ``A^T``, or an orbit plan's ``Q`` and
-``scan_transpose(Q)``.  CSR is the only layout that crosses a process
-boundary; the paper's buffered and ELL layouts are serial kernels to
-measure against it.  The engine exports each matrix's ``displ`` /
-``ind`` / ``val`` into POSIX shared memory once, at construction, and
-starts **one worker process per partition range**: a worker attaches
-the arrays, takes its own range's ``partition_slice`` and keeps it, so
-the slice's compiled view (derived at its first kernel call) is built
-once per range and lives in that worker only.  Input and output travel
-through one scratch segment the engine keeps across calls; a task is
-``(direction, segment name, input shape and dtype)`` and the reply a
-dtype and two timestamps.
+``scan_transpose(Q)``.  The paper's buffered and ELL layouts are serial
+kernels to measure against it.  Each range's ``partition_slice`` is cut
+once, at construction.  A call runs range 0 on the calling thread and
+the others on the shared :class:`~repro.parallel.ThreadBackend` pool;
+scipy's sparsetools loops and the compiled row loops of
+:mod:`repro.sparse.native` (through :mod:`ctypes`) both release the
+GIL, so the ranges overlap.  A range never waits on anything, and a
+call made from inside a pool thread runs serially, so nothing waits on
+the pool from inside the pool.
 
-Only ``MemXCTOperator`` builds an engine, and only for a ``process``
-spec of two or more workers: scipy's compiled CSR loops hold the GIL,
-so threads cannot overlap them, and the compiled row loops of
-:mod:`repro.sparse.native`, which release it, have no thread dispatch
-yet.  This module knows nothing about operators or geometry, keeping
-``repro.parallel`` import-cycle-free below ``repro.core``.
+Only ``MemXCTOperator`` builds an engine.  This module knows nothing
+about operators or geometry, keeping ``repro.parallel``
+import-cycle-free below ``repro.core``.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from time import perf_counter
 
 import numpy as np
 
-from ..obs import (
-    PARALLEL_DISPATCHES,
-    PARALLEL_SHM_BYTES,
-    PARALLEL_TASKS,
-    REGISTRY,
-    add_count,
-    emit_span,
-)
-from ..sparse.csr import CSRMatrix
+from ..obs import PARALLEL_DISPATCHES, PARALLEL_TASKS, REGISTRY, add_count, emit_span
+from ..sparse.csr import CSRMatrix, spmv_input
 from ..sparse.partition import RowPartitions
-from . import shm
-from .backend import ProcessBackend
+from .backend import ThreadBackend, in_pool
 
 __all__ = ["ParallelSpmvEngine", "partition_ranges"]
 
@@ -74,57 +59,20 @@ def partition_ranges(num_partitions: int, workers: int) -> list[tuple[int, int]]
     return ranges
 
 
-# -- process-worker side ------------------------------------------------
-
-# Populated by _worker_init: {direction: (this worker's partition
-# slice, its row range, the layout's row count)}.
-_WORKER_SLICES: dict[str, tuple] = {}
-
-# Output rows are laid out in the scratch segment at this many bytes
-# per element, the widest result any kernel produces; a worker writes
-# its rows at its result's own dtype.
-_WIDEST = 8
-
-
-def _worker_init(payload: dict, partition_size: int, index: int) -> None:
-    """Pool initializer: attach shm segments, keep range ``index``."""
-    _WORKER_SLICES.clear()
-    for direction, (seg_name, manifest, (num_rows, num_cols), ranges) in payload.items():
-        if index >= len(ranges):
-            continue
-        matrix = CSRMatrix.from_arrays(
-            shm.attach_arrays(seg_name, manifest), num_rows, num_cols
-        )
-        rows = RowPartitions(num_rows, partition_size).row_range(*ranges[index])
-        _WORKER_SLICES[direction] = (
-            matrix.partition_slice(*ranges[index], partition_size),
-            rows,
-            num_rows,
-        )
-
-
-def _process_task(task: tuple) -> tuple[str, float, float]:
-    """One worker task: this worker's rows of ``y`` from the shared ``x``."""
-    direction, scratch_name, shape, dtype, y_offset = task
+def _run_range(out: np.ndarray, sub: CSRMatrix, rows: tuple[int, int], x) -> tuple:
+    """One range: its rows of ``out`` from ``x``, and when it ran."""
     start = perf_counter()
-    sub, (row0, row1), num_rows = _WORKER_SLICES[direction]
-    buf = shm.attach_scratch(scratch_name).buf
-    y = sub.spmv(np.ndarray(shape, dtype=dtype, buffer=buf))
-    out = np.ndarray((num_rows,) + shape[1:], dtype=y.dtype, buffer=buf, offset=y_offset)
-    out[row0:row1] = y
-    return y.dtype.str, start, perf_counter()
-
-
-# -- the engine ---------------------------------------------------------
+    out[rows[0] : rows[1]] = sub.spmv(x)
+    return start, perf_counter()
 
 
 class ParallelSpmvEngine:
-    """Dispatch forward/adjoint SpMV across partition-range workers.
+    """Dispatch forward/adjoint SpMV across partition ranges on threads.
 
     Parameters
     ----------
     workers:
-        Number of worker processes (two or more).
+        Number of worker threads (two or more).
     partition_size:
         Rows per partition — the decomposition granularity.
     forward_layout, adjoint_layout:
@@ -143,114 +91,54 @@ class ParallelSpmvEngine:
         for layout in self._layouts.values():
             if not isinstance(layout, CSRMatrix):
                 raise TypeError(f"the engine runs CSRMatrix, not {type(layout).__name__}")
-        self._ranges = {
-            direction: partition_ranges(
-                RowPartitions(layout.num_rows, partition_size).num_partitions,
-                workers,
-            )
-            for direction, layout in self._layouts.items()
-        }
-        self._segments: list[shm.SharedArrays] = []
-        self._scratch = shm.SharedScratch()
-        # One dispatch at a time: the scratch segment is shared.
-        self._lock = threading.Lock()
-        self._closed = False
-        payload = {}
+        self._backend = ThreadBackend(workers)
+        # direction -> [(partition range, its row range, its slice)]
+        self._ranges = {}
         for direction, layout in self._layouts.items():
-            shared = shm.SharedArrays(layout.to_arrays())
-            self._segments.append(shared)
-            payload[direction] = (
-                shared.name,
-                shared.manifest,
-                layout.shape,
-                self._ranges[direction],
-            )
-        add_count(PARALLEL_SHM_BYTES, sum(shared.nbytes for shared in self._segments))
-        # One single-worker pool per range pins each range to one
-        # process, which therefore derives and holds one slice.
-        self._backends = [
-            ProcessBackend(
-                1, initializer=_worker_init, initargs=(payload, partition_size, index)
-            )
-            for index in range(max(len(r) for r in self._ranges.values()))
-        ]
-        # Shared-memory segments must not outlive the process even if
-        # close() is never called explicitly.
-        self._finalizer = weakref.finalize(
-            self, _release, self._backends, self._segments, self._scratch
-        )
-
-    # -- dispatch -------------------------------------------------------
+            partitions = RowPartitions(layout.num_rows, partition_size)
+            self._ranges[direction] = [
+                (parts, partitions.row_range(*parts),
+                 layout.partition_slice(*parts, partition_size))
+                for parts in partition_ranges(partitions.num_partitions, workers)
+            ]
+        self._closed = False
 
     def apply(self, direction: str, x: np.ndarray) -> np.ndarray:
         """Run the ``direction`` kernel on ``x`` (1D vector or 2D slab).
 
         Runs the serial kernel here when the decomposition is
-        degenerate (a single range).
+        degenerate (a single range) or the caller is a pool thread.
         """
         if self._closed:
             raise RuntimeError("engine is closed")
         layout = self._layouts[direction]
         ranges = self._ranges[direction]
-        if len(ranges) < 2:
+        if len(ranges) < 2 or in_pool():
             return layout.spmv(x)
-        observing = REGISTRY.active
-        x = np.asarray(x)
-        out_shape = (layout.num_rows,) + x.shape[1:]
-        y_offset = -(-x.nbytes // 64) * 64
-        nbytes = y_offset + _WIDEST * int(np.prod(out_shape))
-        with self._lock:
-            segment = self._scratch.reserve(nbytes)
-            np.ndarray(x.shape, dtype=x.dtype, buffer=segment.buf)[...] = x
-            task = (direction, segment.name, x.shape, x.dtype.str, y_offset)
-            futures = [
-                backend.submit(_process_task, task)
-                for backend in self._backends[: len(ranges)]
-            ]
-            results = [future.result() for future in futures]
-            y = np.ndarray(
-                out_shape, dtype=results[0][0], buffer=segment.buf, offset=y_offset
-            ).copy()
-
-        if observing:
-            add_count(PARALLEL_SHM_BYTES, x.nbytes + y.nbytes)
+        x = spmv_input(x, layout.num_cols)
+        # The dtype every slice's spmv returns: scipy's loops upcast the
+        # pair, and the compiled loops run only when the two match.
+        out = np.empty(
+            (layout.num_rows,) + x.shape[1:], np.result_type(layout.val.dtype, x.dtype)
+        )
+        pool = self._backend.pool()
+        futures = [
+            pool.submit(_run_range, out, sub, rows, x) for _, rows, sub in ranges[1:]
+        ]
+        _, rows, sub = ranges[0]
+        times = [_run_range(out, sub, rows, x)] + [f.result() for f in futures]
+        if REGISTRY.active:
             add_count(PARALLEL_DISPATCHES, 1)
             add_count(PARALLEL_TASKS, len(ranges))
-            for index, ((_, start, end), (p0, p1)) in enumerate(zip(results, ranges)):
+            # Timed on each range's own thread, emitted here: the span
+            # stack belongs to the calling thread.
+            for index, ((start, end), ((p0, p1), _, _)) in enumerate(zip(times, ranges)):
                 emit_span(
-                    "parallel.worker",
-                    start,
-                    end,
-                    worker=index,
-                    direction=direction,
-                    part0=p0,
-                    part1=p1,
+                    "parallel.worker", start, end,
+                    worker=index, direction=direction, part0=p0, part1=p1,
                 )
-        return y
-
-    # -- lifecycle ------------------------------------------------------
+        return out
 
     def close(self) -> None:
-        """Shut the workers down and unlink shared segments (idempotent)."""
-        if self._closed:
-            return
+        """Refuse further calls (idempotent); the shared pool stays."""
         self._closed = True
-        self._finalizer.detach()
-        _release(self._backends, self._segments, self._scratch)
-
-    def __enter__(self) -> "ParallelSpmvEngine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-
-def _release(backends: list, segments: list, scratch) -> None:
-    # Workers only attach; the pools must drain before the parent
-    # unlinks, or late tasks would attach a vanished segment.
-    for backend in backends:
-        backend.close()
-    for shared in segments:
-        shared.dispose()
-    scratch.dispose()

@@ -147,10 +147,6 @@ def trace_view_range(task) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     columns).  ``counts`` has one entry per traced ray, in their order;
     ``cols`` / ``vals`` are those rays' rows back to back, each row's
     columns ascending, 8 B per nonzero at float32.
-
-    Module-level so the process backend can pickle it; the geometry is
-    a small frozen dataclass and a rank array is 4 B per cell, so
-    shipping them per task is cheap.
     """
     geometry, views, col_rank, dtype = task
     cbits = (geometry.grid.num_pixels - 1).bit_length()

@@ -93,7 +93,7 @@ def _ranks(geometry, ranked):
     return rng.permutation(geometry.num_rays), rng.permutation(geometry.grid.num_pixels)
 
 
-@pytest.mark.parametrize("workers", [None, "2", "process:2"])
+@pytest.mark.parametrize("workers", [None, "2", "thread:3"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("ranked", [False, True], ids=["unranked", "ranked"])
 @pytest.mark.parametrize("tracer", list(TRACERS))

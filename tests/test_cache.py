@@ -361,7 +361,7 @@ class TestAssembledInPlace:
     """With a cache the cold build writes the ordered matrix straight
     into the entry's archive and returns the entry, loaded."""
 
-    @pytest.mark.parametrize("workers", [None, "process:2"])
+    @pytest.mark.parametrize("workers", [None, "thread:2"])
     @pytest.mark.parametrize("dtype", PRECISIONS)
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("kind", list(GEOMETRIES))

@@ -69,6 +69,15 @@ class TestParser:
         assert exc.value.code == 2
         assert "--tune" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["process:2", "process", "frob", "thread:x", "0"])
+    def test_bad_workers_spec_exits_2(self, spec, capsys):
+        """A malformed spec (``process`` mode is gone) is an argparse
+        error naming the problem, not a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["reconstruct", "--demo", "ADS1", "--workers", spec])
+        assert exc.value.code == 2
+        assert "argument --workers" in capsys.readouterr().err
+
     def test_tune_subcommand_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["tune", "show"])

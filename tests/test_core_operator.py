@@ -136,7 +136,7 @@ class TestOneResidentForm:
         ``A^T`` is derived.
         The same holds for the operator a cold build into a plan cache
         returns (the entry it assembled in place, mapped).  Serial
-        whatever ``REPRO_WORKERS`` says: a ``process`` engine partitions
+        whatever ``REPRO_WORKERS`` says: the parallel engine partitions
         the adjoint by pixel rows, over the derived ``A^T``."""
         import gc
 

@@ -80,7 +80,7 @@ class TestGeometryConformance:
             assert segs.pixel_index.max() < geometry.grid.num_pixels
             assert (segs.length > 0).all()
 
-    @pytest.mark.parametrize("spec", ["thread:2", "process:2"])
+    @pytest.mark.parametrize("spec", ["thread:2", "thread:3"])
     def test_worker_tracing_is_bit_identical_to_serial(self, geometry, spec):
         serial = _trace(geometry, "serial")
         parallel = _trace(geometry, spec)
@@ -92,7 +92,7 @@ class TestGeometryConformance:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), name
 
-    @pytest.mark.parametrize("spec", ["serial", "2", "process:2"])
+    @pytest.mark.parametrize("spec", ["serial", "2", "thread:3"])
     @pytest.mark.parametrize("dtype", [None, "float64"])
     def test_traced_in_order_equals_traced_row_major_then_reordered(
         self, geometry, dtype, spec

@@ -400,7 +400,12 @@ class TestEveryKernelIsTheCsrPlan:
 
         geometry = ParallelBeamGeometry(*shape)
         group = orbit_group(geometry)
-        config = OperatorConfig(kernel=kernel, partition_size=32, buffer_bytes=2048, dtype=dtype)
+        # Serial whatever REPRO_WORKERS says: the parallel engine of a
+        # plan of A partitions the adjoint over a derived A^T.
+        config = OperatorConfig(
+            kernel=kernel, partition_size=32, buffer_bytes=2048, dtype=dtype,
+            workers="serial",
+        )
         uncached, _ = preprocess(geometry, config=config)
         cold, cold_report = preprocess(geometry, config=config, cache=tmp_path)
         warm, warm_report = preprocess(geometry, config=config, cache=tmp_path)

@@ -203,10 +203,10 @@ class TestAdjointReadsA:
 
 
 @pytest.mark.parametrize("angles", [23, 24], ids=["plan-of-A", "orbit"])
-def test_process_engine_partitions_the_derived_transpose(angles):
-    """``process:2`` splits the csr adjoint by pixel rows of the derived
-    ``A^T`` — of ``Q^T`` on an orbit plan, whose gathers stay in the
-    parent and which derives neither ``A`` nor ``A^T``; its CG image
+def test_thread_engine_partitions_the_derived_transpose(angles):
+    """``thread:2`` splits the csr adjoint by pixel rows of the derived
+    ``A^T`` — of ``Q^T`` on an orbit plan, whose gathers stay with the
+    caller and which derives neither ``A`` nor ``A^T``; its CG image
     equals the serial kernels' bit for bit."""
     geometry = ParallelBeamGeometry(angles, 16)
     op, _ = preprocess(geometry, config=OperatorConfig(workers="serial"))
@@ -215,7 +215,7 @@ def test_process_engine_partitions_the_derived_transpose(angles):
     sinogram = np.random.default_rng(3).random(geometry.sinogram_shape)
     serial = reconstruct(sinogram, geometry, iterations=4, operator=op).image
     assert op._transpose is None
-    op.set_workers("process:2")
+    op.set_workers("thread:2")
     try:
         parallel = reconstruct(sinogram, geometry, iterations=4, operator=op).image
         assert (op._transpose is None) == orbit

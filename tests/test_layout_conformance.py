@@ -4,16 +4,14 @@ Each layout class of ``repro.sparse`` (CSR, multi-stage buffered,
 partition-padded ELL) offers one kernel ``spmv`` over a vector or a
 slab.  CSR alone is also cut (``partition_slice``) and turned into
 arrays and back (``to_arrays`` / ``from_arrays``): the operator
-archive, the shared-memory export and pickling all go through that
-pair, and the buffered and ELL layouts are serial kernels to measure
-against it.  This file states that contract over the product layout x
+archive and pickling go through that pair, and the buffered and ELL
+layouts are serial kernels to measure against it.  This file states that contract over the product layout x
 precision x input rank.
 
 The operators are built with the *ambient* worker spec, so running the
-file under ``REPRO_WORKERS=2`` (threads) or ``process:2`` (shared
-memory, i.e. ``from_arrays(to_arrays())`` of the plan's CSR pair
-inside each worker) checks the parallel path against the serial
-kernel, bit for bit.
+file under ``REPRO_WORKERS=2`` (the plan's CSR pair partitioned over
+two threads) checks the parallel path against the serial kernel, bit
+for bit.
 """
 
 import copy
@@ -333,8 +331,8 @@ class TestCompiledView:
 @pytest.mark.parametrize("kernel", KERNELS)
 class TestWorkers:
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_serial_is_process_2(self, operators, kernel, dtype, shape):
-        """``process:2`` partitions the plan's CSR pair; a handed-in
+    def test_serial_is_thread_2(self, operators, kernel, dtype, shape):
+        """``thread:2`` partitions the plan's CSR pair; a handed-in
         buffered or ELL pair builds no engine and runs serially.  Either
         way the bits are the serial ones, on a vector and on a slab, in
         both directions."""
@@ -348,10 +346,10 @@ class TestWorkers:
         ambient = op.config.workers
         op.set_workers("serial")
         ref = op.forward(x), op.adjoint(y)
-        op.set_workers("process:2")
+        op.set_workers("thread:2")
         try:
             assert (op._active_engine() is None) == (kernel != "csr")
-            for _ in range(2):  # the workers keep their slices between calls
+            for _ in range(2):  # the engine keeps its slices between calls
                 assert np.array_equal(op.forward(x), ref[0])
                 assert np.array_equal(op.adjoint(y), ref[1])
         finally:
@@ -400,8 +398,8 @@ class TestNoDerivationAtSetup:
         one compiled 8-column gather and scatter, which derive nothing,
         or on scipy's fallback a view derived at the first call."""
         geometry = ParallelBeamGeometry(24, 16)
-        # Serial whatever REPRO_WORKERS says: process workers derive
-        # the views of their own slices, not of these layouts.
+        # Serial whatever REPRO_WORKERS says: a parallel run derives
+        # the views of the engine's slices, not of these layouts.
         config = OperatorConfig(
             kernel=kernel, partition_size=PARTITION_SIZE, workers="serial"
         )
@@ -450,7 +448,7 @@ class TestOrbitLayout:
     held to the same contract: one kernel over a vector or a slab whose
     columns are the vector calls, partition slices that tile the output,
     a pickle that runs the same kernel, accounting blind to input rank
-    and backend, and a ``process:2`` run equal to serial."""
+    and backend, and a ``thread:2`` run equal to serial."""
 
     @pytest.fixture(scope="class")
     def orbits(self):
@@ -503,14 +501,14 @@ class TestOrbitLayout:
             once = counter in (obs.SPMV_REGULAR_BYTES, obs.BUFFER_STAGES)
             assert four[counter] == vector[counter] * (1 if once else 4)
 
-    def test_serial_is_process_2(self, orbits, dtype):
+    def test_serial_is_thread_2(self, orbits, dtype):
         op = orbits[dtype]
         x = _input(op, (3,))
         y = np.random.default_rng(3).standard_normal(op.num_rays).astype(op.compute_dtype)
         ambient = op.config.workers
         op.set_workers("serial")
         ref = op.forward(x), op.adjoint(y)
-        op.set_workers("process:2")
+        op.set_workers("thread:2")
         try:
             for _ in range(2):
                 assert np.array_equal(op.forward(x), ref[0])

@@ -160,7 +160,6 @@ class TestCounterDeclarations:
         "HEALTH_EVENTS": ("health.events", "event"),
         "HEALTH_ROLLBACKS": ("health.rollbacks", "rollback"),
         "PARALLEL_DISPATCHES": ("parallel.dispatches", "dispatch"),
-        "PARALLEL_SHM_BYTES": ("parallel.shm_bytes", "byte"),
         "PARALLEL_TASKS": ("parallel.tasks", "task"),
         "PIPELINE_CHUNKS": ("pipeline.chunks", "chunk"),
         "PIPELINE_RESUMED_SLICES": ("pipeline.resumed_slices", "slice"),
@@ -194,7 +193,7 @@ class TestCounterDeclarations:
     def test_exported_names_are_the_parent_s_set(self):
         from repro.obs import counters
 
-        assert len(obs.__all__) == len(set(obs.__all__)) == 69
+        assert len(obs.__all__) == len(set(obs.__all__)) == 68
         assert set(obs.__all__) == set(self.UNITS) | self.OTHER
         assert set(counters.__all__) == set(self.UNITS) | {"Counter", "unit_of"}
 
@@ -439,7 +438,8 @@ class TestDisabledOverhead:
         geometry = get_dataset("ADS2").scaled(0.125).geometry()
         if drop_a_view:
             geometry = ParallelBeamGeometry(geometry.num_angles - 1, geometry.num_channels)
-        op, _ = preprocess(geometry, OperatorConfig(kernel="buffered"))
+        # Serial whatever REPRO_WORKERS says: the bare kernel is serial.
+        op, _ = preprocess(geometry, OperatorConfig(kernel="buffered", workers="serial"))
         if drop_a_view:
             op = with_layouts(op)
         assert (op.buffered_forward is not None) == drop_a_view

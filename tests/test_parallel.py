@@ -1,26 +1,30 @@
-"""Tests for the shared-memory parallel execution backend.
+"""Tests for the thread-parallel execution backend.
 
 The backend's one promise is that parallelism is an execution knob,
 never a numerics knob: every worker owns a contiguous partition range
-and reductions concatenate in fixed partition-major order, so serial
-and parallel results must be **bit-identical** on every kernel, for
-thread and process specs (only process mode partitions SpMV, and only
-the plan's CSR pair; a thread spec and a handed-in buffered or ELL
-pair run the serial kernel), for single-vector and batched kernels,
-through every public entry point (operator, reconstruct, preprocess,
-pipeline).  These tests enforce exactly that, plus the satellite
-fixes: worker-spec parsing, shared-memory lifecycle, the compiled-view
-persistence exclusion, buffer-capacity validation, and ``permute``
-input validation.
+and writes its own output rows, so serial and parallel results must be
+**bit-identical** on every kernel, for every spec of two or more
+workers (which partitions SpMV on the shared thread pool, and only the
+plan's CSR pair; a handed-in buffered or ELL pair runs the serial
+kernel), for single-vector and batched kernels, through every public
+entry point (operator, reconstruct, preprocess, pipeline).  These tests
+enforce exactly that, plus the satellite fixes: worker-spec parsing,
+the compiled-view persistence exclusion, buffer-capacity validation,
+and ``permute`` input validation.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.cache import PlanCache
@@ -35,27 +39,15 @@ from repro.parallel import (
     parse_workers,
     partition_ranges,
 )
-from repro.parallel import shm as shm_mod
 from repro.pipeline import reconstruct_stack
 from repro.resilience import FaultConfig
-from repro.sparse import CSRMatrix, validate_buffer_bytes
+from repro.sparse import CSRMatrix, scan_transpose, validate_buffer_bytes
 from repro.trace import build_projection_matrix
 
 from .conftest import with_layouts
 
 KERNELS = ("csr", "buffered", "ell")
-WORKER_SPECS = (2, 4, "process:2")
-
-
-def _worker_holdings(_):
-    """Run in an engine worker: its pid, and per direction the rows of
-    the one slice it holds and whether that slice's view is derived."""
-    from repro.parallel.spmv import _WORKER_SLICES
-
-    return os.getpid(), {
-        direction: (rows, "_view" in vars(sub))
-        for direction, (sub, rows, _) in _WORKER_SLICES.items()
-    }
+WORKER_SPECS = (2, 4, "thread:3")
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +92,7 @@ class TestParseWorkers:
             ("serial", (1, "serial")),
             ("3", (3, "thread")),
             ("thread:2", (2, "thread")),
-            ("process:2", (2, "process")),
-            ("process:1", (1, "process")),
+            ("thread:1", (1, "serial")),
             ("", (1, "serial")),
         ],
     )
@@ -119,7 +110,9 @@ class TestParseWorkers:
         assert workers == max(os.cpu_count() or 1, 1)
         assert mode in ("serial", "thread")
 
-    @pytest.mark.parametrize("bad", [0, -1, "0", "frob", "thread:x", "frob:2", 1.5])
+    @pytest.mark.parametrize(
+        "bad", [0, -1, "0", "frob", "thread:x", "frob:2", 1.5, "process", "process:2"]
+    )
     def test_bad_specs_raise(self, bad):
         with pytest.raises((ValueError, TypeError)):
             parse_workers(bad)
@@ -155,48 +148,13 @@ class TestBackends:
 
     def test_thread_pool_is_shared(self):
         a, b = ThreadBackend(3), ThreadBackend(3)
-        assert a._pool() is b._pool()
+        assert a.pool() is b.pool()
 
     def test_map_preserves_order(self):
         backend = make_backend(3, "thread")
         assert backend.map(lambda v: v * v, list(range(20))) == [
             v * v for v in range(20)
         ]
-
-
-class TestSharedMemory:
-    def test_roundtrip_and_dispose(self):
-        arrays = {
-            "a": np.arange(17, dtype=np.int64),
-            "b": np.random.default_rng(0).random((3, 5)).astype(np.float32),
-            "c": np.empty(0, dtype=np.uint16),
-        }
-        shared = shm_mod.SharedArrays(arrays)
-        try:
-            out = shm_mod.attach_arrays(shared.name, shared.manifest)
-            for key, array in arrays.items():
-                assert out[key].dtype == array.dtype
-                assert out[key].shape == array.shape
-                assert (out[key] == array).all()
-        finally:
-            del out
-            shm_mod.detach_all()
-            shared.dispose()
-        # Double-dispose is safe; the segment is gone afterwards.
-        shared.dispose()
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=shared.name)
-
-    def test_attach_views_share_storage(self):
-        shared = shm_mod.SharedArrays({"x": np.arange(8, dtype=np.float32)})
-        try:
-            views = shm_mod.attach_arrays(shared.name, shared.manifest)
-            assert (views["x"] == np.arange(8)).all()
-        finally:
-            shm_mod.detach_all()
-            shared.dispose()
 
 
 class TestEngineBitIdentity:
@@ -239,40 +197,10 @@ class TestEngineBitIdentity:
         with pytest.raises(RuntimeError):
             engine.apply("forward", x)
 
-    def test_each_range_is_pinned_to_one_worker(self, operators):
-        """A partition range runs on the same process every call, and a
-        worker derives and holds its own range's slice and no other."""
-        fwd, adj = operators["csr"].matrix, operators["csr"].transpose
-        rng = np.random.default_rng(3)
-        x = rng.random(fwd.num_cols).astype(np.float32)
-        y = rng.random(adj.num_cols).astype(np.float32)
-        with ParallelSpmvEngine(
-            workers=3,
-            partition_size=16,
-            forward_layout=fwd,
-            adjoint_layout=adj,
-        ) as engine:
-            for _ in range(3):
-                assert np.array_equal(engine.apply("forward", x), fwd.spmv(x))
-                assert np.array_equal(engine.apply("adjoint", y), adj.spmv(y))
-            held = [
-                backend.submit(_worker_holdings, None).result()
-                for backend in engine._backends
-            ]
-        assert len({pid for pid, _ in held}) == 3
-        for direction, layout in (("forward", fwd), ("adjoint", adj)):
-            bounds = [0] + [
-                min(p1 * 16, layout.num_rows)
-                for _, p1 in partition_ranges(-(-layout.num_rows // 16), 3)
-            ]
-            assert [slices[direction] for _, slices in held] == [
-                ((r0, r1), True) for r0, r1 in zip(bounds, bounds[1:])
-            ]
-
     @pytest.mark.parametrize("kernel", ["buffered", "ell"])
     def test_only_csr_is_shipped(self, paper_operators, kernel):
         """The engine takes CSR alone: a buffered or ELL layout in either
-        direction is refused before anything is exported or forked."""
+        direction is refused before anything is sliced."""
         op = paper_operators[kernel]
         fwd, adj = op._layouts["forward"], op._layouts["adjoint"]
         with pytest.raises(TypeError, match="CSRMatrix"):
@@ -285,41 +213,20 @@ class TestEngineBitIdentity:
                 adjoint_layout=adj,
             )
 
-    def test_scratch_segment_is_reused_and_regrown(self, operators):
-        """Vectors travel through one segment kept across calls; a slab
-        wider than anything before it replaces the segment once."""
-        fwd, adj = operators["csr"].matrix, operators["csr"].transpose
-        rng = np.random.default_rng(4)
-        x = rng.random(fwd.num_cols).astype(np.float32)
-        X = rng.random((fwd.num_cols, 5)).astype(np.float32)
-        with ParallelSpmvEngine(
-            workers=2,
-            partition_size=16,
-            forward_layout=fwd,
-            adjoint_layout=adj,
-        ) as engine:
-            names = []
-            for v in (x, x, X, x, X, x.astype(np.float64)):
-                out, ref = engine.apply("forward", v), fwd.spmv(v)
-                assert out.dtype == ref.dtype and np.array_equal(out, ref)
-                names.append(engine._scratch.shm.name)
-            assert names[0] == names[1] != names[2]
-            assert len(set(names[2:])) == 1
-        assert engine._scratch.shm is None
-
-    def test_thread_spec_runs_the_serial_kernel(self, operators):
-        """The compiled kernels hold the GIL: threads do not partition
-        SpMV, so a thread spec builds no engine."""
-        op = operators["buffered"]
-        op.set_workers("thread:2")
-        try:
-            assert op._active_engine() is None
-        finally:
-            op.set_workers(None)
+    @pytest.mark.parametrize("kernel", ["buffered", "ell"])
+    def test_handed_in_layouts_run_serially(self, paper_operators, operators, kernel):
+        """A thread spec partitions the plan's CSR pair; an operator
+        handed a buffered or ELL pair builds no engine."""
+        for op, engine in ((operators[kernel], True), (paper_operators[kernel], False)):
+            op.set_workers("thread:2")
+            try:
+                assert (op._active_engine() is not None) == engine
+            finally:
+                op.set_workers(None)
 
     def test_set_workers_serial_pins_serial(self, operators):
         op = operators["buffered"]
-        op.set_workers("process:2")
+        op.set_workers("thread:2")
         try:
             assert op._active_engine() is not None
             op.set_workers("serial")
@@ -328,10 +235,104 @@ class TestEngineBitIdentity:
             op.set_workers(None)
 
 
+@pytest.mark.usefixtures("row_loops")
+class TestThreadEngineProperty:
+    @given(
+        seed=st.integers(0, 10**6),
+        rows=st.integers(1, 60),
+        cols=st.integers(1, 40),
+        width=st.sampled_from([None, 8, 16, 64]),
+        matrix_dtype=st.sampled_from(["float32", "float64"]),
+        vector_dtype=st.sampled_from(["float32", "float64"]),
+        workers=st.integers(2, 5),
+        partition_size=st.integers(1, 64),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_thread_engine_is_serial(
+        self, seed, rows, cols, width, matrix_dtype, vector_dtype, workers, partition_size
+    ):
+        """Both directions equal the serial kernels bit for bit and in
+        dtype, over empty rows and columns, vectors and slabs, and
+        fewer or more partition ranges than workers."""
+        rng = np.random.default_rng(seed)
+        dense = rng.random((rows, cols))
+        dense[rng.random((rows, cols)) > 0.3] = 0
+        dense[rng.random(rows) < 0.3] = 0
+        matrix = CSRMatrix.from_scipy(sp.csr_matrix(dense), matrix_dtype)
+        tail = () if width is None else (width,)
+        x = rng.standard_normal((cols,) + tail).astype(vector_dtype)
+        y = rng.standard_normal((rows,) + tail).astype(vector_dtype)
+        engine = ParallelSpmvEngine(
+            workers=workers,
+            partition_size=partition_size,
+            forward_layout=matrix,
+            adjoint_layout=scan_transpose(matrix),
+        )
+        for out, ref in (
+            (engine.apply("forward", x), matrix.spmv(x)),
+            (engine.apply("adjoint", y), matrix.spmv_transposed(y)),
+        ):
+            assert out.dtype == ref.dtype
+            assert np.array_equal(out, ref)
+
+
+class TestConcurrentCallers:
+    @pytest.mark.parametrize("spec", ["thread:2", "thread:5"])
+    def test_two_threads_solve_on_one_operator(
+        self, geometry, operators, sinogram, spec
+    ):
+        """Two Python threads solving on one operator at once, switching
+        as often as the interpreter allows, each get the serial bits and
+        neither hangs (``thread:5`` has more workers than most hosts
+        have cores)."""
+        op = operators["csr"]
+        op.set_workers("serial")
+        ref = reconstruct(sinogram, geometry, solver="cg", iterations=8, operator=op).image
+        op.set_workers(spec)
+        images = [None, None]
+
+        def solve(index):
+            images[index] = reconstruct(
+                sinogram, geometry, solver="cg", iterations=8, operator=op
+            ).image
+
+        threads = [threading.Thread(target=solve, args=(i,), daemon=True) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            op.set_workers(None)
+        for image in images:
+            assert image is not None and np.array_equal(image, ref)
+
+    def test_a_pool_thread_runs_the_serial_kernel(self, operators):
+        """An operator called from inside the shared pool does not wait
+        on that pool: with every pool thread a caller, range tasks would
+        queue behind them forever."""
+        op = operators["csr"]
+        x = np.random.default_rng(5).random(op.num_pixels).astype(np.float32)
+        op.set_workers("serial")
+        ref = op.forward(x)
+        op.set_workers("thread:2")
+        try:
+            assert op._active_engine() is not None
+            results = ThreadBackend(2).pool().map(op.forward, [x, x], timeout=60)
+            for out in results:
+                assert np.array_equal(out, ref)
+        finally:
+            op.set_workers(None)
+
+
 class TestObservability:
     def test_parallel_counters_and_spans(self, operators):
         op = operators["buffered"]
-        op.set_workers("process:2")
+        op.set_workers("thread:2")
         try:
             x = np.ones(op.num_pixels, dtype=np.float32)
             with obs.capture() as cap:
@@ -343,17 +344,6 @@ class TestObservability:
             assert {sp.attrs["worker"] for sp in spans} == {0, 1}
             for sp in spans:
                 assert sp.duration >= 0.0
-        finally:
-            op.set_workers(None)
-
-    def test_process_mode_counts_shm_bytes(self, operators):
-        op = operators["csr"]
-        op.set_workers("process:2")
-        try:
-            x = np.ones(op.num_pixels, dtype=np.float32)
-            with obs.capture() as cap:
-                op.forward(x)
-            assert cap.total(obs.PARALLEL_SHM_BYTES) >= x.nbytes
         finally:
             op.set_workers(None)
 
@@ -380,9 +370,9 @@ class TestSolverEquivalence:
     def test_mapped_operator_bit_identical(
         self, geometry, operators, sinogram, kernel, tmp_path
     ):
-        """A cache hit is read-only views of the entry's file map: the
-        workers' shared-memory copies of it, a ``process:2`` solve and a
-        pickle round trip equal the serial in-memory operator's."""
+        """A cache hit is read-only views of the entry's file map: a
+        ``thread:2`` solve over it and a pickle round trip equal the
+        serial in-memory operator's."""
         built = operators[kernel]
         ref = reconstruct(
             sinogram, geometry, solver="cg", iterations=8, operator=built
@@ -394,7 +384,7 @@ class TestSolverEquivalence:
         clone = pickle.loads(pickle.dumps(mapped))
         assert clone.stored.val.flags.writeable
         for operator in (mapped, clone):
-            for spec in ("serial", "process:2"):
+            for spec in ("serial", "thread:2"):
                 operator.set_workers(spec)
                 image = reconstruct(
                     sinogram, geometry, solver="cg", iterations=8,
@@ -423,7 +413,7 @@ class TestSolverEquivalence:
 
 
 class TestPreprocessFanOut:
-    @pytest.mark.parametrize("spec", [2, "process:2"])
+    @pytest.mark.parametrize("spec", [2, "thread:3"])
     def test_traced_matrix_identical(self, geometry, spec):
         serial = build_projection_matrix(geometry)
         workers, mode = parse_workers(spec)
@@ -477,7 +467,7 @@ class TestPipelineWorkers:
 
     def test_batched_volume_bit_identical(self, stack, stack_geometry):
         ref = reconstruct_stack(stack, stack_geometry, iterations=6).volume
-        for spec in (2, "process:2"):
+        for spec in (2, "thread:3"):
             vol = reconstruct_stack(
                 stack, stack_geometry, iterations=6,
                 config=OperatorConfig(workers=spec),
@@ -489,7 +479,7 @@ class TestPipelineWorkers:
         from repro.dataio import load_volume
 
         ref = reconstruct_stack(stack, stack_geometry, iterations=6).volume
-        for spec in (2, "process:2"):
+        for spec in (2, "thread:3"):
             result = reconstruct_stack(
                 stack, stack_geometry, iterations=6,
                 config=OperatorConfig(workers=spec), chunk_slices=2,
@@ -533,6 +523,7 @@ class TestBufferedPlanPersistence:
         path = tmp_path / "op.npz"
         save_operator(path, op)
         loaded = load_operator(path)
+        loaded.set_workers("serial")
         assert not hasattr(loaded.stored, "_view")
         assert (loaded.forward(x) == warm_result).all()
         assert hasattr(loaded.stored, "_view") != native

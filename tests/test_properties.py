@@ -205,14 +205,14 @@ class TestConfigSpecRejection:
     def test_parse_workers_junk_specs(self, spec):
         from repro.parallel import parse_workers
 
-        valid_words = {"auto", "serial", "thread", "process"}
+        valid_words = {"auto", "serial", "thread"}
         try:
             workers, mode = parse_workers(spec)
         except (ValueError, TypeError) as exc:
             assert "worker" in str(exc).lower()
         else:
             assert workers >= 1
-            assert mode in ("serial", "thread", "process")
+            assert mode in ("serial", "thread")
             text = str(spec).strip().lower()
             assert (
                 text in valid_words

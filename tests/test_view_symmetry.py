@@ -195,7 +195,7 @@ def test_a_geometry_without_symmetry_traces_every_view(geometry):
 
 @pytest.fixture(scope="module")
 def backends():
-    made = {spec: make_backend(*parse_workers(spec)) for spec in ("2", "process:2")}
+    made = {spec: make_backend(*parse_workers(spec)) for spec in ("2", "thread:3")}
     yield made
     for backend in made.values():
         backend.close()
