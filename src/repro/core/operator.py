@@ -218,9 +218,8 @@ class MemXCTOperator:
         self._subset_cache: dict[bytes, CSRMatrix] = {}
         # The rank decomposition a distributed ``reconstruct`` last cut:
         # at most one entry, keyed by both decompositions' bounds bytes
-        # and holding its list[RankData] (~8 B per nonzero of ``Q`` on an
-        # orbit plan, ~12 B per nonzero of ``A`` beside the transpose of a
-        # plan of ``A``) with any row sums filled into it.  close() drops it.
+        # and holding its list[RankData] (~8 B per nonzero of the plan,
+        # ``Q`` or ``A``) with any row sums filled into it.  close() drops it.
         self._rank_data: dict[tuple[bytes, bytes], list] = {}
         # Parallel SpMV engine, resolved lazily on first kernel call so
         # loading an operator stays cheap and env resolution happens at

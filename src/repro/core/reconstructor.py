@@ -270,16 +270,12 @@ def reconstruct(
                 else HierComm(topo, fault_injector=injector)
             )
         # Rank data depend only on the two decompositions: the operator
-        # keeps the last cut (one slot) and a hit builds nothing.  On a
-        # miss the old entry goes first, so one decomposition stays
-        # resident.  On a plan of ``A`` the rank blocks are sliced out of
-        # the operator's derived transpose (held until close()); on an
-        # orbit plan the tomogram is cut by whole orbits and each rank
-        # holds its own columns of ``Q``, so neither ``A`` nor ``A^T`` is
-        # built, nor when a crash's degrade() cuts again.  The list is stored
-        # before the solve: degrade() replaces solve_op.ranks, never
-        # this list.  An orbit plan's row sums are kept in its entries,
-        # so a later solve on the same cut expands no rows.
+        # keeps the last cut (one slot) and a hit builds nothing; on a
+        # miss the old entry goes first.  Each rank holds its columns of
+        # the plan alone (of ``Q`` on an orbit plan, cut by whole orbits),
+        # so no ``A^T`` is built, nor on an orbit plan ``A``.  The list is
+        # stored before the solve: degrade() replaces solve_op.ranks, never
+        # this list.  An orbit plan's row sums are kept in its entries.
         key = (tomo_dec.bounds.tobytes(), sino_dec.bounds.tobytes())
         rank_data = operator._rank_data.get(key)
         if rank_data is None:
@@ -288,7 +284,6 @@ def reconstruct(
             solve_op = DistributedOperator(
                 operator.plan, tomo_dec, sino_dec, comm=comm, topology=topo,
                 rank_data=rank_data,
-                transpose=None if operator._orbit else operator.transpose,
             )
         operator._rank_data[key] = solve_op.ranks
 

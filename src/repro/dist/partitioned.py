@@ -13,8 +13,11 @@ projection is three steps —
 Backprojection is the transpose path ``A^T = A_p^T C^T R^T``: owners
 *duplicate* their sinogram values to every interacting rank, which
 backprojects onto its own tomogram columns — no reduction on the
-tomogram side because column ownership is disjoint.  Both passes are
-pure gather/reduce; there are no scatter races anywhere.
+tomogram side because column ownership is disjoint.  A rank holds
+``A_p`` alone, with no transpose: its forward is a row gather, and
+each rank's adjoint is a serial scatter (``spmv_transposed``), whose
+sums are the scan transpose's gather's bit for bit.  Every rank's
+data, of either plan form, come from one cut (:meth:`RankData.cut`).
 
 The wire carries float32: on a float32 plan the adjoint is the serial
 kernel's bit for bit, and the forward equals it up to the wire's
@@ -23,17 +26,12 @@ orbit plan each rank owns whole orbits of the pixel maps and runs
 ``Q``'s 8-column kernels over its own columns of ``Q``.
 
 Graceful degradation: when the (fault-injected) communicator reports a
-rank crash, the serial-facade passes redistribute the dead rank's
-tomogram columns and sinogram rows to the survivors, attach a fresh
-communicator (same fault injector, same RNG stream), and re-execute
-the pass.  On a flat topology the both-domain decomposition is rebuilt
-globally over the surviving rank count; on a hierarchical topology
-(``topology=`` / ambient ``REPRO_TOPOLOGY``) each crashed rank's curve
-ranges are absorbed by the nearest surviving rank **of its own node
-group first** — redistribution stays on the intra-node fabric and the
-shrunken topology keeps node locality — falling back to the nearest
-global neighbour only when a whole node died.  The solve continues;
-only the partitioning changed.
+rank crash, the serial-facade passes hand the dead ranks' tomogram
+columns and sinogram rows to the survivors
+(:meth:`DistributedOperator.degrade`: globally on a flat topology,
+within the node group first on a hierarchical one), attach a fresh
+communicator with the same fault injector, and re-execute the pass.
+The solve continues; only the partitioning changed.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import numpy as np
 
 from ..obs import FAULT_RECOVERIES, add_count, span
 from ..resilience.faults import RankCrashError
-from ..sparse import CSRMatrix, OrbitMatrix, scan_transpose
+from ..sparse import CSRMatrix, OrbitMatrix
 from ..topology import HierComm, HierLog, Topology
 from .decomposition import Decomposition, decompose_both
 from .simmpi import CommLog, SimComm
@@ -62,14 +60,11 @@ class RankData:
     ----------
     partial_matrix:
         ``A_p``: rows are this rank's *touched* sinogram rows, columns
-        its local tomogram cells.  On a plan of ``A``, the scan
-        transpose of ``partial_transpose``; on an orbit plan, an
+        its local tomogram cells, float32 values.  On a plan of ``A``
+        a :class:`~repro.sparse.CSRMatrix`; on an orbit plan an
         :class:`~repro.sparse.OrbitMatrix` over the rank's columns of
-        ``Q``, which runs both directions.
-    partial_transpose:
-        ``A_p^T`` on a plan of ``A`` — the cut of ``A^T``'s rows
-        ``[c0, c1)``, its columns renumbered onto ``touched_rows``;
-        backprojection runs on it.  ``None`` on an orbit plan.
+        ``Q``.  Both directions run on it (``spmv`` /
+        ``spmv_transposed``); no rank holds a transpose.
     touched_rows:
         Sorted global sinogram positions with at least one nonzero in
         this rank's tomogram columns.
@@ -80,7 +75,6 @@ class RankData:
     """
 
     partial_matrix: CSRMatrix | OrbitMatrix
-    partial_transpose: CSRMatrix | None
     touched_rows: np.ndarray
     send_segments: list[tuple[int, int]]
     # The sums of A's rows this rank owns in the sinogram decomposition,
@@ -89,70 +83,54 @@ class RankData:
     _row_sums: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
-    def from_transpose_rows(
-        cls, transpose: CSRMatrix, c0: int, c1: int, sino_bounds: np.ndarray
-    ) -> "RankData":
-        """The rank owning tomogram cells ``[c0, c1)``, cut from ``A^T``.
+    def cut(cls, plan, tomo_dec: Decomposition, sino_bounds, ranks=None) -> list["RankData"]:
+        """The data of ``ranks`` (every rank of ``tomo_dec`` by default),
+        cut from ``plan`` (``A``, or an orbit plan) in one pass over its
+        stored rows.
 
-        Rows ``[c0, c1)`` of the ordered transpose *are* ``A_p^T`` with
-        global sinogram positions for columns, already in scan order:
-        the touched rows are the block's distinct columns,
-        ``partial_transpose`` is the block with its columns renumbered
-        onto them (a view of the values, a block-sized copy of the
-        indices) and ``A_p`` is its scan transpose.  Rank blocks hold
-        float32 values whatever the source stores — the wire does too.
+        One stable sort of the stored nonzeros by their column's owner
+        lays each rank's nonzeros out in row order: its rows of ``A``
+        (or ``Q``), columns renumbered onto its cells (ascending), values
+        float32 whatever the plan stores — the wire is.  An orbit rank
+        also takes each touched ray's ``(row, slot)`` in its rows and its
+        cells' maps, which closure makes permutations of the cells.  A
+        plan holding only the columns of the ranks asked for cuts those
+        alone.
         """
-        lo, hi = transpose.displ[c0], transpose.displ[c1]
-        ind = transpose.ind[lo:hi]
-        hit = np.zeros(transpose.num_cols, dtype=bool)
-        hit[ind] = True
-        touched = np.flatnonzero(hit)
-        local = np.empty(transpose.num_cols, dtype=np.int32)
-        local[touched] = np.arange(touched.shape[0], dtype=np.int32)
-        partial_transpose = CSRMatrix(
-            displ=transpose.displ[c0 : c1 + 1] - lo,
-            ind=local[ind],
-            val=transpose.val[lo:hi],
-            num_cols=touched.shape[0],
-        )
-        cuts = np.searchsorted(touched, sino_bounds)
-        return cls(
-            partial_matrix=scan_transpose(partial_transpose),
-            partial_transpose=partial_transpose,
-            touched_rows=touched,
-            send_segments=[(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:])],
-        )
-
-    @classmethod
-    def from_orbit_cells(
-        cls, plan: OrbitMatrix, cells: np.ndarray, sino_bounds: np.ndarray
-    ) -> "RankData":
-        """The rank owning the orbit-closed ordered ``cells`` (ascending):
-        ``Q``'s rows that meet them, columns renumbered onto them (float32
-        values), each touched ray's ``(row, slot)`` there, and the cells'
-        maps, which closure makes permutations of the cells."""
-        stored = plan.stored
-        local = np.full(stored.num_cols, -1, np.int32)
-        local[cells] = np.arange(cells.shape[0])
-        col = local[stored.ind]
-        hit = col >= 0
-        kept = np.zeros(stored.nnz + 1, np.int64)  # hits before each nonzero
-        np.cumsum(hit, out=kept[1:])
-        rows = np.flatnonzero(np.diff(kept[stored.displ]))
-        q_p = CSRMatrix(
-            displ=np.append(kept[stored.displ[rows]], kept[-1]),
-            ind=col[hit],
-            val=stored.val[hit],
-            num_cols=cells.shape[0],
-        )
-        at = np.full(stored.num_rows, -1, np.int64)
-        at[rows] = np.arange(rows.shape[0])
-        row = at[plan.out // plan.slots]  # each ray's row of Q_p, or -1
-        touched = np.flatnonzero(row >= 0)
-        out = row[touched] * plan.slots + plan.out[touched] % plan.slots
-        cuts = np.searchsorted(touched, sino_bounds)
-        segments = [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:])]
-        return cls(OrbitMatrix(q_p, local[plan.gather[cells]], out), None, touched, segments)
+        orbit = isinstance(plan, OrbitMatrix)
+        stored = plan.stored if orbit else plan
+        num_ranks, bounds = tomo_dec.num_ranks, tomo_dec.bounds
+        sizes = np.diff(bounds)
+        # Each column's owner and its index among the owner's cells.
+        owner = np.repeat(np.arange(num_ranks, dtype=np.min_scalar_type(num_ranks)), sizes)
+        local = (np.arange(stored.num_cols) - np.repeat(bounds[:-1], sizes)).astype(np.int32)
+        if tomo_dec.cells is not None:
+            owner[tomo_dec.cells], local[tomo_dec.cells] = owner.copy(), local.copy()
+        key = owner[stored.ind]
+        order = np.argsort(key, kind="stable")  # numpy radix-sorts keys of <= 16 bits
+        ends = np.zeros(num_ranks + 1, np.int64)
+        np.cumsum(np.bincount(key, minlength=num_ranks), out=ends[1:])
+        row_of = np.repeat(np.arange(stored.num_rows, dtype=np.int32), stored.row_nnz())[order]
+        if orbit:
+            ray_row, ray_slot = np.divmod(plan.out, plan.slots)
+        cut = []
+        for p in range(num_ranks) if ranks is None else ranks:
+            nonzeros, rows = order[ends[p] : ends[p + 1]], row_of[ends[p] : ends[p + 1]]
+            first = np.flatnonzero(np.diff(rows, prepend=-1))  # each row's first nonzero
+            touched = rows[first].astype(np.intp)
+            block = CSRMatrix(np.append(first, len(rows)), local[stored.ind[nonzeros]],
+                              stored.val[nonzeros], int(sizes[p]))
+            if orbit:
+                at = np.full(stored.num_rows, -1, np.int64)
+                at[touched] = np.arange(len(touched))
+                row = at[ray_row]  # each ray's row of Q_p, or -1
+                touched = np.flatnonzero(row >= 0)
+                out = row[touched] * plan.slots + ray_slot[touched]
+                block = OrbitMatrix(block, local[plan.gather[tomo_dec.rank_cells(p)]], out)
+            cuts = np.searchsorted(touched, sino_bounds)
+            segments = [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:])]
+            cut.append(cls(block, touched, segments))
+        return cut
 
 
 class DistributedOperator:
@@ -163,10 +141,10 @@ class DistributedOperator:
     (:meth:`forward` / :meth:`adjoint`) scatter, execute all ranks, and
     gather, so the operator plugs directly into the solvers.
 
-    ``matrix`` is the plan the ranks are cut from: ``A`` itself, cut
-    by rows of ``A^T``, or an orbit plan
-    (:class:`~repro.sparse.OrbitMatrix`) on an orbit-closed tomogram
-    decomposition, cut by columns of ``Q`` with no ``A`` or ``A^T``.
+    ``matrix`` is the plan the ranks are cut from (:meth:`RankData.cut`):
+    ``A`` itself on a contiguous tomogram decomposition, or an orbit
+    plan (:class:`~repro.sparse.OrbitMatrix`) on an orbit-closed one,
+    cut by columns of ``Q`` with no ``A``.  Neither builds an ``A^T``.
     """
 
     def __init__(
@@ -177,7 +155,6 @@ class DistributedOperator:
         comm: SimComm | None = None,
         rank_data: list[RankData] | None = None,
         topology: Topology | None = None,
-        transpose: CSRMatrix | None = None,
     ):
         if tomo_dec.num_ranks != sino_dec.num_ranks:
             raise ValueError("tomogram and sinogram decompositions must agree on ranks")
@@ -186,8 +163,6 @@ class DistributedOperator:
                 raise ValueError("matrix rows must match the sinogram domain")
             if matrix.num_cols != tomo_dec.ordering.num_cells:
                 raise ValueError("matrix columns must match the tomogram domain")
-            if transpose is not None and transpose.shape != matrix.shape[::-1]:
-                raise ValueError("transpose must have the matrix's shape, transposed")
             orbit = isinstance(matrix, OrbitMatrix)
             if not (tomo_dec.orbit_closed(matrix.gather) if orbit else tomo_dec.cells is None):
                 raise ValueError("an orbit plan needs an orbit-closed tomogram "
@@ -195,10 +170,6 @@ class DistributedOperator:
         elif rank_data is None:
             raise ValueError("either a global matrix or per-rank data is required")
         self.matrix = matrix
-        # The scan transpose of ``matrix`` the caller already holds (an
-        # operator's); without one the first build of a plan of ``A``
-        # derives it, once.  An orbit plan's build reads none.
-        self.transpose = transpose
         self.tomo_dec = tomo_dec
         self.sino_dec = sino_dec
         self.num_ranks = tomo_dec.num_ranks
@@ -224,11 +195,11 @@ class DistributedOperator:
         self.retired_logs: list[CommLog] = []
         self.degradations: list[dict] = []
         self._recv_local_ids: list[list[np.ndarray]] = []
-        if rank_data is not None:
-            self._check_rank_data(rank_data)
-            self.ranks = rank_data
+        if rank_data is None:
+            rank_data = RankData.cut(matrix, tomo_dec, sino_dec.bounds)
         else:
-            self._build()
+            self._check_rank_data(rank_data)
+        self.ranks = rank_data
         self._build_recv_ids()
 
     # -- preprocessing --------------------------------------------------
@@ -236,8 +207,9 @@ class DistributedOperator:
     def _check_rank_data(self, rank_data: list[RankData]) -> None:
         """Refuse supplied rank data cut for other decompositions.
 
-        O(P) shape checks: a stale memo or a hand-made list that does
-        not fit would otherwise solve a different system silently.
+        Shape checks and one pass over the touched rows: a stale memo or
+        a hand-made list that does not fit would otherwise solve a
+        different system silently.
         """
         if len(rank_data) != self.num_ranks:
             raise ValueError(
@@ -247,14 +219,9 @@ class DistributedOperator:
         for p, rank in enumerate(rank_data):
             touched = rank.touched_rows.shape[0]
             ends = [0] + [hi for _, hi in rank.send_segments]
-            size, transpose = self.tomo_dec.rank_size(p), rank.partial_transpose
             for fits, what in (
-                (rank.partial_matrix.num_cols == size
-                 and (transpose is None or transpose.num_rows == size),
-                 "partial_transpose rows and partial_matrix columns must be "
-                 "the rank's tomogram cells"),
-                (transpose is None or rank.partial_matrix.shape == transpose.shape[::-1],
-                 "partial_matrix must be partial_transpose's shape, transposed"),
+                (rank.partial_matrix.num_cols == self.tomo_dec.rank_size(p),
+                 "partial_matrix columns must be the rank's tomogram cells"),
                 (rank.partial_matrix.num_rows == touched,
                  "partial_matrix must have one row per touched row"),
                 (len(rank.send_segments) == self.num_ranks
@@ -263,41 +230,17 @@ class DistributedOperator:
                  "send_segments must tile touched_rows, one segment per rank"),
                 (touched == 0 or rank.touched_rows[-1] < num_rays,
                  "touched_rows must lie inside the sinogram domain"),
+                # The owners' reduction adds a segment with one fancy-indexed
+                # ``+=``, which counts a repeated id once.
+                ((np.diff(rank.touched_rows) > 0).all(),
+                 "touched_rows must be sorted and unique"),
             ):
                 if not fits:
                     raise ValueError(f"rank {p}: {what}")
 
-    def _build(self) -> None:
-        """Cut every rank's data: on an orbit plan its columns of ``Q``,
-        else its block of the transpose (views + one block-sized index
-        copy each; no copy of the global matrix)."""
-        sino_bounds = self.sino_dec.bounds
-        if isinstance(self.matrix, OrbitMatrix):
-            self.ranks = [
-                RankData.from_orbit_cells(self.matrix, self.tomo_dec.rank_cells(p), sino_bounds)
-                for p in range(self.num_ranks)
-            ]
-            return
-        if self.transpose is None:
-            self.transpose = scan_transpose(self.matrix)
-        bounds = self.tomo_dec.bounds
-        self.ranks = [
-            RankData.from_transpose_rows(self.transpose, bounds[p], bounds[p + 1], sino_bounds)
-            for p in range(self.num_ranks)
-        ]
-
     def _build_recv_ids(self) -> None:
-        """Receiver-side local row ids for the reduction step.
-
-        Each id list is a slice of a rank's ``touched_rows``, which must
-        be strictly increasing: the owner-side reduction adds a segment
-        with one fancy-indexed ``+=``, which counts a repeated id once.
-        """
-        for p, rank in enumerate(self.ranks):
-            if (np.diff(rank.touched_rows) <= 0).any():
-                raise ValueError(
-                    f"rank {p}: touched_rows must be sorted and unique"
-                )
+        """Receiver-side local row ids for the reduction step: slices
+        of each rank's (strictly increasing) ``touched_rows``."""
         sino_bounds = self.sino_dec.bounds
         self._recv_local_ids = [
             [
@@ -358,20 +301,13 @@ class DistributedOperator:
             for q in range(self.num_ranks)
         ]
         recv = self.comm.alltoallv(send)
-        # A_p^T: local backprojection onto owned tomogram columns.
-        x_pieces = []
-        for p in range(self.num_ranks):
-            # Segments arrive in ascending owner order = ascending
-            # touched-row order, so concatenation realigns with A_p rows.
-            y_sub = np.concatenate(
-                [recv[p][q] for q in range(self.num_ranks)]
-                or [np.empty(0, dtype=np.float32)]
-            )
-            rank = self.ranks[p]  # an orbit rank's A_p runs both directions
-            x_pieces.append(rank.partial_matrix.spmv_transposed(y_sub)
-                            if rank.partial_transpose is None
-                            else rank.partial_transpose.spmv(y_sub))
-        return x_pieces
+        # A_p^T: local backprojection onto owned tomogram columns.  Segments
+        # arrive in ascending owner order = ascending touched-row order, so
+        # concatenation realigns with A_p rows.
+        return [
+            self.ranks[p].partial_matrix.spmv_transposed(np.concatenate(recv[p]))
+            for p in range(self.num_ranks)
+        ]
 
     # -- graceful degradation ----------------------------------------------
 
@@ -386,8 +322,7 @@ class DistributedOperator:
         redistribution on the intra-node fabric — with the nearest
         global neighbour as fallback when an entire node died; the
         shrunken :class:`Topology` preserves the survivors' node
-        placement.  Either way ``A_p``/``A_p^T`` and
-        the exchange segments are re-partitioned and a fresh
+        placement.  Either way the ranks are cut afresh and a fresh
         communicator inherits the fault injector so the chaos schedule
         keeps running.  Requires the plan (``A`` or its orbit form) —
         per-rank-only operators cannot re-shard the lost columns.
@@ -429,7 +364,7 @@ class DistributedOperator:
                 self.comm = HierComm(self.topology, fault_injector=injector)
             self.degradations.append(record)
             self.num_ranks = survivors
-            self._build()
+            self.ranks = RankData.cut(self.matrix, self.tomo_dec, self.sino_dec.bounds)
             self._build_recv_ids()
         add_count(FAULT_RECOVERIES, len(dead))
 

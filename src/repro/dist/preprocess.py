@@ -9,16 +9,17 @@ per-node memory shrink as 1/P and makes terabyte-scale problems fit.
 The pipeline here mirrors that exactly over the simulated
 communicator:
 
-1. every rank traces a contiguous run of the geometry's traced views
-   and expands those rows to every ray of their orbits;
+1. every rank traces a contiguous run of the geometry's traced views:
+   the rows of ``Q`` on a scan with an 8-slot ray group, else expanded
+   to every ray of their orbits, the rows of ``A``;
 2. the (row, column, length) triplets are exchanged with one
-   ``Alltoallv`` keyed by the tomogram-column owner;
-3. each rank assembles its partial matrix ``A_p``, its scan-based
-   transpose, and the send segments of the communication plan —
-   exactly the :class:`RankData` the runtime operator consumes.
+   ``Alltoallv`` keyed by the tomogram-column owner (whole orbits per
+   rank on a plan of ``Q``, contiguous tiles otherwise);
+3. each rank assembles its columns of the plan and cuts itself with
+   :meth:`RankData.cut` — exactly the :class:`RankData` the runtime
+   operator consumes.
 
-Each rank's data are array-equal to slicing the globally built, ordered
-matrix — its rows come out of the builder's own expansion; the
+Each rank's data are array-equal to the serial plan's own cut; the
 difference is the memory high-water mark.
 """
 
@@ -29,7 +30,7 @@ import scipy.sparse as sp
 
 from ..geometry import ScanGeometry
 from ..ordering import make_ordering
-from ..sparse import CSRMatrix, OrbitMatrix
+from ..sparse import CSRMatrix, OrbitMatrix, orbit_group
 from ..topology import HierComm, Topology
 from ..trace import trace_view_range
 from ..trace.matrix_builder import _traced_views
@@ -53,8 +54,9 @@ def distributed_preprocess(
     Returns a ready :class:`DistributedOperator` whose per-rank data
     was built without ever holding the full matrix: rank ``r`` traces
     the ``r``-th of ``P`` contiguous runs of the traced views, each
-    traced ray once, and ships each nonzero of their orbits' rows to
-    its tomogram-column owner.  With a non-flat ``topology`` (explicit or
+    traced ray once, and ships each nonzero of the plan's rows it
+    traced (``Q``'s, or their orbits' rows of ``A``) to its
+    tomogram-column owner.  With a non-flat ``topology`` (explicit or
     ambient ``REPRO_TOPOLOGY``), the triplet exchange and the returned
     operator run over a hierarchical :class:`HierComm`.
     """
@@ -76,52 +78,62 @@ def distributed_preprocess(
     sino_ordering = make_ordering(
         ordering, *geometry.sino_layout_shape, min_tiles=min_tiles
     )
-    tomo_dec, sino_dec = decompose_both(tomo_ordering, sino_ordering, num_ranks)
-
-    # Step 1+2: each traced ray traced once, expanded to its orbit by the
-    # builder's expansion over a Q holding the run's rows alone, then
-    # the triplets exchanged by column owner: three parallel Alltoallv
-    # calls model one exchange of a (row, col, val) struct stream.
+    col_rank = tomo_ordering.rank.astype(np.int32)
+    row_rank = sino_ordering.rank.astype(np.int32)
     group = geometry.ray_group()
     traced = np.arange(geometry.num_rays) if group is None else group.stored_rays()
+    # With an 8-slot group the ranks hold Q's columns, whole orbits each:
+    # the serial plan's maps, from a Q with no nonzeros.
+    layout = None
+    if orbit_group(geometry) is not None:
+        empty = CSRMatrix(np.zeros(len(traced) + 1), [], [], len(col_rank))
+        layout = OrbitMatrix.from_group(empty, group, col_rank, sino_ordering.perm)
+    tomo_dec, sino_dec = decompose_both(
+        tomo_ordering, sino_ordering, num_ranks, None if layout is None else layout.gather
+    )
+    owner = tomo_dec.owner_of(np.arange(len(col_rank)))
+
+    # Step 1+2: each traced ray traced once (a smaller group's rows
+    # expanded by the builder's expansion over a Q of the run's rows),
+    # then three parallel Alltoallv calls model one exchange of a
+    # (row, col, val) struct stream.
     views = _traced_views(geometry)
     view_cuts = np.round(np.linspace(0, len(views), num_ranks + 1)).astype(int)
     ray_cuts = np.cumsum([0] + [channels for _, channels in views])[view_cuts]
     q_row = None if group is None else np.searchsorted(traced, group.source)
-    col_rank = tomo_ordering.rank.astype(np.int32)
-    row_rank = sino_ordering.rank.astype(np.int32)
     sends: tuple[list, list, list] = ([], [], [])  # rows, cols, vals: rank -> owner -> piece
     for r in range(num_ranks):
         lo, hi = int(ray_cuts[r]), int(ray_cuts[r + 1])
         task = (geometry, views[view_cuts[r] : view_cuts[r + 1]], col_rank, np.dtype(np.float32))
         counts, cols, vals = trace_view_range(task)
-        rays = traced[lo:hi]
-        if group is not None:
+        if layout is not None:
+            rows = np.arange(lo, hi, dtype=np.int32)
+        elif group is not None:
             held = np.zeros(len(traced), np.int64)
             held[lo:hi] = counts
             run = CSRMatrix(np.concatenate(([0], np.cumsum(held))), cols, vals, len(col_rank))
             rays = np.flatnonzero((q_row >= lo) & (q_row < hi))
             expanded = OrbitMatrix.from_group(run, group, col_rank, rays).expand()
             counts, cols, vals = expanded.row_nnz(), expanded.ind, expanded.val
-        rows = np.repeat(row_rank[rays], counts)
-        owners = tomo_dec.owner_of(cols)
+            rows = row_rank[rays]
+        else:
+            rows = row_rank[lo:hi]
+        rows = np.repeat(rows, counts)
+        owners = owner[cols]
         order = np.argsort(owners, kind="stable")
         cuts = np.searchsorted(owners[order], np.arange(num_ranks + 1))
         for send, stream in zip(sends, (rows[order], cols[order], vals[order])):
             send.append([stream[cuts[q] : cuts[q + 1]] for q in range(num_ranks)])
     recvs = [comm.alltoallv(send) for send in sends]
 
-    # Step 3: each rank assembles its triplets as A_p^T (local tomogram
-    # cell by global sinogram position) and cuts it with the constructor
-    # that slices a global transpose.
+    # Step 3: each rank assembles its columns of the plan and cuts them.
+    shape = (len(traced) if layout is not None else geometry.num_rays, len(col_rank))
     rank_data = []
     for p in range(num_ranks):
         rows, cols, vals = (np.concatenate(recv[p]) for recv in recvs)
-        c0, c1 = int(tomo_dec.bounds[p]), int(tomo_dec.bounds[p + 1])
-        local = sp.coo_matrix((vals, (cols - c0, rows)), shape=(c1 - c0, int(sino_dec.bounds[-1])))
-        rank_data.append(
-            RankData.from_transpose_rows(CSRMatrix.from_scipy(local), 0, c1 - c0, sino_dec.bounds)
-        )
+        block = CSRMatrix.from_scipy(sp.coo_matrix((vals, (rows, cols)), shape=shape))
+        plan = block if layout is None else OrbitMatrix(block, layout.gather, layout.out)
+        rank_data += RankData.cut(plan, tomo_dec, sino_dec.bounds, ranks=[p])
 
     return DistributedOperator(
         matrix=None,

@@ -2,7 +2,8 @@
 
 The decomposition mirrors the paper's OpenMP strategy (Section 4.1):
 the row partitions (Hilbert-ordered, so spatially coherent) are split
-into one **contiguous range per worker thread**.  A CSR row block
+into one **contiguous range per worker thread**, cut where each
+direction's cumulative nonzeros reach an even share.  A CSR row block
 yields a disjoint, contiguous span of output rows, so each range writes
 its own rows of one output array.  Within each range the kernel
 executes exactly the serial instruction stream, which makes parallel
@@ -40,23 +41,27 @@ from .backend import ThreadBackend, in_pool
 __all__ = ["ParallelSpmvEngine", "partition_ranges"]
 
 
-def partition_ranges(num_partitions: int, workers: int) -> list[tuple[int, int]]:
-    """Balanced contiguous split of ``[0, num_partitions)`` into ranges.
+def partition_ranges(
+    num_partitions: int, workers: int, work: np.ndarray | None = None
+) -> list[tuple[int, int]]:
+    """Contiguous split of ``[0, num_partitions)`` into ranges of even work.
 
-    At most ``workers`` non-empty ranges; the first
-    ``num_partitions % workers`` ranges get one extra partition.
+    At most ``workers`` ranges, none empty.  ``work[k]`` is the work
+    before partition ``k`` (``num_partitions + 1`` entries; the engine
+    passes a layout's ``displ`` at the partition boundaries, so its
+    nonzeros); by default every partition is one unit.  Range ``w``
+    ends at the first boundary whose work reaches ``w + 1`` shares.
     """
     if num_partitions <= 0:
         return []
     workers = max(1, min(workers, num_partitions))
-    base, extra = divmod(num_partitions, workers)
-    ranges: list[tuple[int, int]] = []
-    start = 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
+    work = np.arange(num_partitions + 1) if work is None else np.asarray(work, np.int64)
+    steps = np.arange(1, workers)
+    ends = np.searchsorted(work * workers, work[-1] * steps)
+    # At least one partition per range: ends - steps may not fall back.
+    ends = np.maximum.accumulate(np.clip(ends - steps, 0, num_partitions - workers)) + steps
+    cuts = [0, *ends.tolist(), num_partitions]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _run_range(out: np.ndarray, sub: CSRMatrix, rows: tuple[int, int], x) -> tuple:
@@ -96,10 +101,12 @@ class ParallelSpmvEngine:
         self._ranges = {}
         for direction, layout in self._layouts.items():
             partitions = RowPartitions(layout.num_rows, partition_size)
+            count = partitions.num_partitions
+            starts = np.minimum(np.arange(count + 1) * partition_size, layout.num_rows)
             self._ranges[direction] = [
                 (parts, partitions.row_range(*parts),
                  layout.partition_slice(*parts, partition_size))
-                for parts in partition_ranges(partitions.num_partitions, workers)
+                for parts in partition_ranges(count, workers, layout.displ[starts])
             ]
         self._closed = False
 

@@ -121,16 +121,16 @@ def _scene(config=None):
 
 @pytest.fixture
 def cuts(monkeypatch):
-    """Counts every rank cut of either kind, whoever asks for it: the
-    orbit cuts of ``Q``'s columns and the row cuts of a transpose."""
+    """Names the form of every rank cut, whoever asks for it: ``"orbit"``
+    for a rank's columns of ``Q``, ``"A"`` for its columns of ``A``."""
     calls = []
-    for name in ("from_orbit_cells", "from_transpose_rows"):
 
-        def counting(*args, _original=getattr(RankData, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+    def counting(plan, *args, _original=RankData.cut, **kwargs):
+        ranks = _original(plan, *args, **kwargs)
+        calls.extend(["orbit" if isinstance(plan, OrbitMatrix) else "A"] * len(ranks))
+        return ranks
 
-        monkeypatch.setattr(RankData, name, staticmethod(counting))
+    monkeypatch.setattr(RankData, "cut", staticmethod(counting))
     return calls
 
 
@@ -154,7 +154,7 @@ class TestReconstructMemo:
         operator, sinogram = _scene()
         with obs.capture() as cap:
             first = _solve(operator, sinogram)
-            assert cuts == ["from_orbit_cells"] * 4
+            assert cuts == ["orbit"] * 4
             held = _memo(operator)
             second = _solve(operator, sinogram)
         assert len(cuts) == 4  # nothing built
@@ -232,18 +232,42 @@ class TestReconstructMemo:
         _assert_same_rank_data(memoized, fresh)
         for rank in memo:
             assert rank.partial_matrix.stored.val.dtype == np.float32
-            assert rank.partial_transpose is None
+            assert isinstance(rank.partial_matrix, OrbitMatrix)
         assert sum(rank.partial_matrix.stored.nnz for rank in memo) == plan.stored.nnz
         assert operator._matrix is None and operator._transpose is None
         assert np.array_equal(_solve(operator, sinogram).image, first.image)
 
     def test_distributed_preprocess_is_untouched(self, cuts):
         """Matrix-free rank data still come from their own assembly, one
-        cut per rank, and fit the decompositions they were built for."""
+        cut per rank of its columns of ``Q``, and fit the decompositions
+        they were built for."""
         dist = distributed_preprocess(GEOMETRY, 4)
-        assert len(cuts) == 4
+        assert cuts == ["orbit"] * 4
         assert dist.matrix is None
         DistributedOperator(None, dist.tomo_dec, dist.sino_dec, rank_data=dist.ranks)
+
+
+class TestPlanOfACut:
+    """On a plan of ``A`` each rank holds its own columns of ``A``, cut
+    from the plan itself: a distributed solve builds no ``A^T``."""
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [ParallelBeamGeometry(24, 32, angle_range=2 * np.pi), ParallelBeamGeometry(25, 32)],
+        ids=["full-turn", "4-slot"],
+    )
+    def test_the_transpose_memo_stays_empty(self, cuts, geometry):
+        # Serial: a thread engine partitions the operator's own transpose.
+        config = OperatorConfig(kernel="csr", workers="serial")
+        operator, _ = preprocess(geometry, config=config)
+        assert operator.plan is operator.matrix
+        truth = np.random.default_rng(3).random(operator.num_pixels).astype(np.float32)
+        sinogram = operator.ordered_to_sinogram(
+            np.asarray(operator.forward(truth), dtype=np.float64)
+        )
+        reconstruct(sinogram, geometry, operator=operator, num_ranks=4, iterations=6)
+        assert operator._transpose is None
+        assert cuts == ["A"] * 4
 
 
 class TestOrbitPlanCut:
@@ -260,7 +284,7 @@ class TestOrbitPlanCut:
         assert isinstance(operator.plan, OrbitMatrix)
         result = _solve(operator, sinogram, **faults)
         assert operator._matrix is None and operator._transpose is None
-        assert cuts == ["from_orbit_cells"] * (4 + 3 if "faults" in faults else 4)
+        assert cuts == ["orbit"] * (4 + 3 if "faults" in faults else 4)
         assert ("degradations" in result.extra) == ("faults" in faults)
 
     @pytest.mark.parametrize("solver, ranks_expanded", [("sirt", 4), ("sgd", 4), ("mlem", 0)])

@@ -1,15 +1,18 @@
 """Tests for the MPI-parallel preprocessing pipeline (paper Section 3.5).
 
-Every rank's data must be array-equal, dtype for dtype, to the slices
-of the globally built and ordered matrix.  Four geometries run: a
-half-turn scan (an 8-slot ray group) and an odd-``M`` one (4 slots),
-whose ranks trace only the group's traced rays and expand them, and a
-full-turn and a fan scan, with no group, whose rays are all traced.
+Every rank's data must be array-equal, dtype for dtype, to the serial
+plan's own rank cut.  Four geometries run: a half-turn scan (an 8-slot
+ray group), whose ranks trace only the group's traced rays and ship
+them as rows of ``Q`` to whole-orbit owners; an odd-``M`` one (4
+slots), whose ranks trace the traced rays and expand them to rows of
+``A``; and a full-turn and a fan scan, with no group, whose rays are
+all traced.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import OperatorConfig, preprocess
 from repro.dist import (
     DistributedOperator,
     SimComm,
@@ -17,8 +20,8 @@ from repro.dist import (
     distributed_preprocess,
 )
 from repro.geometry import FanBeamGeometry, ParallelBeamGeometry
-from repro.sparse import CSRMatrix
-from repro.trace import build_projection_matrix, matrix_builder
+from repro.sparse import OrbitMatrix, orbit_group
+from repro.trace import matrix_builder
 
 from .test_partitioned import _assert_same_rank_data
 
@@ -37,13 +40,20 @@ def geometry(request):
 
 
 def _reference(geometry, op):
-    """Globally-built operator sharing op's decompositions."""
-    matrix = (
-        CSRMatrix.from_scipy(build_projection_matrix(geometry))
-        .permute(op.sino_dec.ordering.perm, op.tomo_dec.ordering.rank)
-        .sort_rows_by_index()
+    """The serial plan, and its own rank cut: by whole orbits on a plan
+    of ``Q``, by contiguous tiles on a plan of ``A``.  Its decompositions
+    are op's."""
+    serial, _ = preprocess(geometry, config=OperatorConfig(kernel="csr"))
+    plan = serial.plan
+    tomo_dec, sino_dec = decompose_both(
+        serial.tomo_ordering, serial.sino_ordering, op.num_ranks,
+        plan.gather if isinstance(plan, OrbitMatrix) else None,
     )
-    return DistributedOperator(matrix, op.tomo_dec, op.sino_dec), matrix
+    for mine, theirs in ((op.tomo_dec, tomo_dec), (op.sino_dec, sino_dec)):
+        assert np.array_equal(mine.bounds, theirs.bounds)
+        assert (mine.cells is None) == (theirs.cells is None)
+        assert mine.cells is None or np.array_equal(mine.cells, theirs.cells)
+    return DistributedOperator(plan, tomo_dec, sino_dec), plan
 
 
 class TestDistributedPreprocess:
@@ -59,12 +69,28 @@ class TestDistributedPreprocess:
 
     @pytest.mark.parametrize("ranks", [1, 2, 3, 4, 5, 6, 8])
     def test_rank_data_are_the_global_slices(self, geometry, ranks):
-        """Assembled from received triplets or cut from the global
-        transpose, a rank's data come out of one constructor: equal
-        arrays, equal dtypes."""
+        """Assembled from received triplets or cut from the serial plan,
+        a rank's data come out of one cut: equal arrays, equal dtypes,
+        and the plan's form (``Q``'s columns where an 8-slot group
+        applies)."""
         op = distributed_preprocess(geometry, ranks)
-        ref, _ = _reference(geometry, op)
+        ref, plan = _reference(geometry, op)
         _assert_same_rank_data(op, ref)
+        orbit = orbit_group(geometry) is not None
+        assert isinstance(plan, OrbitMatrix) == orbit
+        assert all(isinstance(r.partial_matrix, OrbitMatrix) == orbit for r in op.ranks)
+
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_exchange_ships_the_plans_rows(self, geometry, ranks):
+        """Each shipped nonzero is an int32 row, an int32 column and a
+        float32 value (self-sends included): one per nonzero of ``Q`` on
+        an 8-slot scan, of ``A`` otherwise."""
+        comm = SimComm(ranks)
+        _, plan = _reference(geometry, distributed_preprocess(geometry, ranks, comm=comm))
+        stored = plan.stored if isinstance(plan, OrbitMatrix) else plan
+        assert comm.log.volume_bytes.sum() == 12 * stored.nnz
+        if geometry is GEOMETRIES["symmetric"]:
+            assert stored.nnz < plan.nnz / 7
 
     def test_each_traced_ray_is_traced_once(self, geometry, monkeypatch):
         """Ranks trace disjoint runs of the traced views: the rays

@@ -140,6 +140,28 @@ class TestPartitionRanges:
             assert ranges[0][0] == 0 and ranges[-1][1] == n
             assert all(a1 == b0 for (_, a1), (b0, _) in zip(ranges, ranges[1:]))
 
+    def test_engine_ranges_balance_nonzeros_on_a_skewed_matrix(self):
+        """A quarter of the rows hold three quarters of the nonzeros: cut
+        by count the two ranges would hold 5.5x apart, cut by each
+        direction's nonzeros within 1.1x, and the bits stay serial."""
+        rng = np.random.default_rng(0)
+        counts = np.where(np.arange(800) < 200, 40, 4)
+        displ = np.concatenate(([0], np.cumsum(counts)))
+        ind = np.concatenate([np.sort(rng.choice(512, c, replace=False)) for c in counts])
+        matrix = CSRMatrix(displ, ind, rng.random(displ[-1]), 512)
+        transpose = scan_transpose(matrix)
+        engine = ParallelSpmvEngine(
+            workers=2, partition_size=4, forward_layout=matrix, adjoint_layout=transpose
+        )
+        try:
+            for direction, layout in (("forward", matrix), ("adjoint", transpose)):
+                nnz = [sub.nnz for _, _, sub in engine._ranges[direction]]
+                assert len(nnz) == 2 and max(nnz) <= 1.1 * min(nnz), (direction, nnz)
+                x = rng.random(layout.num_cols).astype(np.float32)
+                assert np.array_equal(engine.apply(direction, x), layout.spmv(x))
+        finally:
+            engine.close()
+
 
 class TestBackends:
     def test_make_backend_modes(self):
